@@ -128,14 +128,18 @@ Status BinaryWireFormat::encode(const Value& value, const TypeDescriptor& type,
   return internal_error("unhandled type kind");
 }
 
-StatusOr<Value> BinaryWireFormat::decode(ByteReader& in,
-                                         const TypeDescriptor& type) const {
+namespace {
+
+// The one descriptor-shaped decoder: refills `out` in place (see
+// decode_value_into); BinaryWireFormat::decode and decode_value wrap it.
+Status decode_into(ByteReader& in, const TypeDescriptor& type, Value& out) {
   const TypeKind kind = type.kind();
   switch (kind) {
     case TypeKind::kBool: {
       uint8_t v = in.u8();
       if (!in.ok()) return data_loss_error("truncated bool");
-      return Value::of_bool(v != 0);
+      out = Value::of_bool(v != 0);
+      return Status::ok();
     }
     case TypeKind::kI8:
     case TypeKind::kI16:
@@ -144,7 +148,8 @@ StatusOr<Value> BinaryWireFormat::decode(ByteReader& in,
       int64_t v = in.svarint();
       if (!in.ok()) return data_loss_error("truncated int");
       if (!int_fits(v, kind)) return data_loss_error("int out of range");
-      return Value::of_int(v);
+      out = Value::of_int(v);
+      return Status::ok();
     }
     case TypeKind::kU8:
     case TypeKind::kU16:
@@ -153,27 +158,33 @@ StatusOr<Value> BinaryWireFormat::decode(ByteReader& in,
       uint64_t v = in.varint();
       if (!in.ok()) return data_loss_error("truncated uint");
       if (!uint_fits(v, kind)) return data_loss_error("uint out of range");
-      return Value::of_uint(v);
+      out = Value::of_uint(v);
+      return Status::ok();
     }
     case TypeKind::kF32: {
       float v = in.f32();
       if (!in.ok()) return data_loss_error("truncated f32");
-      return Value::of_double(v);
+      out = Value::of_double(v);
+      return Status::ok();
     }
     case TypeKind::kF64: {
       double v = in.f64();
       if (!in.ok()) return data_loss_error("truncated f64");
-      return Value::of_double(v);
+      out = Value::of_double(v);
+      return Status::ok();
     }
     case TypeKind::kString: {
-      std::string s = in.str();
+      BytesView v = in.blob();
       if (!in.ok()) return data_loss_error("truncated string");
-      return Value::of_string(std::move(s));
+      out.mutable_string().assign(reinterpret_cast<const char*>(v.data()),
+                                  v.size());
+      return Status::ok();
     }
     case TypeKind::kBytes: {
       BytesView v = in.blob();
       if (!in.ok()) return data_loss_error("truncated bytes");
-      return Value::of_bytes(to_buffer(v));
+      out.mutable_bytes().assign(v.begin(), v.end());
+      return Status::ok();
     }
     case TypeKind::kArray: {
       uint64_t n = type.fixed_size();
@@ -183,37 +194,45 @@ StatusOr<Value> BinaryWireFormat::decode(ByteReader& in,
       }
       // Defensive cap: element payloads are at least one byte each.
       if (n > in.remaining() + 1) return data_loss_error("array too long");
-      ValueList list;
-      list.reserve(static_cast<size_t>(n));
-      for (uint64_t i = 0; i < n; ++i) {
-        auto elem = decode(in, *type.element());
-        if (!elem.ok()) return elem.status();
-        list.push_back(std::move(elem).value());
+      ValueList& list = out.mutable_list();
+      list.resize(static_cast<size_t>(n));
+      for (Value& elem : list) {
+        if (Status s = decode_into(in, *type.element(), elem); !s.is_ok()) {
+          return s;
+        }
       }
-      return Value::of_list(std::move(list));
+      return Status::ok();
     }
     case TypeKind::kStruct: {
-      ValueList list;
-      list.reserve(type.fields().size());
-      for (const auto& f : type.fields()) {
-        auto v = decode(in, *f.type);
-        if (!v.ok()) return v.status();
-        list.push_back(std::move(v).value());
+      const auto& fields = type.fields();
+      ValueList& list = out.mutable_list();
+      list.resize(fields.size());
+      for (size_t i = 0; i < fields.size(); ++i) {
+        if (Status s = decode_into(in, *fields[i].type, list[i]); !s.is_ok()) {
+          return s;
+        }
       }
-      return Value::of_list(std::move(list));
+      return Status::ok();
     }
     case TypeKind::kUnion: {
       uint64_t case_index = in.varint();
       if (!in.ok() || case_index >= type.fields().size()) {
         return data_loss_error("bad union case");
       }
-      auto v = decode(in, *type.fields()[case_index].type);
-      if (!v.ok()) return v.status();
-      return Value::of_union(static_cast<uint32_t>(case_index),
-                             std::move(v).value());
+      return decode_into(in, *type.fields()[case_index].type,
+                         out.mutable_union(static_cast<uint32_t>(case_index)));
     }
   }
   return internal_error("unhandled type kind");
+}
+
+}  // namespace
+
+StatusOr<Value> BinaryWireFormat::decode(ByteReader& in,
+                                         const TypeDescriptor& type) const {
+  Value v;
+  if (Status s = decode_into(in, type, v); !s.is_ok()) return s;
+  return v;
 }
 
 const WireFormat& binary_format() {
@@ -238,11 +257,17 @@ Status encode_value_into(const Value& value, const TypeDescriptor& type,
   return Status::ok();
 }
 
-StatusOr<Value> decode_value(BytesView data, const TypeDescriptor& type) {
+Status decode_value_into(BytesView data, const TypeDescriptor& type,
+                         Value& out) {
   ByteReader r(data);
-  auto v = binary_format().decode(r, type);
-  if (!v.ok()) return v;
+  if (Status s = decode_into(r, type, out); !s.is_ok()) return s;
   if (!r.at_end()) return data_loss_error("trailing bytes after value");
+  return Status::ok();
+}
+
+StatusOr<Value> decode_value(BytesView data, const TypeDescriptor& type) {
+  Value v;
+  if (Status s = decode_value_into(data, type, v); !s.is_ok()) return s;
   return v;
 }
 

@@ -46,6 +46,15 @@ const WireFormat& binary_format();
 StatusOr<Buffer> encode_value(const Value& value, const TypeDescriptor& type);
 StatusOr<Value> decode_value(BytesView data, const TypeDescriptor& type);
 
+// Allocation-free decode for hot paths: refills `out` in place, reusing
+// the list, string and buffer capacity (and unshared union payloads)
+// already in it, so a Value decoded into over and over stops touching the
+// heap once it has seen its largest shape. On error `out` holds an
+// unspecified but valid Value; decode into scratch and swap on success
+// when the previous value must survive bad input.
+Status decode_value_into(BytesView data, const TypeDescriptor& type,
+                         Value& out);
+
 // Allocation-free variant for hot paths: encodes into `out`, reusing its
 // capacity across calls. `out` is cleared first; on error it is left
 // cleared so stale bytes never escape.

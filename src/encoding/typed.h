@@ -20,8 +20,11 @@
 
 namespace marea::enc {
 
+// Specialized by MAREA_REFLECT (or by hand, for a struct the macro cannot
+// take): kName, kFieldCount and for_each_field(f), which calls
+// f(name, member_ptr) once per field in declaration order.
 template <typename T>
-struct Reflect;  // specialized by MAREA_REFLECT
+struct Reflect;
 
 template <typename T, typename = void>
 struct is_reflected : std::false_type {};
@@ -187,6 +190,7 @@ template <typename T>
 Value to_value(const T& obj) {
   static_assert(is_reflected_v<T>, "T must be MAREA_REFLECTed");
   ValueList fields;
+  fields.reserve(Reflect<T>::kFieldCount);
   Reflect<T>::for_each_field([&](const char*, auto member_ptr) {
     fields.push_back(detail::member_to_value(obj.*member_ptr));
   });
@@ -264,6 +268,7 @@ StatusOr<T> decode_struct(BytesView data) {
   template <>                                                              \
   struct marea::enc::Reflect<Type> {                                       \
     static constexpr const char* kName = #Type;                            \
+    static constexpr size_t kFieldCount = MAREA_RFL_NARGS(__VA_ARGS__);    \
     template <typename F>                                                  \
     static void for_each_field(F&& f) {                                    \
       MAREA_RFL_FIELDS(Type, f, MAREA_RFL_NARGS(__VA_ARGS__), __VA_ARGS__) \

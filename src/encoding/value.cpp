@@ -4,6 +4,13 @@
 
 namespace marea::enc {
 
+Value& Value::mutable_union(uint32_t case_index) {
+  UnionValue& u = ensure<UnionValue>();
+  u.case_index = case_index;
+  if (!u.value || u.value.use_count() != 1) u.value = std::make_shared<Value>();
+  return *u.value;
+}
+
 double Value::number() const {
   if (is_double()) return as_double();
   if (is_int()) return static_cast<double>(as_int());

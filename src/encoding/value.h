@@ -71,6 +71,17 @@ class Value {
     return std::get<UnionValue>(storage_);
   }
 
+  // In-place mutators for decoders that refill a reused tree
+  // (decode_value_into). Each switches the storage to the named kind,
+  // keeping the existing string/buffer/list capacity when the storage
+  // already holds that kind.
+  std::string& mutable_string() { return ensure<std::string>(); }
+  Buffer& mutable_bytes() { return ensure<Buffer>(); }
+  ValueList& mutable_list() { return ensure<ValueList>(); }
+  // Sets the union case and returns its payload. Copies of a Value share
+  // union payloads, so the payload node is reused only when unshared.
+  Value& mutable_union(uint32_t case_index);
+
   // Numeric convenience: accepts int/uint/double storage (the common case
   // when values cross language-ish boundaries), converting to double.
   double number() const;
@@ -81,6 +92,13 @@ class Value {
 
  private:
   explicit Value(Storage s) : storage_(std::move(s)) {}
+
+  template <typename T>
+  T& ensure() {
+    if (!std::holds_alternative<T>(storage_)) storage_.emplace<T>();
+    return std::get<T>(storage_);
+  }
+
   Storage storage_;
 };
 

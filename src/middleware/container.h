@@ -268,6 +268,11 @@ class ServiceContainer {
     TimePoint last_name_query = kNeverQueried;
     // cache
     std::optional<enc::Value> last_value;
+    // Decode target for remote samples. A good decode is swapped with
+    // last_value, so once warm the subscription alternates between two
+    // trees whose capacity decode_value_into reuses (no per-sample heap
+    // traffic), and a bad sample never clobbers the cache.
+    enc::Value scratch;
     uint64_t last_seq = 0;
     // Identity of the sample stream last_seq counts. The watermark
     // survives peer loss and re-binding as long as the stream is the
@@ -488,8 +493,11 @@ class ServiceContainer {
                                const proto::VarSnapshotRequestMsg& msg);
   void send_sample(VarProvision& prov);
   void send_snapshot(VarProvision& prov, proto::ContainerId to);
-  void deliver_sample_locally(VarSubscription& sub, enc::Value value,
-                              const SampleInfo& info);
+  // Decodes a remote sample into sub.scratch and, only on success, swaps
+  // it into sub.last_value. Returns false (cache untouched) on bad input.
+  bool decode_into_cache(VarSubscription& sub, BytesView data);
+  // Runs every handler of `sub` on its cached value (sub.last_value).
+  void deliver_sample(VarSubscription& sub, const SampleInfo& info);
   void arm_deadline(VarSubscription& sub);
   void period_tick(const std::string& name);
 
@@ -641,8 +649,11 @@ class ServiceContainer {
   sched::TaskTimerId health_timer_ = sched::kInvalidTaskTimer;
   sched::TaskTimerId resub_timer_ = sched::kInvalidTaskTimer;
 
+  // Both arms are lvalues so the lookup key is never a temporary string
+  // (a long service name would heap-allocate on every publish/delivery).
   ServiceUsage& usage_of(const Service* service) {
-    return usage_[service ? service->name() : "<container>"];
+    static const std::string kContainerKey = "<container>";
+    return usage_[service ? service->name() : kContainerKey];
   }
 
   EmergencyHandler emergency_;

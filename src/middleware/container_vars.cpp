@@ -80,7 +80,9 @@ void ServiceContainer::send_sample(VarProvision& prov) {
     info.seq = prov.seq;
     info.publish_time = prov.last_publish;
     info.latency = kDurationZero;
-    deliver_sample_locally(sub_it->second, *prov.last_value, info);
+    // Copy-assign reuses the cached tree's capacity.
+    sub_it->second.last_value = *prov.last_value;
+    deliver_sample(sub_it->second, info);
   }
 
   if (prov.remote_subscribers.empty()) return;
@@ -148,7 +150,6 @@ Status ServiceContainer::register_var_subscription(
   auto prov_it = var_provisions_.find(name);
   if (prov_it != var_provisions_.end() && prov_it->second.last_value) {
     VarProvision& prov = prov_it->second;
-    VarSubscription& sub = it->second;
     enc::Value value = *prov.last_value;
     SampleInfo info;
     info.seq = prov.seq;
@@ -158,12 +159,11 @@ Status ServiceContainer::register_var_subscription(
                    [this, name, value = std::move(value), info]() mutable {
                      auto sit = var_subs_.find(name);
                      if (sit != var_subs_.end()) {
-                       deliver_sample_locally(sit->second, std::move(value),
-                                              info);
+                       sit->second.last_value = std::move(value);
+                       deliver_sample(sit->second, info);
                      }
                    },
                    config_.handler_cost);
-    (void)sub;
   }
   return Status::ok();
 }
@@ -287,13 +287,21 @@ void ServiceContainer::arm_deadline(VarSubscription& sub) {
       });
 }
 
-void ServiceContainer::deliver_sample_locally(VarSubscription& sub,
-                                              enc::Value value,
-                                              const SampleInfo& info) {
-  // Takes the value by value so network-path callers (whose decoded Value
-  // is otherwise discarded) move it straight into the cache instead of
-  // deep-copying it per delivery.
-  sub.last_value = std::move(value);
+bool ServiceContainer::decode_into_cache(VarSubscription& sub,
+                                         BytesView data) {
+  if (!enc::decode_value_into(data, *sub.type, sub.scratch).is_ok()) {
+    return false;
+  }
+  if (sub.last_value) {
+    std::swap(*sub.last_value, sub.scratch);
+  } else {
+    sub.last_value = std::move(sub.scratch);
+  }
+  return true;
+}
+
+void ServiceContainer::deliver_sample(VarSubscription& sub,
+                                      const SampleInfo& info) {
   sub.last_seq = info.seq;
   sub.last_recv = now();
   sub.got_any = true;
@@ -356,15 +364,14 @@ void ServiceContainer::on_var_snapshot(const proto::VarSnapshotMsg& msg) {
   if (it == var_subs_.end()) return;
   VarSubscription& sub = it->second;
   if (sub.got_any || !msg.has_value) return;  // live data already flowing
-  auto value = enc::decode_value(as_bytes_view(msg.value), *sub.type);
-  if (!value.ok()) return;
+  if (!decode_into_cache(sub, as_bytes_view(msg.value))) return;
   stats_.var_samples_received++;
   SampleInfo info;
   info.seq = msg.seq;
   info.publish_time = TimePoint{msg.pub_time_ns};
   info.latency = now() - info.publish_time;
   info.from_snapshot = true;
-  deliver_sample_locally(sub, std::move(*value), info);
+  deliver_sample(sub, info);
 }
 
 void ServiceContainer::on_var_sample(const proto::VarSampleMsg& msg) {
@@ -376,8 +383,7 @@ void ServiceContainer::on_var_sample(const proto::VarSampleMsg& msg) {
   // Best-effort streams may reorder: drop anything not newer than the
   // freshest sample we have.
   if (sub.got_any && msg.seq <= sub.last_seq) return;
-  auto value = enc::decode_value(as_bytes_view(msg.value), *sub.type);
-  if (!value.ok()) {
+  if (!decode_into_cache(sub, as_bytes_view(msg.value))) {
     stats_.frames_dropped++;
     return;
   }
@@ -386,7 +392,7 @@ void ServiceContainer::on_var_sample(const proto::VarSampleMsg& msg) {
   info.seq = msg.seq;
   info.publish_time = TimePoint{msg.pub_time_ns};
   info.latency = now() - info.publish_time;
-  deliver_sample_locally(sub, std::move(*value), info);
+  deliver_sample(sub, info);
 }
 
 StatusOr<enc::Value> ServiceContainer::read_variable(

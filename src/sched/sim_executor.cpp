@@ -71,7 +71,7 @@ TimePoint SimExecutor::next_allowed_start(TimePoint t, Priority p,
 void SimExecutor::dispatch() {
   if (busy_) return;
 
-  std::deque<Queued>* source = nullptr;
+  RingQueue<Queued>* source = nullptr;
   TimePoint now = sim_.now();
   TimePoint earliest{INT64_MAX};
 

@@ -11,11 +11,11 @@
 #pragma once
 
 #include <array>
-#include <deque>
 
 #include "obs/trace.h"
 #include "sched/executor.h"
 #include "sim/simulator.h"
+#include "util/ring_queue.h"
 
 namespace marea::sched {
 
@@ -81,8 +81,8 @@ class SimExecutor final : public Executor {
   Duration slot_width_ = kDurationZero;
   bool busy_ = false;
   uint64_t next_seq_ = 1;
-  std::array<std::deque<Queued>, kPriorityCount> queues_;
-  std::deque<Queued> fifo_queue_;
+  std::array<RingQueue<Queued>, kPriorityCount> queues_;
+  RingQueue<Queued> fifo_queue_;
   SimExecutorStats stats_;
   obs::TraceRing* trace_ = nullptr;
   uint32_t trace_node_ = 0;

@@ -11,13 +11,13 @@
 #include <array>
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "sched/executor.h"
+#include "util/ring_queue.h"
 
 namespace marea::sched {
 
@@ -52,7 +52,7 @@ class ThreadPoolExecutor final : public Executor {
   std::mutex mutex_;
   std::condition_variable work_cv_;
   std::condition_variable idle_cv_;
-  std::array<std::deque<Task>, kPriorityCount> queues_;
+  std::array<RingQueue<Task>, kPriorityCount> queues_;
   size_t queued_ = 0;
   size_t active_ = 0;
   bool stopping_ = false;

@@ -1,14 +1,37 @@
 // Zero-copy datapath building blocks: ByteWriter/ByteReader edge cases,
 // the owned-or-borrowed Bytes field type, FramePool slab reuse, and
-// SharedFrame fan-out semantics.
+// SharedFrame fan-out semantics — plus the end-to-end claim they add up
+// to: a warm remote variable delivery never touches the heap.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <new>
 
+#include "encoding/typed.h"
+#include "middleware/domain.h"
 #include "protocol/frame.h"
+#include "services/messages.h"
 #include "util/bytes.h"
 #include "util/frame_pool.h"
+
+// Global allocation counter for the steady-state delivery test.
+namespace {
+std::atomic<uint64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete[](void* p, size_t) noexcept { std::free(p); }
 
 namespace marea {
 namespace {
@@ -284,6 +307,98 @@ TEST(FrameBuilderTest, SealedFrameMatchesLegacySealFrame) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().type, proto::MsgType::kVarSample);
   EXPECT_EQ(parsed.value().source, 0x12345678u);
+}
+
+// --- steady-state variable delivery --------------------------------------
+
+class FixSource final : public mw::Service {
+ public:
+  FixSource() : Service("fix_source") {}
+  Status on_start() override {
+    // Long validity: the subscriber's silence-deadline timer (armed from
+    // it) stays out of the measured window along with the other upkeep.
+    auto h = provide_variable<services::GpsFix>(
+        "gps.position", mw::VariableQoS{.validity = seconds(30.0)});
+    if (!h.ok()) return h.status();
+    handle_ = *h;
+    return Status::ok();
+  }
+  Status publish(enc::Value v) { return handle_.publish(std::move(v)); }
+
+ private:
+  mw::VariableHandle handle_;
+};
+
+class FixSink final : public mw::Service {
+ public:
+  FixSink() : Service("fix_sink") {}
+  Status on_start() override {
+    return subscribe_variable(
+        "gps.position", enc::descriptor_of<services::GpsFix>(),
+        [this](const enc::Value& v, const mw::SampleInfo&) {
+          ++deliveries;
+          last_time_ns = v.as_list()[5].as_int();
+        });
+  }
+  uint64_t deliveries = 0;
+  int64_t last_time_ns = 0;
+};
+
+TEST(SteadyStateDeliveryTest, WarmRemoteGpsFixDeliveryAllocatesNothing) {
+  // Everything between publish() and the subscriber's handler — encode,
+  // framing, simulated multicast, executor queues, decode into the
+  // subscription's reused tree — must run without the heap once warm.
+  // Only the publisher's typed -> Value reflection is outside the window.
+  // Background upkeep (heartbeats, manifest refresh, health checks,
+  // resubscribe) is pushed past the run so the window holds samples only.
+  mw::ContainerConfig cfg;
+  cfg.heartbeat_interval = seconds(30.0);
+  cfg.announce_interval = seconds(30.0);
+  cfg.health_check_interval = seconds(30.0);
+  cfg.resubscribe_interval = seconds(30.0);
+  mw::SimDomain domain(21);
+  auto& pub = domain.add_node("publisher", cfg);
+  auto source = std::make_unique<FixSource>();
+  FixSource* src = source.get();
+  (void)pub.add_service(std::move(source));
+  auto& sub = domain.add_node("subscriber", cfg);
+  auto sink = std::make_unique<FixSink>();
+  FixSink* snk = sink.get();
+  (void)sub.add_service(std::move(sink));
+  domain.start_all();
+  domain.run_for(seconds(1.0));
+
+  services::GpsFix fix;
+  auto publish_at = [&](int64_t t) {
+    fix.time_ns = t;
+    fix.lat_deg = 41.0 + static_cast<double>(t) * 1e-6;
+    return src->publish(enc::to_value(fix));
+  };
+  for (int i = 1; i <= 200; ++i) {  // warm-up
+    ASSERT_TRUE(publish_at(i).is_ok());
+    domain.run_for(milliseconds(2));
+  }
+  ASSERT_EQ(snk->last_time_ns, 200);
+
+  constexpr int kSamples = 100;
+  std::vector<enc::Value> values;
+  values.reserve(kSamples);
+  for (int i = 0; i < kSamples; ++i) {
+    fix.time_ns = 1000 + i;
+    values.push_back(enc::to_value(fix));
+  }
+  const uint64_t delivered_before = snk->deliveries;
+  const uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
+  for (enc::Value& v : values) {
+    (void)src->publish(std::move(v));
+    domain.run_for(milliseconds(2));
+  }
+  const uint64_t allocs = g_allocs.load(std::memory_order_relaxed) -
+                          allocs_before;
+  EXPECT_EQ(snk->deliveries - delivered_before, uint64_t{kSamples});
+  EXPECT_EQ(snk->last_time_ns, 1000 + kSamples - 1);
+  EXPECT_EQ(allocs, 0u) << "heap allocations over " << kSamples
+                        << " warm remote deliveries";
 }
 
 }  // namespace

@@ -185,8 +185,173 @@ TEST_P(FuzzDecodeTest, TaggedValueRoundTripUnderRandomShapes) {
   }
 }
 
+// --- descriptor-shaped decode into a reused Value ---------------------------
+
+enc::TypePtr random_type(Rng& rng, int depth) {
+  // Kinds 0..12 are the primitives (bool .. bytes); deeper levels stop
+  // nesting so shapes stay small.
+  const uint64_t pick = rng.uniform(0, depth >= 3 ? 12 : 15);
+  if (pick <= static_cast<uint64_t>(enc::TypeKind::kBytes)) {
+    return enc::TypeDescriptor::primitive(static_cast<enc::TypeKind>(pick));
+  }
+  if (pick == 13) {
+    const auto fixed = static_cast<uint32_t>(
+        rng.bernoulli(0.3) ? rng.uniform(1, 4) : 0);
+    return enc::TypeDescriptor::array_of(random_type(rng, depth + 1), fixed);
+  }
+  std::vector<enc::Field> fields;
+  for (uint64_t i = rng.uniform(1, 4); i > 0; --i) {
+    fields.push_back({"f" + std::to_string(fields.size()),
+                      random_type(rng, depth + 1)});
+  }
+  return pick == 14 ? enc::TypeDescriptor::struct_of("S", std::move(fields))
+                    : enc::TypeDescriptor::union_of("U", std::move(fields));
+}
+
+enc::Value random_value(Rng& rng, const enc::TypeDescriptor& type) {
+  using enc::TypeKind;
+  using enc::Value;
+  switch (type.kind()) {
+    case TypeKind::kBool: return Value::of_bool(rng.bernoulli(0.5));
+    case TypeKind::kI8: return Value::of_int(static_cast<int8_t>(rng.next_u64()));
+    case TypeKind::kI16:
+      return Value::of_int(static_cast<int16_t>(rng.next_u64()));
+    case TypeKind::kI32:
+      return Value::of_int(static_cast<int32_t>(rng.next_u64()));
+    case TypeKind::kI64:
+      return Value::of_int(static_cast<int64_t>(rng.next_u64()));
+    case TypeKind::kU8:
+      return Value::of_uint(static_cast<uint8_t>(rng.next_u64()));
+    case TypeKind::kU16:
+      return Value::of_uint(static_cast<uint16_t>(rng.next_u64()));
+    case TypeKind::kU32:
+      return Value::of_uint(static_cast<uint32_t>(rng.next_u64()));
+    case TypeKind::kU64: return Value::of_uint(rng.next_u64());
+    case TypeKind::kF32:
+      return Value::of_double(
+          static_cast<float>(rng.uniform_real(-1e6, 1e6)));
+    case TypeKind::kF64: return Value::of_double(rng.uniform_real(-1e9, 1e9));
+    case TypeKind::kString: {
+      // Up to 40 chars: past the small-string buffer, so reuse matters.
+      std::string s(rng.uniform(0, 40), ' ');
+      for (char& c : s) c = static_cast<char>(rng.uniform(32, 126));
+      return Value::of_string(std::move(s));
+    }
+    case TypeKind::kBytes: return Value::of_bytes(random_bytes(rng, 40));
+    case TypeKind::kArray: {
+      const uint64_t n =
+          type.fixed_size() ? type.fixed_size() : rng.uniform(0, 6);
+      enc::ValueList list;
+      for (uint64_t i = 0; i < n; ++i) {
+        list.push_back(random_value(rng, *type.element()));
+      }
+      return Value::of_list(std::move(list));
+    }
+    case TypeKind::kStruct: {
+      enc::ValueList list;
+      for (const auto& f : type.fields()) {
+        list.push_back(random_value(rng, *f.type));
+      }
+      return Value::of_list(std::move(list));
+    }
+    case TypeKind::kUnion: {
+      const uint64_t c = rng.uniform(0, type.fields().size() - 1);
+      return Value::of_union(static_cast<uint32_t>(c),
+                             random_value(rng, *type.fields()[c].type));
+    }
+  }
+  return Value();
+}
+
+// decode_value_into must give exactly what decode_value gives, whatever
+// tree the target held before: a different shape (the previous round's
+// type), or the same type with longer/shorter arrays, other union cases
+// and other string lengths. On damaged input both decoders must agree
+// on rejecting it, and agree on the result when it still parses.
+TEST_P(FuzzDecodeTest, DecodeIntoReusedValueMatchesFreshDecode) {
+  Rng rng(GetParam() ^ 0xD1CE);
+  enc::Value reused;
+  for (int round = 0; round < 300; ++round) {
+    const enc::TypePtr type = random_type(rng, 0);
+    for (int rep = 0; rep < 3; ++rep) {
+      const enc::Value v = random_value(rng, *type);
+      auto wire = enc::encode_value(v, *type);
+      ASSERT_TRUE(wire.ok()) << type->to_string();
+      auto fresh = enc::decode_value(as_bytes_view(*wire), *type);
+      ASSERT_TRUE(fresh.ok());
+      EXPECT_EQ(*fresh, v);
+      ASSERT_TRUE(
+          enc::decode_value_into(as_bytes_view(*wire), *type, reused).is_ok());
+      EXPECT_EQ(reused, v) << type->to_string();
+
+      Buffer bad = *wire;
+      if (!bad.empty() && rng.bernoulli(0.5)) {
+        bad[rng.uniform(0, bad.size() - 1)] ^=
+            static_cast<uint8_t>(1u << rng.uniform(0, 7));
+      }
+      if (rng.bernoulli(0.5)) {
+        bad.resize(bad.empty() ? 0 : rng.uniform(0, bad.size() - 1));
+      } else {
+        bad.push_back(0);  // trailing byte
+      }
+      auto fresh_bad = enc::decode_value(as_bytes_view(bad), *type);
+      Status into_bad =
+          enc::decode_value_into(as_bytes_view(bad), *type, reused);
+      ASSERT_EQ(fresh_bad.ok(), into_bad.is_ok()) << type->to_string();
+      if (fresh_bad.ok()) {
+        EXPECT_EQ(reused, *fresh_bad);
+      }
+    }
+    Buffer garbage = random_bytes(rng, 64);
+    EXPECT_EQ(enc::decode_value(as_bytes_view(garbage), *type).ok(),
+              enc::decode_value_into(as_bytes_view(garbage), *type, reused)
+                  .is_ok());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDecodeTest,
                          ::testing::Values(1, 7, 42, 1234, 987654321));
+
+TEST(DecodeIntoTest, RefillsDirtyValueAndNeverWritesThroughSharedPayload) {
+  using enc::Value;
+  const auto type = enc::TypeDescriptor::struct_of(
+      "T", {{"tags", enc::TypeDescriptor::array_of(enc::string_type())},
+            {"pick", enc::TypeDescriptor::union_of(
+                         "Pick", {{"num", enc::f64_type()},
+                                  {"text", enc::string_type()}})}});
+  const std::string long_text(64, 'x');
+  const Value big = enc::StructBuilder()
+                        .add(Value::of_list({Value::of_string(long_text),
+                                             Value::of_string(long_text),
+                                             Value::of_string(long_text)}))
+                        .add(Value::of_union(1, Value::of_string(long_text)))
+                        .build();
+  const Value small = enc::StructBuilder()
+                          .add(Value::of_list({Value::of_string("a")}))
+                          .add(Value::of_union(0, Value::of_double(1.5)))
+                          .build();
+  const Buffer big_wire = enc::encode_value(big, *type).value();
+  const Buffer small_wire = enc::encode_value(small, *type).value();
+
+  Value v = Value::of_string("some other shape entirely");
+  ASSERT_TRUE(enc::decode_value_into(as_bytes_view(big_wire), *type, v).is_ok());
+  EXPECT_EQ(v, big);
+  // Shorter array, other union case.
+  ASSERT_TRUE(
+      enc::decode_value_into(as_bytes_view(small_wire), *type, v).is_ok());
+  EXPECT_EQ(v, small);
+
+  // A copy shares the union payload; refilling v must not change it.
+  const Value held = v;
+  ASSERT_TRUE(enc::decode_value_into(as_bytes_view(big_wire), *type, v).is_ok());
+  EXPECT_EQ(v, big);
+  EXPECT_EQ(held, small);
+
+  // Garbage fails in both decoders.
+  const Buffer junk{0xFF, 0xFF, 0xFF};
+  EXPECT_FALSE(enc::decode_value(as_bytes_view(junk), *type).ok());
+  EXPECT_FALSE(enc::decode_value_into(as_bytes_view(junk), *type, v).is_ok());
+}
 
 }  // namespace
 }  // namespace marea

@@ -27,6 +27,7 @@ namespace marea::enc {
 template <>
 struct Reflect<marea::mw::Empty> {
   static constexpr const char* kName = "Empty";
+  static constexpr size_t kFieldCount = 0;
   template <typename F>
   static void for_each_field(F&&) {}
 };

@@ -7,6 +7,7 @@
 
 #include "middleware/domain.h"
 #include "encoding/typed.h"
+#include "protocol/messages.h"
 
 namespace marea::mw {
 namespace {
@@ -352,6 +353,65 @@ TEST_F(VarsTest, StaleOutOfOrderSamplesDropped) {
   for (size_t i = 1; i < consumer->readings.size(); ++i) {
     EXPECT_LE(consumer->readings[i - 1].value, consumer->readings[i].value);
   }
+}
+
+TEST_F(VarsTest, SchemaInvalidSampleLeavesCacheAtLastGoodValue) {
+  // Remote samples decode into a per-subscription scratch tree that is
+  // swapped into the cache only on success: a fresh-seq sample whose
+  // bytes do not fit the schema must not clobber what handlers and
+  // read_variable saw last.
+  SimDomain domain(14);
+  const VariableQoS qos{.period = kDurationZero, .validity = seconds(10.0)};
+  auto& n1 = domain.add_node("sensor-node");
+  auto sensor = std::make_unique<SensorService>(qos);
+  auto* sensor_ptr = sensor.get();
+  (void)n1.add_service(std::move(sensor));
+  auto& n2 = domain.add_node("consumer-node");
+  auto consumer = std::make_unique<ConsumerService>();
+  auto* consumer_ptr = consumer.get();
+  (void)n2.add_service(std::move(consumer));
+  domain.start_all();
+  domain.run_for(seconds(1.0));
+  ASSERT_TRUE(sensor_ptr->push(42.5).is_ok());
+  domain.run_for(milliseconds(50));
+  ASSERT_FALSE(consumer_ptr->readings.empty());
+  ASSERT_EQ(consumer_ptr->readings.back().value, 42.5);
+  const size_t deliveries = consumer_ptr->readings.size();
+  const uint64_t dropped = n2.stats().frames_dropped;
+
+  // Newer than anything published, so only the decode can reject them:
+  // a truncated Reading and one with trailing bytes.
+  const Buffer bodies[] = {Buffer{1, 2, 3}, Buffer(20, 0)};
+  uint64_t seq = 1000;
+  for (const Buffer& body : bodies) {
+    proto::VarSampleMsg msg;
+    msg.channel = proto::channel_of("sensor.reading");
+    msg.seq = seq++;
+    msg.pub_time_ns = domain.sim().now().ns;
+    msg.value = body;
+    Buffer frame = proto::make_frame(proto::MsgType::kVarSample, 0xBAD, msg);
+    ASSERT_TRUE(domain.network()
+                    .send(sim::Endpoint{domain.node_id(0), 9999},
+                          sim::Endpoint{domain.node_id(1),
+                                        n2.config().data_port},
+                          as_bytes_view(frame))
+                    .is_ok());
+  }
+  domain.run_for(milliseconds(50));
+
+  EXPECT_EQ(n2.stats().frames_dropped, dropped + 2);
+  EXPECT_EQ(consumer_ptr->readings.size(), deliveries);
+  EXPECT_EQ(consumer_ptr->readings.back().value, 42.5);
+  auto cached = consumer_ptr->read();
+  ASSERT_TRUE(cached.ok());
+  Reading r;
+  ASSERT_TRUE(enc::from_value(*cached, r));
+  EXPECT_EQ(r.value, 42.5);
+
+  // The stream itself is unharmed: the next good sample still lands.
+  ASSERT_TRUE(sensor_ptr->push(43.5).is_ok());
+  domain.run_for(milliseconds(50));
+  EXPECT_EQ(consumer_ptr->readings.back().value, 43.5);
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <vector>
 
 #include "sched/sim_executor.h"
 #include "sched/thread_pool.h"
 #include "sim/simulator.h"
+#include "util/ring_queue.h"
 
 namespace marea::sched {
 namespace {
@@ -219,6 +221,62 @@ TEST(ThreadPoolTest, CleanShutdownWithPendingTimers) {
     pool.drain();
   }  // destructor must not hang or fire the far timer
   EXPECT_EQ(count.load(), 1);
+}
+
+// --- RingQueue (both executors' task queues) -----------------------------------
+
+TEST(RingQueueTest, WrapAroundKeepsFifoWithoutGrowing) {
+  RingQueue<int> q;
+  q.reserve(8);
+  ASSERT_EQ(q.capacity(), 8u);
+  // Turn the ring over many times at a depth below capacity: the head and
+  // tail wrap, order holds, and the storage is never reallocated.
+  int next_in = 0;
+  int next_out = 0;
+  for (int round = 0; round < 100; ++round) {
+    for (int i = 0; i < 5; ++i) q.push_back(next_in++);
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_EQ(q.front(), next_out++);
+      q.pop_front();
+    }
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.capacity(), 8u);
+}
+
+TEST(RingQueueTest, GrowthWhileWrappedKeepsFifo) {
+  RingQueue<std::unique_ptr<int>> q;  // move-only elements
+  int next_in = 0;
+  int next_out = 0;
+  // Offset the head so the ring is wrapped when it has to grow.
+  for (int i = 0; i < 6; ++i) q.push_back(std::make_unique<int>(next_in++));
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_EQ(*q.front(), next_out++);
+    q.pop_front();
+  }
+  for (int i = 0; i < 100; ++i) q.push_back(std::make_unique<int>(next_in++));
+  EXPECT_EQ(q.size(), 102u);
+  EXPECT_EQ(q.capacity(), 128u);  // powers of two only
+  while (!q.empty()) {
+    ASSERT_EQ(*q.front(), next_out++);
+    q.pop_front();
+  }
+  EXPECT_EQ(next_out, next_in);
+  EXPECT_EQ(q.capacity(), 128u);  // never shrinks
+}
+
+TEST(RingQueueTest, PopAndClearReleaseElements) {
+  auto tracked = std::make_shared<int>(7);
+  RingQueue<std::shared_ptr<int>> q;
+  q.push_back(tracked);
+  q.push_back(tracked);
+  EXPECT_EQ(tracked.use_count(), 3);
+  q.pop_front();
+  EXPECT_EQ(tracked.use_count(), 2);
+  q.clear();
+  EXPECT_EQ(tracked.use_count(), 1);
+  q.push_back(tracked);  // still usable after clear
+  EXPECT_EQ(*q.front(), 7);
 }
 
 }  // namespace

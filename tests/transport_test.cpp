@@ -458,18 +458,22 @@ TEST_P(LiveBackendTest, TruncatedDatagramDroppedWithCounterAndTrace) {
 
   rx->set_obs(&obs, "net");
 
+  // One port per backend: under parallel ctest both instances run at
+  // once, and a shared reusable port would split the datagrams between
+  // them.
+  const uint16_t port = std::string_view(GetParam()) == "uring" ? 9901 : 9900;
   std::atomic<int> delivered{0};
   std::atomic<size_t> last_size{0};
-  Status s = rx->bind(9900, [&](Address, BytesView data) {
+  Status s = rx->bind(port, [&](Address, BytesView data) {
     delivered.fetch_add(1);
     last_size.store(data.size());
   });
   if (!s.is_ok()) GTEST_SKIP() << "bind failed: " << s.to_string();
 
-  Address dst{ipv4_host("127.0.0.2"), 9900};
+  Address dst{ipv4_host("127.0.0.2"), port};
   Buffer big(1000, 0x5A);
   for (int i = 0; i < 5 && rx->net_counters().drops_truncated == 0; ++i) {
-    (void)tx->send(9900, dst, as_bytes_view(big));
+    (void)tx->send(port, dst, as_bytes_view(big));
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   EXPECT_GE(rx->net_counters().drops_truncated, 1u);
@@ -478,7 +482,7 @@ TEST_P(LiveBackendTest, TruncatedDatagramDroppedWithCounterAndTrace) {
   // A fitting datagram still flows afterwards (the batch slot recovered).
   Buffer small_payload(100, 0x11);
   for (int i = 0; i < 5 && delivered.load() == 0; ++i) {
-    (void)tx->send(9900, dst, as_bytes_view(small_payload));
+    (void)tx->send(port, dst, as_bytes_view(small_payload));
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   EXPECT_GT(delivered.load(), 0);
@@ -617,9 +621,14 @@ TEST_P(LiveBackendTest, ConcurrentSendersAndBindChurnNoMisroute) {
     };
   };
 
-  constexpr uint16_t kStable = 9240;
-  constexpr uint16_t kChurnA = 9241;
-  constexpr uint16_t kChurnB = 9242;
+  // One port range per backend, so the two instances can run at once
+  // under parallel ctest without feeding each other's sockets.
+  const uint16_t base_port =
+      std::string_view(GetParam()) == "uring" ? 9340 : 9240;
+  const uint16_t kStable = base_port;
+  const uint16_t kChurnA = base_port + 1;
+  const uint16_t kChurnB = base_port + 2;
+  const uint16_t kSrc = base_port + 10;
   Status s = rx->bind(kStable, checker(kStable, stable_got));
   if (!s.is_ok()) GTEST_SKIP() << "bind failed: " << s.to_string();
 
@@ -646,7 +655,7 @@ TEST_P(LiveBackendTest, ConcurrentSendersAndBindChurnNoMisroute) {
       Buffer stable_pay = tagged_payload(kStable);
       Buffer a_pay = tagged_payload(kChurnA);
       Buffer b_pay = tagged_payload(kChurnB);
-      uint16_t src = static_cast<uint16_t>(9250 + t);
+      uint16_t src = static_cast<uint16_t>(kSrc + t);
       while (!stop.load()) {
         (void)tx->send(src, Address{base.host, kStable},
                        as_bytes_view(stable_pay));
@@ -674,7 +683,7 @@ TEST_P(LiveBackendTest, ConcurrentSendersAndBindChurnNoMisroute) {
   rx->unbind(kStable);
   Buffer pay = tagged_payload(kStable);
   for (int i = 0; i < 3; ++i) {
-    (void)tx->send(9250, Address{base.host, kStable}, as_bytes_view(pay));
+    (void)tx->send(kSrc, Address{base.host, kStable}, as_bytes_view(pay));
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   EXPECT_EQ(stable_got.load(), snapshot);
