@@ -120,7 +120,7 @@ void BM_MftpChunkSizeAblation(benchmark::State& state) {
     params.status_timeout = milliseconds(30);
 
     proto::MftpPublisher publisher(
-        exec, params, 1, meta, content,
+        exec, params, 1, meta, std::make_shared<const Buffer>(content),
         [&](const proto::FileChunkMsg& msg) {
           ByteWriter w;
           w.u8(1);

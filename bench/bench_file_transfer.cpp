@@ -140,7 +140,8 @@ FtResult run_mftp(const Buffer& content, const FtOptions& opt) {
   params.codec = opt.codec;
 
   proto::MftpPublisher publisher(
-      exec, params, /*transfer_id=*/opt.revision, meta, content,
+      exec, params, /*transfer_id=*/opt.revision, meta,
+      std::make_shared<const Buffer>(content),
       [&](const proto::FileChunkMsg& msg) {
         ByteWriter w;
         w.u8(1);

@@ -370,7 +370,8 @@ class ServiceContainer {
   struct FileProvision {
     Service* owner = nullptr;
     proto::FileMeta meta;
-    Buffer content;
+    // Shared with the MFTP publisher and every bypass handler post.
+    std::shared_ptr<const Buffer> content;
     uint64_t transfer_id = 0;
     std::unique_ptr<proto::MftpPublisher> publisher;
     // Announce manifest (copied out of the publisher's ChunkTable) so

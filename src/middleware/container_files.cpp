@@ -43,7 +43,7 @@ Status ServiceContainer::publish_file_resource(Service& owner,
   prov.meta.chunk_size = config_.mftp.chunk_size;
   prov.meta.content_crc = crc32(as_bytes_view(content));
   prov.meta.codec = static_cast<uint8_t>(config_.mftp.codec);
-  prov.content = std::move(content);
+  prov.content = std::make_shared<const Buffer>(std::move(content));
   prov.transfer_id =
       (static_cast<uint64_t>(config_.id) << 32) | next_transfer_seq_++;
   transfer_names_[prov.transfer_id] = name;
@@ -181,12 +181,11 @@ void ServiceContainer::bypass_deliver_file(FileSubscription& sub,
     if (!entry.on_done) continue;
     auto handler = entry.on_done;
     Service* owner = entry.service;
-    const Buffer& content = prov.content;
-    usage_of(owner).file_bytes_delivered += prov.content.size();
+    usage_of(owner).file_bytes_delivered += prov.content->size();
     executor_.post(
         sched::Priority::kFileTransfer,
-        [this, owner, handler, meta, content] {
-          guard(owner, "file handler", [&] { handler(meta, content); });
+        [this, owner, handler, meta, content = prov.content] {
+          guard(owner, "file handler", [&] { handler(meta, *content); });
         },
         config_.handler_cost);
   }
@@ -304,15 +303,19 @@ void ServiceContainer::start_file_receiver(
     MAREA_LOG(kInfo, kLog) << config_.node_name << " completed file '" << name
                            << "' rev " << meta.revision << " ("
                            << meta.size << " bytes)";
+    // One immutable copy of the reassembled image, shared by every
+    // handler post.
+    std::shared_ptr<const Buffer> shared;
     for (auto& entry : s.entries) {
       if (!entry.on_done) continue;
+      if (!shared) shared = std::make_shared<const Buffer>(content);
       auto handler = entry.on_done;
       Service* owner = entry.service;
       usage_of(owner).file_bytes_delivered += content.size();
       executor_.post(
           sched::Priority::kFileTransfer,
-          [this, owner, handler, meta, content] {
-            guard(owner, "file handler", [&] { handler(meta, content); });
+          [this, owner, handler, meta, shared] {
+            guard(owner, "file handler", [&] { handler(meta, *shared); });
           },
           config_.handler_cost);
     }

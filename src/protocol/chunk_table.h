@@ -7,7 +7,9 @@
 // per-chunk work fans out over sched::parallel_for; results are a pure
 // function of (content, chunk_size, codec), independent of thread
 // count, so the table can be built on a worker pool without perturbing
-// simulation determinism.
+// simulation determinism. Every chunk compresses into its own slot of
+// one table-owned buffer, which is then packed in index order: a
+// revision costs O(1) allocations, not one per chunk.
 //
 // ChunkStore is the receiver-side bounded LRU keyed by chunk hash: the
 // cross-transfer dedup memory that lets an identical-revision republish
@@ -30,7 +32,10 @@ struct ChunkEntry {
   uint64_t hash = 0;       // digest of the RAW chunk bytes
   uint32_t raw_size = 0;   // chunk length before compression
   bool compressed = false;
-  Buffer payload;          // compressed bytes; empty when !compressed
+  // Compressed bytes within the table's payload buffer; empty when
+  // !compressed.
+  size_t payload_offset = 0;
+  uint32_t payload_size = 0;
 };
 
 // Build-time accounting. The nanosecond fields are wall-clock CPU time
@@ -59,6 +64,11 @@ class ChunkTable {
     return static_cast<uint32_t>(entries_.size());
   }
   const ChunkEntry& entry(uint32_t index) const { return entries_[index]; }
+  // The compressed bytes of chunk `index`; empty when it ships raw.
+  BytesView payload(uint32_t index) const {
+    const ChunkEntry& e = entries_[index];
+    return BytesView(payload_).subspan(e.payload_offset, e.payload_size);
+  }
 
   // The announce manifest: raw-chunk hashes in index order.
   std::vector<uint64_t> hashes() const;
@@ -70,12 +80,16 @@ class ChunkTable {
 
  private:
   std::vector<ChunkEntry> entries_;
+  Buffer payload_;  // every compressed chunk, packed in index order
   uint64_t manifest_hash_ = 0;
   ChunkPipelineStats stats_;
 };
 
 // Bounded receiver-side LRU of raw chunks keyed by content hash.
-// Deterministic: no clocks, eviction order is purely access order.
+// Deterministic: no clocks, eviction order is purely access order. Once
+// full, put() recycles the least-recent victim's map node, list node
+// and buffer capacity for the new chunk, so a warm store does not
+// allocate.
 class ChunkStore {
  public:
   explicit ChunkStore(size_t max_bytes = 4u << 20) : max_bytes_(max_bytes) {}

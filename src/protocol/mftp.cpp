@@ -15,8 +15,8 @@ namespace marea::proto {
 
 MftpPublisher::MftpPublisher(sched::Executor& executor, MftpParams params,
                              uint64_t transfer_id, FileMeta meta,
-                             Buffer content, ChunkSendFn send_chunk,
-                             StatusSendFn send_status)
+                             std::shared_ptr<const Buffer> content,
+                             ChunkSendFn send_chunk, StatusSendFn send_status)
     : executor_(executor),
       params_(params),
       transfer_id_(transfer_id),
@@ -24,16 +24,31 @@ MftpPublisher::MftpPublisher(sched::Executor& executor, MftpParams params,
       content_(std::move(content)),
       send_chunk_(std::move(send_chunk)),
       send_status_(std::move(send_status)) {
-  assert(send_chunk_ && send_status_);
-  assert(meta_.size == content_.size());
+  assert(content_ && send_chunk_ && send_status_);
+  assert(meta_.size == content_->size());
   assert(meta_.chunk_size > 0);
   // Pure pre-computation: hash (and, when announced, compress) every
   // chunk up front, fanned out over pipeline_threads workers. Blocking
   // here keeps completion on the constructing (sim) thread.
-  table_ = ChunkTable::build(as_bytes_view(content_), meta_.chunk_size,
+  table_ = ChunkTable::build(as_bytes_view(*content_), meta_.chunk_size,
                              static_cast<util::Codec>(meta_.codec),
                              params_.pipeline_threads);
   hashes_ = table_.hashes();
+  // Map each index to the lowest index sharing its hash, via one sort
+  // of (hash, index) pairs; the dedup check per send is then an array
+  // lookup.
+  std::vector<std::pair<uint64_t, uint32_t>> by_hash(hashes_.size());
+  for (uint32_t i = 0; i < hashes_.size(); ++i) by_hash[i] = {hashes_[i], i};
+  std::sort(by_hash.begin(), by_hash.end());
+  first_with_hash_.resize(hashes_.size());
+  uint32_t first = 0;
+  for (size_t k = 0; k < by_hash.size(); ++k) {
+    if (k == 0 || by_hash[k - 1].first != by_hash[k].first) {
+      first = by_hash[k].second;  // lowest index of this hash's group
+    }
+    first_with_hash_[by_hash[k].second] = first;
+  }
+  round_sent_.resize(hashes_.size());
 }
 
 MftpPublisher::~MftpPublisher() { executor_.cancel(timer_); }
@@ -70,7 +85,7 @@ void MftpPublisher::begin_sending(RunSet chunks) {
   to_send_ = std::move(chunks);
   send_list_ = to_send_.to_indices();
   send_cursor_ = 0;
-  round_sent_hashes_.clear();
+  std::fill(round_sent_.begin(), round_sent_.end(), uint8_t{0});
   stats_.rounds++;
   if (send_list_.empty()) {
     begin_status_phase();
@@ -85,9 +100,12 @@ void MftpPublisher::send_next_chunk() {
   // the wire fills every index sharing it at manifest-holding
   // receivers (manifest-less ones NACK the siblings and pick them up
   // in repair rounds).
-  while (send_cursor_ < send_list_.size() && params_.dedup_round_sends &&
-         !round_sent_hashes_.insert(table_.entry(send_list_[send_cursor_]).hash)
-              .second) {
+  while (send_cursor_ < send_list_.size() && params_.dedup_round_sends) {
+    uint8_t& sent = round_sent_[first_with_hash_[send_list_[send_cursor_]]];
+    if (sent == 0) {
+      sent = 1;
+      break;
+    }
     ++send_cursor_;
     ++stats_.chunks_dedup_skipped;
   }
@@ -110,11 +128,11 @@ void MftpPublisher::send_next_chunk() {
   // view never outlives the publisher.
   if (entry.compressed) {
     msg.flags = kChunkFlagCompressed;
-    msg.data = Bytes::borrow(as_bytes_view(entry.payload));
+    msg.data = Bytes::borrow(table_.payload(index));
   } else {
     msg.data = Bytes::borrow(
-        BytesView(content_).subspan(static_cast<size_t>(offset),
-                                    static_cast<size_t>(len)));
+        BytesView(*content_).subspan(static_cast<size_t>(offset),
+                                     static_cast<size_t>(len)));
   }
   stats_.chunks_sent++;
   stats_.payload_bytes_sent += len;
@@ -279,10 +297,11 @@ void MftpReceiver::set_manifest(std::vector<uint64_t> chunk_hashes) {
   if (chunk_hashes.size() != meta_.chunk_count()) return;
   manifest_ = std::move(chunk_hashes);
   manifest_hash_ = util::hash64_list(manifest_.data(), manifest_.size());
-  manifest_index_.clear();
+  manifest_index_.resize(manifest_.size());
   for (uint32_t i = 0; i < manifest_.size(); ++i) {
-    manifest_index_.emplace(manifest_[i], i);
+    manifest_index_[i] = {manifest_[i], i};
   }
+  std::sort(manifest_index_.begin(), manifest_index_.end());
 }
 
 uint64_t MftpReceiver::chunk_len(uint32_t index) const {
@@ -342,17 +361,21 @@ void MftpReceiver::on_chunk(const FileChunkMsg& msg) {
     return;
   }
   const uint64_t expect = chunk_len(msg.index);
-  Buffer scratch;
   BytesView raw;
-  if (msg.flags & kChunkFlagCompressed) {
+  const bool compressed = (msg.flags & kChunkFlagCompressed) != 0;
+  if (compressed) {
+    // Decode straight into this index's slot of the file image. The
+    // slot is not held, so a stream that fails to decode or verify
+    // only leaves bytes a later fill overwrites.
     const util::Compressor* comp = util::compressor_for(meta_.codec);
-    if (comp == nullptr ||
-        !comp->decompress(msg.data.view(), static_cast<size_t>(expect),
-                          scratch)) {
+    std::span<uint8_t> slot(
+        data_.data() + static_cast<size_t>(msg.index) * meta_.chunk_size,
+        static_cast<size_t>(expect));
+    if (comp == nullptr || !comp->decompress(msg.data.view(), slot)) {
       stats_.hash_mismatches++;
       return;  // unknown codec or malformed stream; NACK will refetch
     }
-    raw = as_bytes_view(scratch);
+    raw = slot;
   } else {
     if (msg.data.size() != expect) return;  // malformed
     raw = msg.data.view();
@@ -369,14 +392,19 @@ void MftpReceiver::on_chunk(const FileChunkMsg& msg) {
     stats_.hash_mismatches++;
     return;
   }
-  fill_index(msg.index, raw);
+  if (compressed) {
+    have_.insert(msg.index);  // already in place
+  } else {
+    fill_index(msg.index, raw);
+  }
   stats_.payload_bytes_received += raw.size();
   if (store_ != nullptr) store_->put(digest, raw);
   // One verified copy fills every sibling index carrying the same
   // content hash (the publisher elides those sends within a round).
   if (!manifest_.empty()) {
-    auto [it, end] = manifest_index_.equal_range(digest);
-    for (; it != end; ++it) {
+    auto it = std::lower_bound(manifest_index_.begin(), manifest_index_.end(),
+                               std::pair<uint64_t, uint32_t>{digest, 0});
+    for (; it != manifest_index_.end() && it->first == digest; ++it) {
       const uint32_t sibling = it->second;
       if (sibling == msg.index || have_.contains(sibling)) continue;
       if (chunk_len(sibling) != raw.size()) continue;

@@ -17,8 +17,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <set>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "obs/trace.h"
 #include "protocol/chunk_table.h"
@@ -85,9 +87,12 @@ class MftpPublisher {
   using SubscriberDoneFn = std::function<void(MftpPeer, const Status&)>;
   using IdleFn = std::function<void()>;
 
+  // `content` is shared, immutable: the owner (e.g. the container's
+  // file provision) and the publisher hold one copy of the file image.
   MftpPublisher(sched::Executor& executor, MftpParams params,
-                uint64_t transfer_id, FileMeta meta, Buffer content,
-                ChunkSendFn send_chunk, StatusSendFn send_status);
+                uint64_t transfer_id, FileMeta meta,
+                std::shared_ptr<const Buffer> content, ChunkSendFn send_chunk,
+                StatusSendFn send_status);
   ~MftpPublisher();
 
   MftpPublisher(const MftpPublisher&) = delete;
@@ -108,7 +113,7 @@ class MftpPublisher {
 
   const FileMeta& meta() const { return meta_; }
   uint64_t transfer_id() const { return transfer_id_; }
-  const Buffer& content() const { return content_; }
+  const Buffer& content() const { return *content_; }
 
   // Announce manifest: raw-chunk hashes in index order (built in the
   // constructor's ChunkTable pre-computation).
@@ -149,7 +154,7 @@ class MftpPublisher {
   MftpParams params_;
   uint64_t transfer_id_;
   FileMeta meta_;
-  Buffer content_;
+  std::shared_ptr<const Buffer> content_;
   ChunkSendFn send_chunk_;
   StatusSendFn send_status_;
   SubscriberDoneFn on_subscriber_done_;
@@ -157,7 +162,11 @@ class MftpPublisher {
 
   ChunkTable table_;
   std::vector<uint64_t> hashes_;
-  std::set<uint64_t> round_sent_hashes_;
+  // Round dedup: first_with_hash_[i] is the lowest index whose chunk
+  // hash equals chunk i's (built once); round_sent_[j] marks that the
+  // hash first carried by index j already went out this round.
+  std::vector<uint32_t> first_with_hash_;
+  std::vector<uint8_t> round_sent_;
 
   State state_ = State::kIdle;
   std::set<MftpPeer> subscribers_;
@@ -239,8 +248,8 @@ class MftpReceiver {
 
   std::vector<uint64_t> manifest_;
   uint64_t manifest_hash_ = 0;
-  // hash -> indices carrying it; drives same-hash sibling fills.
-  std::unordered_multimap<uint64_t, uint32_t> manifest_index_;
+  // (hash, index) sorted; drives same-hash sibling fills.
+  std::vector<std::pair<uint64_t, uint32_t>> manifest_index_;
   ChunkStore* store_ = nullptr;
 
   Buffer data_;

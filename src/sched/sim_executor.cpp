@@ -17,15 +17,24 @@ void SimExecutor::post(Priority priority, Task task, Duration cost) {
 
 TaskTimerId SimExecutor::schedule(Duration delay, Priority priority,
                                   Task task, Duration cost) {
-  return sim_.after(delay,
-                    [this, priority, task = std::move(task), cost]() mutable {
-                      if (trace_) {
-                        trace_->record(sim_.now(), obs::TraceEvent::kTimer,
-                                       obs::TraceKind::kNone, trace_node_,
-                                       static_cast<uint64_t>(priority));
-                      }
-                      post(priority, std::move(task), cost);
-                    });
+  // Priority rides in the low byte of the cost word so the closure
+  // ({this, packed, Task}) fits sim::EventFn inline: every timer re-arm
+  // would otherwise heap-allocate.
+  assert(cost.ns >= 0 && cost.ns < (int64_t{1} << 55));
+  const uint64_t packed = (static_cast<uint64_t>(cost.ns) << 8) |
+                          static_cast<uint8_t>(priority);
+  auto fire = [this, packed, task = std::move(task)]() mutable {
+    const auto p = static_cast<Priority>(packed & 0xFF);
+    if (trace_) {
+      trace_->record(sim_.now(), obs::TraceEvent::kTimer,
+                     obs::TraceKind::kNone, trace_node_,
+                     static_cast<uint64_t>(p));
+    }
+    post(p, std::move(task), Duration{static_cast<int64_t>(packed >> 8)});
+  };
+  static_assert(sim::EventFn::stores_inline<decltype(fire)>(),
+                "timer closure outgrew sim::EventFn's inline buffer");
+  return sim_.after(delay, std::move(fire));
 }
 
 void SimExecutor::cancel(TaskTimerId id) { sim_.cancel(id); }

@@ -106,7 +106,13 @@ Status RelayService::start_mule() {
                 // sink can verify before taking custody.
                 b.chunk_hash = util::hash64(raw);
                 b.raw_size = static_cast<uint32_t>(raw.size());
-                if (comp != nullptr && comp->compress(raw, b.payload)) {
+                size_t packed = 0;
+                if (comp != nullptr && !raw.empty()) {
+                  b.payload.resize(raw.size() - 1);
+                  packed = comp->compress(raw, b.payload);
+                }
+                if (packed > 0) {
+                  b.payload.resize(packed);
                   b.codec = static_cast<uint32_t>(config_.file_codec);
                 } else {
                   b.payload.assign(raw.begin(), raw.end());
@@ -279,8 +285,14 @@ StatusOr<RelayAck> RelayService::on_deliver(const RelayBundle& b) {
     if (b.codec != 0) {
       const util::Compressor* comp =
           util::compressor_for(static_cast<uint8_t>(b.codec));
+      // raw_size comes off the wire: bound it by what the payload could
+      // possibly decode to before allocating for it.
       ok = comp != nullptr &&
-           comp->decompress(BytesView(b.payload), b.raw_size, raw);
+           b.raw_size <= comp->max_decoded_size(b.payload.size());
+      if (ok) {
+        raw.resize(b.raw_size);
+        ok = comp->decompress(BytesView(b.payload), raw);
+      }
     } else {
       raw = b.payload;
     }

@@ -15,15 +15,15 @@ Buffer pack_at_rest(BytesView raw, util::Codec codec) {
   const uint64_t digest = util::hash64(raw);
   const util::Compressor* comp = util::compressor_for(codec);
   Buffer packed;
-  if (comp != nullptr && comp->compress(raw, packed)) {
-    w.u8(static_cast<uint8_t>(codec));
-  } else {
-    w.u8(static_cast<uint8_t>(util::Codec::kNone));
-    packed.assign(raw.begin(), raw.end());
+  size_t packed_size = 0;
+  if (comp != nullptr && !raw.empty()) {
+    packed.resize(raw.size() - 1);
+    packed_size = comp->compress(raw, packed);
   }
+  w.u8(static_cast<uint8_t>(packed_size > 0 ? codec : util::Codec::kNone));
   w.u64(digest);
   w.varint(raw.size());
-  w.bytes(BytesView(packed));
+  w.bytes(packed_size > 0 ? BytesView(packed).first(packed_size) : raw);
   return w.take();
 }
 }  // namespace
@@ -49,8 +49,15 @@ StatusOr<Buffer> StorageService::fetch(const std::string& path) const {
     raw.assign(payload.begin(), payload.end());
   } else {
     const util::Compressor* comp = util::compressor_for(codec_id);
-    if (comp == nullptr ||
-        !comp->decompress(payload, static_cast<size_t>(raw_size), raw)) {
+    // The varint size is read back from storage: bound it by what the
+    // payload could decode to before allocating for it.
+    bool ok = comp != nullptr &&
+              raw_size <= comp->max_decoded_size(payload.size());
+    if (ok) {
+      raw.resize(static_cast<size_t>(raw_size));
+      ok = comp->decompress(payload, raw);
+    }
+    if (!ok) {
       return data_loss_error("storage.fetch: undecodable payload in '" +
                              path + "'");
     }

@@ -6,6 +6,27 @@
 namespace marea::util {
 namespace {
 
+// Bounded output cursor for the encoders. Each token group checks room()
+// before writing, so an encoder gives up (returns 0) the moment its
+// output would reach the raw size, without writing past `out`.
+class Sink {
+ public:
+  Sink(std::span<uint8_t> out, size_t limit)
+      : p_(out.data()), cap_(std::min(out.size(), limit)) {}
+  bool room(size_t k) const { return k <= cap_ - n_; }
+  void byte(uint8_t b) { p_[n_++] = b; }
+  void bytes(const uint8_t* src, size_t k) {
+    if (k != 0) std::memcpy(p_ + n_, src, k);
+    n_ += k;
+  }
+  size_t size() const { return n_; }
+
+ private:
+  uint8_t* p_;
+  size_t cap_;
+  size_t n_ = 0;
+};
+
 // ---------------------------------------------------------------- RLE --
 //
 // Token stream: control byte t.
@@ -16,31 +37,34 @@ class RleCompressor final : public Compressor {
  public:
   Codec codec() const override { return Codec::kRle; }
 
-  bool compress(BytesView in, Buffer& out) const override {
-    const size_t entry = out.size();
+  size_t compress(BytesView in, std::span<uint8_t> out) const override {
     const size_t n = in.size();
-    if (n < 4) return false;
+    if (n < 4) return 0;
+    Sink sink(out, n - 1);
     size_t lit_start = 0;
     auto flush_literals = [&](size_t end) {
       size_t pos = lit_start;
       while (pos < end) {
         const size_t take = std::min<size_t>(end - pos, 128);
-        out.push_back(static_cast<uint8_t>(take - 1));
-        out.insert(out.end(), in.begin() + pos, in.begin() + pos + take);
+        if (!sink.room(1 + take)) return false;
+        sink.byte(static_cast<uint8_t>(take - 1));
+        sink.bytes(in.data() + pos, take);
         pos += take;
       }
+      return true;
     };
     size_t i = 0;
     while (i < n) {
       size_t run = 1;
       while (i + run < n && in[i + run] == in[i]) ++run;
       if (run >= 3) {
-        flush_literals(i);
+        if (!flush_literals(i)) return 0;
         size_t rem = run;
         while (rem >= 3) {
           const size_t take = std::min<size_t>(rem, 130);
-          out.push_back(static_cast<uint8_t>(0x80 + (take - 3)));
-          out.push_back(in[i]);
+          if (!sink.room(2)) return 0;
+          sink.byte(static_cast<uint8_t>(0x80 + (take - 3)));
+          sink.byte(in[i]);
           rem -= take;
         }
         // A 1–2 byte tail of the run is cheaper as literals.
@@ -51,40 +75,36 @@ class RleCompressor final : public Compressor {
         i += run;
       }
     }
-    flush_literals(n);
-    if (out.size() - entry >= n) {
-      out.resize(entry);
-      return false;
-    }
-    return true;
+    if (!flush_literals(n)) return 0;
+    return sink.size();
   }
 
-  bool decompress(BytesView in, size_t raw_size,
-                  Buffer& out) const override {
-    const size_t entry = out.size();
-    auto fail = [&] {
-      out.resize(entry);
-      return false;
-    };
+  bool decompress(BytesView in, std::span<uint8_t> out) const override {
     size_t ip = 0;
+    size_t op = 0;
     const size_t ie = in.size();
+    const size_t oe = out.size();
     while (ip < ie) {
       const uint8_t t = in[ip++];
       if (t < 0x80) {
         const size_t len = static_cast<size_t>(t) + 1;
-        if (ip + len > ie) return fail();
-        if (out.size() - entry + len > raw_size) return fail();
-        out.insert(out.end(), in.begin() + ip, in.begin() + ip + len);
+        if (len > ie - ip || len > oe - op) return false;
+        std::memcpy(out.data() + op, in.data() + ip, len);
         ip += len;
+        op += len;
       } else {
         const size_t len = static_cast<size_t>(t - 0x80) + 3;
-        if (ip >= ie) return fail();
-        if (out.size() - entry + len > raw_size) return fail();
-        out.insert(out.end(), len, in[ip++]);
+        if (ip >= ie || len > oe - op) return false;
+        std::memset(out.data() + op, in[ip++], len);
+        op += len;
       }
     }
-    if (out.size() - entry != raw_size) return fail();
-    return true;
+    return op == oe;
+  }
+
+  // A 2-byte repeat token yields at most 130 bytes.
+  size_t max_decoded_size(size_t encoded_size) const override {
+    return encoded_size * 65;
   }
 };
 
@@ -106,10 +126,10 @@ class LzCompressor final : public Compressor {
  public:
   Codec codec() const override { return Codec::kLz; }
 
-  bool compress(BytesView in, Buffer& out) const override {
-    const size_t entry = out.size();
+  size_t compress(BytesView in, std::span<uint8_t> out) const override {
     const size_t n = in.size();
-    if (n < 16) return false;
+    if (n < 16) return 0;
+    Sink sink(out, n - 1);
     const uint8_t* src = in.data();
     uint32_t table[1u << kLzTableBits];
     std::fill(std::begin(table), std::end(table), 0xFFFFFFFFu);
@@ -132,65 +152,77 @@ class LzCompressor final : public Compressor {
           load32(src + cand) == v) {
         size_t len = kLzMinMatch;
         while (i + len < n && src[cand + len] == src[i + len]) ++len;
-        emit_sequence(src + anchor, i - anchor,
-                      static_cast<uint16_t>(i - cand), len, out);
+        if (!emit_sequence(src + anchor, i - anchor,
+                           static_cast<uint16_t>(i - cand), len, sink)) {
+          return 0;
+        }
         i += len;
         anchor = i;
       } else {
         ++i;
       }
     }
-    emit_trailing_literals(src + anchor, n - anchor, out);
-    if (out.size() - entry >= n) {
-      out.resize(entry);
-      return false;
-    }
-    return true;
+    if (!emit_trailing_literals(src + anchor, n - anchor, sink)) return 0;
+    return sink.size();
   }
 
-  bool decompress(BytesView in, size_t raw_size,
-                  Buffer& out) const override {
-    const size_t entry = out.size();
-    auto fail = [&] {
-      out.resize(entry);
-      return false;
-    };
+  bool decompress(BytesView in, std::span<uint8_t> out) const override {
+    const uint8_t* src = in.data();
+    uint8_t* dst = out.data();
     size_t ip = 0;
+    size_t op = 0;
     const size_t ie = in.size();
+    const size_t oe = out.size();
     while (ip < ie) {
-      const uint8_t tok = in[ip++];
+      const uint8_t tok = src[ip++];
       size_t lit = tok >> 4;
-      if (lit == 15 && !read_ext(in, ip, lit)) return fail();
-      if (ip + lit > ie) return fail();
-      if (out.size() - entry + lit > raw_size) return fail();
-      out.insert(out.end(), in.begin() + ip, in.begin() + ip + lit);
+      if (lit == 15 && !read_ext(in, ip, lit)) return false;
+      if (lit > ie - ip || lit > oe - op) return false;
+      if (lit != 0) std::memcpy(dst + op, src + ip, lit);
       ip += lit;
+      op += lit;
       if (ip >= ie) break;  // trailing literals-only sequence
-      if (ip + 2 > ie) return fail();
-      const size_t off =
-          static_cast<size_t>(in[ip]) | (static_cast<size_t>(in[ip + 1]) << 8);
+      if (ie - ip < 2) return false;
+      const size_t off = static_cast<size_t>(src[ip]) |
+                         (static_cast<size_t>(src[ip + 1]) << 8);
       ip += 2;
-      if (off == 0 || off > out.size() - entry) return fail();
+      if (off == 0 || off > op) return false;
       size_t mlen = tok & 0x0F;
-      if (mlen == 15 && !read_ext(in, ip, mlen)) return fail();
+      if (mlen == 15 && !read_ext(in, ip, mlen)) return false;
       mlen += kLzMinMatch;
-      if (out.size() - entry + mlen > raw_size) return fail();
-      // Byte-wise so overlapping matches (offset < length) replicate,
-      // and reserve-free so a hostile length can't overshoot.
-      size_t from = out.size() - off;
-      for (size_t k = 0; k < mlen; ++k) out.push_back(out[from + k]);
+      if (mlen > oe - op) return false;
+      uint8_t* d = dst + op;
+      const uint8_t* from = d - off;
+      if (off >= mlen) {
+        std::memcpy(d, from, mlen);
+      } else {
+        // Overlapping match (offset < length): byte-wise, so each copied
+        // byte can feed the next and the pattern replicates.
+        for (size_t k = 0; k < mlen; ++k) d[k] = from[k];
+      }
+      op += mlen;
     }
-    if (out.size() - entry != raw_size) return fail();
-    return true;
+    return op == oe;
+  }
+
+  // Literals never expand; a match costs at least 3 bytes (token and
+  // offset) plus one per 255 of extended length, so no input byte
+  // yields more than 255 output bytes.
+  size_t max_decoded_size(size_t encoded_size) const override {
+    return encoded_size * 255;
   }
 
  private:
-  static void write_ext(size_t extra, Buffer& out) {
+  static size_t ext_bytes(size_t v) {
+    return v >= 15 ? (v - 15) / 255 + 1 : 0;
+  }
+
+  static void write_ext(size_t extra, Sink& sink) {
     while (extra >= 255) {
-      out.push_back(0xFF);
+      sink.byte(0xFF);
       extra -= 255;
     }
-    out.push_back(static_cast<uint8_t>(extra));
+    sink.byte(static_cast<uint8_t>(extra));
   }
 
   static bool read_ext(BytesView in, size_t& ip, size_t& value) {
@@ -202,25 +234,31 @@ class LzCompressor final : public Compressor {
     }
   }
 
-  static void emit_sequence(const uint8_t* lits, size_t lit_len,
-                            uint16_t offset, size_t match_len, Buffer& out) {
+  static bool emit_sequence(const uint8_t* lits, size_t lit_len,
+                            uint16_t offset, size_t match_len, Sink& sink) {
     const size_t stored = match_len - kLzMinMatch;
-    out.push_back(static_cast<uint8_t>(
+    if (!sink.room(1 + ext_bytes(lit_len) + lit_len + 2 +
+                   ext_bytes(stored))) {
+      return false;
+    }
+    sink.byte(static_cast<uint8_t>(
         (std::min<size_t>(lit_len, 15) << 4) | std::min<size_t>(stored, 15)));
-    if (lit_len >= 15) write_ext(lit_len - 15, out);
-    out.insert(out.end(), lits, lits + lit_len);
-    out.push_back(static_cast<uint8_t>(offset & 0xFF));
-    out.push_back(static_cast<uint8_t>(offset >> 8));
-    if (stored >= 15) write_ext(stored - 15, out);
+    if (lit_len >= 15) write_ext(lit_len - 15, sink);
+    sink.bytes(lits, lit_len);
+    sink.byte(static_cast<uint8_t>(offset & 0xFF));
+    sink.byte(static_cast<uint8_t>(offset >> 8));
+    if (stored >= 15) write_ext(stored - 15, sink);
+    return true;
   }
 
-  static void emit_trailing_literals(const uint8_t* lits, size_t lit_len,
-                                     Buffer& out) {
-    if (lit_len == 0) return;
-    out.push_back(
-        static_cast<uint8_t>(std::min<size_t>(lit_len, 15) << 4));
-    if (lit_len >= 15) write_ext(lit_len - 15, out);
-    out.insert(out.end(), lits, lits + lit_len);
+  static bool emit_trailing_literals(const uint8_t* lits, size_t lit_len,
+                                     Sink& sink) {
+    if (lit_len == 0) return true;
+    if (!sink.room(1 + ext_bytes(lit_len) + lit_len)) return false;
+    sink.byte(static_cast<uint8_t>(std::min<size_t>(lit_len, 15) << 4));
+    if (lit_len >= 15) write_ext(lit_len - 15, sink);
+    sink.bytes(lits, lit_len);
+    return true;
   }
 };
 

@@ -8,6 +8,10 @@
 // reading or writing out of bounds — because compressed payloads arrive
 // from the network and from chaos-corrupted links.
 //
+// Both directions work on caller-owned spans, so a receiver decodes a
+// chunk straight into its slot of the file image and a sender encodes
+// into a slot of one table-owned buffer: no codec call allocates.
+//
 // Two real codecs ship beside kNone:
 //   * kRle — byte run-length encoding; near-memcpy speed, wins on flat
 //     imagery regions and sparse telemetry snapshots.
@@ -18,7 +22,9 @@
 // ShardGrid dump tests rely on.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "util/bytes.h"
 
@@ -37,16 +43,23 @@ class Compressor {
   virtual ~Compressor() = default;
   virtual Codec codec() const = 0;
 
-  // Appends the compressed form of `in` to `out`. Returns false — and
-  // leaves `out` exactly as it was on entry — when the encoded form
-  // would not be smaller than `in` (the caller then sends raw).
-  virtual bool compress(BytesView in, Buffer& out) const = 0;
+  // Encodes `in` into `out` and returns the encoded length, or 0 — the
+  // caller then sends raw — as soon as the encoding would not be
+  // strictly smaller than `in` or would not fit in `out`. Callers pass
+  // a span of in.size() - 1 bytes; bytes of `out` past the returned
+  // length are unspecified.
+  virtual size_t compress(BytesView in, std::span<uint8_t> out) const = 0;
 
-  // Appends exactly `raw_size` decoded bytes to `out`. Returns false on
-  // any malformed input (bad token, offset past start, output over- or
-  // under-run); on failure `out` is restored to its entry size.
-  virtual bool decompress(BytesView in, size_t raw_size,
-                          Buffer& out) const = 0;
+  // Decodes `in` into exactly out.size() bytes. Returns false on any
+  // malformed input (bad token, offset before the start, output over-
+  // or under-run); never reads or writes out of bounds. On failure the
+  // contents of `out` are unspecified.
+  virtual bool decompress(BytesView in, std::span<uint8_t> out) const = 0;
+
+  // Largest output any `encoded_size`-byte input can decode to. Callers
+  // that size `out` from an untrusted length check it against this
+  // before allocating.
+  virtual size_t max_decoded_size(size_t encoded_size) const = 0;
 };
 
 // Singleton codec lookup. Returns nullptr for kNone (raw bytes need no

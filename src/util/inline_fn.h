@@ -71,6 +71,13 @@ class InlineFn<R(Args...), Cap> {
 
   explicit operator bool() const { return invoke_ != nullptr; }
 
+  // Whether a callable of type F is stored in the inline buffer (true)
+  // or falls back to the heap; lets a hot call site pin its closure.
+  template <typename F>
+  static constexpr bool stores_inline() {
+    return fits<std::decay_t<F>>();
+  }
+
   R operator()(Args... args) const {
     return invoke_(this, std::forward<Args>(args)...);
   }

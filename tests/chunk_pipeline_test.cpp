@@ -6,8 +6,10 @@
 // (-R '...|ChunkPipeline') races the thread-pooled paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <list>
 #include <set>
 #include <vector>
 
@@ -101,56 +103,119 @@ TEST(ChunkPipelineHashTest, HashListDependsOnOrderAndCount) {
 
 // --- codecs -----------------------------------------------------------------
 
+// Encodes with the caller span the bulk path uses (in.size() - 1 bytes);
+// returns the encoded bytes, or an empty buffer when the codec refused.
+Buffer compress_to_buffer(const util::Compressor& comp, BytesView in) {
+  Buffer out(in.empty() ? 0 : in.size() - 1);
+  out.resize(comp.compress(in, out));
+  return out;
+}
+
+// Decodes into the middle of a guarded buffer: the decoder must fill
+// exactly `raw_size` bytes and never touch the guard bytes either side.
+struct GuardedDecode {
+  bool ok = false;
+  bool guards_intact = false;
+  Buffer out;
+};
+GuardedDecode guarded_decompress(const util::Compressor& comp, BytesView in,
+                                 size_t raw_size) {
+  Buffer buf(raw_size + 2, 0xEE);
+  GuardedDecode r;
+  r.ok = comp.decompress(in, std::span<uint8_t>(buf).subspan(1, raw_size));
+  r.guards_intact = buf.front() == 0xEE && buf.back() == 0xEE;
+  r.out.assign(buf.begin() + 1, buf.end() - 1);
+  return r;
+}
+
 class ChunkPipelineCodecTest : public ::testing::TestWithParam<util::Codec> {};
 
 TEST_P(ChunkPipelineCodecTest, RoundTripsCompressibleData) {
   const util::Compressor* comp = util::compressor_for(GetParam());
   ASSERT_NE(comp, nullptr);
   Buffer raw = imagery_bytes(64, 256, 5);
-  Buffer packed;
-  ASSERT_TRUE(comp->compress(BytesView(raw), packed));
+  Buffer packed = compress_to_buffer(*comp, BytesView(raw));
+  ASSERT_FALSE(packed.empty());
   EXPECT_LT(packed.size(), raw.size());
-  Buffer out;
-  ASSERT_TRUE(comp->decompress(BytesView(packed), raw.size(), out));
-  EXPECT_EQ(out, raw);
+  EXPECT_LE(raw.size(), comp->max_decoded_size(packed.size()));
+  GuardedDecode d = guarded_decompress(*comp, BytesView(packed), raw.size());
+  ASSERT_TRUE(d.ok);
+  EXPECT_TRUE(d.guards_intact);
+  EXPECT_EQ(d.out, raw);
 }
 
 TEST_P(ChunkPipelineCodecTest, RefusesIncompressibleAndRestoresOut) {
+  // Refusal is a 0 return, and the encoder never writes outside the
+  // span it was given (here, between two guard bytes).
   const util::Compressor* comp = util::compressor_for(GetParam());
   ASSERT_NE(comp, nullptr);
   Buffer raw = random_bytes(4096, 77);
-  Buffer out{0xAB, 0xCD};
-  EXPECT_FALSE(comp->compress(BytesView(raw), out));
-  EXPECT_EQ(out, (Buffer{0xAB, 0xCD}));
+  Buffer out(raw.size() + 1, 0xAB);
+  EXPECT_EQ(comp->compress(BytesView(raw),
+                           std::span<uint8_t>(out).subspan(1, raw.size() - 1)),
+            0u);
+  EXPECT_EQ(out.front(), 0xAB);
+  EXPECT_EQ(out.back(), 0xAB);
+}
+
+TEST_P(ChunkPipelineCodecTest, CompressStopsAtTheSpanLimit) {
+  // An encoding of E bytes fits a span of E (same bytes as with room to
+  // spare) and is refused by a span of E - 1, without writing past it.
+  const util::Compressor* comp = util::compressor_for(GetParam());
+  ASSERT_NE(comp, nullptr);
+  Buffer raw = imagery_bytes(8, 256, 14);
+  Buffer packed = compress_to_buffer(*comp, BytesView(raw));
+  ASSERT_GT(packed.size(), 1u);
+  const size_t e = packed.size();
+  Buffer exact(e + 1, 0x5A);
+  EXPECT_EQ(comp->compress(BytesView(raw),
+                           std::span<uint8_t>(exact).first(e)),
+            e);
+  EXPECT_TRUE(std::equal(packed.begin(), packed.end(), exact.begin()));
+  EXPECT_EQ(exact.back(), 0x5A);
+  Buffer short_by_one(e, 0x5A);
+  EXPECT_EQ(comp->compress(BytesView(raw),
+                           std::span<uint8_t>(short_by_one).first(e - 1)),
+            0u);
+  EXPECT_EQ(short_by_one.back(), 0x5A);
 }
 
 TEST_P(ChunkPipelineCodecTest, DecompressIsTotalOnHostileInput) {
   const util::Compressor* comp = util::compressor_for(GetParam());
   ASSERT_NE(comp, nullptr);
   Buffer raw = imagery_bytes(16, 256, 6);
-  Buffer packed;
-  ASSERT_TRUE(comp->compress(BytesView(raw), packed));
-  // Truncations at every length: must return false or a correct prefix
-  // decode, never crash; `out` is restored on failure.
+  Buffer packed = compress_to_buffer(*comp, BytesView(raw));
+  ASSERT_FALSE(packed.empty());
+  // Truncations at every length: must fail (a prefix cannot fill the
+  // whole output) and never write outside the output span.
   for (size_t len = 0; len < packed.size(); ++len) {
-    Buffer out{0x11};
-    if (!comp->decompress(BytesView(packed.data(), len), raw.size(), out)) {
-      EXPECT_EQ(out, (Buffer{0x11})) << "len=" << len;
-    }
+    GuardedDecode d =
+        guarded_decompress(*comp, BytesView(packed.data(), len), raw.size());
+    EXPECT_FALSE(d.ok) << "len=" << len;
+    EXPECT_TRUE(d.guards_intact) << "len=" << len;
   }
-  // Single-byte corruption sweep: decode either fails cleanly or
-  // produces raw_size bytes — it must never over/under-run.
+  // Single-bit corruption sweep: decode either fails cleanly or fills
+  // exactly raw_size bytes — it must never over/under-run.
   Rng rng(8);
   for (int trial = 0; trial < 200; ++trial) {
     Buffer bad = packed;
     bad[rng.next_u64() % bad.size()] ^= 1u << (rng.next_u64() % 8);
-    Buffer out;
-    if (comp->decompress(BytesView(bad), raw.size(), out)) {
-      EXPECT_EQ(out.size(), raw.size());
-    } else {
-      EXPECT_TRUE(out.empty());
-    }
+    GuardedDecode d = guarded_decompress(*comp, BytesView(bad), raw.size());
+    EXPECT_TRUE(d.guards_intact) << "trial " << trial;
   }
+  // Garbage streams against too-small, exact and too-large outputs.
+  for (int trial = 0; trial < 200; ++trial) {
+    Buffer junk = random_bytes(1 + rng.next_u64() % 64, 1000 + trial);
+    const size_t out_size = rng.next_u64() % 300;
+    GuardedDecode d = guarded_decompress(*comp, BytesView(junk), out_size);
+    EXPECT_TRUE(d.guards_intact) << "trial " << trial;
+  }
+  // The right stream into the wrong output size is a failure, not a
+  // partial decode.
+  EXPECT_FALSE(
+      guarded_decompress(*comp, BytesView(packed), raw.size() - 1).ok);
+  EXPECT_FALSE(
+      guarded_decompress(*comp, BytesView(packed), raw.size() + 1).ok);
 }
 
 INSTANTIATE_TEST_SUITE_P(Codecs, ChunkPipelineCodecTest,
@@ -162,11 +227,68 @@ TEST(ChunkPipelineCodecTest, RleHandlesRunsAndLiteralBoundaries) {
   // 200 equal bytes then 1 literal: classic run + tail.
   Buffer raw(200, 0x7F);
   raw.push_back(0x01);
-  Buffer packed;
-  ASSERT_TRUE(rle->compress(BytesView(raw), packed));
-  Buffer out;
-  ASSERT_TRUE(rle->decompress(BytesView(packed), raw.size(), out));
-  EXPECT_EQ(out, raw);
+  Buffer packed = compress_to_buffer(*rle, BytesView(raw));
+  ASSERT_FALSE(packed.empty());
+  GuardedDecode d = guarded_decompress(*rle, BytesView(packed), raw.size());
+  ASSERT_TRUE(d.ok);
+  EXPECT_EQ(d.out, raw);
+}
+
+TEST(ChunkPipelineCodecTest, RleRefusesAtExactlyRawSize) {
+  // A 4-run (2-byte token) plus 5 literals (6 bytes) encodes to 8 bytes
+  // for a 9-byte input: in.size() - 1, the largest size kept. A 3-run
+  // with the same literals encodes to 8 bytes for 8: not smaller, so
+  // refused.
+  const util::Compressor* rle = util::compressor_for(util::Codec::kRle);
+  Buffer fits{9, 9, 9, 9, 1, 2, 3, 4, 5};
+  Buffer packed = compress_to_buffer(*rle, BytesView(fits));
+  EXPECT_EQ(packed, (Buffer{0x81, 9, 0x04, 1, 2, 3, 4, 5}));
+  Buffer equal{9, 9, 9, 1, 2, 3, 4, 5};
+  EXPECT_TRUE(compress_to_buffer(*rle, BytesView(equal)).empty());
+  // Even a larger span does not make the codec keep a non-shrinking
+  // encoding.
+  Buffer roomy(64);
+  EXPECT_EQ(rle->compress(BytesView(equal), roomy), 0u);
+  // The expansion bound is tight: one repeat token, 130 bytes.
+  Buffer run{0xFF, 0x42};
+  EXPECT_EQ(rle->max_decoded_size(run.size()), 130u);
+  GuardedDecode d = guarded_decompress(*rle, BytesView(run), 130);
+  ASSERT_TRUE(d.ok);
+  EXPECT_EQ(d.out, Buffer(130, 0x42));
+}
+
+TEST(ChunkPipelineCodecTest, LzOverlappingMatchReplicates) {
+  const util::Compressor* lz = util::compressor_for(util::Codec::kLz);
+  // Hand-built streams. Token [L:4|M:4], literals, u16 offset; match
+  // length is M + 4.
+  // Offset 1 < length 15: one literal 'Q' replicated byte by byte.
+  Buffer overlap{0x1B, 'Q', 0x01, 0x00};
+  GuardedDecode d = guarded_decompress(*lz, BytesView(overlap), 16);
+  ASSERT_TRUE(d.ok);
+  EXPECT_TRUE(d.guards_intact);
+  EXPECT_EQ(d.out, Buffer(16, 'Q'));
+  // Offset 3 < length 7: a 3-byte period.
+  Buffer period{0x33, 'x', 'y', 'z', 0x03, 0x00};
+  d = guarded_decompress(*lz, BytesView(period), 10);
+  ASSERT_TRUE(d.ok);
+  EXPECT_EQ(d.out, (Buffer{'x', 'y', 'z', 'x', 'y', 'z', 'x', 'y', 'z', 'x'}));
+  // Offset 4 == length 4: the non-overlapping (block copy) path.
+  Buffer disjoint{0x40, 'a', 'b', 'c', 'd', 0x04, 0x00};
+  d = guarded_decompress(*lz, BytesView(disjoint), 8);
+  ASSERT_TRUE(d.ok);
+  EXPECT_EQ(d.out, (Buffer{'a', 'b', 'c', 'd', 'a', 'b', 'c', 'd'}));
+  // Offset reaching before the start of the output is rejected.
+  Buffer before_start{0x10, 'a', 0x02, 0x00};
+  EXPECT_FALSE(guarded_decompress(*lz, BytesView(before_start), 5).ok);
+  // The encoder emits overlapping matches for periodic input, and they
+  // round-trip.
+  Buffer periodic;
+  for (int i = 0; i < 300; ++i) periodic.push_back(static_cast<uint8_t>(i % 5));
+  Buffer packed = compress_to_buffer(*lz, BytesView(periodic));
+  ASSERT_FALSE(packed.empty());
+  d = guarded_decompress(*lz, BytesView(packed), periodic.size());
+  ASSERT_TRUE(d.ok);
+  EXPECT_EQ(d.out, periodic);
 }
 
 TEST(ChunkPipelineCodecTest, UnknownWireIdIsRejectedNotFatal) {
@@ -189,7 +311,7 @@ TEST(ChunkPipelineTableTest, IdenticalAcrossThreadCounts) {
     for (uint32_t i = 0; i < one.chunk_count(); ++i) {
       EXPECT_EQ(one.entry(i).hash, four.entry(i).hash) << i;
       EXPECT_EQ(one.entry(i).compressed, four.entry(i).compressed) << i;
-      EXPECT_EQ(one.entry(i).payload, four.entry(i).payload) << i;
+      EXPECT_TRUE(std::ranges::equal(one.payload(i), four.payload(i))) << i;
     }
     // Deterministic byte accounting too (wall-clock nanos excluded).
     EXPECT_EQ(one.stats().raw_bytes, four.stats().raw_bytes);
@@ -266,6 +388,98 @@ TEST(ChunkPipelineStoreTest, OversizeChunksAndDuplicatesAreNoOps) {
   const Buffer* found = store.find(h);
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(*found, small);
+}
+
+TEST(ChunkPipelineStoreTest, MultiVictimEvictionKeepsLruOrderAndStats) {
+  // Mixed chunk sizes: one insert may evict several victims, always
+  // least-recent first, and recycled nodes must carry the new chunk.
+  proto::ChunkStore store(300);
+  Buffer a(100, 1), b(100, 2), c(100, 3), d(250, 4), e(50, 5), f(60, 6);
+  auto h = [](const Buffer& x) { return util::hash64(BytesView(x)); };
+  store.put(h(a), BytesView(a));
+  store.put(h(b), BytesView(b));
+  store.put(h(c), BytesView(c));
+  store.put(h(d), BytesView(d));  // evicts a, b and c
+  EXPECT_EQ(store.entries(), 1u);
+  EXPECT_EQ(store.bytes(), 250u);
+  EXPECT_EQ(store.stats().evictions, 3u);
+  store.put(h(e), BytesView(e));  // 300: fits exactly, no eviction
+  EXPECT_EQ(store.stats().evictions, 3u);
+  store.put(h(f), BytesView(f));  // evicts d only (LRU), keeps e
+  EXPECT_EQ(store.stats().evictions, 4u);
+  EXPECT_EQ(store.stats().inserts, 6u);
+  EXPECT_EQ(store.entries(), 2u);
+  EXPECT_EQ(store.bytes(), 110u);
+  EXPECT_EQ(store.find(h(d)), nullptr);
+  const Buffer* got_f = store.find(h(f));
+  ASSERT_NE(got_f, nullptr);
+  EXPECT_EQ(*got_f, f);
+  const Buffer* got_e = store.find(h(e));  // e is now most recent
+  ASSERT_NE(got_e, nullptr);
+  EXPECT_EQ(*got_e, e);
+  store.put(h(d), BytesView(d));  // 360 > 300: evicts f (now LRU) only
+  EXPECT_EQ(store.stats().evictions, 5u);
+  EXPECT_EQ(store.entries(), 2u);
+  EXPECT_EQ(store.bytes(), 300u);
+  EXPECT_EQ(store.find(h(f)), nullptr);
+  ASSERT_NE(store.find(h(e)), nullptr);
+  const Buffer* got_d = store.find(h(d));
+  ASSERT_NE(got_d, nullptr);
+  EXPECT_EQ(*got_d, d);
+}
+
+TEST(ChunkPipelineStoreTest, MatchesReferenceLruUnderRandomTraffic) {
+  // A list-based reference LRU with the same budget and eviction rule;
+  // the store must agree on membership, bytes, stats and contents after
+  // every operation.
+  constexpr size_t kBudget = 4096;
+  proto::ChunkStore store(kBudget);
+  std::vector<Buffer> chunks;
+  for (uint64_t i = 0; i < 40; ++i) {
+    chunks.push_back(random_bytes(64 + (i * 37) % 900, 500 + i));
+  }
+  std::list<size_t> ref;  // chunk ids, front = most recent
+  size_t ref_bytes = 0;
+  proto::ChunkStore::Stats ref_stats;
+  Rng rng(31);
+  for (int step = 0; step < 3000; ++step) {
+    const size_t id = rng.next_u64() % chunks.size();
+    const Buffer& chunk = chunks[id];
+    const uint64_t key = util::hash64(BytesView(chunk));
+    auto pos = std::find(ref.begin(), ref.end(), id);
+    if (rng.next_u64() % 3 == 0) {
+      const Buffer* got = store.find(key);
+      if (pos == ref.end()) {
+        ++ref_stats.misses;
+        ASSERT_EQ(got, nullptr) << "step " << step;
+      } else {
+        ++ref_stats.hits;
+        ref.splice(ref.begin(), ref, pos);
+        ASSERT_NE(got, nullptr) << "step " << step;
+        ASSERT_EQ(*got, chunk) << "step " << step;
+      }
+    } else {
+      store.put(key, BytesView(chunk));
+      if (pos != ref.end()) {
+        ref.splice(ref.begin(), ref, pos);
+      } else {
+        while (ref_bytes + chunk.size() > kBudget && !ref.empty()) {
+          ref_bytes -= chunks[ref.back()].size();
+          ref.pop_back();
+          ++ref_stats.evictions;
+        }
+        ref.push_front(id);
+        ref_bytes += chunk.size();
+        ++ref_stats.inserts;
+      }
+    }
+    ASSERT_EQ(store.entries(), ref.size()) << "step " << step;
+    ASSERT_EQ(store.bytes(), ref_bytes) << "step " << step;
+    ASSERT_EQ(store.stats().evictions, ref_stats.evictions);
+    ASSERT_EQ(store.stats().inserts, ref_stats.inserts);
+    ASSERT_EQ(store.stats().hits, ref_stats.hits);
+    ASSERT_EQ(store.stats().misses, ref_stats.misses);
+  }
 }
 
 // --- parallel_for -----------------------------------------------------------

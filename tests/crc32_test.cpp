@@ -1,6 +1,8 @@
 // CRC-32 (IEEE 802.3, reflected) known-answer and equivalence tests.
-// The implementation uses slicing-by-8; these tests pin it to the
-// classic bit-at-a-time definition so a table bug cannot silently
+// The implementation folds spans of 64 bytes or more with carry-less
+// multiplies (where the CPU has them) and runs slicing-by-8 tables over
+// short spans and the n % 16 tail; these tests pin both to the classic
+// bit-at-a-time definition so a kernel or table bug cannot silently
 // change the wire format.
 #include "util/crc32.h"
 
@@ -93,6 +95,45 @@ TEST(Crc32Test, UnalignedStart) {
   for (size_t off = 0; off < 8; ++off) {
     BytesView v(data.data() + off, 64);
     EXPECT_EQ(crc32(v), crc32_bitwise(v)) << "offset " << off;
+  }
+}
+
+TEST(Crc32Test, MatchesBitwiseAtEveryLengthOffsetAndSeed) {
+  // Every length 0..1024 at every start offset 0..15, under zero and
+  // non-zero seeds: covers spans below the fold threshold, the folded
+  // bulk (64-byte lanes, then single 16-byte blocks) and every table
+  // tail length, at every alignment.
+  Buffer data(1024 + 16);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>((i * 151) ^ (i >> 3) ^ 0x3C);
+  }
+  const uint32_t seeds[] = {0u, 0xFFFFFFFFu, 0x12345678u};
+  for (size_t len = 0; len <= 1024; ++len) {
+    for (size_t off = 0; off < 16; ++off) {
+      BytesView v(data.data() + off, len);
+      const uint32_t seed = seeds[(len + off) % 3];
+      ASSERT_EQ(crc32(v, seed), crc32_bitwise(v, seed))
+          << "length " << len << " offset " << off << " seed " << seed;
+    }
+  }
+}
+
+TEST(Crc32Test, ChainingHoldsAcrossFoldAndTableSplits) {
+  // crc32(b, crc32(a)) == crc32(a ++ b) for every split of a span long
+  // enough that either half may take the folded path.
+  Buffer data(300);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 29 + 11);
+  }
+  for (uint32_t seed : {0u, 0xDEADBEEFu}) {
+    const uint32_t whole = crc32(BytesView(data), seed);
+    ASSERT_EQ(whole, crc32_bitwise(BytesView(data), seed));
+    for (size_t split = 0; split <= data.size(); ++split) {
+      const uint32_t first = crc32(BytesView(data.data(), split), seed);
+      const uint32_t chained = crc32(
+          BytesView(data.data() + split, data.size() - split), first);
+      ASSERT_EQ(chained, whole) << "split at " << split << " seed " << seed;
+    }
   }
 }
 

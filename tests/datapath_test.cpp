@@ -1,7 +1,10 @@
 // Zero-copy datapath building blocks: ByteWriter/ByteReader edge cases,
 // the owned-or-borrowed Bytes field type, FramePool slab reuse, and
 // SharedFrame fan-out semantics — plus the end-to-end claim they add up
-// to: a warm remote variable delivery never touches the heap.
+// to: a warm remote variable delivery never touches the heap. The bulk
+// (file) path's per-chunk steps — a warm ChunkStore insert and a
+// compressed chunk decoded in place by the MFTP receiver — are held to
+// the same zero.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,10 +15,14 @@
 
 #include "encoding/typed.h"
 #include "middleware/domain.h"
+#include "protocol/chunk_table.h"
 #include "protocol/frame.h"
+#include "protocol/mftp.h"
 #include "services/messages.h"
 #include "util/bytes.h"
+#include "util/crc32.h"
 #include "util/frame_pool.h"
+#include "util/hash.h"
 
 // Global allocation counter for the steady-state delivery test.
 namespace {
@@ -399,6 +406,90 @@ TEST(SteadyStateDeliveryTest, WarmRemoteGpsFixDeliveryAllocatesNothing) {
   EXPECT_EQ(snk->last_time_ns, 1000 + kSamples - 1);
   EXPECT_EQ(allocs, 0u) << "heap allocations over " << kSamples
                         << " warm remote deliveries";
+}
+
+// --- bulk path ---------------------------------------------------------------
+
+TEST(BulkPathAllocTest, WarmChunkStorePutAllocatesNothing) {
+  // Once the store is full, each insert recycles the LRU victim's map
+  // node, list node and buffer; mixed sizes evict one or several.
+  proto::ChunkStore store(8 * 1024);
+  std::vector<Buffer> chunks;
+  for (uint32_t i = 0; i < 64; ++i) {
+    chunks.emplace_back(i % 4 == 3 ? 700 : 1024, static_cast<uint8_t>(i));
+  }
+  std::vector<uint64_t> hashes;
+  for (const Buffer& c : chunks) hashes.push_back(util::hash64(BytesView(c)));
+  for (uint32_t i = 0; i < 16; ++i) {  // fill and warm every buffer size
+    store.put(hashes[i], BytesView(chunks[i]));
+  }
+  const uint64_t evictions_before = store.stats().evictions;
+  const uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
+  for (uint32_t i = 16; i < chunks.size(); ++i) {
+    store.put(hashes[i], BytesView(chunks[i]));
+  }
+  const uint64_t allocs =
+      g_allocs.load(std::memory_order_relaxed) - allocs_before;
+  EXPECT_GT(store.stats().evictions, evictions_before + 40);
+  EXPECT_EQ(allocs, 0u) << "heap allocations over "
+                        << chunks.size() - 16 << " warm ChunkStore puts";
+  const Buffer* last = store.find(hashes.back());
+  ASSERT_NE(last, nullptr);
+  EXPECT_EQ(*last, chunks.back());
+}
+
+TEST(BulkPathAllocTest, CompressedChunkDecodesInPlaceWithoutAllocating) {
+  // The receiver decodes each compressed chunk straight into its slot of
+  // the file image, verifies it there and inserts it into a warm store:
+  // no scratch buffer, no index nodes.
+  constexpr uint32_t kChunk = 1024;
+  constexpr uint32_t kChunks = 40;
+  Buffer content;
+  for (uint32_t c = 0; c < kChunks; ++c) {
+    for (uint32_t k = 0; k < kChunk; ++k) {
+      content.push_back(static_cast<uint8_t>((k / 16 + c * 3) & 0xFF));
+    }
+  }
+  proto::FileMeta meta;
+  meta.name = "img";
+  meta.revision = 1;
+  meta.size = content.size();
+  meta.chunk_size = kChunk;
+  meta.content_crc = crc32(BytesView(content));
+  meta.codec = static_cast<uint8_t>(util::Codec::kLz);
+  proto::ChunkTable table =
+      proto::ChunkTable::build(BytesView(content), kChunk, util::Codec::kLz);
+  std::vector<proto::FileChunkMsg> msgs(kChunks);
+  for (uint32_t i = 0; i < kChunks; ++i) {
+    ASSERT_TRUE(table.entry(i).compressed) << i;
+    msgs[i].transfer_id = 7;
+    msgs[i].revision = 1;
+    msgs[i].index = i;
+    msgs[i].hash = table.entry(i).hash;
+    msgs[i].flags = proto::kChunkFlagCompressed;
+    msgs[i].data = to_buffer(table.payload(i));
+  }
+  // A store already full of other chunks: every insert recycles.
+  proto::ChunkStore store(16 * kChunk);
+  for (uint32_t i = 0; i < 16; ++i) {
+    Buffer other(kChunk, static_cast<uint8_t>(200 + i));
+    store.put(util::hash64(BytesView(other)), BytesView(other));
+  }
+  proto::MftpReceiver rx(7, meta, [](const proto::FileAckMsg&) {},
+                         [](const proto::FileNackMsg&) {});
+  rx.set_manifest(table.hashes());
+  rx.set_chunk_store(&store);
+  bool complete = false;
+  rx.set_on_complete([&](const Buffer& b) { complete = b == content; });
+  rx.on_chunk(msgs[0]);  // first run of the held set
+  const uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
+  for (uint32_t i = 1; i < kChunks; ++i) rx.on_chunk(msgs[i]);
+  const uint64_t allocs =
+      g_allocs.load(std::memory_order_relaxed) - allocs_before;
+  EXPECT_TRUE(complete);
+  EXPECT_EQ(rx.stats().hash_mismatches, 0u);
+  EXPECT_EQ(allocs, 0u) << "heap allocations over " << kChunks - 1
+                        << " compressed chunks";
 }
 
 }  // namespace

@@ -58,7 +58,8 @@ class MftpHarness {
     params.status_timeout = milliseconds(20);
 
     publisher_ = std::make_unique<MftpPublisher>(
-        exec_, params, /*transfer_id=*/99, meta_, content_,
+        exec_, params, /*transfer_id=*/99, meta_,
+        std::make_shared<const Buffer>(content_),
         [this](const FileChunkMsg& msg) {
           ByteWriter w;
           w.u8(1);
@@ -519,6 +520,62 @@ TEST(MftpTest, WrongHashChunkRejectedEvenWithMatchingSize) {
   rx.on_chunk(chunk);
   EXPECT_EQ(rx.chunks_have(), 0u);
   EXPECT_EQ(rx.stats().hash_mismatches, 1u);
+}
+
+TEST(MftpTest, CompressedWrongHashChunkStaysUnheldThenRepairs) {
+  // A well-formed compressed stream that decodes to the wrong bytes
+  // (chunk 1's payload sent as chunk 0) is decoded in place into chunk
+  // 0's slot, fails verification, and leaves the index unheld: it is
+  // NACKed, kept out of the store, and a later good copy overwrites the
+  // slot so the file still completes intact.
+  Buffer content = make_runs_content(4, 1000);
+  FileMeta meta = make_meta("x", content, 1000);
+  meta.codec = static_cast<uint8_t>(util::Codec::kLz);
+  ChunkTable table =
+      ChunkTable::build(as_bytes_view(content), 1000, util::Codec::kLz);
+  for (uint32_t i = 0; i < 4; ++i) ASSERT_TRUE(table.entry(i).compressed);
+  ChunkStore store;
+  FileNackMsg last_nack;
+  std::optional<Buffer> completed;
+  MftpReceiver rx(5, meta, [](const FileAckMsg&) {},
+                  [&](const FileNackMsg& nack) { last_nack = nack; });
+  rx.set_manifest(table.hashes());
+  rx.set_chunk_store(&store);
+  rx.set_on_complete([&](const Buffer& b) { completed = b; });
+  auto chunk_msg = [&](uint32_t index, uint32_t payload_of, uint64_t hash) {
+    FileChunkMsg chunk;
+    chunk.transfer_id = 5;
+    chunk.revision = 1;
+    chunk.index = index;
+    chunk.hash = hash;
+    chunk.flags = kChunkFlagCompressed;
+    chunk.data = to_buffer(table.payload(payload_of));
+    return chunk;
+  };
+
+  // Wrong bytes under the right chunk hash, then under no chunk hash
+  // (the manifest still catches it).
+  rx.on_chunk(chunk_msg(0, 1, table.entry(0).hash));
+  rx.on_chunk(chunk_msg(0, 1, 0));
+  EXPECT_EQ(rx.chunks_have(), 0u);
+  EXPECT_EQ(rx.stats().hash_mismatches, 2u);
+  EXPECT_EQ(rx.stats().payload_bytes_received, 0u);
+  EXPECT_EQ(store.entries(), 0u);
+
+  for (uint32_t i = 1; i < 4; ++i) {
+    rx.on_chunk(chunk_msg(i, i, table.entry(i).hash));
+  }
+  FileStatusRequestMsg poll;
+  poll.transfer_id = 5;
+  poll.revision = 1;
+  rx.on_status_request(poll);
+  EXPECT_EQ(last_nack.missing.to_indices(), (std::vector<uint32_t>{0}));
+  EXPECT_FALSE(completed.has_value());
+
+  rx.on_chunk(chunk_msg(0, 0, table.entry(0).hash));  // the repair
+  ASSERT_TRUE(completed.has_value());
+  EXPECT_EQ(*completed, content);
+  EXPECT_EQ(store.entries(), 4u);
 }
 
 TEST(MftpTest, ProgressCallbackCounts) {

@@ -504,7 +504,9 @@ TEST(RelayCustodyTest, SinkRejectsDamagedFileChunksUntilIntact) {
   good.revision = 1;
   good.chunk_hash = util::hash64(BytesView(raw));
   good.raw_size = static_cast<uint32_t>(raw.size());
-  ASSERT_TRUE(lz->compress(BytesView(raw), good.payload));
+  good.payload.resize(raw.size() - 1);
+  good.payload.resize(lz->compress(BytesView(raw), good.payload));
+  ASSERT_FALSE(good.payload.empty());
   good.codec = static_cast<uint32_t>(util::Codec::kLz);
 
   // 1) hash mismatch: right size, wrong bytes.
@@ -526,12 +528,22 @@ TEST(RelayCustodyTest, SinkRejectsDamagedFileChunksUntilIntact) {
   EXPECT_FALSE(drv->acks[1].accepted);
   EXPECT_EQ(sink->bundles_rejected(), 2u);
 
-  // 3) the same bundle id, intact this time — the reject path forgot the
+  // 3) a forged raw_size far beyond what the payload could decode to:
+  // refused before the sink sizes a buffer for it.
+  RelayBundle forged = good;
+  forged.raw_size = 0xFFFFFFFFu;
+  drv->deliver(forged);
+  domain.run_for(seconds(1.0));
+  ASSERT_EQ(drv->acks.size(), 3u);
+  EXPECT_FALSE(drv->acks[2].accepted);
+  EXPECT_EQ(sink->bundles_rejected(), 3u);
+
+  // 4) the same bundle id, intact this time — the reject path forgot the
   // id, so the retry is accepted as first-seen, not "duplicate".
   drv->deliver(good);
   domain.run_for(seconds(1.0));
-  ASSERT_EQ(drv->acks.size(), 3u);
-  EXPECT_TRUE(drv->acks[2].accepted);
+  ASSERT_EQ(drv->acks.size(), 4u);
+  EXPECT_TRUE(drv->acks[3].accepted);
   EXPECT_EQ(sink->bundles_accepted(), 1u);
   EXPECT_EQ(sink->duplicates_ignored(), 0u);
 }
