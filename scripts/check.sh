@@ -2,8 +2,10 @@
 # Tier-1 gate: a plain build+test pass, the same suite under
 # AddressSanitizer + UBSan (-DMAREA_SANITIZE=ON), and the
 # thread-exercising tests under ThreadSanitizer (-DMAREA_SANITIZE=TSAN —
-# the sharded simulation engine runs shard windows on a worker pool, so
-# TSan is the cheapest way to catch cross-shard data races). The chaos
+# the sharded simulation engine runs shard windows on a worker pool, and
+# both live-transport backends share one locked socket table between
+# their dispatch thread and caller threads, so TSan is the cheapest way
+# to catch data races there). The chaos
 # soak drives the middleware through loss bursts, partitions, and
 # crash/restart cycles, so a sanitized run of the suite is the cheapest
 # way to catch lifetime bugs in the recovery paths. Finally the Release
@@ -34,12 +36,13 @@ cmake -B build-asan -S . -DMAREA_SANITIZE=ON >/dev/null
 cmake --build build-asan -j"$(nproc)"
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)"
 
-echo "== TSan build + parallel-engine tests =="
+echo "== TSan build + parallel-engine and live-transport tests =="
 cmake -B build-tsan -S . -DMAREA_SANITIZE=TSAN >/dev/null
 cmake --build build-tsan -j"$(nproc)" --target parallel_sim_test \
-  chaos_soak_test radio_relay_test chunk_pipeline_test
+  chaos_soak_test radio_relay_test chunk_pipeline_test transport_test \
+  live_soak_test live_stack_test
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
-  -R 'ParallelSim|ChaosSoak|DataMuleScenario|ChunkPipeline'
+  -R 'ParallelSim|ChaosSoak|DataMuleScenario|ChunkPipeline|LiveBackend|LiveSoak|LiveStack'
 
 echo "== release hot-path bench (BENCH_hotpath.json) =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null

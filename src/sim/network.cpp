@@ -312,12 +312,11 @@ Status SimNetwork::check_send(const char* what, Endpoint from, size_t size)
 
 SharedFrame SimNetwork::ingress_frame(BytesView data) {
   uint64_t allocs_before = pool_.stats().slab_allocs;
-  FrameLease lease = pool_.acquire(data.size());
-  lease.buffer().assign(data.begin(), data.end());
+  SharedFrame frame = pool_.copy_in(data);
   total_.payload_allocs += pool_.stats().slab_allocs - allocs_before;
   total_.payload_copies++;
   total_.payload_bytes_copied += data.size();
-  return std::move(lease).freeze();
+  return frame;
 }
 
 Status SimNetwork::send(Endpoint from, Endpoint to, BytesView data) {

@@ -1,20 +1,31 @@
 // Shared base for the kernel-backed transports (DESIGN.md "Live
-// transport" / "io_uring backend"): both the epoll/recvmmsg loop
-// (UdpTransport) and the io_uring multishot backend (UringTransport)
-// implement the same Transport contract over the same IPv4/UDP mapping,
-// publish the same net.* counters, and are selected at runtime through
-// TransportConfig::backend — callers that hold a LiveTransport* cannot
-// tell the kernel datapaths apart except by speed.
+// transport"). Everything that is not kernel I/O is written once here:
 //
-// What lives here:
-//   * the IPv4 mapping helpers (ipv4_host, multicast_port) every live
-//     caller already depends on;
-//   * LiveTransportOptions — one options struct for both backends (the
-//     uring_* knobs are ignored by the epoll loop);
-//   * LiveTransport — counters, obs collector, drop tracing, the peer
-//     list contract, wall clock and local-host identity;
-//   * backend selection: TransportBackend {auto,epoll,uring}, the
-//     uring_supported() runtime probe, and make_live_transport().
+//   * the IPv4 mapping (ipv4_host, multicast_port, socket_setup.h):
+//     HostId is an IPv4 address in host byte order, logical ports are UDP
+//     ports on the node's address, multicast group G is IP group
+//     239.77.x.y on the canonical port multicast_port(G), and broadcast
+//     iterates a configured peer list;
+//   * the socket table: each Socket owns its fd (closed when the last
+//     reference dies, not at unbind) and carries a monotonic, never
+//     reused token, so a stale kernel event can never alias a rebound
+//     socket. A unicast port that collides with a joined group's
+//     canonical port (or vice versa) is rejected with already_exists at
+//     bind/join time instead of letting SO_REUSEPORT split the traffic;
+//   * the send path: every send (unicast, multicast, broadcast, to-many)
+//     resolves the source socket under the lock, builds sockaddr/mmsghdr
+//     batches of 32 over one shared iovec outside it, and hands each
+//     batch to the engine's send_batch hook;
+//   * the receive contract (deliver): MSG_TRUNC drops, receive counters,
+//     the closed check and the own-multicast-copy filter;
+//   * counters, obs wiring, drop tracing and backend selection.
+//
+// A backend is an I/O engine behind three hooks — arm, disarm and
+// send_batch — that feeds every datagram it receives to deliver().
+// UdpTransport (udp_transport.h) does it with epoll + recvmmsg/sendmmsg,
+// UringTransport (uring_transport.h) with multishot recvmsg and batched
+// SQEs. Callers holding a LiveTransport* cannot tell them apart except
+// by speed.
 #pragma once
 
 #include <atomic>
@@ -26,6 +37,9 @@
 
 #include "obs/obs.h"
 #include "transport/transport.h"
+
+// <sys/socket.h>; only used as an opaque pointee here.
+struct mmsghdr;
 
 namespace marea::transport {
 
@@ -42,27 +56,11 @@ struct LiveTransportOptions {
   // truncation-dropped. Default covers the largest UDP payload; an
   // MTU-sized deployment (bench_live) shrinks it.
   size_t recv_buffer = 65536;
-  // Datagrams per recvmmsg batch (epoll backend).
-  int recv_batch = 8;
-  // Batches drained per epoll event before yielding to other sockets.
-  int max_batches_per_event = 4;
-  // Attempts per send batch before the remaining tail is abandoned
-  // (counted in send_errors). Transient kernel pushback (ENOBUFS/EAGAIN)
-  // gets a brief yield between attempts; a short *accept* (k of n taken)
-  // is not an attempt — the tail is retried immediately and counted in
-  // sendmmsg_short / uring_short_submits. See send_retry.h.
-  int send_retry_attempts = 4;
   // --- io_uring backend only ---
-  // Submission-queue entries per ring (recv and send rings each).
-  unsigned uring_entries = 256;
   // Provided receive buffers registered with the kernel (power of two).
   // Each is a pooled FrameLease slab of recv_buffer bytes (+ the
   // recvmsg_out header the kernel prepends).
   unsigned uring_buf_ring = 32;
-  // IORING_SETUP_SQPOLL: a kernel thread drains the SQ so steady-state
-  // submits cost zero syscalls. Off by default — it burns a core, which
-  // only pays off when the box has cores to spare.
-  bool uring_sqpoll = false;
   // Completion batching window (kernels with IORING_FEAT_MIN_TIMEOUT):
   // the dispatch thread sleeps until up to 8 completions accumulate or
   // this many microseconds pass, instead of waking per datagram. Must
@@ -113,7 +111,7 @@ class LiveTransport : public Transport {
     uint64_t socket_errors = 0;     // EPOLLERR/EPOLLHUP drained
     uint64_t recv_batches = 0;      // recv batches that returned data
     uint64_t own_copies_filtered = 0;  // own multicast loopback copies
-    uint64_t payload_copies = 0;       // user-space payload memcpys
+    uint64_t payload_copies = 0;  // bytes-send copies into pooled frames
     uint64_t payload_bytes_copied = 0;
     uint64_t sendmmsg_short = 0;  // short batch accepts, tail retried
     uint64_t uring_sqe_submitted = 0;   // SQEs handed to the kernel
@@ -131,9 +129,9 @@ class LiveTransport : public Transport {
   // every node binds the same port number); the Address form carries a
   // per-peer port for multi-process topologies where peers live on
   // kernel-assigned ephemeral ports (an Address port of 0 falls back to
-  // the broadcast's dst_port).
+  // the broadcast's dst_port). Entries that are this node are skipped.
   void set_peers(std::vector<HostId> peers);
-  virtual void set_peers(std::vector<Address> peers) = 0;
+  void set_peers(std::vector<Address> peers);
 
   // Registers a snapshot collector publishing the live counters as
   // "<prefix>.frames_sent", "<prefix>.uring_sqe_submitted", … (names
@@ -149,11 +147,82 @@ class LiveTransport : public Transport {
   size_t mtu() const override { return 65507; }
   // Kernel sockets are paced by wall time.
   const Clock* clock() const override { return &wall_clock_; }
+  // For requested == 0: the kernel-assigned port of the most recent
+  // ephemeral bind (valid as soon as that bind returns ok).
+  uint16_t bound_port(uint16_t requested) const override;
 
-  ~LiveTransport() override;  // deregisters the obs collector
+  Status bind_frames(uint16_t port, FrameRecvHandler handler) override;
+  void unbind(uint16_t port) override;
+  Status join_group(GroupId group, uint16_t port) override;
+  void leave_group(GroupId group, uint16_t port) override;
+  Status send_frame(uint16_t src_port, Address dst,
+                    SharedFrame frame) override;
+  Status send_frame_multicast(uint16_t src_port, GroupId group,
+                              SharedFrame frame) override;
+  // The whole peer fan-out shares the one frame across batched sends:
+  // payload copies are independent of peer count (the kernel copy per
+  // destination is inherent to UDP).
+  Status send_frame_broadcast(uint16_t src_port, uint16_t dst_port,
+                              SharedFrame frame) override;
+  Status send_frame_to_many(uint16_t src_port, const Address* dst,
+                            size_t n_dst, const SharedFrame& frame) override;
+
+  // Closes every socket; the derived destructor has already stopped its
+  // engine, so no kernel request references them anymore.
+  ~LiveTransport() override;
 
  protected:
-  LiveTransport() = default;
+  // Parses `local_ip` (throws std::runtime_error naming `who` if bad).
+  LiveTransport(const std::string& local_ip, LiveTransportOptions options,
+                const char* who);
+
+  struct Socket {
+    ~Socket();
+    int fd = -1;
+    uint64_t token = 0;  // never reused; 0 is reserved for the engine
+    uint16_t port = 0;
+    bool is_multicast = false;
+    GroupId group = 0;
+    FrameRecvHandler handler;
+    // unbind() was called: suppresses deliveries still in flight on the
+    // dispatch thread while the last references drain.
+    std::atomic<bool> closed{false};
+  };
+  using SocketPtr = std::shared_ptr<Socket>;
+
+  // Datagrams per send batch (one sendmmsg / one SQE flush).
+  static constexpr size_t kSendBatch = 32;
+
+  // --- engine hooks ---------------------------------------------------------
+  // Starts receiving on a socket about to enter the table. Called with
+  // the table lock held; an error aborts the bind.
+  virtual Status arm(const SocketPtr& s) = 0;
+  // Stops receiving on a socket just removed from the table (closed is
+  // already set). Called with the table lock held.
+  virtual void disarm(const SocketPtr& s) = 0;
+  // Sends `n` (<= kSendBatch) prepared datagrams of `payload_bytes` out
+  // of `fd` under the shared retry contract (send_retry.h); returns how
+  // many the kernel accepted, with the counters updated (count_sent).
+  virtual size_t send_batch(int fd, mmsghdr* msgs, size_t n,
+                            size_t payload_bytes) = 0;
+
+  // The receive contract both engines share, for one datagram of `len`
+  // payload bytes at `offset` in `lease`: truncated datagrams are
+  // dropped with a counter and trace, receive counters are bumped, and
+  // unless the socket is closed or this is our own multicast copy the
+  // lease is frozen to the payload and handed to the socket's handler
+  // (the lease is then consumed: !lease.valid()).
+  void deliver(const Socket& s, Address from, size_t len, bool truncated,
+               FrameLease& lease, size_t offset);
+  // Send-side counters for one batch; returns `sent`.
+  size_t count_sent(size_t sent, size_t failed, int err,
+                    size_t payload_bytes);
+  // The live socket for an engine token, or null once it is unbound.
+  SocketPtr socket_for(uint64_t token) const;
+
+  void detach_obs();
+  // Cold path only (drops/errors): records a kNet trace if attached.
+  void trace_drop(obs::TraceEvent ev, uint64_t a, uint64_t b);
 
   struct NetStats {
     std::atomic<uint64_t> frames_sent{0};
@@ -166,8 +235,6 @@ class LiveTransport : public Transport {
     std::atomic<uint64_t> socket_errors{0};
     std::atomic<uint64_t> recv_batches{0};
     std::atomic<uint64_t> own_copies_filtered{0};
-    std::atomic<uint64_t> payload_copies{0};
-    std::atomic<uint64_t> payload_bytes_copied{0};
     std::atomic<uint64_t> sendmmsg_short{0};
     std::atomic<uint64_t> uring_sqe_submitted{0};
     std::atomic<uint64_t> uring_cqe_batch{0};
@@ -175,16 +242,26 @@ class LiveTransport : public Transport {
     std::atomic<uint64_t> uring_short_submits{0};
   };
 
-  void detach_obs();
-  // Cold path only (drops/errors): records a kNet trace if attached.
-  void trace_drop(obs::TraceEvent ev, uint64_t a, uint64_t b);
-  int64_t trace_now_ns() const;
-
   NetStats stats_;
-  HostId local_host_ = 0;  // set by the derived constructor
-  SteadyClock wall_clock_;
+  const LiveTransportOptions options_;
+  HostId local_host_ = 0;
 
  private:
+  Status open_socket(uint16_t port, FrameRecvHandler handler, bool multicast,
+                     GroupId group);
+  void close_socket(uint64_t key);
+  // The socket bound to `src_port` (a stable, reply-able source address,
+  // pinned in `pin`) or the lazily opened shared send socket.
+  int resolve_send_fd(uint16_t src_port, SocketPtr& pin);
+  // Sends `data` to each of `dst` (port 0 = `fallback_port`) in batches.
+  Status send_to(uint16_t src_port, const Address* dst, size_t n_dst,
+                 uint16_t fallback_port, BytesView data);
+
+  // The socket table, peers and shared send socket (live_transport.cpp).
+  struct Table;
+  std::unique_ptr<Table> table_;
+
+  SteadyClock wall_clock_;
   // Guards the obs wiring and serializes trace-ring writes from this
   // transport (the ring itself is not thread-safe).
   mutable std::mutex obs_mu_;

@@ -2,21 +2,8 @@
 
 namespace marea::transport {
 
-Status SimTransport::bind(uint16_t port, RecvHandler handler) {
-  return net_.bind(
-      sim::Endpoint{node_, port},
-      [handler = std::move(handler)](sim::Endpoint from, BytesView data) {
-        handler(Address{from.node, from.port}, data);
-      });
-}
-
 void SimTransport::unbind(uint16_t port) {
   net_.unbind(sim::Endpoint{node_, port});
-}
-
-Status SimTransport::send(uint16_t src_port, Address dst, BytesView data) {
-  return net_.send(sim::Endpoint{node_, src_port},
-                   sim::Endpoint{dst.host, dst.port}, data);
 }
 
 Status SimTransport::join_group(GroupId group, uint16_t port) {
@@ -25,16 +12,6 @@ Status SimTransport::join_group(GroupId group, uint16_t port) {
 
 void SimTransport::leave_group(GroupId group, uint16_t port) {
   net_.leave_group(group, sim::Endpoint{node_, port});
-}
-
-Status SimTransport::send_multicast(uint16_t src_port, GroupId group,
-                                    BytesView data) {
-  return net_.send_multicast(sim::Endpoint{node_, src_port}, group, data);
-}
-
-Status SimTransport::send_broadcast(uint16_t src_port, uint16_t dst_port,
-                                    BytesView data) {
-  return net_.send_broadcast(sim::Endpoint{node_, src_port}, dst_port, data);
 }
 
 Status SimTransport::bind_frames(uint16_t port, FrameRecvHandler handler) {

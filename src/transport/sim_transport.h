@@ -18,20 +18,13 @@ class SimTransport final : public Transport {
   // The simulated medium is paced by virtual time.
   const Clock* clock() const override { return &net_.clock(); }
 
-  Status bind(uint16_t port, RecvHandler handler) override;
-  void unbind(uint16_t port) override;
-  Status send(uint16_t src_port, Address dst, BytesView data) override;
-  Status join_group(GroupId group, uint16_t port) override;
-  void leave_group(GroupId group, uint16_t port) override;
-  Status send_multicast(uint16_t src_port, GroupId group,
-                        BytesView data) override;
-  Status send_broadcast(uint16_t src_port, uint16_t dst_port,
-                        BytesView data) override;
-
   // Zero-copy path: frames built in the network's shared pool travel to
   // every receiver without a single payload copy.
   FramePool& frame_pool() override { return net_.frame_pool(); }
   Status bind_frames(uint16_t port, FrameRecvHandler handler) override;
+  void unbind(uint16_t port) override;
+  Status join_group(GroupId group, uint16_t port) override;
+  void leave_group(GroupId group, uint16_t port) override;
   Status send_frame(uint16_t src_port, Address dst,
                     SharedFrame frame) override;
   Status send_frame_multicast(uint16_t src_port, GroupId group,

@@ -14,10 +14,6 @@ sockaddr_in make_addr(HostId host, uint16_t port) {
   return addr;
 }
 
-in_addr_t group_ip(GroupId group) {
-  return htonl(0xEF4D0000u | (group & 0xFFFFu));
-}
-
 int open_live_socket(HostId local_host, uint16_t* port, bool multicast,
                      GroupId group, std::string* err) {
   int fd = socket(AF_INET, SOCK_DGRAM, 0);
@@ -25,11 +21,17 @@ int open_live_socket(HostId local_host, uint16_t* port, bool multicast,
     *err = "socket() failed";
     return -1;
   }
-  int one = 1;
-  setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-#ifdef SO_REUSEPORT
-  setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof one);
-#endif
+  const auto make_shareable = [fd] {
+    int one = 1;
+    setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+    setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof one);
+  };
+  // An ephemeral bind becomes shareable only after the kernel picked its
+  // port: with the reuse options set before the bind, the kernel may hand
+  // out a port another reuse socket (ours, or another process's) already
+  // holds, and the two would silently split its traffic.
+  const bool ephemeral = !multicast && *port == 0;
+  if (!ephemeral) make_shareable();
   sockaddr_in addr = multicast ? make_addr(INADDR_ANY, *port)
                                : make_addr(local_host, *port);
   if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
@@ -37,10 +39,11 @@ int open_live_socket(HostId local_host, uint16_t* port, bool multicast,
     *err = "bind() failed for port " + std::to_string(*port);
     return -1;
   }
-  if (!multicast && *port == 0) {
-    // Ephemeral bind: learn the kernel-assigned port so the caller can
-    // advertise it through discovery (bound_port()) and so the socket
-    // tables key it like any explicit bind.
+  if (ephemeral) {
+    make_shareable();
+    // Learn the kernel-assigned port so the caller can advertise it
+    // through discovery (bound_port()) and so the socket tables key it
+    // like any explicit bind.
     sockaddr_in bound{};
     socklen_t blen = sizeof bound;
     if (getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &blen) != 0) {
@@ -52,7 +55,7 @@ int open_live_socket(HostId local_host, uint16_t* port, bool multicast,
   }
   if (multicast) {
     ip_mreq mreq{};
-    mreq.imr_multiaddr.s_addr = group_ip(group);
+    mreq.imr_multiaddr.s_addr = htonl(group_host(group));
     mreq.imr_interface.s_addr = htonl(local_host);
     if (setsockopt(fd, IPPROTO_IP, IP_ADD_MEMBERSHIP, &mreq,
                    sizeof mreq) != 0) {

@@ -14,11 +14,15 @@ namespace marea::transport::detail {
 
 sockaddr_in make_addr(HostId host, uint16_t port);
 
-// 239.77.x.y — organization-local scope (network byte order).
-in_addr_t group_ip(GroupId group);
+// 239.77.x.y — organization-local scope (host byte order, like HostId).
+inline HostId group_host(GroupId group) {
+  return 0xEF4D0000u | (group & 0xFFFFu);
+}
 
 // Opens and configures one UDP socket per the live-transport
-// conventions: REUSEADDR/REUSEPORT, multicast membership (multicast
+// conventions: REUSEADDR/REUSEPORT (set after the bind for ephemeral
+// binds, so the kernel picks a port no socket holds), multicast
+// membership (multicast
 // sockets bind INADDR_ANY on the canonical group port), egress
 // interface + loopback for unicast sockets that double as multicast
 // senders. The fd stays blocking — receive paths use MSG_DONTWAIT (or

@@ -4,7 +4,17 @@
 // the middleware's protocol layer builds everything else (reliability,
 // ordering, bulk transfer) on top. Implementations:
 //   * SimTransport — deterministic simulated network (tests/benches)
-//   * UdpTransport — real POSIX UDP sockets (live demo)
+//   * UdpTransport — kernel UDP sockets driven by an epoll loop
+//   * UringTransport — kernel UDP sockets driven by io_uring
+// The two kernel backends share one socket table and send path through
+// LiveTransport (live_transport.h).
+//
+// The contract is frames only: every virtual datagram operation takes or
+// delivers a pooled, refcounted SharedFrame. The BytesView calls (bind,
+// send, send_multicast, send_broadcast) are non-virtual conveniences on
+// top — a bytes send makes exactly one counted copy into a pooled frame
+// (FramePool::copy_in), a bytes bind views the delivered frame.
+//
 // The TCP-model stream (tcp_model.h) is a separate baseline used by the
 // event-reliability experiment, not part of this interface.
 #pragma once
@@ -41,8 +51,9 @@ std::string to_string(const Address& a);
 
 class Transport {
  public:
+  // Bytes receive: the view is valid for the duration of the callback.
   using RecvHandler = std::function<void(Address from, BytesView data)>;
-  // Frame-aware receive: the handler gets refcounted pooled bytes it can
+  // Frame receive: the handler gets refcounted pooled bytes it can
   // retain past the callback without copying.
   using FrameRecvHandler =
       std::function<void(Address from, SharedFrame frame)>;
@@ -67,60 +78,43 @@ class Transport {
   // else this is the identity.
   virtual uint16_t bound_port(uint16_t requested) const { return requested; }
 
-  // Binds `port` on this node; `handler` runs on the transport's dispatch
-  // context (the simulator loop, or the UDP receive thread).
-  virtual Status bind(uint16_t port, RecvHandler handler) = 0;
-  virtual void unbind(uint16_t port) = 0;
-
-  virtual Status send(uint16_t src_port, Address dst, BytesView data) = 0;
-
-  virtual Status join_group(GroupId group, uint16_t port) = 0;
-  virtual void leave_group(GroupId group, uint16_t port) = 0;
-  virtual Status send_multicast(uint16_t src_port, GroupId group,
-                                BytesView data) = 0;
-  // Delivered to dst_port on every other reachable node.
-  virtual Status send_broadcast(uint16_t src_port, uint16_t dst_port,
-                                BytesView data) = 0;
-
-  // --- zero-copy frame path -----------------------------------------------
   // Pool for building outgoing frames. SimTransport shares the network's
   // pool so frames flow sender -> receivers in one slab; the default is a
   // per-transport pool (e.g. UDP, where the kernel copy is inherent).
   virtual FramePool& frame_pool() { return pool_; }
 
-  // Default adapters let every implementation participate: bind_frames
-  // wraps a legacy bind with one pooled ingress copy, and the frame sends
-  // degrade to the BytesView sends. Implementations with a genuinely
-  // shared medium (SimTransport) override all four to avoid the copy.
-  virtual Status bind_frames(uint16_t port, FrameRecvHandler handler);
-  virtual Status send_frame(uint16_t src_port, Address dst,
-                            SharedFrame frame) {
-    return send(src_port, dst, frame.view());
-  }
-  virtual Status send_frame_multicast(uint16_t src_port, GroupId group,
-                                      SharedFrame frame) {
-    return send_multicast(src_port, group, frame.view());
-  }
-  virtual Status send_frame_broadcast(uint16_t src_port, uint16_t dst_port,
-                                      SharedFrame frame) {
-    return send_broadcast(src_port, dst_port, frame.view());
-  }
-  // One frame to an explicit destination list (the gateway fan-out
-  // primitive): implementations batch the syscalls (sendmmsg) where the
-  // kernel allows; the default degrades to a per-destination send. The
-  // frame's payload is shared across every destination — success means
-  // every datagram was accepted by the medium.
-  virtual Status send_frame_to_many(uint16_t src_port, const Address* dst,
-                                    size_t n_dst, const SharedFrame& frame) {
-    Status last = Status::ok();
-    for (size_t i = 0; i < n_dst; ++i) {
-      Status s = send_frame(src_port, dst[i], frame);
-      if (!s.is_ok()) last = s;
-    }
-    return last;
-  }
+  // --- the contract ---------------------------------------------------------
+  // Binds `port` on this node; `handler` runs on the transport's dispatch
+  // context (the simulator loop, or the live receive thread).
+  virtual Status bind_frames(uint16_t port, FrameRecvHandler handler) = 0;
+  virtual void unbind(uint16_t port) = 0;
+  // Group deliveries go to the handler already bound on `port`.
+  virtual Status join_group(GroupId group, uint16_t port) = 0;
+  virtual void leave_group(GroupId group, uint16_t port) = 0;
 
- private:
+  virtual Status send_frame(uint16_t src_port, Address dst,
+                            SharedFrame frame) = 0;
+  virtual Status send_frame_multicast(uint16_t src_port, GroupId group,
+                                      SharedFrame frame) = 0;
+  // Delivered to dst_port on every other reachable node.
+  virtual Status send_frame_broadcast(uint16_t src_port, uint16_t dst_port,
+                                      SharedFrame frame) = 0;
+  // One frame to an explicit destination list (the gateway fan-out
+  // primitive): implementations batch the syscalls where the kernel
+  // allows; the default is a per-destination send. The frame's payload is
+  // shared across every destination — success means every datagram was
+  // accepted by the medium.
+  virtual Status send_frame_to_many(uint16_t src_port, const Address* dst,
+                                    size_t n_dst, const SharedFrame& frame);
+
+  // --- BytesView conveniences (not overridable) ------------------------------
+  Status bind(uint16_t port, RecvHandler handler);
+  Status send(uint16_t src_port, Address dst, BytesView data);
+  Status send_multicast(uint16_t src_port, GroupId group, BytesView data);
+  Status send_broadcast(uint16_t src_port, uint16_t dst_port,
+                        BytesView data);
+
+ protected:
   FramePool pool_;
 };
 

@@ -1,166 +1,46 @@
-// Real POSIX UDP transport: the same Transport interface over loopback (or
-// a LAN), used by the live stack to show the middleware runs on an actual
-// kernel network path, not only in simulation. This is the epoll backend;
-// the io_uring backend (uring_transport.h) implements the identical
-// contract and is selected via make_live_transport (live_transport.h).
+// The epoll engine of the live kernel datapath (DESIGN.md "Live
+// transport"): the socket table, send path and receive contract live in
+// LiveTransport; this backend only runs the I/O.
 //
-// Mapping of the abstract interface onto IP (shared with the uring
-// backend through socket_setup.h):
-//   * HostId is an IPv4 address in host byte order. Run several "nodes" in
-//     one process by giving each transport its own loopback alias
-//     (127.0.0.1, 127.0.0.2, ...).
-//   * Logical ports are UDP ports, bound on the node's address.
-//   * Multicast group G maps to IP group 239.77.x.y (x.y = G) on the
-//     canonical UDP port `multicast_port(G)`; every joiner must pass that
-//     port (the middleware follows this convention). Binding a unicast
-//     port that collides with a joined group's canonical port (or vice
-//     versa) is rejected with already_exists_error at bind/join time
-//     instead of letting SO_REUSEPORT silently split the traffic.
-//   * Broadcast iterates a configured peer list (UDP broadcast on loopback
-//     aliases is not routable, and avionics LANs enumerate nodes anyway).
-//
-// Dispatch and ownership model (DESIGN.md "Live transport"):
-//   * One epoll loop serves every socket; receive handlers run on it.
-//   * Each socket is a shared_ptr-owned object that OWNS its fd (closed in
-//     the destructor, not at unbind). epoll events carry a monotonically
-//     increasing token, never the raw fd, and tokens are never reused: a
-//     stale event for a closed socket resolves to nothing, and a rebound
-//     socket gets a fresh token — datagrams cannot be delivered to the
-//     wrong handler across an fd-reuse, by construction.
-//   * Sends resolve the source socket under the lock but perform the
-//     syscall outside it (the shared_ptr keeps the fd alive), so a slow
-//     sender never stalls receive dispatch.
-//   * Receives land in pooled FrameLease slabs and are batched with
-//     recvmmsg (single recvmsg fallback); frame-aware handlers get the
-//     slab refcounted with zero user-space copies. Broadcast fan-out of a
-//     SharedFrame shares the one slab across a single sendmmsg call.
-//   * Truncated datagrams (MSG_TRUNC) are dropped with a counter + trace
-//     instead of delivering a silently clipped frame.
+//   * One epoll loop serves every socket and runs the receive handlers.
+//     Events carry the socket's token, never the raw fd, so a stale event
+//     for a closed socket resolves to nothing.
+//   * Receives land in pooled FrameLease slabs, batched with recvmmsg
+//     (single recvmsg fallback), and are handed on refcounted.
+//   * A send batch is one sendmmsg under the shared retry contract
+//     (send_retry.h).
 #pragma once
 
 #include <atomic>
-#include <memory>
-#include <mutex>
 #include <thread>
-#include <unordered_map>
-#include <vector>
 
 #include "transport/live_transport.h"
 
-// <sys/socket.h> on Linux; the .cpp supplies a one-message fallback
-// definition elsewhere. Only used as an opaque pointee here.
-struct mmsghdr;
-
 namespace marea::transport {
-
-// Historical name: the epoll backend predates the backend split, so the
-// shared options struct keeps this alias for its many existing callers.
-using UdpTransportOptions = LiveTransportOptions;
 
 class UdpTransport final : public LiveTransport {
  public:
   // `local_ip` e.g. "127.0.0.1". Throws std::runtime_error if the dispatch
   // machinery cannot start.
   explicit UdpTransport(const std::string& local_ip,
-                        UdpTransportOptions options = {});
+                        LiveTransportOptions options = {});
   ~UdpTransport() override;
 
   const char* backend() const override { return "epoll"; }
 
-  using LiveTransport::set_peers;
-  void set_peers(std::vector<Address> peers) override;
-
-  // For requested == 0: the kernel-assigned port of the most recent
-  // ephemeral bind on this transport (valid immediately after that
-  // bind/bind_frames returns ok).
-  uint16_t bound_port(uint16_t requested) const override;
-
-  Status bind(uint16_t port, RecvHandler handler) override;
-  void unbind(uint16_t port) override;
-  Status send(uint16_t src_port, Address dst, BytesView data) override;
-  Status join_group(GroupId group, uint16_t port) override;
-  void leave_group(GroupId group, uint16_t port) override;
-  Status send_multicast(uint16_t src_port, GroupId group,
-                        BytesView data) override;
-  Status send_broadcast(uint16_t src_port, uint16_t dst_port,
-                        BytesView data) override;
-
-  // Zero-copy frame path: receives are pooled slabs refcounted straight
-  // to the handler; a broadcast frame is shared across the whole peer
-  // fan-out in one sendmmsg (payload copies independent of peer count —
-  // the kernel copy per destination is inherent to UDP).
-  Status bind_frames(uint16_t port, FrameRecvHandler handler) override;
-  Status send_frame(uint16_t src_port, Address dst,
-                    SharedFrame frame) override;
-  Status send_frame_multicast(uint16_t src_port, GroupId group,
-                              SharedFrame frame) override;
-  Status send_frame_broadcast(uint16_t src_port, uint16_t dst_port,
-                              SharedFrame frame) override;
-  // Gateway fan-out primitive: one shared frame to an explicit address
-  // list via batched sendmmsg — payload copies independent of list size.
-  Status send_frame_to_many(uint16_t src_port, const Address* dst,
-                            size_t n_dst, const SharedFrame& frame) override;
-
  private:
-  struct Socket {
-    ~Socket();
-    int fd = -1;
-    uint64_t token = 0;
-    uint16_t port = 0;
-    bool is_multicast = false;
-    GroupId group = 0;
-    RecvHandler handler;             // exactly one of handler /
-    FrameRecvHandler frame_handler;  // frame_handler is set
-    // unbind() was called: suppresses deliveries still in flight on the
-    // poll thread while the last references drain.
-    std::atomic<bool> closed{false};
-  };
-  using SocketPtr = std::shared_ptr<Socket>;
-
-  static uint64_t key_of(uint16_t port, bool multicast, GroupId group) {
-    return multicast ? ((1ull << 32) | group) : port;
-  }
-
-  Status open_socket(uint16_t port, RecvHandler handler,
-                     FrameRecvHandler frame_handler, bool multicast,
-                     GroupId group);
-  void close_socket(uint16_t port, bool multicast, GroupId group);
-  // Resolves the preferred source socket for `src_port` (stable,
-  // reply-able source address) or the lazily-created shared send socket.
-  // The returned SocketPtr (possibly null) pins the fd for the caller.
-  int resolve_send_fd(uint16_t src_port, SocketPtr& pin);
-  int shared_send_fd_locked();
-  Status sendto_counted(int fd, const void* addr, size_t addr_len,
-                        BytesView data, const char* what);
-  Status fanout_send(uint16_t src_port, uint16_t dst_port, BytesView data);
-  // Pushes `count` prepared mmsghdrs out of `fd` under the shared retry
-  // contract (send_retry.h; bounded by options_.send_retry_attempts).
-  // Returns the number of datagrams the kernel accepted (counters
-  // updated inside).
-  size_t flush_batch(int fd, mmsghdr* msgs, size_t count,
-                     size_t payload_bytes);
+  Status arm(const SocketPtr& s) override;
+  void disarm(const SocketPtr& s) override;
+  size_t send_batch(int fd, mmsghdr* msgs, size_t n,
+                    size_t payload_bytes) override;
 
   struct RecvScratch;  // reusable recvmmsg buffers, defined in the .cpp
   void poll_loop();
-  void wake_poller();
-  void drain_socket(const SocketPtr& s, RecvScratch& scratch);
-
-  UdpTransportOptions options_;
-  std::vector<Address> peers_;  // port 0 = "use the broadcast dst_port"
-
-  // Guards the socket tables, peers_ and send_fd_ creation. Never held
-  // across a syscall.
-  mutable std::mutex mutex_;
-  std::unordered_map<uint64_t, SocketPtr> by_key_;    // port / (1<<32)|group
-  std::unordered_map<uint64_t, SocketPtr> by_token_;  // epoll token
-  uint64_t next_token_ = 1;  // 0 = wake pipe
+  void drain_socket(const Socket& s, RecvScratch& scratch);
 
   int epoll_fd_ = -1;
   int wake_pipe_[2] = {-1, -1};
-  int send_fd_ = -1;
-  uint16_t last_ephemeral_port_ = 0;  // guarded by mutex_
   std::atomic<bool> running_{false};
-
   std::thread poller_;
 };
 

@@ -1,17 +1,5 @@
 #include "transport/uring_transport.h"
 
-#include <cerrno>
-#include <cstdlib>
-#include <cstring>
-#include <stdexcept>
-#include <string_view>
-
-#include "transport/send_retry.h"
-#include "transport/socket_setup.h"
-#include "util/logging.h"
-
-#if defined(__linux__)
-
 #include <arpa/inet.h>
 #include <linux/io_uring.h>
 #include <netinet/in.h>
@@ -22,15 +10,20 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
+#include <cstdlib>
+#include <cstring>
 #include <future>
 #include <mutex>
+#include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
-namespace marea::transport {
+#include "transport/send_retry.h"
 
-using detail::make_addr;
+namespace marea::transport {
 
 namespace {
 
@@ -74,8 +67,7 @@ static_assert(sizeof(GetEventsArg) == sizeof(io_uring_getevents_arg));
 // Minimal raw-syscall io_uring wrapper (the toolchain has no liburing):
 // one SQ/CQ pair, mmap'd per io_uring_setup's offsets, with batched
 // submission folded into the completion wait — the steady-state cost of
-// a whole send batch or receive drain is a single io_uring_enter (zero
-// with SQPOLL).
+// a whole send batch or receive drain is a single io_uring_enter.
 struct Ring {
   int fd = -1;
   io_uring_params params{};
@@ -88,14 +80,12 @@ struct Ring {
   unsigned* sq_head = nullptr;
   unsigned* sq_tail = nullptr;
   unsigned* sq_array = nullptr;
-  unsigned* sq_flags = nullptr;
   unsigned sq_mask = 0;
   unsigned* cq_head = nullptr;
   unsigned* cq_tail = nullptr;
   io_uring_cqe* cqe_base = nullptr;
   unsigned cq_mask = 0;
   unsigned to_submit = 0;  // SQEs staged since the last enter
-  bool sqpoll = false;
 
   // `want_defer` asks for DEFER_TASKRUN|SINGLE_ISSUER: completion
   // task-work queues on the ring instead of waking the owner thread per
@@ -103,15 +93,9 @@ struct Ring {
   // difference between one scheduler round-trip per datagram and one
   // per batch. The CALLING THREAD becomes the ring's single issuer:
   // every subsequent get_sqe/flush on such a ring must come from it.
-  int init(unsigned entries, bool want_sqpoll, bool want_defer) {
+  int init(unsigned entries, bool want_defer) {
     params = {};
-    if (want_sqpoll) {
-      params.flags = IORING_SETUP_SQPOLL;
-      params.sq_thread_idle = 50;
-      fd = sys_uring_setup(entries, &params);
-    }
-    if (fd < 0 && want_defer) {
-      params = {};
+    if (want_defer) {
       params.flags = IORING_SETUP_SINGLE_ISSUER |
                      IORING_SETUP_DEFER_TASKRUN | IORING_SETUP_COOP_TASKRUN;
       fd = sys_uring_setup(entries, &params);
@@ -119,19 +103,17 @@ struct Ring {
     if (fd < 0) {
       // COOP_TASKRUN: completion task-work piggybacks on our own ring
       // transitions instead of preempting the thread with an IPI — a
-      // measurable win for the busy dispatch loop. Incompatible with
-      // SQPOLL, and absent before 5.19: degrade silently either way.
+      // measurable win for the busy dispatch loop. Absent before 5.19:
+      // degrade silently.
       params = {};
       params.flags = IORING_SETUP_COOP_TASKRUN;
       fd = sys_uring_setup(entries, &params);
     }
     if (fd < 0) {
-      // SQPOLL can need privileges on older kernels: degrade silently.
       params = {};
       fd = sys_uring_setup(entries, &params);
     }
     if (fd < 0) return -errno;
-    sqpoll = (params.flags & IORING_SETUP_SQPOLL) != 0;
     sq_len = params.sq_off.array + params.sq_entries * sizeof(unsigned);
     cq_len = params.cq_off.cqes + params.cq_entries * sizeof(io_uring_cqe);
     if (params.features & IORING_FEAT_SINGLE_MMAP) {
@@ -159,7 +141,6 @@ struct Ring {
     sq_tail = reinterpret_cast<unsigned*>(sq_mem + params.sq_off.tail);
     sq_mask = *reinterpret_cast<unsigned*>(sq_mem + params.sq_off.ring_mask);
     sq_array = reinterpret_cast<unsigned*>(sq_mem + params.sq_off.array);
-    sq_flags = reinterpret_cast<unsigned*>(sq_mem + params.sq_off.flags);
     cq_head = reinterpret_cast<unsigned*>(cq_mem + params.cq_off.head);
     cq_tail = reinterpret_cast<unsigned*>(cq_mem + params.cq_off.tail);
     cq_mask = *reinterpret_cast<unsigned*>(cq_mem + params.cq_off.ring_mask);
@@ -178,8 +159,7 @@ struct Ring {
   }
 
   // Stages one zeroed SQE; null when the SQ is full (a short submit —
-  // flush and retry). The tail store is release so an SQPOLL kernel
-  // thread sees the fully written entry.
+  // flush and retry).
   io_uring_sqe* get_sqe() {
     const unsigned head =
         std::atomic_ref<unsigned>(*sq_head).load(std::memory_order_acquire);
@@ -220,19 +200,7 @@ struct Ring {
   // Returns 0, or -EBUSY when the kernel wants the CQ drained first.
   int flush(unsigned wait_for, const __kernel_timespec* timeout,
             unsigned min_wait_usec = 0) {
-    unsigned submit = to_submit;
     unsigned enter_flags = 0;
-    if (sqpoll) {
-      to_submit = 0;
-      submit = 0;
-      if (std::atomic_ref<unsigned>(*sq_flags)
-              .load(std::memory_order_relaxed) &
-          IORING_SQ_NEED_WAKEUP) {
-        enter_flags |= IORING_ENTER_SQ_WAKEUP;
-      } else if (wait_for == 0) {
-        return 0;  // zero-syscall submit: the kernel thread is awake
-      }
-    }
     GetEventsArg arg{};
     const void* argp = nullptr;
     size_t argsz = 0;
@@ -250,13 +218,10 @@ struct Ring {
     }
     while (true) {
       const int rc =
-          sys_uring_enter(fd, submit, wait_for, enter_flags, argp, argsz);
+          sys_uring_enter(fd, to_submit, wait_for, enter_flags, argp, argsz);
       if (rc >= 0) {
-        if (!sqpoll) {
-          to_submit -= static_cast<unsigned>(rc);
-          submit -= static_cast<unsigned>(rc);
-        }
-        if (submit == 0) return 0;
+        to_submit -= static_cast<unsigned>(rc);
+        if (to_submit == 0) return 0;
         continue;  // partial SQ accept: push the rest through
       }
       const int err = errno;
@@ -280,11 +245,8 @@ constexpr unsigned kBufGroup = 0;
 constexpr size_t kRecvHeadroom =
     sizeof(io_uring_recvmsg_out) + sizeof(sockaddr_in);
 
-constexpr size_t kSendBatch = 32;
-
-uint64_t key_of(uint16_t port, bool multicast, GroupId group) {
-  return multicast ? ((1ull << 32) | group) : port;
-}
+// Submission-queue entries per ring (recv and send rings each).
+constexpr unsigned kRingEntries = 256;
 
 bool probe_uring() {
   if (const char* env = std::getenv("MAREA_URING")) {
@@ -341,29 +303,10 @@ bool uring_supported() {
   return supported;
 }
 
-struct UringTransport::Core {
-  struct USocket {
-    ~USocket() {
-      if (fd >= 0) ::close(fd);
-    }
-    int fd = -1;
-    uint64_t token = 0;
-    uint16_t port = 0;
-    bool is_multicast = false;
-    GroupId group = 0;
-    RecvHandler handler;             // exactly one of handler /
-    FrameRecvHandler frame_handler;  // frame_handler is set
-    std::atomic<bool> closed{false};
-    // Persistent template the multishot recvmsg reads its name/control
-    // space reservations from; must outlive the armed request (the
-    // socket stays in `draining` until the terminal CQE).
-    msghdr recv_template{};
-    bool armed = false;  // dispatch thread only
-  };
-  using SockPtr = std::shared_ptr<USocket>;
 
-  Ring recv_ring;   // SQ produced only by the dispatch thread
-  Ring send_ring;   // guarded by send_mu
+struct UringTransport::Core {
+  Ring recv_ring;  // SQ produced only by the dispatch thread
+  Ring send_ring;  // guarded by send_mu
   std::mutex send_mu;
 
   int event_fd = -1;
@@ -378,20 +321,16 @@ struct UringTransport::Core {
   size_t buf_len = 0;
   std::vector<FrameLease> buf_leases;  // dispatch thread only after init
   uint16_t buf_tail = 0;
+  // The name/control space reservations every multishot recvmsg reads;
+  // outlives every armed request.
+  msghdr recv_template{};
 
-  // Guards the socket tables, peers, pending control queues, send_fd.
-  mutable std::mutex mu;
-  std::unordered_map<uint64_t, SockPtr> by_key;
-  std::unordered_map<uint64_t, SockPtr> by_token;
-  // Unbound but still owning an armed multishot: erased (freeing the fd)
-  // when the terminal CQE arrives.
-  std::unordered_map<uint64_t, SockPtr> draining;
-  std::vector<SockPtr> pending_arm;
-  std::vector<SockPtr> pending_cancel;
-  uint64_t next_token = 1;
-  std::vector<Address> peers;
-  uint16_t last_ephemeral_port = 0;
-  int send_fd = -1;
+  // Sockets to arm (open) or cancel (closed), handed to the dispatcher.
+  std::mutex mu;
+  std::vector<SocketPtr> pending;
+  // Sockets with a multishot armed, by token (dispatch thread only). The
+  // reference keeps the fd open until the terminal CQE.
+  std::unordered_map<uint64_t, SocketPtr> armed;
 
   std::atomic<bool> running{false};
   std::thread dispatcher;
@@ -402,10 +341,17 @@ struct UringTransport::Core {
   std::promise<std::string> init_result;
 
   void wake() {
-    if (event_fd < 0) return;
     const uint64_t one = 1;
     ssize_t n = ::write(event_fd, &one, sizeof one);
     (void)n;
+  }
+
+  void post(const SocketPtr& s) {
+    {
+      std::lock_guard lock(mu);
+      pending.push_back(s);
+    }
+    wake();
   }
 
   // Re-adds bid to the provided-buffer ring (the CQE consumed its
@@ -440,34 +386,22 @@ struct UringTransport::Core {
       ::close(event_fd);
       event_fd = -1;
     }
-    if (send_fd >= 0) {
-      ::close(send_fd);
-      send_fd = -1;
-    }
-    by_key.clear();
-    by_token.clear();
-    draining.clear();
-    pending_arm.clear();
-    pending_cancel.clear();
+    pending.clear();
+    armed.clear();
     buf_leases.clear();
   }
 };
 
 UringTransport::UringTransport(const std::string& local_ip,
                                LiveTransportOptions options)
-    : options_(options), core_(std::make_unique<Core>()) {
-  local_host_ = ipv4_host(local_ip);
-  if (local_host_ == 0) {
-    throw std::runtime_error("UringTransport: bad local ip " + local_ip);
-  }
+    : LiveTransport(local_ip, options, "UringTransport"),
+      core_(std::make_unique<Core>()) {
   if (!uring_supported()) {
     throw std::runtime_error(
         "UringTransport: io_uring is not supported on this kernel");
   }
-  if (options_.uring_entries < 64) options_.uring_entries = 64;
   unsigned be = options_.uring_buf_ring < 8 ? 8 : options_.uring_buf_ring;
   while (be & (be - 1)) ++be;  // round up to a power of two
-  if (std::getenv("MAREA_URING_SQPOLL")) options_.uring_sqpoll = true;
 
   Core& c = *core_;
   auto fail = [&](const std::string& what) {
@@ -476,8 +410,7 @@ UringTransport::UringTransport(const std::string& local_ip,
   };
   // Send ring: submitted from arbitrary sender threads under send_mu,
   // so it can never be SINGLE_ISSUER.
-  if (c.send_ring.init(options_.uring_entries, options_.uring_sqpoll,
-                       /*want_defer=*/false) != 0) {
+  if (c.send_ring.init(kRingEntries, /*want_defer=*/false) != 0) {
     fail("send ring setup failed");
   }
   c.event_fd = eventfd(0, EFD_NONBLOCK);
@@ -486,6 +419,7 @@ UringTransport::UringTransport(const std::string& local_ip,
   c.buf_entries = be;
   c.buf_len = options_.recv_buffer + kRecvHeadroom;
   c.buf_ring_len = be * sizeof(io_uring_buf);
+  c.recv_template.msg_namelen = sizeof(sockaddr_in);
 
   // The recv ring, its provided-buffer registration and the initial
   // leases are all created at the top of dispatch_loop(), NOT here: the
@@ -515,158 +449,37 @@ UringTransport::~UringTransport() {
   c.teardown();
 }
 
-void UringTransport::set_peers(std::vector<Address> peers) {
-  std::lock_guard lock(core_->mu);
-  core_->peers = std::move(peers);
-}
-
-uint16_t UringTransport::bound_port(uint16_t requested) const {
-  if (requested != 0) return requested;
-  std::lock_guard lock(core_->mu);
-  return core_->last_ephemeral_port;
-}
-
-Status UringTransport::open_socket(uint16_t port, RecvHandler handler,
-                                   FrameRecvHandler frame_handler,
-                                   bool multicast, GroupId group) {
-  Core& c = *core_;
-  const bool ephemeral = !multicast && port == 0;
-  std::string err;
-  int fd = detail::open_live_socket(local_host_, &port, multicast, group,
-                                    &err);
-  if (fd < 0) return internal_error(err);
-
-  auto sock = std::make_shared<Core::USocket>();
-  sock->fd = fd;
-  sock->port = port;
-  sock->is_multicast = multicast;
-  sock->group = group;
-  sock->handler = std::move(handler);
-  sock->frame_handler = std::move(frame_handler);
-  sock->recv_template.msg_namelen = sizeof(sockaddr_in);
-
-  const uint64_t key = key_of(port, multicast, group);
-  {
-    std::lock_guard lock(c.mu);
-    if (c.by_key.count(key)) {
-      return already_exists_error("port/group already bound");
-    }
-    // Same collision rule as the epoll backend (see udp_transport.cpp):
-    // a unicast port and a joined group's canonical multicast port must
-    // not share a number, or SO_REUSEPORT splits the traffic.
-    for (const auto& [k, other] : c.by_key) {
-      if (other->is_multicast != multicast && other->port == port) {
-        return already_exists_error(
-            multicast
-                ? "multicast_port(" + std::to_string(group) +
-                      ") collides with bound unicast port " +
-                      std::to_string(port)
-                : "port " + std::to_string(port) +
-                      " collides with multicast_port of joined group " +
-                      std::to_string(other->group));
-      }
-    }
-    sock->token = c.next_token++;
-    c.by_key[key] = sock;
-    c.by_token[sock->token] = sock;
-    c.pending_arm.push_back(sock);
-    if (ephemeral) c.last_ephemeral_port = port;
-  }
-  c.wake();  // the dispatch thread arms the multishot
+Status UringTransport::arm(const SocketPtr& s) {
+  core_->post(s);
   return Status::ok();
 }
 
-Status UringTransport::bind(uint16_t port, RecvHandler handler) {
-  if (!handler) return invalid_argument_error("bind: empty handler");
-  return open_socket(port, std::move(handler), nullptr, false, 0);
-}
-
-Status UringTransport::bind_frames(uint16_t port, FrameRecvHandler handler) {
-  if (!handler) return invalid_argument_error("bind_frames: empty handler");
-  return open_socket(port, nullptr, std::move(handler), false, 0);
-}
-
-void UringTransport::unbind(uint16_t port) {
-  close_socket(port, false, 0);
-}
-
-void UringTransport::close_socket(uint16_t port, bool multicast,
-                                  GroupId group) {
-  Core& c = *core_;
-  {
-    std::lock_guard lock(c.mu);
-    auto it = c.by_key.find(key_of(port, multicast, group));
-    if (it == c.by_key.end()) return;
-    Core::SockPtr sock = it->second;
-    sock->closed.store(true, std::memory_order_release);
-    // The fd must outlive the armed multishot (the kernel holds a file
-    // reference anyway): park the socket in `draining` until the
-    // ASYNC_CANCEL below retires it with a terminal CQE.
-    c.draining[sock->token] = sock;
-    c.by_token.erase(sock->token);
-    c.by_key.erase(it);
-    c.pending_cancel.push_back(std::move(sock));
-  }
-  c.wake();
-}
-
-Status UringTransport::join_group(GroupId group, uint16_t port) {
-  RecvHandler handler;
-  FrameRecvHandler frame_handler;
-  {
-    std::lock_guard lock(core_->mu);
-    auto it = core_->by_key.find(key_of(port, false, 0));
-    if (it == core_->by_key.end()) {
-      return failed_precondition_error(
-          "join_group: bind the member port first");
-    }
-    handler = it->second->handler;
-    frame_handler = it->second->frame_handler;
-  }
-  return open_socket(multicast_port(group), std::move(handler),
-                     std::move(frame_handler), true, group);
-}
-
-void UringTransport::leave_group(GroupId group, uint16_t port) {
-  (void)port;
-  close_socket(0, true, group);
+void UringTransport::disarm(const SocketPtr& s) {
+  core_->post(s);
 }
 
 // ---------------------------------------------------------------------------
 // Send path: batched SQEs, one enter per flush
 // ---------------------------------------------------------------------------
 
-namespace {
-
-struct SendScratch {
-  sockaddr_in addrs[kSendBatch];
-  msghdr msgs[kSendBatch];
-  iovec iov;
-};
-
-}  // namespace
-
-// Flushes `count` (<= kSendBatch) prepared msghdrs as one SQE batch:
+// Flushes `n` (<= kSendBatch) prepared datagrams as one SQE batch:
 // stage, submit-and-wait in a single io_uring_enter, harvest the CQEs.
 // Per-datagram transient pushback (EAGAIN/ENOBUFS/EINTR completions)
 // and short SQ accepts resubmit the remainder under the shared retry
 // contract (send_retry.h); hard per-datagram errors are dropped loudly.
-// Returns the number of datagrams the kernel accepted.
-size_t UringTransport::flush_sqe_batch(int fd, msghdr* msgs, size_t count,
-                                       size_t payload_bytes) {
+size_t UringTransport::send_batch(int fd, mmsghdr* msgs, size_t n,
+                                  size_t payload_bytes) {
   Core& c = *core_;
   std::lock_guard lock(c.send_mu);
-  SendRetryPolicy policy;
-  policy.transient_attempts = options_.send_retry_attempts;
 
   msghdr* pending[kSendBatch];
-  for (size_t i = 0; i < count; ++i) pending[i] = &msgs[i];
-  size_t n_pending = count;
+  for (size_t i = 0; i < n; ++i) pending[i] = &msgs[i].msg_hdr;
+  size_t n_pending = n;
   size_t hard_failed = 0;
   int hard_errno = 0;
 
   const SendRetryResult r = retry_send_batches(
-      count, policy, [&](size_t, size_t) -> int {
+      n, SendRetryPolicy{}, [&](size_t, size_t) -> int {
         unsigned placed = 0;
         while (placed < n_pending) {
           io_uring_sqe* sqe = c.send_ring.get_sqe();
@@ -720,160 +533,11 @@ size_t UringTransport::flush_sqe_batch(int fd, msghdr* msgs, size_t count,
         return resolved > 0 ? resolved : -EAGAIN;
       });
 
-  if (r.short_accepts > 0) {
-    stats_.uring_short_submits.fetch_add(r.short_accepts,
-                                         std::memory_order_relaxed);
-  }
+  stats_.uring_short_submits.fetch_add(r.short_accepts,
+                                       std::memory_order_relaxed);
   const size_t sent = r.accepted - hard_failed;
-  const size_t failed = hard_failed + (count - r.accepted);
-  if (failed > 0) {
-    stats_.send_errors.fetch_add(failed, std::memory_order_relaxed);
-    trace_drop(obs::TraceEvent::kDrop,
-               static_cast<uint64_t>(hard_errno != 0 ? hard_errno : r.error),
-               payload_bytes);
-  }
-  if (sent > 0) {
-    stats_.frames_sent.fetch_add(sent, std::memory_order_relaxed);
-    stats_.bytes_sent.fetch_add(sent * payload_bytes,
-                                std::memory_order_relaxed);
-  }
-  return sent;
-}
-
-int UringTransport::resolve_send_fd(uint16_t src_port, void* pin_out) {
-  Core& c = *core_;
-  auto* pin = static_cast<Core::SockPtr*>(pin_out);
-  std::lock_guard lock(c.mu);
-  if (auto it = c.by_key.find(key_of(src_port, false, 0));
-      it != c.by_key.end()) {
-    *pin = it->second;
-    return (*pin)->fd;
-  }
-  if (c.send_fd < 0) {
-    uint16_t port = 0;
-    std::string err;
-    c.send_fd = detail::open_live_socket(local_host_, &port, false, 0, &err);
-  }
-  return c.send_fd;
-}
-
-Status UringTransport::send_to_addrs(uint16_t src_port, const Address* dst,
-                                     size_t n_dst, uint16_t fallback_port,
-                                     BytesView data, const char* what) {
-  Core::SockPtr pin;
-  int fd = resolve_send_fd(src_port, &pin);
-  if (fd < 0) return internal_error("no send socket");
-  SendScratch s;
-  s.iov = iovec{const_cast<uint8_t*>(data.data()), data.size()};
-  Status last = Status::ok();
-  for (size_t i = 0; i < n_dst;) {
-    const size_t batch = std::min(kSendBatch, n_dst - i);
-    for (size_t j = 0; j < batch; ++j) {
-      const Address& a = dst[i + j];
-      s.addrs[j] =
-          make_addr(a.host, a.port != 0 ? a.port : fallback_port);
-      s.msgs[j] = msghdr{};
-      s.msgs[j].msg_name = &s.addrs[j];
-      s.msgs[j].msg_namelen = sizeof(sockaddr_in);
-      // Every destination's iovec points at the SAME payload bytes: one
-      // shared frame, N kernel copies, zero user-space copies.
-      s.msgs[j].msg_iov = &s.iov;
-      s.msgs[j].msg_iovlen = 1;
-    }
-    if (flush_sqe_batch(fd, s.msgs, batch, data.size()) < batch) {
-      last = unavailable_error(std::string(what) + " failed");
-    }
-    i += batch;
-  }
-  return last;
-}
-
-Status UringTransport::send(uint16_t src_port, Address dst, BytesView data) {
-  return send_to_addrs(src_port, &dst, 1, dst.port, data, "uring send");
-}
-
-Status UringTransport::send_multicast(uint16_t src_port, GroupId group,
-                                      BytesView data) {
-  Core::SockPtr pin;
-  int fd = resolve_send_fd(src_port, &pin);
-  if (fd < 0) return internal_error("no send socket");
-  SendScratch s;
-  s.iov = iovec{const_cast<uint8_t*>(data.data()), data.size()};
-  s.addrs[0] = sockaddr_in{};
-  s.addrs[0].sin_family = AF_INET;
-  s.addrs[0].sin_port = htons(multicast_port(group));
-  s.addrs[0].sin_addr.s_addr = detail::group_ip(group);
-  s.msgs[0] = msghdr{};
-  s.msgs[0].msg_name = &s.addrs[0];
-  s.msgs[0].msg_namelen = sizeof(sockaddr_in);
-  s.msgs[0].msg_iov = &s.iov;
-  s.msgs[0].msg_iovlen = 1;
-  if (flush_sqe_batch(fd, s.msgs, 1, data.size()) < 1) {
-    return unavailable_error("uring multicast send failed");
-  }
-  return Status::ok();
-}
-
-Status UringTransport::fanout_send(uint16_t src_port, uint16_t dst_port,
-                                   BytesView data) {
-  Core& c = *core_;
-  // Same stack-first peer filtering as the epoll backend.
-  constexpr size_t kStackPeers = 16;
-  Address stack_peers[kStackPeers];
-  std::vector<Address> heap_peers;
-  const Address* peers = stack_peers;
-  size_t n_peers = 0;
-  {
-    std::lock_guard lock(c.mu);
-    auto is_self = [&](const Address& p) {
-      if (p.host != local_host_) return false;
-      return p.port == 0 || c.by_key.count(key_of(p.port, false, 0)) > 0;
-    };
-    if (c.peers.size() > kStackPeers) {
-      heap_peers.reserve(c.peers.size());
-      for (const Address& p : c.peers) {
-        if (!is_self(p)) heap_peers.push_back(p);
-      }
-      peers = heap_peers.data();
-      n_peers = heap_peers.size();
-    } else {
-      for (const Address& p : c.peers) {
-        if (!is_self(p)) stack_peers[n_peers++] = p;
-      }
-    }
-  }
-  return send_to_addrs(src_port, peers, n_peers, dst_port, data,
-                       "uring broadcast");
-}
-
-Status UringTransport::send_broadcast(uint16_t src_port, uint16_t dst_port,
-                                      BytesView data) {
-  return fanout_send(src_port, dst_port, data);
-}
-
-Status UringTransport::send_frame(uint16_t src_port, Address dst,
-                                  SharedFrame frame) {
-  return send(src_port, dst, frame.view());
-}
-
-Status UringTransport::send_frame_multicast(uint16_t src_port, GroupId group,
-                                            SharedFrame frame) {
-  return send_multicast(src_port, group, frame.view());
-}
-
-Status UringTransport::send_frame_broadcast(uint16_t src_port,
-                                            uint16_t dst_port,
-                                            SharedFrame frame) {
-  return fanout_send(src_port, dst_port, frame.view());
-}
-
-Status UringTransport::send_frame_to_many(uint16_t src_port,
-                                          const Address* dst, size_t n_dst,
-                                          const SharedFrame& frame) {
-  // Caller-owned, pre-filtered destination list (gateway subscribers):
-  // no peer-table copy and no self check, just batched SQEs.
-  return send_to_addrs(src_port, dst, n_dst, 0, frame.view(),
-                       "uring send_frame_to_many");
+  return count_sent(sent, n - sent, hard_errno != 0 ? hard_errno : r.error,
+                    payload_bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -891,8 +555,7 @@ void UringTransport::dispatch_loop() {
   // down, and throws.
   {
     std::string err;
-    if (c.recv_ring.init(options_.uring_entries, options_.uring_sqpoll,
-                         /*want_defer=*/true) != 0) {
+    if (c.recv_ring.init(kRingEntries, /*want_defer=*/true) != 0) {
       err = "recv ring setup failed";
     }
     if (err.empty()) {
@@ -926,7 +589,8 @@ void UringTransport::dispatch_loop() {
     if (failed) return;
   }
 
-  std::vector<Core::SockPtr> arm, cancel, rearm;
+  // Arms and cancels in hand-over order; dispatch thread only.
+  std::vector<SocketPtr> todo;
   __kernel_timespec wait_ts{};
   wait_ts.tv_nsec = 100 * 1000 * 1000;  // shutdown/control backstop
 
@@ -944,30 +608,42 @@ void UringTransport::dispatch_loop() {
   const unsigned wait_nr = batch_wait ? 8 : 1;
   const unsigned min_wait_usec = batch_wait ? options_.uring_min_wait_us : 0;
 
-  auto finish_draining = [&](uint64_t token) {
-    std::lock_guard lock(c.mu);
-    c.draining.erase(token);  // frees the socket → closes the fd
-  };
-
-  auto arm_socket = [&](const Core::SockPtr& s) {
-    if (s->closed.load(std::memory_order_acquire)) return;
-    if (s->armed) return;
-    io_uring_sqe* sqe = c.recv_ring.get_sqe();
-    if (!sqe) {
-      // SQ full (pathological churn): flush and take the next slot.
-      c.recv_ring.flush(0, nullptr);
-      sqe = c.recv_ring.get_sqe();
-      if (!sqe) return;  // retried next loop via rearm
+  // Arms every open socket and cancels every closed armed one in `todo`.
+  // Whatever finds no SQE slot — the kernel refuses to take more
+  // (-EBUSY) until the CQ is drained, i.e. under a receive flood — stays
+  // queued for the next pass instead of being dropped.
+  auto stage = [&] {
+    size_t done = 0;
+    for (; done < todo.size(); ++done) {
+      const SocketPtr& s = todo[done];
+      const bool closed = s->closed.load(std::memory_order_acquire);
+      // An open socket already armed, or a closed one never armed (or
+      // already retired), needs nothing.
+      if (closed != (c.armed.count(s->token) > 0)) continue;
+      io_uring_sqe* sqe = c.recv_ring.get_sqe();
+      if (!sqe) {
+        c.recv_ring.flush(0, nullptr);
+        sqe = c.recv_ring.get_sqe();
+        if (!sqe) break;
+      }
+      if (closed) {
+        sqe->opcode = IORING_OP_ASYNC_CANCEL;
+        sqe->fd = -1;
+        sqe->addr = s->token;  // cancel by user_data
+        sqe->user_data = kCancelBit | s->token;
+        continue;
+      }
+      sqe->opcode = IORING_OP_RECVMSG;
+      sqe->fd = s->fd;
+      sqe->addr = reinterpret_cast<uint64_t>(&c.recv_template);
+      sqe->ioprio = IORING_RECV_MULTISHOT;
+      sqe->flags = IOSQE_BUFFER_SELECT;
+      sqe->buf_group = kBufGroup;
+      sqe->user_data = s->token;
+      c.armed.emplace(s->token, s);
+      stats_.uring_sqe_submitted.fetch_add(1, std::memory_order_relaxed);
     }
-    sqe->opcode = IORING_OP_RECVMSG;
-    sqe->fd = s->fd;
-    sqe->addr = reinterpret_cast<uint64_t>(&s->recv_template);
-    sqe->ioprio = IORING_RECV_MULTISHOT;
-    sqe->flags = IOSQE_BUFFER_SELECT;
-    sqe->buf_group = kBufGroup;
-    sqe->user_data = s->token;
-    s->armed = true;
-    stats_.uring_sqe_submitted.fetch_add(1, std::memory_order_relaxed);
+    todo.erase(todo.begin(), todo.begin() + static_cast<ptrdiff_t>(done));
   };
 
   auto handle_recv_cqe = [&](const io_uring_cqe* cqe) {
@@ -977,19 +653,8 @@ void UringTransport::dispatch_loop() {
       return;
     }
     if (token & kCancelBit) return;  // bookkeeping rides the terminal CQE
-    Core::SockPtr s;
-    bool draining_entry = false;
-    {
-      std::lock_guard lock(c.mu);
-      if (auto it = c.by_token.find(token); it != c.by_token.end()) {
-        s = it->second;
-      } else if (auto it2 = c.draining.find(token);
-                 it2 != c.draining.end()) {
-        s = it2->second;
-        draining_entry = true;
-      }
-    }
-    const bool more = (cqe->flags & IORING_CQE_F_MORE) != 0;
+    auto it = c.armed.find(token);
+    const SocketPtr s = it != c.armed.end() ? it->second : nullptr;
     int bid = (cqe->flags & IORING_CQE_F_BUFFER)
                   ? static_cast<int>(cqe->flags >> IORING_CQE_BUFFER_SHIFT)
                   : -1;
@@ -999,65 +664,32 @@ void UringTransport::dispatch_loop() {
       stats_.recv_errors.fetch_add(1, std::memory_order_relaxed);
       bid = -1;
     }
-
     if (bid >= 0) {
-      bool recycled_in_place = true;
-      if (cqe->res >= 0 && s && !draining_entry &&
-          !s->closed.load(std::memory_order_acquire)) {
-        FrameLease& lease = c.buf_leases[bid];
-        uint8_t* base = lease.buffer().data();
-        const auto* out = reinterpret_cast<io_uring_recvmsg_out*>(base);
-        const size_t offset = sizeof(io_uring_recvmsg_out) +
-                              s->recv_template.msg_namelen +
-                              s->recv_template.msg_controllen;
+      FrameLease& lease = c.buf_leases[bid];
+      if (cqe->res >= 0 && s) {
+        const uint8_t* base = lease.buffer().data();
+        const auto* out = reinterpret_cast<const io_uring_recvmsg_out*>(base);
         Address from{0, 0};
         if (out->namelen >= sizeof(sockaddr_in)) {
           const auto* sa = reinterpret_cast<const sockaddr_in*>(
               base + sizeof(io_uring_recvmsg_out));
           from = Address{ntohl(sa->sin_addr.s_addr), ntohs(sa->sin_port)};
         }
-        const size_t paylen = out->payloadlen;
-        if (out->flags & MSG_TRUNC) {
-          // Same contract as the epoll backend: a clipped datagram is
-          // dropped loudly, never delivered.
-          stats_.drops_truncated.fetch_add(1, std::memory_order_relaxed);
-          trace_drop(obs::TraceEvent::kDrop,
-                     (static_cast<uint64_t>(from.host) << 16) | from.port,
-                     paylen);
-        } else {
-          stats_.frames_received.fetch_add(1, std::memory_order_relaxed);
-          stats_.bytes_received.fetch_add(paylen,
-                                          std::memory_order_relaxed);
-          if (s->is_multicast && from.host == local_host_) {
-            stats_.own_copies_filtered.fetch_add(1,
-                                                 std::memory_order_relaxed);
-          } else if (s->frame_handler) {
-            // The slab the kernel filled leaves with the handler; a
-            // fresh pooled slab replaces it in the buffer ring. The
-            // published view starts at the payload (freeze_payload), so
-            // downstream readers never see the recvmsg_out header.
-            FrameLease filled = std::move(lease);
-            c.buf_leases[bid] = frame_pool().acquire(c.buf_len);
-            c.buf_leases[bid].buffer().resize(c.buf_len);
-            recycled_in_place = false;
-            s->frame_handler(
-                from,
-                std::move(filled).freeze_payload(offset, paylen));
-          } else if (s->handler) {
-            s->handler(from, BytesView(base + offset, paylen));
-          }
+        deliver(*s, from, out->payloadlen, (out->flags & MSG_TRUNC) != 0,
+                lease, kRecvHeadroom);
+        if (!lease.valid()) {
+          // The filled slab left with the handler; a fresh pooled slab
+          // takes its place in the buffer ring.
+          lease = frame_pool().acquire(c.buf_len);
+          lease.buffer().resize(c.buf_len);
         }
-      } else if (cqe->res >= 0) {
-        // Delivered to nobody (closed/unknown socket): still counted as
-        // received traffic, like the epoll backend's closed-check.
-        stats_.frames_received.fetch_add(1, std::memory_order_relaxed);
       }
-      (void)recycled_in_place;
       c.publish_buf(static_cast<unsigned>(bid));
       stats_.uring_buf_ring_refills.fetch_add(1, std::memory_order_relaxed);
     }
-
-    if (cqe->res < 0 && s && !draining_entry) {
+    if (!s) return;
+    const bool closed = s->closed.load(std::memory_order_acquire);
+    if (cqe->res < 0 && !closed) {
       const int err = -cqe->res;
       // ENOBUFS = buffer ring momentarily empty (datagram stays queued;
       // the rearm below redelivers); ECANCELED is shutdown noise.
@@ -1066,56 +698,38 @@ void UringTransport::dispatch_loop() {
         trace_drop(obs::TraceEvent::kDrop, static_cast<uint64_t>(err), 0);
       }
     }
+    if (!(cqe->flags & IORING_CQE_F_MORE)) {
+      // Terminal CQE: a closed socket retires (its fd closes with the
+      // last reference), an open one re-arms.
+      c.armed.erase(it);
+      if (!closed) todo.push_back(s);
+    }
+  };
 
-    if (!more && s) {
-      s->armed = false;
-      if (draining_entry || s->closed.load(std::memory_order_acquire)) {
-        finish_draining(token);  // terminal CQE: retire the socket
-      } else {
-        rearm.push_back(s);
+  auto reap = [&] {
+    unsigned total = 0;
+    for (unsigned ready; (ready = c.recv_ring.cq_ready()) > 0;
+         total += ready) {
+      for (unsigned i = 0; i < ready; ++i) {
+        handle_recv_cqe(c.recv_ring.cq_peek(i));
       }
+      c.recv_ring.cq_advance(ready);
+    }
+    if (total > 0) {
+      stats_.uring_cqe_batch.fetch_add(1, std::memory_order_relaxed);
+      stats_.recv_batches.fetch_add(1, std::memory_order_relaxed);
     }
   };
 
   while (c.running.load(std::memory_order_acquire)) {
     {
       std::lock_guard lock(c.mu);
-      if (!c.pending_arm.empty()) {
-        arm.insert(arm.end(), c.pending_arm.begin(), c.pending_arm.end());
-        c.pending_arm.clear();
-      }
-      if (!c.pending_cancel.empty()) {
-        cancel.insert(cancel.end(), c.pending_cancel.begin(),
-                      c.pending_cancel.end());
-        c.pending_cancel.clear();
-      }
+      todo.insert(todo.end(), c.pending.begin(), c.pending.end());
+      c.pending.clear();
     }
-    for (const auto& s : arm) arm_socket(s);
-    arm.clear();
-    for (const auto& s : rearm) arm_socket(s);
-    rearm.clear();
-    for (const auto& s : cancel) {
-      if (!s->armed) {
-        // Closed before the multishot ever armed: no terminal CQE will
-        // come, retire it directly.
-        finish_draining(s->token);
-        continue;
-      }
-      io_uring_sqe* sqe = c.recv_ring.get_sqe();
-      if (!sqe) {
-        c.recv_ring.flush(0, nullptr);
-        sqe = c.recv_ring.get_sqe();
-        if (!sqe) continue;  // re-queued below
-      }
-      sqe->opcode = IORING_OP_ASYNC_CANCEL;
-      sqe->fd = -1;
-      sqe->addr = s->token;  // cancel by user_data
-      sqe->user_data = kCancelBit | s->token;
-    }
-    cancel.clear();
-    if (!c.efd_armed && c.event_fd >= 0) {
-      io_uring_sqe* sqe = c.recv_ring.get_sqe();
-      if (sqe) {
+    stage();
+    if (!c.efd_armed) {
+      if (io_uring_sqe* sqe = c.recv_ring.get_sqe()) {
         sqe->opcode = IORING_OP_READ;
         sqe->fd = c.event_fd;
         sqe->addr = reinterpret_cast<uint64_t>(&c.efd_buf);
@@ -1124,7 +738,6 @@ void UringTransport::dispatch_loop() {
         c.efd_armed = true;
       }
     }
-
     // Zero-syscall steady state: when completions are already queued and
     // nothing is staged for submission, drain them without entering the
     // kernel at all. Only an empty CQ (or staged arms/cancels) costs an
@@ -1133,85 +746,23 @@ void UringTransport::dispatch_loop() {
     if (c.recv_ring.to_submit > 0 || c.recv_ring.cq_ready() == 0) {
       c.recv_ring.flush(wait_nr, &wait_ts, min_wait_usec);
     }
-
-    unsigned total = 0;
-    for (;;) {
-      const unsigned ready = c.recv_ring.cq_ready();
-      if (ready == 0) break;
-      for (unsigned i = 0; i < ready; ++i) {
-        handle_recv_cqe(c.recv_ring.cq_peek(i));
-      }
-      c.recv_ring.cq_advance(ready);
-      total += ready;
-    }
-    if (total > 0) {
-      stats_.uring_cqe_batch.fetch_add(1, std::memory_order_relaxed);
-      stats_.recv_batches.fetch_add(1, std::memory_order_relaxed);
-    }
+    reap();
   }
 
-  // Shutdown: cancel every armed multishot and wait for the terminal
-  // CQEs so no kernel request can touch a provided buffer or socket fd
-  // after the destructor tears the rings down.
-  std::vector<Core::SockPtr> live;
-  {
-    std::lock_guard lock(c.mu);
-    for (auto& [t, s] : c.by_token) live.push_back(s);
-    for (auto& [t, s] : c.draining) live.push_back(s);
+  // Shutdown: close and cancel every armed multishot and reap until the
+  // terminal CQEs retire them all, so no kernel request can touch a
+  // provided buffer or socket fd after the destructor tears the rings
+  // down.
+  todo.clear();
+  for (auto& [token, s] : c.armed) {
+    s->closed.store(true, std::memory_order_release);
+    todo.push_back(s);
   }
-  for (const auto& s : live) {
-    if (!s->armed) continue;
-    io_uring_sqe* sqe = c.recv_ring.get_sqe();
-    if (!sqe) {
-      c.recv_ring.flush(0, nullptr);
-      sqe = c.recv_ring.get_sqe();
-      if (!sqe) break;
-    }
-    sqe->opcode = IORING_OP_ASYNC_CANCEL;
-    sqe->fd = -1;
-    sqe->addr = s->token;
-    sqe->user_data = kCancelBit | s->token;
-  }
-  auto any_armed = [&] {
-    for (const auto& s : live) {
-      if (s->armed) return true;
-    }
-    return false;
-  };
-  for (int rounds = 0; rounds < 50 && any_armed(); ++rounds) {
+  for (int rounds = 0; rounds < 50 && !c.armed.empty(); ++rounds) {
+    stage();
     c.recv_ring.flush(1, &wait_ts);
-    const unsigned ready = c.recv_ring.cq_ready();
-    for (unsigned i = 0; i < ready; ++i) {
-      const io_uring_cqe* cqe = c.recv_ring.cq_peek(i);
-      const uint64_t token = cqe->user_data;
-      if (token == kUdEventFd || (token & kCancelBit)) continue;
-      if (cqe->flags & IORING_CQE_F_MORE) continue;
-      for (const auto& s : live) {
-        if (s->token == token) s->armed = false;
-      }
-    }
-    c.recv_ring.cq_advance(ready);
+    reap();
   }
 }
 
 }  // namespace marea::transport
-
-#else  // !defined(__linux__)
-
-namespace marea::transport {
-
-bool uring_supported() {
-  return false;
-}
-
-struct UringTransport::Core {};
-
-UringTransport::UringTransport(const std::string&, LiveTransportOptions) {
-  throw std::runtime_error("UringTransport: io_uring requires Linux");
-}
-
-UringTransport::~UringTransport() = default;
-
-}  // namespace marea::transport
-
-#endif

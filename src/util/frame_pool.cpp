@@ -61,11 +61,21 @@ FrameLease FramePool::acquire(size_t size_hint) {
   return FrameLease(slab.release());
 }
 
+SharedFrame FramePool::copy_in(BytesView data) {
+  FrameLease lease = acquire(data.size());
+  lease.buffer().assign(data.begin(), data.end());
+  core_->copies_in.fetch_add(1, std::memory_order_relaxed);
+  core_->bytes_copied_in.fetch_add(data.size(), std::memory_order_relaxed);
+  return std::move(lease).freeze();
+}
+
 FramePool::Stats FramePool::stats() const {
   Stats s;
   s.checkouts = core_->checkouts.load(std::memory_order_relaxed);
   s.pool_hits = core_->pool_hits.load(std::memory_order_relaxed);
   s.slab_allocs = core_->slab_allocs.load(std::memory_order_relaxed);
+  s.copies_in = core_->copies_in.load(std::memory_order_relaxed);
+  s.bytes_copied_in = core_->bytes_copied_in.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -57,6 +57,8 @@ struct PoolCore {
   std::atomic<uint64_t> checkouts{0};
   std::atomic<uint64_t> pool_hits{0};
   std::atomic<uint64_t> slab_allocs{0};
+  std::atomic<uint64_t> copies_in{0};
+  std::atomic<uint64_t> bytes_copied_in{0};
 };
 
 // Returns the slab to its home pool's freelist (or frees it when the
@@ -190,6 +192,8 @@ class FramePool {
     uint64_t checkouts = 0;    // acquire() calls
     uint64_t pool_hits = 0;    // served from the freelist (no heap)
     uint64_t slab_allocs = 0;  // new slabs heap-allocated (pool misses)
+    uint64_t copies_in = 0;    // copy_in() calls
+    uint64_t bytes_copied_in = 0;
   };
 
   // `slab_reserve`: initial capacity of fresh slabs (typical frame size);
@@ -205,6 +209,11 @@ class FramePool {
 
   // `size_hint` pre-reserves capacity for the coming frame.
   FrameLease acquire(size_t size_hint = 0);
+
+  // Copies caller-owned bytes into a fresh pooled frame: the one
+  // user-space payload copy on the way into the frame datapath, counted
+  // in Stats (copies_in / bytes_copied_in).
+  SharedFrame copy_in(BytesView data);
 
   Stats stats() const;
 

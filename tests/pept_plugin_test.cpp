@@ -71,7 +71,7 @@ TEST(PeptPluginTest, AlternativeWireFormatRoundTrips) {
 // --- a pluggable Transport: in-process pipe ---------------------------------------
 // A zero-dependency Transport connecting N "hosts" through plain function
 // calls deferred on the simulator — proving the container only needs the
-// Transport interface, not the simulated network.
+// frames-only Transport contract, not the simulated network.
 class PipeHub {
  public:
   explicit PipeHub(sim::Simulator& sim) : sim_(sim) {}
@@ -84,7 +84,7 @@ class PipeHub {
     transport::HostId local_host() const override { return host_; }
     size_t mtu() const override { return 65507; }
 
-    Status bind(uint16_t port, RecvHandler handler) override {
+    Status bind_frames(uint16_t port, FrameRecvHandler handler) override {
       auto key = std::make_pair(host_, port);
       if (hub_.bindings_.count(key)) {
         return already_exists_error("port in use");
@@ -95,11 +95,6 @@ class PipeHub {
     void unbind(uint16_t port) override {
       hub_.bindings_.erase({host_, port});
     }
-    Status send(uint16_t src_port, transport::Address dst,
-                BytesView data) override {
-      hub_.deliver({host_, src_port}, dst, to_buffer(data));
-      return Status::ok();
-    }
     Status join_group(transport::GroupId group, uint16_t port) override {
       hub_.groups_[group].insert({host_, port});
       return Status::ok();
@@ -107,19 +102,24 @@ class PipeHub {
     void leave_group(transport::GroupId group, uint16_t port) override {
       hub_.groups_[group].erase({host_, port});
     }
-    Status send_multicast(uint16_t src_port, transport::GroupId group,
-                          BytesView data) override {
+    Status send_frame(uint16_t src_port, transport::Address dst,
+                      SharedFrame frame) override {
+      hub_.deliver({host_, src_port}, dst, std::move(frame));
+      return Status::ok();
+    }
+    Status send_frame_multicast(uint16_t src_port, transport::GroupId group,
+                                SharedFrame frame) override {
       for (auto [host, port] : hub_.groups_[group]) {
         if (host == host_ && port == src_port) continue;
-        hub_.deliver({host_, src_port}, {host, port}, to_buffer(data));
+        hub_.deliver({host_, src_port}, {host, port}, frame);
       }
       return Status::ok();
     }
-    Status send_broadcast(uint16_t src_port, uint16_t dst_port,
-                          BytesView data) override {
+    Status send_frame_broadcast(uint16_t src_port, uint16_t dst_port,
+                                SharedFrame frame) override {
       for (transport::HostId host : hub_.hosts_) {
         if (host == host_) continue;
-        hub_.deliver({host_, src_port}, {host, dst_port}, to_buffer(data));
+        hub_.deliver({host_, src_port}, {host, dst_port}, frame);
       }
       return Status::ok();
     }
@@ -137,16 +137,19 @@ class PipeHub {
  private:
   friend class PipeTransport;
 
-  void deliver(transport::Address from, transport::Address to, Buffer data) {
-    sim_.post([this, from, to, data = std::move(data)] {
+  // Every destination shares the sender's refcounted frame.
+  void deliver(transport::Address from, transport::Address to,
+               SharedFrame frame) {
+    sim_.post([this, from, to, frame = std::move(frame)] {
       auto it = bindings_.find({to.host, to.port});
-      if (it != bindings_.end()) it->second(from, as_bytes_view(data));
+      if (it != bindings_.end()) it->second(from, frame);
     });
   }
 
   sim::Simulator& sim_;
   std::vector<transport::HostId> hosts_;
-  std::map<std::pair<transport::HostId, uint16_t>, transport::Transport::RecvHandler>
+  std::map<std::pair<transport::HostId, uint16_t>,
+           transport::Transport::FrameRecvHandler>
       bindings_;
   std::map<transport::GroupId, std::set<std::pair<transport::HostId, uint16_t>>>
       groups_;

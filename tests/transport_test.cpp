@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <thread>
 
@@ -687,6 +688,175 @@ TEST_P(LiveBackendTest, ConcurrentSendersAndBindChurnNoMisroute) {
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   EXPECT_EQ(stable_got.load(), snapshot);
+}
+
+// Waits up to ~2 s for `done()`, polling every 10 ms.
+template <typename Pred>
+bool wait_until(Pred done) {
+  for (int i = 0; i < 200 && !done(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return done();
+}
+
+size_t open_fd_count() {
+  size_t n = 0;
+  for (const auto& e : std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)e;
+    ++n;
+  }
+  return n;
+}
+
+// The socket-table contract both backends share: bind collisions,
+// join preconditions, rebind handler replacement, leave, and batched
+// fan-out beyond one 32-message batch.
+TEST_P(LiveBackendTest, SocketTableContract) {
+  auto tx = make_live("127.0.0.1");
+  auto rx = make_live("127.0.0.2");
+  if (!tx || !rx) GTEST_SKIP() << "UDP sockets unavailable";
+  const HostId rx_host = ipv4_host("127.0.0.2");
+  Buffer payload = tagged_payload(1);
+  // One port range per backend: both legs may run at once under ctest.
+  const bool uring = std::string_view(GetParam()) == "uring";
+  const uint16_t base = uring ? 11700 : 11600;
+
+  // A duplicate bind of a live port is rejected.
+  ASSERT_TRUE(rx->bind(base, [](Address, BytesView) {}).is_ok());
+  EXPECT_EQ(rx->bind(base, [](Address, BytesView) {}).code(),
+            StatusCode::kAlreadyExists);
+
+  // A group member port must be bound before the join.
+  const GroupId group = uring ? 941 : 940;
+  EXPECT_EQ(rx->join_group(group, 1).code(), StatusCode::kFailedPrecondition);
+
+  // After unbind and a rebind of the same port only the new handler runs.
+  std::atomic<int> old_got{0}, new_got{0};
+  const uint16_t port = base + 1;
+  ASSERT_TRUE(rx->bind(port, [&](Address, BytesView) { old_got++; }).is_ok());
+  rx->unbind(port);
+  ASSERT_TRUE(rx->bind(port, [&](Address, BytesView) { new_got++; }).is_ok());
+  ASSERT_TRUE(wait_until([&] {
+    (void)tx->send(0, Address{rx_host, port}, as_bytes_view(payload));
+    return new_got.load() > 0;
+  }));
+  EXPECT_EQ(old_got.load(), 0);
+
+  // leave_group stops group delivery.
+  std::atomic<int> group_got{0};
+  const uint16_t member = base + 2;
+  ASSERT_TRUE(
+      rx->bind(member, [&](Address, BytesView) { group_got++; }).is_ok());
+  Status join = rx->join_group(group, member);
+  if (join.is_ok()) {
+    const bool flowed = wait_until([&] {
+      (void)tx->send_multicast(0, group, as_bytes_view(payload));
+      return group_got.load() > 0;
+    });
+    rx->leave_group(group, member);
+    if (flowed) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      const int before = group_got.load();
+      for (int i = 0; i < 3; ++i) {
+        (void)tx->send_multicast(0, group, as_bytes_view(payload));
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      EXPECT_EQ(group_got.load(), before);
+    }
+  }
+
+  // send_frame_to_many past one 32-message batch reaches each sink once.
+  constexpr size_t kSinks = 40;
+  std::atomic<int> sink_got[kSinks] = {};
+  std::vector<Address> sinks;
+  for (size_t i = 0; i < kSinks; ++i) {
+    const auto sink = static_cast<uint16_t>(base + 10 + i);
+    ASSERT_TRUE(
+        rx->bind(sink, [&, i](Address, BytesView) { sink_got[i]++; }).is_ok());
+    sinks.push_back(Address{rx_host, sink});
+  }
+  FrameLease lease = tx->frame_pool().acquire(payload.size());
+  lease.buffer().assign(payload.begin(), payload.end());
+  ASSERT_TRUE(tx->send_frame_to_many(0, sinks.data(), sinks.size(),
+                                     std::move(lease).freeze())
+                  .is_ok());
+  EXPECT_TRUE(wait_until([&] {
+    for (const auto& g : sink_got) {
+      if (g.load() == 0) return false;
+    }
+    return true;
+  }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  for (size_t i = 0; i < kSinks; ++i) {
+    EXPECT_EQ(sink_got[i].load(), 1) << "sink " << i;
+  }
+}
+
+// The one user-space payload copy a live transport makes is the bytes
+// send's ingress copy into a pooled frame; it is counted, and the frame
+// send path makes none.
+TEST_P(LiveBackendTest, BytesSendCountsOneIngressCopy) {
+  auto tx = make_live("127.0.0.1");
+  if (!tx) GTEST_SKIP() << "UDP sockets unavailable";
+  // Nobody listens at the destination: only the sender's counters count.
+  const Address dst{ipv4_host("127.0.0.2"), 9};
+  Buffer payload = tagged_payload(2, 100);
+
+  auto before = tx->net_counters();
+  ASSERT_TRUE(tx->send(0, dst, as_bytes_view(payload)).is_ok());
+  auto after = tx->net_counters();
+  EXPECT_EQ(after.payload_copies - before.payload_copies, 1u);
+  EXPECT_EQ(after.payload_bytes_copied - before.payload_bytes_copied,
+            payload.size());
+
+  FrameLease lease = tx->frame_pool().acquire(payload.size());
+  lease.buffer().assign(payload.begin(), payload.end());
+  SharedFrame frame = std::move(lease).freeze();
+  before = tx->net_counters();
+  ASSERT_TRUE(tx->send_frame(0, dst, frame).is_ok());
+  after = tx->net_counters();
+  EXPECT_EQ(after.payload_copies, before.payload_copies);
+  EXPECT_EQ(after.payload_bytes_copied, before.payload_bytes_copied);
+  EXPECT_EQ(after.frames_sent - before.frames_sent, 1u);
+}
+
+// More binds in one burst than the receive ring has SQ entries: every
+// socket still gets armed (each receives a datagram), and unbinding them
+// all releases every fd.
+TEST_P(LiveBackendTest, BindBurstBeyondRingDepthArmsAndReleasesAll) {
+  auto tx = make_live("127.0.0.1");
+  auto rx = make_live("127.0.0.2");
+  if (!tx || !rx) GTEST_SKIP() << "UDP sockets unavailable";
+  const HostId rx_host = ipv4_host("127.0.0.2");
+  Buffer payload = tagged_payload(3);
+  // Opens the sender's lazily created send socket before the baseline.
+  (void)tx->send(0, Address{rx_host, 9}, as_bytes_view(payload));
+  const size_t fds_before = open_fd_count();
+
+  constexpr size_t kSockets = 300;
+  std::vector<std::atomic<int>> got(kSockets);
+  std::vector<uint16_t> ports;
+  for (size_t i = 0; i < kSockets; ++i) {
+    Status s = rx->bind(0, [&, i](Address, BytesView) { got[i]++; });
+    ASSERT_TRUE(s.is_ok()) << i << ": " << s.to_string();
+    ports.push_back(rx->bound_port(0));
+  }
+  EXPECT_TRUE(wait_until([&] {
+    bool all = true;
+    for (size_t i = 0; i < kSockets; ++i) {
+      if (got[i].load() > 0) continue;
+      all = false;
+      (void)tx->send(0, Address{rx_host, ports[i]}, as_bytes_view(payload));
+    }
+    return all;
+  }));
+  size_t deaf = 0;
+  for (const auto& g : got) deaf += g.load() == 0 ? 1 : 0;
+  EXPECT_EQ(deaf, 0u) << "sockets never armed";
+
+  for (uint16_t p : ports) rx->unbind(p);
+  EXPECT_TRUE(wait_until([&] { return open_fd_count() == fds_before; }))
+      << open_fd_count() << " fds open, " << fds_before << " before";
 }
 
 }  // namespace
