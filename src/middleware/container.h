@@ -103,6 +103,7 @@ struct ContainerStats {
   uint64_t files_published = 0;
   uint64_t file_completions = 0;      // local subscriptions completed
   uint64_t file_local_bypasses = 0;
+  uint64_t file_chunks_reused = 0;    // taken from the previous revision
   // infrastructure
   uint64_t frames_received = 0;
   uint64_t frames_dropped = 0;        // CRC/decode failures

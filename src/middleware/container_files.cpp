@@ -18,6 +18,9 @@ Status ServiceContainer::publish_file_resource(Service& owner,
                                                Buffer content) {
   uint32_t revision = 1;
   std::set<proto::MftpPeer> carried_subscribers;
+  // The outgoing revision's publisher lives until the new provision
+  // replaces it below; the new one reuses its unchanged chunks.
+  const proto::MftpPublisher* previous = nullptr;
   auto it = file_provisions_.find(name);
   if (it != file_provisions_.end()) {
     if (it->second.owner != &owner) {
@@ -31,6 +34,7 @@ Status ServiceContainer::publish_file_resource(Service& owner,
       // The publisher tracks remote subscribers; carry them over.
       carried_subscribers = file_remote_subscribers_[name];
       retire_mftp_publisher(*it->second.publisher);
+      previous = it->second.publisher.get();
     }
     transfer_names_.erase(it->second.transfer_id);
   }
@@ -56,7 +60,8 @@ Status ServiceContainer::publish_file_resource(Service& owner,
       },
       [this, channel](const proto::FileStatusRequestMsg& msg) {
         multicast_msg(channel, proto::MsgType::kFileStatusRequest, msg);
-      });
+      },
+      previous);
   prov.publisher->set_trace(trace_, static_cast<uint32_t>(config_.id));
   prov.publisher->set_on_subscriber_done(
       [this, name](proto::MftpPeer peer, const Status& s) {
@@ -70,6 +75,7 @@ Status ServiceContainer::publish_file_resource(Service& owner,
       });
 
   prov.chunk_hashes = prov.publisher->chunk_hashes();
+  stats_.file_chunks_reused += prov.publisher->pipeline_stats().reused_chunks;
 
   uint64_t transfer_id = prov.transfer_id;
   proto::FileMeta meta = prov.meta;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstring>
 
@@ -21,8 +22,11 @@ inline uint64_t now_nanos() {
 }  // namespace
 
 ChunkTable ChunkTable::build(BytesView content, uint32_t chunk_size,
-                             util::Codec codec, unsigned threads) {
+                             util::Codec codec, unsigned threads,
+                             const ChunkTable* prev, BytesView prev_content) {
   ChunkTable table;
+  table.chunk_size_ = chunk_size;
+  table.codec_ = codec;
   if (chunk_size == 0) return table;
   const size_t count = (content.size() + chunk_size - 1) / chunk_size;
   table.entries_.resize(count);
@@ -31,8 +35,16 @@ ChunkTable ChunkTable::build(BytesView content, uint32_t chunk_size,
   // must be strictly smaller than its chunk to be kept.
   const size_t slot = chunk_size - 1;
   if (comp != nullptr) table.payload_.resize(content.size() - count);
+  // The previous revision is usable when it was sliced and encoded the
+  // same way and `prev_content` is the content it was built from.
+  if (prev != nullptr &&
+      (prev->chunk_size_ != chunk_size || prev->codec_ != codec ||
+       prev->stats_.raw_bytes != prev_content.size())) {
+    prev = nullptr;
+  }
   std::atomic<uint64_t> hash_nanos{0};
   std::atomic<uint64_t> compress_nanos{0};
+  std::atomic<uint32_t> reused{0};
   // Each index writes only its own entry and payload slot; the blocking
   // fan-out is a pure pre-computation whose result is thread-count
   // independent.
@@ -42,6 +54,23 @@ ChunkTable ChunkTable::build(BytesView content, uint32_t chunk_size,
     BytesView raw = content.subspan(offset, len);
     ChunkEntry& e = table.entries_[i];
     e.raw_size = static_cast<uint32_t>(len);
+    if (prev != nullptr && i < prev->entries_.size() &&
+        prev->entries_[i].raw_size == len &&
+        std::memcmp(prev_content.data() + offset, raw.data(), len) == 0) {
+      // Same bytes: the hash and the compress-or-raw outcome are what
+      // the previous build computed for them.
+      const ChunkEntry& p = prev->entries_[i];
+      e.hash = p.hash;
+      e.compressed = p.compressed;
+      if (p.compressed) {
+        e.payload_offset = i * slot;
+        e.payload_size = p.payload_size;
+        std::memcpy(table.payload_.data() + e.payload_offset,
+                    prev->payload_.data() + p.payload_offset, p.payload_size);
+      }
+      reused.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
     const uint64_t t0 = now_nanos();
     e.hash = util::hash64(raw);
     const uint64_t t1 = now_nanos();
@@ -78,6 +107,7 @@ ChunkTable ChunkTable::build(BytesView content, uint32_t chunk_size,
   }
   table.payload_.resize(packed);
   table.stats_.chunks = static_cast<uint32_t>(count);
+  table.stats_.reused_chunks = reused.load(std::memory_order_relaxed);
   table.stats_.hash_nanos = hash_nanos.load(std::memory_order_relaxed);
   table.stats_.compress_nanos =
       compress_nanos.load(std::memory_order_relaxed);
@@ -91,53 +121,118 @@ std::vector<uint64_t> ChunkTable::hashes() const {
   return out;
 }
 
+size_t ChunkStore::home(uint64_t hash) const {
+  // Fibonacci hashing: the top bits of an odd multiply depend on every
+  // key bit, so peer-chosen keys that share low bits do not cluster.
+  return static_cast<size_t>((hash * 0x9E3779B97F4A7C15ull) >> index_shift_);
+}
+
+size_t ChunkStore::find_cell(uint64_t hash) const {
+  if (index_.empty()) return kNoCell;
+  const size_t mask = index_.size() - 1;
+  for (size_t c = home(hash);; c = (c + 1) & mask) {
+    if (index_[c].slot == kNil) return kNoCell;
+    if (index_[c].hash == hash) return c;
+  }
+}
+
+void ChunkStore::index_insert(uint64_t hash, uint32_t slot) {
+  if (2 * (entries_ + 1) > index_.size()) {
+    std::vector<Cell> old = std::move(index_);
+    index_.assign(old.empty() ? 16 : 2 * old.size(), Cell{});
+    index_shift_ = 64 - static_cast<unsigned>(std::countr_zero(index_.size()));
+    for (const Cell& cell : old) {
+      if (cell.slot != kNil) index_insert(cell.hash, cell.slot);
+    }
+  }
+  const size_t mask = index_.size() - 1;
+  size_t c = home(hash);
+  while (index_[c].slot != kNil) c = (c + 1) & mask;
+  index_[c] = Cell{hash, slot};
+}
+
+void ChunkStore::index_erase(size_t cell) {
+  // Backward-shift deletion: pull each later member of the probe run
+  // into the hole unless the hole lies before its home position, so
+  // lookups never need tombstones.
+  const size_t mask = index_.size() - 1;
+  size_t hole = cell;
+  for (size_t c = (hole + 1) & mask; index_[c].slot != kNil;
+       c = (c + 1) & mask) {
+    const size_t dist_home = (c - home(index_[c].hash)) & mask;
+    if (dist_home >= ((c - hole) & mask)) {
+      index_[hole] = index_[c];
+      hole = c;
+    }
+  }
+  index_[hole].slot = kNil;
+}
+
+void ChunkStore::unlink(uint32_t s) {
+  Slot& x = slots_[s];
+  (x.prev == kNil ? head_ : slots_[x.prev].next) = x.next;
+  (x.next == kNil ? tail_ : slots_[x.next].prev) = x.prev;
+}
+
+void ChunkStore::push_front(uint32_t s) {
+  Slot& x = slots_[s];
+  x.prev = kNil;
+  x.next = head_;
+  (head_ == kNil ? tail_ : slots_[head_].prev) = s;
+  head_ = s;
+}
+
 const Buffer* ChunkStore::find(uint64_t hash) {
-  auto it = map_.find(hash);
-  if (it == map_.end()) {
+  const size_t c = find_cell(hash);
+  if (c == kNoCell) {
     ++stats_.misses;
     return nullptr;
   }
   ++stats_.hits;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-  return &it->second.data;
+  const uint32_t s = index_[c].slot;
+  unlink(s);
+  push_front(s);
+  return &slots_[s].data;
 }
 
 void ChunkStore::put(uint64_t hash, BytesView raw) {
   if (raw.size() > max_bytes_) return;  // would evict the whole store
-  auto it = map_.find(hash);
-  if (it != map_.end()) {
+  if (const size_t c = find_cell(hash); c != kNoCell) {
     // Same hash, same content (by construction); just refresh.
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+    unlink(index_[c].slot);
+    push_front(index_[c].slot);
     return;
   }
-  // Evict least-recent first. The first victim's nodes are kept (its
-  // list node moved to the front, out of the eviction walk) and reused
-  // for the new chunk; later victims are freed.
-  decltype(map_)::node_type spare;
-  while (bytes_ + raw.size() > max_bytes_ && !map_.empty()) {
-    auto vit = map_.find(lru_.back());
-    bytes_ -= vit->second.data.size();
+  // Evict least-recent first. The first victim's slot (and its buffer
+  // capacity) carries the new chunk; later victims join the free list.
+  uint32_t s = kNil;
+  while (bytes_ + raw.size() > max_bytes_ && entries_ != 0) {
+    const uint32_t victim = tail_;
+    bytes_ -= slots_[victim].data.size();
     ++stats_.evictions;
-    if (spare.empty()) {
-      lru_.splice(lru_.begin(), lru_, vit->second.lru_pos);
-      spare = map_.extract(vit);
+    --entries_;
+    unlink(victim);
+    index_erase(find_cell(slots_[victim].hash));
+    if (s == kNil) {
+      s = victim;
     } else {
-      lru_.pop_back();
-      map_.erase(vit);
+      slots_[victim].next = free_;
+      free_ = victim;
     }
   }
-  if (spare.empty()) {
-    lru_.push_front(hash);
-    Entry e;
-    e.data = to_buffer(raw);
-    e.lru_pos = lru_.begin();
-    map_.emplace(hash, std::move(e));
-  } else {
-    spare.key() = hash;
-    *spare.mapped().lru_pos = hash;
-    spare.mapped().data.assign(raw.begin(), raw.end());
-    map_.insert(std::move(spare));
+  if (s == kNil && free_ != kNil) {
+    s = free_;
+    free_ = slots_[s].next;
   }
+  if (s == kNil) {
+    s = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  slots_[s].hash = hash;
+  slots_[s].data.assign(raw.begin(), raw.end());
+  push_front(s);
+  index_insert(hash, s);
+  ++entries_;
   bytes_ += raw.size();
   ++stats_.inserts;
 }

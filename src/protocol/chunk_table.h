@@ -9,7 +9,11 @@
 // count, so the table can be built on a worker pool without perturbing
 // simulation determinism. Every chunk compresses into its own slot of
 // one table-owned buffer, which is then packed in index order: a
-// revision costs O(1) allocations, not one per chunk.
+// revision costs O(1) allocations, not one per chunk. Given the outgoing
+// revision of the same resource, a chunk whose bytes did not change
+// takes its hash and payload from there instead of being hashed and
+// compressed again; equal bytes give equal results, so the table is the
+// one a fresh build makes.
 //
 // ChunkStore is the receiver-side bounded LRU keyed by chunk hash: the
 // cross-transfer dedup memory that lets an identical-revision republish
@@ -19,8 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "util/bytes.h"
@@ -47,6 +49,7 @@ struct ChunkPipelineStats {
   uint64_t wire_bytes = 0;  // sum of per-chunk payloads as sent
   uint32_t chunks = 0;
   uint32_t compressed_chunks = 0;
+  uint32_t reused_chunks = 0;  // taken from the previous revision
   uint64_t hash_nanos = 0;
   uint64_t compress_nanos = 0;
 };
@@ -56,9 +59,14 @@ class ChunkTable {
   ChunkTable() = default;
 
   // threads <= 1 builds inline on the caller; otherwise a transient
-  // worker pool hashes/compresses chunks concurrently.
+  // worker pool hashes/compresses chunks concurrently. `prev` (optional)
+  // is the table of the revision this one replaces and `prev_content`
+  // the bytes it was built from: with the same chunk_size and codec,
+  // chunk i reuses prev's chunk i when their raw bytes are equal.
   static ChunkTable build(BytesView content, uint32_t chunk_size,
-                          util::Codec codec, unsigned threads = 0);
+                          util::Codec codec, unsigned threads = 0,
+                          const ChunkTable* prev = nullptr,
+                          BytesView prev_content = {});
 
   uint32_t chunk_count() const {
     return static_cast<uint32_t>(entries_.size());
@@ -81,15 +89,19 @@ class ChunkTable {
  private:
   std::vector<ChunkEntry> entries_;
   Buffer payload_;  // every compressed chunk, packed in index order
+  uint32_t chunk_size_ = 0;
+  util::Codec codec_ = util::Codec::kNone;
   uint64_t manifest_hash_ = 0;
   ChunkPipelineStats stats_;
 };
 
 // Bounded receiver-side LRU of raw chunks keyed by content hash.
-// Deterministic: no clocks, eviction order is purely access order. Once
-// full, put() recycles the least-recent victim's map node, list node
-// and buffer capacity for the new chunk, so a warm store does not
-// allocate.
+// Deterministic: no clocks, eviction order is purely access order.
+// Chunks live in a slot vector threaded by an index-linked LRU list; an
+// open-addressed, linearly probed index maps hash -> slot. Once full,
+// put() hands the least-recent victim's slot and buffer capacity to the
+// new chunk and keeps further victims' slots on a free list, so a warm
+// store does not allocate.
 class ChunkStore {
  public:
   explicit ChunkStore(size_t max_bytes = 4u << 20) : max_bytes_(max_bytes) {}
@@ -107,17 +119,38 @@ class ChunkStore {
   };
   const Stats& stats() const { return stats_; }
   size_t bytes() const { return bytes_; }
-  size_t entries() const { return map_.size(); }
+  size_t entries() const { return entries_; }
 
  private:
-  struct Entry {
+  static constexpr uint32_t kNil = UINT32_MAX;
+  static constexpr size_t kNoCell = SIZE_MAX;
+  struct Slot {
+    uint64_t hash = 0;
+    uint32_t prev = kNil;  // LRU neighbour towards the most recent
+    uint32_t next = kNil;  // towards the least recent, or the free list
     Buffer data;
-    std::list<uint64_t>::iterator lru_pos;
   };
+  struct Cell {
+    uint64_t hash = 0;
+    uint32_t slot = kNil;  // kNil: empty cell
+  };
+
+  size_t home(uint64_t hash) const;
+  size_t find_cell(uint64_t hash) const;  // cell holding hash, or kNoCell
+  void index_insert(uint64_t hash, uint32_t slot);
+  void index_erase(size_t cell);
+  void unlink(uint32_t s);
+  void push_front(uint32_t s);
+
   size_t max_bytes_;
   size_t bytes_ = 0;
-  std::list<uint64_t> lru_;  // front = most recently used
-  std::unordered_map<uint64_t, Entry> map_;
+  size_t entries_ = 0;
+  std::vector<Slot> slots_;
+  uint32_t head_ = kNil;  // most recently used
+  uint32_t tail_ = kNil;  // least recently used: the next victim
+  uint32_t free_ = kNil;  // slots without a chunk, linked through next
+  std::vector<Cell> index_;  // power-of-two size, at most half full
+  unsigned index_shift_ = 64;  // 64 - log2(index_.size())
   Stats stats_;
 };
 

@@ -16,7 +16,8 @@ namespace marea::proto {
 MftpPublisher::MftpPublisher(sched::Executor& executor, MftpParams params,
                              uint64_t transfer_id, FileMeta meta,
                              std::shared_ptr<const Buffer> content,
-                             ChunkSendFn send_chunk, StatusSendFn send_status)
+                             ChunkSendFn send_chunk, StatusSendFn send_status,
+                             const MftpPublisher* previous)
     : executor_(executor),
       params_(params),
       transfer_id_(transfer_id),
@@ -30,9 +31,11 @@ MftpPublisher::MftpPublisher(sched::Executor& executor, MftpParams params,
   // Pure pre-computation: hash (and, when announced, compress) every
   // chunk up front, fanned out over pipeline_threads workers. Blocking
   // here keeps completion on the constructing (sim) thread.
-  table_ = ChunkTable::build(as_bytes_view(*content_), meta_.chunk_size,
-                             static_cast<util::Codec>(meta_.codec),
-                             params_.pipeline_threads);
+  table_ = ChunkTable::build(
+      as_bytes_view(*content_), meta_.chunk_size,
+      static_cast<util::Codec>(meta_.codec), params_.pipeline_threads,
+      previous ? &previous->table_ : nullptr,
+      previous ? as_bytes_view(*previous->content_) : BytesView{});
   hashes_ = table_.hashes();
   // Map each index to the lowest index sharing its hash, via one sort
   // of (hash, index) pairs; the dedup check per send is then an array

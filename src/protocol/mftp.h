@@ -89,10 +89,13 @@ class MftpPublisher {
 
   // `content` is shared, immutable: the owner (e.g. the container's
   // file provision) and the publisher hold one copy of the file image.
+  // `previous` (optional) is the publisher of the revision this one
+  // replaces; its unchanged chunks are reused by the ChunkTable build.
   MftpPublisher(sched::Executor& executor, MftpParams params,
                 uint64_t transfer_id, FileMeta meta,
                 std::shared_ptr<const Buffer> content, ChunkSendFn send_chunk,
-                StatusSendFn send_status);
+                StatusSendFn send_status,
+                const MftpPublisher* previous = nullptr);
   ~MftpPublisher();
 
   MftpPublisher(const MftpPublisher&) = delete;

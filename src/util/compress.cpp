@@ -1,6 +1,7 @@
 #include "util/compress.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace marea::util {
@@ -121,6 +122,61 @@ class RleCompressor final : public Compressor {
 // is actual length minus the 4-byte minimum.
 constexpr size_t kLzMinMatch = 4;
 constexpr size_t kLzTableBits = 12;
+constexpr uint32_t kLzWindow = 0xFFFF;
+
+// The matcher's position table, one per thread and never cleared. Each
+// compress() call numbers its input from a fresh `base`, at least a
+// window past every position an earlier call stored, so a stale entry
+// always fails the window test and the table behaves exactly like a
+// freshly cleared one: the output does not depend on what the thread
+// compressed before. 0 marks an empty slot (bases start at 0x10000).
+struct LzMatchTable {
+  uint32_t base = kLzWindow + 1;
+  uint32_t pos[1u << kLzTableBits] = {};
+
+  // Reserves absolute positions [base, base + n) for one call.
+  uint32_t claim(size_t n) {
+    constexpr uint64_t kSpan = uint64_t{kLzWindow} + 1;
+    if (uint64_t{base} + n + kSpan > UINT32_MAX) {
+      std::fill(std::begin(pos), std::end(pos), 0u);
+      base = static_cast<uint32_t>(kSpan);
+    }
+    const uint32_t b = base;
+    base = static_cast<uint32_t>(b + n + kSpan);
+    return b;
+  }
+};
+
+inline uint32_t load32(const uint8_t* p) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+inline uint64_t load64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+// Length of the common prefix of a and b, at most `limit` bytes: eight
+// bytes per step, the first differing byte located from the XOR.
+inline size_t common_prefix(const uint8_t* a, const uint8_t* b,
+                            size_t limit) {
+  size_t len = 0;
+  while (len + 8 <= limit) {
+    const uint64_t x = load64(a + len) ^ load64(b + len);
+    if (x != 0) {
+      const int bit = std::endian::native == std::endian::little
+                          ? std::countr_zero(x)
+                          : std::countl_zero(x);
+      return len + static_cast<size_t>(bit) / 8;
+    }
+    len += 8;
+  }
+  while (len < limit && a[len] == b[len]) ++len;
+  return len;
+}
 
 class LzCompressor final : public Compressor {
  public:
@@ -131,13 +187,8 @@ class LzCompressor final : public Compressor {
     if (n < 16) return 0;
     Sink sink(out, n - 1);
     const uint8_t* src = in.data();
-    uint32_t table[1u << kLzTableBits];
-    std::fill(std::begin(table), std::end(table), 0xFFFFFFFFu);
-    auto load32 = [](const uint8_t* p) {
-      uint32_t v;
-      std::memcpy(&v, p, sizeof(v));
-      return v;
-    };
+    thread_local LzMatchTable table;
+    const uint32_t base = table.claim(n);
     auto hash4 = [](uint32_t v) {
       return (v * 2654435761u) >> (32 - kLzTableBits);
     };
@@ -146,12 +197,15 @@ class LzCompressor final : public Compressor {
     while (i + kLzMinMatch <= n) {
       const uint32_t v = load32(src + i);
       const uint32_t h = hash4(v);
-      const uint32_t cand = table[h];
-      table[h] = static_cast<uint32_t>(i);
-      if (cand != 0xFFFFFFFFu && i - cand <= 0xFFFF &&
-          load32(src + cand) == v) {
-        size_t len = kLzMinMatch;
-        while (i + len < n && src[cand + len] == src[i + len]) ++len;
+      const uint32_t here = base + static_cast<uint32_t>(i);
+      const uint32_t cand_abs = table.pos[h];
+      table.pos[h] = here;
+      const size_t cand = cand_abs - base;  // meaningful only in-window
+      if (here - cand_abs <= kLzWindow && load32(src + cand) == v) {
+        const size_t len =
+            kLzMinMatch + common_prefix(src + cand + kLzMinMatch,
+                                        src + i + kLzMinMatch,
+                                        n - i - kLzMinMatch);
         if (!emit_sequence(src + anchor, i - anchor,
                            static_cast<uint16_t>(i - cand), len, sink)) {
           return 0;
@@ -192,13 +246,21 @@ class LzCompressor final : public Compressor {
       mlen += kLzMinMatch;
       if (mlen > oe - op) return false;
       uint8_t* d = dst + op;
-      const uint8_t* from = d - off;
       if (off >= mlen) {
-        std::memcpy(d, from, mlen);
+        std::memcpy(d, d - off, mlen);
+      } else if (off == 1) {
+        std::memset(d, d[-1], mlen);
       } else {
-        // Overlapping match (offset < length): byte-wise, so each copied
-        // byte can feed the next and the pattern replicates.
-        for (size_t k = 0; k < mlen; ++k) d[k] = from[k];
+        // Overlapping match (offset < length): the output repeats with
+        // period `off`, so copy from a whole number of periods back —
+        // the largest that is already written — doubling each step.
+        size_t done = 0;
+        while (done < mlen) {
+          const size_t period = (off + done) / off * off;
+          const size_t k = std::min(period, mlen - done);
+          std::memcpy(d + done, d + done - period, k);
+          done += k;
+        }
       }
       op += mlen;
     }

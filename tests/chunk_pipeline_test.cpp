@@ -261,7 +261,7 @@ TEST(ChunkPipelineCodecTest, LzOverlappingMatchReplicates) {
   const util::Compressor* lz = util::compressor_for(util::Codec::kLz);
   // Hand-built streams. Token [L:4|M:4], literals, u16 offset; match
   // length is M + 4.
-  // Offset 1 < length 15: one literal 'Q' replicated byte by byte.
+  // Offset 1 < length 15: one literal 'Q' replicated 15 more times.
   Buffer overlap{0x1B, 'Q', 0x01, 0x00};
   GuardedDecode d = guarded_decompress(*lz, BytesView(overlap), 16);
   ASSERT_TRUE(d.ok);
@@ -291,6 +291,227 @@ TEST(ChunkPipelineCodecTest, LzOverlappingMatchReplicates) {
   EXPECT_EQ(d.out, periodic);
 }
 
+// The LZ pinning corpus: every shape the encoder's fast paths care
+// about — the benchmark's image rows and xorshift noise chunk by chunk
+// and whole (files over 64 KiB cross the match window), periodic input
+// (overlapping matches), a 100 KiB input whose repeats sit just inside
+// and just outside the window, the 15/16/17-byte length edge and seeded
+// buffers built from literals plus back-references.
+std::vector<Buffer> lz_corpus() {
+  std::vector<Buffer> corpus;
+  auto add_chunked = [&corpus](const Buffer& file) {
+    for (size_t off = 0; off < file.size(); off += 1024) {
+      const size_t len = std::min<size_t>(1024, file.size() - off);
+      corpus.emplace_back(file.begin() + off, file.begin() + off + len);
+    }
+    corpus.push_back(file);
+  };
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    Rng rng(seed);
+    for (size_t kib : {16, 48, 80, 112}) {
+      // Image rows: flat every third, otherwise a row-dependent ramp.
+      Buffer img(kib * 1024);
+      const uint64_t base = rng.next_u64();
+      for (size_t i = 0; i < img.size(); ++i) {
+        const size_t row = i / 256;
+        img[i] = static_cast<uint8_t>(row % 3 == 0 ? base + row
+                                                   : (i * (row % 7 + 1)) >> 3);
+      }
+      add_chunked(img);
+    }
+    for (size_t kib : {32, 64}) {
+      Buffer noise(kib * 1024);
+      uint64_t x = rng.next_u64() | 1;
+      for (size_t i = 0; i + 8 <= noise.size(); i += 8) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        for (int k = 0; k < 8; ++k) {
+          noise[i + k] = static_cast<uint8_t>(x >> (8 * k));
+        }
+      }
+      add_chunked(noise);
+    }
+  }
+  for (size_t period : {1, 2, 3, 5, 7, 16, 31, 64, 255}) {
+    Buffer periodic(3000);
+    for (size_t i = 0; i < periodic.size(); ++i) {
+      periodic[i] = static_cast<uint8_t>((i % period) * 37 + period);
+    }
+    corpus.push_back(std::move(periodic));
+  }
+  {
+    // Block A recurs 60 KiB later (inside the window) and 70 KiB later
+    // (outside it); B is fresh noise between them.
+    Buffer a = random_bytes(6 * 1024, 90);
+    Buffer big = a;
+    Buffer b = random_bytes(54 * 1024, 91);
+    big.insert(big.end(), b.begin(), b.end());
+    big.insert(big.end(), a.begin(), a.end());  // distance 60 KiB
+    Buffer c = random_bytes(4 * 1024, 92);
+    big.insert(big.end(), c.begin(), c.end());
+    big.insert(big.end(), a.begin(), a.end());  // 70 KiB from the first
+    Buffer tail = imagery_bytes(96, 256, 93);
+    big.insert(big.end(), tail.begin(), tail.end());
+    big.resize(100 * 1024);
+    corpus.push_back(std::move(big));
+  }
+  for (size_t len : {15, 16, 17}) {
+    corpus.emplace_back(len, 0x00);
+    corpus.push_back(random_bytes(len, 100 + len));
+    Buffer half(len, 0x11);
+    for (size_t i = len / 2; i < len; ++i) half[i] = static_cast<uint8_t>(i);
+    corpus.push_back(std::move(half));
+  }
+  Rng rng(77);
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t n = 16 + rng.next_u64() % 5000;
+    const uint64_t alphabet = 2 + rng.next_u64() % 254;
+    Buffer b;
+    b.reserve(n);
+    while (b.size() < n) {
+      if (b.size() >= 4 && rng.next_u64() % 2 == 0) {
+        const size_t off = 1 + rng.next_u64() % std::min<size_t>(b.size(), 300);
+        const size_t len = 1 + rng.next_u64() % 80;
+        for (size_t k = 0; k < len && b.size() < n; ++k) {
+          b.push_back(b[b.size() - off]);
+        }
+      } else {
+        b.push_back(static_cast<uint8_t>(rng.next_u64() % alphabet));
+      }
+    }
+    corpus.push_back(std::move(b));
+  }
+  return corpus;
+}
+
+TEST(ChunkPipelineCodecTest, LzOutputIsPinned) {
+  // The LZ encoder's bytes are wire bytes and chunk-store identities:
+  // any kernel change must reproduce them exactly. The constant is the
+  // digest of every output length and hash64 over the corpus, recorded
+  // from the reference (table-per-call, byte-wise) encoder.
+  const util::Compressor* lz = util::compressor_for(util::Codec::kLz);
+  std::vector<uint64_t> folded;
+  size_t kept = 0;
+  for (const Buffer& in : lz_corpus()) {
+    Buffer out = compress_to_buffer(*lz, BytesView(in));
+    folded.push_back(out.size());
+    folded.push_back(util::hash64(BytesView(out)));
+    if (out.empty()) continue;
+    ++kept;
+    GuardedDecode d = guarded_decompress(*lz, BytesView(out), in.size());
+    ASSERT_TRUE(d.ok);
+    ASSERT_TRUE(d.guards_intact);
+    ASSERT_EQ(d.out, in);
+  }
+  EXPECT_GT(kept, folded.size() / 4);  // the corpus mostly compresses
+  EXPECT_EQ(util::hash64_list(folded.data(), folded.size()),
+            0x2957ad30939bc990ull);
+}
+
+TEST(ChunkPipelineCodecTest, LzOutputStableAcrossMatchTableWrap) {
+  // Each call reserves its input length plus a 64 KiB window of table
+  // positions; ~66k calls run the 32-bit position counter past its wrap
+  // (a table refill), and every output must stay the same bytes.
+  const util::Compressor* lz = util::compressor_for(util::Codec::kLz);
+  const Buffer in{1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4, 9};
+  const Buffer want = compress_to_buffer(*lz, BytesView(in));
+  ASSERT_FALSE(want.empty());
+  Buffer out(in.size() - 1);
+  for (int call = 0; call < 70000; ++call) {
+    const size_t n = lz->compress(BytesView(in), out);
+    ASSERT_TRUE(n == want.size() &&
+                std::equal(want.begin(), want.end(), out.begin()))
+        << "call " << call;
+  }
+}
+
+// Byte-wise reference LZ decoder: the format spelled out one byte at a
+// time, with the same bounds rules as the shipped decoder.
+bool reference_lz_decode(BytesView in, size_t raw_size, Buffer& out) {
+  out.assign(raw_size, 0);
+  size_t ip = 0;
+  size_t op = 0;
+  auto read_ext = [&](size_t& v) {
+    for (;;) {
+      if (ip >= in.size()) return false;
+      const uint8_t b = in[ip++];
+      v += b;
+      if (b < 0xFF) return true;
+    }
+  };
+  while (ip < in.size()) {
+    const uint8_t tok = in[ip++];
+    size_t lit = tok >> 4;
+    if (lit == 15 && !read_ext(lit)) return false;
+    if (lit > in.size() - ip || lit > raw_size - op) return false;
+    for (size_t k = 0; k < lit; ++k) out[op++] = in[ip++];
+    if (ip >= in.size()) break;
+    if (in.size() - ip < 2) return false;
+    const size_t off = in[ip] | (static_cast<size_t>(in[ip + 1]) << 8);
+    ip += 2;
+    if (off == 0 || off > op) return false;
+    size_t mlen = tok & 0x0F;
+    if (mlen == 15 && !read_ext(mlen)) return false;
+    mlen += 4;
+    if (mlen > raw_size - op) return false;
+    for (size_t k = 0; k < mlen; ++k, ++op) out[op] = out[op - off];
+  }
+  return op == raw_size;
+}
+
+TEST(ChunkPipelineCodecTest, LzDecoderMatchesByteWiseReference) {
+  // Valid streams, bit-flipped and truncated ones: the shipped decoder
+  // and the reference agree on ok/fail, and on every byte when ok.
+  const util::Compressor* lz = util::compressor_for(util::Codec::kLz);
+  Rng rng(4242);
+  size_t checked = 0;
+  auto check = [&](BytesView stream, size_t raw_size, const char* what) {
+    Buffer want;
+    const bool ref_ok = reference_lz_decode(stream, raw_size, want);
+    GuardedDecode got = guarded_decompress(*lz, stream, raw_size);
+    ASSERT_EQ(got.ok, ref_ok) << what << " checked=" << checked;
+    ASSERT_TRUE(got.guards_intact) << what;
+    if (ref_ok) {
+      ASSERT_EQ(got.out, want) << what;
+    }
+    ++checked;
+  };
+  std::vector<Buffer> corpus = lz_corpus();
+  for (size_t c = 0; c < corpus.size(); c += 3) {
+    const Buffer& in = corpus[c];
+    Buffer packed = compress_to_buffer(*lz, BytesView(in));
+    if (packed.empty()) continue;
+    check(BytesView(packed), in.size(), "valid");
+    for (int flip = 0; flip < 4; ++flip) {
+      Buffer bad = packed;
+      bad[rng.next_u64() % bad.size()] ^= 1u << (rng.next_u64() % 8);
+      check(BytesView(bad), in.size(), "bit flip");
+    }
+    const size_t cut = rng.next_u64() % packed.size();
+    check(BytesView(packed.data(), cut), in.size(), "truncated");
+  }
+  // Hand-made overlapping matches at every small offset and length, so
+  // the period-copy path sees each (offset, length) shape.
+  for (uint8_t off = 1; off <= 12; ++off) {
+    for (uint8_t m = 0; m <= 15; ++m) {
+      Buffer s{static_cast<uint8_t>((12 << 4) | m)};
+      for (uint8_t k = 0; k < 12; ++k) s.push_back(static_cast<uint8_t>('a' + k));
+      s.push_back(off);
+      s.push_back(0);
+      size_t raw_size = 12 + 4 + m;
+      if (m == 15) {
+        const uint8_t ext = static_cast<uint8_t>(rng.next_u64() % 255);
+        s.push_back(ext);
+        raw_size += ext;
+      }
+      check(BytesView(s), raw_size, "overlap");
+      check(BytesView(s), raw_size + 1, "overlap, output too long");
+    }
+  }
+  EXPECT_GT(checked, 1000u);
+}
+
 TEST(ChunkPipelineCodecTest, UnknownWireIdIsRejectedNotFatal) {
   EXPECT_EQ(util::compressor_for(static_cast<uint8_t>(250)), nullptr);
   EXPECT_EQ(util::compressor_for(util::Codec::kNone), nullptr);
@@ -298,25 +519,31 @@ TEST(ChunkPipelineCodecTest, UnknownWireIdIsRejectedNotFatal) {
 
 // --- ChunkTable -------------------------------------------------------------
 
+// Entries, payload bytes, manifest and byte accounting must agree.
+void expect_same_table(const proto::ChunkTable& got,
+                       const proto::ChunkTable& want) {
+  ASSERT_EQ(got.chunk_count(), want.chunk_count());
+  EXPECT_EQ(got.manifest_hash(), want.manifest_hash());
+  for (uint32_t i = 0; i < got.chunk_count(); ++i) {
+    EXPECT_EQ(got.entry(i).hash, want.entry(i).hash) << i;
+    EXPECT_EQ(got.entry(i).raw_size, want.entry(i).raw_size) << i;
+    EXPECT_EQ(got.entry(i).compressed, want.entry(i).compressed) << i;
+    EXPECT_TRUE(std::ranges::equal(got.payload(i), want.payload(i))) << i;
+  }
+  EXPECT_EQ(got.stats().raw_bytes, want.stats().raw_bytes);
+  EXPECT_EQ(got.stats().wire_bytes, want.stats().wire_bytes);
+  EXPECT_EQ(got.stats().compressed_chunks, want.stats().compressed_chunks);
+}
+
 TEST(ChunkPipelineTableTest, IdenticalAcrossThreadCounts) {
   Buffer content = imagery_bytes(128, 512, 11);
   for (util::Codec codec :
        {util::Codec::kNone, util::Codec::kRle, util::Codec::kLz}) {
-    proto::ChunkTable one =
-        proto::ChunkTable::build(BytesView(content), 1024, codec, 1);
-    proto::ChunkTable four =
-        proto::ChunkTable::build(BytesView(content), 1024, codec, 4);
-    ASSERT_EQ(one.chunk_count(), four.chunk_count());
-    EXPECT_EQ(one.manifest_hash(), four.manifest_hash());
-    for (uint32_t i = 0; i < one.chunk_count(); ++i) {
-      EXPECT_EQ(one.entry(i).hash, four.entry(i).hash) << i;
-      EXPECT_EQ(one.entry(i).compressed, four.entry(i).compressed) << i;
-      EXPECT_TRUE(std::ranges::equal(one.payload(i), four.payload(i))) << i;
-    }
     // Deterministic byte accounting too (wall-clock nanos excluded).
-    EXPECT_EQ(one.stats().raw_bytes, four.stats().raw_bytes);
-    EXPECT_EQ(one.stats().wire_bytes, four.stats().wire_bytes);
-    EXPECT_EQ(one.stats().compressed_chunks, four.stats().compressed_chunks);
+    SCOPED_TRACE(util::codec_name(codec));
+    expect_same_table(
+        proto::ChunkTable::build(BytesView(content), 1024, codec, 4),
+        proto::ChunkTable::build(BytesView(content), 1024, codec, 1));
   }
 }
 
@@ -352,6 +579,78 @@ TEST(ChunkPipelineTableTest, DuplicateChunksShareHashes) {
   ASSERT_EQ(t.chunk_count(), 4u);
   for (uint32_t i = 1; i < 4; ++i) {
     EXPECT_EQ(t.entry(i).hash, t.entry(0).hash);
+  }
+}
+
+TEST(ChunkPipelineTableTest, ReusingThePreviousRevisionEqualsAFreshBuild) {
+  constexpr uint32_t kChunk = 1024;
+  // 20 full chunks (compressible imagery, then noise that ships raw)
+  // and a 500-byte tail chunk.
+  Buffer v1 = imagery_bytes(64, 256, 21);
+  Buffer noise = random_bytes(4 * 1024 + 500, 22);
+  v1.insert(v1.end(), noise.begin(), noise.end());
+  const util::Codec lz = util::Codec::kLz;
+  const proto::ChunkTable prev =
+      proto::ChunkTable::build(BytesView(v1), kChunk, lz, 1);
+  ASSERT_EQ(prev.chunk_count(), 21u);
+  ASSERT_GT(prev.stats().compressed_chunks, 0u);
+  ASSERT_LT(prev.stats().compressed_chunks, prev.chunk_count());
+  EXPECT_EQ(prev.stats().reused_chunks, 0u);
+
+  auto check = [&](const Buffer& content, const proto::ChunkTable& from,
+                   const Buffer& from_content, uint32_t chunk_size,
+                   util::Codec codec, uint32_t want_reused) {
+    const proto::ChunkTable fresh =
+        proto::ChunkTable::build(BytesView(content), chunk_size, codec, 1);
+    const proto::ChunkTable reused = proto::ChunkTable::build(
+        BytesView(content), chunk_size, codec, 1, &from,
+        BytesView(from_content));
+    expect_same_table(reused, fresh);
+    EXPECT_EQ(reused.stats().reused_chunks, want_reused);
+  };
+  {
+    SCOPED_TRACE("identical");
+    check(v1, prev, v1, kChunk, lz, 21);
+  }
+  {
+    SCOPED_TRACE("one chunk changed");
+    Buffer v2 = v1;
+    v2[5 * kChunk + 17] ^= 0x01;
+    check(v2, prev, v1, kChunk, lz, 20);
+  }
+  {
+    SCOPED_TRACE("grown by one chunk");  // the old 500-byte tail grows
+    Buffer v2 = v1;
+    Buffer more = random_bytes(kChunk, 23);
+    v2.insert(v2.end(), more.begin(), more.end());
+    check(v2, prev, v1, kChunk, lz, 20);
+  }
+  {
+    SCOPED_TRACE("shrunk by one chunk");  // chunk 19 becomes the tail
+    Buffer v2(v1.begin(), v1.end() - kChunk);
+    check(v2, prev, v1, kChunk, lz, 19);
+  }
+  {
+    SCOPED_TRACE("different chunk size");
+    check(v1, prev, v1, 2 * kChunk, lz, 0);
+  }
+  {
+    SCOPED_TRACE("different codec");
+    check(v1, prev, v1, kChunk, util::Codec::kRle, 0);
+  }
+  {
+    SCOPED_TRACE("content that is not prev's");
+    Buffer other(v1.begin(), v1.end() - 1);
+    check(v1, prev, other, kChunk, lz, 0);
+  }
+  {
+    SCOPED_TRACE("prev built with 4 threads");
+    const proto::ChunkTable prev4 =
+        proto::ChunkTable::build(BytesView(v1), kChunk, lz, 4);
+    check(v1, prev4, v1, kChunk, lz, 21);
+    Buffer v2 = v1;
+    v2[20 * kChunk] ^= 0x80;  // the tail chunk
+    check(v2, prev4, v1, kChunk, lz, 20);
   }
 }
 
@@ -428,47 +727,47 @@ TEST(ChunkPipelineStoreTest, MultiVictimEvictionKeepsLruOrderAndStats) {
   EXPECT_EQ(*got_d, d);
 }
 
-TEST(ChunkPipelineStoreTest, MatchesReferenceLruUnderRandomTraffic) {
-  // A list-based reference LRU with the same budget and eviction rule;
-  // the store must agree on membership, bytes, stats and contents after
-  // every operation.
-  constexpr size_t kBudget = 4096;
-  proto::ChunkStore store(kBudget);
-  std::vector<Buffer> chunks;
-  for (uint64_t i = 0; i < 40; ++i) {
-    chunks.push_back(random_bytes(64 + (i * 37) % 900, 500 + i));
-  }
+// Drives the store and a list-based reference LRU with the same budget
+// and eviction rule through random finds and puts of chunks[id] under
+// keys[id]; they must agree on membership, bytes, stats and contents
+// after every operation.
+void check_against_reference_lru(const std::vector<Buffer>& chunks,
+                                 const std::vector<uint64_t>& keys,
+                                 size_t budget, int steps, uint64_t seed) {
+  proto::ChunkStore store(budget);
   std::list<size_t> ref;  // chunk ids, front = most recent
+  std::vector<std::list<size_t>::iterator> where(chunks.size(), ref.end());
   size_t ref_bytes = 0;
   proto::ChunkStore::Stats ref_stats;
-  Rng rng(31);
-  for (int step = 0; step < 3000; ++step) {
+  Rng rng(seed);
+  for (int step = 0; step < steps; ++step) {
     const size_t id = rng.next_u64() % chunks.size();
     const Buffer& chunk = chunks[id];
-    const uint64_t key = util::hash64(BytesView(chunk));
-    auto pos = std::find(ref.begin(), ref.end(), id);
+    const bool held = where[id] != ref.end();
     if (rng.next_u64() % 3 == 0) {
-      const Buffer* got = store.find(key);
-      if (pos == ref.end()) {
+      const Buffer* got = store.find(keys[id]);
+      if (!held) {
         ++ref_stats.misses;
         ASSERT_EQ(got, nullptr) << "step " << step;
       } else {
         ++ref_stats.hits;
-        ref.splice(ref.begin(), ref, pos);
+        ref.splice(ref.begin(), ref, where[id]);
         ASSERT_NE(got, nullptr) << "step " << step;
         ASSERT_EQ(*got, chunk) << "step " << step;
       }
     } else {
-      store.put(key, BytesView(chunk));
-      if (pos != ref.end()) {
-        ref.splice(ref.begin(), ref, pos);
+      store.put(keys[id], BytesView(chunk));
+      if (held) {
+        ref.splice(ref.begin(), ref, where[id]);
       } else {
-        while (ref_bytes + chunk.size() > kBudget && !ref.empty()) {
+        while (ref_bytes + chunk.size() > budget && !ref.empty()) {
           ref_bytes -= chunks[ref.back()].size();
+          where[ref.back()] = ref.end();
           ref.pop_back();
           ++ref_stats.evictions;
         }
         ref.push_front(id);
+        where[id] = ref.begin();
         ref_bytes += chunk.size();
         ++ref_stats.inserts;
       }
@@ -480,6 +779,56 @@ TEST(ChunkPipelineStoreTest, MatchesReferenceLruUnderRandomTraffic) {
     ASSERT_EQ(store.stats().hits, ref_stats.hits);
     ASSERT_EQ(store.stats().misses, ref_stats.misses);
   }
+  // Final sweep: exactly the reference's members are found, with their
+  // bytes (each find refreshes, so sweep least-recent first).
+  for (size_t id = 0; id < chunks.size(); ++id) {
+    if (where[id] == ref.end()) {
+      ASSERT_EQ(store.find(keys[id]), nullptr) << "id " << id;
+    }
+  }
+  for (auto it = ref.rbegin(); it != ref.rend(); ++it) {
+    const Buffer* got = store.find(keys[*it]);
+    ASSERT_NE(got, nullptr) << "id " << *it;
+    ASSERT_EQ(*got, chunks[*it]) << "id " << *it;
+  }
+}
+
+std::vector<uint64_t> content_keys(const std::vector<Buffer>& chunks) {
+  std::vector<uint64_t> keys;
+  for (const Buffer& c : chunks) keys.push_back(util::hash64(BytesView(c)));
+  return keys;
+}
+
+TEST(ChunkPipelineStoreTest, MatchesReferenceLruUnderRandomTraffic) {
+  std::vector<Buffer> chunks;
+  for (uint64_t i = 0; i < 40; ++i) {
+    chunks.push_back(random_bytes(64 + (i * 37) % 900, 500 + i));
+  }
+  check_against_reference_lru(chunks, content_keys(chunks), 4096, 3000, 31);
+}
+
+TEST(ChunkPipelineStoreTest, MatchesReferenceLruWithThousandsOfSmallChunks) {
+  // ~1,500 live chunks: the index doubles from 16 cells to 4,096, and
+  // thousands of evictions run backward-shift deletion across every
+  // part of the table, the wrap from its last cell to its first too.
+  std::vector<Buffer> chunks;
+  for (uint64_t i = 0; i < 2500; ++i) {
+    chunks.push_back(random_bytes(16 + (i * 13) % 65, 9000 + i));
+  }
+  check_against_reference_lru(chunks, content_keys(chunks), 72 * 1024,
+                              40000, 32);
+}
+
+TEST(ChunkPipelineStoreTest, KeysSharingTheirLow32BitsStillMatchReference) {
+  // Chunk keys come from peers; a set that differs only above bit 32
+  // must neither break the index nor change what the store holds.
+  std::vector<Buffer> chunks;
+  std::vector<uint64_t> keys;
+  for (uint64_t i = 0; i < 600; ++i) {
+    chunks.push_back(random_bytes(32 + i % 40, 7000 + i));
+    keys.push_back((i << 32) | 0x5EEDF00Dull);
+  }
+  check_against_reference_lru(chunks, keys, 12 * 1024, 12000, 33);
 }
 
 // --- parallel_for -----------------------------------------------------------

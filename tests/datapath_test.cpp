@@ -411,8 +411,8 @@ TEST(SteadyStateDeliveryTest, WarmRemoteGpsFixDeliveryAllocatesNothing) {
 // --- bulk path ---------------------------------------------------------------
 
 TEST(BulkPathAllocTest, WarmChunkStorePutAllocatesNothing) {
-  // Once the store is full, each insert recycles the LRU victim's map
-  // node, list node and buffer; mixed sizes evict one or several.
+  // Once the store is full, each insert recycles the LRU victim's slot
+  // and buffer; mixed sizes evict one or several.
   proto::ChunkStore store(8 * 1024);
   std::vector<Buffer> chunks;
   for (uint32_t i = 0; i < 64; ++i) {

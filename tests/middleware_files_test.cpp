@@ -339,6 +339,52 @@ TEST(FilesTest, EditedRepublishTransfersOnlyTheDelta) {
   EXPECT_LT(domain.network().stats().bytes_sent, 5000u);
 }
 
+TEST(FilesTest, RepublishReusesThePreviousRevisionsChunks) {
+  SimDomain domain(63);
+  auto& n1 = domain.add_node("pub");
+  auto pub = std::make_unique<FilePublisher>();
+  auto* pub_ptr = pub.get();
+  (void)n1.add_service(std::move(pub));
+  auto& n2 = domain.add_node("sub");
+  auto sub = std::make_unique<FileConsumer>("c", "res.reuse");
+  auto* sub_ptr = sub.get();
+  (void)n2.add_service(std::move(sub));
+  domain.start_all();
+  domain.run_for(milliseconds(300));
+
+  // Half compressible, half noise: reuse must carry both the kept
+  // compressed payloads and the ship-raw decisions.
+  Buffer content(10000, 0x42);
+  for (size_t i = 0; i < content.size(); ++i) {
+    content[i] = static_cast<uint8_t>(i / 97);
+  }
+  Buffer noise = blob(10000, 5);
+  content.insert(content.end(), noise.begin(), noise.end());
+  const uint64_t chunks = (content.size() + 1023) / 1024;
+  const auto& stats = domain.container(0).stats();
+  ASSERT_TRUE(pub_ptr->publish("res.reuse", content).is_ok());
+  EXPECT_EQ(stats.file_chunks_reused, 0u);  // nothing to reuse yet
+  domain.run_for(seconds(3.0));
+  ASSERT_EQ(sub_ptr->completions.size(), 1u);
+
+  // Identical republish: every chunk comes from revision 1.
+  ASSERT_TRUE(pub_ptr->publish("res.reuse", content).is_ok());
+  EXPECT_EQ(stats.file_chunks_reused, chunks);
+  domain.run_for(seconds(3.0));
+  ASSERT_EQ(sub_ptr->completions.size(), 2u);
+  EXPECT_EQ(sub_ptr->completions[1].second, content);
+
+  // One edited chunk is rebuilt; the rest are reused again.
+  Buffer edited = content;
+  for (size_t i = 3072; i < 4096; ++i) edited[i] ^= 0x5A;
+  ASSERT_TRUE(pub_ptr->publish("res.reuse", edited).is_ok());
+  EXPECT_EQ(stats.file_chunks_reused, chunks + chunks - 1);
+  domain.run_for(seconds(3.0));
+  ASSERT_EQ(sub_ptr->completions.size(), 3u);
+  EXPECT_EQ(sub_ptr->completions[2].first.revision, 3u);
+  EXPECT_EQ(sub_ptr->completions[2].second, edited);
+}
+
 TEST(FilesTest, PublisherOwnershipEnforced) {
   SimDomain domain(59);
   auto& n1 = domain.add_node("n");

@@ -680,8 +680,10 @@ TEST_P(LiveBackendTest, ConcurrentSendersAndBindChurnNoMisroute) {
       << "datagram delivered to a handler with the wrong tag";
   EXPECT_GT(stable_got.load(), 50);
   // Unbind barrier: after unbind() returns no further deliveries occur.
-  int snapshot = stable_got.load();
+  // The snapshot is taken after unbind() returns: a datagram the senders
+  // left in flight may still land while unbind() runs.
   rx->unbind(kStable);
+  const int snapshot = stable_got.load();
   Buffer pay = tagged_payload(kStable);
   for (int i = 0; i < 3; ++i) {
     (void)tx->send(kSrc, Address{base.host, kStable}, as_bytes_view(pay));
