@@ -188,50 +188,46 @@ ModelResult run_broker(int sensors, int consumers) {
   return result;
 }
 
-void report(benchmark::State& state, const ModelResult& result, int sensors,
-            int consumers) {
+void put(Report& report, const std::string& point, const ModelResult& result,
+         int sensors, int consumers) {
   double expected =
       static_cast<double>(sensors) * kSamplesPerSensor * consumers;
-  state.counters["wire_KB"] = static_cast<double>(result.wire_bytes) / 1024.0;
-  state.counters["delivered_pct"] =
+  report[point + ".wire_KB"] = static_cast<double>(result.wire_bytes) / 1024.0;
+  report[point + ".delivered_pct"] =
       100.0 * static_cast<double>(result.delivered) / expected;
-  state.counters["bytes_per_delivery"] =
-      result.delivered
-          ? static_cast<double>(result.wire_bytes) /
-                static_cast<double>(result.delivered)
-          : 0.0;
+  report[point + ".bytes_per_delivery"] =
+      result.delivered ? static_cast<double>(result.wire_bytes) /
+                             static_cast<double>(result.delivered)
+                       : 0.0;
   if (result.broker_forwards) {
-    state.counters["broker_forwards"] =
+    report[point + ".broker_forwards"] =
         static_cast<double>(result.broker_forwards);
   }
 }
 
-void BM_DdsMiddleware(benchmark::State& state) {
-  int sensors = static_cast<int>(state.range(0));
-  int consumers = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    report(state, run_dds(sensors, consumers), sensors, consumers);
-  }
-}
-BENCHMARK(BM_DdsMiddleware)->ArgsProduct({{2, 4}, {2, 4, 8}})->Iterations(1);
-
-void BM_PointToPoint(benchmark::State& state) {
-  int sensors = static_cast<int>(state.range(0));
-  int consumers = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    report(state, run_p2p(sensors, consumers), sensors, consumers);
-  }
-}
-BENCHMARK(BM_PointToPoint)->ArgsProduct({{2, 4}, {2, 4, 8}})->Iterations(1);
-
-void BM_ClientServerBroker(benchmark::State& state) {
-  int sensors = static_cast<int>(state.range(0));
-  int consumers = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    report(state, run_broker(sensors, consumers), sensors, consumers);
-  }
-}
-BENCHMARK(BM_ClientServerBroker)->ArgsProduct({{2, 4}, {2, 4, 8}})->Iterations(1);
-
 }  // namespace
+
+void comm_models(Report& report) {
+  for (int sensors : {2, 4}) {
+    for (int consumers : {2, 4, 8}) {
+      const std::string sc =
+          "_s" + std::to_string(sensors) + "_c" + std::to_string(consumers);
+      put(report, "c10.dds" + sc, run_dds(sensors, consumers), sensors,
+          consumers);
+      put(report, "c10.p2p" + sc, run_p2p(sensors, consumers), sensors,
+          consumers);
+      put(report, "c10.broker" + sc, run_broker(sensors, consumers), sensors,
+          consumers);
+    }
+  }
+  // The claim: under multicast pub/sub the per-delivery cost falls with
+  // fan-out, while p2p stays flat and the broker pays two hops.
+  report["c10.claim.p2p_over_dds_s4_c8"] =
+      report["c10.p2p_s4_c8.bytes_per_delivery"] /
+      report["c10.dds_s4_c8.bytes_per_delivery"];
+  report["c10.claim.broker_over_p2p_s4_c8"] =
+      report["c10.broker_s4_c8.bytes_per_delivery"] /
+      report["c10.p2p_s4_c8.bytes_per_delivery"];
+}
+
 }  // namespace marea::bench

@@ -10,7 +10,6 @@
 // explodes (head-of-line blocking + coarse RTO).
 #include "bench_util.h"
 
-#include "protocol/arq.h"
 #include "transport/sim_transport.h"
 #include "transport/tcp_model.h"
 
@@ -21,14 +20,10 @@ constexpr int kMessages = 300;
 constexpr size_t kPayload = 200;
 constexpr Duration kGap = milliseconds(5);
 
-struct RunResult {
-  LatencyStats latency;
-  uint64_t wire_bytes = 0;
-  uint64_t delivered = 0;
-};
+}  // namespace
 
 // (a) middleware ARQ between two raw nodes.
-RunResult run_arq(double loss) {
+ReliableRun run_arq(double loss, const proto::ArqParams& params) {
   sim::Simulator sim;
   sim::SimNetwork net(sim, Rng(7));
   sched::SimExecutor exec(sim);
@@ -38,11 +33,11 @@ RunResult run_arq(double loss) {
   lp.loss = loss;
   net.set_link_symmetric(a, b, lp);
 
-  RunResult result;
+  ReliableRun result;
   std::vector<TimePoint> sent_at(kMessages);
 
   proto::ArqSender sender(
-      exec, sched::Priority::kEvent, proto::ArqParams{},
+      exec, sched::Priority::kEvent, params,
       [&](const proto::ReliableDataMsg& msg) {
         ByteWriter w;
         msg.encode(w);
@@ -85,8 +80,10 @@ RunResult run_arq(double loss) {
   return result;
 }
 
+namespace {
+
 // (b) TCP model on the identical link.
-RunResult run_tcp(double loss) {
+ReliableRun run_tcp(double loss) {
   sim::Simulator sim;
   sim::SimNetwork net(sim, Rng(7));
   sim::NodeId a = net.add_node("a");
@@ -96,7 +93,7 @@ RunResult run_tcp(double loss) {
   net.set_link_symmetric(a, b, lp);
   transport::SimTransport ta(net, a), tb(net, b);
 
-  RunResult result;
+  ReliableRun result;
   std::vector<TimePoint> sent_at(kMessages);
 
   transport::TcpModelEndpoint peer_b(
@@ -125,25 +122,29 @@ RunResult run_tcp(double loss) {
   return result;
 }
 
-void report(benchmark::State& state, const RunResult& result) {
-  state.counters["mean_us"] = result.latency.mean();
-  state.counters["p99_us"] = result.latency.percentile(0.99);
-  state.counters["max_us"] = result.latency.max();
-  state.counters["delivered"] = static_cast<double>(result.delivered);
-  state.counters["wire_bytes"] = static_cast<double>(result.wire_bytes);
+void put(Report& report, const std::string& point, const ReliableRun& result) {
+  report[point + ".mean_us"] = result.latency.mean();
+  report[point + ".p99_us"] = result.latency.percentile(0.99);
+  report[point + ".max_us"] = result.latency.max();
+  report[point + ".delivered"] = static_cast<double>(result.delivered);
+  report[point + ".wire_bytes"] = static_cast<double>(result.wire_bytes);
 }
-
-void BM_MiddlewareArq(benchmark::State& state) {
-  double loss = static_cast<double>(state.range(0)) / 100.0;
-  for (auto _ : state) report(state, run_arq(loss));
-}
-BENCHMARK(BM_MiddlewareArq)->Arg(0)->Arg(5)->Arg(10)->Arg(20)->Arg(30)->Iterations(1);
-
-void BM_TcpStack(benchmark::State& state) {
-  double loss = static_cast<double>(state.range(0)) / 100.0;
-  for (auto _ : state) report(state, run_tcp(loss));
-}
-BENCHMARK(BM_TcpStack)->Arg(0)->Arg(5)->Arg(10)->Arg(20)->Arg(30)->Iterations(1);
 
 }  // namespace
+
+void event_reliability(Report& report) {
+  for (int loss_pct : {0, 5, 10, 20, 30}) {
+    const double loss = loss_pct / 100.0;
+    const std::string pct = std::to_string(loss_pct);
+    put(report, "c3.arq_loss" + pct, run_arq(loss, proto::ArqParams{}));
+    put(report, "c3.tcp_loss" + pct, run_tcp(loss));
+  }
+  // The claim: per-message selective repeat beats TCP's ordered stream
+  // under loss, in latency and in wire bytes.
+  report["c3.claim.tcp_over_arq_mean_30"] =
+      report["c3.tcp_loss30.mean_us"] / report["c3.arq_loss30.mean_us"];
+  report["c3.claim.tcp_over_arq_wire_30"] =
+      report["c3.tcp_loss30.wire_bytes"] / report["c3.arq_loss30.wire_bytes"];
+}
+
 }  // namespace marea::bench

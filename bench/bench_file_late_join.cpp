@@ -16,6 +16,7 @@ namespace {
 struct JoinResult {
   uint64_t total_chunks_sent = 0;
   uint64_t base_chunks = 0;
+  bool late_done = false;
   double late_completion_ms = 0;
 };
 
@@ -84,28 +85,34 @@ JoinResult run(int join_pct) {
   result.total_chunks_sent =
       domain.network().node_stats(domain.node_id(0)).packets_sent;
   if (late_ptr->done_at) {
+    result.late_done = true;
     result.late_completion_ms = (*late_ptr->done_at - join_time).millis();
   }
   domain.stop_all();
   return result;
 }
 
-void BM_LateJoin(benchmark::State& state) {
-  int join_pct = static_cast<int>(state.range(0));
-  for (auto _ : state) {
+}  // namespace
+
+void file_late_join(Report& report) {
+  for (int join_pct : {0, 25, 50, 75}) {
     JoinResult result = run(join_pct);
-    state.counters["join_pct"] = join_pct;
-    state.counters["pub_packets"] =
+    const std::string point = "c5.join_" + std::to_string(join_pct);
+    report[point + ".pub_packets"] =
         static_cast<double>(result.total_chunks_sent);
-    state.counters["base_chunks"] =
-        static_cast<double>(result.base_chunks);
-    state.counters["extra_ratio"] =
+    report[point + ".base_chunks"] = static_cast<double>(result.base_chunks);
+    report[point + ".extra_ratio"] =
         static_cast<double>(result.total_chunks_sent) /
         static_cast<double>(result.base_chunks);
-    state.counters["late_completion_ms"] = result.late_completion_ms;
+    report[point + ".late_done"] = result.late_done ? 1 : 0;
+    report[point + ".late_completion_ms"] = result.late_completion_ms;
   }
+  // The claim: a latecomer costs the prefix it missed (about one packet
+  // per missed chunk over the join-at-0% run), not a second transfer.
+  const double missed_at_50 = report["c5.join_50.base_chunks"] / 2;
+  report["c5.claim.extra_pkts_per_missed_chunk_50"] =
+      (report["c5.join_50.pub_packets"] - report["c5.join_0.pub_packets"]) /
+      missed_at_50;
 }
-BENCHMARK(BM_LateJoin)->Arg(0)->Arg(25)->Arg(50)->Arg(75)->Iterations(1);
 
-}  // namespace
 }  // namespace marea::bench

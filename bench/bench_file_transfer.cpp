@@ -1,7 +1,7 @@
 // Experiment C4 + X12 (paper §4.4): the multicast file-transfer
 // primitive, now with the content-addressed bulk path (ROADMAP item 3).
 //
-// Custom JSON main (no google-benchmark driver), gated by
+// Custom JSON main, gated by
 // scripts/bench_compare.py against bench/baselines/filetransfer.json:
 //
 //   * wire_reduction_pct — per-chunk LZ compression of compressible

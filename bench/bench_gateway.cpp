@@ -22,44 +22,15 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_count.h"
 #include "services/gateway_service.h"
 #include "transport/live_transport.h"
-
-// --- global heap instrumentation (same ground truth as bench_live) ----------
-namespace {
-std::atomic<uint64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](size_t n) { return ::operator new(n); }
-void* operator new(size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n ? n : 1);
-}
-void* operator new[](size_t n, const std::nothrow_t& t) noexcept {
-  return ::operator new(n, t);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace marea::bench {
 namespace {
@@ -165,7 +136,7 @@ SweepResult run_sweep(LiveTransport& egress, SinkSet& sinks, size_t subs,
   lat.reserve(static_cast<size_t>(updates));
 
   GatewayFanout::Stats s0 = fan.stats();
-  const uint64_t allocs0 = g_alloc_count.load(std::memory_order_relaxed);
+  const uint64_t allocs0 = heap_allocs();
   double total_us = 0;
   double max_us = 0;
   for (int i = 0; i < updates; ++i) {
@@ -180,7 +151,7 @@ SweepResult run_sweep(LiveTransport& egress, SinkSet& sinks, size_t subs,
     if (us > max_us) max_us = us;
     lat.push_back(us);
   }
-  const uint64_t allocs1 = g_alloc_count.load(std::memory_order_relaxed);
+  const uint64_t allocs1 = heap_allocs();
   GatewayFanout::Stats s1 = fan.stats();
 
   std::sort(lat.begin(), lat.end());

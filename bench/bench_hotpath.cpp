@@ -16,48 +16,12 @@
 // it to BENCH_hotpath.json at the repo root, the first point of the perf
 // trajectory. Latencies are virtual (simulator) time; samples/sec is
 // wall time of the measured loop.
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 
+#include "alloc_count.h"
 #include "bench_util.h"
 #include "middleware/domain.h"
-
-// --- global heap instrumentation -------------------------------------------
-// Replacing operator new/delete in the binary counts every heap
-// allocation the process makes, including std::function captures and
-// container rehashes — the honest denominator for "allocs per sample".
-
-namespace {
-std::atomic<uint64_t> g_alloc_count{0};
-std::atomic<uint64_t> g_alloc_bytes{0};
-}  // namespace
-
-void* operator new(size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](size_t n) { return ::operator new(n); }
-void* operator new(size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
-  return std::malloc(n ? n : 1);
-}
-void* operator new[](size_t n, const std::nothrow_t& t) noexcept {
-  return ::operator new(n, t);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace marea::bench {
 namespace {
@@ -98,8 +62,8 @@ struct Snapshot {
 
  private:
   void read_heap() {
-    allocs = g_alloc_count.load(std::memory_order_relaxed);
-    alloc_bytes = g_alloc_bytes.load(std::memory_order_relaxed);
+    allocs = heap_allocs();
+    alloc_bytes = heap_bytes();
   }
   static Snapshot read_registry(const obs::MetricsRegistry& reg) {
     Snapshot s;

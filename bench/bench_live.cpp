@@ -28,50 +28,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
-
+#include "alloc_count.h"
 #include "transport/live_transport.h"
-
-// --- global heap instrumentation -------------------------------------------
-// Same ground truth as bench_hotpath: every heap allocation the process
-// makes, on any thread — including the nine poll threads — lands in the
-// per-sample denominator.
-
-namespace {
-std::atomic<uint64_t> g_alloc_count{0};
-std::atomic<uint64_t> g_alloc_bytes{0};
-}  // namespace
-
-void* operator new(size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](size_t n) { return ::operator new(n); }
-void* operator new(size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
-  return std::malloc(n ? n : 1);
-}
-void* operator new[](size_t n, const std::nothrow_t& t) noexcept {
-  return ::operator new(n, t);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace marea::bench {
 namespace {
@@ -120,8 +84,8 @@ struct Snapshot {
 
  private:
   void read_heap() {
-    allocs = g_alloc_count.load(std::memory_order_relaxed);
-    alloc_bytes = g_alloc_bytes.load(std::memory_order_relaxed);
+    allocs = heap_allocs();
+    alloc_bytes = heap_bytes();
   }
   static Snapshot read_registry(const obs::MetricsRegistry& reg) {
     Snapshot s;

@@ -49,37 +49,10 @@ BypassResult run(bool local, Fire fire, size_t payload) {
   return result;
 }
 
-// Event latency local vs remote (events are the latency-critical path).
-void BM_EventLocalBypass(benchmark::State& state) {
-  bool local = state.range(0) == 1;
-  for (auto _ : state) {
-    auto result = run<EventProducer, EventConsumer>(
-        local, [](EventProducer* p) { p->fire(); }, 64);
-    state.counters["latency_us"] = result.latency_us;
-    state.counters["wire_bytes"] = static_cast<double>(result.wire_bytes);
-  }
-}
-BENCHMARK(BM_EventLocalBypass)
-    ->Arg(1)  // local (same container)
-    ->Arg(0)  // remote node
-    ->ArgName("local")->Iterations(1);
-
-void BM_VariableLocalBypass(benchmark::State& state) {
-  bool local = state.range(0) == 1;
-  for (auto _ : state) {
-    auto result = run<VarProducer, VarConsumer>(
-        local, [](VarProducer* p) { p->push(); }, 64);
-    state.counters["latency_us"] = result.latency_us;
-    state.counters["wire_bytes"] = static_cast<double>(result.wire_bytes);
-  }
-}
-BENCHMARK(BM_VariableLocalBypass)->Arg(1)->Arg(0)->ArgName("local")->Iterations(1);
-
 // File resource: a 512 KiB image delivered to a co-located vs remote
 // subscriber (the §4.4 bypass in the container).
-void BM_FileLocalBypass(benchmark::State& state) {
-  bool local = state.range(0) == 1;
-  const size_t kBytes = 512 * 1024;
+BypassResult run_file(bool local) {
+  static constexpr size_t kBytes = 512 * 1024;
 
   class FilePub final : public mw::Service {
    public:
@@ -106,37 +79,48 @@ void BM_FileLocalBypass(benchmark::State& state) {
     std::optional<TimePoint> done_at;
   };
 
-  for (auto _ : state) {
-    mw::SimDomain domain(14);
-    auto& n1 = domain.add_node("pub");
-    auto pub = std::make_unique<FilePub>();
-    auto* pub_ptr = pub.get();
-    (void)n1.add_service(std::move(pub));
-    FileSub* sub_ptr = nullptr;
-    if (local) {
-      auto sub = std::make_unique<FileSub>();
-      sub_ptr = sub.get();
-      (void)n1.add_service(std::move(sub));
-    } else {
-      auto& n2 = domain.add_node("sub");
-      auto sub = std::make_unique<FileSub>();
-      sub_ptr = sub.get();
-      (void)n2.add_service(std::move(sub));
-    }
-    domain.start_all();
-    domain.run_for(seconds(1.0));
-    domain.network().reset_stats();
-    pub_ptr->publish();
-    domain.run_for(seconds(30.0));
-    state.counters["delivery_ms"] =
-        sub_ptr->done_at ? (*sub_ptr->done_at - pub_ptr->publish_at).millis()
-                         : -1.0;
-    state.counters["wire_bytes"] =
-        static_cast<double>(domain.network().stats().bytes_sent);
-    domain.stop_all();
-  }
+  mw::SimDomain domain(14);
+  auto& n1 = domain.add_node("pub");
+  auto pub = std::make_unique<FilePub>();
+  auto* pub_ptr = pub.get();
+  (void)n1.add_service(std::move(pub));
+  auto sub = std::make_unique<FileSub>();
+  auto* sub_ptr = sub.get();
+  (void)(local ? n1 : domain.add_node("sub")).add_service(std::move(sub));
+  domain.start_all();
+  domain.run_for(seconds(1.0));
+  domain.network().reset_stats();
+  pub_ptr->publish();
+  domain.run_for(seconds(30.0));
+  BypassResult result;
+  // Delivery time in microseconds like the other primitives; -1 = never.
+  result.latency_us =
+      sub_ptr->done_at ? (*sub_ptr->done_at - pub_ptr->publish_at).micros()
+                       : -1.0;
+  result.wire_bytes = domain.network().stats().bytes_sent;
+  domain.stop_all();
+  return result;
 }
-BENCHMARK(BM_FileLocalBypass)->Arg(1)->Arg(0)->ArgName("local")->Iterations(1);
 
 }  // namespace
+
+void local_bypass(Report& report) {
+  for (bool local : {true, false}) {
+    const std::string where = local ? "local" : "remote";
+    auto put = [&](const std::string& primitive, const BypassResult& r) {
+      const std::string point = "f2." + where + "_" + primitive;
+      report[point + ".latency_us"] = r.latency_us;
+      report[point + ".wire_bytes"] = static_cast<double>(r.wire_bytes);
+    };
+    // Events are the latency-critical path.
+    auto event = run<EventProducer, EventConsumer>(
+        local, [](EventProducer* p) { p->fire(); }, 64);
+    put("event", event);
+    auto variable = run<VarProducer, VarConsumer>(
+        local, [](VarProducer* p) { p->push(); }, 64);
+    put("variable", variable);
+    put("file", run_file(local));
+  }
+}
+
 }  // namespace marea::bench

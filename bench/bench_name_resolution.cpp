@@ -4,110 +4,82 @@
 // Three regimes:
 //   warm   — the name is in the directory cache (hello already absorbed):
 //            resolution is a local lookup (wall nanoseconds, measured by
-//            google-benchmark directly);
+//            bench_wire_codec);
 //   cold   — the name is unknown: a NameQuery/hello exchange crosses the
 //            network (virtual-time milliseconds);
 //   invalidated — the provider died; resolution falls to the next
 //            redundant provider after cache invalidation.
 #include "bench_util.h"
 
-#include "middleware/directory.h"
-
 namespace marea::bench {
 namespace {
 
-// Warm path: pure directory lookup cost at various directory sizes.
-void BM_WarmCacheLookup(benchmark::State& state) {
-  int entries = static_cast<int>(state.range(0));
-  mw::NameDirectory dir;
-  proto::ContainerHelloMsg hello;
-  hello.data_port = 4500;
-  for (int i = 0; i < entries; ++i) {
-    proto::ServiceInfo svc;
-    svc.name = "svc" + std::to_string(i);
-    svc.state = proto::ServiceState::kRunning;
-    svc.items.push_back(proto::ProvidedItem{
-        proto::ItemKind::kVariable, "var." + std::to_string(i), 0, 0, 0});
-    hello.services.push_back(std::move(svc));
-  }
-  dir.apply_hello(1, transport::Address{1, 4500}, hello, TimePoint{});
-  std::string target = "var." + std::to_string(entries / 2);
-  for (auto _ : state) {
-    auto rec = dir.resolve(proto::ItemKind::kVariable, target);
-    benchmark::DoNotOptimize(rec);
-  }
-  state.counters["entries"] = entries;
-  state.counters["hit_rate"] =
-      static_cast<double>(dir.stats().hits) /
-      static_cast<double>(dir.stats().hits + dir.stats().misses);
-}
-BENCHMARK(BM_WarmCacheLookup)->Arg(10)->Arg(100)->Arg(1000);
-
 // Cold path: time from subscribe to first delivery when the provider's
 // manifest is not yet cached (forces query + announce + bind).
-void BM_ColdResolution(benchmark::State& state) {
-  for (auto _ : state) {
-    mw::SimDomain domain(17);
-    auto& n1 = domain.add_node("producer");
-    auto prod = std::make_unique<VarProducer>(32);
-    auto* prod_ptr = prod.get();
-    (void)n1.add_service(std::move(prod));
-    domain.start_all();
-    domain.run_for(seconds(1.0));
-    prod_ptr->push();
-    domain.run_for(milliseconds(100));
+void cold_resolution(Report& report) {
+  mw::SimDomain domain(17);
+  auto& n1 = domain.add_node("producer");
+  auto prod = std::make_unique<VarProducer>(32);
+  auto* prod_ptr = prod.get();
+  (void)n1.add_service(std::move(prod));
+  domain.start_all();
+  domain.run_for(seconds(1.0));
+  prod_ptr->push();
+  domain.run_for(milliseconds(100));
 
-    // Late subscriber: its directory starts empty (cold).
-    auto& n2 = domain.add_node("late");
-    auto cons = std::make_unique<VarConsumer>();
-    auto* cons_ptr = cons.get();
-    (void)n2.add_service(std::move(cons));
-    TimePoint t0 = domain.sim().now();
-    (void)n2.start();
-    // Run until first delivery.
-    while (cons_ptr->received == 0 && domain.sim().now() - t0 < seconds(5.0)) {
-      domain.run_for(milliseconds(5));
-    }
-    state.counters["cold_bind_ms"] = (domain.sim().now() - t0).millis();
-    state.counters["queries_sent"] =
-        static_cast<double>(domain.container(1).stats().name_queries_sent);
-    domain.stop_all();
+  // Late subscriber: its directory starts empty (cold).
+  auto& n2 = domain.add_node("late");
+  auto cons = std::make_unique<VarConsumer>();
+  auto* cons_ptr = cons.get();
+  (void)n2.add_service(std::move(cons));
+  TimePoint t0 = domain.sim().now();
+  (void)n2.start();
+  // Run until first delivery.
+  while (cons_ptr->received == 0 && domain.sim().now() - t0 < seconds(5.0)) {
+    domain.run_for(milliseconds(5));
   }
+  report["c8.cold.bind_ms"] = (domain.sim().now() - t0).millis();
+  report["c8.cold.queries_sent"] =
+      static_cast<double>(domain.container(1).stats().name_queries_sent);
+  domain.stop_all();
 }
-BENCHMARK(BM_ColdResolution)->Iterations(1);
 
 // Invalidation path: provider dies; how long until reads bind to the
 // redundant provider.
-void BM_InvalidationRebind(benchmark::State& state) {
-  for (auto _ : state) {
-    mw::SimDomain domain(18);
-    auto& n1 = domain.add_node("primary");
-    (void)n1.add_service(std::make_unique<EchoServer>());
-    auto& n2 = domain.add_node("backup");
-    (void)n2.add_service(std::make_unique<EchoServer>());
-    auto& n3 = domain.add_node("client");
-    auto client = std::make_unique<EchoClient>(32);
-    auto* client_ptr = client.get();
-    (void)n3.add_service(std::move(client));
-    domain.start_all();
-    domain.run_for(seconds(1.0));
+void invalidation_rebind(Report& report) {
+  mw::SimDomain domain(18);
+  auto& n1 = domain.add_node("primary");
+  (void)n1.add_service(std::make_unique<EchoServer>());
+  auto& n2 = domain.add_node("backup");
+  (void)n2.add_service(std::make_unique<EchoServer>());
+  auto& n3 = domain.add_node("client");
+  auto client = std::make_unique<EchoClient>(32);
+  auto* client_ptr = client.get();
+  (void)n3.add_service(std::move(client));
+  domain.start_all();
+  domain.run_for(seconds(1.0));
 
-    domain.kill_node(0);
-    TimePoint kill_time = domain.sim().now();
-    // Poll with calls until one succeeds again.
-    uint64_t target = client_ptr->completed + 1;
-    while (client_ptr->completed < target &&
-           domain.sim().now() - kill_time < seconds(10.0)) {
-      client_ptr->invoke();
-      domain.run_for(milliseconds(20));
-    }
-    state.counters["rebind_ms"] = (domain.sim().now() - kill_time).millis();
-    state.counters["invalidations"] = static_cast<double>(
-        domain.container(2).directory().stats().invalidations);
-    domain.stop_all();
+  domain.kill_node(0);
+  TimePoint kill_time = domain.sim().now();
+  // Poll with calls until one succeeds again.
+  uint64_t target = client_ptr->completed + 1;
+  while (client_ptr->completed < target &&
+         domain.sim().now() - kill_time < seconds(10.0)) {
+    client_ptr->invoke();
+    domain.run_for(milliseconds(20));
   }
+  report["c8.invalidation.rebind_ms"] =
+      (domain.sim().now() - kill_time).millis();
+  report["c8.invalidation.invalidations"] = static_cast<double>(
+      domain.container(2).directory().stats().invalidations);
+  domain.stop_all();
 }
-BENCHMARK(BM_InvalidationRebind)->Iterations(1);
 
 }  // namespace
+
+void name_resolution(Report& report) {
+  cold_resolution(report);
+  invalidation_rebind(report);
+}
+
 }  // namespace marea::bench

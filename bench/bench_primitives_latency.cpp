@@ -10,89 +10,65 @@
 namespace marea::bench {
 namespace {
 
-void BM_VariableLatency(benchmark::State& state) {
-  const size_t payload = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    mw::SimDomain domain(1);
-    auto& n1 = domain.add_node("producer");
-    auto prod = std::make_unique<VarProducer>(payload);
-    auto* prod_ptr = prod.get();
-    (void)n1.add_service(std::move(prod));
-    auto& n2 = domain.add_node("consumer");
-    auto cons = std::make_unique<VarConsumer>();
-    auto* cons_ptr = cons.get();
-    (void)n2.add_service(std::move(cons));
-    domain.start_all();
-    domain.run_for(seconds(1.0));
-    for (int i = 0; i < 200; ++i) {
-      prod_ptr->push();
-      domain.run_for(milliseconds(5));
-    }
-    domain.run_for(milliseconds(100));
-    state.counters["one_way_us"] = cons_ptr->latency.mean();
-    state.counters["p99_us"] = cons_ptr->latency.percentile(0.99);
-    state.counters["delivered"] =
-        static_cast<double>(cons_ptr->received);
-    domain.stop_all();
+// Two fresh nodes; after discovery, `fire` runs 200 times 5 ms apart.
+template <typename Fire>
+void drive(mw::SimDomain& domain, Fire fire) {
+  domain.start_all();
+  domain.run_for(seconds(1.0));
+  for (int i = 0; i < 200; ++i) {
+    fire();
+    domain.run_for(milliseconds(5));
   }
+  domain.run_for(milliseconds(100));
 }
-BENCHMARK(BM_VariableLatency)->Arg(16)->Arg(256)->Arg(1024)->Iterations(1);
 
-void BM_EventLatency(benchmark::State& state) {
-  const size_t payload = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    mw::SimDomain domain(2);
-    auto& n1 = domain.add_node("producer");
-    auto prod = std::make_unique<EventProducer>(payload);
-    auto* prod_ptr = prod.get();
-    (void)n1.add_service(std::move(prod));
-    auto& n2 = domain.add_node("consumer");
-    auto cons = std::make_unique<EventConsumer>();
-    auto* cons_ptr = cons.get();
-    (void)n2.add_service(std::move(cons));
-    domain.start_all();
-    domain.run_for(seconds(1.0));
-    for (int i = 0; i < 200; ++i) {
-      prod_ptr->fire();
-      domain.run_for(milliseconds(5));
-    }
-    domain.run_for(milliseconds(100));
-    state.counters["one_way_us"] = cons_ptr->latency.mean();
-    state.counters["p99_us"] = cons_ptr->latency.percentile(0.99);
-    state.counters["delivered"] =
-        static_cast<double>(cons_ptr->received);
-    domain.stop_all();
-  }
+template <typename Producer, typename Consumer>
+void one_way(Report& report, const std::string& point, uint64_t seed,
+             size_t payload, void (Producer::*send)()) {
+  mw::SimDomain domain(seed);
+  auto prod = std::make_unique<Producer>(payload);
+  auto* prod_ptr = prod.get();
+  (void)domain.add_node("producer").add_service(std::move(prod));
+  auto cons = std::make_unique<Consumer>();
+  auto* cons_ptr = cons.get();
+  (void)domain.add_node("consumer").add_service(std::move(cons));
+  drive(domain, [&] { (prod_ptr->*send)(); });
+  report[point + ".one_way_us"] = cons_ptr->latency.mean();
+  report[point + ".p99_us"] = cons_ptr->latency.percentile(0.99);
+  report[point + ".delivered"] = static_cast<double>(cons_ptr->received);
+  domain.stop_all();
 }
-BENCHMARK(BM_EventLatency)->Arg(16)->Arg(256)->Arg(1024)->Iterations(1);
 
-void BM_RpcLatency(benchmark::State& state) {
-  const size_t payload = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    mw::SimDomain domain(3);
-    auto& n1 = domain.add_node("server");
-    (void)n1.add_service(std::make_unique<EchoServer>());
-    auto& n2 = domain.add_node("client");
-    auto client = std::make_unique<EchoClient>(payload);
-    auto* client_ptr = client.get();
-    (void)n2.add_service(std::move(client));
-    domain.start_all();
-    domain.run_for(seconds(1.0));
-    for (int i = 0; i < 200; ++i) {
-      client_ptr->invoke();
-      domain.run_for(milliseconds(5));
-    }
-    domain.run_for(milliseconds(100));
-    state.counters["round_trip_us"] = client_ptr->round_trip.mean();
-    // The "function equivalent" of a one-way event is half the round trip.
-    state.counters["one_way_us"] = client_ptr->round_trip.mean() / 2.0;
-    state.counters["p99_rt_us"] = client_ptr->round_trip.percentile(0.99);
-    state.counters["completed"] =
-        static_cast<double>(client_ptr->completed);
-    domain.stop_all();
-  }
+void rpc(Report& report, const std::string& point, size_t payload) {
+  mw::SimDomain domain(3);
+  (void)domain.add_node("server").add_service(std::make_unique<EchoServer>());
+  auto client = std::make_unique<EchoClient>(payload);
+  auto* client_ptr = client.get();
+  (void)domain.add_node("client").add_service(std::move(client));
+  drive(domain, [&] { client_ptr->invoke(); });
+  report[point + ".round_trip_us"] = client_ptr->round_trip.mean();
+  // The "function equivalent" of a one-way event is half the round trip.
+  report[point + ".one_way_us"] = client_ptr->round_trip.mean() / 2.0;
+  report[point + ".p99_rt_us"] = client_ptr->round_trip.percentile(0.99);
+  report[point + ".completed"] = static_cast<double>(client_ptr->completed);
+  domain.stop_all();
 }
-BENCHMARK(BM_RpcLatency)->Arg(16)->Arg(256)->Arg(1024)->Iterations(1);
 
 }  // namespace
+
+void primitives_latency(Report& report) {
+  for (size_t payload : {16, 256, 1024}) {
+    const std::string size = std::to_string(payload);
+    one_way<VarProducer, VarConsumer>(report, "c1.variable_" + size, 1,
+                                      payload, &VarProducer::push);
+    one_way<EventProducer, EventConsumer>(report, "c1.event_" + size, 2,
+                                          payload, &EventProducer::fire);
+    rpc(report, "c1.rpc_" + size, payload);
+  }
+  // The claim: signalling by event costs one one-way trip, the function
+  // equivalent a full request/response.
+  report["c1.claim.rpc_rt_over_event_256"] =
+      report["c1.rpc_256.round_trip_us"] / report["c1.event_256.one_way_us"];
+}
+
 }  // namespace marea::bench

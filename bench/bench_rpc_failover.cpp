@@ -60,74 +60,72 @@ class SteadyCaller final : public mw::Service {
   TimePoint recovery_at{};
 };
 
-void BM_FailoverOutage(benchmark::State& state) {
-  for (auto _ : state) {
-    mw::SimDomain domain(15);
-    auto& n1 = domain.add_node("primary");
-    (void)n1.add_service(std::make_unique<CountingEcho>("echo_a"));
-    auto& n2 = domain.add_node("backup");
-    (void)n2.add_service(std::make_unique<CountingEcho>("echo_b"));
-    auto& n3 = domain.add_node("client");
-    auto caller = std::make_unique<SteadyCaller>();
-    auto* caller_ptr = caller.get();
-    (void)n3.add_service(std::move(caller));
-    domain.start_all();
-    domain.run_for(seconds(2.0));
+void failover(Report& report) {
+  mw::SimDomain domain(15);
+  auto& n1 = domain.add_node("primary");
+  (void)n1.add_service(std::make_unique<CountingEcho>("echo_a"));
+  auto& n2 = domain.add_node("backup");
+  (void)n2.add_service(std::make_unique<CountingEcho>("echo_b"));
+  auto& n3 = domain.add_node("client");
+  auto caller = std::make_unique<SteadyCaller>();
+  auto* caller_ptr = caller.get();
+  (void)n3.add_service(std::move(caller));
+  domain.start_all();
+  domain.run_for(seconds(2.0));
 
-    uint64_t failed_before = caller_ptr->failed;
-    caller_ptr->waiting_recovery = true;
-    TimePoint kill_time = domain.sim().now();
-    domain.kill_node(0);
-    domain.run_for(seconds(5.0));
+  uint64_t failed_before = caller_ptr->failed;
+  caller_ptr->waiting_recovery = true;
+  TimePoint kill_time = domain.sim().now();
+  domain.kill_node(0);
+  domain.run_for(seconds(5.0));
 
-    state.counters["outage_ms"] =
-        (caller_ptr->recovery_at - kill_time).millis();
-    state.counters["calls_failed"] =
-        static_cast<double>(caller_ptr->failed - failed_before);
-    state.counters["calls_ok"] = static_cast<double>(caller_ptr->ok_count);
-    state.counters["failovers"] =
-        static_cast<double>(domain.container(2).stats().rpc_failovers);
-    domain.stop_all();
-  }
+  report["c7.failover.outage_ms"] =
+      (caller_ptr->recovery_at - kill_time).millis();
+  report["c7.failover.calls_failed"] =
+      static_cast<double>(caller_ptr->failed - failed_before);
+  report["c7.failover.calls_ok"] = static_cast<double>(caller_ptr->ok_count);
+  report["c7.failover.failovers"] =
+      static_cast<double>(domain.container(2).stats().rpc_failovers);
+  domain.stop_all();
 }
-BENCHMARK(BM_FailoverOutage)->Iterations(1);
 
-void BM_LoadBalanceSpread(benchmark::State& state) {
-  int providers = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    mw::SimDomain domain(16);
-    std::vector<CountingEcho*> echoes;
-    for (int i = 0; i < providers; ++i) {
-      auto& n = domain.add_node("server" + std::to_string(i));
-      auto e = std::make_unique<CountingEcho>("echo" + std::to_string(i));
-      echoes.push_back(e.get());
-      (void)n.add_service(std::move(e));
-    }
-    auto& nc = domain.add_node("client");
-    auto caller = std::make_unique<SteadyCaller>();
-    (void)nc.add_service(std::move(caller));
-    domain.start_all();
-    domain.run_for(seconds(10.0));
-
-    uint64_t total = 0;
-    uint64_t min_served = UINT64_MAX;
-    uint64_t max_served = 0;
-    for (auto* e : echoes) {
-      total += e->served;
-      min_served = std::min(min_served, e->served);
-      max_served = std::max(max_served, e->served);
-    }
-    state.counters["providers"] = providers;
-    state.counters["calls_total"] = static_cast<double>(total);
-    // 1.0 = perfectly even round robin.
-    state.counters["balance_min_over_max"] =
-        max_served ? static_cast<double>(min_served) /
-                         static_cast<double>(max_served)
-                   : 0.0;
-    domain.stop_all();
+void load_balance(Report& report, int providers) {
+  mw::SimDomain domain(16);
+  std::vector<CountingEcho*> echoes;
+  for (int i = 0; i < providers; ++i) {
+    auto& n = domain.add_node("server" + std::to_string(i));
+    auto e = std::make_unique<CountingEcho>("echo" + std::to_string(i));
+    echoes.push_back(e.get());
+    (void)n.add_service(std::move(e));
   }
+  auto& nc = domain.add_node("client");
+  (void)nc.add_service(std::make_unique<SteadyCaller>());
+  domain.start_all();
+  domain.run_for(seconds(10.0));
+
+  uint64_t total = 0;
+  uint64_t min_served = UINT64_MAX;
+  uint64_t max_served = 0;
+  for (auto* e : echoes) {
+    total += e->served;
+    min_served = std::min(min_served, e->served);
+    max_served = std::max(max_served, e->served);
+  }
+  const std::string point = "c7.providers_" + std::to_string(providers);
+  report[point + ".calls_total"] = static_cast<double>(total);
+  // 1.0 = perfectly even round robin.
+  report[point + ".balance_min_over_max"] =
+      max_served ? static_cast<double>(min_served) /
+                       static_cast<double>(max_served)
+                 : 0.0;
+  domain.stop_all();
 }
-BENCHMARK(BM_LoadBalanceSpread)->Arg(2)->Arg(3)->Arg(5)->Iterations(1);
 
 }  // namespace
+
+void rpc_failover(Report& report) {
+  failover(report);
+  for (int providers : {2, 3, 5}) load_balance(report, providers);
+}
+
 }  // namespace marea::bench

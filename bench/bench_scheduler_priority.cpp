@@ -61,92 +61,88 @@ SchedResult run(bool fifo, bool slots) {
   return result;
 }
 
-void report(benchmark::State& state, const SchedResult& result) {
-  state.counters["event_mean_wait_us"] = result.event_mean_wait_us;
-  state.counters["event_max_wait_us"] = result.event_max_wait_us;
-  state.counters["bulk_mean_wait_us"] = result.bulk_mean_wait_us;
-  state.counters["events_run"] = static_cast<double>(result.events_run);
+void put(Report& report, const std::string& point, const SchedResult& r) {
+  report[point + ".event_mean_wait_us"] = r.event_mean_wait_us;
+  report[point + ".event_max_wait_us"] = r.event_max_wait_us;
+  report[point + ".bulk_mean_wait_us"] = r.bulk_mean_wait_us;
+  report[point + ".events_run"] = static_cast<double>(r.events_run);
 }
-
-void BM_FifoScheduler(benchmark::State& state) {
-  for (auto _ : state) report(state, run(/*fifo=*/true, /*slots=*/false));
-}
-BENCHMARK(BM_FifoScheduler)->Iterations(1);
-
-void BM_PriorityScheduler(benchmark::State& state) {
-  for (auto _ : state) report(state, run(/*fifo=*/false, /*slots=*/false));
-}
-BENCHMARK(BM_PriorityScheduler)->Iterations(1);
-
-void BM_PriorityWithReservedSlots(benchmark::State& state) {
-  for (auto _ : state) report(state, run(/*fifo=*/false, /*slots=*/true));
-}
-BENCHMARK(BM_PriorityWithReservedSlots)->Iterations(1);
 
 // End-to-end variant: real middleware event latency while a file transfer
 // saturates the consumer node, priorities on vs off (fifo).
-void BM_EventLatencyUnderFileLoad(benchmark::State& state) {
-  bool fifo = state.range(0) == 1;
+void under_file_load(Report& report, bool fifo) {
   // Chunk/event handlers cost real CPU on the consumer node (a slow
   // payload computer), so the scheduling policy decides event latency.
   mw::ContainerConfig slow_cpu;
   slow_cpu.handler_cost = microseconds(150);
-  for (auto _ : state) {
-    mw::SimDomain domain(19);
-    auto& n1 = domain.add_node("producer");
-    auto eprod = std::make_unique<EventProducer>(64);
-    auto* eprod_ptr = eprod.get();
-    (void)n1.add_service(std::move(eprod));
-    class FilePub final : public mw::Service {
-     public:
-      FilePub() : Service("fpub") {}
-      Status on_start() override { return Status::ok(); }
-      void publish() {
-        Rng rng(1);
-        Buffer b(1024 * 1024);
-        for (auto& byte : b) byte = static_cast<uint8_t>(rng.next_u64());
-        (void)publish_file("bulk", std::move(b));
-      }
-    };
-    auto fpub = std::make_unique<FilePub>();
-    auto* fpub_ptr = fpub.get();
-    (void)n1.add_service(std::move(fpub));
 
-    auto& n2 = domain.add_node("consumer", slow_cpu);
-    domain.executor(1).set_fifo(fifo);
-    auto econs = std::make_unique<EventConsumer>();
-    auto* econs_ptr = econs.get();
-    (void)n2.add_service(std::move(econs));
-    class FileSub final : public mw::Service {
-     public:
-      FileSub() : Service("fsub") {}
-      Status on_start() override {
-        return subscribe_file("bulk",
-                              [](const proto::FileMeta&, const Buffer&) {});
-      }
-    };
-    (void)n2.add_service(std::make_unique<FileSub>());
-
-    domain.start_all();
-    domain.run_for(seconds(1.0));
-    fpub_ptr->publish();  // kicks off the bulk transfer
-    for (int i = 0; i < 200; ++i) {
-      eprod_ptr->fire();
-      domain.run_for(milliseconds(2));
+  mw::SimDomain domain(19);
+  auto& n1 = domain.add_node("producer");
+  auto eprod = std::make_unique<EventProducer>(64);
+  auto* eprod_ptr = eprod.get();
+  (void)n1.add_service(std::move(eprod));
+  class FilePub final : public mw::Service {
+   public:
+    FilePub() : Service("fpub") {}
+    Status on_start() override { return Status::ok(); }
+    void publish() {
+      Rng rng(1);
+      Buffer b(1024 * 1024);
+      for (auto& byte : b) byte = static_cast<uint8_t>(rng.next_u64());
+      (void)publish_file("bulk", std::move(b));
     }
-    domain.run_for(seconds(5.0));
-    state.counters["event_mean_us"] = econs_ptr->latency.mean();
-    state.counters["event_p99_us"] = econs_ptr->latency.percentile(0.99);
-    state.counters["event_max_us"] = econs_ptr->latency.max();
-    state.counters["delivered"] =
-        static_cast<double>(econs_ptr->received);
-    domain.stop_all();
+  };
+  auto fpub = std::make_unique<FilePub>();
+  auto* fpub_ptr = fpub.get();
+  (void)n1.add_service(std::move(fpub));
+
+  auto& n2 = domain.add_node("consumer", slow_cpu);
+  domain.executor(1).set_fifo(fifo);
+  auto econs = std::make_unique<EventConsumer>();
+  auto* econs_ptr = econs.get();
+  (void)n2.add_service(std::move(econs));
+  class FileSub final : public mw::Service {
+   public:
+    FileSub() : Service("fsub") {}
+    Status on_start() override {
+      return subscribe_file("bulk",
+                            [](const proto::FileMeta&, const Buffer&) {});
+    }
+  };
+  (void)n2.add_service(std::make_unique<FileSub>());
+
+  domain.start_all();
+  domain.run_for(seconds(1.0));
+  fpub_ptr->publish();  // kicks off the bulk transfer
+  for (int i = 0; i < 200; ++i) {
+    eprod_ptr->fire();
+    domain.run_for(milliseconds(2));
   }
+  domain.run_for(seconds(5.0));
+  const std::string point = fifo ? "c9.e2e_fifo" : "c9.e2e_priority";
+  report[point + ".event_mean_us"] = econs_ptr->latency.mean();
+  report[point + ".event_p99_us"] = econs_ptr->latency.percentile(0.99);
+  report[point + ".event_max_us"] = econs_ptr->latency.max();
+  report[point + ".delivered"] = static_cast<double>(econs_ptr->received);
+  domain.stop_all();
 }
-BENCHMARK(BM_EventLatencyUnderFileLoad)
-    ->Arg(1)  // fifo (no priorities)
-    ->Arg(0)  // fixed priorities
-    ->ArgName("fifo")->Iterations(1);
 
 }  // namespace
+
+void scheduler_priority(Report& report) {
+  put(report, "c9.fifo", run(/*fifo=*/true, /*slots=*/false));
+  put(report, "c9.priority", run(/*fifo=*/false, /*slots=*/false));
+  put(report, "c9.slots", run(/*fifo=*/false, /*slots=*/true));
+  under_file_load(report, /*fifo=*/true);
+  under_file_load(report, /*fifo=*/false);
+  // The claim: fixed per-primitive priorities keep events ahead of bulk
+  // work, on the synthetic CPU and end to end under a file transfer.
+  report["c9.claim.fifo_over_priority_event_wait"] =
+      report["c9.fifo.event_mean_wait_us"] /
+      report["c9.priority.event_mean_wait_us"];
+  report["c9.claim.fifo_over_priority_e2e_mean"] =
+      report["c9.e2e_fifo.event_mean_us"] /
+      report["c9.e2e_priority.event_mean_us"];
+}
+
 }  // namespace marea::bench

@@ -1,23 +1,39 @@
-// Shared scaffolding for the experiment benches: tiny services that
-// produce/consume each primitive with virtual-time latency capture.
-//
-// All experiment benches run on the deterministic simulator; wall time
-// measured by google-benchmark is just "how long the sim takes to run" —
-// the scientifically meaningful numbers are exported as counters
-// (virtual-time latencies, wire bytes, retransmissions).
+// Shared scaffolding for the benches: tiny services that produce/consume
+// each primitive with virtual-time latency capture, and the experiment
+// entry points bench_claims runs. Those experiments run on the
+// deterministic simulator and report only virtual time and counts, so
+// two runs agree byte for byte.
 #pragma once
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "encoding/typed.h"
 #include "middleware/domain.h"
+#include "protocol/arq.h"
 
 namespace marea::bench {
+
+// Flat "<id>.<point>.<metric>" -> value; bench_claims prints it as one
+// JSON document (std::map keeps the key order, and so the bytes, stable).
+using Report = std::map<std::string, double>;
+
+// One per experiment file; each runs its sweep and writes its keys.
+void primitives_latency(Report& report);   // C1
+void variable_fanout(Report& report);      // C2
+void event_reliability(Report& report);    // C3
+void file_late_join(Report& report);       // C5
+void local_bypass(Report& report);         // F2 / C6
+void rpc_failover(Report& report);         // C7
+void name_resolution(Report& report);      // C8
+void scheduler_priority(Report& report);   // C9
+void comm_models(Report& report);          // C10
+void scenario(Report& report);             // F3
+void ablation(Report& report);             // A1-A3
 
 struct Payload {
   std::vector<uint8_t> data;
@@ -45,6 +61,18 @@ struct LatencyStats {
                : *std::max_element(samples_us.begin(), samples_us.end());
   }
 };
+
+// One reliable event stream: 300 events of 200 B, 5 ms apart.
+struct ReliableRun {
+  LatencyStats latency;
+  uint64_t wire_bytes = 0;
+  uint64_t delivered = 0;
+};
+
+// C3's middleware-ARQ stream between two raw nodes over a link with
+// `loss` (bench_event_reliability.cpp); ablation A1 reuses it with fast
+// retransmit switched off.
+ReliableRun run_arq(double loss, const proto::ArqParams& params);
 
 // --- minimal bench services -----------------------------------------------------
 

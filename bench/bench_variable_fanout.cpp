@@ -47,25 +47,21 @@ double bytes_per_sample(bool multicast, int subscribers) {
   return static_cast<double>(data_bytes) / kSamples;
 }
 
-void BM_MulticastFanout(benchmark::State& state) {
-  int subscribers = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    state.counters["wire_bytes_per_sample"] =
-        bytes_per_sample(true, subscribers);
-    state.counters["subscribers"] = subscribers;
-  }
-}
-BENCHMARK(BM_MulticastFanout)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Iterations(1);
-
-void BM_UnicastFanout(benchmark::State& state) {
-  int subscribers = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    state.counters["wire_bytes_per_sample"] =
-        bytes_per_sample(false, subscribers);
-    state.counters["subscribers"] = subscribers;
-  }
-}
-BENCHMARK(BM_UnicastFanout)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Iterations(1);
-
 }  // namespace
+
+void variable_fanout(Report& report) {
+  for (int subscribers : {1, 2, 4, 8, 16}) {
+    const std::string n = std::to_string(subscribers);
+    report["c2.multicast_" + n + ".wire_bytes_per_sample"] =
+        bytes_per_sample(true, subscribers);
+    report["c2.unicast_" + n + ".wire_bytes_per_sample"] =
+        bytes_per_sample(false, subscribers);
+  }
+  // The claim: one multicast packet reaches every subscriber, so unicast
+  // costs grow with fan-out and multicast's do not.
+  report["c2.claim.unicast_over_multicast_16"] =
+      report["c2.unicast_16.wire_bytes_per_sample"] /
+      report["c2.multicast_16.wire_bytes_per_sample"];
+}
+
 }  // namespace marea::bench

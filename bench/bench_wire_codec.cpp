@@ -1,11 +1,27 @@
 // Implementation-efficiency microbenchmarks (paper §6 argues a minimal
-// middleware beats heavyweight stacks; these are real wall-clock numbers
-// for the per-message costs on the host CPU): PEPt encode/decode, frame
-// sealing + CRC, typed reflection round trips.
-#include <benchmark/benchmark.h>
+// middleware beats heavyweight stacks; these are real CPU-time numbers
+// for the per-message costs on the host CPU): PEPt encode/decode,
+// framing through proto::FrameBuilder + open_frame (the datapath's
+// framing path), CRC-32, message round trips, and C8's warm directory
+// lookup at 10/100/1000 entries.
+//
+// Each case runs a fixed op count and reports CPU ns/op from
+// CLOCK_PROCESS_CPUTIME_ID, the median of 5 repeats. Every op's result
+// folds into the printed checksum so the compiler cannot drop the work.
+// The numbers vary with the host CPU and are context only: nothing gates
+// them.
+//
+//   ./build/bench/bench_wire_codec > BENCH_wire_codec.json
+#include <time.h>
+
+#include <algorithm>
+#include <array>
+#include <cstdio>
+#include <string>
 
 #include "encoding/codec.h"
 #include "encoding/typed.h"
+#include "middleware/directory.h"
 #include "protocol/frame.h"
 #include "protocol/messages.h"
 #include "services/messages.h"
@@ -15,6 +31,30 @@ namespace marea {
 namespace {
 
 using services::GpsFix;
+
+constexpr int kRepeats = 5;
+uint64_t g_checksum = 0;
+
+double cpu_ns() {
+  timespec ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e9 +
+         static_cast<double>(ts.tv_nsec);
+}
+
+// Median CPU ns/op over kRepeats runs of `ops` calls; `op` returns a
+// value that depends on its work.
+template <typename Op>
+double ns_per_op(int ops, Op op) {
+  std::array<double, kRepeats> runs;
+  for (double& run : runs) {
+    double start = cpu_ns();
+    for (int i = 0; i < ops; ++i) g_checksum += static_cast<uint64_t>(op());
+    run = (cpu_ns() - start) / ops;
+  }
+  std::sort(runs.begin(), runs.end());
+  return runs[kRepeats / 2];
+}
 
 GpsFix sample_fix() {
   GpsFix fix;
@@ -27,81 +67,7 @@ GpsFix sample_fix() {
   return fix;
 }
 
-void BM_EncodeGpsFix(benchmark::State& state) {
-  GpsFix fix = sample_fix();
-  size_t bytes = 0;
-  for (auto _ : state) {
-    auto wire = enc::encode_struct(fix);
-    bytes = wire->size();
-    benchmark::DoNotOptimize(wire);
-  }
-  state.counters["wire_bytes"] = static_cast<double>(bytes);
-}
-BENCHMARK(BM_EncodeGpsFix);
-
-void BM_DecodeGpsFix(benchmark::State& state) {
-  Buffer wire = std::move(enc::encode_struct(sample_fix())).value();
-  for (auto _ : state) {
-    auto fix = enc::decode_struct<GpsFix>(as_bytes_view(wire));
-    benchmark::DoNotOptimize(fix);
-  }
-}
-BENCHMARK(BM_DecodeGpsFix);
-
-void BM_EncodeTagged(benchmark::State& state) {
-  enc::Value v = enc::to_value(sample_fix());
-  for (auto _ : state) {
-    Buffer wire = enc::encode_tagged(v);
-    benchmark::DoNotOptimize(wire);
-  }
-}
-BENCHMARK(BM_EncodeTagged);
-
-void BM_SealOpenFrame(benchmark::State& state) {
-  size_t payload_size = static_cast<size_t>(state.range(0));
-  Buffer payload(payload_size, 0x42);
-  for (auto _ : state) {
-    Buffer frame = proto::seal_frame(
-        proto::FrameHeader{proto::MsgType::kVarSample, 1},
-        as_bytes_view(payload));
-    BytesView body;
-    auto header = proto::open_frame(as_bytes_view(frame), &body);
-    benchmark::DoNotOptimize(header);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(payload_size));
-}
-BENCHMARK(BM_SealOpenFrame)->Arg(64)->Arg(1024)->Arg(16384);
-
-void BM_Crc32(benchmark::State& state) {
-  Buffer data(static_cast<size_t>(state.range(0)), 0xA5);
-  for (auto _ : state) {
-    uint32_t c = crc32(as_bytes_view(data));
-    benchmark::DoNotOptimize(c);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_Crc32)->Arg(1024)->Arg(65536);
-
-void BM_VarSampleMessageRoundTrip(benchmark::State& state) {
-  proto::VarSampleMsg msg;
-  msg.channel = proto::channel_of("gps.position");
-  msg.seq = 12345;
-  msg.pub_time_ns = 987654321;
-  msg.value = std::move(enc::encode_struct(sample_fix())).value();
-  for (auto _ : state) {
-    ByteWriter w;
-    msg.encode(w);
-    ByteReader r(w.view());
-    proto::VarSampleMsg out;
-    bool ok = proto::VarSampleMsg::decode(r, out);
-    benchmark::DoNotOptimize(ok);
-  }
-}
-BENCHMARK(BM_VarSampleMessageRoundTrip);
-
-void BM_ManifestRoundTrip(benchmark::State& state) {
+proto::ContainerHelloMsg sample_manifest() {
   proto::ContainerHelloMsg hello;
   hello.incarnation = 3;
   hello.data_port = 4500;
@@ -118,16 +84,105 @@ void BM_ManifestRoundTrip(benchmark::State& state) {
     }
     hello.services.push_back(std::move(svc));
   }
-  for (auto _ : state) {
+  return hello;
+}
+
+// A directory holding `entries` variables, resolved from the middle.
+double warm_lookup_ns(int entries) {
+  mw::NameDirectory dir;
+  proto::ContainerHelloMsg hello;
+  hello.data_port = 4500;
+  for (int i = 0; i < entries; ++i) {
+    proto::ServiceInfo svc;
+    svc.name = "svc" + std::to_string(i);
+    svc.state = proto::ServiceState::kRunning;
+    svc.items.push_back(proto::ProvidedItem{
+        proto::ItemKind::kVariable, "var." + std::to_string(i), 0, 0, 0});
+    hello.services.push_back(std::move(svc));
+  }
+  dir.apply_hello(1, transport::Address{1, 4500}, hello, TimePoint{});
+  std::string target = "var." + std::to_string(entries / 2);
+  auto lookup = [&] {
+    return dir.resolve(proto::ItemKind::kVariable, target).has_value();
+  };
+  return ns_per_op(200'000, lookup);
+}
+
+void print(const char* key, double value) {
+  std::printf("  \"%s\": %.1f,\n", key, value);
+}
+
+int run() {
+  const GpsFix fix = sample_fix();
+  const Buffer fix_wire = std::move(enc::encode_struct(fix)).value();
+  const enc::Value fix_value = enc::to_value(fix);
+
+  std::printf("{\n  \"bench\": \"wire_codec\",\n");
+  std::printf("  \"repeats\": %d,\n", kRepeats);
+  print("gps_fix_wire_bytes", static_cast<double>(fix_wire.size()));
+  auto encode = [&] { return enc::encode_struct(fix)->size(); };
+  print("encode_gps_fix_ns", ns_per_op(100'000, encode));
+  auto decode = [&] {
+    return enc::decode_struct<GpsFix>(as_bytes_view(fix_wire))->time_ns;
+  };
+  print("decode_gps_fix_ns", ns_per_op(100'000, decode));
+  auto encode_tagged = [&] { return enc::encode_tagged(fix_value).size(); };
+  print("encode_tagged_ns", ns_per_op(100'000, encode_tagged));
+
+  FramePool pool;
+  for (size_t bytes : {64, 1024, 16384}) {
+    const Buffer payload(bytes, 0x42);
+    auto build_and_open = [&] {
+      proto::FrameBuilder builder(
+          pool, proto::FrameHeader{proto::MsgType::kVarSample, 1});
+      builder.payload().bytes(as_bytes_view(payload));
+      SharedFrame frame = std::move(builder).seal();
+      BytesView body;
+      return proto::open_frame(frame.view(), &body).ok() + body.size();
+    };
+    const std::string key = "frame_build_open_" + std::to_string(bytes) + "_ns";
+    print(key.c_str(),
+          ns_per_op(bytes > 1024 ? 10'000 : 100'000, build_and_open));
+  }
+  for (size_t bytes : {1024, 65536}) {
+    const Buffer data(bytes, 0xA5);
+    auto crc = [&] { return crc32(as_bytes_view(data)); };
+    const std::string key = "crc32_" + std::to_string(bytes) + "_ns";
+    print(key.c_str(), ns_per_op(bytes > 1024 ? 10'000 : 200'000, crc));
+  }
+
+  proto::VarSampleMsg sample;
+  sample.channel = proto::channel_of("gps.position");
+  sample.seq = 12345;
+  sample.pub_time_ns = 987654321;
+  sample.value = std::move(enc::encode_struct(fix)).value();
+  auto sample_round_trip = [&] {
+    ByteWriter w;
+    sample.encode(w);
+    ByteReader r(w.view());
+    proto::VarSampleMsg out;
+    return proto::VarSampleMsg::decode(r, out) + out.seq;
+  };
+  print("var_sample_round_trip_ns", ns_per_op(100'000, sample_round_trip));
+  const proto::ContainerHelloMsg hello = sample_manifest();
+  auto manifest_round_trip = [&] {
     ByteWriter w;
     hello.encode(w);
     ByteReader r(w.view());
     proto::ContainerHelloMsg out;
-    bool ok = proto::ContainerHelloMsg::decode(r, out);
-    benchmark::DoNotOptimize(ok);
+    return proto::ContainerHelloMsg::decode(r, out) + out.services.size();
+  };
+  print("manifest_round_trip_ns", ns_per_op(10'000, manifest_round_trip));
+  for (int entries : {10, 100, 1000}) {
+    const std::string key = "warm_lookup_" + std::to_string(entries) + "_ns";
+    print(key.c_str(), warm_lookup_ns(entries));
   }
+  std::printf("  \"checksum\": %llu\n}\n",
+              static_cast<unsigned long long>(g_checksum));
+  return 0;
 }
-BENCHMARK(BM_ManifestRoundTrip);
 
 }  // namespace
 }  // namespace marea
+
+int main() { return marea::run(); }

@@ -3,39 +3,32 @@
 
 Usage: bench_compare.py BASELINE.json CURRENT.json
 
-Two gate vocabularies, selected by the baseline file:
+Every baseline carries a "gates" object describing how each key is
+judged (a baseline without one is rejected, exit 2):
 
-1. Baseline-embedded "gates" (bench/baselines/fleet.json): the baseline
-   carries a "gates" object describing how each key is judged:
+  "gates": {
+    "engine_ring_events_per_sec": {"direction": "higher",
+                                   "tolerance": 0.60},
+    "fleet64_speedup": {"direction": "higher", "min": 2.0}
+  }
 
-     "gates": {
-       "engine_ring_events_per_sec": {"direction": "higher",
-                                      "tolerance": 0.60},
-       "fleet64_speedup": {"direction": "higher", "min": 2.0}
-     }
-
-   * direction: "lower" (default) — current must not exceed
-     baseline * (1 + tolerance); "higher" — current must not fall below
-     baseline * (1 - tolerance). Throughput keys use "higher" with a
-     generous tolerance since wall clock varies across machines.
-   * tolerance: relative headroom, default 0.10.
-   * min: absolute floor (direction "higher") or ceiling ("lower")
-     applied INSTEAD of the relative band when the baseline value is
-     null — e.g. a speedup target recorded on a single-core box.
-   * require_in_ci: a gated key whose CURRENT value is null (or
-     missing) is normally skipped with a note — the bench declared it
-     unmeasurable in this environment (a laptop without enough cores).
-     With require_in_ci, that skip becomes a FAILURE when $CI is set:
-     the CI runner is contractually multi-core, so "unmeasurable" there
-     means the runner shrank and the multi-thread gate silently stopped
-     engaging. Local runs still skip cleanly.
-
-2. Legacy fixed gates (hotpath/live baselines, no "gates" key): the two
-   zero-copy datapath metrics below at 10% headroom; a zero baseline
-   gets no headroom (any copy is a regression).
-
-     * heap_allocs_per_sample
-     * net_payload_bytes_copied_per_sample
+* direction: "lower" (default) — current must not exceed
+  baseline * (1 + tolerance); "higher" — current must not fall below
+  baseline * (1 - tolerance). Throughput keys use "higher" with a
+  generous tolerance since wall clock varies across machines. A zero
+  "lower" baseline gets no headroom (any copy is a regression).
+* tolerance: relative headroom, default 0.10.
+* min: absolute floor (direction "higher") or ceiling ("lower")
+  applied INSTEAD of the relative band when the baseline value is
+  null — e.g. a speedup target recorded on a single-core box, or a
+  paper claim's shape (bench/baselines/claims.json).
+* require_in_ci: a gated key whose CURRENT value is null (or
+  missing) is normally skipped with a note — the bench declared it
+  unmeasurable in this environment (a laptop without enough cores).
+  With require_in_ci, that skip becomes a FAILURE when $CI is set:
+  the CI runner is contractually multi-core, so "unmeasurable" there
+  means the runner shrank and the multi-thread gate silently stopped
+  engaging. Local runs still skip cleanly.
 
 A current run marked {"skipped": true} (bench_live on a sandbox that
 forbids loopback sockets) passes with a note: an environment limitation
@@ -45,11 +38,6 @@ is not a perf regression.
 import json
 import os
 import sys
-
-LEGACY_GATED = {
-    "heap_allocs_per_sample": 0.10,
-    "net_payload_bytes_copied_per_sample": 0.10,
-}
 
 CONTEXT = [
     "delivered_per_sample",
@@ -135,6 +123,12 @@ def main() -> int:
     with open(sys.argv[2]) as f:
         current = json.load(f)
 
+    gates = baseline.get("gates")
+    if gates is None:
+        print(f"bench_compare: {sys.argv[1]} has no \"gates\" object — "
+              "nothing to judge against", file=sys.stderr)
+        return 2
+
     if current.get("skipped"):
         reason = current.get("reason", "no reason given")
         print(f"bench_compare: {sys.argv[2]} skipped ({reason}) — "
@@ -143,25 +137,11 @@ def main() -> int:
 
     failures = []
     print(f"bench_compare: {sys.argv[2]} vs baseline {sys.argv[1]}")
-    gates = baseline.get("gates")
-    if gates is not None:
-        for key, spec in gates.items():
-            check_spec_gate(key, spec, baseline, current, failures)
-    else:
-        for key, headroom in LEGACY_GATED.items():
-            base = float(baseline[key])
-            cur = float(current[key])
-            limit = base * (1.0 + headroom)
-            ok = cur <= limit if base > 0 else cur <= 0
-            status = "ok" if ok else "REGRESSION"
-            print(f"  [{status:>10}] {key}: {cur:g} (baseline {base:g}, "
-                  f"limit {limit:g})")
-            if not ok:
-                failures.append(key)
+    for key, spec in gates.items():
+        check_spec_gate(key, spec, baseline, current, failures)
 
-    gated_keys = set(gates or LEGACY_GATED)
     for key in CONTEXT:
-        if key in gated_keys:
+        if key in gates:
             continue
         if key in baseline and key in current:
             bval, cval = baseline[key], current[key]

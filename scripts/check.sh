@@ -8,8 +8,11 @@
 # to catch data races there). The chaos
 # soak drives the middleware through loss bursts, partitions, and
 # crash/restart cycles, so a sanitized run of the suite is the cheapest
-# way to catch lifetime bugs in the recovery paths. Finally the Release
-# benches run — bench_hotpath (sim datapath), bench_live (kernel
+# way to catch lifetime bugs in the recovery paths. Both full ctest
+# passes include BenchClaims.Gate: the deterministic bench_claims report
+# of the paper's claims (C1-C3, C5, F2/C6, C7-C10, F3, A1-A3) gated
+# against bench/baselines/claims.json. Finally the
+# Release benches run — bench_hotpath (sim datapath), bench_live (kernel
 # datapath), bench_fleet (sharded engine scaling), bench_scenario_matrix
 # (seeded missions over the mobility-driven radio model),
 # bench_file_transfer (content-addressed MFTP: compression, dedup,

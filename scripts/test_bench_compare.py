@@ -117,6 +117,18 @@ class SpecGateTest(unittest.TestCase):
         code, out = run_compare(base, {"speedup": 1.2})
         self.assertEqual(code, 1, out)
 
+    def test_null_baseline_zero_ceiling(self):
+        # The claims gates pin "must be exactly zero" facts (failed calls,
+        # same-container wire bytes) as a 0 ceiling over a null baseline.
+        base = {"gates": {"calls_failed": {"direction": "lower", "min": 0}},
+                "calls_failed": None}
+        code, out = run_compare(base, {"calls_failed": 0})
+        self.assertEqual(code, 0, out)
+        self.assertIn("absolute ceiling", out)
+        code, out = run_compare(base, {"calls_failed": 1})
+        self.assertEqual(code, 1, out)
+        self.assertIn("calls_failed", out)
+
     def test_null_baseline_without_min_is_context_only(self):
         base = {"gates": {"speedup": {"direction": "higher"}},
                 "speedup": None}
@@ -131,10 +143,16 @@ class SpecGateTest(unittest.TestCase):
         self.assertIn("passing without comparison", out)
 
 
-class LegacyGateTest(unittest.TestCase):
-    """Fixed-key vocabulary used by the hotpath/live baselines."""
+class HeadroomGateTest(unittest.TestCase):
+    """Relative-headroom gates as the hotpath/live baselines use them."""
 
     BASE = {
+        "gates": {
+            "heap_allocs_per_sample": {"direction": "lower",
+                                       "tolerance": 0.10},
+            "net_payload_bytes_copied_per_sample": {"direction": "lower",
+                                                    "tolerance": 0.10},
+        },
         "heap_allocs_per_sample": 0.0,
         "net_payload_bytes_copied_per_sample": 100.0,
     }
@@ -151,6 +169,14 @@ class LegacyGateTest(unittest.TestCase):
             self.BASE, {"heap_allocs_per_sample": 0.0,
                         "net_payload_bytes_copied_per_sample": 105.0})
         self.assertEqual(code, 0, out)
+
+    def test_baseline_without_gates_is_rejected(self):
+        base = {k: v for k, v in self.BASE.items() if k != "gates"}
+        code, out = run_compare(
+            base, {"heap_allocs_per_sample": 0.0,
+                   "net_payload_bytes_copied_per_sample": 100.0})
+        self.assertEqual(code, 2, out)
+        self.assertIn("no \"gates\" object", out)
 
 
 if __name__ == "__main__":
