@@ -761,8 +761,6 @@ void ServiceContainer::retire_mftp_publisher(const proto::MftpPublisher& pub) {
   mftp_pipeline_retired_.wire_bytes += ps.wire_bytes;
   mftp_pipeline_retired_.chunks += ps.chunks;
   mftp_pipeline_retired_.compressed_chunks += ps.compressed_chunks;
-  mftp_pipeline_retired_.hash_nanos += ps.hash_nanos;
-  mftp_pipeline_retired_.compress_nanos += ps.compress_nanos;
 }
 
 void ServiceContainer::retire_mftp_receiver(const proto::MftpReceiver& rx) {
@@ -799,6 +797,7 @@ void ServiceContainer::publish_metrics(obs::MetricsRegistry& reg) {
   reg.counter(p + "files_published").set(stats_.files_published);
   reg.counter(p + "file_completions").set(stats_.file_completions);
   reg.counter(p + "file_local_bypasses").set(stats_.file_local_bypasses);
+  reg.counter(p + "file_chunks_reused").set(stats_.file_chunks_reused);
   reg.counter(p + "frames_received").set(stats_.frames_received);
   reg.counter(p + "frames_dropped").set(stats_.frames_dropped);
   reg.counter(p + "frames_send_failed").set(stats_.frames_send_failed);
@@ -869,8 +868,6 @@ void ServiceContainer::publish_metrics(obs::MetricsRegistry& reg) {
     pipe.wire_bytes += ps.wire_bytes;
     pipe.chunks += ps.chunks;
     pipe.compressed_chunks += ps.compressed_chunks;
-    pipe.hash_nanos += ps.hash_nanos;
-    pipe.compress_nanos += ps.compress_nanos;
   }
   for (const auto& [name, sub] : file_subs_) {
     if (!sub.receiver) continue;
@@ -904,20 +901,6 @@ void ServiceContainer::publish_metrics(obs::MetricsRegistry& reg) {
   if (pipe.raw_bytes > 0) {
     reg.gauge(p + "mftp.compress_ratio")
         .set(static_cast<int64_t>((pipe.wire_bytes * 1000) / pipe.raw_bytes));
-  }
-  if (config_.mftp.report_wall_rates) {
-    // Wall-clock-derived rates: nondeterministic by nature, so only
-    // published on explicit opt-in (never in byte-compared dumps).
-    if (pipe.hash_nanos > 0) {
-      reg.gauge(p + "mftp.hash_mb_s")
-          .set(static_cast<int64_t>((pipe.raw_bytes * 1000) /
-                                    pipe.hash_nanos));
-    }
-    if (pipe.compress_nanos > 0) {
-      reg.gauge(p + "mftp.compress_mb_s")
-          .set(static_cast<int64_t>((pipe.raw_bytes * 1000) /
-                                    pipe.compress_nanos));
-    }
   }
 
   // Per-variable staleness (µs since last received sample; -1 = nothing

@@ -1,29 +1,16 @@
 #include "protocol/chunk_table.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <chrono>
 #include <cstring>
 
-#include "sched/parallel.h"
 #include "util/hash.h"
 
 namespace marea::proto {
-namespace {
-
-inline uint64_t now_nanos() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 ChunkTable ChunkTable::build(BytesView content, uint32_t chunk_size,
-                             util::Codec codec, unsigned threads,
-                             const ChunkTable* prev, BytesView prev_content) {
+                             util::Codec codec, const ChunkTable* prev,
+                             BytesView prev_content) {
   ChunkTable table;
   table.chunk_size_ = chunk_size;
   table.codec_ = codec;
@@ -31,9 +18,9 @@ ChunkTable ChunkTable::build(BytesView content, uint32_t chunk_size,
   const size_t count = (content.size() + chunk_size - 1) / chunk_size;
   table.entries_.resize(count);
   const util::Compressor* comp = util::compressor_for(codec);
-  // Chunk i may use slot [i * (chunk_size - 1), +len - 1): a codec output
-  // must be strictly smaller than its chunk to be kept.
-  const size_t slot = chunk_size - 1;
+  // A kept codec output is strictly smaller than its chunk, so the
+  // payloads packed before chunk i end at or before i * (chunk_size - 1)
+  // and chunk i's len - 1 byte output span always fits.
   if (comp != nullptr) table.payload_.resize(content.size() - count);
   // The previous revision is usable when it was sliced and encoded the
   // same way and `prev_content` is the content it was built from.
@@ -42,13 +29,10 @@ ChunkTable ChunkTable::build(BytesView content, uint32_t chunk_size,
        prev->stats_.raw_bytes != prev_content.size())) {
     prev = nullptr;
   }
-  std::atomic<uint64_t> hash_nanos{0};
-  std::atomic<uint64_t> compress_nanos{0};
-  std::atomic<uint32_t> reused{0};
-  // Each index writes only its own entry and payload slot; the blocking
-  // fan-out is a pure pre-computation whose result is thread-count
-  // independent.
-  auto build_one = [&](size_t i) {
+  ChunkPipelineStats& stats = table.stats_;
+  size_t packed = 0;
+  std::vector<uint64_t> hashes(count);
+  for (size_t i = 0; i < count; ++i) {
     const size_t offset = i * static_cast<size_t>(chunk_size);
     const size_t len = std::min<size_t>(chunk_size, content.size() - offset);
     BytesView raw = content.subspan(offset, len);
@@ -62,55 +46,31 @@ ChunkTable ChunkTable::build(BytesView content, uint32_t chunk_size,
       const ChunkEntry& p = prev->entries_[i];
       e.hash = p.hash;
       e.compressed = p.compressed;
+      e.payload_size = p.payload_size;
       if (p.compressed) {
-        e.payload_offset = i * slot;
-        e.payload_size = p.payload_size;
-        std::memcpy(table.payload_.data() + e.payload_offset,
+        std::memcpy(table.payload_.data() + packed,
                     prev->payload_.data() + p.payload_offset, p.payload_size);
       }
-      reused.fetch_add(1, std::memory_order_relaxed);
-      return;
+      ++stats.reused_chunks;
+    } else {
+      e.hash = util::hash64(raw);
+      if (comp != nullptr) {
+        e.payload_size = static_cast<uint32_t>(comp->compress(
+            raw, std::span<uint8_t>(table.payload_).subspan(packed, len - 1)));
+        e.compressed = e.payload_size > 0;
+      }
     }
-    const uint64_t t0 = now_nanos();
-    e.hash = util::hash64(raw);
-    const uint64_t t1 = now_nanos();
-    hash_nanos.fetch_add(t1 - t0, std::memory_order_relaxed);
-    if (comp != nullptr) {
-      e.payload_offset = i * slot;
-      e.payload_size = static_cast<uint32_t>(comp->compress(
-          raw, std::span<uint8_t>(table.payload_).subspan(i * slot, len - 1)));
-      e.compressed = e.payload_size > 0;
-      compress_nanos.fetch_add(now_nanos() - t1, std::memory_order_relaxed);
-    }
-  };
-  sched::parallel_for(count, threads,
-                      [&build_one](size_t i) { build_one(i); });
-
-  // Pack the kept payloads to the front, in index order (each moves
-  // down or stays, so one forward pass never overwrites a later slot).
-  size_t packed = 0;
-  std::vector<uint64_t> hashes(count);
-  for (size_t i = 0; i < count; ++i) {
-    ChunkEntry& e = table.entries_[i];
     if (e.compressed) {
-      std::memmove(table.payload_.data() + packed,
-                   table.payload_.data() + e.payload_offset, e.payload_size);
       e.payload_offset = packed;
       packed += e.payload_size;
-      ++table.stats_.compressed_chunks;
-    } else {
-      e.payload_offset = 0;
+      ++stats.compressed_chunks;
     }
     hashes[i] = e.hash;
-    table.stats_.raw_bytes += e.raw_size;
-    table.stats_.wire_bytes += e.compressed ? e.payload_size : e.raw_size;
+    stats.raw_bytes += len;
+    stats.wire_bytes += e.compressed ? e.payload_size : len;
   }
   table.payload_.resize(packed);
-  table.stats_.chunks = static_cast<uint32_t>(count);
-  table.stats_.reused_chunks = reused.load(std::memory_order_relaxed);
-  table.stats_.hash_nanos = hash_nanos.load(std::memory_order_relaxed);
-  table.stats_.compress_nanos =
-      compress_nanos.load(std::memory_order_relaxed);
+  stats.chunks = static_cast<uint32_t>(count);
   table.manifest_hash_ = util::hash64_list(hashes.data(), hashes.size());
   return table;
 }

@@ -3,13 +3,12 @@
 // ChunkTable is the publisher-side pre-computation: slice a revision's
 // content at chunk_size, hash every raw chunk (util::hash64), and — when
 // a codec is negotiated — compress each chunk independently, keeping
-// the compressed form only when it is strictly smaller than raw. The
-// per-chunk work fans out over sched::parallel_for; results are a pure
-// function of (content, chunk_size, codec), independent of thread
-// count, so the table can be built on a worker pool without perturbing
-// simulation determinism. Every chunk compresses into its own slot of
-// one table-owned buffer, which is then packed in index order: a
-// revision costs O(1) allocations, not one per chunk. Given the outgoing
+// the compressed form only when it is strictly smaller than raw. One
+// sequential pass on the calling thread builds the table; the result is
+// a pure function of (content, chunk_size, codec), so simulation stays
+// deterministic. Every kept chunk is compressed straight into its
+// packed place, in index order, in one table-owned buffer: a revision
+// costs O(1) allocations, not one per chunk. Given the outgoing
 // revision of the same resource, a chunk whose bytes did not change
 // takes its hash and payload from there instead of being hashed and
 // compressed again; equal bytes give equal results, so the table is the
@@ -40,32 +39,25 @@ struct ChunkEntry {
   uint32_t payload_size = 0;
 };
 
-// Build-time accounting. The nanosecond fields are wall-clock CPU time
-// summed across workers — they feed the opt-in mftp.hash_mb_s /
-// compress MB/s rates and bench JSON, and must never be folded into
-// deterministic sim dumps (see MftpParams::report_wall_rates).
+// Build-time accounting: deterministic byte and chunk counts.
 struct ChunkPipelineStats {
   uint64_t raw_bytes = 0;
   uint64_t wire_bytes = 0;  // sum of per-chunk payloads as sent
   uint32_t chunks = 0;
   uint32_t compressed_chunks = 0;
   uint32_t reused_chunks = 0;  // taken from the previous revision
-  uint64_t hash_nanos = 0;
-  uint64_t compress_nanos = 0;
 };
 
 class ChunkTable {
  public:
   ChunkTable() = default;
 
-  // threads <= 1 builds inline on the caller; otherwise a transient
-  // worker pool hashes/compresses chunks concurrently. `prev` (optional)
-  // is the table of the revision this one replaces and `prev_content`
-  // the bytes it was built from: with the same chunk_size and codec,
-  // chunk i reuses prev's chunk i when their raw bytes are equal.
+  // `prev` (optional) is the table of the revision this one replaces
+  // and `prev_content` the bytes it was built from: with the same
+  // chunk_size and codec, chunk i reuses prev's chunk i when their raw
+  // bytes are equal.
   static ChunkTable build(BytesView content, uint32_t chunk_size,
-                          util::Codec codec, unsigned threads = 0,
-                          const ChunkTable* prev = nullptr,
+                          util::Codec codec, const ChunkTable* prev = nullptr,
                           BytesView prev_content = {});
 
   uint32_t chunk_count() const {

@@ -29,11 +29,10 @@ MftpPublisher::MftpPublisher(sched::Executor& executor, MftpParams params,
   assert(meta_.size == content_->size());
   assert(meta_.chunk_size > 0);
   // Pure pre-computation: hash (and, when announced, compress) every
-  // chunk up front, fanned out over pipeline_threads workers. Blocking
-  // here keeps completion on the constructing (sim) thread.
+  // chunk up front, on the constructing (sim) thread.
   table_ = ChunkTable::build(
       as_bytes_view(*content_), meta_.chunk_size,
-      static_cast<util::Codec>(meta_.codec), params_.pipeline_threads,
+      static_cast<util::Codec>(meta_.codec),
       previous ? &previous->table_ : nullptr,
       previous ? as_bytes_view(*previous->content_) : BytesView{});
   hashes_ = table_.hashes();
@@ -103,7 +102,7 @@ void MftpPublisher::send_next_chunk() {
   // the wire fills every index sharing it at manifest-holding
   // receivers (manifest-less ones NACK the siblings and pick them up
   // in repair rounds).
-  while (send_cursor_ < send_list_.size() && params_.dedup_round_sends) {
+  while (send_cursor_ < send_list_.size()) {
     uint8_t& sent = round_sent_[first_with_hash_[send_list_[send_cursor_]]];
     if (sent == 0) {
       sent = 1;

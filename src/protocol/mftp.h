@@ -46,21 +46,8 @@ struct MftpParams {
   // itself follows meta.codec (what was announced is authoritative);
   // this knob is how the container picks it.
   util::Codec codec = util::Codec::kLz;
-  // Worker threads for the publisher's hash/compress pre-computation
-  // (ChunkTable::build). <= 1 runs inline on the posting thread; the
-  // result is identical either way, so dumps stay deterministic.
-  unsigned pipeline_threads = 0;
-  // Send each distinct chunk hash at most once per round. Receivers
-  // holding the announce manifest fill every index sharing the hash
-  // from the one copy; manifest-less receivers still converge — they
-  // NACK the siblings and repair rounds deliver them one per round.
-  bool dedup_round_sends = true;
   // Receiver-side cross-transfer dedup store budget (container knob).
   size_t chunk_store_bytes = 4u << 20;
-  // Publish wall-clock-derived gauges (mftp.hash_mb_s). Off by
-  // default: wall rates vary run to run and would break byte-identical
-  // ShardGrid dump comparisons if they leaked into sim metrics.
-  bool report_wall_rates = false;
 };
 
 // Opaque peer identity supplied by the middleware (container id).
@@ -122,8 +109,7 @@ class MftpPublisher {
   // constructor's ChunkTable pre-computation).
   const std::vector<uint64_t>& chunk_hashes() const { return hashes_; }
   uint64_t manifest_hash() const { return table_.manifest_hash(); }
-  // Hash/compress accounting, including wall-clock nanos — see the
-  // determinism note on ChunkPipelineStats before publishing these.
+  // Hash/compress accounting of the ChunkTable build.
   const ChunkPipelineStats& pipeline_stats() const { return table_.stats(); }
 
   // Adds a subscriber. If the transfer is idle it starts a completion poll

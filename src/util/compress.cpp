@@ -7,8 +7,8 @@
 namespace marea::util {
 namespace {
 
-// Bounded output cursor for the encoders. Each token group checks room()
-// before writing, so an encoder gives up (returns 0) the moment its
+// Bounded output cursor for the encoder. Each token group checks room()
+// before writing, so the encoder gives up (returns 0) the moment its
 // output would reach the raw size, without writing past `out`.
 class Sink {
  public:
@@ -26,87 +26,6 @@ class Sink {
   uint8_t* p_;
   size_t cap_;
   size_t n_ = 0;
-};
-
-// ---------------------------------------------------------------- RLE --
-//
-// Token stream: control byte t.
-//   t in [0x00, 0x7F]: literal run — copy the next t+1 input bytes.
-//   t in [0x80, 0xFF]: repeat run — the next byte, (t-0x80)+3 times.
-// Runs shorter than 3 stay literal (a run token costs 2 bytes).
-class RleCompressor final : public Compressor {
- public:
-  Codec codec() const override { return Codec::kRle; }
-
-  size_t compress(BytesView in, std::span<uint8_t> out) const override {
-    const size_t n = in.size();
-    if (n < 4) return 0;
-    Sink sink(out, n - 1);
-    size_t lit_start = 0;
-    auto flush_literals = [&](size_t end) {
-      size_t pos = lit_start;
-      while (pos < end) {
-        const size_t take = std::min<size_t>(end - pos, 128);
-        if (!sink.room(1 + take)) return false;
-        sink.byte(static_cast<uint8_t>(take - 1));
-        sink.bytes(in.data() + pos, take);
-        pos += take;
-      }
-      return true;
-    };
-    size_t i = 0;
-    while (i < n) {
-      size_t run = 1;
-      while (i + run < n && in[i + run] == in[i]) ++run;
-      if (run >= 3) {
-        if (!flush_literals(i)) return 0;
-        size_t rem = run;
-        while (rem >= 3) {
-          const size_t take = std::min<size_t>(rem, 130);
-          if (!sink.room(2)) return 0;
-          sink.byte(static_cast<uint8_t>(0x80 + (take - 3)));
-          sink.byte(in[i]);
-          rem -= take;
-        }
-        // A 1–2 byte tail of the run is cheaper as literals.
-        i += run - rem;
-        lit_start = i;
-        i += rem;
-      } else {
-        i += run;
-      }
-    }
-    if (!flush_literals(n)) return 0;
-    return sink.size();
-  }
-
-  bool decompress(BytesView in, std::span<uint8_t> out) const override {
-    size_t ip = 0;
-    size_t op = 0;
-    const size_t ie = in.size();
-    const size_t oe = out.size();
-    while (ip < ie) {
-      const uint8_t t = in[ip++];
-      if (t < 0x80) {
-        const size_t len = static_cast<size_t>(t) + 1;
-        if (len > ie - ip || len > oe - op) return false;
-        std::memcpy(out.data() + op, in.data() + ip, len);
-        ip += len;
-        op += len;
-      } else {
-        const size_t len = static_cast<size_t>(t - 0x80) + 3;
-        if (ip >= ie || len > oe - op) return false;
-        std::memset(out.data() + op, in[ip++], len);
-        op += len;
-      }
-    }
-    return op == oe;
-  }
-
-  // A 2-byte repeat token yields at most 130 bytes.
-  size_t max_decoded_size(size_t encoded_size) const override {
-    return encoded_size * 65;
-  }
 };
 
 // ----------------------------------------------------------------- LZ --
@@ -326,34 +245,14 @@ class LzCompressor final : public Compressor {
 
 }  // namespace
 
-const char* codec_name(Codec c) {
-  switch (c) {
-    case Codec::kNone:
-      return "none";
-    case Codec::kRle:
-      return "rle";
-    case Codec::kLz:
-      return "lz";
-  }
-  return "unknown";
-}
-
 const Compressor* compressor_for(Codec c) {
-  static const RleCompressor rle;
   static const LzCompressor lz;
-  switch (c) {
-    case Codec::kRle:
-      return &rle;
-    case Codec::kLz:
-      return &lz;
-    case Codec::kNone:
-      return nullptr;
-  }
-  return nullptr;
+  return c == Codec::kLz ? &lz : nullptr;
 }
 
 const Compressor* compressor_for(uint8_t wire_id) {
-  if (wire_id > static_cast<uint8_t>(Codec::kLz)) return nullptr;
+  // Every uint8_t is a valid Codec value (fixed underlying type); any id
+  // but kLz's maps to nullptr.
   return compressor_for(static_cast<Codec>(wire_id));
 }
 

@@ -12,14 +12,13 @@
 // chunk straight into its slot of the file image and a sender encodes
 // into a slot of one table-owned buffer: no codec call allocates.
 //
-// Two real codecs ship beside kNone:
-//   * kRle — byte run-length encoding; near-memcpy speed, wins on flat
-//     imagery regions and sparse telemetry snapshots.
-//   * kLz  — greedy LZ77 with a 64 KiB window and 4-byte minimum match;
-//     the general-purpose codec for repeated rows/structures.
-// Both are self-contained (no external libraries) and deterministic:
-// the same input always yields the same bytes, which the byte-identical
-// ShardGrid dump tests rely on.
+// One real codec ships beside kNone: kLz, greedy LZ77 with a 64 KiB
+// window and 4-byte minimum match, for repeated rows/structures and
+// flat imagery regions alike. It is self-contained (no external
+// libraries) and deterministic: the same input always yields the same
+// bytes, which the byte-identical ShardGrid dump tests rely on. Wire id
+// 1 is unassigned (it named a retired RLE codec) and is rejected like
+// any other unknown id.
 #pragma once
 
 #include <cstddef>
@@ -32,11 +31,8 @@ namespace marea::util {
 
 enum class Codec : uint8_t {
   kNone = 0,
-  kRle = 1,
   kLz = 2,
 };
-
-const char* codec_name(Codec c);
 
 class Compressor {
  public:

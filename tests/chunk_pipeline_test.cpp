@@ -1,21 +1,15 @@
-// Content-addressed chunk pipeline tests: hash64 properties, RLE/LZ
-// codec round-trips and hostile-input safety, ChunkTable thread-count
-// invariance (the determinism contract behind byte-identical ShardGrid
-// dumps), the bounded ChunkStore LRU, and the parallel_for fan-out.
-// Test-suite names carry the "ChunkPipeline" prefix so the TSan CI leg
-// (-R '...|ChunkPipeline') races the thread-pooled paths.
+// Content-addressed chunk pipeline tests: hash64 properties, LZ codec
+// round-trips and hostile-input safety, ChunkTable manifests and
+// previous-revision reuse, and the bounded ChunkStore LRU.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <list>
 #include <set>
 #include <vector>
 
 #include "protocol/chunk_table.h"
-#include "sched/parallel.h"
-#include "sched/thread_pool.h"
 #include "util/compress.h"
 #include "util/hash.h"
 #include "util/rng.h"
@@ -219,43 +213,7 @@ TEST_P(ChunkPipelineCodecTest, DecompressIsTotalOnHostileInput) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Codecs, ChunkPipelineCodecTest,
-                         ::testing::Values(util::Codec::kRle,
-                                           util::Codec::kLz));
-
-TEST(ChunkPipelineCodecTest, RleHandlesRunsAndLiteralBoundaries) {
-  const util::Compressor* rle = util::compressor_for(util::Codec::kRle);
-  // 200 equal bytes then 1 literal: classic run + tail.
-  Buffer raw(200, 0x7F);
-  raw.push_back(0x01);
-  Buffer packed = compress_to_buffer(*rle, BytesView(raw));
-  ASSERT_FALSE(packed.empty());
-  GuardedDecode d = guarded_decompress(*rle, BytesView(packed), raw.size());
-  ASSERT_TRUE(d.ok);
-  EXPECT_EQ(d.out, raw);
-}
-
-TEST(ChunkPipelineCodecTest, RleRefusesAtExactlyRawSize) {
-  // A 4-run (2-byte token) plus 5 literals (6 bytes) encodes to 8 bytes
-  // for a 9-byte input: in.size() - 1, the largest size kept. A 3-run
-  // with the same literals encodes to 8 bytes for 8: not smaller, so
-  // refused.
-  const util::Compressor* rle = util::compressor_for(util::Codec::kRle);
-  Buffer fits{9, 9, 9, 9, 1, 2, 3, 4, 5};
-  Buffer packed = compress_to_buffer(*rle, BytesView(fits));
-  EXPECT_EQ(packed, (Buffer{0x81, 9, 0x04, 1, 2, 3, 4, 5}));
-  Buffer equal{9, 9, 9, 1, 2, 3, 4, 5};
-  EXPECT_TRUE(compress_to_buffer(*rle, BytesView(equal)).empty());
-  // Even a larger span does not make the codec keep a non-shrinking
-  // encoding.
-  Buffer roomy(64);
-  EXPECT_EQ(rle->compress(BytesView(equal), roomy), 0u);
-  // The expansion bound is tight: one repeat token, 130 bytes.
-  Buffer run{0xFF, 0x42};
-  EXPECT_EQ(rle->max_decoded_size(run.size()), 130u);
-  GuardedDecode d = guarded_decompress(*rle, BytesView(run), 130);
-  ASSERT_TRUE(d.ok);
-  EXPECT_EQ(d.out, Buffer(130, 0x42));
-}
+                         ::testing::Values(util::Codec::kLz));
 
 TEST(ChunkPipelineCodecTest, LzOverlappingMatchReplicates) {
   const util::Compressor* lz = util::compressor_for(util::Codec::kLz);
@@ -514,6 +472,7 @@ TEST(ChunkPipelineCodecTest, LzDecoderMatchesByteWiseReference) {
 
 TEST(ChunkPipelineCodecTest, UnknownWireIdIsRejectedNotFatal) {
   EXPECT_EQ(util::compressor_for(static_cast<uint8_t>(250)), nullptr);
+  EXPECT_EQ(util::compressor_for(uint8_t{1}), nullptr);  // retired RLE id
   EXPECT_EQ(util::compressor_for(util::Codec::kNone), nullptr);
 }
 
@@ -533,18 +492,6 @@ void expect_same_table(const proto::ChunkTable& got,
   EXPECT_EQ(got.stats().raw_bytes, want.stats().raw_bytes);
   EXPECT_EQ(got.stats().wire_bytes, want.stats().wire_bytes);
   EXPECT_EQ(got.stats().compressed_chunks, want.stats().compressed_chunks);
-}
-
-TEST(ChunkPipelineTableTest, IdenticalAcrossThreadCounts) {
-  Buffer content = imagery_bytes(128, 512, 11);
-  for (util::Codec codec :
-       {util::Codec::kNone, util::Codec::kRle, util::Codec::kLz}) {
-    // Deterministic byte accounting too (wall-clock nanos excluded).
-    SCOPED_TRACE(util::codec_name(codec));
-    expect_same_table(
-        proto::ChunkTable::build(BytesView(content), 1024, codec, 4),
-        proto::ChunkTable::build(BytesView(content), 1024, codec, 1));
-  }
 }
 
 TEST(ChunkPipelineTableTest, ManifestNamesContentAndLayout) {
@@ -591,7 +538,7 @@ TEST(ChunkPipelineTableTest, ReusingThePreviousRevisionEqualsAFreshBuild) {
   v1.insert(v1.end(), noise.begin(), noise.end());
   const util::Codec lz = util::Codec::kLz;
   const proto::ChunkTable prev =
-      proto::ChunkTable::build(BytesView(v1), kChunk, lz, 1);
+      proto::ChunkTable::build(BytesView(v1), kChunk, lz);
   ASSERT_EQ(prev.chunk_count(), 21u);
   ASSERT_GT(prev.stats().compressed_chunks, 0u);
   ASSERT_LT(prev.stats().compressed_chunks, prev.chunk_count());
@@ -601,10 +548,9 @@ TEST(ChunkPipelineTableTest, ReusingThePreviousRevisionEqualsAFreshBuild) {
                    const Buffer& from_content, uint32_t chunk_size,
                    util::Codec codec, uint32_t want_reused) {
     const proto::ChunkTable fresh =
-        proto::ChunkTable::build(BytesView(content), chunk_size, codec, 1);
+        proto::ChunkTable::build(BytesView(content), chunk_size, codec);
     const proto::ChunkTable reused = proto::ChunkTable::build(
-        BytesView(content), chunk_size, codec, 1, &from,
-        BytesView(from_content));
+        BytesView(content), chunk_size, codec, &from, BytesView(from_content));
     expect_same_table(reused, fresh);
     EXPECT_EQ(reused.stats().reused_chunks, want_reused);
   };
@@ -636,7 +582,7 @@ TEST(ChunkPipelineTableTest, ReusingThePreviousRevisionEqualsAFreshBuild) {
   }
   {
     SCOPED_TRACE("different codec");
-    check(v1, prev, v1, kChunk, util::Codec::kRle, 0);
+    check(v1, prev, v1, kChunk, util::Codec::kNone, 0);
   }
   {
     SCOPED_TRACE("content that is not prev's");
@@ -644,13 +590,10 @@ TEST(ChunkPipelineTableTest, ReusingThePreviousRevisionEqualsAFreshBuild) {
     check(v1, prev, other, kChunk, lz, 0);
   }
   {
-    SCOPED_TRACE("prev built with 4 threads");
-    const proto::ChunkTable prev4 =
-        proto::ChunkTable::build(BytesView(v1), kChunk, lz, 4);
-    check(v1, prev4, v1, kChunk, lz, 21);
+    SCOPED_TRACE("tail chunk changed");
     Buffer v2 = v1;
-    v2[20 * kChunk] ^= 0x80;  // the tail chunk
-    check(v2, prev4, v1, kChunk, lz, 20);
+    v2[20 * kChunk] ^= 0x80;
+    check(v2, prev, v1, kChunk, lz, 20);
   }
 }
 
@@ -829,52 +772,6 @@ TEST(ChunkPipelineStoreTest, KeysSharingTheirLow32BitsStillMatchReference) {
     keys.push_back((i << 32) | 0x5EEDF00Dull);
   }
   check_against_reference_lru(chunks, keys, 12 * 1024, 12000, 33);
-}
-
-// --- parallel_for -----------------------------------------------------------
-
-TEST(ChunkPipelineParallelForTest, EveryIndexRunsExactlyOnce) {
-  constexpr size_t kCount = 10000;
-  std::vector<std::atomic<uint32_t>> hits(kCount);
-  sched::ThreadPoolExecutor pool(4);
-  sched::parallel_for(&pool, kCount,
-                      [&hits](size_t i) { hits[i].fetch_add(1); });
-  for (size_t i = 0; i < kCount; ++i) {
-    ASSERT_EQ(hits[i].load(), 1u) << "index " << i;
-  }
-}
-
-TEST(ChunkPipelineParallelForTest, NullPoolAndZeroCountRunInline) {
-  std::atomic<uint64_t> sum{0};
-  sched::parallel_for(nullptr, 100,
-                      [&sum](size_t i) { sum.fetch_add(i); });
-  EXPECT_EQ(sum.load(), 4950u);
-  bool ran = false;
-  sched::parallel_for(nullptr, 0, [&ran](size_t) { ran = true; });
-  EXPECT_FALSE(ran);
-}
-
-TEST(ChunkPipelineParallelForTest, TransientPoolOverloadMatchesInline) {
-  constexpr size_t kCount = 2048;
-  std::vector<std::atomic<uint32_t>> hits(kCount);
-  sched::parallel_for(kCount, 4,
-                      [&hits](size_t i) { hits[i].fetch_add(1); });
-  uint64_t total = 0;
-  for (auto& h : hits) total += h.load();
-  EXPECT_EQ(total, kCount);
-}
-
-// Repeated build/teardown under contention — the shape most likely to
-// surface lifetime races (the fan-out must not touch its shared frame
-// after the waiter returns).
-TEST(ChunkPipelineParallelForTest, RepeatedFanOutsDoNotRace) {
-  sched::ThreadPoolExecutor pool(4);
-  for (int round = 0; round < 200; ++round) {
-    std::atomic<uint32_t> count{0};
-    sched::parallel_for(&pool, 64,
-                        [&count](size_t) { count.fetch_add(1); });
-    ASSERT_EQ(count.load(), 64u);
-  }
 }
 
 }  // namespace

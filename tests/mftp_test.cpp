@@ -578,6 +578,59 @@ TEST(MftpTest, CompressedWrongHashChunkStaysUnheldThenRepairs) {
   EXPECT_EQ(store.entries(), 4u);
 }
 
+TEST(MftpTest, CompressedChunkUnderUnknownCodecStaysUnheldAndIsNacked) {
+  // An announce naming a codec this build does not know (id 1 is the
+  // retired RLE id) cannot decode a chunk flagged compressed: the chunk
+  // is counted as a mismatch, its index stays unheld and the next poll
+  // NACKs it. A raw chunk of the same transfer is still accepted.
+  Buffer content = make_runs_content(2, 1000);
+  ChunkTable table =
+      ChunkTable::build(as_bytes_view(content), 1000, util::Codec::kLz);
+  ASSERT_TRUE(table.entry(0).compressed);
+  for (uint8_t codec : {uint8_t{1}, uint8_t{0xFF}}) {
+    SCOPED_TRACE(static_cast<int>(codec));
+    FileMeta meta = make_meta("x", content, 1000);
+    meta.codec = codec;
+    FileNackMsg last_nack;
+    int nacks = 0;
+    bool completed = false;
+    MftpReceiver rx(5, meta, [](const FileAckMsg&) {},
+                    [&](const FileNackMsg& nack) {
+                      last_nack = nack;
+                      ++nacks;
+                    });
+    rx.set_manifest(table.hashes());
+    rx.set_on_complete([&](const Buffer&) { completed = true; });
+    FileChunkMsg chunk;
+    chunk.transfer_id = 5;
+    chunk.revision = 1;
+    chunk.index = 0;
+    chunk.hash = table.entry(0).hash;
+    chunk.flags = kChunkFlagCompressed;
+    chunk.data = to_buffer(table.payload(0));
+    rx.on_chunk(chunk);
+    EXPECT_EQ(rx.stats().hash_mismatches, 1u);
+    EXPECT_EQ(rx.chunks_have(), 0u);
+
+    FileChunkMsg raw;
+    raw.transfer_id = 5;
+    raw.revision = 1;
+    raw.index = 1;
+    raw.hash = table.entry(1).hash;
+    raw.data = Buffer(content.begin() + 1000, content.end());
+    rx.on_chunk(raw);
+    EXPECT_EQ(rx.chunks_have(), 1u);
+
+    FileStatusRequestMsg poll;
+    poll.transfer_id = 5;
+    poll.revision = 1;
+    rx.on_status_request(poll);
+    ASSERT_EQ(nacks, 1);
+    EXPECT_EQ(last_nack.missing.to_indices(), (std::vector<uint32_t>{0}));
+    EXPECT_FALSE(completed);
+  }
+}
+
 TEST(MftpTest, ProgressCallbackCounts) {
   Buffer content = make_content(4096);
   FileMeta meta = make_meta("x", content, 1024);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "middleware/domain.h"
 #include "util/rng.h"
@@ -383,6 +384,14 @@ TEST(FilesTest, RepublishReusesThePreviousRevisionsChunks) {
   ASSERT_EQ(sub_ptr->completions.size(), 3u);
   EXPECT_EQ(sub_ptr->completions[2].first.revision, 3u);
   EXPECT_EQ(sub_ptr->completions[2].second, edited);
+
+  // The registry publishes the same count.
+  auto& reg = domain.obs().metrics;
+  reg.collect();
+  const std::string key =
+      "mw." + std::to_string(domain.container(0).config().id) +
+      ".file_chunks_reused";
+  EXPECT_EQ(reg.counter_value(key), stats.file_chunks_reused);
 }
 
 TEST(FilesTest, PublisherOwnershipEnforced) {

@@ -563,11 +563,7 @@ ShardedRun run_sharded_file_domain(uint32_t threads) {
   set_log_level(LogLevel::kError);
   SimDomain domain(/*seed=*/12, {}, ShardOptions{.shards = 4,
                                                  .threads = threads});
-  // Exercise the thread-pooled hash/compress pipeline for real: the
-  // publisher's ChunkTable fans out over 2 workers. The table is a pure
-  // function of the content, so this must not perturb the dump.
   ContainerConfig cfg;
-  cfg.mftp.pipeline_threads = 2;
   auto& pub_node = domain.add_node("fpub_node", cfg);
   auto pub = std::make_unique<ParFilePub>();
   auto* pub_ptr = pub.get();
@@ -607,8 +603,8 @@ TEST(ShardedDomainTest, FileTransferDumpByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(one.samples, four.samples);
   EXPECT_EQ(one.events, four.events);
   // mftp.* counters (bytes_on_wire, chunks_deduped, compress_ratio) are
-  // in this dump; wall-clock rates are gated off, so the whole snapshot
-  // must be byte-identical however many worker threads ran it.
+  // in this dump, and the whole snapshot must be byte-identical however
+  // many worker threads ran it.
   EXPECT_EQ(one.dump, four.dump);
 }
 
