@@ -10,6 +10,11 @@
 //     announce manifest (same-hash sibling fills);
 //   * republish_wire_bytes — an identical-revision republish against a
 //     warm ChunkStore must move ~no chunk payload (resume by hash);
+//   * noise_compress_calls / noise_republish_compress_calls /
+//     noise_wire_bytes — a 256 KiB incompressible file: the per-revision
+//     probe tries 8 chunks and ships the rest raw untried, and an
+//     identical republish takes every verdict from the previous revision
+//     (exact counts);
 //   * hash_mb_s / compress_mb_s — single-thread hash64 and LZ compress
 //     rates over the chunks a ChunkTable build sees (wall clock;
 //     generous tolerance, machines vary);
@@ -66,6 +71,14 @@ Buffer imagery(size_t rows, uint64_t seed = 9) {
       }
     }
   }
+  return b;
+}
+
+// `n` bytes of noise: no chunk of it compresses.
+Buffer noise_bytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  Buffer b(n);
+  for (auto& byte : b) byte = static_cast<uint8_t>(rng.next_u64());
   return b;
 }
 
@@ -309,6 +322,16 @@ int main() {
       static_cast<double>(lz.pub.payload_bytes_sent) /
       static_cast<double>(lz.pub.wire_bytes_sent);
 
+  // --- incompressible file: decided once per revision -------------------
+  const Buffer noise = noise_bytes(kImageryRows * kChunk, /*seed=*/13);
+  FtResult noise_run = run_mftp(noise, lz_opt);
+  check(noise_run, kSubscribers);
+  const proto::ChunkTable noise_rev1 = proto::ChunkTable::build(
+      as_bytes_view(noise), kChunk, util::Codec::kLz);
+  const proto::ChunkTable noise_rev2 = proto::ChunkTable::build(
+      as_bytes_view(noise), kChunk, util::Codec::kLz, &noise_rev1,
+      as_bytes_view(noise));
+
   // --- dedup: duplicate tiles, manifest-holding receivers ----------------
   const Buffer dup = duplicate_tiles(/*distinct=*/16, /*repeats=*/4);
   FtOptions dup_opt;
@@ -395,6 +418,12 @@ int main() {
               static_cast<unsigned long long>(lz.pub.wire_bytes_sent));
   std::printf("  \"wire_reduction_pct\": %.1f,\n", reduction_pct);
   std::printf("  \"compress_ratio\": %.2f,\n", compress_ratio);
+  std::printf("  \"noise_wire_bytes\": %llu,\n",
+              static_cast<unsigned long long>(noise_run.pub.wire_bytes_sent));
+  std::printf("  \"noise_compress_calls\": %u,\n",
+              noise_rev1.stats().compress_calls);
+  std::printf("  \"noise_republish_compress_calls\": %u,\n",
+              noise_rev2.stats().compress_calls);
   std::printf("  \"dedup_skip_pct\": %.1f,\n", dedup_pct);
   std::printf("  \"republish_wire_bytes\": %llu,\n",
               static_cast<unsigned long long>(second.pub.wire_bytes_sent));

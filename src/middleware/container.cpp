@@ -759,8 +759,6 @@ void ServiceContainer::retire_mftp_publisher(const proto::MftpPublisher& pub) {
   const auto& ps = pub.pipeline_stats();
   mftp_pipeline_retired_.raw_bytes += ps.raw_bytes;
   mftp_pipeline_retired_.wire_bytes += ps.wire_bytes;
-  mftp_pipeline_retired_.chunks += ps.chunks;
-  mftp_pipeline_retired_.compressed_chunks += ps.compressed_chunks;
 }
 
 void ServiceContainer::retire_mftp_receiver(const proto::MftpReceiver& rx) {
@@ -798,6 +796,8 @@ void ServiceContainer::publish_metrics(obs::MetricsRegistry& reg) {
   reg.counter(p + "file_completions").set(stats_.file_completions);
   reg.counter(p + "file_local_bypasses").set(stats_.file_local_bypasses);
   reg.counter(p + "file_chunks_reused").set(stats_.file_chunks_reused);
+  reg.counter(p + "file_chunks_probe_skipped")
+      .set(stats_.file_chunks_probe_skipped);
   reg.counter(p + "frames_received").set(stats_.frames_received);
   reg.counter(p + "frames_dropped").set(stats_.frames_dropped);
   reg.counter(p + "frames_send_failed").set(stats_.frames_send_failed);
@@ -866,8 +866,6 @@ void ServiceContainer::publish_metrics(obs::MetricsRegistry& reg) {
     const auto& ps = prov.publisher->pipeline_stats();
     pipe.raw_bytes += ps.raw_bytes;
     pipe.wire_bytes += ps.wire_bytes;
-    pipe.chunks += ps.chunks;
-    pipe.compressed_chunks += ps.compressed_chunks;
   }
   for (const auto& [name, sub] : file_subs_) {
     if (!sub.receiver) continue;

@@ -104,6 +104,7 @@ struct ContainerStats {
   uint64_t file_completions = 0;      // local subscriptions completed
   uint64_t file_local_bypasses = 0;
   uint64_t file_chunks_reused = 0;    // taken from the previous revision
+  uint64_t file_chunks_probe_skipped = 0;  // shipped raw untried
   // infrastructure
   uint64_t frames_received = 0;
   uint64_t frames_dropped = 0;        // CRC/decode failures
@@ -375,9 +376,6 @@ class ServiceContainer {
     std::shared_ptr<const Buffer> content;
     uint64_t transfer_id = 0;
     std::unique_ptr<proto::MftpPublisher> publisher;
-    // Announce manifest (copied out of the publisher's ChunkTable) so
-    // revision replies don't re-hash.
-    std::vector<uint64_t> chunk_hashes;
   };
 
   struct FileSubEntry {

@@ -74,8 +74,9 @@ Status ServiceContainer::publish_file_resource(Service& owner,
         }
       });
 
-  prov.chunk_hashes = prov.publisher->chunk_hashes();
-  stats_.file_chunks_reused += prov.publisher->pipeline_stats().reused_chunks;
+  const proto::ChunkPipelineStats& ps = prov.publisher->pipeline_stats();
+  stats_.file_chunks_reused += ps.reused_chunks;
+  stats_.file_chunks_probe_skipped += ps.skipped_by_probe;
 
   uint64_t transfer_id = prov.transfer_id;
   proto::FileMeta meta = prov.meta;
@@ -101,10 +102,10 @@ Status ServiceContainer::publish_file_resource(Service& owner,
     proto::FileRevisionMsg rev_msg;
     rev_msg.transfer_id = transfer_id;
     rev_msg.meta = meta;
-    rev_msg.chunk_hashes = file_provisions_[name].chunk_hashes;
+    auto& publisher = *file_provisions_[name].publisher;
+    rev_msg.chunk_hashes = publisher.chunk_hashes();
     ByteWriter w;
     rev_msg.encode(w);
-    auto& publisher = *file_provisions_[name].publisher;
     for (proto::MftpPeer peer_id : carried_subscribers) {
       send_control(static_cast<proto::ContainerId>(peer_id),
                    proto::MsgType::kFileRevision, w.view());
@@ -235,7 +236,7 @@ void ServiceContainer::on_file_subscribe(proto::ContainerId from,
   proto::FileRevisionMsg rev;
   rev.transfer_id = prov.transfer_id;
   rev.meta = prov.meta;
-  rev.chunk_hashes = prov.chunk_hashes;
+  rev.chunk_hashes = prov.publisher->chunk_hashes();
   ByteWriter w;
   rev.encode(w);
   send_control(from, proto::MsgType::kFileRevision, w.view());

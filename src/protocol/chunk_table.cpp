@@ -8,6 +8,13 @@
 
 namespace marea::proto {
 
+namespace {
+
+// Chunks the incompressibility probe tries before a revision's loop.
+constexpr size_t kProbeSamples = 8;
+
+}  // namespace
+
 ChunkTable ChunkTable::build(BytesView content, uint32_t chunk_size,
                              util::Codec codec, const ChunkTable* prev,
                              BytesView prev_content) {
@@ -17,11 +24,13 @@ ChunkTable ChunkTable::build(BytesView content, uint32_t chunk_size,
   if (chunk_size == 0) return table;
   const size_t count = (content.size() + chunk_size - 1) / chunk_size;
   table.entries_.resize(count);
+  table.hashes_.resize(count);
   const util::Compressor* comp = util::compressor_for(codec);
   // A kept codec output is strictly smaller than its chunk, so the
   // payloads packed before chunk i end at or before i * (chunk_size - 1)
-  // and chunk i's len - 1 byte output span always fits.
-  if (comp != nullptr) table.payload_.resize(content.size() - count);
+  // and chunk i's len - 1 byte output span always fits. The buffer is
+  // allocated once but zero-filled only as far as it gets written.
+  if (comp != nullptr) table.payload_.reserve(content.size() - count);
   // The previous revision is usable when it was sliced and encoded the
   // same way and `prev_content` is the content it was built from.
   if (prev != nullptr &&
@@ -29,56 +38,96 @@ ChunkTable ChunkTable::build(BytesView content, uint32_t chunk_size,
        prev->stats_.raw_bytes != prev_content.size())) {
     prev = nullptr;
   }
-  ChunkPipelineStats& stats = table.stats_;
-  size_t packed = 0;
-  std::vector<uint64_t> hashes(count);
-  for (size_t i = 0; i < count; ++i) {
+  auto chunk = [&](size_t i) {
     const size_t offset = i * static_cast<size_t>(chunk_size);
-    const size_t len = std::min<size_t>(chunk_size, content.size() - offset);
-    BytesView raw = content.subspan(offset, len);
+    return content.subspan(
+        offset, std::min<size_t>(chunk_size, content.size() - offset));
+  };
+  // prev's entry for chunk i when its raw bytes equal `raw`, else null.
+  auto unchanged = [&](size_t i, BytesView raw) -> const ChunkEntry* {
+    if (prev == nullptr || i >= prev->entries_.size()) return nullptr;
+    const ChunkEntry& p = prev->entries_[i];
+    const uint8_t* was = prev_content.data() + i * size_t{chunk_size};
+    if (p.raw_size != raw.size() ||
+        std::memcmp(was, raw.data(), raw.size()) != 0) {
+      return nullptr;
+    }
+    return &p;
+  };
+  auto sample = [count](size_t j) { return j * count / kProbeSamples; };
+
+  ChunkPipelineStats& stats = table.stats_;
+  // The incompressibility probe: before the loop, try the evenly spaced
+  // samples in order and stop at the first that compresses. When none
+  // does, the whole revision ships raw and the other chunks are never
+  // tried. An unchanged sample that prev tried takes prev's verdict.
+  bool try_all = comp != nullptr;
+  size_t probed = 0;  // samples decided: all lost, but a winning last
+  if (comp != nullptr && count > kProbeSamples) {
+    try_all = false;
+    // Scratch output for the samples: the loop below redoes a winner.
+    table.payload_.resize(chunk_size - 1);
+    while (!try_all && probed < kProbeSamples) {
+      const size_t i = sample(probed++);
+      const BytesView raw = chunk(i);
+      if (const ChunkEntry* p = unchanged(i, raw);
+          p != nullptr && !p->probe_skipped) {
+        try_all = p->compressed;
+        continue;
+      }
+      ++stats.compress_calls;
+      try_all = comp->compress(raw, std::span<uint8_t>(table.payload_)
+                                        .first(raw.size() - 1)) > 0;
+    }
+  }
+  if (try_all) table.payload_.resize(content.size() - count);
+
+  size_t packed = 0;
+  size_t next = 0;  // the next probe sample the loop meets
+  for (size_t i = 0; i < count; ++i) {
+    const BytesView raw = chunk(i);
+    const size_t len = raw.size();
     ChunkEntry& e = table.entries_[i];
     e.raw_size = static_cast<uint32_t>(len);
-    if (prev != nullptr && i < prev->entries_.size() &&
-        prev->entries_[i].raw_size == len &&
-        std::memcmp(prev_content.data() + offset, raw.data(), len) == 0) {
-      // Same bytes: the hash and the compress-or-raw outcome are what
-      // the previous build computed for them.
-      const ChunkEntry& p = prev->entries_[i];
-      e.hash = p.hash;
-      e.compressed = p.compressed;
-      e.payload_size = p.payload_size;
-      if (p.compressed) {
+    const bool sampled = next < probed && i == sample(next);
+    if (sampled) ++next;
+    // Every sample the probe decided lost, but a winning last one.
+    const bool lost = sampled && !(try_all && next == probed);
+    // Same bytes as prev's chunk i: the same hash, and when prev tried
+    // the chunk, the same compress-or-raw outcome.
+    const ChunkEntry* p = unchanged(i, raw);
+    if (p != nullptr) ++stats.reused_chunks;
+    table.hashes_[i] = p != nullptr ? prev->hashes_[i] : util::hash64(raw);
+    if (comp == nullptr || lost) {
+      // Ships raw: no codec, or the probe saw this sample lose.
+    } else if (!try_all) {
+      e.probe_skipped = true;
+      ++stats.skipped_by_probe;
+    } else if (p != nullptr && !p->probe_skipped) {
+      e.compressed = p->compressed;
+      e.payload_size = p->payload_size;
+      if (p->compressed) {
         std::memcpy(table.payload_.data() + packed,
-                    prev->payload_.data() + p.payload_offset, p.payload_size);
+                    prev->payload_.data() + p->payload_offset, p->payload_size);
       }
-      ++stats.reused_chunks;
     } else {
-      e.hash = util::hash64(raw);
-      if (comp != nullptr) {
-        e.payload_size = static_cast<uint32_t>(comp->compress(
-            raw, std::span<uint8_t>(table.payload_).subspan(packed, len - 1)));
-        e.compressed = e.payload_size > 0;
-      }
+      ++stats.compress_calls;
+      e.payload_size = static_cast<uint32_t>(comp->compress(
+          raw, std::span<uint8_t>(table.payload_).subspan(packed, len - 1)));
+      e.compressed = e.payload_size > 0;
     }
     if (e.compressed) {
       e.payload_offset = packed;
       packed += e.payload_size;
       ++stats.compressed_chunks;
     }
-    hashes[i] = e.hash;
     stats.raw_bytes += len;
     stats.wire_bytes += e.compressed ? e.payload_size : len;
   }
   table.payload_.resize(packed);
-  stats.chunks = static_cast<uint32_t>(count);
-  table.manifest_hash_ = util::hash64_list(hashes.data(), hashes.size());
+  table.manifest_hash_ =
+      util::hash64_list(table.hashes_.data(), table.hashes_.size());
   return table;
-}
-
-std::vector<uint64_t> ChunkTable::hashes() const {
-  std::vector<uint64_t> out(entries_.size());
-  for (size_t i = 0; i < entries_.size(); ++i) out[i] = entries_[i].hash;
-  return out;
 }
 
 size_t ChunkStore::home(uint64_t hash) const {

@@ -2,17 +2,20 @@
 //
 // ChunkTable is the publisher-side pre-computation: slice a revision's
 // content at chunk_size, hash every raw chunk (util::hash64), and — when
-// a codec is negotiated — compress each chunk independently, keeping
-// the compressed form only when it is strictly smaller than raw. One
-// sequential pass on the calling thread builds the table; the result is
-// a pure function of (content, chunk_size, codec), so simulation stays
-// deterministic. Every kept chunk is compressed straight into its
-// packed place, in index order, in one table-owned buffer: a revision
-// costs O(1) allocations, not one per chunk. Given the outgoing
-// revision of the same resource, a chunk whose bytes did not change
-// takes its hash and payload from there instead of being hashed and
-// compressed again; equal bytes give equal results, so the table is the
-// one a fresh build makes.
+// a codec is negotiated — decide per revision whether to compress. A
+// probe first tries up to 8 evenly spaced chunks; if none compresses
+// strictly smaller than raw, the whole revision ships raw and the other
+// chunks are never tried. Otherwise every chunk is compressed
+// independently and keeps its compressed form only when it is strictly
+// smaller. One sequential pass on the calling thread builds the table;
+// the result is a pure function of (content, chunk_size, codec), so
+// simulation stays deterministic. Every kept chunk is compressed
+// straight into its packed place, in index order, in one table-owned
+// buffer: a revision costs O(1) allocations, not one per chunk. Given
+// the outgoing revision of the same resource, a chunk whose bytes did
+// not change takes its hash from there, and its payload too when that
+// build tried the chunk; equal bytes give equal results, so the table is
+// the one a fresh build makes.
 //
 // ChunkStore is the receiver-side bounded LRU keyed by chunk hash: the
 // cross-transfer dedup memory that lets an identical-revision republish
@@ -29,10 +32,13 @@
 
 namespace marea::proto {
 
+// One chunk's wire form; its hash is the table's hashes()[index].
 struct ChunkEntry {
-  uint64_t hash = 0;       // digest of the RAW chunk bytes
-  uint32_t raw_size = 0;   // chunk length before compression
+  uint32_t raw_size = 0;  // chunk length before compression
   bool compressed = false;
+  // Shipped raw without being tried: the revision's probe found no
+  // chunk that compresses. A later build cannot reuse a verdict from it.
+  bool probe_skipped = false;
   // Compressed bytes within the table's payload buffer; empty when
   // !compressed.
   size_t payload_offset = 0;
@@ -43,9 +49,10 @@ struct ChunkEntry {
 struct ChunkPipelineStats {
   uint64_t raw_bytes = 0;
   uint64_t wire_bytes = 0;  // sum of per-chunk payloads as sent
-  uint32_t chunks = 0;
   uint32_t compressed_chunks = 0;
-  uint32_t reused_chunks = 0;  // taken from the previous revision
+  uint32_t reused_chunks = 0;     // hash taken from the previous revision
+  uint32_t compress_calls = 0;    // Compressor::compress calls, probe too
+  uint32_t skipped_by_probe = 0;  // entries with probe_skipped set
 };
 
 class ChunkTable {
@@ -55,7 +62,8 @@ class ChunkTable {
   // `prev` (optional) is the table of the revision this one replaces
   // and `prev_content` the bytes it was built from: with the same
   // chunk_size and codec, chunk i reuses prev's chunk i when their raw
-  // bytes are equal.
+  // bytes are equal: always its hash, and its compress-or-raw outcome
+  // unless prev skipped the chunk.
   static ChunkTable build(BytesView content, uint32_t chunk_size,
                           util::Codec codec, const ChunkTable* prev = nullptr,
                           BytesView prev_content = {});
@@ -70,8 +78,9 @@ class ChunkTable {
     return BytesView(payload_).subspan(e.payload_offset, e.payload_size);
   }
 
-  // The announce manifest: raw-chunk hashes in index order.
-  std::vector<uint64_t> hashes() const;
+  // The announce manifest: the digest of every RAW chunk, in index
+  // order.
+  const std::vector<uint64_t>& hashes() const { return hashes_; }
   // Digest of the hash list — names this exact revision layout, echoed
   // in NACKs so a publisher can ignore status for a stale manifest.
   uint64_t manifest_hash() const { return manifest_hash_; }
@@ -80,6 +89,7 @@ class ChunkTable {
 
  private:
   std::vector<ChunkEntry> entries_;
+  std::vector<uint64_t> hashes_;  // the manifest
   Buffer payload_;  // every compressed chunk, packed in index order
   uint32_t chunk_size_ = 0;
   util::Codec codec_ = util::Codec::kNone;

@@ -35,14 +35,14 @@ MftpPublisher::MftpPublisher(sched::Executor& executor, MftpParams params,
       static_cast<util::Codec>(meta_.codec),
       previous ? &previous->table_ : nullptr,
       previous ? as_bytes_view(*previous->content_) : BytesView{});
-  hashes_ = table_.hashes();
   // Map each index to the lowest index sharing its hash, via one sort
   // of (hash, index) pairs; the dedup check per send is then an array
   // lookup.
-  std::vector<std::pair<uint64_t, uint32_t>> by_hash(hashes_.size());
-  for (uint32_t i = 0; i < hashes_.size(); ++i) by_hash[i] = {hashes_[i], i};
+  const std::vector<uint64_t>& hashes = table_.hashes();
+  std::vector<std::pair<uint64_t, uint32_t>> by_hash(hashes.size());
+  for (uint32_t i = 0; i < hashes.size(); ++i) by_hash[i] = {hashes[i], i};
   std::sort(by_hash.begin(), by_hash.end());
-  first_with_hash_.resize(hashes_.size());
+  first_with_hash_.resize(hashes.size());
   uint32_t first = 0;
   for (size_t k = 0; k < by_hash.size(); ++k) {
     if (k == 0 || by_hash[k - 1].first != by_hash[k].first) {
@@ -50,7 +50,7 @@ MftpPublisher::MftpPublisher(sched::Executor& executor, MftpParams params,
     }
     first_with_hash_[by_hash[k].second] = first;
   }
-  round_sent_.resize(hashes_.size());
+  round_sent_.resize(hashes.size());
 }
 
 MftpPublisher::~MftpPublisher() { executor_.cancel(timer_); }
@@ -124,7 +124,7 @@ void MftpPublisher::send_next_chunk() {
   msg.transfer_id = transfer_id_;
   msg.revision = meta_.revision;
   msg.index = index;
-  msg.hash = entry.hash;
+  msg.hash = table_.hashes()[index];
   // Borrow straight out of the file image (or the chunk table's
   // compressed payload); send_chunk_ encodes synchronously, so the
   // view never outlives the publisher.

@@ -107,7 +107,7 @@ class MftpPublisher {
 
   // Announce manifest: raw-chunk hashes in index order (built in the
   // constructor's ChunkTable pre-computation).
-  const std::vector<uint64_t>& chunk_hashes() const { return hashes_; }
+  const std::vector<uint64_t>& chunk_hashes() const { return table_.hashes(); }
   uint64_t manifest_hash() const { return table_.manifest_hash(); }
   // Hash/compress accounting of the ChunkTable build.
   const ChunkPipelineStats& pipeline_stats() const { return table_.stats(); }
@@ -150,7 +150,6 @@ class MftpPublisher {
   IdleFn on_idle_;
 
   ChunkTable table_;
-  std::vector<uint64_t> hashes_;
   // Round dedup: first_with_hash_[i] is the lowest index whose chunk
   // hash equals chunk i's (built once); round_sent_[j] marks that the
   // hash first carried by index j already went out this round.

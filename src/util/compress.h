@@ -1,9 +1,11 @@
 // Pluggable per-chunk compression for the content-addressed bulk path.
 //
 // The codec is negotiated at announce time (FileMeta carries the codec
-// id), but the compress-or-raw decision is per chunk: a codec that
-// cannot beat the raw bytes reports failure and the sender ships the
-// chunk uncompressed with the "compressed" flag clear. Decompression is
+// id), but each chunk travels compressed or raw on its own: a codec
+// that cannot beat the raw bytes reports failure and the sender ships
+// the chunk uncompressed with the "compressed" flag clear. The sender
+// decides per revision first (proto::ChunkTable probes a few chunks and
+// ships a revision raw when none compresses), then per chunk. Decompression is
 // total — a malformed or truncated stream returns false instead of
 // reading or writing out of bounds — because compressed payloads arrive
 // from the network and from chaos-corrupted links.

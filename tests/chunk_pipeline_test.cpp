@@ -1,9 +1,11 @@
 // Content-addressed chunk pipeline tests: hash64 properties, LZ codec
-// round-trips and hostile-input safety, ChunkTable manifests and
-// previous-revision reuse, and the bounded ChunkStore LRU.
+// round-trips and hostile-input safety, ChunkTable manifests, the
+// incompressibility probe and previous-revision reuse, and the bounded
+// ChunkStore LRU.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <list>
 #include <set>
@@ -45,6 +47,29 @@ Buffer imagery_bytes(size_t rows, size_t cols, uint64_t seed) {
     }
   }
   return b;
+}
+
+// `count` chunks of `chunk` bytes: a flat run that LZ shrinks where
+// `flat(i)` holds, noise elsewhere.
+template <typename Pred>
+Buffer mixed_chunks(size_t count, size_t chunk, Pred flat, uint64_t seed) {
+  Buffer b = random_bytes(count * chunk, seed);
+  for (size_t i = 0; i < count; ++i) {
+    if (flat(i)) {
+      std::fill_n(b.begin() + static_cast<ptrdiff_t>(i * chunk), chunk,
+                  static_cast<uint8_t>(i));
+    }
+  }
+  return b;
+}
+
+// Chunk index of probe sample j in a revision of `count` chunks.
+size_t probe_sample(size_t j, size_t count) { return j * count / 8; }
+bool is_probe_sample(size_t i, size_t count) {
+  for (size_t j = 0; j < 8; ++j) {
+    if (probe_sample(j, count) == i) return true;
+  }
+  return false;
 }
 
 // --- hash64 -----------------------------------------------------------------
@@ -483,15 +508,17 @@ void expect_same_table(const proto::ChunkTable& got,
                        const proto::ChunkTable& want) {
   ASSERT_EQ(got.chunk_count(), want.chunk_count());
   EXPECT_EQ(got.manifest_hash(), want.manifest_hash());
+  EXPECT_EQ(got.hashes(), want.hashes());
   for (uint32_t i = 0; i < got.chunk_count(); ++i) {
-    EXPECT_EQ(got.entry(i).hash, want.entry(i).hash) << i;
     EXPECT_EQ(got.entry(i).raw_size, want.entry(i).raw_size) << i;
     EXPECT_EQ(got.entry(i).compressed, want.entry(i).compressed) << i;
+    EXPECT_EQ(got.entry(i).probe_skipped, want.entry(i).probe_skipped) << i;
     EXPECT_TRUE(std::ranges::equal(got.payload(i), want.payload(i))) << i;
   }
   EXPECT_EQ(got.stats().raw_bytes, want.stats().raw_bytes);
   EXPECT_EQ(got.stats().wire_bytes, want.stats().wire_bytes);
   EXPECT_EQ(got.stats().compressed_chunks, want.stats().compressed_chunks);
+  EXPECT_EQ(got.stats().skipped_by_probe, want.stats().skipped_by_probe);
 }
 
 TEST(ChunkPipelineTableTest, ManifestNamesContentAndLayout) {
@@ -525,7 +552,7 @@ TEST(ChunkPipelineTableTest, DuplicateChunksShareHashes) {
       proto::ChunkTable::build(BytesView(content), 1024, util::Codec::kNone);
   ASSERT_EQ(t.chunk_count(), 4u);
   for (uint32_t i = 1; i < 4; ++i) {
-    EXPECT_EQ(t.entry(i).hash, t.entry(0).hash);
+    EXPECT_EQ(t.hashes()[i], t.hashes()[0]);
   }
 }
 
@@ -549,10 +576,11 @@ TEST(ChunkPipelineTableTest, ReusingThePreviousRevisionEqualsAFreshBuild) {
                    util::Codec codec, uint32_t want_reused) {
     const proto::ChunkTable fresh =
         proto::ChunkTable::build(BytesView(content), chunk_size, codec);
-    const proto::ChunkTable reused = proto::ChunkTable::build(
+    proto::ChunkTable reused = proto::ChunkTable::build(
         BytesView(content), chunk_size, codec, &from, BytesView(from_content));
     expect_same_table(reused, fresh);
     EXPECT_EQ(reused.stats().reused_chunks, want_reused);
+    return reused;
   };
   {
     SCOPED_TRACE("identical");
@@ -594,6 +622,103 @@ TEST(ChunkPipelineTableTest, ReusingThePreviousRevisionEqualsAFreshBuild) {
     Buffer v2 = v1;
     v2[20 * kChunk] ^= 0x80;
     check(v2, prev, v1, kChunk, lz, 20);
+  }
+
+  // Noise at every probe sample ships raw throughout; previous-revision
+  // verdicts carry over only for chunks that build actually tried.
+  auto chunk_at = [](Buffer& b, size_t i) {
+    return b.begin() + static_cast<ptrdiff_t>(i * kChunk);
+  };
+  const Buffer noisy = random_bytes(20 * kChunk + 500, 24);
+  const proto::ChunkTable noisy_table =
+      proto::ChunkTable::build(BytesView(noisy), kChunk, lz);
+  ASSERT_EQ(noisy_table.chunk_count(), 21u);
+  EXPECT_EQ(noisy_table.stats().compress_calls, 8u);
+  EXPECT_EQ(noisy_table.stats().skipped_by_probe, 13u);
+  {
+    SCOPED_TRACE("noise republished identically");
+    const proto::ChunkTable t =
+        check(noisy, noisy_table, noisy, kChunk, lz, 21);
+    EXPECT_EQ(t.stats().compress_calls, 0u);
+  }
+  {
+    SCOPED_TRACE("noise, one probe sample changed");
+    Buffer v2 = noisy;
+    v2[probe_sample(3, 21) * kChunk + 9] ^= 0x01;
+    const proto::ChunkTable t = check(v2, noisy_table, noisy, kChunk, lz, 20);
+    EXPECT_EQ(t.stats().compress_calls, 1u);
+    EXPECT_EQ(t.stats().wire_bytes, t.stats().raw_bytes);
+  }
+  {
+    // The compressible chunks sit between the samples, so revision 1
+    // skips them; once a sample compresses they must be tried afresh.
+    SCOPED_TRACE("noise to imagery: previously skipped chunks compress");
+    auto between = [](size_t i) { return !is_probe_sample(i, 21); };
+    const Buffer hidden = mixed_chunks(21, kChunk, between, 25);
+    const proto::ChunkTable from =
+        proto::ChunkTable::build(BytesView(hidden), kChunk, lz);
+    ASSERT_EQ(from.stats().compressed_chunks, 0u);
+    Buffer v2 = hidden;
+    std::fill_n(chunk_at(v2, probe_sample(2, 21)), kChunk, uint8_t{0x33});
+    const proto::ChunkTable t = check(v2, from, hidden, kChunk, lz, 20);
+    EXPECT_EQ(t.stats().compressed_chunks, 21u - 8u + 1u);
+  }
+  {
+    SCOPED_TRACE("imagery to noise: reused verdicts give way to raw");
+    Buffer v2 = v1;
+    for (size_t j = 0; j < 8; ++j) {
+      const Buffer n = random_bytes(kChunk, 40 + j);
+      std::copy(n.begin(), n.end(), chunk_at(v2, probe_sample(j, 21)));
+    }
+    const proto::ChunkTable t = check(v2, prev, v1, kChunk, lz, 13);
+    EXPECT_EQ(t.stats().compressed_chunks, 0u);
+    EXPECT_EQ(t.stats().skipped_by_probe, 13u);
+  }
+}
+
+TEST(ChunkPipelineTableTest, ProbeBoundsTheCostOfMixedContent) {
+  constexpr size_t kChunk = 1024;
+  const util::Codec lz = util::Codec::kLz;
+  const util::Compressor& comp = *util::compressor_for(lz);
+  // A compressible run of ceil(count / 8) consecutive chunks always
+  // covers a probe sample, wherever it sits, so the table is the one a
+  // build that tries every chunk makes.
+  for (size_t count : {5, 8, 9, 37}) {
+    const size_t run = (count + 7) / 8;
+    for (size_t start = 0; start + run <= count; ++start) {
+      SCOPED_TRACE(::testing::Message() << count << " chunks, run at "
+                                        << start);
+      auto in_run = [&](size_t i) { return i >= start && i < start + run; };
+      const Buffer content = mixed_chunks(count, kChunk, in_run, count);
+      const proto::ChunkTable t =
+          proto::ChunkTable::build(BytesView(content), kChunk, lz);
+      ASSERT_EQ(t.chunk_count(), count);
+      EXPECT_EQ(t.stats().skipped_by_probe, 0u);
+      EXPECT_EQ(t.stats().compressed_chunks, run);
+      for (uint32_t i = 0; i < count; ++i) {
+        const BytesView raw = BytesView(content).subspan(i * kChunk, kChunk);
+        EXPECT_EQ(t.hashes()[i], util::hash64(raw)) << i;
+        EXPECT_FALSE(t.entry(i).probe_skipped) << i;
+        const Buffer want = compress_to_buffer(comp, raw);
+        EXPECT_EQ(t.entry(i).compressed, !want.empty()) << i;
+        EXPECT_TRUE(std::ranges::equal(t.payload(i), want)) << i;
+      }
+    }
+  }
+  // Compressible only between the samples: the worst case ships the
+  // revision raw, never more than raw, after exactly 8 compress calls.
+  const size_t count = 37;
+  const Buffer content = mixed_chunks(
+      count, kChunk, [&](size_t i) { return !is_probe_sample(i, count); }, 3);
+  const proto::ChunkTable t =
+      proto::ChunkTable::build(BytesView(content), kChunk, lz);
+  EXPECT_EQ(t.stats().wire_bytes, t.stats().raw_bytes);
+  EXPECT_EQ(t.stats().compressed_chunks, 0u);
+  EXPECT_EQ(t.stats().compress_calls, 8u);
+  EXPECT_EQ(t.stats().skipped_by_probe, count - 8);
+  for (uint32_t i = 0; i < count; ++i) {
+    EXPECT_EQ(t.entry(i).probe_skipped, !is_probe_sample(i, count)) << i;
+    EXPECT_TRUE(t.payload(i).empty()) << i;
   }
 }
 

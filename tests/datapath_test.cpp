@@ -465,7 +465,7 @@ TEST(BulkPathAllocTest, CompressedChunkDecodesInPlaceWithoutAllocating) {
     msgs[i].transfer_id = 7;
     msgs[i].revision = 1;
     msgs[i].index = i;
-    msgs[i].hash = table.entry(i).hash;
+    msgs[i].hash = table.hashes()[i];
     msgs[i].flags = proto::kChunkFlagCompressed;
     msgs[i].data = to_buffer(table.payload(i));
   }

@@ -482,7 +482,7 @@ TEST(MftpTest, ResumeFromStoreCompletesWithoutAnyChunkSends) {
     chunk.transfer_id = 5;
     chunk.revision = 1;
     chunk.index = i;
-    chunk.hash = table.entry(i).hash;
+    chunk.hash = table.hashes()[i];
     chunk.data = Buffer(content.begin() + i * 1024,
                         content.begin() + (i + 1) * 1024);
     rx1.on_chunk(chunk);
@@ -515,7 +515,7 @@ TEST(MftpTest, WrongHashChunkRejectedEvenWithMatchingSize) {
   chunk.transfer_id = 5;
   chunk.revision = 1;
   chunk.index = 0;
-  chunk.hash = table.entry(0).hash;
+  chunk.hash = table.hashes()[0];
   chunk.data = Buffer(1024, 0x5A);  // right size, wrong bytes
   rx.on_chunk(chunk);
   EXPECT_EQ(rx.chunks_have(), 0u);
@@ -555,7 +555,7 @@ TEST(MftpTest, CompressedWrongHashChunkStaysUnheldThenRepairs) {
 
   // Wrong bytes under the right chunk hash, then under no chunk hash
   // (the manifest still catches it).
-  rx.on_chunk(chunk_msg(0, 1, table.entry(0).hash));
+  rx.on_chunk(chunk_msg(0, 1, table.hashes()[0]));
   rx.on_chunk(chunk_msg(0, 1, 0));
   EXPECT_EQ(rx.chunks_have(), 0u);
   EXPECT_EQ(rx.stats().hash_mismatches, 2u);
@@ -563,7 +563,7 @@ TEST(MftpTest, CompressedWrongHashChunkStaysUnheldThenRepairs) {
   EXPECT_EQ(store.entries(), 0u);
 
   for (uint32_t i = 1; i < 4; ++i) {
-    rx.on_chunk(chunk_msg(i, i, table.entry(i).hash));
+    rx.on_chunk(chunk_msg(i, i, table.hashes()[i]));
   }
   FileStatusRequestMsg poll;
   poll.transfer_id = 5;
@@ -572,7 +572,7 @@ TEST(MftpTest, CompressedWrongHashChunkStaysUnheldThenRepairs) {
   EXPECT_EQ(last_nack.missing.to_indices(), (std::vector<uint32_t>{0}));
   EXPECT_FALSE(completed.has_value());
 
-  rx.on_chunk(chunk_msg(0, 0, table.entry(0).hash));  // the repair
+  rx.on_chunk(chunk_msg(0, 0, table.hashes()[0]));  // the repair
   ASSERT_TRUE(completed.has_value());
   EXPECT_EQ(*completed, content);
   EXPECT_EQ(store.entries(), 4u);
@@ -605,7 +605,7 @@ TEST(MftpTest, CompressedChunkUnderUnknownCodecStaysUnheldAndIsNacked) {
     chunk.transfer_id = 5;
     chunk.revision = 1;
     chunk.index = 0;
-    chunk.hash = table.entry(0).hash;
+    chunk.hash = table.hashes()[0];
     chunk.flags = kChunkFlagCompressed;
     chunk.data = to_buffer(table.payload(0));
     rx.on_chunk(chunk);
@@ -616,7 +616,7 @@ TEST(MftpTest, CompressedChunkUnderUnknownCodecStaysUnheldAndIsNacked) {
     raw.transfer_id = 5;
     raw.revision = 1;
     raw.index = 1;
-    raw.hash = table.entry(1).hash;
+    raw.hash = table.hashes()[1];
     raw.data = Buffer(content.begin() + 1000, content.end());
     rx.on_chunk(raw);
     EXPECT_EQ(rx.chunks_have(), 1u);

@@ -384,14 +384,26 @@ TEST(FilesTest, RepublishReusesThePreviousRevisionsChunks) {
   ASSERT_EQ(sub_ptr->completions.size(), 3u);
   EXPECT_EQ(sub_ptr->completions[2].first.revision, 3u);
   EXPECT_EQ(sub_ptr->completions[2].second, edited);
+  EXPECT_EQ(stats.file_chunks_probe_skipped, 0u);  // chunk 0 compresses
 
-  // The registry publishes the same count.
+  // A noise revision: none of the probe's 8 samples compresses, so the
+  // other chunks ship raw untried.
+  const Buffer noise_rev = blob(20000, 6);
+  ASSERT_TRUE(pub_ptr->publish("res.reuse", noise_rev).is_ok());
+  EXPECT_EQ(stats.file_chunks_probe_skipped, chunks - 8);
+  domain.run_for(seconds(3.0));
+  ASSERT_EQ(sub_ptr->completions.size(), 4u);
+  EXPECT_EQ(sub_ptr->completions[3].second, noise_rev);
+
+  // The registry publishes the same counts.
   auto& reg = domain.obs().metrics;
   reg.collect();
-  const std::string key =
-      "mw." + std::to_string(domain.container(0).config().id) +
-      ".file_chunks_reused";
-  EXPECT_EQ(reg.counter_value(key), stats.file_chunks_reused);
+  const std::string prefix =
+      "mw." + std::to_string(domain.container(0).config().id) + ".";
+  EXPECT_EQ(reg.counter_value(prefix + "file_chunks_reused"),
+            stats.file_chunks_reused);
+  EXPECT_EQ(reg.counter_value(prefix + "file_chunks_probe_skipped"),
+            stats.file_chunks_probe_skipped);
 }
 
 TEST(FilesTest, PublisherOwnershipEnforced) {
