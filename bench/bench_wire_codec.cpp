@@ -1,6 +1,8 @@
 // Implementation-efficiency microbenchmarks (paper §6 argues a minimal
 // middleware beats heavyweight stacks; these are real CPU-time numbers
-// for the per-message costs on the host CPU): PEPt encode/decode,
+// for the per-message costs on the host CPU): PEPt encode/decode (a
+// GpsFix, and a 128-double payload frame through the Encoding layer
+// alone: encode_value_into / decode_value_into on a warm buffer and Value),
 // framing through proto::FrameBuilder + open_frame (the datapath's
 // framing path), CRC-32, message round trips, and C8's warm directory
 // lookup at 10/100/1000 entries.
@@ -26,6 +28,21 @@
 #include "protocol/messages.h"
 #include "services/messages.h"
 #include "util/crc32.h"
+
+namespace marea {
+namespace {
+
+// The telemetry payload shape: a tagged run of doubles.
+struct PayloadFrame {
+  uint32_t id = 0;
+  std::string tag;
+  std::vector<double> values;
+};
+
+}  // namespace
+}  // namespace marea
+
+MAREA_REFLECT(marea::PayloadFrame, id, tag, values)
 
 namespace marea {
 namespace {
@@ -128,6 +145,27 @@ int run() {
   print("decode_gps_fix_ns", ns_per_op(100'000, decode));
   auto encode_tagged = [&] { return enc::encode_tagged(fix_value).size(); };
   print("encode_tagged_ns", ns_per_op(100'000, encode_tagged));
+
+  PayloadFrame frame;
+  frame.id = 4242;
+  frame.tag = "cam12345";
+  for (int i = 0; i < 128; ++i) frame.values.push_back(i * 7.75 - 300.0);
+  const enc::Value frame_value = enc::to_value(frame);
+  const enc::TypeDescriptor& frame_type = *enc::descriptor_of<PayloadFrame>();
+  Buffer frame_buf;
+  auto encode_frame = [&] {
+    (void)enc::encode_value_into(frame_value, frame_type, frame_buf);
+    return frame_buf.size();
+  };
+  print("encode_frame128_ns", ns_per_op(100'000, encode_frame));
+  const Buffer frame_wire = frame_buf;
+  enc::Value frame_decoded;
+  auto decode_frame = [&] {
+    return enc::decode_value_into(as_bytes_view(frame_wire), frame_type,
+                                  frame_decoded)
+        .is_ok();
+  };
+  print("decode_frame128_ns", ns_per_op(100'000, decode_frame));
 
   FramePool pool;
   for (size_t bytes : {64, 1024, 16384}) {

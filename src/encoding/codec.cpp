@@ -1,6 +1,8 @@
 #include "encoding/codec.h"
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 namespace marea::enc {
@@ -39,6 +41,28 @@ bool uint_fits(uint64_t v, TypeKind kind) {
     default:
       return false;
   }
+}
+
+bool is_float_kind(TypeKind kind) {
+  return kind == TypeKind::kF32 || kind == TypeKind::kF64;
+}
+
+// The packed form of an f32/f64 array: the same bytes as a ValueList of
+// doubles, f64 elements in one bulk write.
+Status encode_f64_array(const F64Array& array, const TypeDescriptor& type,
+                        ByteWriter& out) {
+  const TypeKind elem = type.element()->kind();
+  if (!is_float_kind(elem)) return shape_error("array", type);
+  if (type.fixed_size() > 0 && array.size() != type.fixed_size()) {
+    return shape_error("fixed array size", type);
+  }
+  if (type.fixed_size() == 0) out.varint(array.size());
+  if (elem == TypeKind::kF64) {
+    out.f64s(array);
+  } else {
+    for (double v : array) out.f32(static_cast<float>(v));
+  }
+  return Status::ok();
 }
 
 }  // namespace
@@ -88,6 +112,9 @@ Status BinaryWireFormat::encode(const Value& value, const TypeDescriptor& type,
       out.blob(as_bytes_view(value.as_bytes()));
       return Status::ok();
     case TypeKind::kArray: {
+      if (value.is_f64_array()) {
+        return encode_f64_array(value.as_f64_array(), type, out);
+      }
       if (!value.is_list()) return shape_error("array", type);
       const auto& list = value.as_list();
       if (type.fixed_size() > 0 && list.size() != type.fixed_size()) {
@@ -129,6 +156,24 @@ Status BinaryWireFormat::encode(const Value& value, const TypeDescriptor& type,
 }
 
 namespace {
+
+// Refills `out` with the packed form of an n-element f32/f64 array. n
+// comes off the wire, so it is checked against the bytes actually left
+// before anything is allocated for it.
+Status decode_f64_array(ByteReader& in, TypeKind elem, uint64_t n,
+                        Value& out) {
+  const size_t width = elem == TypeKind::kF64 ? 8 : 4;
+  if (n > in.remaining() / width) return data_loss_error("array too long");
+  F64Array& array = out.mutable_f64_array();
+  array.resize(static_cast<size_t>(n));
+  if (elem == TypeKind::kF64) {
+    in.f64s(array);
+  } else {
+    for (double& v : array) v = in.f32();
+  }
+  if (!in.ok()) return data_loss_error("truncated array");
+  return Status::ok();
+}
 
 // The one descriptor-shaped decoder: refills `out` in place (see
 // decode_value_into); BinaryWireFormat::decode and decode_value wrap it.
@@ -192,6 +237,8 @@ Status decode_into(ByteReader& in, const TypeDescriptor& type, Value& out) {
         n = in.varint();
         if (!in.ok()) return data_loss_error("truncated array length");
       }
+      const TypeKind elem = type.element()->kind();
+      if (is_float_kind(elem)) return decode_f64_array(in, elem, n, out);
       // Defensive cap: element payloads are at least one byte each.
       if (n > in.remaining() + 1) return data_loss_error("array too long");
       ValueList& list = out.mutable_list();
@@ -287,6 +334,31 @@ enum class Tag : uint8_t {
   kList = 6,
   kUnion = 7,
 };
+
+// One f64 at `p` as its 8 little-endian bytes, on any host.
+void store_f64_le(uint8_t* p, double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, 8);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &bits, 8);
+  } else {
+    for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(bits >> (8 * i));
+  }
+}
+
+// A packed array as the bytes of a kList of n kDouble nodes: the header,
+// then one resize and n direct (tag, f64) stores.
+void encode_tagged_f64_array(const F64Array& array, ByteWriter& out) {
+  out.u8(static_cast<uint8_t>(Tag::kList));
+  out.varint(array.size());
+  uint8_t* p = out.grow(array.size() * 9);
+  for (double v : array) {
+    p[0] = static_cast<uint8_t>(Tag::kDouble);
+    store_f64_le(p + 1, v);
+    p += 9;
+  }
+}
+
 }  // namespace
 
 void encode_tagged(const Value& value, ByteWriter& out) {
@@ -313,6 +385,8 @@ void encode_tagged(const Value& value, ByteWriter& out) {
     const auto& list = value.as_list();
     out.varint(list.size());
     for (const auto& elem : list) encode_tagged(elem, out);
+  } else if (value.is_f64_array()) {
+    encode_tagged_f64_array(value.as_f64_array(), out);
   } else {
     const auto& u = value.as_union();
     out.u8(static_cast<uint8_t>(Tag::kUnion));

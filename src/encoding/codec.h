@@ -5,6 +5,11 @@
 // zigzag for signed, fixed-width floats, length-prefixed strings/blobs,
 // field values back-to-back in descriptor order (no per-field tags — the
 // descriptor travels once at announce time, samples carry data only).
+// An f32/f64 array is its length varint (unless fixed-size) and then its
+// elements back to back, whichever Value form (value.h) it came from; an
+// f64 array is written and read as one little-endian block. Decoding
+// yields the packed F64Array form and rejects a length longer than the
+// bytes left could hold before allocating anything for it.
 //
 // The WireFormat interface keeps this pluggable, as Fig 4 requires; the
 // default is BinaryWireFormat, and tests plug an alternative to prove the

@@ -57,6 +57,12 @@ struct is_std_vector : std::false_type {};
 template <typename E, typename A>
 struct is_std_vector<std::vector<E, A>> : std::true_type {};
 
+// std::vector<float|double>: maps to the packed F64Array form.
+template <typename T>
+struct is_float_vector : std::false_type {};
+template <typename E, typename A>
+struct is_float_vector<std::vector<E, A>> : std::is_floating_point<E> {};
+
 template <typename M>
 TypePtr member_type() {
   if constexpr (std::is_same_v<M, bool>) {
@@ -127,6 +133,8 @@ Value member_to_value(const M& m) {
     return Value::of_double(static_cast<double>(m));
   } else if constexpr (std::is_same_v<M, std::string>) {
     return Value::of_string(m);
+  } else if constexpr (is_float_vector<M>::value) {
+    return Value::of_f64_array(F64Array(m.begin(), m.end()));
   } else if constexpr (is_std_vector<M>::value) {
     ValueList list;
     list.reserve(m.size());
@@ -166,6 +174,13 @@ bool member_from_value(const Value& v, M& out) {
     out = v.as_string();
     return true;
   } else if constexpr (is_std_vector<M>::value) {
+    if constexpr (is_float_vector<M>::value) {
+      if (v.is_f64_array()) {
+        const F64Array& array = v.as_f64_array();
+        out.assign(array.begin(), array.end());
+        return true;
+      }
+    }
     if (!v.is_list()) return false;
     const auto& list = v.as_list();
     out.clear();

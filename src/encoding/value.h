@@ -1,6 +1,13 @@
 // Dynamic values carried by the middleware primitives. A Value is a
 // descriptor-shaped tree; the codec (codec.h) checks shape against a
 // TypeDescriptor when putting it on the wire.
+//
+// An array whose element type is f32 or f64 has two equivalent forms: a
+// ValueList of double nodes, or a packed F64Array holding the doubles in
+// one contiguous block. The codec and to_value produce the packed form;
+// encode and from_value accept either, and operator== treats a packed
+// array and a ValueList of equal doubles as equal. Every other array, and
+// every struct, is a ValueList.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +26,9 @@ class Value;
 // Ordered field values (names live in the descriptor).
 using ValueList = std::vector<Value>;
 
+// Packed elements of an f32 or f64 array (f32 elements widened).
+using F64Array = std::vector<double>;
+
 struct UnionValue {
   uint32_t case_index = 0;
   std::shared_ptr<Value> value;  // never null in a well-formed Value
@@ -27,7 +37,7 @@ struct UnionValue {
 class Value {
  public:
   using Storage = std::variant<bool, int64_t, uint64_t, double, std::string,
-                               Buffer, ValueList, UnionValue>;
+                               Buffer, ValueList, UnionValue, F64Array>;
 
   Value() : storage_(false) {}
 
@@ -43,6 +53,8 @@ class Value {
     return Value(Storage(
         UnionValue{case_index, std::make_shared<Value>(std::move(v))}));
   }
+  // The packed form of an f32 or f64 array.
+  static Value of_f64_array(F64Array v) { return Value(Storage(std::move(v))); }
 
   bool is_bool() const { return std::holds_alternative<bool>(storage_); }
   bool is_int() const { return std::holds_alternative<int64_t>(storage_); }
@@ -55,6 +67,9 @@ class Value {
   bool is_list() const { return std::holds_alternative<ValueList>(storage_); }
   bool is_union() const {
     return std::holds_alternative<UnionValue>(storage_);
+  }
+  bool is_f64_array() const {
+    return std::holds_alternative<F64Array>(storage_);
   }
 
   bool as_bool() const { return std::get<bool>(storage_); }
@@ -70,6 +85,7 @@ class Value {
   const UnionValue& as_union() const {
     return std::get<UnionValue>(storage_);
   }
+  const F64Array& as_f64_array() const { return std::get<F64Array>(storage_); }
 
   // In-place mutators for decoders that refill a reused tree
   // (decode_value_into). Each switches the storage to the named kind,
@@ -78,6 +94,7 @@ class Value {
   std::string& mutable_string() { return ensure<std::string>(); }
   Buffer& mutable_bytes() { return ensure<Buffer>(); }
   ValueList& mutable_list() { return ensure<ValueList>(); }
+  F64Array& mutable_f64_array() { return ensure<F64Array>(); }
   // Sets the union case and returns its payload. Copies of a Value share
   // union payloads, so the payload node is reused only when unshared.
   Value& mutable_union(uint32_t case_index);

@@ -2,11 +2,13 @@
 //
 // ByteWriter/ByteReader implement the low-level encoding shared by every
 // protocol message: little-endian fixed-width integers, LEB128 varints,
-// length-prefixed strings/blobs. Reader methods are total: on truncated
-// input they mark the reader failed instead of reading out of bounds, and
-// callers check `ok()` once at the end (keeps decode paths branch-light).
+// length-prefixed strings/blobs, and runs of f64s as one contiguous
+// little-endian block. Reader methods are total: on truncated input they
+// mark the reader failed instead of reading out of bounds, and callers
+// check `ok()` once at the end (keeps decode paths branch-light).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -55,6 +57,15 @@ class ByteWriter {
     std::memcpy(&bits, &v, 8);
     u64(bits);
   }
+  // `v.size()` consecutive f64s, the bytes of that many f64() calls; on
+  // a little-endian host one resize and one copy.
+  void f64s(std::span<const double> v) {
+    if constexpr (std::endian::native != std::endian::little) {
+      for (double d : v) f64(d);
+    } else if (!v.empty()) {
+      std::memcpy(grow(v.size() * 8), v.data(), v.size() * 8);
+    }
+  }
 
   // Unsigned LEB128.
   void varint(uint64_t v) {
@@ -81,9 +92,17 @@ class ByteWriter {
     buf_->insert(buf_->end(), s.begin(), s.end());
   }
 
+  // Appends `n` zero bytes and returns where they start, for a caller
+  // that stores a run of fixed-width fields in place. The pointer is
+  // valid until the next write.
+  uint8_t* grow(size_t n) {
+    const size_t at = buf_->size();
+    buf_->resize(at + n, 0);
+    return buf_->data() + at;
+  }
   // Reserves `n` zero bytes to be filled in later via patch_u32 (e.g. a
   // header field whose value is only known after the body is written).
-  void skip(size_t n) { buf_->resize(buf_->size() + n, 0); }
+  void skip(size_t n) { grow(n); }
 
   // Patch a previously written u32 at `offset` (e.g. frame length/CRC).
   void patch_u32(size_t offset, uint32_t v) {
@@ -222,6 +241,21 @@ class ByteReader {
     double v;
     std::memcpy(&v, &bits, 8);
     return v;
+  }
+
+  // Fills `out` with out.size() consecutive f64s (see ByteWriter::f64s).
+  // When fewer bytes remain, marks the reader failed and consumes nothing.
+  void f64s(std::span<double> out) {
+    if (out.size() > remaining() / 8) {
+      ok_ = false;
+      return;
+    }
+    if constexpr (std::endian::native != std::endian::little) {
+      for (double& d : out) d = f64();
+    } else if (!out.empty()) {
+      std::memcpy(out.data(), data_.data() + pos_, out.size() * 8);
+      pos_ += out.size() * 8;
+    }
   }
 
   uint64_t varint() {

@@ -120,6 +120,41 @@ TEST(ByteReaderTest, OverlongVarintFails) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(ByteWriterTest, F64sWritesTheBytesOfScalarF64s) {
+  const double values[] = {0.0, -1.5, 3.141592653589793,
+                           std::numeric_limits<double>::infinity(), 1e-300};
+  ByteWriter bulk;
+  bulk.u8(7);
+  bulk.f64s(values);
+  bulk.f64s({});  // an empty run writes nothing
+  ByteWriter scalar;
+  scalar.u8(7);
+  for (double v : values) scalar.f64(v);
+  EXPECT_EQ(bulk.buffer(), scalar.buffer());
+
+  ByteReader r(bulk.view());
+  EXPECT_EQ(r.u8(), 7);
+  double back[5] = {};
+  r.f64s(back);
+  EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(std::memcmp(back, values, sizeof values), 0);
+}
+
+TEST(ByteReaderTest, TruncatedF64sFailsAndConsumesNothing) {
+  ByteWriter w;
+  const double values[] = {1, 2, 3, 4};
+  w.f64s(values);
+  for (size_t cut = 0; cut < w.size(); ++cut) {
+    ByteReader r(BytesView(w.buffer().data(), cut));
+    double out[4] = {};
+    r.f64s(out);
+    EXPECT_FALSE(r.ok()) << cut;
+    EXPECT_EQ(r.position(), 0u) << cut;
+    EXPECT_EQ(r.remaining(), cut) << cut;
+  }
+}
+
 TEST(ByteWriterTest, SkipAndPatchReservedHeader) {
   // The in-place framing pattern: reserve space, write the body, patch
   // the header once the value (length/CRC) is known.

@@ -246,6 +246,138 @@ TEST(TaggedCodecTest, RejectsDeepNesting) {
   EXPECT_FALSE(decode_tagged(as_bytes_view(wire)).ok());
 }
 
+// --- packed f32/f64 arrays ------------------------------------------------------
+
+Value double_list(std::initializer_list<double> values) {
+  ValueList list;
+  for (double v : values) list.push_back(Value::of_double(v));
+  return Value::of_list(std::move(list));
+}
+
+TEST(PackedArrayTest, EncodesLikeListAndDecodesPacked) {
+  // Exact in f32 too, so every element type round-trips them.
+  const Value packed = Value::of_f64_array({1.5, -2.25, 8.0});
+  const Value list = double_list({1.5, -2.25, 8.0});
+  for (const TypePtr& type :
+       {TypeDescriptor::array_of(f64_type()),
+        TypeDescriptor::array_of(f64_type(), 3),
+        TypeDescriptor::array_of(f32_type()),
+        TypeDescriptor::array_of(f32_type(), 3)}) {
+    auto from_list = encode_value(list, *type);
+    auto from_packed = encode_value(packed, *type);
+    ASSERT_TRUE(from_list.ok()) << type->to_string();
+    ASSERT_TRUE(from_packed.ok()) << type->to_string();
+    EXPECT_EQ(*from_list, *from_packed) << type->to_string();
+    auto back = decode_value(as_bytes_view(*from_list), *type);
+    ASSERT_TRUE(back.ok()) << type->to_string();
+    EXPECT_TRUE(back->is_f64_array()) << type->to_string();
+    EXPECT_EQ(*back, list) << type->to_string();
+  }
+  // Empty arrays too.
+  const auto var = TypeDescriptor::array_of(f64_type());
+  EXPECT_EQ(*encode_value(Value::of_f64_array({}), *var),
+            *encode_value(Value::of_list({}), *var));
+}
+
+TEST(PackedArrayTest, ShapeChecksMatchTheListForm) {
+  const Value packed = Value::of_f64_array({1.0, 2.0});
+  EXPECT_FALSE(validate(packed, *TypeDescriptor::array_of(i32_type())).is_ok());
+  EXPECT_FALSE(validate(packed, *f64_type()).is_ok());
+  EXPECT_FALSE(
+      validate(packed, *TypeDescriptor::array_of(f64_type(), 3)).is_ok());
+  EXPECT_TRUE(
+      validate(packed, *TypeDescriptor::array_of(f64_type(), 2)).is_ok());
+}
+
+TEST(PackedArrayTest, ForgedLengthIsDataLossBeforeAllocating) {
+  for (const TypePtr& elem : {f64_type(), f32_type()}) {
+    const auto type = TypeDescriptor::array_of(elem);
+    ByteWriter w;
+    w.varint(uint64_t{1} << 40);
+    w.f64(1.0);
+    auto fresh = decode_value(w.view(), *type);
+    ASSERT_FALSE(fresh.ok());
+    EXPECT_EQ(fresh.status().code(), StatusCode::kDataLoss);
+    Value reused = Value::of_f64_array({1, 2, 3});
+    EXPECT_EQ(decode_value_into(w.view(), *type, reused).code(),
+              StatusCode::kDataLoss);
+  }
+}
+
+TEST(PackedArrayTest, TruncationAtEveryOffsetIsDataLoss) {
+  F64Array values(128);
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<double>(i) * 0.5 - 17;
+  }
+  for (const TypePtr& type : {TypeDescriptor::array_of(f64_type()),
+                              TypeDescriptor::array_of(f64_type(), 128)}) {
+    const Buffer wire = *encode_value(Value::of_f64_array(values), *type);
+    Value reused;
+    for (size_t cut = 0; cut < wire.size(); ++cut) {
+      BytesView partial(wire.data(), cut);
+      auto fresh = decode_value(partial, *type);
+      ASSERT_FALSE(fresh.ok()) << cut;
+      EXPECT_EQ(fresh.status().code(), StatusCode::kDataLoss) << cut;
+      EXPECT_EQ(decode_value_into(partial, *type, reused).code(),
+                StatusCode::kDataLoss)
+          << cut;
+    }
+    ASSERT_TRUE(decode_value_into(as_bytes_view(wire), *type, reused).is_ok());
+    EXPECT_EQ(reused.as_f64_array(), values);
+  }
+}
+
+TEST(PackedArrayTest, TaggedBytesMatchTheListForm) {
+  F64Array values;
+  for (int i = 0; i < 200; ++i) values.push_back(i * 1.25 - 3);
+  ValueList list;
+  for (double v : values) list.push_back(Value::of_double(v));
+  const Value packed = Value::of_f64_array(values);
+  const Buffer wire = encode_tagged(packed);
+  EXPECT_EQ(wire, encode_tagged(Value::of_list(list)));
+  // After other bytes in the writer, and nested.
+  ByteWriter a;
+  a.str("prefix");
+  encode_tagged(StructBuilder().add(Value::of_uint(9)).add(packed).build(), a);
+  ByteWriter b;
+  b.str("prefix");
+  encode_tagged(
+      StructBuilder().add(Value::of_uint(9)).add(Value::of_list(list)).build(),
+      b);
+  EXPECT_EQ(a.buffer(), b.buffer());
+  EXPECT_EQ(encode_tagged(Value::of_f64_array({})),
+            encode_tagged(Value::of_list({})));
+  // decode_tagged gives the list form, which still equals the packed one.
+  auto back = decode_tagged(as_bytes_view(wire));
+  ASSERT_TRUE(back.ok());
+  EXPECT_TRUE(back->is_list());
+  EXPECT_EQ(*back, packed);
+}
+
+TEST(PackedArrayTest, EqualityAcrossForms) {
+  const Value packed = Value::of_f64_array({1.0, 2.0});
+  EXPECT_EQ(packed, double_list({1.0, 2.0}));
+  EXPECT_EQ(double_list({1.0, 2.0}), packed);
+  EXPECT_EQ(Value::of_f64_array({}), Value::of_list({}));
+  EXPECT_FALSE(packed == double_list({1.0, 3.0}));
+  EXPECT_FALSE(double_list({1.0}) == packed);
+  EXPECT_FALSE(packed ==
+               Value::of_list({Value::of_double(1.0), Value::of_int(2)}));
+  EXPECT_FALSE(packed == Value::of_double(1.0));
+  // Nested in either direction.
+  const Value nested_list = double_list({1, 2});
+  EXPECT_EQ(StructBuilder().add(Value::of_int(1)).add(packed).build(),
+            StructBuilder().add(Value::of_int(1)).add(nested_list).build());
+  EXPECT_EQ(Value::of_union(2, nested_list), Value::of_union(2, packed));
+}
+
+TEST(PackedArrayTest, ToStringIsTheSameForBothForms) {
+  EXPECT_EQ(Value::of_f64_array({1.5, -2, 1e300}).to_string(),
+            double_list({1.5, -2, 1e300}).to_string());
+  EXPECT_EQ(Value::of_f64_array({1.5, -2}).to_string(), "{1.5, -2}");
+  EXPECT_EQ(Value::of_f64_array({}).to_string(), "{}");
+}
+
 // --- schema registry ------------------------------------------------------------
 
 TEST(SchemaTest, AddFindHash) {
@@ -289,12 +421,18 @@ struct Outer {
   Inner inner;
   std::vector<Inner> inners;
 };
+struct Samples {
+  std::vector<float> f;
+  std::vector<double> d;
+  std::vector<std::vector<double>> rows;
+};
 
 }  // namespace
 }  // namespace marea::enc
 
 MAREA_REFLECT(marea::enc::Inner, a, b)
 MAREA_REFLECT(marea::enc::Outer, flag, x, values, raw, inner, inners)
+MAREA_REFLECT(marea::enc::Samples, f, d, rows)
 
 namespace marea::enc {
 namespace {
@@ -341,6 +479,60 @@ TEST(TypedTest, FromValueRejectsWrongShape) {
       Value::of_list({Value::of_string("x"), Value::of_string("y")}), i));
   EXPECT_TRUE(from_value(
       Value::of_list({Value::of_int(1), Value::of_string("y")}), i));
+}
+
+TEST(TypedTest, FloatVectorsUseThePackedForm) {
+  Samples s;
+  s.f = {0.5f, -1.25f, 3.0e6f};
+  s.d = {0.1, 2.0, -3.5e200};
+  s.rows = {{1.0}, {}, {2.0, 3.0}};
+  const Value v = to_value(s);
+  EXPECT_TRUE(v.as_list()[0].is_f64_array());
+  EXPECT_TRUE(v.as_list()[1].is_f64_array());
+  EXPECT_TRUE(v.as_list()[2].as_list()[2].is_f64_array());
+
+  auto wire = encode_struct(s);
+  ASSERT_TRUE(wire.ok());
+  auto back = decode_struct<Samples>(as_bytes_view(*wire));
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->f, s.f);
+  EXPECT_EQ(back->d, s.d);
+  EXPECT_EQ(back->rows, s.rows);
+}
+
+TEST(TypedTest, FromValueFloatVectorsAcceptBothForms) {
+  const auto list = [](std::initializer_list<double> values) {
+    ValueList l;
+    for (double v : values) l.push_back(Value::of_double(v));
+    return Value::of_list(std::move(l));
+  };
+  const Value empty_rows = Value::of_list({});
+  Samples out;
+  ASSERT_TRUE(from_value(Value::of_list({list({0.5, 2}), list({0.25}),
+                                         empty_rows}),
+                         out));
+  EXPECT_EQ(out.f, (std::vector<float>{0.5f, 2.0f}));
+  EXPECT_EQ(out.d, (std::vector<double>{0.25}));
+  ASSERT_TRUE(from_value(
+      Value::of_list({Value::of_f64_array({1.5}), Value::of_f64_array({4, 5}),
+                      Value::of_list({Value::of_f64_array({6})})}),
+      out));
+  EXPECT_EQ(out.f, (std::vector<float>{1.5f}));
+  EXPECT_EQ(out.d, (std::vector<double>{4, 5}));
+  EXPECT_EQ(out.rows, (std::vector<std::vector<double>>{{6}}));
+
+  // A non-double element is a shape mismatch for either vector type.
+  const Value int_elem = Value::of_list({Value::of_int(1)});
+  EXPECT_FALSE(from_value(
+      Value::of_list({int_elem, list({1}), empty_rows}), out));
+  EXPECT_FALSE(from_value(
+      Value::of_list({list({1}), int_elem, empty_rows}), out));
+  // A packed array is no match for a vector of another element type.
+  Outer o;
+  Value outer = to_value(o);
+  ValueList fields = outer.as_list();
+  fields[2] = Value::of_f64_array({1});
+  EXPECT_FALSE(from_value(Value::of_list(fields), o));
 }
 
 TEST(TypedTest, DecodeStructRejectsCorruptWire) {

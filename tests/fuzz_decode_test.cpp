@@ -208,6 +208,12 @@ enc::TypePtr random_type(Rng& rng, int depth) {
                     : enc::TypeDescriptor::union_of("U", std::move(fields));
 }
 
+bool is_float_array(const enc::TypeDescriptor& type) {
+  return type.kind() == enc::TypeKind::kArray &&
+         (type.element()->kind() == enc::TypeKind::kF32 ||
+          type.element()->kind() == enc::TypeKind::kF64);
+}
+
 enc::Value random_value(Rng& rng, const enc::TypeDescriptor& type) {
   using enc::TypeKind;
   using enc::Value;
@@ -241,6 +247,14 @@ enc::Value random_value(Rng& rng, const enc::TypeDescriptor& type) {
     case TypeKind::kArray: {
       const uint64_t n =
           type.fixed_size() ? type.fixed_size() : rng.uniform(0, 6);
+      // An f32/f64 array takes either of its two forms.
+      if (is_float_array(type) && rng.bernoulli(0.5)) {
+        enc::F64Array array;
+        for (uint64_t i = 0; i < n; ++i) {
+          array.push_back(random_value(rng, *type.element()).as_double());
+        }
+        return Value::of_f64_array(std::move(array));
+      }
       enc::ValueList list;
       for (uint64_t i = 0; i < n; ++i) {
         list.push_back(random_value(rng, *type.element()));
@@ -306,6 +320,136 @@ TEST_P(FuzzDecodeTest, DecodeIntoReusedValueMatchesFreshDecode) {
     EXPECT_EQ(enc::decode_value(as_bytes_view(garbage), *type).ok(),
               enc::decode_value_into(as_bytes_view(garbage), *type, reused)
                   .is_ok());
+  }
+}
+
+// --- the two forms of an f32/f64 array ---------------------------------------
+
+// Shapes with f32/f64 arrays wherever the packed form can sit: at the
+// top, fixed-size, and inside arrays, structs and unions (next to fields
+// of any other type).
+enc::TypePtr random_float_array_shape(Rng& rng, int depth) {
+  const uint64_t pick = rng.uniform(0, depth >= 2 ? 1 : 4);
+  if (pick <= 1) {
+    const auto fixed = static_cast<uint32_t>(
+        rng.bernoulli(0.3) ? rng.uniform(1, 4) : 0);
+    return enc::TypeDescriptor::array_of(
+        pick == 0 ? enc::f64_type() : enc::f32_type(), fixed);
+  }
+  if (pick == 2) {
+    return enc::TypeDescriptor::array_of(
+        random_float_array_shape(rng, depth + 1),
+        static_cast<uint32_t>(rng.bernoulli(0.3) ? rng.uniform(1, 3) : 0));
+  }
+  std::vector<enc::Field> fields;
+  for (uint64_t i = rng.uniform(1, 4); i > 0; --i) {
+    fields.push_back({"f" + std::to_string(fields.size()),
+                      rng.bernoulli(0.6)
+                          ? random_float_array_shape(rng, depth + 1)
+                          : random_type(rng, 3)});
+  }
+  return pick == 3 ? enc::TypeDescriptor::struct_of("S", std::move(fields))
+                   : enc::TypeDescriptor::union_of("U", std::move(fields));
+}
+
+// `v` (of `type`) with every f32/f64 array rewritten into one form:
+// packed, or a ValueList of doubles.
+enc::Value with_float_arrays(const enc::Value& v,
+                             const enc::TypeDescriptor& type, bool packed) {
+  using enc::Value;
+  if (is_float_array(type)) {
+    enc::F64Array array;
+    if (v.is_f64_array()) {
+      array = v.as_f64_array();
+    } else {
+      for (const Value& e : v.as_list()) array.push_back(e.as_double());
+    }
+    if (packed) return Value::of_f64_array(std::move(array));
+    enc::ValueList list;
+    for (double d : array) list.push_back(Value::of_double(d));
+    return Value::of_list(std::move(list));
+  }
+  switch (type.kind()) {
+    case enc::TypeKind::kArray: {
+      enc::ValueList list;
+      for (const Value& e : v.as_list()) {
+        list.push_back(with_float_arrays(e, *type.element(), packed));
+      }
+      return Value::of_list(std::move(list));
+    }
+    case enc::TypeKind::kStruct: {
+      enc::ValueList list;
+      for (size_t i = 0; i < type.fields().size(); ++i) {
+        list.push_back(
+            with_float_arrays(v.as_list()[i], *type.fields()[i].type, packed));
+      }
+      return Value::of_list(std::move(list));
+    }
+    case enc::TypeKind::kUnion: {
+      const auto& u = v.as_union();
+      return Value::of_union(
+          u.case_index,
+          with_float_arrays(*u.value, *type.fields()[u.case_index].type,
+                            packed));
+    }
+    default:
+      return v;
+  }
+}
+
+// True when every f32/f64 array in `v` (of `type`) is packed.
+bool float_arrays_packed(const enc::Value& v, const enc::TypeDescriptor& type) {
+  if (is_float_array(type)) return v.is_f64_array();
+  switch (type.kind()) {
+    case enc::TypeKind::kArray:
+      for (const enc::Value& e : v.as_list()) {
+        if (!float_arrays_packed(e, *type.element())) return false;
+      }
+      return true;
+    case enc::TypeKind::kStruct:
+      for (size_t i = 0; i < type.fields().size(); ++i) {
+        if (!float_arrays_packed(v.as_list()[i], *type.fields()[i].type)) {
+          return false;
+        }
+      }
+      return true;
+    case enc::TypeKind::kUnion:
+      return float_arrays_packed(
+          *v.as_union().value,
+          *type.fields()[v.as_union().case_index].type);
+    default:
+      return true;
+  }
+}
+
+// Packed and ValueList forms of the same arrays are one value: identical
+// binary and tagged bytes, equal both ways, and decode yields the packed
+// form whichever form was encoded.
+TEST_P(FuzzDecodeTest, PackedAndListFloatArraysAreOneValue) {
+  Rng rng(GetParam() ^ 0xF64A);
+  for (int round = 0; round < 300; ++round) {
+    const enc::TypePtr type = random_float_array_shape(rng, 0);
+    const enc::Value v = random_value(rng, *type);
+    const enc::Value packed = with_float_arrays(v, *type, true);
+    const enc::Value list = with_float_arrays(v, *type, false);
+    ASSERT_TRUE(float_arrays_packed(packed, *type)) << type->to_string();
+    EXPECT_TRUE(packed == list) << type->to_string();
+    EXPECT_TRUE(list == packed) << type->to_string();
+    EXPECT_EQ(packed.to_string(), list.to_string());
+
+    auto packed_wire = enc::encode_value(packed, *type);
+    auto list_wire = enc::encode_value(list, *type);
+    ASSERT_TRUE(packed_wire.ok()) << type->to_string();
+    ASSERT_TRUE(list_wire.ok()) << type->to_string();
+    EXPECT_EQ(*packed_wire, *list_wire) << type->to_string();
+    EXPECT_EQ(enc::encode_tagged(packed), enc::encode_tagged(list))
+        << type->to_string();
+
+    auto back = enc::decode_value(as_bytes_view(*list_wire), *type);
+    ASSERT_TRUE(back.ok()) << type->to_string();
+    EXPECT_TRUE(float_arrays_packed(*back, *type)) << type->to_string();
+    EXPECT_TRUE(*back == list && list == *back) << type->to_string();
+    EXPECT_TRUE(*back == packed && packed == *back) << type->to_string();
   }
 }
 
