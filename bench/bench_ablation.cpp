@@ -52,13 +52,15 @@ void mftp_chunk_size(Report& report, uint32_t chunk) {
         ByteWriter w;
         w.u8(1);
         msg.encode(w);
-        (void)net.send_multicast(sim::Endpoint{pub, 1}, kGroup, w.view());
+        (void)net.send_multicast(sim::Endpoint{pub, 1}, kGroup,
+                                 net.frame_pool().copy_in(w.view()));
       },
       [&](const proto::FileStatusRequestMsg& msg) {
         ByteWriter w;
         w.u8(2);
         msg.encode(w);
-        (void)net.send_multicast(sim::Endpoint{pub, 1}, kGroup, w.view());
+        (void)net.send_multicast(sim::Endpoint{pub, 1}, kGroup,
+                                 net.frame_pool().copy_in(w.view()));
       });
   bool done = false;
   TimePoint done_at{};
@@ -68,46 +70,52 @@ void mftp_chunk_size(Report& report, uint32_t chunk) {
         ByteWriter w;
         w.u8(3);
         ack.encode(w);
-        (void)net.send(sim::Endpoint{rx, 1}, sim::Endpoint{pub, 1}, w.view());
+        (void)net.send(sim::Endpoint{rx, 1}, sim::Endpoint{pub, 1},
+                       net.frame_pool().copy_in(w.view()));
       },
       [&](const proto::FileNackMsg& nack) {
         ByteWriter w;
         w.u8(4);
         nack.encode(w);
-        (void)net.send(sim::Endpoint{rx, 1}, sim::Endpoint{pub, 1}, w.view());
+        (void)net.send(sim::Endpoint{rx, 1}, sim::Endpoint{pub, 1},
+                       net.frame_pool().copy_in(w.view()));
       });
   receiver.set_on_complete([&](const Buffer&) {
     done = true;
     done_at = sim.now();
   });
-  (void)net.bind(sim::Endpoint{pub, 1}, [&](sim::Endpoint from, BytesView d) {
-    ByteReader r(d);
-    uint8_t tag = r.u8();
-    if (tag == 3) {
-      proto::FileAckMsg ack;
-      if (proto::FileAckMsg::decode(r, ack)) {
-        publisher.on_ack(from.node, ack);
-      }
-    } else if (tag == 4) {
-      proto::FileNackMsg nack;
-      if (proto::FileNackMsg::decode(r, nack)) {
-        publisher.on_nack(from.node, nack);
-      }
-    }
-  });
-  (void)net.bind(sim::Endpoint{rx, 1}, [&](sim::Endpoint, BytesView d) {
-    ByteReader r(d);
-    uint8_t tag = r.u8();
-    if (tag == 1) {
-      proto::FileChunkMsg msg;
-      if (proto::FileChunkMsg::decode(r, msg)) receiver.on_chunk(msg);
-    } else if (tag == 2) {
-      proto::FileStatusRequestMsg msg;
-      if (proto::FileStatusRequestMsg::decode(r, msg)) {
-        receiver.on_status_request(msg);
-      }
-    }
-  });
+  (void)net.bind_frames(
+      sim::Endpoint{pub, 1},
+      [&](sim::Endpoint from, const SharedFrame& frame) {
+        ByteReader r(frame.view());
+        uint8_t tag = r.u8();
+        if (tag == 3) {
+          proto::FileAckMsg ack;
+          if (proto::FileAckMsg::decode(r, ack)) {
+            publisher.on_ack(from.node, ack);
+          }
+        } else if (tag == 4) {
+          proto::FileNackMsg nack;
+          if (proto::FileNackMsg::decode(r, nack)) {
+            publisher.on_nack(from.node, nack);
+          }
+        }
+      });
+  (void)net.bind_frames(
+      sim::Endpoint{rx, 1},
+      [&](sim::Endpoint, const SharedFrame& frame) {
+        ByteReader r(frame.view());
+        uint8_t tag = r.u8();
+        if (tag == 1) {
+          proto::FileChunkMsg msg;
+          if (proto::FileChunkMsg::decode(r, msg)) receiver.on_chunk(msg);
+        } else if (tag == 2) {
+          proto::FileStatusRequestMsg msg;
+          if (proto::FileStatusRequestMsg::decode(r, msg)) {
+            receiver.on_status_request(msg);
+          }
+        }
+      });
   (void)net.join_group(kGroup, sim::Endpoint{rx, 1});
   publisher.add_subscriber(rx);
   publisher.start();

@@ -41,13 +41,15 @@ ReliableRun run_arq(double loss, const proto::ArqParams& params) {
       [&](const proto::ReliableDataMsg& msg) {
         ByteWriter w;
         msg.encode(w);
-        (void)net.send(sim::Endpoint{a, 1}, sim::Endpoint{b, 1}, w.view());
+        (void)net.send(sim::Endpoint{a, 1}, sim::Endpoint{b, 1},
+                       net.frame_pool().copy_in(w.view()));
       });
   proto::ArqReceiver receiver(
       [&](const proto::ReliableAckMsg& ack) {
         ByteWriter w;
         ack.encode(w);
-        (void)net.send(sim::Endpoint{b, 1}, sim::Endpoint{a, 1}, w.view());
+        (void)net.send(sim::Endpoint{b, 1}, sim::Endpoint{a, 1},
+                       net.frame_pool().copy_in(w.view()));
       },
       [&](proto::InnerType, BytesView inner) {
         ByteReader r(inner);
@@ -55,16 +57,20 @@ ReliableRun run_arq(double loss, const proto::ArqParams& params) {
         result.delivered++;
         result.latency.add(sim.now() - sent_at[id]);
       });
-  (void)net.bind(sim::Endpoint{b, 1}, [&](sim::Endpoint, BytesView d) {
-    ByteReader r(d);
-    proto::ReliableDataMsg msg;
-    if (proto::ReliableDataMsg::decode(r, msg)) receiver.on_data(msg);
-  });
-  (void)net.bind(sim::Endpoint{a, 1}, [&](sim::Endpoint, BytesView d) {
-    ByteReader r(d);
-    proto::ReliableAckMsg ack;
-    if (proto::ReliableAckMsg::decode(r, ack)) sender.on_ack(ack);
-  });
+  (void)net.bind_frames(
+      sim::Endpoint{b, 1},
+      [&](sim::Endpoint, const SharedFrame& frame) {
+        ByteReader r(frame.view());
+        proto::ReliableDataMsg msg;
+        if (proto::ReliableDataMsg::decode(r, msg)) receiver.on_data(msg);
+      });
+  (void)net.bind_frames(
+      sim::Endpoint{a, 1},
+      [&](sim::Endpoint, const SharedFrame& frame) {
+        ByteReader r(frame.view());
+        proto::ReliableAckMsg ack;
+        if (proto::ReliableAckMsg::decode(r, ack)) sender.on_ack(ack);
+      });
 
   for (int i = 0; i < kMessages; ++i) {
     sim.after(kGap * i, [&, i] {

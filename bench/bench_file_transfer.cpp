@@ -164,32 +164,33 @@ FtResult run_mftp(const Buffer& content, const FtOptions& opt) {
         w.u8(1);
         msg.encode(w);
         (void)net.send_multicast(sim::Endpoint{pub_node, 1}, kGroup,
-                                 w.view());
+                                 net.frame_pool().copy_in(w.view()));
       },
       [&](const proto::FileStatusRequestMsg& msg) {
         ByteWriter w;
         w.u8(2);
         msg.encode(w);
         (void)net.send_multicast(sim::Endpoint{pub_node, 1}, kGroup,
-                                 w.view());
+                                 net.frame_pool().copy_in(w.view()));
       });
 
-  (void)net.bind(sim::Endpoint{pub_node, 1},
-                 [&](sim::Endpoint from, BytesView d) {
-                   ByteReader r{d};
-                   uint8_t tag = r.u8();
-                   if (tag == 3) {
-                     proto::FileAckMsg ack;
-                     if (proto::FileAckMsg::decode(r, ack)) {
-                       publisher.on_ack(from.node, ack);
-                     }
-                   } else if (tag == 4) {
-                     proto::FileNackMsg nack;
-                     if (proto::FileNackMsg::decode(r, nack)) {
-                       publisher.on_nack(from.node, nack);
-                     }
-                   }
-                 });
+  (void)net.bind_frames(
+      sim::Endpoint{pub_node, 1},
+      [&](sim::Endpoint from, const SharedFrame& frame) {
+        ByteReader r{frame.view()};
+        uint8_t tag = r.u8();
+        if (tag == 3) {
+          proto::FileAckMsg ack;
+          if (proto::FileAckMsg::decode(r, ack)) {
+            publisher.on_ack(from.node, ack);
+          }
+        } else if (tag == 4) {
+          proto::FileNackMsg nack;
+          if (proto::FileNackMsg::decode(r, nack)) {
+            publisher.on_nack(from.node, nack);
+          }
+        }
+      });
 
   FtResult result;
   TimePoint slowest{0};
@@ -202,15 +203,15 @@ FtResult run_mftp(const Buffer& content, const FtOptions& opt) {
           ByteWriter w;
           w.u8(3);
           ack.encode(w);
-          (void)net.send(sim::Endpoint{node, 1},
-                         sim::Endpoint{pub_node, 1}, w.view());
+          (void)net.send(sim::Endpoint{node, 1}, sim::Endpoint{pub_node, 1},
+                         net.frame_pool().copy_in(w.view()));
         },
         [&, node](const proto::FileNackMsg& nack) {
           ByteWriter w;
           w.u8(4);
           nack.encode(w);
-          (void)net.send(sim::Endpoint{node, 1},
-                         sim::Endpoint{pub_node, 1}, w.view());
+          (void)net.send(sim::Endpoint{node, 1}, sim::Endpoint{pub_node, 1},
+                         net.frame_pool().copy_in(w.view()));
         });
     if (opt.manifest) receiver->set_manifest(publisher.chunk_hashes());
     if (static_cast<size_t>(i) < opt.stores.size() && opt.stores[i]) {
@@ -222,22 +223,23 @@ FtResult run_mftp(const Buffer& content, const FtOptions& opt) {
       if (sim.now() > slowest) slowest = sim.now();
     });
     proto::MftpReceiver* raw = receiver.get();
-    (void)net.bind(sim::Endpoint{node, 1},
-                   [raw](sim::Endpoint, BytesView d) {
-                     ByteReader r{d};
-                     uint8_t tag = r.u8();
-                     if (tag == 1) {
-                       proto::FileChunkMsg msg;
-                       if (proto::FileChunkMsg::decode(r, msg)) {
-                         raw->on_chunk(msg);
-                       }
-                     } else if (tag == 2) {
-                       proto::FileStatusRequestMsg msg;
-                       if (proto::FileStatusRequestMsg::decode(r, msg)) {
-                         raw->on_status_request(msg);
-                       }
-                     }
-                   });
+    (void)net.bind_frames(
+        sim::Endpoint{node, 1},
+        [raw](sim::Endpoint, const SharedFrame& frame) {
+          ByteReader r{frame.view()};
+          uint8_t tag = r.u8();
+          if (tag == 1) {
+            proto::FileChunkMsg msg;
+            if (proto::FileChunkMsg::decode(r, msg)) {
+              raw->on_chunk(msg);
+            }
+          } else if (tag == 2) {
+            proto::FileStatusRequestMsg msg;
+            if (proto::FileStatusRequestMsg::decode(r, msg)) {
+              raw->on_status_request(msg);
+            }
+          }
+        });
     (void)net.join_group(kGroup, sim::Endpoint{node, 1});
     if (opt.resume_from_store) receiver->resume_from_store();
     publisher.add_subscriber(node);

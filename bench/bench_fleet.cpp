@@ -297,8 +297,8 @@ FleetRun run_net_smoke(int nodes, uint32_t shards, int groups,
     auto s = grid.cell(shard).net.join_group(
         static_cast<sim::GroupId>(i % groups), ep);
     if (!s.is_ok()) std::abort();
-    s = grid.cell(shard).net.bind(
-        ep, [&received](sim::Endpoint, BytesView) { ++received; });
+    s = grid.cell(shard).net.bind_frames(
+        ep, [&received](sim::Endpoint, const SharedFrame&) { ++received; });
     if (!s.is_ok()) std::abort();
   }
   // One publisher per group (the group's first member), self-rescheduling
@@ -313,9 +313,9 @@ FleetRun run_net_smoke(int nodes, uint32_t shards, int groups,
     void arm() const {
       Pub self = *this;
       grid->cell(shard).sim.after(milliseconds(1), [self] {
-        (void)self.grid->cell(self.shard)
-            .net.send_multicast(self.from, self.group,
-                                as_bytes_view(*self.payload));
+        sim::SimNetwork& net = self.grid->cell(self.shard).net;
+        (void)net.send_multicast(self.from, self.group,
+                                 net.frame_pool().copy_in(*self.payload));
         self.arm();
       });
     }

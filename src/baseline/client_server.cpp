@@ -16,9 +16,10 @@ Buffer make_msg(BrokerOp op, const std::string& topic, BytesView payload) {
 
 BrokerServer::BrokerServer(sim::SimNetwork& net, sim::Endpoint self)
     : net_(net), self_(self) {
-  Status s = net_.bind(self_, [this](sim::Endpoint from, BytesView data) {
-    on_datagram(from, data);
-  });
+  Status s = net_.bind_frames(
+      self_, [this](sim::Endpoint from, const SharedFrame& frame) {
+        on_datagram(from, frame.view());
+      });
   (void)s;
 }
 
@@ -47,7 +48,7 @@ void BrokerServer::on_datagram(sim::Endpoint from, BytesView data) {
     for (sim::Endpoint sub : it->second) {
       if (sub == from) continue;
       ++forwarded_;
-      (void)net_.send(self_, sub, as_bytes_view(fwd));
+      (void)net_.send(self_, sub, net_.frame_pool().copy_in(fwd));
     }
   }
 }
@@ -55,9 +56,10 @@ void BrokerServer::on_datagram(sim::Endpoint from, BytesView data) {
 BrokerClient::BrokerClient(sim::SimNetwork& net, sim::Endpoint self,
                            sim::Endpoint broker)
     : net_(net), self_(self), broker_(broker) {
-  Status s = net_.bind(self_, [this](sim::Endpoint from, BytesView data) {
-    on_datagram(from, data);
-  });
+  Status s = net_.bind_frames(
+      self_, [this](sim::Endpoint from, const SharedFrame& frame) {
+        on_datagram(from, frame.view());
+      });
   (void)s;
 }
 
@@ -66,12 +68,12 @@ BrokerClient::~BrokerClient() { net_.unbind(self_); }
 void BrokerClient::subscribe(const std::string& topic, Handler handler) {
   handlers_[topic] = std::move(handler);
   Buffer msg = make_msg(BrokerOp::kSubscribe, topic, {});
-  (void)net_.send(self_, broker_, as_bytes_view(msg));
+  (void)net_.send(self_, broker_, net_.frame_pool().copy_in(msg));
 }
 
 void BrokerClient::publish(const std::string& topic, BytesView payload) {
   Buffer msg = make_msg(BrokerOp::kPublish, topic, payload);
-  (void)net_.send(self_, broker_, as_bytes_view(msg));
+  (void)net_.send(self_, broker_, net_.frame_pool().copy_in(msg));
 }
 
 void BrokerClient::on_datagram(sim::Endpoint, BytesView data) {

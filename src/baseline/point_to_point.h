@@ -26,7 +26,7 @@ class P2pProducer {
   // One unicast per consumer.
   void send(BytesView payload) {
     for (sim::Endpoint consumer : consumers_) {
-      (void)net_.send(self_, consumer, payload);
+      (void)net_.send(self_, consumer, net_.frame_pool().copy_in(payload));
     }
   }
 
@@ -42,11 +42,12 @@ class P2pConsumer {
 
   P2pConsumer(sim::SimNetwork& net, sim::Endpoint self, Handler handler)
       : net_(net), self_(self) {
-    Status s = net_.bind(self_, [this, handler = std::move(handler)](
-                                    sim::Endpoint, BytesView data) {
-      ++received_;
-      if (handler) handler(data);
-    });
+    Status s = net_.bind_frames(
+        self_, [this, handler = std::move(handler)](
+                   sim::Endpoint, const SharedFrame& frame) {
+          ++received_;
+          if (handler) handler(frame.view());
+        });
     (void)s;
   }
   ~P2pConsumer() { net_.unbind(self_); }

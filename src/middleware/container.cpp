@@ -10,6 +10,9 @@ namespace marea::mw {
 
 namespace {
 constexpr const char* kLog = "container";
+// Byte budget of the cross-transfer chunk store (receiver-side dedup
+// across revisions and resources).
+constexpr size_t kChunkStoreBytes = 4u << 20;
 
 std::string qualify(const ContainerConfig& cfg) {
   return cfg.node_name + "#" + std::to_string(cfg.id);
@@ -22,7 +25,7 @@ ServiceContainer::ServiceContainer(ContainerConfig config,
     : config_(std::move(config)),
       transport_(transport),
       executor_(executor),
-      chunk_store_(config_.mftp.chunk_store_bytes) {
+      chunk_store_(kChunkStoreBytes) {
   if (config_.obs) {
     trace_ = &config_.obs->trace;
     auto& reg = config_.obs->metrics;
@@ -164,7 +167,6 @@ void ServiceContainer::stop() {
   // re-register from on_start() on the next start(), and peers treat the
   // new incarnation as a fresh container.
   var_provisions_.clear();
-  provision_channels_.clear();
   var_subs_.clear();
   sub_channels_.clear();
   event_provisions_.clear();
@@ -211,20 +213,11 @@ sched::Priority ServiceContainer::priority_of(proto::MsgType type) const {
     case T::kReliableAck:
       return sched::Priority::kEvent;  // events & rpc ride the link
     case T::kVarSample:
-    case T::kVarSubscribe:
-    case T::kVarUnsubscribe:
-    case T::kVarSnapshot:
-    case T::kVarSnapshotRequest:
-    case T::kEventSubscribe:
-    case T::kEventUnsubscribe:
       return sched::Priority::kVariable;
-    case T::kFileSubscribe:
-    case T::kFileUnsubscribe:
     case T::kFileChunk:
     case T::kFileStatusRequest:
     case T::kFileAck:
     case T::kFileNack:
-    case T::kFileRevision:
       return sched::Priority::kFileTransfer;
     default:
       return sched::Priority::kBackground;
@@ -342,35 +335,9 @@ void ServiceContainer::process_frame(transport::Address from,
       if (proto::FileNackMsg::decode(r, msg)) on_file_nack(src, msg);
       break;
     }
-    case T::kFileRevision: {
-      proto::FileRevisionMsg msg;
-      if (proto::FileRevisionMsg::decode(r, msg)) on_file_revision(src, msg);
-      break;
-    }
-    // The following arrive via the reliable control channel in normal
-    // operation but are also accepted as bare frames (e.g. snapshots
-    // re-requested over best-effort paths).
-    case T::kVarSubscribe: {
-      proto::VarSubscribeMsg msg;
-      if (proto::VarSubscribeMsg::decode(r, msg)) {
-        ensure_peer(src, from);
-        on_var_subscribe(src, msg);
-      }
-      break;
-    }
-    case T::kVarSnapshotRequest: {
-      proto::VarSnapshotRequestMsg msg;
-      if (proto::VarSnapshotRequestMsg::decode(r, msg)) {
-        ensure_peer(src, from);
-        on_var_snapshot_request(src, msg);
-      }
-      break;
-    }
-    case T::kVarSnapshot: {
-      proto::VarSnapshotMsg msg;
-      if (proto::VarSnapshotMsg::decode(r, msg)) on_var_snapshot(msg);
-      break;
-    }
+    // Subscription control (subscribe, unsubscribe, snapshot, revision)
+    // rides only the reliable link (on_control); a bare frame of those
+    // types is dropped like any unknown type.
     default:
       stats_.frames_dropped++;
       break;

@@ -56,10 +56,6 @@ struct ContainerConfig {
   // it"; false falls back to per-subscriber unicast (bench C2 compares).
   bool use_multicast = true;
 
-  // Time after start() during which missing required functions do not yet
-  // raise the emergency procedure (providers may still be joining).
-  Duration requirement_grace = seconds(1.0);
-
   Duration heartbeat_interval = milliseconds(100);
   double liveness_factor = 3.5;       // silence > factor*interval = dead
   // Manifest hellos are rebroadcast on this cadence so a lost initial
@@ -107,7 +103,8 @@ struct ContainerStats {
   uint64_t file_chunks_probe_skipped = 0;  // shipped raw untried
   // infrastructure
   uint64_t frames_received = 0;
-  uint64_t frames_dropped = 0;        // CRC/decode failures
+  uint64_t frames_dropped = 0;        // CRC/decode failures, and types
+                                      // not accepted as bare frames
   uint64_t frames_send_failed = 0;    // transport refused the send (live
                                       // UDP: buffer pressure, no route)
   uint64_t link_session_resets = 0;   // receiver ARQ state rebuilt for a
@@ -421,7 +418,7 @@ class ServiceContainer {
   void send_frame(transport::Address to, proto::MsgType type,
                   SharedFrame frame);
   // Messages serialize straight into a pooled frame via FrameBuilder —
-  // no intermediate payload buffer, no seal_frame copy.
+  // no intermediate payload buffer, no copy.
   template <typename Msg>
   SharedFrame build_msg(proto::MsgType type, const Msg& msg) {
     proto::FrameBuilder fb(transport_.frame_pool(),
@@ -489,8 +486,6 @@ class ServiceContainer {
                           const proto::VarUnsubscribeMsg& msg);
   void on_var_sample(const proto::VarSampleMsg& msg);
   void on_var_snapshot(const proto::VarSnapshotMsg& msg);
-  void on_var_snapshot_request(proto::ContainerId from,
-                               const proto::VarSnapshotRequestMsg& msg);
   void send_sample(VarProvision& prov);
   void send_snapshot(VarProvision& prov, proto::ContainerId to);
   // Decodes a remote sample into sub.scratch and, only on success, swaps
@@ -515,7 +510,6 @@ class ServiceContainer {
                       const proto::RpcRequestMsg& msg);
   void on_rpc_response(proto::ContainerId from,
                        const proto::RpcResponseMsg& msg);
-  void dispatch_call(PendingCall call);
   void dispatch_call_attempt(uint64_t rid);
   std::optional<ProviderRecord> pick_provider(const std::string& function,
                                               const CallOptions& options,
@@ -620,7 +614,6 @@ class ServiceContainer {
   std::map<proto::ContainerId, uint64_t> link_sessions_;
 
   std::map<std::string, VarProvision> var_provisions_;          // by name
-  std::unordered_map<uint32_t, std::string> provision_channels_;
   std::map<std::string, VarSubscription> var_subs_;             // by name
   std::unordered_map<uint32_t, std::string> sub_channels_;
 
@@ -679,8 +672,8 @@ class ServiceContainer {
   void retire_mftp_receiver(const proto::MftpReceiver& rx);
 
   // Cross-transfer content-addressed chunk cache shared by all file
-  // subscriptions of this container (bounded LRU, sized by
-  // config_.mftp.chunk_store_bytes in the constructor).
+  // subscriptions of this container (bounded LRU; the byte budget is
+  // kChunkStoreBytes in container.cpp).
   proto::ChunkStore chunk_store_;
 };
 

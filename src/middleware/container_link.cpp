@@ -183,13 +183,6 @@ void ServiceContainer::on_control(proto::ContainerId from,
       }
       break;
     }
-    case T::kVarSnapshotRequest: {
-      proto::VarSnapshotRequestMsg msg;
-      if (proto::VarSnapshotRequestMsg::decode(r, msg)) {
-        on_var_snapshot_request(from, msg);
-      }
-      break;
-    }
     case T::kVarSnapshot: {
       proto::VarSnapshotMsg msg;
       if (proto::VarSnapshotMsg::decode(r, msg)) on_var_snapshot(msg);

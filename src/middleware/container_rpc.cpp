@@ -11,6 +11,9 @@ namespace marea::mw {
 namespace {
 constexpr const char* kLog = "rpc";
 constexpr Duration kNoProviderRetry = milliseconds(50);
+// Time after start() during which missing required functions do not yet
+// raise the emergency procedure (providers may still be joining).
+constexpr Duration kRequirementGrace = seconds(1.0);
 }  // namespace
 
 Status ServiceContainer::register_function(Service& owner,
@@ -52,10 +55,10 @@ Status ServiceContainer::add_function_requirement(Service& owner,
 
 void ServiceContainer::check_function_requirements() {
   // During the join window, absence is expected — re-check once it closes.
-  if (running_ && now() - started_at_ < config_.requirement_grace) {
+  if (running_ && now() - started_at_ < kRequirementGrace) {
     if (!requirements_check_pending_) {
       requirements_check_pending_ = true;
-      executor_.schedule(config_.requirement_grace,
+      executor_.schedule(kRequirementGrace,
                          sched::Priority::kBackground, [this] {
                            requirements_check_pending_ = false;
                            check_function_requirements();
@@ -131,13 +134,6 @@ void ServiceContainer::call_function(Service* caller,
         fail_over_call(rid, "call timeout");
       });
 
-  dispatch_call_attempt(rid);
-}
-
-void ServiceContainer::dispatch_call(PendingCall call) {
-  // Retained for interface compatibility; routing happens per attempt.
-  uint64_t rid = call.request_id;
-  pending_calls_.emplace(rid, std::move(call));
   dispatch_call_attempt(rid);
 }
 

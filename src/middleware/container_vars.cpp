@@ -27,7 +27,6 @@ StatusOr<VariableHandle> ServiceContainer::register_variable(
   prov.channel = proto::channel_of(name);
   prov.type = std::move(type);
   prov.qos = qos;
-  provision_channels_[prov.channel] = name;
   auto [it, ok] = var_provisions_.emplace(name, std::move(prov));
   (void)ok;
 
@@ -351,12 +350,6 @@ void ServiceContainer::send_snapshot(VarProvision& prov,
   msg.encode(w);
   send_control(to, proto::MsgType::kVarSnapshot, w.view());
   stats_.var_snapshots_sent++;
-}
-
-void ServiceContainer::on_var_snapshot_request(
-    proto::ContainerId from, const proto::VarSnapshotRequestMsg& msg) {
-  auto it = var_provisions_.find(msg.name);
-  if (it != var_provisions_.end()) send_snapshot(it->second, from);
 }
 
 void ServiceContainer::on_var_snapshot(const proto::VarSnapshotMsg& msg) {

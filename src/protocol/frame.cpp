@@ -15,7 +15,6 @@ const char* msg_type_name(MsgType t) {
     case MsgType::kVarSubscribe: return "VAR_SUBSCRIBE";
     case MsgType::kVarUnsubscribe: return "VAR_UNSUBSCRIBE";
     case MsgType::kVarSample: return "VAR_SAMPLE";
-    case MsgType::kVarSnapshotRequest: return "VAR_SNAPSHOT_REQUEST";
     case MsgType::kVarSnapshot: return "VAR_SNAPSHOT";
     case MsgType::kEventSubscribe: return "EVENT_SUBSCRIBE";
     case MsgType::kEventUnsubscribe: return "EVENT_UNSUBSCRIBE";
@@ -30,17 +29,6 @@ const char* msg_type_name(MsgType t) {
     case MsgType::kFileRevision: return "FILE_REVISION";
   }
   return "?";
-}
-
-Buffer seal_frame(FrameHeader header, BytesView payload) {
-  ByteWriter w(kFrameOverhead + payload.size());
-  w.u16(kFrameMagic);
-  w.u8(kProtocolVersion);
-  w.u8(static_cast<uint8_t>(header.type));
-  w.u32(header.source);
-  w.bytes(payload);
-  w.u32(crc32(w.view()));
-  return w.take();
 }
 
 FrameBuilder::FrameBuilder(FramePool& pool, FrameHeader header)

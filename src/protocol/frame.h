@@ -3,6 +3,9 @@
 // intent of the message (paper §6: "Protocol frames the encoded data to
 // denote the intent of the message"), the payload, and a trailing CRC-32.
 //
+// FrameBuilder is the only way to make a frame; open_frame is the only
+// way to read one.
+//
 // Header layout (little endian):
 //   magic   u16  0x4D41 ("MA")
 //   version u8   kProtocolVersion
@@ -40,8 +43,7 @@ enum class MsgType : uint8_t {
   kVarSubscribe = 20,
   kVarUnsubscribe = 21,
   kVarSample = 22,
-  kVarSnapshotRequest = 23,  // "guaranteed initial exact value" machinery
-  kVarSnapshot = 24,
+  kVarSnapshot = 24,  // "guaranteed initial exact value" (§4.1)
   // --- events (control only; data rides the reliable link) ---
   kEventSubscribe = 25,
   kEventUnsubscribe = 26,
@@ -65,10 +67,6 @@ struct FrameHeader {
   ContainerId source = kInvalidContainer;
 };
 
-// Wraps `payload` in a frame. Legacy copying path (tests, cold paths);
-// the hot path serializes in place via FrameBuilder below.
-Buffer seal_frame(FrameHeader header, BytesView payload);
-
 // Validates magic/version/CRC and splits header from payload (payload view
 // aliases `frame`). kDataLoss on any corruption.
 StatusOr<FrameHeader> open_frame(BytesView frame, BytesView* payload);
@@ -77,7 +75,7 @@ StatusOr<FrameHeader> open_frame(BytesView frame, BytesView* payload);
 // header, lets the caller serialize the payload directly into the frame
 // via payload(), then seal() appends the trailing CRC in place and
 // freezes the slab into an immutable SharedFrame — no intermediate
-// message buffer and no seal_frame re-copy.
+// message buffer and no re-copy.
 class FrameBuilder {
  public:
   FrameBuilder(FramePool& pool, FrameHeader header);

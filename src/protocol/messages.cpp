@@ -203,14 +203,6 @@ bool VarSampleMsg::decode(ByteReader& r, VarSampleMsg& out) {
   return r.ok();
 }
 
-void VarSnapshotRequestMsg::encode(ByteWriter& w) const { w.str(name); }
-
-bool VarSnapshotRequestMsg::decode(ByteReader& r,
-                                   VarSnapshotRequestMsg& out) {
-  out.name = r.str();
-  return r.ok();
-}
-
 void VarSnapshotMsg::encode(ByteWriter& w) const {
   w.str(name);
   w.varint(seq);

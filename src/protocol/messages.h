@@ -154,13 +154,6 @@ struct VarSampleMsg {
   static bool decode(ByteReader& r, VarSampleMsg& out);
 };
 
-struct VarSnapshotRequestMsg {
-  std::string name;
-
-  void encode(ByteWriter& w) const;
-  static bool decode(ByteReader& r, VarSnapshotRequestMsg& out);
-};
-
 // Unicast "initial exact value" (§4.1); carries the name so it is
 // unambiguous even before the subscriber sees any announce.
 struct VarSnapshotMsg {
@@ -358,14 +351,6 @@ struct FileNackMsg {
   void encode(ByteWriter& w) const;
   static bool decode(ByteReader& r, FileNackMsg& out);
 };
-
-// Convenience: encode a payload struct and seal it in a frame.
-template <typename Msg>
-Buffer make_frame(MsgType type, ContainerId source, const Msg& msg) {
-  ByteWriter w;
-  msg.encode(w);
-  return seal_frame(FrameHeader{type, source}, w.view());
-}
 
 // Channel id for a named variable/event stream.
 uint32_t channel_of(const std::string& name);

@@ -9,6 +9,12 @@
 
 namespace marea::proto {
 
+namespace {
+// Completion rounds a publisher runs before it fails the receivers
+// still missing chunks.
+constexpr uint32_t kMaxRounds = 64;
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // MftpPublisher
 // ---------------------------------------------------------------------------
@@ -161,7 +167,7 @@ void MftpPublisher::begin_status_phase() {
     if (on_idle_) on_idle_();
     return;
   }
-  if (round_ >= static_cast<uint32_t>(params_.max_rounds)) {
+  if (round_ >= kMaxRounds) {
     // Out of patience: fail everyone still subscribed.
     auto remaining = subscribers_;
     for (MftpPeer peer : remaining) {

@@ -39,15 +39,12 @@ struct MftpParams {
   Duration chunk_interval = microseconds(100);
   Duration status_timeout = milliseconds(60);
   int max_status_retries = 5;  // per completion round
-  int max_rounds = 64;
 
   // --- content-addressed bulk path (ROADMAP item 3) ---
   // Per-chunk codec the middleware announces in FileMeta. The engine
   // itself follows meta.codec (what was announced is authoritative);
   // this knob is how the container picks it.
   util::Codec codec = util::Codec::kLz;
-  // Receiver-side cross-transfer dedup store budget (container knob).
-  size_t chunk_store_bytes = 4u << 20;
 };
 
 // Opaque peer identity supplied by the middleware (container id).

@@ -151,27 +151,14 @@ void SimNetwork::heal() {
   blocked_.clear();
 }
 
-Status SimNetwork::bind(Endpoint ep, RecvHandler handler) {
-  if (ep.node >= nodes_.size()) {
-    return invalid_argument_error("bind: unknown node");
-  }
-  if (!handler) return invalid_argument_error("bind: empty handler");
-  auto [it, inserted] =
-      bindings_.emplace(ep, Binding{std::move(handler), nullptr});
-  (void)it;
-  if (!inserted) return already_exists_error("bind: endpoint in use");
-  return Status::ok();
-}
-
 Status SimNetwork::bind_frames(Endpoint ep, FrameHandler handler) {
   if (ep.node >= nodes_.size()) {
     return invalid_argument_error("bind_frames: unknown node");
   }
   if (!handler) return invalid_argument_error("bind_frames: empty handler");
-  auto [it, inserted] =
-      bindings_.emplace(ep, Binding{nullptr, std::move(handler)});
-  (void)it;
-  if (!inserted) return already_exists_error("bind_frames: endpoint in use");
+  if (!bindings_.emplace(ep, std::move(handler)).second) {
+    return already_exists_error("bind_frames: endpoint in use");
+  }
   return Status::ok();
 }
 
@@ -319,12 +306,6 @@ SharedFrame SimNetwork::ingress_frame(BytesView data) {
   return frame;
 }
 
-Status SimNetwork::send(Endpoint from, Endpoint to, BytesView data) {
-  Status s = check_send("send", from, data.size());
-  if (!s.is_ok()) return s;
-  return send(from, to, ingress_frame(data));
-}
-
 Status SimNetwork::send(Endpoint from, Endpoint to, SharedFrame frame) {
   Status s = check_send("send", from, frame.size());
   if (!s.is_ok()) return s;
@@ -345,13 +326,6 @@ Status SimNetwork::send(Endpoint from, Endpoint to, SharedFrame frame) {
   }
   wire_deliver(from, to, on_wire, frame);
   return Status::ok();
-}
-
-Status SimNetwork::send_multicast(Endpoint from, GroupId group,
-                                  BytesView data) {
-  Status s = check_send("send_multicast", from, data.size());
-  if (!s.is_ok()) return s;
-  return send_multicast(from, group, ingress_frame(data));
 }
 
 Status SimNetwork::send_multicast(Endpoint from, GroupId group,
@@ -403,13 +377,6 @@ Status SimNetwork::send_multicast(Endpoint from, GroupId group,
     total_.fanout_shards_touched++;
   }
   return Status::ok();
-}
-
-Status SimNetwork::send_broadcast(Endpoint from, uint16_t port,
-                                  BytesView data) {
-  Status s = check_send("send_broadcast", from, data.size());
-  if (!s.is_ok()) return s;
-  return send_broadcast(from, port, ingress_frame(data));
 }
 
 Status SimNetwork::send_broadcast(Endpoint from, uint16_t port,
@@ -644,12 +611,7 @@ void SimNetwork::deliver(Endpoint from, Endpoint to, const SharedFrame& frame,
   total_.bytes_delivered += frame.size();
   nodes_[to.node].stats.packets_delivered++;
   nodes_[to.node].stats.bytes_delivered += frame.size();
-  const Binding& b = it->second;
-  if (b.frame) {
-    b.frame(from, frame);
-  } else {
-    b.view(from, frame.view());
-  }
+  it->second(from, frame);
 }
 
 const TrafficStats& SimNetwork::node_stats(NodeId id) const {

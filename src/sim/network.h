@@ -16,6 +16,9 @@
 //  * Fault model per directed link (chaos experiments): Gilbert–Elliott
 //    bursty loss, duplication, reordering, payload corruption (caught by
 //    the frame CRC), plus first-class bidirectional partitions.
+//  * Frames only: one bind (bind_frames) and one send per operation, each
+//    carrying a pooled, refcounted SharedFrame that every destination
+//    shares.
 #pragma once
 
 #include <cstdint>
@@ -139,9 +142,10 @@ struct TrafficStats {
   uint64_t packets_corrupted = 0;   // delivered with a flipped byte
   uint64_t packets_stale_dropped = 0;  // in flight when the dest went down
   // Datapath efficiency counters: payload buffer heap allocations and
-  // whole-payload copies performed inside the network layer per send
-  // (bench_hotpath divides these by samples to get allocs/copies per
-  // publish-fanout sample).
+  // whole-payload copies performed inside the network layer — only the
+  // cross-shard expansion copies; frame sends make none (bench_hotpath
+  // divides these by samples to get allocs/copies per publish-fanout
+  // sample).
   uint64_t payload_allocs = 0;
   uint64_t payload_copies = 0;
   uint64_t payload_bytes_copied = 0;
@@ -153,10 +157,8 @@ struct TrafficStats {
 
 class SimNetwork {
  public:
-  using RecvHandler =
-      std::function<void(Endpoint from, BytesView data)>;
-  // Frame-aware receive: the handler shares the in-flight frame's bytes
-  // (refcount bump) instead of being handed a view it must copy.
+  // Receive: the handler shares the in-flight frame's bytes (refcount
+  // bump) and may retain them past the callback without copying.
   using FrameHandler =
       std::function<void(Endpoint from, const SharedFrame& frame)>;
 
@@ -230,26 +232,22 @@ class SimNetwork {
   size_t mtu() const { return mtu_; }
 
   // --- binding ------------------------------------------------------------
-  Status bind(Endpoint ep, RecvHandler handler);
   Status bind_frames(Endpoint ep, FrameHandler handler);
   void unbind(Endpoint ep);
   Status join_group(GroupId group, Endpoint member);
   void leave_group(GroupId group, Endpoint member);
 
   // --- sending ------------------------------------------------------------
-  // BytesView overloads copy the payload ONCE into a pooled frame
-  // (ingress copy); SharedFrame overloads move pre-built frames through
-  // the network with zero payload copies — every destination and every
-  // in-flight delivery shares the same slab.
-  Status send(Endpoint from, Endpoint to, BytesView data);
+  // Frames only: a pre-built frame moves through the network with zero
+  // payload copies — every destination and every in-flight delivery
+  // shares the same slab. A sender that starts from bytes copies them in
+  // once itself (frame_pool().copy_in).
   Status send(Endpoint from, Endpoint to, SharedFrame frame);
   // One egress serialization; delivered to every member bound to `group`
   // (including members on the sender's node, delivered locally) except the
   // sending endpoint itself.
-  Status send_multicast(Endpoint from, GroupId group, BytesView data);
   Status send_multicast(Endpoint from, GroupId group, SharedFrame frame);
   // Delivered to `port` on every up node except the sender's.
-  Status send_broadcast(Endpoint from, uint16_t port, BytesView data);
   Status send_broadcast(Endpoint from, uint16_t port, SharedFrame frame);
 
   // Shared slab pool for frames crossing this network (senders build
@@ -366,15 +364,9 @@ class SimNetwork {
     }
   };
 
-  // One receiver endpoint: legacy view handler or frame-aware handler.
-  struct Binding {
-    RecvHandler view;
-    FrameHandler frame;
-  };
-
   Status check_send(const char* what, Endpoint from, size_t size) const;
-  // Copies `data` into a pooled frame, counting the ingress copy (and the
-  // pool miss, if any) in the payload_* stats.
+  // Copies a cross-shard record's bytes into a pooled frame, counting the
+  // copy (and the pool miss, if any) in the payload_* stats.
   SharedFrame ingress_frame(BytesView data);
   // Starts one wire transmission from `from.node`: egress serialization
   // (paid once regardless of fan-out) + sent counters; returns the
@@ -418,7 +410,7 @@ class SimNetwork {
       radio_faults_;
   std::unordered_set<std::pair<NodeId, NodeId>, NodePairHash>
       blocked_;  // unordered node pairs
-  std::unordered_map<Endpoint, Binding, EndpointHash> bindings_;
+  std::unordered_map<Endpoint, FrameHandler, EndpointHash> bindings_;
   // Member lists this replica owns: the whole group unsharded, only
   // members homed on this shard when a router is installed.
   std::unordered_map<GroupId, std::vector<Endpoint>> groups_;

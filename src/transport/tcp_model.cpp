@@ -17,10 +17,10 @@ TcpModelEndpoint::TcpModelEndpoint(sim::Simulator& sim, Transport& transport,
       params_(params),
       on_message_(std::move(on_message)),
       rto_(params.initial_rto) {
-  Status s = transport_.bind(
-      local_port_, [this](Address from, BytesView data) {
+  Status s = transport_.bind_frames(
+      local_port_, [this](Address from, const SharedFrame& frame) {
         if (from.host == peer_.host && from.port == peer_.port) {
-          on_datagram(from, data);
+          on_datagram(from, frame.view());
         }
       });
   assert(s.is_ok());
@@ -72,7 +72,8 @@ void TcpModelEndpoint::send_segment(uint64_t seq, size_t len,
   stats_.segments_sent++;
   stats_.bytes_sent += w.size();
   if (retransmit) stats_.retransmits++;
-  (void)transport_.send(local_port_, peer_, w.view());
+  (void)transport_.send_frame(local_port_, peer_,
+                              transport_.frame_pool().copy_in(w.view()));
 }
 
 void TcpModelEndpoint::send_pure_ack() {
@@ -82,7 +83,8 @@ void TcpModelEndpoint::send_pure_ack() {
   w.u64(rcv_nxt_);
   stats_.segments_sent++;
   stats_.bytes_sent += w.size();
-  (void)transport_.send(local_port_, peer_, w.view());
+  (void)transport_.send_frame(local_port_, peer_,
+                              transport_.frame_pool().copy_in(w.view()));
 }
 
 void TcpModelEndpoint::arm_rto() {

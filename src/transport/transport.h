@@ -9,11 +9,11 @@
 // The two kernel backends share one socket table and send path through
 // LiveTransport (live_transport.h).
 //
-// The contract is frames only: every virtual datagram operation takes or
-// delivers a pooled, refcounted SharedFrame. The BytesView calls (bind,
-// send, send_multicast, send_broadcast) are non-virtual conveniences on
-// top — a bytes send makes exactly one counted copy into a pooled frame
-// (FramePool::copy_in), a bytes bind views the delivered frame.
+// The contract is frames only: the eight virtual datagram calls below are
+// the whole API, and each takes or delivers a pooled, refcounted
+// SharedFrame. A sender that starts from bytes copies them in once
+// itself (frame_pool().copy_in, counted in the pool's stats); a receiver
+// that wants bytes views the delivered frame.
 //
 // The TCP-model stream (tcp_model.h) is a separate baseline used by the
 // event-reliability experiment, not part of this interface.
@@ -51,10 +51,8 @@ std::string to_string(const Address& a);
 
 class Transport {
  public:
-  // Bytes receive: the view is valid for the duration of the callback.
-  using RecvHandler = std::function<void(Address from, BytesView data)>;
-  // Frame receive: the handler gets refcounted pooled bytes it can
-  // retain past the callback without copying.
+  // Receive: the handler gets refcounted pooled bytes it can retain past
+  // the callback without copying.
   using FrameRecvHandler =
       std::function<void(Address from, SharedFrame frame)>;
 
@@ -72,7 +70,7 @@ class Transport {
   // back to its executor clock).
   virtual const Clock* clock() const { return nullptr; }
 
-  // The concrete local port for a `bind`/`bind_frames` of `requested`.
+  // The concrete local port for a `bind_frames` of `requested`.
   // Implementations supporting ephemeral binds (requested == 0) return
   // the kernel-assigned port of the most recent such bind; everywhere
   // else this is the identity.
@@ -106,13 +104,6 @@ class Transport {
   // accepted by the medium.
   virtual Status send_frame_to_many(uint16_t src_port, const Address* dst,
                                     size_t n_dst, const SharedFrame& frame);
-
-  // --- BytesView conveniences (not overridable) ------------------------------
-  Status bind(uint16_t port, RecvHandler handler);
-  Status send(uint16_t src_port, Address dst, BytesView data);
-  Status send_multicast(uint16_t src_port, GroupId group, BytesView data);
-  Status send_broadcast(uint16_t src_port, uint16_t dst_port,
-                        BytesView data);
 
  protected:
   FramePool pool_;

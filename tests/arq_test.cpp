@@ -28,29 +28,33 @@ class ArqHarness {
           ByteWriter w;
           msg.encode(w);
           (void)net_.send(sim::Endpoint{a_, 1}, sim::Endpoint{b_, 1},
-                          w.view());
+                          net_.frame_pool().copy_in(w.view()));
         });
     receiver_ = std::make_unique<ArqReceiver>(
         [this](const ReliableAckMsg& ack) {
           ByteWriter w;
           ack.encode(w);
           (void)net_.send(sim::Endpoint{b_, 1}, sim::Endpoint{a_, 1},
-                          w.view());
+                          net_.frame_pool().copy_in(w.view()));
         },
         [this](InnerType type, BytesView inner) {
           delivered_.emplace_back(type, to_buffer(inner));
         });
 
-    (void)net_.bind(sim::Endpoint{b_, 1}, [this](sim::Endpoint, BytesView d) {
-      ByteReader r(d);
-      ReliableDataMsg msg;
-      if (ReliableDataMsg::decode(r, msg)) receiver_->on_data(msg);
-    });
-    (void)net_.bind(sim::Endpoint{a_, 1}, [this](sim::Endpoint, BytesView d) {
-      ByteReader r(d);
-      ReliableAckMsg ack;
-      if (ReliableAckMsg::decode(r, ack)) sender_->on_ack(ack);
-    });
+    (void)net_.bind_frames(
+        sim::Endpoint{b_, 1},
+        [this](sim::Endpoint, const SharedFrame& frame) {
+          ByteReader r(frame.view());
+          ReliableDataMsg msg;
+          if (ReliableDataMsg::decode(r, msg)) receiver_->on_data(msg);
+        });
+    (void)net_.bind_frames(
+        sim::Endpoint{a_, 1},
+        [this](sim::Endpoint, const SharedFrame& frame) {
+          ByteReader r(frame.view());
+          ReliableAckMsg ack;
+          if (ReliableAckMsg::decode(r, ack)) sender_->on_ack(ack);
+        });
   }
 
   sim::Simulator sim_;
@@ -177,17 +181,18 @@ TEST(ArqTest, FastRetransmitBeatsRtoOnSingleGap) {
   // Rebind b's endpoint with a dropping filter.
   h.net_.unbind(sim::Endpoint{h.b_, 1});
   bool dropped = false;
-  (void)h.net_.bind(sim::Endpoint{h.b_, 1},
-                    [&](sim::Endpoint, BytesView d) {
-                      ByteReader r(d);
-                      ReliableDataMsg msg;
-                      if (!ReliableDataMsg::decode(r, msg)) return;
-                      if (!dropped && msg.seq == 0) {
-                        dropped = true;
-                        return;  // lost
-                      }
-                      h.receiver_->on_data(msg);
-                    });
+  (void)h.net_.bind_frames(
+      sim::Endpoint{h.b_, 1},
+      [&](sim::Endpoint, const SharedFrame& frame) {
+        ByteReader r(frame.view());
+        ReliableDataMsg msg;
+        if (!ReliableDataMsg::decode(r, msg)) return;
+        if (!dropped && msg.seq == 0) {
+          dropped = true;
+          return;  // lost
+        }
+        h.receiver_->on_data(msg);
+      });
 
   for (uint8_t i = 0; i < 6; ++i) {
     h.sender_->send(InnerType::kEvent, Buffer{i});

@@ -9,8 +9,8 @@
 #include <memory>
 
 #include "encoding/typed.h"
+#include "frame_forge.h"
 #include "middleware/domain.h"
-#include "protocol/frame.h"
 
 namespace marea::mw {
 namespace {
@@ -180,13 +180,14 @@ TEST(ContainerRestartTest, StaleHeartbeatFromOldIncarnationIgnored) {
   proto::HeartbeatMsg old_hb;
   old_hb.incarnation = live_incarnation - 1;
   old_hb.seq = 1;
-  Buffer frame = proto::make_frame(proto::MsgType::kHeartbeat,
-                                   rig.pub_container->config().id, old_hb);
-  (void)rig.domain.network().send(
-      sim::Endpoint{rig.domain.node_id(0), 9999},
-      sim::Endpoint{rig.domain.node_id(1),
-                    rig.watch_container->config().data_port},
-      as_bytes_view(frame));
+  sim::SimNetwork& net = rig.domain.network();
+  (void)net.send(sim::Endpoint{rig.domain.node_id(0), 9999},
+                 sim::Endpoint{rig.domain.node_id(1),
+                               rig.watch_container->config().data_port},
+                 testutil::forge_frame(net.frame_pool(),
+                                       proto::MsgType::kHeartbeat,
+                                       rig.pub_container->config().id,
+                                       old_hb));
   rig.domain.run_for(milliseconds(200));
   EXPECT_EQ(rig.watch_container->known_peers().size(), 1u)
       << "stale heartbeat evicted a live peer";

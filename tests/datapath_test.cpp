@@ -328,12 +328,19 @@ TEST(FrameBuilderTest, SealedFrameMatchesLegacySealFrame) {
   h.type = proto::MsgType::kVarSample;
   h.source = 0x12345678;
 
-  // Legacy path: serialize payload, then copy into a framed buffer.
+  // The layout frame.h documents, written out by hand: magic 0x4D41,
+  // version 1, type, source (all little endian), the payload, then the
+  // CRC-32 of everything before it.
+  Buffer legacy = {0x41, 0x4D, 0x01, 22, 0x78, 0x56, 0x34, 0x12};
   ByteWriter payload;
   payload.str("sample-payload");
-  Buffer legacy = proto::seal_frame(h, payload.view());
+  legacy.insert(legacy.end(), payload.view().begin(), payload.view().end());
+  const uint32_t crc = crc32(as_bytes_view(legacy));
+  for (int shift = 0; shift < 32; shift += 8) {
+    legacy.push_back(static_cast<uint8_t>(crc >> shift));
+  }
 
-  // Zero-copy path: serialize straight into the pooled frame.
+  // Serialize straight into the pooled frame.
   FramePool pool;
   proto::FrameBuilder fb(pool, h);
   fb.payload().str("sample-payload");
@@ -349,6 +356,31 @@ TEST(FrameBuilderTest, SealedFrameMatchesLegacySealFrame) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().type, proto::MsgType::kVarSample);
   EXPECT_EQ(parsed.value().source, 0x12345678u);
+}
+
+TEST(FrameBuilderTest, FrameBuilderOutputIsPinned) {
+  // Frame bytes are wire bytes: a change to FrameBuilder must reproduce
+  // them exactly. The constant is the digest of every frame's length and
+  // hash64, one frame per MsgType a container puts on the wire, recorded
+  // while the copying seal path still existed to cross-check it.
+  using T = proto::MsgType;
+  const T sent[] = {T::kContainerHello,  T::kContainerBye, T::kHeartbeat,
+                    T::kServiceStatus,   T::kNameQuery,    T::kNameReply,
+                    T::kVarSample,       T::kReliableData, T::kReliableAck,
+                    T::kFileChunk,       T::kFileStatusRequest,
+                    T::kFileAck,         T::kFileNack};
+  FramePool pool;
+  std::vector<uint64_t> folded;
+  for (T type : sent) {
+    proto::FrameBuilder fb(pool, proto::FrameHeader{type, 0x0A0B0C0D});
+    fb.payload().u32(0xC0DE0000u | static_cast<uint8_t>(type));
+    fb.payload().str("pinned-payload");
+    SharedFrame frame = std::move(fb).seal();
+    folded.push_back(frame.size());
+    folded.push_back(util::hash64(frame.view()));
+  }
+  EXPECT_EQ(util::hash64_list(folded.data(), folded.size()),
+            0x7e09acc93c8e6d9dull);
 }
 
 // --- steady-state variable delivery --------------------------------------

@@ -6,6 +6,7 @@
 
 #include "encoding/codec.h"
 #include "encoding/type.h"
+#include "frame_forge.h"
 #include "protocol/frame.h"
 #include "protocol/messages.h"
 #include "services/image.h"
@@ -93,6 +94,11 @@ TEST_P(FuzzDecodeTest, MutatedValidFramesNeverCrash) {
   Rng rng(GetParam() ^ 0xF00D);
   // Start from valid frames of several types, then flip bits / truncate.
   std::vector<Buffer> seeds;
+  FramePool pool;
+  auto seed = [&](proto::MsgType type, const auto& msg) {
+    seeds.push_back(
+        to_buffer(testutil::forge_frame(pool, type, 1, msg).view()));
+  };
   {
     proto::ContainerHelloMsg hello;
     hello.incarnation = 1;
@@ -103,15 +109,14 @@ TEST_P(FuzzDecodeTest, MutatedValidFramesNeverCrash) {
     svc.items.push_back(proto::ProvidedItem{proto::ItemKind::kVariable,
                                             "v", 1, 2, 3});
     hello.services.push_back(svc);
-    seeds.push_back(
-        proto::make_frame(proto::MsgType::kContainerHello, 1, hello));
+    seed(proto::MsgType::kContainerHello, hello);
   }
   {
     proto::VarSampleMsg sample;
     sample.channel = 7;
     sample.seq = 9;
     sample.value = Buffer(64, 0xAA);
-    seeds.push_back(proto::make_frame(proto::MsgType::kVarSample, 1, sample));
+    seed(proto::MsgType::kVarSample, sample);
   }
   {
     proto::FileNackMsg nack;
@@ -119,7 +124,7 @@ TEST_P(FuzzDecodeTest, MutatedValidFramesNeverCrash) {
     nack.revision = 1;
     nack.missing.insert_run(0, 100);
     nack.missing.insert_run(500, 32);
-    seeds.push_back(proto::make_frame(proto::MsgType::kFileNack, 1, nack));
+    seed(proto::MsgType::kFileNack, nack);
   }
 
   for (int round = 0; round < 300; ++round) {

@@ -109,8 +109,8 @@ TEST_P(LiveSoakTest, ChurnUnderMultiNodeTrafficNoMisroute) {
   // the group socket the member's handler), so it accepts either tag.
   auto member_handler = [&](uint16_t own_tag, std::atomic<int>& unicast,
                             std::atomic<int>& group) {
-    return [&, own_tag](Address, BytesView data) {
-      uint16_t tag = tag_of(data);
+    return [&, own_tag](Address, SharedFrame frame) {
+      uint16_t tag = tag_of(frame.view());
       if (tag == own_tag) {
         unicast.fetch_add(1);
       } else if (tag == multicast_port(kGroup)) {
@@ -127,14 +127,15 @@ TEST_P(LiveSoakTest, ChurnUnderMultiNodeTrafficNoMisroute) {
   uint16_t stable_port[3] = {0, 0, 0};
   LiveTransport* nodes[3] = {t1.get(), t2.get(), t3.get()};
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(nodes[i]
-                    ->bind(0, member_handler(kStableTag, stable_got, group_got))
-                    .is_ok());
+    ASSERT_TRUE(
+        nodes[i]
+            ->bind_frames(0, member_handler(kStableTag, stable_got, group_got))
+            .is_ok());
     stable_port[i] = nodes[i]->bound_port(0);
     ASSERT_NE(stable_port[i], 0);
   }
   ASSERT_TRUE(
-      t2->bind(0, member_handler(kUnicastTag, unicast_got, group_got))
+      t2->bind_frames(0, member_handler(kUnicastTag, unicast_got, group_got))
           .is_ok());
   const uint16_t unicast_port = t2->bound_port(0);
   ASSERT_NE(unicast_port, 0);
@@ -159,8 +160,8 @@ TEST_P(LiveSoakTest, ChurnUnderMultiNodeTrafficNoMisroute) {
     while (!stop.load()) {
       uint16_t port = static_cast<uint16_t>(kChurnBase + (k % 4));
       LiveTransport* t = (k % 2) ? t2.get() : t3.get();
-      (void)t->bind(port, [&, port](Address, BytesView data) {
-        if (tag_of(data) != port) {
+      (void)t->bind_frames(port, [&, port](Address, SharedFrame frame) {
+        if (tag_of(frame.view()) != port) {
           misroutes.fetch_add(1);
         } else {
           churn_got.fetch_add(1);
@@ -183,7 +184,8 @@ TEST_P(LiveSoakTest, ChurnUnderMultiNodeTrafficNoMisroute) {
       Buffer pay = tagged(kUnicastTag);
       uint16_t src = static_cast<uint16_t>(kSrcBase + i);
       while (!stop.load()) {
-        (void)t1->send(src, Address{h2, unicast_port}, as_bytes_view(pay));
+        (void)t1->send_frame(src, Address{h2, unicast_port},
+                             t1->frame_pool().copy_in(pay));
         std::this_thread::sleep_for(std::chrono::microseconds(150));
       }
     });
@@ -193,7 +195,8 @@ TEST_P(LiveSoakTest, ChurnUnderMultiNodeTrafficNoMisroute) {
   traffic.emplace_back([&] {
     Buffer pay = tagged(kStableTag);
     while (!stop.load()) {
-      (void)t1->send_broadcast(stable_port[0], 0, as_bytes_view(pay));
+      (void)t1->send_frame_broadcast(stable_port[0], 0,
+                                     t1->frame_pool().copy_in(pay));
       std::this_thread::sleep_for(std::chrono::microseconds(300));
     }
   });
@@ -202,7 +205,8 @@ TEST_P(LiveSoakTest, ChurnUnderMultiNodeTrafficNoMisroute) {
     traffic.emplace_back([&] {
       Buffer pay = tagged(multicast_port(kGroup));
       while (!stop.load()) {
-        (void)t1->send_multicast(stable_port[0], kGroup, as_bytes_view(pay));
+        (void)t1->send_frame_multicast(stable_port[0], kGroup,
+                                       t1->frame_pool().copy_in(pay));
         std::this_thread::sleep_for(std::chrono::microseconds(400));
       }
     });
@@ -214,9 +218,10 @@ TEST_P(LiveSoakTest, ChurnUnderMultiNodeTrafficNoMisroute) {
     while (!stop.load()) {
       for (int k = 0; k < 4; ++k) {
         HostId dst = (k % 2) ? h2 : h3;
-        (void)t1->send(static_cast<uint16_t>(kSrcBase + 2),
-                       Address{dst, static_cast<uint16_t>(kChurnBase + k)},
-                       as_bytes_view(pays[k]));
+        (void)t1->send_frame(
+            static_cast<uint16_t>(kSrcBase + 2),
+            Address{dst, static_cast<uint16_t>(kChurnBase + k)},
+            t1->frame_pool().copy_in(pays[k]));
       }
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }

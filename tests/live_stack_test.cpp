@@ -201,8 +201,9 @@ TEST_P(LiveStackTest, AllPrimitivesOverRealUdpAndThreads) {
     while (!churn_stop.load()) {
       uint16_t port = static_cast<uint16_t>(churn_base + (k++ % 4));
       auto* t = (k % 2) ? t1.get() : t2.get();
-      (void)t->bind(port, [&, port](transport::Address,
-                                    BytesView data) {
+      (void)t->bind_frames(port, [&, port](transport::Address,
+                                           SharedFrame frame) {
+        BytesView data = frame.view();
         if (data.size() >= 2 &&
             (data[0] | (data[1] << 8)) != port) {
           churn_misroutes.fetch_add(1);

@@ -65,14 +65,14 @@ class MftpHarness {
           w.u8(1);
           msg.encode(w);
           (void)net_.send_multicast(sim::Endpoint{pub_node_, 1}, kGroup,
-                                    w.view());
+                                    net_.frame_pool().copy_in(w.view()));
         },
         [this](const FileStatusRequestMsg& msg) {
           ByteWriter w;
           w.u8(2);
           msg.encode(w);
           (void)net_.send_multicast(sim::Endpoint{pub_node_, 1}, kGroup,
-                                    w.view());
+                                    net_.frame_pool().copy_in(w.view()));
         });
     publisher_->set_on_subscriber_done(
         [this](MftpPeer peer, const Status& s) {
@@ -80,22 +80,23 @@ class MftpHarness {
         });
     publisher_->set_on_idle([this] { ++idle_count_; });
 
-    (void)net_.bind(sim::Endpoint{pub_node_, 1},
-                    [this](sim::Endpoint from, BytesView d) {
-                      ByteReader r(d);
-                      uint8_t tag = r.u8();
-                      if (tag == 3) {
-                        FileAckMsg ack;
-                        if (FileAckMsg::decode(r, ack)) {
-                          publisher_->on_ack(from.node, ack);
-                        }
-                      } else if (tag == 4) {
-                        FileNackMsg nack;
-                        if (FileNackMsg::decode(r, nack)) {
-                          publisher_->on_nack(from.node, nack);
-                        }
-                      }
-                    });
+    (void)net_.bind_frames(
+        sim::Endpoint{pub_node_, 1},
+        [this](sim::Endpoint from, const SharedFrame& frame) {
+          ByteReader r(frame.view());
+          uint8_t tag = r.u8();
+          if (tag == 3) {
+            FileAckMsg ack;
+            if (FileAckMsg::decode(r, ack)) {
+              publisher_->on_ack(from.node, ack);
+            }
+          } else if (tag == 4) {
+            FileNackMsg nack;
+            if (FileNackMsg::decode(r, nack)) {
+              publisher_->on_nack(from.node, nack);
+            }
+          }
+        });
 
     for (size_t i = 0; i < receivers; ++i) add_receiver();
   }
@@ -111,35 +112,36 @@ class MftpHarness {
           ByteWriter w;
           w.u8(3);
           ack.encode(w);
-          (void)net_.send(sim::Endpoint{node, 1},
-                          sim::Endpoint{pub_node_, 1}, w.view());
+          (void)net_.send(sim::Endpoint{node, 1}, sim::Endpoint{pub_node_, 1},
+                          net_.frame_pool().copy_in(w.view()));
         },
         [this, node = rec->node](const FileNackMsg& nack) {
           ByteWriter w;
           w.u8(4);
           nack.encode(w);
-          (void)net_.send(sim::Endpoint{node, 1},
-                          sim::Endpoint{pub_node_, 1}, w.view());
+          (void)net_.send(sim::Endpoint{node, 1}, sim::Endpoint{pub_node_, 1},
+                          net_.frame_pool().copy_in(w.view()));
         });
     ReceiverNode* raw = rec.get();
     rec->receiver->set_on_complete(
         [raw](const Buffer& data) { raw->completed = data; });
-    (void)net_.bind(sim::Endpoint{rec->node, 1},
-                    [raw](sim::Endpoint, BytesView d) {
-                      ByteReader r(d);
-                      uint8_t tag = r.u8();
-                      if (tag == 1) {
-                        FileChunkMsg msg;
-                        if (FileChunkMsg::decode(r, msg)) {
-                          raw->receiver->on_chunk(msg);
-                        }
-                      } else if (tag == 2) {
-                        FileStatusRequestMsg msg;
-                        if (FileStatusRequestMsg::decode(r, msg)) {
-                          raw->receiver->on_status_request(msg);
-                        }
-                      }
-                    });
+    (void)net_.bind_frames(
+        sim::Endpoint{rec->node, 1},
+        [raw](sim::Endpoint, const SharedFrame& frame) {
+          ByteReader r(frame.view());
+          uint8_t tag = r.u8();
+          if (tag == 1) {
+            FileChunkMsg msg;
+            if (FileChunkMsg::decode(r, msg)) {
+              raw->receiver->on_chunk(msg);
+            }
+          } else if (tag == 2) {
+            FileStatusRequestMsg msg;
+            if (FileStatusRequestMsg::decode(r, msg)) {
+              raw->receiver->on_status_request(msg);
+            }
+          }
+        });
     (void)net_.join_group(kGroup, sim::Endpoint{rec->node, 1});
     receivers_.push_back(std::move(rec));
     publisher_->add_subscriber(receivers_.back()->node);

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "encoding/typed.h"
+#include "frame_forge.h"
 #include "middleware/domain.h"
 #include "services/gps_service.h"
 
@@ -245,10 +246,10 @@ TEST(RobustnessTest, MalformedFramesDropped) {
   for (int i = 0; i < 50; ++i) {
     Buffer junk(rng.uniform(1, 200));
     for (auto& b : junk) b = static_cast<uint8_t>(rng.next_u64());
-    (void)domain.network().send(
-        sim::Endpoint{domain.node_id(1), 9999},
-        sim::Endpoint{domain.node_id(0), n1.config().data_port},
-        as_bytes_view(junk));
+    sim::SimNetwork& net = domain.network();
+    (void)net.send(sim::Endpoint{domain.node_id(1), 9999},
+                   sim::Endpoint{domain.node_id(0), n1.config().data_port},
+                   net.frame_pool().copy_in(junk));
   }
   domain.run_for(milliseconds(500));
   EXPECT_TRUE(n1.running());
@@ -383,12 +384,12 @@ TEST(RobustnessTest, StaleReorderedHelloCannotRegressDirectory) {
   stale.services[0].items.pop_back();  // old view: only x.one
 
   auto inject = [&](const proto::ContainerHelloMsg& msg) {
-    Buffer frame =
-        proto::make_frame(proto::MsgType::kContainerHello, 42, msg);
-    (void)domain.network().send(
-        sim::Endpoint{domain.node_id(1), 4500},
-        sim::Endpoint{domain.node_id(0), a.config().data_port},
-        as_bytes_view(frame));
+    sim::SimNetwork& net = domain.network();
+    (void)net.send(sim::Endpoint{domain.node_id(1), 4500},
+                   sim::Endpoint{domain.node_id(0), a.config().data_port},
+                   testutil::forge_frame(net.frame_pool(),
+                                         proto::MsgType::kContainerHello, 42,
+                                         msg));
     domain.run_for(milliseconds(50));
   };
 

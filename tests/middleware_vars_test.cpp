@@ -5,6 +5,7 @@
 
 #include <memory>
 
+#include "frame_forge.h"
 #include "middleware/domain.h"
 #include "encoding/typed.h"
 #include "protocol/messages.h"
@@ -389,12 +390,13 @@ TEST_F(VarsTest, SchemaInvalidSampleLeavesCacheAtLastGoodValue) {
     msg.seq = seq++;
     msg.pub_time_ns = domain.sim().now().ns;
     msg.value = body;
-    Buffer frame = proto::make_frame(proto::MsgType::kVarSample, 0xBAD, msg);
-    ASSERT_TRUE(domain.network()
-                    .send(sim::Endpoint{domain.node_id(0), 9999},
-                          sim::Endpoint{domain.node_id(1),
-                                        n2.config().data_port},
-                          as_bytes_view(frame))
+    sim::SimNetwork& net = domain.network();
+    SharedFrame frame = testutil::forge_frame(
+        net.frame_pool(), proto::MsgType::kVarSample, 0xBAD, msg);
+    ASSERT_TRUE(net.send(sim::Endpoint{domain.node_id(0), 9999},
+                         sim::Endpoint{domain.node_id(1),
+                                       n2.config().data_port},
+                         std::move(frame))
                     .is_ok());
   }
   domain.run_for(milliseconds(50));
@@ -412,6 +414,47 @@ TEST_F(VarsTest, SchemaInvalidSampleLeavesCacheAtLastGoodValue) {
   ASSERT_TRUE(sensor_ptr->push(43.5).is_ok());
   domain.run_for(milliseconds(50));
   EXPECT_EQ(consumer_ptr->readings.back().value, 43.5);
+}
+
+TEST_F(VarsTest, BareSubscribeFrameIsDropped) {
+  // Subscription control only ever travels inside the reliable link. A
+  // bare kVarSubscribe frame from a container nobody knows is dropped
+  // like any unknown type: it must not register the forged source as a
+  // peer, nor open a snapshot send toward the frame's address.
+  SimDomain domain(16);
+  (void)make_two_nodes(domain);
+  domain.start_all();
+  domain.run_for(seconds(1.0));
+  ServiceContainer& provider = domain.container(0);
+
+  // The forger listens where it sends from, off the data port, so only
+  // a reply addressed to it can land here.
+  const sim::Endpoint forger{domain.node_id(1), 9999};
+  sim::SimNetwork& net = domain.network();
+  int replies = 0;
+  ASSERT_TRUE(net.bind_frames(forger, [&](sim::Endpoint, const SharedFrame&) {
+                   ++replies;
+                 }).is_ok());
+  const uint64_t dropped = provider.stats().frames_dropped;
+  const uint64_t snapshots = provider.stats().var_snapshots_sent;
+  const auto peers = provider.known_peers();
+
+  proto::VarSubscribeMsg msg;
+  msg.name = "sensor.reading";
+  msg.schema_hash = enc::descriptor_of<Reading>()->structural_hash();
+  SharedFrame frame = testutil::forge_frame(
+      net.frame_pool(), proto::MsgType::kVarSubscribe, 0xBAD, msg);
+  ASSERT_TRUE(net.send(forger,
+                       sim::Endpoint{domain.node_id(0),
+                                     provider.config().data_port},
+                       std::move(frame))
+                  .is_ok());
+  domain.run_for(milliseconds(100));  // within the liveness window
+
+  EXPECT_EQ(provider.stats().frames_dropped, dropped + 1);
+  EXPECT_EQ(provider.known_peers(), peers);
+  EXPECT_EQ(provider.stats().var_snapshots_sent, snapshots);
+  EXPECT_EQ(replies, 0);
 }
 
 }  // namespace

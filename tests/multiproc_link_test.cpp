@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "encoding/typed.h"
+#include "frame_forge.h"
 #include "middleware/container.h"
 #include "protocol/messages.h"
 #include "sched/thread_pool.h"
@@ -507,8 +508,9 @@ TEST(MultiprocLinkTest, SessionResetAndStaleAckDropAcrossReexec) {
   forged.incarnation = 7;
   forged.session = 1;  // real sessions are time-floored, never this small
   forged.floor = 1000000;
-  Buffer frame =
-      proto::make_frame(proto::MsgType::kReliableAck, 7, forged);
+  FramePool pool;
+  SharedFrame frame =
+      testutil::forge_frame(pool, proto::MsgType::kReliableAck, 7, forged);
   int raw = ::socket(AF_INET, SOCK_DGRAM, 0);
   ASSERT_GE(raw, 0);
   sockaddr_in to{};
@@ -516,7 +518,7 @@ TEST(MultiprocLinkTest, SessionResetAndStaleAckDropAcrossReexec) {
   to.sin_port = htons(pa);
   to.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   for (int i = 0; i < 3; ++i) {
-    ASSERT_GT(::sendto(raw, frame.data(), frame.size(), 0,
+    ASSERT_GT(::sendto(raw, frame.view().data(), frame.size(), 0,
                        reinterpret_cast<sockaddr*>(&to), sizeof to),
               0);
   }

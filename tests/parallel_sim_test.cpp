@@ -42,18 +42,21 @@ TEST(ShardGridTest, CrossShardUnicastArrivesAtSenderComputedInstant) {
 
   std::vector<int64_t> arrivals;
   ASSERT_TRUE(grid.cell(1)
-                  .net.bind(sim::Endpoint{b, 9},
-                            [&](sim::Endpoint from, BytesView data) {
-                              EXPECT_EQ(from.node, a);
-                              EXPECT_EQ(data.size(), 100u);
-                              arrivals.push_back(grid.cell(1).sim.now().ns);
-                            })
+                  .net.bind_frames(sim::Endpoint{b, 9},
+                                   [&](sim::Endpoint from,
+                                       const SharedFrame& frame) {
+                                     EXPECT_EQ(from.node, a);
+                                     EXPECT_EQ(frame.size(), 100u);
+                                     arrivals.push_back(
+                                         grid.cell(1).sim.now().ns);
+                                   })
                   .is_ok());
 
   Buffer payload(100, 0xAB);
   grid.cell(0).sim.at(TimePoint{0}, [&] {
-    Status s = grid.cell(0).net.send(sim::Endpoint{a, 1}, sim::Endpoint{b, 9},
-                                     as_bytes_view(payload));
+    sim::SimNetwork& net = grid.cell(0).net;
+    Status s = net.send(sim::Endpoint{a, 1}, sim::Endpoint{b, 9},
+                        net.frame_pool().copy_in(payload));
     EXPECT_TRUE(s.is_ok());
   });
   grid.run_for(milliseconds(1), /*threads=*/2);
@@ -74,10 +77,11 @@ TEST(ShardGridTest, GroupMembershipReplicatesAtWindowBarriers) {
 
   std::vector<int64_t> arrivals;
   ASSERT_TRUE(grid.cell(1)
-                  .net.bind(sim::Endpoint{b, 9},
-                            [&](sim::Endpoint, BytesView) {
-                              arrivals.push_back(grid.cell(1).sim.now().ns);
-                            })
+                  .net.bind_frames(sim::Endpoint{b, 9},
+                                   [&](sim::Endpoint, const SharedFrame&) {
+                                     arrivals.push_back(
+                                         grid.cell(1).sim.now().ns);
+                                   })
                   .is_ok());
 
   Buffer payload(100, 0x5C);
@@ -88,16 +92,15 @@ TEST(ShardGridTest, GroupMembershipReplicatesAtWindowBarriers) {
     EXPECT_TRUE(
         grid.cell(1).net.join_group(kGroup, sim::Endpoint{b, 9}).is_ok());
   });
+  sim::SimNetwork& net0 = grid.cell(0).net;
   grid.cell(0).sim.at(TimePoint{0}, [&] {
-    EXPECT_TRUE(grid.cell(0)
-                    .net.send_multicast(sim::Endpoint{a, 1}, kGroup,
-                                        as_bytes_view(payload))
+    EXPECT_TRUE(net0.send_multicast(sim::Endpoint{a, 1}, kGroup,
+                                    net0.frame_pool().copy_in(payload))
                     .is_ok());
   });
   grid.cell(0).sim.at(TimePoint{microseconds(250).ns}, [&] {
-    EXPECT_TRUE(grid.cell(0)
-                    .net.send_multicast(sim::Endpoint{a, 1}, kGroup,
-                                        as_bytes_view(payload))
+    EXPECT_TRUE(net0.send_multicast(sim::Endpoint{a, 1}, kGroup,
+                                    net0.frame_pool().copy_in(payload))
                     .is_ok());
   });
   grid.run_for(milliseconds(1), /*threads=*/2);
@@ -157,17 +160,13 @@ uint64_t traffic_digest(uint32_t threads) {
   std::vector<uint64_t> digest(kNodes, 1469598103934665603ull);
   for (int i = 0; i < kNodes; ++i) {
     auto& cell = grid.cell(static_cast<uint32_t>(i % 4));
-    EXPECT_TRUE(cell.net
-                    .bind(sim::Endpoint{ids[i], 5},
-                          [&digest, &cell, i](sim::Endpoint from,
-                                              BytesView data) {
-                            uint64_t& h = digest[static_cast<size_t>(i)];
-                            h ^= static_cast<uint64_t>(cell.sim.now().ns) +
-                                 (static_cast<uint64_t>(from.node) << 48) +
-                                 data.size();
-                            h *= 1099511628211ull;
-                          })
-                    .is_ok());
+    auto fold = [&digest, &cell, i](sim::Endpoint from, const SharedFrame& f) {
+      uint64_t& h = digest[static_cast<size_t>(i)];
+      h ^= static_cast<uint64_t>(cell.sim.now().ns) +
+           (static_cast<uint64_t>(from.node) << 48) + f.size();
+      h *= 1099511628211ull;
+    };
+    EXPECT_TRUE(cell.net.bind_frames(sim::Endpoint{ids[i], 5}, fold).is_ok());
   }
   Buffer payload(64, 0x42);
   for (int i = 0; i < kNodes; ++i) {
@@ -178,8 +177,8 @@ uint64_t traffic_digest(uint32_t threads) {
       const sim::Endpoint to1{ids[(i + 1) % kNodes], 5};
       const sim::Endpoint to2{ids[(i + 3) % kNodes], 5};
       cell.sim.at(t, [&cell, from, to1, to2, &payload] {
-        (void)cell.net.send(from, to1, as_bytes_view(payload));
-        (void)cell.net.send(from, to2, as_bytes_view(payload));
+        (void)cell.net.send(from, to1, cell.net.frame_pool().copy_in(payload));
+        (void)cell.net.send(from, to2, cell.net.frame_pool().copy_in(payload));
       });
     }
   }
@@ -235,17 +234,14 @@ ChurnRun churn_at_scale(uint32_t threads) {
     const uint32_t shard = static_cast<uint32_t>(i) % kShards;
     ids.push_back(grid.add_node("c" + std::to_string(i), shard));
     auto& cell = grid.cell(shard);
-    EXPECT_TRUE(cell.net
-                    .bind(sim::Endpoint{ids[static_cast<size_t>(i)], 9},
-                          [&digest, &cell, i](sim::Endpoint from,
-                                              BytesView data) {
-                            uint64_t& h = digest[static_cast<size_t>(i)];
-                            h ^= static_cast<uint64_t>(cell.sim.now().ns) +
-                                 (static_cast<uint64_t>(from.node) << 48) +
-                                 data.size();
-                            h *= 1099511628211ull;
-                          })
-                    .is_ok());
+    auto fold = [&digest, &cell, i](sim::Endpoint from, const SharedFrame& f) {
+      uint64_t& h = digest[static_cast<size_t>(i)];
+      h ^= static_cast<uint64_t>(cell.sim.now().ns) +
+           (static_cast<uint64_t>(from.node) << 48) + f.size();
+      h *= 1099511628211ull;
+    };
+    const sim::Endpoint ep{ids[static_cast<size_t>(i)], 9};
+    EXPECT_TRUE(cell.net.bind_frames(ep, fold).is_ok());
   }
 
   // Boot membership at t=0, churn spread over windows 2..40: node i
@@ -281,7 +277,8 @@ ChurnRun churn_at_scale(uint32_t threads) {
       const TimePoint t{k * microseconds(250).ns + p * microseconds(11).ns};
       const sim::GroupId g = static_cast<sim::GroupId>(p + k) % kGroups;
       cell.sim.at(t, [&cell, from, g, &payload] {
-        (void)cell.net.send_multicast(from, g, as_bytes_view(payload));
+        (void)cell.net.send_multicast(from, g,
+                                      cell.net.frame_pool().copy_in(payload));
       });
     }
   }
@@ -342,8 +339,10 @@ TEST(ShardGridTest, MulticastTouchesOnlyShardsWithMembers) {
   int arrivals = 0;
   for (sim::NodeId m : {ids[3], extra}) {
     ASSERT_TRUE(grid.cell(3)
-                    .net.bind(sim::Endpoint{m, 9},
-                              [&](sim::Endpoint, BytesView) { ++arrivals; })
+                    .net.bind_frames(sim::Endpoint{m, 9},
+                                     [&](sim::Endpoint, const SharedFrame&) {
+                                       ++arrivals;
+                                     })
                     .is_ok());
   }
   grid.cell(3).sim.at(TimePoint{0}, [&] {
@@ -355,9 +354,9 @@ TEST(ShardGridTest, MulticastTouchesOnlyShardsWithMembers) {
   // Publish from shard 0 after one barrier so the digest has replicated.
   Buffer payload(64, 0x2F);
   grid.cell(0).sim.at(TimePoint{microseconds(300).ns}, [&] {
-    EXPECT_TRUE(grid.cell(0)
-                    .net.send_multicast(sim::Endpoint{ids[0], 1}, kGroup,
-                                        as_bytes_view(payload))
+    sim::SimNetwork& net = grid.cell(0).net;
+    EXPECT_TRUE(net.send_multicast(sim::Endpoint{ids[0], 1}, kGroup,
+                                   net.frame_pool().copy_in(payload))
                     .is_ok());
   });
   grid.run_for(milliseconds(1), /*threads=*/4);
@@ -384,8 +383,10 @@ TEST(ShardGridTest, ParkedMembershipsRestoreAfterRestart) {
   constexpr sim::GroupId kGroup = 9;
   int arrivals = 0;
   ASSERT_TRUE(grid.cell(1)
-                  .net.bind(sim::Endpoint{b, 9},
-                            [&](sim::Endpoint, BytesView) { ++arrivals; })
+                  .net.bind_frames(sim::Endpoint{b, 9},
+                                   [&](sim::Endpoint, const SharedFrame&) {
+                                     ++arrivals;
+                                   })
                   .is_ok());
   grid.cell(1).sim.at(TimePoint{0}, [&] {
     EXPECT_TRUE(
@@ -394,8 +395,9 @@ TEST(ShardGridTest, ParkedMembershipsRestoreAfterRestart) {
   Buffer payload(32, 0x66);
   auto publish_at = [&](int64_t ns) {
     grid.cell(0).sim.at(TimePoint{ns}, [&] {
-      (void)grid.cell(0).net.send_multicast(sim::Endpoint{a, 1}, kGroup,
-                                            as_bytes_view(payload));
+      sim::SimNetwork& net = grid.cell(0).net;
+      (void)net.send_multicast(sim::Endpoint{a, 1}, kGroup,
+                               net.frame_pool().copy_in(payload));
     });
   };
   publish_at(milliseconds(1).ns);

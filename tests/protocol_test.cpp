@@ -1,16 +1,25 @@
 // Frame + message catalogue tests (the Protocol layer's wire grammar).
 #include <gtest/gtest.h>
 
+#include "frame_forge.h"
 #include "protocol/frame.h"
 #include "protocol/messages.h"
 
 namespace marea::proto {
 namespace {
 
+// `payload` framed by FrameBuilder, as plain bytes the tests can mutate.
+Buffer framed(FrameHeader header, BytesView payload) {
+  FramePool pool;
+  FrameBuilder fb(pool, header);
+  fb.payload().bytes(payload);
+  return to_buffer(std::move(fb).seal().view());
+}
+
 TEST(FrameTest, SealOpenRoundTrip) {
   Buffer payload = {1, 2, 3, 4};
-  Buffer frame = seal_frame(FrameHeader{MsgType::kVarSample, 42},
-                            as_bytes_view(payload));
+  Buffer frame = framed(FrameHeader{MsgType::kVarSample, 42},
+                        as_bytes_view(payload));
   EXPECT_EQ(frame.size(), payload.size() + kFrameOverhead);
   BytesView body;
   auto header = open_frame(as_bytes_view(frame), &body);
@@ -21,7 +30,7 @@ TEST(FrameTest, SealOpenRoundTrip) {
 }
 
 TEST(FrameTest, EmptyPayload) {
-  Buffer frame = seal_frame(FrameHeader{MsgType::kHeartbeat, 1}, {});
+  Buffer frame = framed(FrameHeader{MsgType::kHeartbeat, 1}, {});
   BytesView body;
   ASSERT_TRUE(open_frame(as_bytes_view(frame), &body).ok());
   EXPECT_TRUE(body.empty());
@@ -29,8 +38,8 @@ TEST(FrameTest, EmptyPayload) {
 
 TEST(FrameTest, CorruptionDetected) {
   Buffer payload = {1, 2, 3, 4};
-  Buffer frame = seal_frame(FrameHeader{MsgType::kEventSubscribe, 7},
-                            as_bytes_view(payload));
+  Buffer frame = framed(FrameHeader{MsgType::kEventSubscribe, 7},
+                        as_bytes_view(payload));
   for (size_t i = 0; i < frame.size(); ++i) {
     Buffer bad = frame;
     bad[i] ^= 0x40;
@@ -39,8 +48,7 @@ TEST(FrameTest, CorruptionDetected) {
 }
 
 TEST(FrameTest, TruncationDetected) {
-  Buffer frame =
-      seal_frame(FrameHeader{MsgType::kFileChunk, 3}, Buffer(64, 9));
+  Buffer frame = framed(FrameHeader{MsgType::kFileChunk, 3}, Buffer(64, 9));
   for (size_t n = 0; n < frame.size(); ++n) {
     EXPECT_FALSE(open_frame(BytesView(frame.data(), n), nullptr).ok()) << n;
   }
@@ -51,13 +59,13 @@ TEST(FrameTest, EveryTypeHasName) {
                     MsgType::kHeartbeat, MsgType::kServiceStatus,
                     MsgType::kNameQuery, MsgType::kNameReply,
                     MsgType::kVarSubscribe, MsgType::kVarUnsubscribe,
-                    MsgType::kVarSample, MsgType::kVarSnapshotRequest,
-                    MsgType::kVarSnapshot, MsgType::kEventSubscribe,
-                    MsgType::kEventUnsubscribe, MsgType::kReliableData,
-                    MsgType::kReliableAck, MsgType::kFileSubscribe,
-                    MsgType::kFileUnsubscribe, MsgType::kFileChunk,
-                    MsgType::kFileStatusRequest, MsgType::kFileAck,
-                    MsgType::kFileNack, MsgType::kFileRevision}) {
+                    MsgType::kVarSample, MsgType::kVarSnapshot,
+                    MsgType::kEventSubscribe, MsgType::kEventUnsubscribe,
+                    MsgType::kReliableData, MsgType::kReliableAck,
+                    MsgType::kFileSubscribe, MsgType::kFileUnsubscribe,
+                    MsgType::kFileChunk, MsgType::kFileStatusRequest,
+                    MsgType::kFileAck, MsgType::kFileNack,
+                    MsgType::kFileRevision}) {
     EXPECT_STRNE(msg_type_name(t), "?");
   }
 }
@@ -313,13 +321,15 @@ TEST(MessagesTest, ChannelOfIsStable) {
   EXPECT_NE(channel_of("gps.position"), channel_of("gps.position2"));
 }
 
-TEST(MessagesTest, MakeFrameComposes) {
+TEST(MessagesTest, FrameBuilderComposesMessage) {
   HeartbeatMsg hb;
   hb.incarnation = 1;
   hb.seq = 2;
-  Buffer frame = make_frame(MsgType::kHeartbeat, 5, hb);
+  FramePool pool;
+  SharedFrame frame =
+      testutil::forge_frame(pool, MsgType::kHeartbeat, 5, hb);
   BytesView body;
-  auto header = open_frame(as_bytes_view(frame), &body);
+  auto header = open_frame(frame.view(), &body);
   ASSERT_TRUE(header.ok());
   EXPECT_EQ(header->source, 5u);
   ByteReader r(body);

@@ -208,6 +208,11 @@ TEST(SimulatorTest, ScheduleCancelChurnDoesNotGrowMemory) {
 
 // --- SimNetwork -----------------------------------------------------------------
 
+// A receive handler that only counts deliveries.
+SimNetwork::FrameHandler count_into(int& n) {
+  return [&n](Endpoint, const SharedFrame&) { ++n; };
+}
+
 class NetworkTest : public ::testing::Test {
  protected:
   NetworkTest() : net_(sim_, Rng(1), LinkParams{}) {
@@ -216,7 +221,9 @@ class NetworkTest : public ::testing::Test {
     c_ = net_.add_node("c");
   }
 
-  Buffer payload(size_t n = 10) { return Buffer(n, 0x42); }
+  SharedFrame payload(size_t n = 10) {
+    return net_.frame_pool().copy_in(Buffer(n, 0x42));
+  }
 
   Simulator sim_;
   SimNetwork net_;
@@ -230,16 +237,14 @@ TEST_F(NetworkTest, UnicastDeliversWithLatency) {
   net_.set_node_rate(a_, 0);  // no serialization delay
 
   TimePoint arrival{-1};
-  ASSERT_TRUE(net_.bind(Endpoint{b_, 1},
-                        [&](Endpoint from, BytesView data) {
-                          arrival = sim_.now();
-                          EXPECT_EQ(from, (Endpoint{a_, 9}));
-                          EXPECT_EQ(data.size(), 10u);
-                        })
+  ASSERT_TRUE(net_.bind_frames(Endpoint{b_, 1},
+                               [&](Endpoint from, const SharedFrame& data) {
+                                 arrival = sim_.now();
+                                 EXPECT_EQ(from, (Endpoint{a_, 9}));
+                                 EXPECT_EQ(data.size(), 10u);
+                               })
                   .is_ok());
-  ASSERT_TRUE(
-      net_.send(Endpoint{a_, 9}, Endpoint{b_, 1}, as_bytes_view(payload()))
-          .is_ok());
+  ASSERT_TRUE(net_.send(Endpoint{a_, 9}, Endpoint{b_, 1}, payload()).is_ok());
   sim_.run();
   EXPECT_EQ(arrival.ns, milliseconds(2).ns);
 }
@@ -248,10 +253,10 @@ TEST_F(NetworkTest, SerializationDelayDependsOnSize) {
   // 1 Mbps: 1000 bytes = 8 ms on the wire.
   net_.set_node_rate(a_, 1e6);
   TimePoint arrival{-1};
-  (void)net_.bind(Endpoint{b_, 1},
-                  [&](Endpoint, BytesView) { arrival = sim_.now(); });
-  (void)net_.send(Endpoint{a_, 9}, Endpoint{b_, 1},
-                  as_bytes_view(payload(1000)));
+  (void)net_.bind_frames(Endpoint{b_, 1}, [&](Endpoint, const SharedFrame&) {
+    arrival = sim_.now();
+  });
+  (void)net_.send(Endpoint{a_, 9}, Endpoint{b_, 1}, payload(1000));
   sim_.run();
   EXPECT_EQ(arrival.ns, (milliseconds(8) + microseconds(200)).ns);
 }
@@ -259,11 +264,11 @@ TEST_F(NetworkTest, SerializationDelayDependsOnSize) {
 TEST_F(NetworkTest, EgressQueueSerializesBackToBackSends) {
   net_.set_node_rate(a_, 1e6);
   std::vector<TimePoint> arrivals;
-  (void)net_.bind(Endpoint{b_, 1},
-                  [&](Endpoint, BytesView) { arrivals.push_back(sim_.now()); });
+  (void)net_.bind_frames(Endpoint{b_, 1}, [&](Endpoint, const SharedFrame&) {
+    arrivals.push_back(sim_.now());
+  });
   for (int i = 0; i < 3; ++i) {
-    (void)net_.send(Endpoint{a_, 9}, Endpoint{b_, 1},
-                    as_bytes_view(payload(1000)));
+    (void)net_.send(Endpoint{a_, 9}, Endpoint{b_, 1}, payload(1000));
   }
   sim_.run();
   ASSERT_EQ(arrivals.size(), 3u);
@@ -275,14 +280,13 @@ TEST_F(NetworkTest, EgressQueueSerializesBackToBackSends) {
 TEST_F(NetworkTest, MulticastFanOutCountsWireBytesOnce) {
   GroupId group = 77;
   int deliveries = 0;
-  (void)net_.bind(Endpoint{b_, 1}, [&](Endpoint, BytesView) { ++deliveries; });
-  (void)net_.bind(Endpoint{c_, 1}, [&](Endpoint, BytesView) { ++deliveries; });
+  (void)net_.bind_frames(Endpoint{b_, 1}, count_into(deliveries));
+  (void)net_.bind_frames(Endpoint{c_, 1}, count_into(deliveries));
   ASSERT_TRUE(net_.join_group(group, Endpoint{b_, 1}).is_ok());
   ASSERT_TRUE(net_.join_group(group, Endpoint{c_, 1}).is_ok());
 
-  ASSERT_TRUE(net_.send_multicast(Endpoint{a_, 9}, group,
-                                  as_bytes_view(payload(100)))
-                  .is_ok());
+  ASSERT_TRUE(
+      net_.send_multicast(Endpoint{a_, 9}, group, payload(100)).is_ok());
   sim_.run();
   EXPECT_EQ(deliveries, 2);
   EXPECT_EQ(net_.stats().packets_sent, 1u);   // one wire transmission
@@ -293,10 +297,9 @@ TEST_F(NetworkTest, MulticastFanOutCountsWireBytesOnce) {
 TEST_F(NetworkTest, MulticastSkipsSenderEndpoint) {
   GroupId group = 5;
   int self_deliveries = 0;
-  (void)net_.bind(Endpoint{a_, 9},
-                  [&](Endpoint, BytesView) { ++self_deliveries; });
+  (void)net_.bind_frames(Endpoint{a_, 9}, count_into(self_deliveries));
   (void)net_.join_group(group, Endpoint{a_, 9});
-  (void)net_.send_multicast(Endpoint{a_, 9}, group, as_bytes_view(payload()));
+  (void)net_.send_multicast(Endpoint{a_, 9}, group, payload());
   sim_.run();
   EXPECT_EQ(self_deliveries, 0);
 }
@@ -304,11 +307,11 @@ TEST_F(NetworkTest, MulticastSkipsSenderEndpoint) {
 TEST_F(NetworkTest, MulticastToCoLocatedMemberIsLocalDelivery) {
   GroupId group = 6;
   int deliveries = 0;
-  (void)net_.bind(Endpoint{a_, 2}, [&](Endpoint, BytesView) { ++deliveries; });
+  (void)net_.bind_frames(Endpoint{a_, 2}, count_into(deliveries));
   (void)net_.join_group(group, Endpoint{a_, 2});
-  (void)net_.bind(Endpoint{b_, 2}, [&](Endpoint, BytesView) { ++deliveries; });
+  (void)net_.bind_frames(Endpoint{b_, 2}, count_into(deliveries));
   (void)net_.join_group(group, Endpoint{b_, 2});
-  (void)net_.send_multicast(Endpoint{a_, 9}, group, as_bytes_view(payload()));
+  (void)net_.send_multicast(Endpoint{a_, 9}, group, payload());
   sim_.run();
   EXPECT_EQ(deliveries, 2);
   EXPECT_EQ(net_.stats().local_packets, 1u);  // a:2 reached locally
@@ -316,10 +319,10 @@ TEST_F(NetworkTest, MulticastToCoLocatedMemberIsLocalDelivery) {
 
 TEST_F(NetworkTest, BroadcastReachesAllOtherNodes) {
   int deliveries = 0;
-  (void)net_.bind(Endpoint{b_, 4}, [&](Endpoint, BytesView) { ++deliveries; });
-  (void)net_.bind(Endpoint{c_, 4}, [&](Endpoint, BytesView) { ++deliveries; });
-  (void)net_.bind(Endpoint{a_, 4}, [&](Endpoint, BytesView) { ++deliveries; });
-  (void)net_.send_broadcast(Endpoint{a_, 4}, 4, as_bytes_view(payload()));
+  (void)net_.bind_frames(Endpoint{b_, 4}, count_into(deliveries));
+  (void)net_.bind_frames(Endpoint{c_, 4}, count_into(deliveries));
+  (void)net_.bind_frames(Endpoint{a_, 4}, count_into(deliveries));
+  (void)net_.send_broadcast(Endpoint{a_, 4}, 4, payload());
   sim_.run();
   EXPECT_EQ(deliveries, 2);  // not back to the sender's node
 }
@@ -330,10 +333,10 @@ TEST_F(NetworkTest, LossDropsApproximatelyAtConfiguredRate) {
   lossy.rate_bps = 0;
   net_.set_link(a_, b_, lossy);
   int delivered = 0;
-  (void)net_.bind(Endpoint{b_, 1}, [&](Endpoint, BytesView) { ++delivered; });
+  (void)net_.bind_frames(Endpoint{b_, 1}, count_into(delivered));
   const int kSends = 2000;
   for (int i = 0; i < kSends; ++i) {
-    (void)net_.send(Endpoint{a_, 1}, Endpoint{b_, 1}, as_bytes_view(payload()));
+    (void)net_.send(Endpoint{a_, 1}, Endpoint{b_, 1}, payload());
   }
   sim_.run();
   EXPECT_NEAR(delivered, kSends * 0.7, kSends * 0.05);
@@ -343,8 +346,8 @@ TEST_F(NetworkTest, LossDropsApproximatelyAtConfiguredRate) {
 
 TEST_F(NetworkTest, SameNodeDeliveryBypassesWire) {
   int delivered = 0;
-  (void)net_.bind(Endpoint{a_, 2}, [&](Endpoint, BytesView) { ++delivered; });
-  (void)net_.send(Endpoint{a_, 1}, Endpoint{a_, 2}, as_bytes_view(payload()));
+  (void)net_.bind_frames(Endpoint{a_, 2}, count_into(delivered));
+  (void)net_.send(Endpoint{a_, 1}, Endpoint{a_, 2}, payload());
   sim_.run();
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(net_.stats().packets_sent, 0u);
@@ -353,22 +356,21 @@ TEST_F(NetworkTest, SameNodeDeliveryBypassesWire) {
 
 TEST_F(NetworkTest, DownNodeNeitherSendsNorReceives) {
   int delivered = 0;
-  (void)net_.bind(Endpoint{b_, 1}, [&](Endpoint, BytesView) { ++delivered; });
+  (void)net_.bind_frames(Endpoint{b_, 1}, count_into(delivered));
   net_.set_node_up(b_, false);
-  (void)net_.send(Endpoint{a_, 1}, Endpoint{b_, 1}, as_bytes_view(payload()));
+  (void)net_.send(Endpoint{a_, 1}, Endpoint{b_, 1}, payload());
   sim_.run();
   EXPECT_EQ(delivered, 0);
 
   net_.set_node_up(a_, false);
-  Status s = net_.send(Endpoint{a_, 1}, Endpoint{c_, 1},
-                       as_bytes_view(payload()));
+  Status s = net_.send(Endpoint{a_, 1}, Endpoint{c_, 1}, payload());
   EXPECT_EQ(s.code(), StatusCode::kUnavailable);
 }
 
 TEST_F(NetworkTest, PacketInFlightToNodeThatDiesIsLost) {
   int delivered = 0;
-  (void)net_.bind(Endpoint{b_, 1}, [&](Endpoint, BytesView) { ++delivered; });
-  (void)net_.send(Endpoint{a_, 1}, Endpoint{b_, 1}, as_bytes_view(payload()));
+  (void)net_.bind_frames(Endpoint{b_, 1}, count_into(delivered));
+  (void)net_.send(Endpoint{a_, 1}, Endpoint{b_, 1}, payload());
   net_.set_node_up(b_, false);  // dies before arrival
   sim_.run();
   EXPECT_EQ(delivered, 0);
@@ -376,24 +378,23 @@ TEST_F(NetworkTest, PacketInFlightToNodeThatDiesIsLost) {
 
 TEST_F(NetworkTest, MtuEnforced) {
   net_.set_mtu(100);
-  Status s = net_.send(Endpoint{a_, 1}, Endpoint{b_, 1},
-                       as_bytes_view(payload(101)));
+  Status s = net_.send(Endpoint{a_, 1}, Endpoint{b_, 1}, payload(101));
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(net_.send(Endpoint{a_, 1}, Endpoint{b_, 1},
-                        as_bytes_view(payload(100)))
-                  .is_ok());
+  EXPECT_TRUE(
+      net_.send(Endpoint{a_, 1}, Endpoint{b_, 1}, payload(100)).is_ok());
 }
 
 TEST_F(NetworkTest, DoubleBindRejected) {
-  ASSERT_TRUE(net_.bind(Endpoint{a_, 1}, [](Endpoint, BytesView) {}).is_ok());
-  EXPECT_EQ(net_.bind(Endpoint{a_, 1}, [](Endpoint, BytesView) {}).code(),
+  int ignored = 0;
+  ASSERT_TRUE(net_.bind_frames(Endpoint{a_, 1}, count_into(ignored)).is_ok());
+  EXPECT_EQ(net_.bind_frames(Endpoint{a_, 1}, count_into(ignored)).code(),
             StatusCode::kAlreadyExists);
   net_.unbind(Endpoint{a_, 1});
-  EXPECT_TRUE(net_.bind(Endpoint{a_, 1}, [](Endpoint, BytesView) {}).is_ok());
+  EXPECT_TRUE(net_.bind_frames(Endpoint{a_, 1}, count_into(ignored)).is_ok());
 }
 
 TEST_F(NetworkTest, UnroutablePacketsCounted) {
-  (void)net_.send(Endpoint{a_, 1}, Endpoint{b_, 55}, as_bytes_view(payload()));
+  (void)net_.send(Endpoint{a_, 1}, Endpoint{b_, 55}, payload());
   sim_.run();
   EXPECT_EQ(net_.stats().packets_unroutable, 1u);
 }
@@ -401,13 +402,13 @@ TEST_F(NetworkTest, UnroutablePacketsCounted) {
 TEST_F(NetworkTest, LeaveGroupStopsDelivery) {
   GroupId group = 9;
   int delivered = 0;
-  (void)net_.bind(Endpoint{b_, 1}, [&](Endpoint, BytesView) { ++delivered; });
+  (void)net_.bind_frames(Endpoint{b_, 1}, count_into(delivered));
   (void)net_.join_group(group, Endpoint{b_, 1});
-  (void)net_.send_multicast(Endpoint{a_, 1}, group, as_bytes_view(payload()));
+  (void)net_.send_multicast(Endpoint{a_, 1}, group, payload());
   sim_.run();
   EXPECT_EQ(delivered, 1);
   net_.leave_group(group, Endpoint{b_, 1});
-  (void)net_.send_multicast(Endpoint{a_, 1}, group, as_bytes_view(payload()));
+  (void)net_.send_multicast(Endpoint{a_, 1}, group, payload());
   sim_.run();
   EXPECT_EQ(delivered, 1);
 }
@@ -419,12 +420,12 @@ TEST_F(NetworkTest, JitterStaysWithinBounds) {
   net_.set_link(a_, b_, lp);
   net_.set_node_rate(a_, 0);
   std::vector<int64_t> arrivals;
-  (void)net_.bind(Endpoint{b_, 1}, [&](Endpoint, BytesView) {
+  (void)net_.bind_frames(Endpoint{b_, 1}, [&](Endpoint, const SharedFrame&) {
     arrivals.push_back(sim_.now().ns);
   });
   TimePoint base = sim_.now();
   for (int i = 0; i < 200; ++i) {
-    (void)net_.send(Endpoint{a_, 1}, Endpoint{b_, 1}, as_bytes_view(payload()));
+    (void)net_.send(Endpoint{a_, 1}, Endpoint{b_, 1}, payload());
   }
   sim_.run();
   for (int64_t t : arrivals) {
@@ -440,10 +441,11 @@ TEST_F(NetworkTest, DeterministicAcrossRuns) {
     NodeId a = net.add_node("a");
     NodeId b = net.add_node("b");
     int delivered = 0;
-    (void)net.bind(Endpoint{b, 1}, [&](Endpoint, BytesView) { ++delivered; });
+    (void)net.bind_frames(Endpoint{b, 1}, count_into(delivered));
     Buffer p(8, 1);
     for (int i = 0; i < 100; ++i) {
-      (void)net.send(Endpoint{a, 1}, Endpoint{b, 1}, as_bytes_view(p));
+      (void)net.send(Endpoint{a, 1}, Endpoint{b, 1},
+                     net.frame_pool().copy_in(p));
     }
     sim.run();
     return delivered;
@@ -463,12 +465,13 @@ TEST(SimNetworkFifoTest, LatencySweepKeepsPerLinkFifo) {
   NodeId a = net.add_node("a");
   NodeId b = net.add_node("b");
   std::vector<uint32_t> order;
-  ASSERT_TRUE(net.bind(Endpoint{b, 1},
-                       [&](Endpoint, BytesView data) {
-                         uint32_t seq = 0;
-                         std::memcpy(&seq, data.data(), sizeof seq);
-                         order.push_back(seq);
-                       })
+  ASSERT_TRUE(net.bind_frames(Endpoint{b, 1},
+                              [&](Endpoint, const SharedFrame& data) {
+                                uint32_t seq = 0;
+                                std::memcpy(&seq, data.view().data(),
+                                            sizeof seq);
+                                order.push_back(seq);
+                              })
                   .is_ok());
   for (uint32_t i = 0; i < 200; ++i) {
     sim.at(TimePoint{milliseconds(1).ns * i}, [&net, &sim, a, b, i] {
@@ -478,7 +481,8 @@ TEST(SimNetworkFifoTest, LatencySweepKeepsPerLinkFifo) {
       net.set_link(a, b, lp);
       Buffer payload(sizeof(uint32_t));
       std::memcpy(payload.data(), &i, sizeof i);
-      (void)net.send(Endpoint{a, 1}, Endpoint{b, 1}, as_bytes_view(payload));
+      (void)net.send(Endpoint{a, 1}, Endpoint{b, 1},
+                     net.frame_pool().copy_in(payload));
       (void)sim;
     });
   }
@@ -495,9 +499,7 @@ TEST(SimNetworkFifoTest, RadioFaultOverlayComposesWithChaosOverlay) {
   NodeId a = net.add_node("a");
   NodeId b = net.add_node("b");
   int delivered = 0;
-  ASSERT_TRUE(
-      net.bind(Endpoint{b, 1}, [&](Endpoint, BytesView) { ++delivered; })
-          .is_ok());
+  ASSERT_TRUE(net.bind_frames(Endpoint{b, 1}, count_into(delivered)).is_ok());
   LinkFaults radio;
   radio.p_good_bad = 1.0;  // permanently bad channel
   radio.p_bad_good = 0.0;
@@ -506,13 +508,13 @@ TEST(SimNetworkFifoTest, RadioFaultOverlayComposesWithChaosOverlay) {
   net.clear_all_faults();  // chaos cleanup: radio overlay must survive
   Buffer p(8, 1);
   for (int i = 0; i < 20; ++i) {
-    (void)net.send(Endpoint{a, 1}, Endpoint{b, 1}, as_bytes_view(p));
+    (void)net.send(Endpoint{a, 1}, Endpoint{b, 1}, net.frame_pool().copy_in(p));
   }
   sim.run();
   EXPECT_EQ(delivered, 0);
   net.clear_radio_faults(a, b);
   for (int i = 0; i < 20; ++i) {
-    (void)net.send(Endpoint{a, 1}, Endpoint{b, 1}, as_bytes_view(p));
+    (void)net.send(Endpoint{a, 1}, Endpoint{b, 1}, net.frame_pool().copy_in(p));
   }
   sim.run();
   EXPECT_EQ(delivered, 20);

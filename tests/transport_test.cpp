@@ -35,12 +35,13 @@ class SimTransportTest : public ::testing::Test {
 TEST_F(SimTransportTest, BindSendReceive) {
   Buffer got;
   Address from_seen{};
-  ASSERT_TRUE(b_->bind(10, [&](Address from, BytesView data) {
+  ASSERT_TRUE(b_->bind_frames(10, [&](Address from, SharedFrame frame) {
                   from_seen = from;
-                  got = to_buffer(data);
+                  got = to_buffer(frame.view());
                 }).is_ok());
   Buffer payload = {1, 2, 3};
-  ASSERT_TRUE(a_->send(20, Address{b_node_, 10}, as_bytes_view(payload))
+  ASSERT_TRUE(a_->send_frame(20, Address{b_node_, 10},
+                             a_->frame_pool().copy_in(payload))
                   .is_ok());
   sim_.run();
   EXPECT_EQ(got, payload);
@@ -50,23 +51,29 @@ TEST_F(SimTransportTest, BindSendReceive) {
 
 TEST_F(SimTransportTest, MulticastGroupDelivery) {
   int got = 0;
-  ASSERT_TRUE(b_->bind(10, [&](Address, BytesView) { ++got; }).is_ok());
+  ASSERT_TRUE(
+      b_->bind_frames(10, [&](Address, SharedFrame) { ++got; }).is_ok());
   ASSERT_TRUE(b_->join_group(500, 10).is_ok());
   Buffer payload = {9};
-  ASSERT_TRUE(a_->send_multicast(10, 500, as_bytes_view(payload)).is_ok());
+  ASSERT_TRUE(
+      a_->send_frame_multicast(10, 500, a_->frame_pool().copy_in(payload))
+          .is_ok());
   sim_.run();
   EXPECT_EQ(got, 1);
   b_->leave_group(500, 10);
-  (void)a_->send_multicast(10, 500, as_bytes_view(payload));
+  (void)a_->send_frame_multicast(10, 500, a_->frame_pool().copy_in(payload));
   sim_.run();
   EXPECT_EQ(got, 1);
 }
 
 TEST_F(SimTransportTest, BroadcastDelivery) {
   int got = 0;
-  ASSERT_TRUE(b_->bind(10, [&](Address, BytesView) { ++got; }).is_ok());
+  ASSERT_TRUE(
+      b_->bind_frames(10, [&](Address, SharedFrame) { ++got; }).is_ok());
   Buffer payload = {7};
-  ASSERT_TRUE(a_->send_broadcast(10, 10, as_bytes_view(payload)).is_ok());
+  ASSERT_TRUE(
+      a_->send_frame_broadcast(10, 10, a_->frame_pool().copy_in(payload))
+          .is_ok());
   sim_.run();
   EXPECT_EQ(got, 1);
 }
@@ -373,15 +380,15 @@ TEST_P(LiveBackendTest, LoopbackSendReceive) {
   EXPECT_STREQ(t1->backend(), GetParam());
 
   std::atomic<int> got{0};
-  Status s = t2->bind(9100, [&](Address, BytesView data) {
-    if (data.size() == 3) got.fetch_add(1);
+  Status s = t2->bind_frames(9100, [&](Address, SharedFrame frame) {
+    if (frame.size() == 3) got.fetch_add(1);
   });
   if (!s.is_ok()) GTEST_SKIP() << "bind failed: " << s.to_string();
 
   Buffer payload = {1, 2, 3};
   for (int i = 0; i < 5 && got.load() == 0; ++i) {
-    (void)t1->send(9100, Address{ipv4_host("127.0.0.2"), 9100},
-                   as_bytes_view(payload));
+    (void)t1->send_frame(9100, Address{ipv4_host("127.0.0.2"), 9100},
+                         t1->frame_pool().copy_in(payload));
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   EXPECT_GT(got.load(), 0);
@@ -425,8 +432,8 @@ TEST_P(LiveBackendTest, MulticastPortCollisionRejected) {
   // Direction 1: the canonical port of group 700 is already bound as a
   // plain unicast port -> joining the group must be rejected, not masked
   // by SO_REUSEPORT.
-  ASSERT_TRUE(t->bind(9200, [](Address, BytesView) {}).is_ok());
-  Status s = t->bind(multicast_port(700), [](Address, BytesView) {});
+  ASSERT_TRUE(t->bind_frames(9200, [](Address, SharedFrame) {}).is_ok());
+  Status s = t->bind_frames(multicast_port(700), [](Address, SharedFrame) {});
   if (!s.is_ok()) GTEST_SKIP() << "bind failed: " << s.to_string();
   Status join = t->join_group(700, 9200);
   EXPECT_FALSE(join.is_ok());
@@ -437,10 +444,11 @@ TEST_P(LiveBackendTest, MulticastPortCollisionRejected) {
   // unicast port must be rejected.
   auto t2 = make_live("127.0.0.2");
   if (!t2) GTEST_SKIP() << "UDP sockets unavailable";
-  ASSERT_TRUE(t2->bind(9300, [](Address, BytesView) {}).is_ok());
+  ASSERT_TRUE(t2->bind_frames(9300, [](Address, SharedFrame) {}).is_ok());
   Status join2 = t2->join_group(701, 9300);
   if (!join2.is_ok()) GTEST_SKIP() << "join failed: " << join2.to_string();
-  Status bind2 = t2->bind(multicast_port(701), [](Address, BytesView) {});
+  Status bind2 =
+      t2->bind_frames(multicast_port(701), [](Address, SharedFrame) {});
   EXPECT_FALSE(bind2.is_ok());
   EXPECT_TRUE(bind2.to_string().find("collides") != std::string::npos)
       << bind2.to_string();
@@ -465,16 +473,16 @@ TEST_P(LiveBackendTest, TruncatedDatagramDroppedWithCounterAndTrace) {
   const uint16_t port = std::string_view(GetParam()) == "uring" ? 9901 : 9900;
   std::atomic<int> delivered{0};
   std::atomic<size_t> last_size{0};
-  Status s = rx->bind(port, [&](Address, BytesView data) {
+  Status s = rx->bind_frames(port, [&](Address, SharedFrame frame) {
     delivered.fetch_add(1);
-    last_size.store(data.size());
+    last_size.store(frame.size());
   });
   if (!s.is_ok()) GTEST_SKIP() << "bind failed: " << s.to_string();
 
   Address dst{ipv4_host("127.0.0.2"), port};
   Buffer big(1000, 0x5A);
   for (int i = 0; i < 5 && rx->net_counters().drops_truncated == 0; ++i) {
-    (void)tx->send(port, dst, as_bytes_view(big));
+    (void)tx->send_frame(port, dst, tx->frame_pool().copy_in(big));
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   EXPECT_GE(rx->net_counters().drops_truncated, 1u);
@@ -483,7 +491,7 @@ TEST_P(LiveBackendTest, TruncatedDatagramDroppedWithCounterAndTrace) {
   // A fitting datagram still flows afterwards (the batch slot recovered).
   Buffer small_payload(100, 0x11);
   for (int i = 0; i < 5 && delivered.load() == 0; ++i) {
-    (void)tx->send(port, dst, as_bytes_view(small_payload));
+    (void)tx->send_frame(port, dst, tx->frame_pool().copy_in(small_payload));
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   EXPECT_GT(delivered.load(), 0);
@@ -513,17 +521,18 @@ TEST_P(LiveBackendTest, BroadcastReachesPeersNotSelf) {
   t1->set_peers({h1, h2, h3});  // includes self: must be skipped
 
   std::atomic<int> self_got{0}, got2{0}, got3{0};
-  Status s1 = t1->bind(9210, [&](Address, BytesView) { self_got++; });
-  Status s2 = t2->bind(9210, [&](Address, BytesView) { got2++; });
-  Status s3 = t3->bind(9210, [&](Address, BytesView) { got3++; });
+  Status s1 = t1->bind_frames(9210, [&](Address, SharedFrame) { self_got++; });
+  Status s2 = t2->bind_frames(9210, [&](Address, SharedFrame) { got2++; });
+  Status s3 = t3->bind_frames(9210, [&](Address, SharedFrame) { got3++; });
   if (!s1.is_ok() || !s2.is_ok() || !s3.is_ok()) {
     GTEST_SKIP() << "bind failed";
   }
 
   Buffer payload = tagged_payload(9210);
   for (int i = 0; i < 10 && (got2.load() == 0 || got3.load() == 0); ++i) {
-    ASSERT_TRUE(
-        t1->send_broadcast(9210, 9210, as_bytes_view(payload)).is_ok());
+    ASSERT_TRUE(t1->send_frame_broadcast(9210, 9210,
+                                         t1->frame_pool().copy_in(payload))
+                    .is_ok());
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
   }
   EXPECT_GT(got2.load(), 0);
@@ -538,8 +547,8 @@ TEST_P(LiveBackendTest, MulticastOwnLoopbackCopyFiltered) {
   if (!t1 || !t2) GTEST_SKIP() << "UDP sockets unavailable";
 
   std::atomic<int> got1{0}, got2{0};
-  Status s1 = t1->bind(9220, [&](Address, BytesView) { got1++; });
-  Status s2 = t2->bind(9220, [&](Address, BytesView) { got2++; });
+  Status s1 = t1->bind_frames(9220, [&](Address, SharedFrame) { got1++; });
+  Status s2 = t2->bind_frames(9220, [&](Address, SharedFrame) { got2++; });
   if (!s1.is_ok() || !s2.is_ok()) GTEST_SKIP() << "bind failed";
   Status j1 = t1->join_group(930, 9220);
   Status j2 = t2->join_group(930, 9220);
@@ -550,7 +559,9 @@ TEST_P(LiveBackendTest, MulticastOwnLoopbackCopyFiltered) {
 
   Buffer payload = tagged_payload(multicast_port(930));
   for (int i = 0; i < 10 && got2.load() == 0; ++i) {
-    ASSERT_TRUE(t1->send_multicast(9220, 930, as_bytes_view(payload)).is_ok());
+    ASSERT_TRUE(t1->send_frame_multicast(9220, 930,
+                                         t1->frame_pool().copy_in(payload))
+                    .is_ok());
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
   }
   if (got2.load() == 0) GTEST_SKIP() << "no multicast traffic on loopback";
@@ -613,8 +624,8 @@ TEST_P(LiveBackendTest, ConcurrentSendersAndBindChurnNoMisroute) {
   std::atomic<int> churn_got{0};
 
   auto checker = [&](uint16_t port, std::atomic<int>& counter) {
-    return [&, port](Address, BytesView data) {
-      if (tag_of(data) != port) {
+    return [&, port](Address, SharedFrame frame) {
+      if (tag_of(frame.view()) != port) {
         misroutes.fetch_add(1);
       } else {
         counter.fetch_add(1);
@@ -630,7 +641,7 @@ TEST_P(LiveBackendTest, ConcurrentSendersAndBindChurnNoMisroute) {
   const uint16_t kChurnA = base_port + 1;
   const uint16_t kChurnB = base_port + 2;
   const uint16_t kSrc = base_port + 10;
-  Status s = rx->bind(kStable, checker(kStable, stable_got));
+  Status s = rx->bind_frames(kStable, checker(kStable, stable_got));
   if (!s.is_ok()) GTEST_SKIP() << "bind failed: " << s.to_string();
 
   std::atomic<bool> stop{false};
@@ -641,10 +652,10 @@ TEST_P(LiveBackendTest, ConcurrentSendersAndBindChurnNoMisroute) {
     // recycled into a socket with a DIFFERENT expected tag — the exact
     // shape of the seed's fd-reuse misroute.
     while (!stop.load()) {
-      (void)rx->bind(kChurnA, checker(kChurnA, churn_got));
+      (void)rx->bind_frames(kChurnA, checker(kChurnA, churn_got));
       std::this_thread::sleep_for(std::chrono::microseconds(200));
       rx->unbind(kChurnA);
-      (void)rx->bind(kChurnB, checker(kChurnB, churn_got));
+      (void)rx->bind_frames(kChurnB, checker(kChurnB, churn_got));
       std::this_thread::sleep_for(std::chrono::microseconds(200));
       rx->unbind(kChurnB);
     }
@@ -658,12 +669,13 @@ TEST_P(LiveBackendTest, ConcurrentSendersAndBindChurnNoMisroute) {
       Buffer b_pay = tagged_payload(kChurnB);
       uint16_t src = static_cast<uint16_t>(kSrc + t);
       while (!stop.load()) {
-        (void)tx->send(src, Address{base.host, kStable},
-                       as_bytes_view(stable_pay));
-        (void)tx->send(src, Address{base.host, kChurnA},
-                       as_bytes_view(a_pay));
-        (void)tx->send(src, Address{base.host, kChurnB},
-                       as_bytes_view(b_pay));
+        FramePool& pool = tx->frame_pool();
+        (void)tx->send_frame(src, Address{base.host, kStable},
+                             pool.copy_in(stable_pay));
+        (void)tx->send_frame(src, Address{base.host, kChurnA},
+                             pool.copy_in(a_pay));
+        (void)tx->send_frame(src, Address{base.host, kChurnB},
+                             pool.copy_in(b_pay));
         std::this_thread::sleep_for(std::chrono::microseconds(100));
       }
     });
@@ -686,7 +698,8 @@ TEST_P(LiveBackendTest, ConcurrentSendersAndBindChurnNoMisroute) {
   const int snapshot = stable_got.load();
   Buffer pay = tagged_payload(kStable);
   for (int i = 0; i < 3; ++i) {
-    (void)tx->send(kSrc, Address{base.host, kStable}, as_bytes_view(pay));
+    (void)tx->send_frame(kSrc, Address{base.host, kStable},
+                         tx->frame_pool().copy_in(pay));
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   EXPECT_EQ(stable_got.load(), snapshot);
@@ -724,8 +737,8 @@ TEST_P(LiveBackendTest, SocketTableContract) {
   const uint16_t base = uring ? 11700 : 11600;
 
   // A duplicate bind of a live port is rejected.
-  ASSERT_TRUE(rx->bind(base, [](Address, BytesView) {}).is_ok());
-  EXPECT_EQ(rx->bind(base, [](Address, BytesView) {}).code(),
+  ASSERT_TRUE(rx->bind_frames(base, [](Address, SharedFrame) {}).is_ok());
+  EXPECT_EQ(rx->bind_frames(base, [](Address, SharedFrame) {}).code(),
             StatusCode::kAlreadyExists);
 
   // A group member port must be bound before the join.
@@ -735,11 +748,14 @@ TEST_P(LiveBackendTest, SocketTableContract) {
   // After unbind and a rebind of the same port only the new handler runs.
   std::atomic<int> old_got{0}, new_got{0};
   const uint16_t port = base + 1;
-  ASSERT_TRUE(rx->bind(port, [&](Address, BytesView) { old_got++; }).is_ok());
+  ASSERT_TRUE(
+      rx->bind_frames(port, [&](Address, SharedFrame) { old_got++; }).is_ok());
   rx->unbind(port);
-  ASSERT_TRUE(rx->bind(port, [&](Address, BytesView) { new_got++; }).is_ok());
+  ASSERT_TRUE(
+      rx->bind_frames(port, [&](Address, SharedFrame) { new_got++; }).is_ok());
   ASSERT_TRUE(wait_until([&] {
-    (void)tx->send(0, Address{rx_host, port}, as_bytes_view(payload));
+    (void)tx->send_frame(0, Address{rx_host, port},
+                         tx->frame_pool().copy_in(payload));
     return new_got.load() > 0;
   }));
   EXPECT_EQ(old_got.load(), 0);
@@ -747,12 +763,14 @@ TEST_P(LiveBackendTest, SocketTableContract) {
   // leave_group stops group delivery.
   std::atomic<int> group_got{0};
   const uint16_t member = base + 2;
-  ASSERT_TRUE(
-      rx->bind(member, [&](Address, BytesView) { group_got++; }).is_ok());
+  ASSERT_TRUE(rx->bind_frames(member, [&](Address, SharedFrame) {
+                  group_got++;
+                }).is_ok());
   Status join = rx->join_group(group, member);
   if (join.is_ok()) {
     const bool flowed = wait_until([&] {
-      (void)tx->send_multicast(0, group, as_bytes_view(payload));
+      (void)tx->send_frame_multicast(0, group,
+                                     tx->frame_pool().copy_in(payload));
       return group_got.load() > 0;
     });
     rx->leave_group(group, member);
@@ -760,7 +778,8 @@ TEST_P(LiveBackendTest, SocketTableContract) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
       const int before = group_got.load();
       for (int i = 0; i < 3; ++i) {
-        (void)tx->send_multicast(0, group, as_bytes_view(payload));
+        (void)tx->send_frame_multicast(0, group,
+                                       tx->frame_pool().copy_in(payload));
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
       EXPECT_EQ(group_got.load(), before);
@@ -773,8 +792,9 @@ TEST_P(LiveBackendTest, SocketTableContract) {
   std::vector<Address> sinks;
   for (size_t i = 0; i < kSinks; ++i) {
     const auto sink = static_cast<uint16_t>(base + 10 + i);
-    ASSERT_TRUE(
-        rx->bind(sink, [&, i](Address, BytesView) { sink_got[i]++; }).is_ok());
+    ASSERT_TRUE(rx->bind_frames(sink, [&, i](Address, SharedFrame) {
+                    sink_got[i]++;
+                  }).is_ok());
     sinks.push_back(Address{rx_host, sink});
   }
   FrameLease lease = tx->frame_pool().acquire(payload.size());
@@ -794,9 +814,9 @@ TEST_P(LiveBackendTest, SocketTableContract) {
   }
 }
 
-// The one user-space payload copy a live transport makes is the bytes
-// send's ingress copy into a pooled frame; it is counted, and the frame
-// send path makes none.
+// The one user-space payload copy on a live transport's send side is a
+// bytes sender's copy_in into the transport's pool; it is counted, and
+// the frame send path makes none.
 TEST_P(LiveBackendTest, BytesSendCountsOneIngressCopy) {
   auto tx = make_live("127.0.0.1");
   if (!tx) GTEST_SKIP() << "UDP sockets unavailable";
@@ -805,7 +825,8 @@ TEST_P(LiveBackendTest, BytesSendCountsOneIngressCopy) {
   Buffer payload = tagged_payload(2, 100);
 
   auto before = tx->net_counters();
-  ASSERT_TRUE(tx->send(0, dst, as_bytes_view(payload)).is_ok());
+  ASSERT_TRUE(
+      tx->send_frame(0, dst, tx->frame_pool().copy_in(payload)).is_ok());
   auto after = tx->net_counters();
   EXPECT_EQ(after.payload_copies - before.payload_copies, 1u);
   EXPECT_EQ(after.payload_bytes_copied - before.payload_bytes_copied,
@@ -832,14 +853,15 @@ TEST_P(LiveBackendTest, BindBurstBeyondRingDepthArmsAndReleasesAll) {
   const HostId rx_host = ipv4_host("127.0.0.2");
   Buffer payload = tagged_payload(3);
   // Opens the sender's lazily created send socket before the baseline.
-  (void)tx->send(0, Address{rx_host, 9}, as_bytes_view(payload));
+  (void)tx->send_frame(0, Address{rx_host, 9},
+                       tx->frame_pool().copy_in(payload));
   const size_t fds_before = open_fd_count();
 
   constexpr size_t kSockets = 300;
   std::vector<std::atomic<int>> got(kSockets);
   std::vector<uint16_t> ports;
   for (size_t i = 0; i < kSockets; ++i) {
-    Status s = rx->bind(0, [&, i](Address, BytesView) { got[i]++; });
+    Status s = rx->bind_frames(0, [&, i](Address, SharedFrame) { got[i]++; });
     ASSERT_TRUE(s.is_ok()) << i << ": " << s.to_string();
     ports.push_back(rx->bound_port(0));
   }
@@ -848,7 +870,8 @@ TEST_P(LiveBackendTest, BindBurstBeyondRingDepthArmsAndReleasesAll) {
     for (size_t i = 0; i < kSockets; ++i) {
       if (got[i].load() > 0) continue;
       all = false;
-      (void)tx->send(0, Address{rx_host, ports[i]}, as_bytes_view(payload));
+      (void)tx->send_frame(0, Address{rx_host, ports[i]},
+                           tx->frame_pool().copy_in(payload));
     }
     return all;
   }));
