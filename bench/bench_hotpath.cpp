@@ -9,8 +9,9 @@
 //    mw.var_latency_us histogram — the same instruments check.sh and the
 //    flight recorder dump, so the bench doubles as an exercise of the
 //    observability layer at full instrumentation),
-//  * the transport FramePool's slab stats (pool hit rate; present only
-//    after the zero-copy refactor).
+//  * the event engine: simulator events run per sample, and closures
+//    that outgrew their InlineFn buffer (each one a heap allocation;
+//    the baseline gates these at zero).
 //
 // Output is a single JSON document on stdout; scripts/check.sh redirects
 // it to BENCH_hotpath.json at the repo root, the first point of the perf
@@ -22,6 +23,7 @@
 #include "alloc_count.h"
 #include "bench_util.h"
 #include "middleware/domain.h"
+#include "util/inline_fn.h"
 
 namespace marea::bench {
 namespace {
@@ -39,6 +41,8 @@ struct Snapshot {
   uint64_t payload_bytes_copied = 0;
   uint64_t bytes_sent = 0;
   uint64_t delivered = 0;
+  uint64_t events = 0;
+  uint64_t fn_heap_fallbacks = 0;
 
   // Heap counters are read strictly outside the registry collect()/reads:
   // the "before" snapshot reads them last and the "after" snapshot reads
@@ -57,6 +61,7 @@ struct Snapshot {
     Snapshot vals = read_registry(reg);
     vals.allocs = s.allocs;
     vals.alloc_bytes = s.alloc_bytes;
+    vals.fn_heap_fallbacks = s.fn_heap_fallbacks;
     return vals;
   }
 
@@ -64,6 +69,7 @@ struct Snapshot {
   void read_heap() {
     allocs = heap_allocs();
     alloc_bytes = heap_bytes();
+    fn_heap_fallbacks = inline_fn_heap_fallback_count();
   }
   static Snapshot read_registry(const obs::MetricsRegistry& reg) {
     Snapshot s;
@@ -71,6 +77,7 @@ struct Snapshot {
     s.payload_copies = reg.counter_value("net.payload_copies");
     s.payload_bytes_copied = reg.counter_value("net.payload_bytes_copied");
     s.bytes_sent = reg.counter_value("net.bytes_sent");
+    s.events = reg.counter_value("sim.events_executed");
     for (int i = 0; i < kFanout; ++i) {
       s.delivered += reg.counter_value(
           "mw." + std::to_string(i + 2) + ".var_samples_received");
@@ -151,6 +158,12 @@ int run() {
   std::printf("  \"wire_bytes_per_sample\": %.1f,\n",
               static_cast<double>(after.bytes_sent -
                                   before.bytes_sent) / n);
+  // Four decimals: one fallback in the whole window must not print as 0.
+  std::printf("  \"fn_heap_fallbacks_per_sample\": %.4f,\n",
+              static_cast<double>(after.fn_heap_fallbacks -
+                                  before.fn_heap_fallbacks) / n);
+  std::printf("  \"sim_events_per_sample\": %.2f,\n",
+              static_cast<double>(after.events - before.events) / n);
   std::printf("  \"mean_latency_us\": %.2f,\n", mean_latency_us);
   std::printf("  \"p99_latency_us\": %.2f,\n", p99_latency_us);
   std::printf("  \"samples_per_sec_wall\": %.0f\n",

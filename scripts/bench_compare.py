@@ -45,6 +45,7 @@ CONTEXT = [
     "net_payload_allocs_per_sample",
     "net_payload_copies_per_sample",
     "wire_bytes_per_sample",
+    "sim_events_per_sample",
     "mean_latency_us",
     "p50_latency_us",
     "p99_latency_us",

@@ -6,12 +6,9 @@ namespace marea::sched {
 
 void SimExecutor::post(Priority priority, Task task, Duration cost) {
   assert(task);
-  Queued q{std::move(task), cost, sim_.now(), next_seq_++, priority};
-  if (fifo_) {
-    fifo_queue_.push_back(std::move(q));
-  } else {
-    queues_[static_cast<size_t>(priority)].push_back(std::move(q));
-  }
+  RingQueue<Queued>& queue =
+      fifo_ ? fifo_queue_ : queues_[static_cast<size_t>(priority)];
+  queue.emplace_back(std::move(task), cost, sim_.now(), next_seq_++, priority);
   if (!busy_) dispatch();
 }
 
@@ -112,22 +109,28 @@ void SimExecutor::dispatch() {
     }
   }
 
-  Queued task = std::move(source->front());
-  source->pop_front();
-
-  size_t pri = static_cast<size_t>(task.priority);
-  Duration wait = now - task.enqueued;
+  Queued& head = source->front();
+  const size_t pri = static_cast<size_t>(head.priority);
+  const Duration wait = now - head.enqueued;
   stats_.tasks_run++;
   stats_.count[pri]++;
   stats_.total_wait[pri] = stats_.total_wait[pri] + wait;
   if (wait > stats_.max_wait[pri]) stats_.max_wait[pri] = wait;
 
+  // The task waits out its modelled cost in running_; the simulator
+  // event carries only the completion callback.
   busy_ = true;
-  sim_.after(task.cost, [this, fn = std::move(task.task)]() {
-    fn();
-    busy_ = false;
-    dispatch();
-  });
+  running_ = std::move(head.task);
+  const Duration cost = head.cost;
+  source->pop_front();
+  sim_.after(cost, [this] { finish(); });
+}
+
+void SimExecutor::finish() {
+  running_();
+  running_.reset();  // the task's captures go before the next dispatch
+  busy_ = false;
+  dispatch();
 }
 
 }  // namespace marea::sched

@@ -71,6 +71,9 @@ class SimExecutor final : public Executor {
   };
 
   void dispatch();
+  // Completion of the task in running_: runs it in place, then frees the
+  // CPU and dispatches the next one.
+  void finish();
   bool in_reserved_slot(TimePoint t, Priority p, Duration cost) const;
   // Next instant a task of priority p (cost c) may start, >= t.
   TimePoint next_allowed_start(TimePoint t, Priority p, Duration cost) const;
@@ -80,6 +83,9 @@ class SimExecutor final : public Executor {
   Duration slot_period_ = kDurationZero;  // 0 = no reservation
   Duration slot_width_ = kDurationZero;
   bool busy_ = false;
+  // The one task holding the modelled CPU; it runs from here when its
+  // cost has elapsed.
+  Task running_;
   uint64_t next_seq_ = 1;
   std::array<RingQueue<Queued>, kPriorityCount> queues_;
   RingQueue<Queued> fifo_queue_;

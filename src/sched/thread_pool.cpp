@@ -34,7 +34,7 @@ void ThreadPoolExecutor::post(Priority priority, Task task, Duration cost) {
   {
     std::lock_guard lock(mutex_);
     if (stopping_) return;
-    queues_[static_cast<size_t>(priority)].push_back(std::move(task));
+    queues_[static_cast<size_t>(priority)].emplace_back(std::move(task));
     ++queued_;
   }
   work_cv_.notify_one();

@@ -447,7 +447,8 @@ void SimNetwork::local_deliver(Endpoint from, Endpoint dst,
 
 void SimNetwork::wire_deliver(Endpoint from, Endpoint dst, TimePoint on_wire,
                               const SharedFrame& frame) {
-  if (blocked_.count(ordered_pair(from.node, dst.node))) {
+  // Clean links (no partition, no fault) skip the hash lookups.
+  if (!blocked_.empty() && blocked_.count(ordered_pair(from.node, dst.node))) {
     total_.packets_partitioned++;
     nodes_[dst.node].stats.packets_partitioned++;
     trace_drop(from.node, dst.node, kDropPartitioned);
@@ -494,14 +495,16 @@ void SimNetwork::wire_deliver(Endpoint from, Endpoint dst, TimePoint on_wire,
   const uint64_t epoch = nodes_[dst.node].up_epoch;
   for (int c = 0; c < copies; ++c) {
     // Duplicates trail the original slightly so they genuinely reorder
-    // against traffic behind them. All scheduled deliveries share pkt.
+    // against traffic behind them. All scheduled deliveries share pkt;
+    // the last one takes it over instead of bumping its refcount.
     TimePoint arrival = base + kLocalDeliveryLatency * c;
     // Arrivals in the past are possible only for drained cross-shard
     // records after a mid-run latency change violated the lookahead
     // contract; clamp deterministically instead of corrupting causality.
     if (arrival < sim_.now()) arrival = sim_.now();
-    sim_.at(arrival, [this, from, dst, epoch, pkt]() {
-      deliver(from, dst, pkt, epoch);
+    SharedFrame share = c + 1 < copies ? SharedFrame(pkt) : std::move(pkt);
+    sim_.at(arrival, [this, from, dst, epoch, share = std::move(share)]() {
+      deliver(from, dst, share, epoch);
     });
   }
 }
@@ -535,6 +538,7 @@ void SimNetwork::expand_remote(const RemoteXmit& x, BytesView bytes) {
 
 bool SimNetwork::apply_faults(NodeId from, NodeId to, SharedFrame& pkt,
                               Duration& extra_delay, int& copies) {
+  if (faults_.empty() && radio_faults_.empty()) return true;
   if (auto it = faults_.find({from, to}); it != faults_.end()) {
     if (!apply_fault_state(it->second, pkt, extra_delay, copies)) return false;
   }

@@ -1,15 +1,8 @@
 #include "sim/simulator.h"
 
 #include <cassert>
-#include <utility>
 
 namespace marea::sim {
-
-TimerId Simulator::at(TimePoint t, EventFn fn) {
-  assert(fn);
-  if (t < now_) t = now_;
-  return wheel_.schedule(t, next_seq_++, std::move(fn));
-}
 
 void Simulator::cancel(TimerId id) {
   if (id != kInvalidTimer) wheel_.cancel(id);
@@ -17,11 +10,10 @@ void Simulator::cancel(TimerId id) {
 
 bool Simulator::pop_one(TimePoint limit) {
   if (!wheel_.prime(limit)) return false;
-  TimePoint t{0};
-  EventFn fn = wheel_.pop(&t);
+  const TimePoint t = wheel_.top_time();
   assert(t >= now_);
   now_ = t;
-  fn();
+  wheel_.run_top();
   return true;
 }
 

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "sim/timer_wheel.h"
 #include "util/inline_fn.h"
@@ -29,18 +30,27 @@ class Simulator final : public Clock {
   TimePoint now() const override { return now_; }
 
   // Schedules `fn` at absolute time `t` (clamped to now). Returns an id
-  // usable with cancel().
-  TimerId at(TimePoint t, EventFn fn);
+  // usable with cancel(). The callable is forwarded to the timer wheel,
+  // which builds it in the event's node and runs it there.
+  template <typename F>
+  TimerId at(TimePoint t, F&& fn) {
+    if (t < now_) t = now_;
+    return wheel_.schedule(t, next_seq_++, std::forward<F>(fn));
+  }
   // Saturates instead of overflowing so after(kDurationInfinite) parks
   // at the far end of virtual time rather than wrapping into the past.
-  TimerId after(Duration d, EventFn fn) {
+  template <typename F>
+  TimerId after(Duration d, F&& fn) {
     const int64_t t = d.ns >= kDurationInfinite.ns - now_.ns
                           ? kDurationInfinite.ns
                           : now_.ns + d.ns;
-    return at(TimePoint{t}, std::move(fn));
+    return at(TimePoint{t}, std::forward<F>(fn));
   }
   // Schedules immediately after currently-queued same-time events.
-  TimerId post(EventFn fn) { return at(now_, std::move(fn)); }
+  template <typename F>
+  TimerId post(F&& fn) {
+    return at(now_, std::forward<F>(fn));
+  }
 
   // Cancels a pending event in place, O(1). Safe to call with ids that
   // already fired (generation check makes stale ids a no-op).

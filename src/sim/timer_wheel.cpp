@@ -78,12 +78,10 @@ void TimerWheel::place(Node* n) {
   overflow_min_ = std::min(overflow_min_, n->time);
 }
 
-TimerId TimerWheel::schedule(TimePoint t, uint64_t seq, EventFn fn) {
-  assert(t.ns >= 0);
-  Node* n = alloc();
+TimerId TimerWheel::enqueue(Node* n, TimePoint t, uint64_t seq) {
+  assert(t.ns >= 0 && n->fn);
   n->time = static_cast<uint64_t>(t.ns);
   n->seq = seq;
-  n->fn = std::move(fn);
   ++pending_;
   ++stats_.scheduled;
   place(n);
@@ -192,37 +190,54 @@ void TimerWheel::drain_overflow() {
   }
 }
 
+uint64_t TimerWheel::next_slot_start(int level) const {
+  const uint64_t base = cursor_ >> shift(level);
+  const unsigned il = static_cast<unsigned>(base & kSlotMask);
+  // Rotate so bit 0 is the slot after the cursor's index; the cursor's
+  // own index is never occupied (see place()), so the first set bit of
+  // the rotation is the nearest future slot at this level.
+  const uint64_t rot = std::rotr(occupancy_[level], (il + 1) & 63);
+  assert(rot != 0);
+  const uint64_t dist = 1 + static_cast<uint64_t>(std::countr_zero(rot));
+  return (base + dist) << shift(level);
+}
+
 bool TimerWheel::find_candidate(uint64_t* time, int* level) const {
+  // Lower bound for the overflow list; possibly stale-low after a
+  // cancel, which only makes us drain (and recompute) early.
+  const uint64_t overflow_bound =
+      overflow_.head != nullptr ? (overflow_min_ >> kBaseShift) << kBaseShift
+                                : UINT64_MAX;
+  // Fast path: every level-1+ node lies at or past the next level-1
+  // boundary (place() puts it strictly after the cursor's slot), so a
+  // level-0 slot starting before that boundary and before the overflow
+  // bound is the earliest candidate without scanning the other levels.
+  if (occupancy_[0] != 0) {
+    const uint64_t cand = next_slot_start(0);
+    const uint64_t level1_end = ((cursor_ >> shift(1)) + 1) << shift(1);
+    if (cand < level1_end && cand < overflow_bound) {
+      *time = cand;
+      *level = 0;
+      return true;
+    }
+  }
   uint64_t best = UINT64_MAX;
   int best_level = -1;
   // High → low so that on equal lower-bound times the HIGHER level wins:
   // its slot must cascade before a same-bound level-0 slot activates
   // (the coarse slot may contain earlier events).
   for (int l = kLevels - 1; l >= 0; --l) {
-    const uint64_t occ = occupancy_[l];
-    if (occ == 0) continue;
-    const uint64_t base = cursor_ >> shift(l);
-    const unsigned il = static_cast<unsigned>(base & kSlotMask);
-    // Rotate so bit 0 is the slot after the cursor's index; the cursor's
-    // own index is never occupied (see place()), so the first set bit of
-    // the rotation is the nearest future slot at this level.
-    const uint64_t rot = std::rotr(occ, (il + 1) & 63);
-    assert(rot != 0);
-    const uint64_t dist = 1 + static_cast<uint64_t>(std::countr_zero(rot));
-    const uint64_t cand = (base + dist) << shift(l);
+    if (occupancy_[l] == 0) continue;
+    const uint64_t cand = next_slot_start(l);
     if (cand < best) {
       best = cand;
       best_level = l;
     }
   }
-  if (overflow_.head != nullptr) {
-    // Lower bound for the overflow list; possibly stale-low after a
-    // cancel, which only makes us drain (and recompute) early.
-    const uint64_t cand = (overflow_min_ >> kBaseShift) << kBaseShift;
-    if (cand <= best) {  // <=: drain before activating a same-bound slot
-      best = cand;
-      best_level = kOverflowLevel;
-    }
+  if (overflow_.head != nullptr && overflow_bound <= best) {
+    // <=: drain before activating a same-bound slot.
+    best = overflow_bound;
+    best_level = kOverflowLevel;
   }
   if (best_level < 0) return false;
   *time = best;
@@ -287,19 +302,21 @@ bool TimerWheel::prime(TimePoint limit) {
   }
 }
 
-EventFn TimerWheel::pop(TimePoint* t) {
+void TimerWheel::run_top() {
   assert(!heap_.empty() && !heap_.front()->cancelled);
   std::pop_heap(heap_.begin(), heap_.end(), DueLater{});
   Node* n = heap_.back();
   heap_.pop_back();
-  *t = pooled_time(n);
-  EventFn fn = std::move(n->fn);
   --pending_;
   ++stats_.fired;
-  // Free before running: a handler that cancels its own (now stale) id
-  // or schedules a new timer reusing this node sees a fresh generation.
+  // Run in place. The node is on neither the heap nor the freelist, so
+  // whatever the handler schedules lands in other nodes, and the bumped
+  // generation makes the handler's own id stale (cancelling it is a
+  // no-op). free_node then destroys the closure — releasing any frames it
+  // pins — before the next event runs.
+  ++n->gen;
+  n->fn();
   free_node(n);
-  return fn;
 }
 
 }  // namespace marea::sim

@@ -21,6 +21,13 @@
 // per event for real workloads; cascading moves each node down the
 // ladder at most kLevels-1 times over its whole lifetime.
 //
+// Build once, run in place: schedule() constructs the callable straight
+// into its node, and run_top() invokes it there. The running node is off
+// the heap and off the freelist, so nothing its handler schedules can
+// reuse it; its generation is bumped before the call, so the handler's
+// own id is already stale. The node (and whatever the closure captured)
+// is released after the handler returns, before the next event runs.
+//
 // Cancellation safety: TimerIds encode (pool index, generation), so a
 // stale id — already fired, already cancelled, or from a node since
 // reused — is detected by a generation mismatch and ignored. Memory is
@@ -30,6 +37,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <utility>
 #include <vector>
 
 #include "util/inline_fn.h"
@@ -37,10 +45,12 @@
 
 namespace marea::sim {
 
-// Sized so the datapath's scheduled closures — packet deliveries and the
-// executor's task-completion wrappers (which embed a sched::Task) — stay
-// inline; oversized closures fall back to the heap transparently (and
-// bump the InlineFn heap-fallback counter the bench gate watches).
+// Sized so every closure the datapath schedules stays inline: packet
+// deliveries ({this, endpoints, epoch, SharedFrame}), the executor's
+// completion event ({this}) and the largest, its timer re-arm closure,
+// which carries the sched::Task it will post when it fires. Oversized
+// closures fall back to the heap transparently (and bump the InlineFn
+// heap-fallback counter bench_hotpath gates at zero).
 using EventFn = InlineFn<void(), 104>;
 using TimerId = uint64_t;
 constexpr TimerId kInvalidTimer = 0;
@@ -69,7 +79,13 @@ class TimerWheel {
 
   // `t` must be >= the last popped time; `seq` must be strictly
   // increasing across calls (the simulator passes its global sequence).
-  TimerId schedule(TimePoint t, uint64_t seq, EventFn fn);
+  // `fn` is built in place in the event's node.
+  template <typename F>
+  TimerId schedule(TimePoint t, uint64_t seq, F&& fn) {
+    Node* n = alloc();
+    n->fn.emplace(std::forward<F>(fn));
+    return enqueue(n, t, seq);
+  }
 
   // O(1); stale ids (fired/cancelled/reused) are ignored. Returns true
   // when a pending event was actually removed.
@@ -85,9 +101,9 @@ class TimerWheel {
     return TimePoint{static_cast<int64_t>(heap_.front()->time)};
   }
 
-  // Pops the earliest due event (prime() must have returned true);
-  // stores its time in *t and returns its callable.
-  EventFn pop(TimePoint* t);
+  // Removes the earliest due event (prime() must have returned true),
+  // runs its callable in place in its node, then frees the node.
+  void run_top();
 
   size_t pending() const { return pending_; }
   // High-water node count — bounded by peak concurrent timers, NOT by
@@ -136,10 +152,8 @@ class TimerWheel {
   };
 
   Node* alloc();
+  TimerId enqueue(Node* n, TimePoint t, uint64_t seq);
   void free_node(Node* n);
-  TimePoint pooled_time(const Node* n) const {
-    return TimePoint{static_cast<int64_t>(n->time)};
-  }
 
   void place(Node* n);
   void push_due(Node* n);
@@ -159,6 +173,9 @@ class TimerWheel {
   // kOverflowLevel means the overflow list. False when wheel+overflow
   // are empty.
   bool find_candidate(uint64_t* time, int* level) const;
+  // Start of the nearest occupied slot after the cursor's at `level`
+  // (whose occupancy must be nonzero).
+  uint64_t next_slot_start(int level) const;
   bool advance(uint64_t limit);
 
   uint64_t cursor_ = 0;  // 1024-aligned, monotonic

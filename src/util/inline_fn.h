@@ -46,15 +46,7 @@ class InlineFn<R(Args...), Cap> {
     requires(!std::is_same_v<std::decay_t<F>, InlineFn> &&
              std::is_invocable_r_v<R, std::decay_t<F>&, Args...>)
   InlineFn(F&& f) {  // NOLINT(google-explicit-constructor)
-    using D = std::decay_t<F>;
-    if constexpr (fits<D>()) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-    } else {
-      detail::inline_fn_heap_fallbacks.fetch_add(1, std::memory_order_relaxed);
-      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
-    }
-    invoke_ = &invoke_impl<D>;
-    manage_ = &manage_impl<D>;
+    construct(std::forward<F>(f));
   }
 
   InlineFn(InlineFn&& o) noexcept { move_from(o); }
@@ -86,6 +78,18 @@ class InlineFn<R(Args...), Cap> {
     if (manage_) manage_(Op::kDestroy, this, nullptr);
     invoke_ = nullptr;
     manage_ = nullptr;
+  }
+
+  // Replaces the held callable by building `f` straight into this
+  // object's buffer: a closure handed to a long-lived slot (a timer
+  // node) is constructed once where it will run instead of being built
+  // in a temporary and relocated.
+  template <typename F>
+    requires(!std::is_same_v<std::decay_t<F>, InlineFn> &&
+             std::is_invocable_r_v<R, std::decay_t<F>&, Args...>)
+  void emplace(F&& f) {
+    reset();
+    construct(std::forward<F>(f));
   }
 
  private:
@@ -137,6 +141,19 @@ class InlineFn<R(Args...), Cap> {
     }
   }
 
+  template <typename F>
+  void construct(F&& f) {
+    using D = std::decay_t<F>;
+    if constexpr (fits<D>()) {
+      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+    } else {
+      detail::inline_fn_heap_fallbacks.fetch_add(1, std::memory_order_relaxed);
+      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
+    }
+    invoke_ = &invoke_impl<D>;
+    manage_ = &manage_impl<D>;
+  }
+
   void move_from(InlineFn& o) {
     if (o.manage_) o.manage_(Op::kMove, &o, this);
   }
@@ -155,8 +172,8 @@ class InlineFn<R(Args...), Cap> {
 // here so a capture that grows Cap shows up as a build break, not a
 // silent node-size regression. Growing a capture beyond Cap without
 // growing Cap still works, but each such closure costs a heap
-// allocation counted by inline_fn_heap_fallback_count() and gated by
-// the benches.
+// allocation counted by inline_fn_heap_fallback_count(); bench_hotpath
+// reports it per sample and its baseline gates it at zero.
 namespace detail {
 constexpr size_t inline_fn_footprint(size_t cap) {
   const size_t raw = cap + 2 * sizeof(void*);

@@ -4,8 +4,8 @@
 // its head and tail chase each other, so a queue that stays shallow but
 // turns over constantly (an executor's task queue) still hits the heap on
 // every few push/pop pairs. RingQueue grows by doubling when full and
-// never shrinks: once it has seen its peak depth, push_back/pop_front are
-// allocation-free. Elements live in raw slots and are constructed and
+// never shrinks: once it has seen its peak depth, emplace_back/pop_front
+// are allocation-free. Elements live in raw slots and are constructed and
 // destroyed in place, so move-only types (InlineFn tasks) work and a
 // popped element releases what it holds immediately.
 #pragma once
@@ -38,10 +38,13 @@ class RingQueue {
     return slots_[head_];
   }
 
-  void push_back(T v) {
+  // Constructs the new tail element in its slot from `args`, which must
+  // not refer into the queue (growth may move its elements first).
+  template <typename... A>
+  void emplace_back(A&&... args) {
     if (size_ == capacity_) reserve(capacity_ ? capacity_ * 2 : kMinCapacity);
     ::new (static_cast<void*>(&slots_[(head_ + size_) & (capacity_ - 1)]))
-        T(std::move(v));
+        T(std::forward<A>(args)...);
     ++size_;
   }
 

@@ -369,7 +369,9 @@ TEST(ShardGridTest, MulticastTouchesOnlyShardsWithMembers) {
   for (uint32_t s = 0; s < grid.shard_count(); ++s) {
     const sim::TrafficStats& st = grid.cell(s).net.stats();
     touched += st.fanout_shards_touched;
-    if (s != 3) EXPECT_EQ(st.packets_delivered, 0u) << "shard " << s;
+    if (s != 3) {
+      EXPECT_EQ(st.packets_delivered, 0u) << "shard " << s;
+    }
     EXPECT_EQ(st.packets_unroutable, 0u) << "shard " << s;
   }
   EXPECT_EQ(touched, 1u);

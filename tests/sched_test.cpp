@@ -150,6 +150,46 @@ TEST(SimExecutorTest, TaskNotStartedIfItWouldOverrunIntoSlot) {
   EXPECT_EQ(started.ns, milliseconds(11).ns);
 }
 
+// --- Relocation gate: a callable is built once and run where it waits ----------
+
+// A closure that counts its own move-constructions. Call sites below hand
+// it over as an lvalue, so building the first InlineFn is a copy and
+// every move counted is a relocation of an already-built callable.
+struct MoveCounted {
+  int* moves;
+  int* runs;
+  MoveCounted(int* m, int* r) : moves(m), runs(r) {}
+  MoveCounted(const MoveCounted&) = default;
+  MoveCounted(MoveCounted&& o) noexcept : moves(o.moves), runs(o.runs) {
+    ++*moves;
+  }
+  void operator()() const { ++*runs; }
+};
+
+TEST(RelocationGateTest, SimExecutorPostToRunRelocatesAtMostTwice) {
+  sim::Simulator sim;
+  SimExecutor exec(sim);
+  int moves = 0;
+  int runs = 0;
+  const MoveCounted task(&moves, &runs);
+  // Queue entry, then the running slot: nothing else may move it.
+  exec.post(Priority::kVariable, task, microseconds(5));
+  sim.run();
+  EXPECT_EQ(runs, 1);
+  EXPECT_LE(moves, 2);
+}
+
+TEST(RelocationGateTest, SimulatorAtToRunRelocatesAtMostOnce) {
+  sim::Simulator sim;
+  int moves = 0;
+  int runs = 0;
+  const MoveCounted event(&moves, &runs);
+  sim.at(TimePoint{microseconds(5).ns}, event);
+  sim.run();
+  EXPECT_EQ(runs, 1);
+  EXPECT_LE(moves, 1);
+}
+
 // --- ThreadPoolExecutor -----------------------------------------------------------
 
 TEST(ThreadPoolTest, RunsPostedTasks) {
@@ -234,7 +274,7 @@ TEST(RingQueueTest, WrapAroundKeepsFifoWithoutGrowing) {
   int next_in = 0;
   int next_out = 0;
   for (int round = 0; round < 100; ++round) {
-    for (int i = 0; i < 5; ++i) q.push_back(next_in++);
+    for (int i = 0; i < 5; ++i) q.emplace_back(next_in++);
     for (int i = 0; i < 5; ++i) {
       ASSERT_EQ(q.front(), next_out++);
       q.pop_front();
@@ -249,12 +289,14 @@ TEST(RingQueueTest, GrowthWhileWrappedKeepsFifo) {
   int next_in = 0;
   int next_out = 0;
   // Offset the head so the ring is wrapped when it has to grow.
-  for (int i = 0; i < 6; ++i) q.push_back(std::make_unique<int>(next_in++));
+  for (int i = 0; i < 6; ++i) q.emplace_back(std::make_unique<int>(next_in++));
   for (int i = 0; i < 4; ++i) {
     ASSERT_EQ(*q.front(), next_out++);
     q.pop_front();
   }
-  for (int i = 0; i < 100; ++i) q.push_back(std::make_unique<int>(next_in++));
+  for (int i = 0; i < 100; ++i) {
+    q.emplace_back(std::make_unique<int>(next_in++));
+  }
   EXPECT_EQ(q.size(), 102u);
   EXPECT_EQ(q.capacity(), 128u);  // powers of two only
   while (!q.empty()) {
@@ -265,17 +307,31 @@ TEST(RingQueueTest, GrowthWhileWrappedKeepsFifo) {
   EXPECT_EQ(q.capacity(), 128u);  // never shrinks
 }
 
+TEST(RingQueueTest, EmplaceBackBuildsInTheSlot) {
+  RingQueue<MoveCounted> q;
+  q.reserve(4);
+  int moves = 0;
+  int runs = 0;
+  for (int i = 0; i < 4; ++i) q.emplace_back(&moves, &runs);
+  EXPECT_EQ(moves, 0);
+  while (!q.empty()) {
+    q.front()();
+    q.pop_front();
+  }
+  EXPECT_EQ(runs, 4);
+}
+
 TEST(RingQueueTest, PopAndClearReleaseElements) {
   auto tracked = std::make_shared<int>(7);
   RingQueue<std::shared_ptr<int>> q;
-  q.push_back(tracked);
-  q.push_back(tracked);
+  q.emplace_back(tracked);
+  q.emplace_back(tracked);
   EXPECT_EQ(tracked.use_count(), 3);
   q.pop_front();
   EXPECT_EQ(tracked.use_count(), 2);
   q.clear();
   EXPECT_EQ(tracked.use_count(), 1);
-  q.push_back(tracked);  // still usable after clear
+  q.emplace_back(tracked);  // still usable after clear
   EXPECT_EQ(*q.front(), 7);
 }
 

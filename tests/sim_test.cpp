@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "sim/network.h"
@@ -164,6 +167,32 @@ TEST(SimulatorTest, FarFutureEventPromotedFromOverflowLadder) {
   EXPECT_EQ(sim.pending(), 1u);
 }
 
+TEST(SimulatorTest, OverflowEventNotSkippedByNearerLevel0Slots) {
+  // A parks in the overflow list and stays there while a chain of
+  // in-ladder hops walks the cursor up to it. Once the cursor shares A's
+  // level-1 slot, B and C sit in level-0 slots on either side of A: the
+  // wheel must drain the overflow list before it reaches C's slot.
+  Simulator sim;
+  const int64_t edge = int64_t{1} << 60;
+  const int64_t hop = int64_t{1} << 57;  // inside the ~9-year ladder
+  std::vector<char> order;
+  sim.at(TimePoint{edge + 5000}, [&] { order.push_back('A'); });
+  std::function<void()> step = [&] {
+    const int64_t next = sim.now().ns + hop;
+    if (next < edge - hop) {
+      sim.at(TimePoint{next}, step);
+      return;
+    }
+    sim.at(TimePoint{edge - 100}, [&] {
+      sim.at(TimePoint{edge + 1000}, [&] { order.push_back('B'); });
+      sim.at(TimePoint{edge + 9000}, [&] { order.push_back('C'); });
+    });
+  };
+  sim.at(TimePoint{hop}, step);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<char>{'B', 'A', 'C'}));
+}
+
 TEST(SimulatorTest, RunUntilLandingExactlyOnSlotEdge) {
   Simulator sim;
   int fired = 0;
@@ -204,6 +233,67 @@ TEST(SimulatorTest, ScheduleCancelChurnDoesNotGrowMemory) {
   EXPECT_EQ(sim.pending(), 0u);
   sim.run();
   EXPECT_EQ(sim.events_executed(), 0u);
+}
+
+// --- Engine rules: a callable runs in place in its node ------------------------
+
+TEST(SimulatorTest, HandlerCancellingItsOwnIdIsNoOp) {
+  Simulator sim;
+  TimerId self = kInvalidTimer;
+  int later = 0;
+  size_t pending_before = 0;
+  size_t pending_after = 0;
+  self = sim.at(TimePoint{100}, [&] {
+    pending_before = sim.pending();
+    sim.cancel(self);
+    pending_after = sim.pending();
+  });
+  sim.at(TimePoint{200}, [&] { ++later; });
+  sim.run();
+  EXPECT_EQ(pending_before, 1u);
+  EXPECT_EQ(pending_after, pending_before);
+  EXPECT_EQ(later, 1);
+  EXPECT_EQ(sim.engine_stats().cancelled, 0u);
+}
+
+TEST(SimulatorTest, CapturedStateDiesAfterHandlerBeforeNextEvent) {
+  Simulator sim;
+  auto pinned = std::make_shared<int>(7);
+  std::weak_ptr<int> watch = pinned;
+  bool alive_in_handler = false;
+  bool alive_in_next = true;
+  sim.at(TimePoint{100}, [&, held = std::move(pinned)] {
+    alive_in_handler = !watch.expired() && *held == 7;
+  });
+  // Same instant, scheduled second: the very next event to run.
+  sim.at(TimePoint{100}, [&] { alive_in_next = !watch.expired(); });
+  sim.run();
+  EXPECT_TRUE(alive_in_handler);
+  EXPECT_FALSE(alive_in_next);
+}
+
+TEST(SimulatorTest, HandlerSchedulingManyEventsKeepsItsOwnClosure) {
+  // The running closure lives in its node; if a schedule from inside the
+  // handler reused that node, the captures below would be destroyed and
+  // overwritten mid-call.
+  Simulator sim;
+  constexpr int kFanout = 100;
+  const std::string tag(64, 'r');
+  std::vector<int> fired;
+  bool intact = false;
+  sim.at(TimePoint{1000}, [&, tag, data = std::vector<int>(16, 5)] {
+    for (int i = 0; i < kFanout; ++i) {
+      sim.after(nanoseconds(i % 3), [&fired, i, other = std::string(64, 'o')] {
+        fired.push_back(i);
+      });
+    }
+    intact = tag == std::string(64, 'r') &&
+             data == std::vector<int>(16, 5);
+  });
+  sim.run();
+  EXPECT_TRUE(intact);
+  EXPECT_EQ(fired.size(), static_cast<size_t>(kFanout));
+  EXPECT_EQ(sim.pending(), 0u);
 }
 
 // --- SimNetwork -----------------------------------------------------------------
