@@ -29,7 +29,7 @@ void mftp_chunk_size(Report& report, uint32_t chunk) {
   net.set_default_link(lp);
   sim::NodeId pub = net.add_node("pub");
   sim::NodeId rx = net.add_node("rx");
-  constexpr sim::GroupId kGroup = 9;
+  constexpr GroupId kGroup = 9;
 
   Rng rng(1);
   Buffer content(128 * 1024);
@@ -52,14 +52,14 @@ void mftp_chunk_size(Report& report, uint32_t chunk) {
         ByteWriter w;
         w.u8(1);
         msg.encode(w);
-        (void)net.send_multicast(sim::Endpoint{pub, 1}, kGroup,
+        (void)net.send_multicast(Address{pub, 1}, kGroup,
                                  net.frame_pool().copy_in(w.view()));
       },
       [&](const proto::FileStatusRequestMsg& msg) {
         ByteWriter w;
         w.u8(2);
         msg.encode(w);
-        (void)net.send_multicast(sim::Endpoint{pub, 1}, kGroup,
+        (void)net.send_multicast(Address{pub, 1}, kGroup,
                                  net.frame_pool().copy_in(w.view()));
       });
   bool done = false;
@@ -70,14 +70,14 @@ void mftp_chunk_size(Report& report, uint32_t chunk) {
         ByteWriter w;
         w.u8(3);
         ack.encode(w);
-        (void)net.send(sim::Endpoint{rx, 1}, sim::Endpoint{pub, 1},
+        (void)net.send(Address{rx, 1}, Address{pub, 1},
                        net.frame_pool().copy_in(w.view()));
       },
       [&](const proto::FileNackMsg& nack) {
         ByteWriter w;
         w.u8(4);
         nack.encode(w);
-        (void)net.send(sim::Endpoint{rx, 1}, sim::Endpoint{pub, 1},
+        (void)net.send(Address{rx, 1}, Address{pub, 1},
                        net.frame_pool().copy_in(w.view()));
       });
   receiver.set_on_complete([&](const Buffer&) {
@@ -85,25 +85,25 @@ void mftp_chunk_size(Report& report, uint32_t chunk) {
     done_at = sim.now();
   });
   (void)net.bind_frames(
-      sim::Endpoint{pub, 1},
-      [&](sim::Endpoint from, const SharedFrame& frame) {
+      Address{pub, 1},
+      [&](Address from, const SharedFrame& frame) {
         ByteReader r(frame.view());
         uint8_t tag = r.u8();
         if (tag == 3) {
           proto::FileAckMsg ack;
           if (proto::FileAckMsg::decode(r, ack)) {
-            publisher.on_ack(from.node, ack);
+            publisher.on_ack(from.host, ack);
           }
         } else if (tag == 4) {
           proto::FileNackMsg nack;
           if (proto::FileNackMsg::decode(r, nack)) {
-            publisher.on_nack(from.node, nack);
+            publisher.on_nack(from.host, nack);
           }
         }
       });
   (void)net.bind_frames(
-      sim::Endpoint{rx, 1},
-      [&](sim::Endpoint, const SharedFrame& frame) {
+      Address{rx, 1},
+      [&](Address, const SharedFrame& frame) {
         ByteReader r(frame.view());
         uint8_t tag = r.u8();
         if (tag == 1) {
@@ -116,7 +116,7 @@ void mftp_chunk_size(Report& report, uint32_t chunk) {
           }
         }
       });
-  (void)net.join_group(kGroup, sim::Endpoint{rx, 1});
+  (void)net.join_group(kGroup, Address{rx, 1});
   publisher.add_subscriber(rx);
   publisher.start();
   sim.run(50'000'000);

@@ -127,15 +127,15 @@ ModelResult run_p2p(int sensors, int consumers) {
     sim::NodeId node = net.add_node("c" + std::to_string(i));
     consumer_nodes.push_back(node);
     sinks.push_back(std::make_unique<baseline::P2pConsumer>(
-        net, sim::Endpoint{node, 1},
+        net, Address{node, 1},
         [&](BytesView) { result.delivered++; }));
   }
   std::vector<baseline::P2pProducer> producers;
   producers.reserve(static_cast<size_t>(sensors));
   for (int i = 0; i < sensors; ++i) {
-    producers.emplace_back(net, sim::Endpoint{sensor_nodes[static_cast<size_t>(i)], 1});
+    producers.emplace_back(net, Address{sensor_nodes[static_cast<size_t>(i)], 1});
     for (sim::NodeId c : consumer_nodes) {
-      producers.back().add_consumer(sim::Endpoint{c, 1});
+      producers.back().add_consumer(Address{c, 1});
     }
   }
   Buffer payload(kPayload, 1);
@@ -154,13 +154,13 @@ ModelResult run_broker(int sensors, int consumers) {
   ModelResult result;
 
   sim::NodeId broker_node = net.add_node("broker");
-  baseline::BrokerServer broker(net, sim::Endpoint{broker_node, 1});
+  baseline::BrokerServer broker(net, Address{broker_node, 1});
 
   std::vector<std::unique_ptr<baseline::BrokerClient>> clients;
   for (int i = 0; i < consumers; ++i) {
     sim::NodeId node = net.add_node("c" + std::to_string(i));
     clients.push_back(std::make_unique<baseline::BrokerClient>(
-        net, sim::Endpoint{node, 1}, sim::Endpoint{broker_node, 1}));
+        net, Address{node, 1}, Address{broker_node, 1}));
     for (int s = 0; s < sensors; ++s) {
       clients.back()->subscribe("topic." + std::to_string(s),
                                 [&](BytesView) { result.delivered++; });
@@ -170,7 +170,7 @@ ModelResult run_broker(int sensors, int consumers) {
   for (int i = 0; i < sensors; ++i) {
     sim::NodeId node = net.add_node("s" + std::to_string(i));
     sensors_clients.push_back(std::make_unique<baseline::BrokerClient>(
-        net, sim::Endpoint{node, 1}, sim::Endpoint{broker_node, 1}));
+        net, Address{node, 1}, Address{broker_node, 1}));
   }
   sim.run(1'000'000);  // subscriptions settle
 

@@ -41,14 +41,14 @@ ReliableRun run_arq(double loss, const proto::ArqParams& params) {
       [&](const proto::ReliableDataMsg& msg) {
         ByteWriter w;
         msg.encode(w);
-        (void)net.send(sim::Endpoint{a, 1}, sim::Endpoint{b, 1},
+        (void)net.send(Address{a, 1}, Address{b, 1},
                        net.frame_pool().copy_in(w.view()));
       });
   proto::ArqReceiver receiver(
       [&](const proto::ReliableAckMsg& ack) {
         ByteWriter w;
         ack.encode(w);
-        (void)net.send(sim::Endpoint{b, 1}, sim::Endpoint{a, 1},
+        (void)net.send(Address{b, 1}, Address{a, 1},
                        net.frame_pool().copy_in(w.view()));
       },
       [&](proto::InnerType, BytesView inner) {
@@ -58,15 +58,15 @@ ReliableRun run_arq(double loss, const proto::ArqParams& params) {
         result.latency.add(sim.now() - sent_at[id]);
       });
   (void)net.bind_frames(
-      sim::Endpoint{b, 1},
-      [&](sim::Endpoint, const SharedFrame& frame) {
+      Address{b, 1},
+      [&](Address, const SharedFrame& frame) {
         ByteReader r(frame.view());
         proto::ReliableDataMsg msg;
         if (proto::ReliableDataMsg::decode(r, msg)) receiver.on_data(msg);
       });
   (void)net.bind_frames(
-      sim::Endpoint{a, 1},
-      [&](sim::Endpoint, const SharedFrame& frame) {
+      Address{a, 1},
+      [&](Address, const SharedFrame& frame) {
         ByteReader r(frame.view());
         proto::ReliableAckMsg ack;
         if (proto::ReliableAckMsg::decode(r, ack)) sender.on_ack(ack);

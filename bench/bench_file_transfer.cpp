@@ -147,7 +147,7 @@ FtResult run_mftp(const Buffer& content, const FtOptions& opt) {
   lp.loss = opt.loss;
   net.set_default_link(lp);
   sim::NodeId pub_node = net.add_node("pub");
-  constexpr sim::GroupId kGroup = 500;
+  constexpr GroupId kGroup = 500;
 
   proto::FileMeta meta = make_meta(content, opt.codec, opt.revision);
   proto::MftpParams params;
@@ -163,31 +163,31 @@ FtResult run_mftp(const Buffer& content, const FtOptions& opt) {
         ByteWriter w;
         w.u8(1);
         msg.encode(w);
-        (void)net.send_multicast(sim::Endpoint{pub_node, 1}, kGroup,
+        (void)net.send_multicast(Address{pub_node, 1}, kGroup,
                                  net.frame_pool().copy_in(w.view()));
       },
       [&](const proto::FileStatusRequestMsg& msg) {
         ByteWriter w;
         w.u8(2);
         msg.encode(w);
-        (void)net.send_multicast(sim::Endpoint{pub_node, 1}, kGroup,
+        (void)net.send_multicast(Address{pub_node, 1}, kGroup,
                                  net.frame_pool().copy_in(w.view()));
       });
 
   (void)net.bind_frames(
-      sim::Endpoint{pub_node, 1},
-      [&](sim::Endpoint from, const SharedFrame& frame) {
+      Address{pub_node, 1},
+      [&](Address from, const SharedFrame& frame) {
         ByteReader r{frame.view()};
         uint8_t tag = r.u8();
         if (tag == 3) {
           proto::FileAckMsg ack;
           if (proto::FileAckMsg::decode(r, ack)) {
-            publisher.on_ack(from.node, ack);
+            publisher.on_ack(from.host, ack);
           }
         } else if (tag == 4) {
           proto::FileNackMsg nack;
           if (proto::FileNackMsg::decode(r, nack)) {
-            publisher.on_nack(from.node, nack);
+            publisher.on_nack(from.host, nack);
           }
         }
       });
@@ -203,14 +203,14 @@ FtResult run_mftp(const Buffer& content, const FtOptions& opt) {
           ByteWriter w;
           w.u8(3);
           ack.encode(w);
-          (void)net.send(sim::Endpoint{node, 1}, sim::Endpoint{pub_node, 1},
+          (void)net.send(Address{node, 1}, Address{pub_node, 1},
                          net.frame_pool().copy_in(w.view()));
         },
         [&, node](const proto::FileNackMsg& nack) {
           ByteWriter w;
           w.u8(4);
           nack.encode(w);
-          (void)net.send(sim::Endpoint{node, 1}, sim::Endpoint{pub_node, 1},
+          (void)net.send(Address{node, 1}, Address{pub_node, 1},
                          net.frame_pool().copy_in(w.view()));
         });
     if (opt.manifest) receiver->set_manifest(publisher.chunk_hashes());
@@ -224,8 +224,8 @@ FtResult run_mftp(const Buffer& content, const FtOptions& opt) {
     });
     proto::MftpReceiver* raw = receiver.get();
     (void)net.bind_frames(
-        sim::Endpoint{node, 1},
-        [raw](sim::Endpoint, const SharedFrame& frame) {
+        Address{node, 1},
+        [raw](Address, const SharedFrame& frame) {
           ByteReader r{frame.view()};
           uint8_t tag = r.u8();
           if (tag == 1) {
@@ -240,7 +240,7 @@ FtResult run_mftp(const Buffer& content, const FtOptions& opt) {
             }
           }
         });
-    (void)net.join_group(kGroup, sim::Endpoint{node, 1});
+    (void)net.join_group(kGroup, Address{node, 1});
     if (opt.resume_from_store) receiver->resume_from_store();
     publisher.add_subscriber(node);
     rxs.push_back(std::move(receiver));

@@ -293,12 +293,12 @@ FleetRun run_net_smoke(int nodes, uint32_t shards, int groups,
   int64_t received = 0;
   for (int i = 0; i < nodes; ++i) {
     const uint32_t shard = static_cast<uint32_t>(i) % shards;
-    sim::Endpoint ep{ids[i], 9};
+    Address ep{ids[i], 9};
     auto s = grid.cell(shard).net.join_group(
-        static_cast<sim::GroupId>(i % groups), ep);
+        static_cast<GroupId>(i % groups), ep);
     if (!s.is_ok()) std::abort();
     s = grid.cell(shard).net.bind_frames(
-        ep, [&received](sim::Endpoint, const SharedFrame&) { ++received; });
+        ep, [&received](Address, const SharedFrame&) { ++received; });
     if (!s.is_ok()) std::abort();
   }
   // One publisher per group (the group's first member), self-rescheduling
@@ -307,8 +307,8 @@ FleetRun run_net_smoke(int nodes, uint32_t shards, int groups,
   struct Pub {
     sim::ShardGrid* grid;
     uint32_t shard;
-    sim::Endpoint from;
-    sim::GroupId group;
+    Address from;
+    GroupId group;
     const Buffer* payload;
     void arm() const {
       Pub self = *this;
@@ -322,7 +322,7 @@ FleetRun run_net_smoke(int nodes, uint32_t shards, int groups,
   };
   for (int g = 0; g < groups; ++g) {
     Pub{&grid, static_cast<uint32_t>(g) % shards,
-        sim::Endpoint{ids[g], 1}, static_cast<sim::GroupId>(g), &payload}
+        Address{ids[g], 1}, static_cast<GroupId>(g), &payload}
         .arm();
   }
   const auto t0 = std::chrono::steady_clock::now();

@@ -14,10 +14,10 @@ Buffer make_msg(BrokerOp op, const std::string& topic, BytesView payload) {
 
 }  // namespace
 
-BrokerServer::BrokerServer(sim::SimNetwork& net, sim::Endpoint self)
+BrokerServer::BrokerServer(sim::SimNetwork& net, Address self)
     : net_(net), self_(self) {
   Status s = net_.bind_frames(
-      self_, [this](sim::Endpoint from, const SharedFrame& frame) {
+      self_, [this](Address from, const SharedFrame& frame) {
         on_datagram(from, frame.view());
       });
   (void)s;
@@ -25,7 +25,7 @@ BrokerServer::BrokerServer(sim::SimNetwork& net, sim::Endpoint self)
 
 BrokerServer::~BrokerServer() { net_.unbind(self_); }
 
-void BrokerServer::on_datagram(sim::Endpoint from, BytesView data) {
+void BrokerServer::on_datagram(Address from, BytesView data) {
   ByteReader r(data);
   uint8_t op = r.u8();
   std::string topic = r.str();
@@ -45,7 +45,7 @@ void BrokerServer::on_datagram(sim::Endpoint from, BytesView data) {
     auto it = subscribers_.find(topic);
     if (it == subscribers_.end()) return;
     Buffer fwd = make_msg(BrokerOp::kForward, topic, payload);
-    for (sim::Endpoint sub : it->second) {
+    for (Address sub : it->second) {
       if (sub == from) continue;
       ++forwarded_;
       (void)net_.send(self_, sub, net_.frame_pool().copy_in(fwd));
@@ -53,11 +53,10 @@ void BrokerServer::on_datagram(sim::Endpoint from, BytesView data) {
   }
 }
 
-BrokerClient::BrokerClient(sim::SimNetwork& net, sim::Endpoint self,
-                           sim::Endpoint broker)
+BrokerClient::BrokerClient(sim::SimNetwork& net, Address self, Address broker)
     : net_(net), self_(self), broker_(broker) {
   Status s = net_.bind_frames(
-      self_, [this](sim::Endpoint from, const SharedFrame& frame) {
+      self_, [this](Address from, const SharedFrame& frame) {
         on_datagram(from, frame.view());
       });
   (void)s;
@@ -76,7 +75,7 @@ void BrokerClient::publish(const std::string& topic, BytesView payload) {
   (void)net_.send(self_, broker_, net_.frame_pool().copy_in(msg));
 }
 
-void BrokerClient::on_datagram(sim::Endpoint, BytesView data) {
+void BrokerClient::on_datagram(Address, BytesView data) {
   ByteReader r(data);
   uint8_t op = r.u8();
   std::string topic = r.str();

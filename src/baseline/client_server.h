@@ -20,18 +20,18 @@ enum class BrokerOp : uint8_t { kSubscribe = 1, kPublish = 2, kForward = 3 };
 
 class BrokerServer {
  public:
-  BrokerServer(sim::SimNetwork& net, sim::Endpoint self);
+  BrokerServer(sim::SimNetwork& net, Address self);
   ~BrokerServer();
 
   uint64_t published() const { return published_; }
   uint64_t forwarded() const { return forwarded_; }
 
  private:
-  void on_datagram(sim::Endpoint from, BytesView data);
+  void on_datagram(Address from, BytesView data);
 
   sim::SimNetwork& net_;
-  sim::Endpoint self_;
-  std::map<std::string, std::vector<sim::Endpoint>> subscribers_;
+  Address self_;
+  std::map<std::string, std::vector<Address>> subscribers_;
   uint64_t published_ = 0;
   uint64_t forwarded_ = 0;
 };
@@ -40,8 +40,7 @@ class BrokerClient {
  public:
   using Handler = std::function<void(BytesView payload)>;
 
-  BrokerClient(sim::SimNetwork& net, sim::Endpoint self,
-               sim::Endpoint broker);
+  BrokerClient(sim::SimNetwork& net, Address self, Address broker);
   ~BrokerClient();
 
   void subscribe(const std::string& topic, Handler handler);
@@ -50,11 +49,11 @@ class BrokerClient {
   uint64_t received() const { return received_; }
 
  private:
-  void on_datagram(sim::Endpoint from, BytesView data);
+  void on_datagram(Address from, BytesView data);
 
   sim::SimNetwork& net_;
-  sim::Endpoint self_;
-  sim::Endpoint broker_;
+  Address self_;
+  Address broker_;
   std::map<std::string, Handler> handlers_;
   uint64_t received_ = 0;
 };

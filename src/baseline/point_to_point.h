@@ -15,36 +15,33 @@ namespace marea::baseline {
 
 class P2pProducer {
  public:
-  P2pProducer(sim::SimNetwork& net, sim::Endpoint self)
-      : net_(net), self_(self) {}
+  P2pProducer(sim::SimNetwork& net, Address self) : net_(net), self_(self) {}
 
-  void add_consumer(sim::Endpoint consumer) {
-    consumers_.push_back(consumer);
-  }
+  void add_consumer(Address consumer) { consumers_.push_back(consumer); }
   size_t consumer_count() const { return consumers_.size(); }
 
   // One unicast per consumer.
   void send(BytesView payload) {
-    for (sim::Endpoint consumer : consumers_) {
+    for (Address consumer : consumers_) {
       (void)net_.send(self_, consumer, net_.frame_pool().copy_in(payload));
     }
   }
 
  private:
   sim::SimNetwork& net_;
-  sim::Endpoint self_;
-  std::vector<sim::Endpoint> consumers_;
+  Address self_;
+  std::vector<Address> consumers_;
 };
 
 class P2pConsumer {
  public:
   using Handler = std::function<void(BytesView payload)>;
 
-  P2pConsumer(sim::SimNetwork& net, sim::Endpoint self, Handler handler)
+  P2pConsumer(sim::SimNetwork& net, Address self, Handler handler)
       : net_(net), self_(self) {
     Status s = net_.bind_frames(
         self_, [this, handler = std::move(handler)](
-                   sim::Endpoint, const SharedFrame& frame) {
+                   Address, const SharedFrame& frame) {
           ++received_;
           if (handler) handler(frame.view());
         });
@@ -56,7 +53,7 @@ class P2pConsumer {
 
  private:
   sim::SimNetwork& net_;
-  sim::Endpoint self_;
+  Address self_;
   uint64_t received_ = 0;
 };
 

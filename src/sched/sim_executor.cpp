@@ -5,6 +5,10 @@
 namespace marea::sched {
 
 void SimExecutor::post(Priority priority, Task task, Duration cost) {
+  enqueue(priority, std::move(task), cost);
+}
+
+void SimExecutor::enqueue(Priority priority, Task&& task, Duration cost) {
   assert(task);
   RingQueue<Queued>& queue =
       fifo_ ? fifo_queue_ : queues_[static_cast<size_t>(priority)];
@@ -27,7 +31,7 @@ TaskTimerId SimExecutor::schedule(Duration delay, Priority priority,
                      obs::TraceKind::kNone, trace_node_,
                      static_cast<uint64_t>(p));
     }
-    post(p, std::move(task), Duration{static_cast<int64_t>(packed >> 8)});
+    enqueue(p, std::move(task), Duration{static_cast<int64_t>(packed >> 8)});
   };
   static_assert(sim::EventFn::stores_inline<decltype(fire)>(),
                 "timer closure outgrew sim::EventFn's inline buffer");

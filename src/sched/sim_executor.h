@@ -70,6 +70,9 @@ class SimExecutor final : public Executor {
     Priority priority;
   };
 
+  // Queues for post and for a fired timer, whose task moves straight into
+  // its queue entry instead of through post's by-value parameter.
+  void enqueue(Priority priority, Task&& task, Duration cost);
   void dispatch();
   // Completion of the task in running_: runs it in place, then frees the
   // CPU and dispatches the next one.

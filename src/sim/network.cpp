@@ -151,27 +151,34 @@ void SimNetwork::heal() {
   blocked_.clear();
 }
 
-Status SimNetwork::bind_frames(Endpoint ep, FrameHandler handler) {
-  if (ep.node >= nodes_.size()) {
+Status SimNetwork::bind_frames(Address ep, FrameRecvHandler handler) {
+  if (ep.host >= nodes_.size()) {
     return invalid_argument_error("bind_frames: unknown node");
   }
   if (!handler) return invalid_argument_error("bind_frames: empty handler");
-  if (!bindings_.emplace(ep, std::move(handler)).second) {
+  Node& node = nodes_[ep.host];
+  if (node.handler(ep.port)) {
     return already_exists_error("bind_frames: endpoint in use");
   }
+  node.ports.emplace_back(
+      ep.port, std::make_unique<FrameRecvHandler>(std::move(handler)));
   return Status::ok();
 }
 
-void SimNetwork::unbind(Endpoint ep) { bindings_.erase(ep); }
+void SimNetwork::unbind(Address ep) {
+  if (ep.host >= nodes_.size()) return;
+  std::erase_if(nodes_[ep.host].ports,
+                [&](const auto& b) { return b.first == ep.port; });
+}
 
-Status SimNetwork::join_group(GroupId group, Endpoint member) {
-  if (router_ && !router_->is_local(member.node)) {
+Status SimNetwork::join_group(GroupId group, Address member) {
+  if (router_ && !router_->is_local(member.host)) {
     // Remote-homed member joined via this replica (tests drive this;
     // middleware always joins at the owner): account the digest and
     // ship the delta — the owner applies the member list at the next
     // barrier. No duplicate check is possible here, so such ops must
     // be issued at most once.
-    digest_adjust(true, group, router_->owner_shard(member.node));
+    digest_adjust(true, group, router_->owner_shard(member.host));
     router_->post_group_op(true, group, member, sim_.now());
     return Status::ok();
   }
@@ -180,8 +187,8 @@ Status SimNetwork::join_group(GroupId group, Endpoint member) {
     return already_exists_error("join_group: already a member");
   }
   members.push_back(member);
-  if (member.node < nodes_.size()) {
-    nodes_[member.node].memberships.emplace_back(group, member);
+  if (member.host < nodes_.size()) {
+    nodes_[member.host].memberships.emplace_back(group, member);
   }
   if (router_) {
     digest_adjust(true, group, router_->self_shard());
@@ -190,9 +197,9 @@ Status SimNetwork::join_group(GroupId group, Endpoint member) {
   return Status::ok();
 }
 
-void SimNetwork::leave_group(GroupId group, Endpoint member) {
-  if (router_ && !router_->is_local(member.node)) {
-    digest_adjust(false, group, router_->owner_shard(member.node));
+void SimNetwork::leave_group(GroupId group, Address member) {
+  if (router_ && !router_->is_local(member.host)) {
+    digest_adjust(false, group, router_->owner_shard(member.host));
     router_->post_group_op(false, group, member, sim_.now());
     return;
   }
@@ -205,13 +212,13 @@ void SimNetwork::leave_group(GroupId group, Endpoint member) {
   }
 }
 
-void SimNetwork::apply_group_op(bool join, GroupId group, Endpoint member) {
+void SimNetwork::apply_group_op(bool join, GroupId group, Address member) {
   if (join) {
     auto& members = groups_[group];
     if (std::find(members.begin(), members.end(), member) == members.end()) {
       members.push_back(member);
-      if (member.node < nodes_.size()) {
-        nodes_[member.node].memberships.emplace_back(group, member);
+      if (member.host < nodes_.size()) {
+        nodes_[member.host].memberships.emplace_back(group, member);
       }
       if (router_) digest_adjust(true, group, router_->self_shard());
     }
@@ -227,17 +234,17 @@ void SimNetwork::apply_group_digest(bool join, GroupId group,
   digest_adjust(join, group, owner_shard);
 }
 
-bool SimNetwork::remove_membership(GroupId group, Endpoint member) {
+bool SimNetwork::remove_membership(GroupId group, Address member) {
   bool removed = false;
-  if (member.node < nodes_.size()) {
+  if (member.host < nodes_.size()) {
     // The membership may be parked while the node is down.
-    auto& parked = nodes_[member.node].parked_groups;
+    auto& parked = nodes_[member.host].parked_groups;
     const size_t parked_before = parked.size();
     parked.erase(std::remove(parked.begin(), parked.end(),
                              std::make_pair(group, member)),
                  parked.end());
     removed = parked.size() != parked_before;
-    auto& index = nodes_[member.node].memberships;
+    auto& index = nodes_[member.host].memberships;
     index.erase(std::remove(index.begin(), index.end(),
                             std::make_pair(group, member)),
                 index.end());
@@ -271,9 +278,9 @@ uint32_t SimNetwork::group_shard_members(GroupId group, uint32_t shard) const {
   return it->second[shard];
 }
 
-std::vector<Endpoint> SimNetwork::group_members(GroupId group) const {
+std::vector<Address> SimNetwork::group_members(GroupId group) const {
   auto it = groups_.find(group);
-  return it == groups_.end() ? std::vector<Endpoint>{} : it->second;
+  return it == groups_.end() ? std::vector<Address>{} : it->second;
 }
 
 Duration SimNetwork::serialization_delay(NodeId node, size_t bytes) const {
@@ -282,16 +289,16 @@ Duration SimNetwork::serialization_delay(NodeId node, size_t bytes) const {
   return seconds(static_cast<double>(bytes) * 8.0 / bps);
 }
 
-Status SimNetwork::check_send(const char* what, Endpoint from, size_t size)
+Status SimNetwork::check_send(const char* what, Address from, size_t size)
     const {
-  if (from.node >= nodes_.size()) {
+  if (from.host >= nodes_.size()) {
     return invalid_argument_error(std::string(what) + ": unknown node");
   }
   if (size > mtu_) {
     return invalid_argument_error(std::string(what) +
                                   ": datagram exceeds MTU");
   }
-  if (!nodes_[from.node].up) {
+  if (!nodes_[from.host].up) {
     return unavailable_error(std::string(what) + ": node down");
   }
   return Status::ok();
@@ -306,21 +313,21 @@ SharedFrame SimNetwork::ingress_frame(BytesView data) {
   return frame;
 }
 
-Status SimNetwork::send(Endpoint from, Endpoint to, SharedFrame frame) {
+Status SimNetwork::send(Address from, Address to, SharedFrame frame) {
   Status s = check_send("send", from, frame.size());
   if (!s.is_ok()) return s;
-  if (to.node >= nodes_.size()) {
+  if (to.host >= nodes_.size()) {
     return invalid_argument_error("send: unknown node");
   }
 
-  if (from.node == to.node) {
+  if (from.host == to.host) {
     local_deliver(from, to, frame);
     return Status::ok();
   }
   const TimePoint on_wire = begin_transmit(from, frame.size());
-  if (router_ && !router_->is_local(to.node)) {
+  if (router_ && !router_->is_local(to.host)) {
     router_->post_remote(
-        router_->owner_shard(to.node),
+        router_->owner_shard(to.host),
         RemoteXmit{XmitKind::kUnicast, on_wire, from, to, 0}, frame.view());
     return Status::ok();
   }
@@ -328,7 +335,7 @@ Status SimNetwork::send(Endpoint from, Endpoint to, SharedFrame frame) {
   return Status::ok();
 }
 
-Status SimNetwork::send_multicast(Endpoint from, GroupId group,
+Status SimNetwork::send_multicast(Address from, GroupId group,
                                   SharedFrame frame) {
   Status s = check_send("send_multicast", from, frame.size());
   if (!s.is_ok()) return s;
@@ -338,7 +345,7 @@ Status SimNetwork::send_multicast(Endpoint from, GroupId group,
   // parties, not fleet size.
   scratch_dests_.clear();
   if (auto it = groups_.find(group); it != groups_.end()) {
-    for (Endpoint member : it->second) {
+    for (Address member : it->second) {
       if (member != from) scratch_dests_.push_back(member);
     }
   }
@@ -359,8 +366,8 @@ Status SimNetwork::send_multicast(Endpoint from, GroupId group,
     return Status::ok();  // multicast with no listeners is not an error
   }
   const TimePoint on_wire = begin_transmit(from, frame.size());
-  for (Endpoint dst : scratch_dests_) {
-    if (dst.node == from.node) {
+  for (Address dst : scratch_dests_) {
+    if (dst.host == from.host) {
       // Member co-located with the sender: local delivery, sharing the
       // same frame as every wire destination.
       local_deliver(from, dst, frame);
@@ -372,14 +379,14 @@ Status SimNetwork::send_multicast(Endpoint from, GroupId group,
   for (uint32_t shard : scratch_shards_) {
     router_->post_remote(shard,
                          RemoteXmit{XmitKind::kMulticast, on_wire, from,
-                                    Endpoint{}, group},
+                                    Address{}, group},
                          frame.view());
     total_.fanout_shards_touched++;
   }
   return Status::ok();
 }
 
-Status SimNetwork::send_broadcast(Endpoint from, uint16_t port,
+Status SimNetwork::send_broadcast(Address from, uint16_t port,
                                   SharedFrame frame) {
   Status s = check_send("send_broadcast", from, frame.size());
   if (!s.is_ok()) return s;
@@ -388,8 +395,8 @@ Status SimNetwork::send_broadcast(Endpoint from, uint16_t port,
   // shard carries the fan-out across the boundary.
   scratch_dests_.clear();
   for (NodeId n : local_nodes_) {
-    if (n == from.node) continue;
-    scratch_dests_.push_back(Endpoint{n, port});
+    if (n == from.host) continue;
+    scratch_dests_.push_back(Address{n, port});
   }
   scratch_shards_.clear();
   if (router_) {
@@ -402,7 +409,7 @@ Status SimNetwork::send_broadcast(Endpoint from, uint16_t port,
   }
   if (scratch_dests_.empty() && scratch_shards_.empty()) return Status::ok();
   const TimePoint on_wire = begin_transmit(from, frame.size());
-  for (Endpoint dst : scratch_dests_) {
+  for (Address dst : scratch_dests_) {
     wire_deliver(from, dst, on_wire, frame);
   }
   if (!scratch_dests_.empty()) total_.fanout_shards_touched++;
@@ -410,19 +417,19 @@ Status SimNetwork::send_broadcast(Endpoint from, uint16_t port,
     router_->post_remote(
         shard,
         RemoteXmit{XmitKind::kBroadcast, on_wire, from,
-                   Endpoint{kInvalidNode, port}, 0},
+                   Address{.port = port}, 0},
         frame.view());
     total_.fanout_shards_touched++;
   }
   return Status::ok();
 }
 
-TimePoint SimNetwork::begin_transmit(Endpoint from, size_t size) {
-  Node& src = nodes_[from.node];
+TimePoint SimNetwork::begin_transmit(Address from, size_t size) {
+  Node& src = nodes_[from.host];
   // Egress serialization: the packet leaves the NIC when the serializer
   // is free; multicast/broadcast pay this once regardless of fan-out.
   const TimePoint start = std::max(sim_.now(), src.egress_free);
-  const TimePoint on_wire = start + serialization_delay(from.node, size);
+  const TimePoint on_wire = start + serialization_delay(from.host, size);
   src.egress_free = on_wire;
   total_.packets_sent++;
   total_.bytes_sent += size;
@@ -431,34 +438,34 @@ TimePoint SimNetwork::begin_transmit(Endpoint from, size_t size) {
   return on_wire;
 }
 
-void SimNetwork::local_deliver(Endpoint from, Endpoint dst,
+void SimNetwork::local_deliver(Address from, Address dst,
                                const SharedFrame& frame) {
   // Same-node delivery: bypasses the wire entirely. The scheduled
   // closure shares the frame — no payload bytes move.
   total_.local_packets++;
   total_.local_bytes += frame.size();
-  nodes_[from.node].stats.local_packets++;
-  nodes_[from.node].stats.local_bytes += frame.size();
-  const uint64_t epoch = nodes_[dst.node].up_epoch;
-  sim_.after(kLocalDeliveryLatency, [this, from, dst, epoch, frame]() {
-    deliver(from, dst, frame, epoch);
+  nodes_[from.host].stats.local_packets++;
+  nodes_[from.host].stats.local_bytes += frame.size();
+  const uint64_t epoch = nodes_[dst.host].up_epoch;
+  sim_.after(kLocalDeliveryLatency, [this, from, dst, epoch, frame]() mutable {
+    deliver(from, dst, std::move(frame), epoch);
   });
 }
 
-void SimNetwork::wire_deliver(Endpoint from, Endpoint dst, TimePoint on_wire,
+void SimNetwork::wire_deliver(Address from, Address dst, TimePoint on_wire,
                               const SharedFrame& frame) {
   // Clean links (no partition, no fault) skip the hash lookups.
-  if (!blocked_.empty() && blocked_.count(ordered_pair(from.node, dst.node))) {
+  if (!blocked_.empty() && blocked_.count(ordered_pair(from.host, dst.host))) {
     total_.packets_partitioned++;
-    nodes_[dst.node].stats.packets_partitioned++;
-    trace_drop(from.node, dst.node, kDropPartitioned);
+    nodes_[dst.host].stats.packets_partitioned++;
+    trace_drop(from.host, dst.host, kDropPartitioned);
     return;
   }
-  const LinkParams lp = link(from.node, dst.node);
+  const LinkParams lp = link(from.host, dst.host);
   if (rng_.bernoulli(lp.loss)) {
     total_.packets_dropped++;
-    nodes_[dst.node].stats.packets_dropped++;
-    trace_drop(from.node, dst.node, kDropLoss);
+    nodes_[dst.host].stats.packets_dropped++;
+    trace_drop(from.host, dst.host, kDropLoss);
     return;
   }
   // Refcount bump; apply_faults swaps in a mutated pooled copy only
@@ -466,10 +473,10 @@ void SimNetwork::wire_deliver(Endpoint from, Endpoint dst, TimePoint on_wire,
   SharedFrame pkt = frame;
   Duration extra = kDurationZero;
   int copies = 1;
-  if (!apply_faults(from.node, dst.node, pkt, extra, copies)) {
+  if (!apply_faults(from.host, dst.host, pkt, extra, copies)) {
     total_.packets_dropped++;
-    nodes_[dst.node].stats.packets_dropped++;
-    trace_drop(from.node, dst.node, kDropLoss);
+    nodes_[dst.host].stats.packets_dropped++;
+    trace_drop(from.host, dst.host, kDropLoss);
     return;
   }
   Duration prop = lp.latency;
@@ -486,13 +493,13 @@ void SimNetwork::wire_deliver(Endpoint from, Endpoint dst, TimePoint on_wire,
   // the clamp run on the cell that owns `dst`, so a directed link has
   // one stochastic home whether or not the sender is remote.
   TimePoint base = on_wire + prop;
-  auto& lf = nodes_[dst.node].last_from;
-  if (lf.size() <= from.node) lf.resize(nodes_.size());
-  TimePoint& last = lf[from.node];
+  auto& lf = nodes_[dst.host].last_from;
+  if (lf.size() <= from.host) lf.resize(nodes_.size());
+  TimePoint& last = lf[from.host];
   if (base < last) base = last;
   last = base;
   base = base + extra;
-  const uint64_t epoch = nodes_[dst.node].up_epoch;
+  const uint64_t epoch = nodes_[dst.host].up_epoch;
   for (int c = 0; c < copies; ++c) {
     // Duplicates trail the original slightly so they genuinely reorder
     // against traffic behind them. All scheduled deliveries share pkt;
@@ -503,9 +510,10 @@ void SimNetwork::wire_deliver(Endpoint from, Endpoint dst, TimePoint on_wire,
     // contract; clamp deterministically instead of corrupting causality.
     if (arrival < sim_.now()) arrival = sim_.now();
     SharedFrame share = c + 1 < copies ? SharedFrame(pkt) : std::move(pkt);
-    sim_.at(arrival, [this, from, dst, epoch, share = std::move(share)]() {
-      deliver(from, dst, share, epoch);
-    });
+    sim_.at(arrival,
+            [this, from, dst, epoch, share = std::move(share)]() mutable {
+              deliver(from, dst, std::move(share), epoch);
+            });
   }
 }
 
@@ -521,16 +529,16 @@ void SimNetwork::expand_remote(const RemoteXmit& x, BytesView bytes) {
     case XmitKind::kMulticast: {
       auto it = groups_.find(x.group);
       if (it == groups_.end()) break;  // members left since the digest post
-      for (Endpoint member : it->second) {
-        if (member.node == x.from.node) continue;  // sender is never local
+      for (Address member : it->second) {
+        if (member.host == x.from.host) continue;  // sender is never local
         wire_deliver(x.from, member, x.on_wire, frame);
       }
       break;
     }
     case XmitKind::kBroadcast:
       for (NodeId n : local_nodes_) {
-        if (n == x.from.node) continue;
-        wire_deliver(x.from, Endpoint{n, x.to.port}, x.on_wire, frame);
+        if (n == x.from.host) continue;
+        wire_deliver(x.from, Address{n, x.to.port}, x.on_wire, frame);
       }
       break;
   }
@@ -588,34 +596,29 @@ bool SimNetwork::apply_fault_state(FaultState& st, SharedFrame& pkt,
   return true;
 }
 
-void SimNetwork::deliver(Endpoint from, Endpoint to, const SharedFrame& frame,
+void SimNetwork::deliver(Address from, Address to, SharedFrame frame,
                          uint64_t dest_epoch) {
-  if (nodes_[to.node].up_epoch != dest_epoch) {
+  Node& node = nodes_[to.host];
+  if (node.up_epoch != dest_epoch) {
     // The destination went down (and possibly came back) while this packet
     // was in flight: it was lost on the dead NIC.
     total_.packets_stale_dropped++;
-    nodes_[to.node].stats.packets_stale_dropped++;
-    trace_drop(from.node, to.node, kDropStale);
+    node.stats.packets_stale_dropped++;
+    trace_drop(from.host, to.host, kDropStale);
     return;
   }
-  if (!nodes_[to.node].up) {
+  FrameRecvHandler* handler = node.up ? node.handler(to.port) : nullptr;
+  if (!handler) {
     total_.packets_unroutable++;
-    nodes_[to.node].stats.packets_unroutable++;
-    trace_drop(from.node, to.node, kDropUnroutable);
-    return;
-  }
-  auto it = bindings_.find(to);
-  if (it == bindings_.end()) {
-    total_.packets_unroutable++;
-    nodes_[to.node].stats.packets_unroutable++;
-    trace_drop(from.node, to.node, kDropUnroutable);
+    node.stats.packets_unroutable++;
+    trace_drop(from.host, to.host, kDropUnroutable);
     return;
   }
   total_.packets_delivered++;
   total_.bytes_delivered += frame.size();
-  nodes_[to.node].stats.packets_delivered++;
-  nodes_[to.node].stats.bytes_delivered += frame.size();
-  it->second(from, frame);
+  node.stats.packets_delivered++;
+  node.stats.bytes_delivered += frame.size();
+  (*handler)(from, std::move(frame));
 }
 
 const TrafficStats& SimNetwork::node_stats(NodeId id) const {

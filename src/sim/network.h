@@ -18,12 +18,13 @@
 //    the frame CRC), plus first-class bidirectional partitions.
 //  * Frames only: one bind (bind_frames) and one send per operation, each
 //    carrying a pooled, refcounted SharedFrame that every destination
-//    shares.
+//    shares. Address and FrameRecvHandler are the Transport contract's
+//    (util/address.h), so SimTransport binds a handler here unchanged.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -32,6 +33,7 @@
 
 #include "obs/trace.h"
 #include "sim/simulator.h"
+#include "util/address.h"
 #include "util/bytes.h"
 #include "util/frame_pool.h"
 #include "util/rng.h"
@@ -42,21 +44,6 @@ namespace marea::sim {
 
 using NodeId = uint32_t;
 constexpr NodeId kInvalidNode = UINT32_MAX;
-
-struct Endpoint {
-  NodeId node = kInvalidNode;
-  uint16_t port = 0;
-
-  friend auto operator<=>(const Endpoint&, const Endpoint&) = default;
-};
-
-struct EndpointHash {
-  size_t operator()(const Endpoint& e) const {
-    return (static_cast<size_t>(e.node) << 16) ^ e.port;
-  }
-};
-
-using GroupId = uint32_t;  // multicast group address
 
 struct LinkParams {
   Duration latency = microseconds(200);  // one-way propagation
@@ -103,8 +90,8 @@ enum class XmitKind : uint8_t { kUnicast = 0, kMulticast = 1, kBroadcast = 2 };
 struct RemoteXmit {
   XmitKind kind = XmitKind::kUnicast;
   TimePoint on_wire;  // sender egress completion (post-serialization)
-  Endpoint from;
-  Endpoint to;        // unicast: destination; broadcast: port in to.port
+  Address from;
+  Address to;         // unicast: destination; broadcast: port in to.port
   GroupId group = 0;  // multicast: the addressed group
 };
 
@@ -123,7 +110,7 @@ class ShardRouter {
   virtual uint32_t owner_shard(NodeId node) const = 0;
   virtual void post_remote(uint32_t dst_shard, const RemoteXmit& x,
                            BytesView bytes) = 0;
-  virtual void post_group_op(bool join, GroupId group, Endpoint member,
+  virtual void post_group_op(bool join, GroupId group, Address member,
                              TimePoint time) = 0;
 };
 
@@ -157,11 +144,6 @@ struct TrafficStats {
 
 class SimNetwork {
  public:
-  // Receive: the handler shares the in-flight frame's bytes (refcount
-  // bump) and may retain them past the callback without copying.
-  using FrameHandler =
-      std::function<void(Endpoint from, const SharedFrame& frame)>;
-
   SimNetwork(Simulator& sim, Rng rng, LinkParams default_link = {});
 
   // --- topology -----------------------------------------------------------
@@ -232,23 +214,24 @@ class SimNetwork {
   size_t mtu() const { return mtu_; }
 
   // --- binding ------------------------------------------------------------
-  Status bind_frames(Endpoint ep, FrameHandler handler);
-  void unbind(Endpoint ep);
-  Status join_group(GroupId group, Endpoint member);
-  void leave_group(GroupId group, Endpoint member);
+  // The handler receives the in-flight frame's reference by move.
+  Status bind_frames(Address ep, FrameRecvHandler handler);
+  void unbind(Address ep);
+  Status join_group(GroupId group, Address member);
+  void leave_group(GroupId group, Address member);
 
   // --- sending ------------------------------------------------------------
   // Frames only: a pre-built frame moves through the network with zero
   // payload copies — every destination and every in-flight delivery
   // shares the same slab. A sender that starts from bytes copies them in
   // once itself (frame_pool().copy_in).
-  Status send(Endpoint from, Endpoint to, SharedFrame frame);
+  Status send(Address from, Address to, SharedFrame frame);
   // One egress serialization; delivered to every member bound to `group`
   // (including members on the sender's node, delivered locally) except the
   // sending endpoint itself.
-  Status send_multicast(Endpoint from, GroupId group, SharedFrame frame);
+  Status send_multicast(Address from, GroupId group, SharedFrame frame);
   // Delivered to `port` on every up node except the sender's.
-  Status send_broadcast(Endpoint from, uint16_t port, SharedFrame frame);
+  Status send_broadcast(Address from, uint16_t port, SharedFrame frame);
 
   // Shared slab pool for frames crossing this network (senders build
   // frames here; receivers release them back).
@@ -282,7 +265,7 @@ class SimNetwork {
   // Applies a replicated membership change without re-forwarding it to
   // the router (exactly the local effect of join_group/leave_group).
   // In a sharded network, call only on the member's owner replica.
-  void apply_group_op(bool join, GroupId group, Endpoint member);
+  void apply_group_op(bool join, GroupId group, Address member);
   // Digest-only replication for replicas that do NOT own the member:
   // adjusts the per-shard member count used for interest scoping.
   void apply_group_digest(bool join, GroupId group, uint32_t owner_shard);
@@ -293,7 +276,7 @@ class SimNetwork {
   uint32_t group_shard_members(GroupId group, uint32_t shard) const;
   // Member endpoints this replica holds a list for (owner view when
   // sharded, the full group otherwise); empty when unknown.
-  std::vector<Endpoint> group_members(GroupId group) const;
+  std::vector<Address> group_members(GroupId group) const;
 
   // Bumped by set_link/set_default_link; the grid re-derives its
   // lookahead when any replica's version moves.
@@ -332,9 +315,9 @@ class SimNetwork {
     // Reverse index: live (group, endpoint) memberships of this node, so
     // the dead-node park in set_node_up touches exactly this node's
     // groups instead of sweeping every group's member vector.
-    std::vector<std::pair<GroupId, Endpoint>> memberships;
+    std::vector<std::pair<GroupId, Address>> memberships;
     // Group memberships parked while the node is down.
-    std::vector<std::pair<GroupId, Endpoint>> parked_groups;
+    std::vector<std::pair<GroupId, Address>> parked_groups;
     // Last scheduled wire arrival into this node per sender (indexed by
     // sender NodeId; lazily sized on first delivery). wire_deliver()
     // clamps each packet's base arrival to this so mid-run latency or
@@ -344,6 +327,16 @@ class SimNetwork {
     // vector, not a hash map: the clamp runs once per delivery and was
     // the hottest lookup in fleet-scale profiles.
     std::vector<TimePoint> last_from;
+    // Bound ports (a handful per node, so a scan). Each handler has its
+    // own heap cell: binding another port while one runs never moves it.
+    std::vector<std::pair<uint16_t, std::unique_ptr<FrameRecvHandler>>>
+        ports;
+    FrameRecvHandler* handler(uint16_t port) const {
+      for (const auto& [p, h] : ports) {
+        if (p == port) return h.get();
+      }
+      return nullptr;
+    }
     TrafficStats stats;
   };
 
@@ -364,27 +357,27 @@ class SimNetwork {
     }
   };
 
-  Status check_send(const char* what, Endpoint from, size_t size) const;
+  Status check_send(const char* what, Address from, size_t size) const;
   // Copies a cross-shard record's bytes into a pooled frame, counting the
   // copy (and the pool miss, if any) in the payload_* stats.
   SharedFrame ingress_frame(BytesView data);
-  // Starts one wire transmission from `from.node`: egress serialization
+  // Starts one wire transmission from `from.host`: egress serialization
   // (paid once regardless of fan-out) + sent counters; returns the
   // instant the packet is fully on the wire.
-  TimePoint begin_transmit(Endpoint from, size_t size);
+  TimePoint begin_transmit(Address from, size_t size);
   // One destination of a wire transmission: partition check, loss/fault
   // draws, jitter, per-link FIFO clamp, then schedules deliver(). Used
   // by sender-side fan-out (local destinations) and by expand_remote
   // (destinations this shard owns) — identical semantics in both.
-  void wire_deliver(Endpoint from, Endpoint dst, TimePoint on_wire,
+  void wire_deliver(Address from, Address dst, TimePoint on_wire,
                     const SharedFrame& frame);
   // Same-node delivery bypassing the wire (fixed tiny latency).
-  void local_deliver(Endpoint from, Endpoint dst, const SharedFrame& frame);
-  void deliver(Endpoint from, Endpoint to, const SharedFrame& frame,
+  void local_deliver(Address from, Address dst, const SharedFrame& frame);
+  void deliver(Address from, Address to, SharedFrame frame,
                uint64_t dest_epoch);
   // Removes a live or parked membership (member list + reverse index);
   // returns whether anything was removed.
-  bool remove_membership(GroupId group, Endpoint member);
+  bool remove_membership(GroupId group, Address member);
   // Per-shard member-count digest bookkeeping (sharded only).
   void digest_adjust(bool join, GroupId group, uint32_t shard);
   Duration serialization_delay(NodeId node, size_t bytes) const;
@@ -410,10 +403,9 @@ class SimNetwork {
       radio_faults_;
   std::unordered_set<std::pair<NodeId, NodeId>, NodePairHash>
       blocked_;  // unordered node pairs
-  std::unordered_map<Endpoint, FrameHandler, EndpointHash> bindings_;
   // Member lists this replica owns: the whole group unsharded, only
   // members homed on this shard when a router is installed.
-  std::unordered_map<GroupId, std::vector<Endpoint>> groups_;
+  std::unordered_map<GroupId, std::vector<Address>> groups_;
   // Sharded-only interest digest: per group, member count per shard
   // (live + parked). Maintained immediately for local changes, at
   // window barriers (via apply_group_digest) for remote ones.
@@ -426,7 +418,7 @@ class SimNetwork {
   std::vector<uint32_t> shard_node_counts_;
   // Fan-out scratch, reused across sends (send paths never re-enter,
   // so one buffer of each is enough).
-  std::vector<Endpoint> scratch_dests_;
+  std::vector<Address> scratch_dests_;
   std::vector<uint32_t> scratch_shards_;
   FramePool pool_{/*slab_reserve=*/2048, /*max_free=*/1024};
   TrafficStats total_;

@@ -69,7 +69,7 @@ void ShardGrid::CellRouter::post_remote(uint32_t dst_shard,
 }
 
 void ShardGrid::CellRouter::post_group_op(bool join, GroupId group,
-                                          Endpoint member, TimePoint time) {
+                                          Address member, TimePoint time) {
   Mailboxes& m = grid->mail_[self];
   m.ops_out.push_back(GroupOp{time, m.op_seq++, self, join, group, member});
 }
@@ -164,7 +164,7 @@ void ShardGrid::run_shard_window(uint32_t shard, TimePoint bound) {
   // The member's owner shard applies the full member-list change; every
   // other shard only adjusts its interest digest.
   for (const GroupOp& op : m.ops_in) {
-    const uint32_t owner = owner_[op.member.node];
+    const uint32_t owner = owner_[op.member.host];
     if (owner == shard) {
       c.net.apply_group_op(op.join, op.group, op.member);
     } else {

@@ -131,7 +131,7 @@ class ShardGrid {
     uint32_t src_shard = 0;
     bool join = false;
     GroupId group = 0;
-    Endpoint member;
+    Address member;
   };
 
   // Per-cell SimNetwork hook: forwards cross-shard transmissions and
@@ -150,7 +150,7 @@ class ShardGrid {
     }
     void post_remote(uint32_t dst_shard, const RemoteXmit& x,
                      BytesView bytes) override;
-    void post_group_op(bool join, GroupId group, Endpoint member,
+    void post_group_op(bool join, GroupId group, Address member,
                        TimePoint time) override;
   };
 

@@ -13,16 +13,18 @@
 // the whole API, and each takes or delivers a pooled, refcounted
 // SharedFrame. A sender that starts from bytes copies them in once
 // itself (frame_pool().copy_in, counted in the pool's stats); a receiver
-// that wants bytes views the delivered frame.
+// that wants bytes views the delivered frame. Address, GroupId and
+// FrameRecvHandler come from util/address.h and are the simulated
+// network's own types, so SimTransport passes a bound handler to the
+// SimNetwork unchanged and a sim delivery calls it directly.
 //
 // The TCP-model stream (tcp_model.h) is a separate baseline used by the
 // event-reliability experiment, not part of this interface.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <string>
 
+#include "util/address.h"
 #include "util/bytes.h"
 #include "util/frame_pool.h"
 #include "util/status.h"
@@ -30,32 +32,14 @@
 
 namespace marea::transport {
 
-// Host identifier: simulated NodeId, or IPv4 address for real UDP.
-using HostId = uint32_t;
-using GroupId = uint32_t;  // multicast group
-
-struct Address {
-  HostId host = 0;
-  uint16_t port = 0;
-
-  friend auto operator<=>(const Address&, const Address&) = default;
-};
-
-struct AddressHash {
-  size_t operator()(const Address& a) const {
-    return (static_cast<size_t>(a.host) << 16) ^ a.port;
-  }
-};
-
-std::string to_string(const Address& a);
+using ::marea::Address;
+using ::marea::FrameRecvHandler;
+using ::marea::GroupId;
+using ::marea::HostId;
+using ::marea::to_string;
 
 class Transport {
  public:
-  // Receive: the handler gets refcounted pooled bytes it can retain past
-  // the callback without copying.
-  using FrameRecvHandler =
-      std::function<void(Address from, SharedFrame frame)>;
-
   virtual ~Transport() = default;
 
   virtual HostId local_host() const = 0;

@@ -27,14 +27,14 @@ class ArqHarness {
         [this](const ReliableDataMsg& msg) {
           ByteWriter w;
           msg.encode(w);
-          (void)net_.send(sim::Endpoint{a_, 1}, sim::Endpoint{b_, 1},
+          (void)net_.send(Address{a_, 1}, Address{b_, 1},
                           net_.frame_pool().copy_in(w.view()));
         });
     receiver_ = std::make_unique<ArqReceiver>(
         [this](const ReliableAckMsg& ack) {
           ByteWriter w;
           ack.encode(w);
-          (void)net_.send(sim::Endpoint{b_, 1}, sim::Endpoint{a_, 1},
+          (void)net_.send(Address{b_, 1}, Address{a_, 1},
                           net_.frame_pool().copy_in(w.view()));
         },
         [this](InnerType type, BytesView inner) {
@@ -42,15 +42,15 @@ class ArqHarness {
         });
 
     (void)net_.bind_frames(
-        sim::Endpoint{b_, 1},
-        [this](sim::Endpoint, const SharedFrame& frame) {
+        Address{b_, 1},
+        [this](Address, const SharedFrame& frame) {
           ByteReader r(frame.view());
           ReliableDataMsg msg;
           if (ReliableDataMsg::decode(r, msg)) receiver_->on_data(msg);
         });
     (void)net_.bind_frames(
-        sim::Endpoint{a_, 1},
-        [this](sim::Endpoint, const SharedFrame& frame) {
+        Address{a_, 1},
+        [this](Address, const SharedFrame& frame) {
           ByteReader r(frame.view());
           ReliableAckMsg ack;
           if (ReliableAckMsg::decode(r, ack)) sender_->on_ack(ack);
@@ -179,11 +179,11 @@ TEST(ArqTest, FastRetransmitBeatsRtoOnSingleGap) {
 
   // Intercept: drop the first data frame only.
   // Rebind b's endpoint with a dropping filter.
-  h.net_.unbind(sim::Endpoint{h.b_, 1});
+  h.net_.unbind(Address{h.b_, 1});
   bool dropped = false;
   (void)h.net_.bind_frames(
-      sim::Endpoint{h.b_, 1},
-      [&](sim::Endpoint, const SharedFrame& frame) {
+      Address{h.b_, 1},
+      [&](Address, const SharedFrame& frame) {
         ByteReader r(frame.view());
         ReliableDataMsg msg;
         if (!ReliableDataMsg::decode(r, msg)) return;

@@ -26,7 +26,7 @@ TEST_F(BaselineTest, P2pDeliversToEveryConsumer) {
   std::vector<std::unique_ptr<P2pConsumer>> consumers;
   for (int i = 1; i <= 3; ++i) {
     consumers.push_back(std::make_unique<P2pConsumer>(
-        net_, sim::Endpoint{nodes_[static_cast<size_t>(i)], 1}, nullptr));
+        net_, Address{nodes_[static_cast<size_t>(i)], 1}, nullptr));
     producer.add_consumer({nodes_[static_cast<size_t>(i)], 1});
   }
   Buffer payload(50, 7);

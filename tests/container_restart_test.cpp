@@ -181,8 +181,8 @@ TEST(ContainerRestartTest, StaleHeartbeatFromOldIncarnationIgnored) {
   old_hb.incarnation = live_incarnation - 1;
   old_hb.seq = 1;
   sim::SimNetwork& net = rig.domain.network();
-  (void)net.send(sim::Endpoint{rig.domain.node_id(0), 9999},
-                 sim::Endpoint{rig.domain.node_id(1),
+  (void)net.send(Address{rig.domain.node_id(0), 9999},
+                 Address{rig.domain.node_id(1),
                                rig.watch_container->config().data_port},
                  testutil::forge_frame(net.frame_pool(),
                                        proto::MsgType::kHeartbeat,

@@ -64,14 +64,14 @@ class MftpHarness {
           ByteWriter w;
           w.u8(1);
           msg.encode(w);
-          (void)net_.send_multicast(sim::Endpoint{pub_node_, 1}, kGroup,
+          (void)net_.send_multicast(Address{pub_node_, 1}, kGroup,
                                     net_.frame_pool().copy_in(w.view()));
         },
         [this](const FileStatusRequestMsg& msg) {
           ByteWriter w;
           w.u8(2);
           msg.encode(w);
-          (void)net_.send_multicast(sim::Endpoint{pub_node_, 1}, kGroup,
+          (void)net_.send_multicast(Address{pub_node_, 1}, kGroup,
                                     net_.frame_pool().copy_in(w.view()));
         });
     publisher_->set_on_subscriber_done(
@@ -81,19 +81,19 @@ class MftpHarness {
     publisher_->set_on_idle([this] { ++idle_count_; });
 
     (void)net_.bind_frames(
-        sim::Endpoint{pub_node_, 1},
-        [this](sim::Endpoint from, const SharedFrame& frame) {
+        Address{pub_node_, 1},
+        [this](Address from, const SharedFrame& frame) {
           ByteReader r(frame.view());
           uint8_t tag = r.u8();
           if (tag == 3) {
             FileAckMsg ack;
             if (FileAckMsg::decode(r, ack)) {
-              publisher_->on_ack(from.node, ack);
+              publisher_->on_ack(from.host, ack);
             }
           } else if (tag == 4) {
             FileNackMsg nack;
             if (FileNackMsg::decode(r, nack)) {
-              publisher_->on_nack(from.node, nack);
+              publisher_->on_nack(from.host, nack);
             }
           }
         });
@@ -112,22 +112,22 @@ class MftpHarness {
           ByteWriter w;
           w.u8(3);
           ack.encode(w);
-          (void)net_.send(sim::Endpoint{node, 1}, sim::Endpoint{pub_node_, 1},
+          (void)net_.send(Address{node, 1}, Address{pub_node_, 1},
                           net_.frame_pool().copy_in(w.view()));
         },
         [this, node = rec->node](const FileNackMsg& nack) {
           ByteWriter w;
           w.u8(4);
           nack.encode(w);
-          (void)net_.send(sim::Endpoint{node, 1}, sim::Endpoint{pub_node_, 1},
+          (void)net_.send(Address{node, 1}, Address{pub_node_, 1},
                           net_.frame_pool().copy_in(w.view()));
         });
     ReceiverNode* raw = rec.get();
     rec->receiver->set_on_complete(
         [raw](const Buffer& data) { raw->completed = data; });
     (void)net_.bind_frames(
-        sim::Endpoint{rec->node, 1},
-        [raw](sim::Endpoint, const SharedFrame& frame) {
+        Address{rec->node, 1},
+        [raw](Address, const SharedFrame& frame) {
           ByteReader r(frame.view());
           uint8_t tag = r.u8();
           if (tag == 1) {
@@ -142,7 +142,7 @@ class MftpHarness {
             }
           }
         });
-    (void)net_.join_group(kGroup, sim::Endpoint{rec->node, 1});
+    (void)net_.join_group(kGroup, Address{rec->node, 1});
     receivers_.push_back(std::move(rec));
     publisher_->add_subscriber(receivers_.back()->node);
     return index;
@@ -154,7 +154,7 @@ class MftpHarness {
     std::optional<Buffer> completed;
   };
 
-  static constexpr sim::GroupId kGroup = 1000;
+  static constexpr GroupId kGroup = 1000;
 
   sim::Simulator sim_;
   sim::SimNetwork net_;

@@ -247,8 +247,8 @@ TEST(RobustnessTest, MalformedFramesDropped) {
     Buffer junk(rng.uniform(1, 200));
     for (auto& b : junk) b = static_cast<uint8_t>(rng.next_u64());
     sim::SimNetwork& net = domain.network();
-    (void)net.send(sim::Endpoint{domain.node_id(1), 9999},
-                   sim::Endpoint{domain.node_id(0), n1.config().data_port},
+    (void)net.send(Address{domain.node_id(1), 9999},
+                   Address{domain.node_id(0), n1.config().data_port},
                    net.frame_pool().copy_in(junk));
   }
   domain.run_for(milliseconds(500));
@@ -385,8 +385,8 @@ TEST(RobustnessTest, StaleReorderedHelloCannotRegressDirectory) {
 
   auto inject = [&](const proto::ContainerHelloMsg& msg) {
     sim::SimNetwork& net = domain.network();
-    (void)net.send(sim::Endpoint{domain.node_id(1), 4500},
-                   sim::Endpoint{domain.node_id(0), a.config().data_port},
+    (void)net.send(Address{domain.node_id(1), 4500},
+                   Address{domain.node_id(0), a.config().data_port},
                    testutil::forge_frame(net.frame_pool(),
                                          proto::MsgType::kContainerHello, 42,
                                          msg));

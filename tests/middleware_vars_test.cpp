@@ -393,9 +393,8 @@ TEST_F(VarsTest, SchemaInvalidSampleLeavesCacheAtLastGoodValue) {
     sim::SimNetwork& net = domain.network();
     SharedFrame frame = testutil::forge_frame(
         net.frame_pool(), proto::MsgType::kVarSample, 0xBAD, msg);
-    ASSERT_TRUE(net.send(sim::Endpoint{domain.node_id(0), 9999},
-                         sim::Endpoint{domain.node_id(1),
-                                       n2.config().data_port},
+    ASSERT_TRUE(net.send(Address{domain.node_id(0), 9999},
+                         Address{domain.node_id(1), n2.config().data_port},
                          std::move(frame))
                     .is_ok());
   }
@@ -429,10 +428,10 @@ TEST_F(VarsTest, BareSubscribeFrameIsDropped) {
 
   // The forger listens where it sends from, off the data port, so only
   // a reply addressed to it can land here.
-  const sim::Endpoint forger{domain.node_id(1), 9999};
+  const Address forger{domain.node_id(1), 9999};
   sim::SimNetwork& net = domain.network();
   int replies = 0;
-  ASSERT_TRUE(net.bind_frames(forger, [&](sim::Endpoint, const SharedFrame&) {
+  ASSERT_TRUE(net.bind_frames(forger, [&](Address, const SharedFrame&) {
                    ++replies;
                  }).is_ok());
   const uint64_t dropped = provider.stats().frames_dropped;
@@ -445,8 +444,7 @@ TEST_F(VarsTest, BareSubscribeFrameIsDropped) {
   SharedFrame frame = testutil::forge_frame(
       net.frame_pool(), proto::MsgType::kVarSubscribe, 0xBAD, msg);
   ASSERT_TRUE(net.send(forger,
-                       sim::Endpoint{domain.node_id(0),
-                                     provider.config().data_port},
+                       Address{domain.node_id(0), provider.config().data_port},
                        std::move(frame))
                   .is_ok());
   domain.run_for(milliseconds(100));  // within the liveness window

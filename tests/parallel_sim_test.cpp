@@ -42,10 +42,10 @@ TEST(ShardGridTest, CrossShardUnicastArrivesAtSenderComputedInstant) {
 
   std::vector<int64_t> arrivals;
   ASSERT_TRUE(grid.cell(1)
-                  .net.bind_frames(sim::Endpoint{b, 9},
-                                   [&](sim::Endpoint from,
+                  .net.bind_frames(Address{b, 9},
+                                   [&](Address from,
                                        const SharedFrame& frame) {
-                                     EXPECT_EQ(from.node, a);
+                                     EXPECT_EQ(from.host, a);
                                      EXPECT_EQ(frame.size(), 100u);
                                      arrivals.push_back(
                                          grid.cell(1).sim.now().ns);
@@ -55,7 +55,7 @@ TEST(ShardGridTest, CrossShardUnicastArrivesAtSenderComputedInstant) {
   Buffer payload(100, 0xAB);
   grid.cell(0).sim.at(TimePoint{0}, [&] {
     sim::SimNetwork& net = grid.cell(0).net;
-    Status s = net.send(sim::Endpoint{a, 1}, sim::Endpoint{b, 9},
+    Status s = net.send(Address{a, 1}, Address{b, 9},
                         net.frame_pool().copy_in(payload));
     EXPECT_TRUE(s.is_ok());
   });
@@ -73,12 +73,12 @@ TEST(ShardGridTest, GroupMembershipReplicatesAtWindowBarriers) {
   sim::ShardGrid grid(2, /*seed=*/3);
   sim::NodeId a = grid.add_node("a", 0);
   sim::NodeId b = grid.add_node("b", 1);
-  constexpr sim::GroupId kGroup = 7;
+  constexpr GroupId kGroup = 7;
 
   std::vector<int64_t> arrivals;
   ASSERT_TRUE(grid.cell(1)
-                  .net.bind_frames(sim::Endpoint{b, 9},
-                                   [&](sim::Endpoint, const SharedFrame&) {
+                  .net.bind_frames(Address{b, 9},
+                                   [&](Address, const SharedFrame&) {
                                      arrivals.push_back(
                                          grid.cell(1).sim.now().ns);
                                    })
@@ -90,16 +90,16 @@ TEST(ShardGridTest, GroupMembershipReplicatesAtWindowBarriers) {
   // so a multicast in the same window misses b, the next one reaches it.
   grid.cell(1).sim.at(TimePoint{0}, [&] {
     EXPECT_TRUE(
-        grid.cell(1).net.join_group(kGroup, sim::Endpoint{b, 9}).is_ok());
+        grid.cell(1).net.join_group(kGroup, Address{b, 9}).is_ok());
   });
   sim::SimNetwork& net0 = grid.cell(0).net;
   grid.cell(0).sim.at(TimePoint{0}, [&] {
-    EXPECT_TRUE(net0.send_multicast(sim::Endpoint{a, 1}, kGroup,
+    EXPECT_TRUE(net0.send_multicast(Address{a, 1}, kGroup,
                                     net0.frame_pool().copy_in(payload))
                     .is_ok());
   });
   grid.cell(0).sim.at(TimePoint{microseconds(250).ns}, [&] {
-    EXPECT_TRUE(net0.send_multicast(sim::Endpoint{a, 1}, kGroup,
+    EXPECT_TRUE(net0.send_multicast(Address{a, 1}, kGroup,
                                     net0.frame_pool().copy_in(payload))
                     .is_ok());
   });
@@ -160,22 +160,22 @@ uint64_t traffic_digest(uint32_t threads) {
   std::vector<uint64_t> digest(kNodes, 1469598103934665603ull);
   for (int i = 0; i < kNodes; ++i) {
     auto& cell = grid.cell(static_cast<uint32_t>(i % 4));
-    auto fold = [&digest, &cell, i](sim::Endpoint from, const SharedFrame& f) {
+    auto fold = [&digest, &cell, i](Address from, const SharedFrame& f) {
       uint64_t& h = digest[static_cast<size_t>(i)];
       h ^= static_cast<uint64_t>(cell.sim.now().ns) +
-           (static_cast<uint64_t>(from.node) << 48) + f.size();
+           (static_cast<uint64_t>(from.host) << 48) + f.size();
       h *= 1099511628211ull;
     };
-    EXPECT_TRUE(cell.net.bind_frames(sim::Endpoint{ids[i], 5}, fold).is_ok());
+    EXPECT_TRUE(cell.net.bind_frames(Address{ids[i], 5}, fold).is_ok());
   }
   Buffer payload(64, 0x42);
   for (int i = 0; i < kNodes; ++i) {
     auto& cell = grid.cell(static_cast<uint32_t>(i % 4));
     for (int k = 0; k < 200; ++k) {
       const TimePoint t{k * milliseconds(1).ns + i * microseconds(7).ns};
-      const sim::Endpoint from{ids[i], 5};
-      const sim::Endpoint to1{ids[(i + 1) % kNodes], 5};
-      const sim::Endpoint to2{ids[(i + 3) % kNodes], 5};
+      const Address from{ids[i], 5};
+      const Address to1{ids[(i + 1) % kNodes], 5};
+      const Address to2{ids[(i + 3) % kNodes], 5};
       cell.sim.at(t, [&cell, from, to1, to2, &payload] {
         (void)cell.net.send(from, to1, cell.net.frame_pool().copy_in(payload));
         (void)cell.net.send(from, to2, cell.net.frame_pool().copy_in(payload));
@@ -224,7 +224,7 @@ struct ChurnRun {
 ChurnRun churn_at_scale(uint32_t threads) {
   constexpr uint32_t kShards = 8;
   constexpr int kNodes = 512;
-  constexpr sim::GroupId kGroups = 32;
+  constexpr GroupId kGroups = 32;
   sim::ShardGrid grid(kShards, /*seed=*/77);
 
   std::vector<sim::NodeId> ids;
@@ -234,13 +234,13 @@ ChurnRun churn_at_scale(uint32_t threads) {
     const uint32_t shard = static_cast<uint32_t>(i) % kShards;
     ids.push_back(grid.add_node("c" + std::to_string(i), shard));
     auto& cell = grid.cell(shard);
-    auto fold = [&digest, &cell, i](sim::Endpoint from, const SharedFrame& f) {
+    auto fold = [&digest, &cell, i](Address from, const SharedFrame& f) {
       uint64_t& h = digest[static_cast<size_t>(i)];
       h ^= static_cast<uint64_t>(cell.sim.now().ns) +
-           (static_cast<uint64_t>(from.node) << 48) + f.size();
+           (static_cast<uint64_t>(from.host) << 48) + f.size();
       h *= 1099511628211ull;
     };
-    const sim::Endpoint ep{ids[static_cast<size_t>(i)], 9};
+    const Address ep{ids[static_cast<size_t>(i)], 9};
     EXPECT_TRUE(cell.net.bind_frames(ep, fold).is_ok());
   }
 
@@ -252,9 +252,9 @@ ChurnRun churn_at_scale(uint32_t threads) {
   for (int i = 0; i < kNodes; ++i) {
     const uint32_t shard = static_cast<uint32_t>(i) % kShards;
     auto& cell = grid.cell(shard);
-    const sim::Endpoint ep{ids[static_cast<size_t>(i)], 9};
-    const sim::GroupId g0 = static_cast<sim::GroupId>(i / 8) % kGroups;
-    const sim::GroupId g1 = (g0 + 5) % kGroups;
+    const Address ep{ids[static_cast<size_t>(i)], 9};
+    const GroupId g0 = static_cast<GroupId>(i / 8) % kGroups;
+    const GroupId g1 = (g0 + 5) % kGroups;
     cell.sim.at(TimePoint{0}, [&cell, ep, g0] {
       EXPECT_TRUE(cell.net.join_group(g0, ep).is_ok());
     });
@@ -272,10 +272,10 @@ ChurnRun churn_at_scale(uint32_t threads) {
     const int i = (p * 31) % kNodes;
     const uint32_t shard = static_cast<uint32_t>(i) % kShards;
     auto& cell = grid.cell(shard);
-    const sim::Endpoint from{ids[static_cast<size_t>(i)], 9};
+    const Address from{ids[static_cast<size_t>(i)], 9};
     for (int k = 0; k < 20; ++k) {
       const TimePoint t{k * microseconds(250).ns + p * microseconds(11).ns};
-      const sim::GroupId g = static_cast<sim::GroupId>(p + k) % kGroups;
+      const GroupId g = static_cast<GroupId>(p + k) % kGroups;
       cell.sim.at(t, [&cell, from, g, &payload] {
         (void)cell.net.send_multicast(from, g,
                                       cell.net.frame_pool().copy_in(payload));
@@ -288,7 +288,7 @@ ChurnRun churn_at_scale(uint32_t threads) {
   // Convergence: with every node churned, each group holds exactly two
   // 8-node blocks — two members per shard — and all 8 replicas must
   // report that same digest for every (group, shard) pair.
-  for (sim::GroupId g = 0; g < kGroups; ++g) {
+  for (GroupId g = 0; g < kGroups; ++g) {
     for (uint32_t s = 0; s < kShards; ++s) {
       for (uint32_t replica = 0; replica < kShards; ++replica) {
         EXPECT_EQ(grid.cell(replica).net.group_shard_members(g, s), 2u)
@@ -335,27 +335,27 @@ TEST(ShardGridTest, MulticastTouchesOnlyShardsWithMembers) {
   // Both interested parties homed on shard 3; the other 7 shards hold
   // live nodes with no stake in the group.
   sim::NodeId extra = grid.add_node("extra", 3);
-  constexpr sim::GroupId kGroup = 4;
+  constexpr GroupId kGroup = 4;
   int arrivals = 0;
   for (sim::NodeId m : {ids[3], extra}) {
     ASSERT_TRUE(grid.cell(3)
-                    .net.bind_frames(sim::Endpoint{m, 9},
-                                     [&](sim::Endpoint, const SharedFrame&) {
+                    .net.bind_frames(Address{m, 9},
+                                     [&](Address, const SharedFrame&) {
                                        ++arrivals;
                                      })
                     .is_ok());
   }
   grid.cell(3).sim.at(TimePoint{0}, [&] {
     EXPECT_TRUE(
-        grid.cell(3).net.join_group(kGroup, sim::Endpoint{ids[3], 9}).is_ok());
+        grid.cell(3).net.join_group(kGroup, Address{ids[3], 9}).is_ok());
     EXPECT_TRUE(
-        grid.cell(3).net.join_group(kGroup, sim::Endpoint{extra, 9}).is_ok());
+        grid.cell(3).net.join_group(kGroup, Address{extra, 9}).is_ok());
   });
   // Publish from shard 0 after one barrier so the digest has replicated.
   Buffer payload(64, 0x2F);
   grid.cell(0).sim.at(TimePoint{microseconds(300).ns}, [&] {
     sim::SimNetwork& net = grid.cell(0).net;
-    EXPECT_TRUE(net.send_multicast(sim::Endpoint{ids[0], 1}, kGroup,
+    EXPECT_TRUE(net.send_multicast(Address{ids[0], 1}, kGroup,
                                    net.frame_pool().copy_in(payload))
                     .is_ok());
   });
@@ -382,23 +382,23 @@ TEST(ShardGridTest, ParkedMembershipsRestoreAfterRestart) {
   sim::ShardGrid grid(2, /*seed=*/31);
   sim::NodeId a = grid.add_node("a", 0);
   sim::NodeId b = grid.add_node("b", 1);
-  constexpr sim::GroupId kGroup = 9;
+  constexpr GroupId kGroup = 9;
   int arrivals = 0;
   ASSERT_TRUE(grid.cell(1)
-                  .net.bind_frames(sim::Endpoint{b, 9},
-                                   [&](sim::Endpoint, const SharedFrame&) {
+                  .net.bind_frames(Address{b, 9},
+                                   [&](Address, const SharedFrame&) {
                                      ++arrivals;
                                    })
                   .is_ok());
   grid.cell(1).sim.at(TimePoint{0}, [&] {
     EXPECT_TRUE(
-        grid.cell(1).net.join_group(kGroup, sim::Endpoint{b, 9}).is_ok());
+        grid.cell(1).net.join_group(kGroup, Address{b, 9}).is_ok());
   });
   Buffer payload(32, 0x66);
   auto publish_at = [&](int64_t ns) {
     grid.cell(0).sim.at(TimePoint{ns}, [&] {
       sim::SimNetwork& net = grid.cell(0).net;
-      (void)net.send_multicast(sim::Endpoint{a, 1}, kGroup,
+      (void)net.send_multicast(Address{a, 1}, kGroup,
                                net.frame_pool().copy_in(payload));
     });
   };
@@ -422,10 +422,10 @@ TEST(ShardGridTest, ParkedMembershipsRestoreAfterRestart) {
   grid.for_each_network([&](sim::SimNetwork& net) {
     net.set_node_up(b, true);
   });
-  const std::vector<sim::Endpoint> members =
+  const std::vector<Address> members =
       grid.cell(1).net.group_members(kGroup);
   ASSERT_EQ(members.size(), 1u);
-  EXPECT_EQ(members[0].node, b);
+  EXPECT_EQ(members[0].host, b);
   publish_at(milliseconds(5).ns);
   grid.run_for(milliseconds(2), /*threads=*/2);
   EXPECT_EQ(arrivals, 2) << "membership did not survive the restart";

@@ -86,14 +86,14 @@ class PipeHub {
 
     Status bind_frames(uint16_t port, FrameRecvHandler handler) override {
       auto key = std::make_pair(host_, port);
-      if (hub_.bindings_.count(key)) {
+      if (hub_.handlers_.count(key)) {
         return already_exists_error("port in use");
       }
-      hub_.bindings_[key] = std::move(handler);
+      hub_.handlers_[key] = std::move(handler);
       return Status::ok();
     }
     void unbind(uint16_t port) override {
-      hub_.bindings_.erase({host_, port});
+      hub_.handlers_.erase({host_, port});
     }
     Status join_group(transport::GroupId group, uint16_t port) override {
       hub_.groups_[group].insert({host_, port});
@@ -141,16 +141,16 @@ class PipeHub {
   void deliver(transport::Address from, transport::Address to,
                SharedFrame frame) {
     sim_.post([this, from, to, frame = std::move(frame)] {
-      auto it = bindings_.find({to.host, to.port});
-      if (it != bindings_.end()) it->second(from, frame);
+      auto it = handlers_.find({to.host, to.port});
+      if (it != handlers_.end()) it->second(from, frame);
     });
   }
 
   sim::Simulator& sim_;
   std::vector<transport::HostId> hosts_;
   std::map<std::pair<transport::HostId, uint16_t>,
-           transport::Transport::FrameRecvHandler>
-      bindings_;
+           transport::FrameRecvHandler>
+      handlers_;
   std::map<transport::GroupId, std::set<std::pair<transport::HostId, uint16_t>>>
       groups_;
 };

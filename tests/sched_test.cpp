@@ -179,6 +179,19 @@ TEST(RelocationGateTest, SimExecutorPostToRunRelocatesAtMostTwice) {
   EXPECT_LE(moves, 2);
 }
 
+TEST(RelocationGateTest, SimExecutorScheduleToRunRelocatesAtMostFour) {
+  sim::Simulator sim;
+  SimExecutor exec(sim);
+  int moves = 0;
+  int runs = 0;
+  const MoveCounted task(&moves, &runs);
+  // Fire closure, timer node, queue entry, then the running slot.
+  exec.schedule(microseconds(5), Priority::kVariable, task, microseconds(5));
+  sim.run();
+  EXPECT_EQ(runs, 1);
+  EXPECT_LE(moves, 4);
+}
+
 TEST(RelocationGateTest, SimulatorAtToRunRelocatesAtMostOnce) {
   sim::Simulator sim;
   int moves = 0;

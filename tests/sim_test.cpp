@@ -299,8 +299,8 @@ TEST(SimulatorTest, HandlerSchedulingManyEventsKeepsItsOwnClosure) {
 // --- SimNetwork -----------------------------------------------------------------
 
 // A receive handler that only counts deliveries.
-SimNetwork::FrameHandler count_into(int& n) {
-  return [&n](Endpoint, const SharedFrame&) { ++n; };
+FrameRecvHandler count_into(int& n) {
+  return [&n](Address, const SharedFrame&) { ++n; };
 }
 
 class NetworkTest : public ::testing::Test {
@@ -327,26 +327,50 @@ TEST_F(NetworkTest, UnicastDeliversWithLatency) {
   net_.set_node_rate(a_, 0);  // no serialization delay
 
   TimePoint arrival{-1};
-  ASSERT_TRUE(net_.bind_frames(Endpoint{b_, 1},
-                               [&](Endpoint from, const SharedFrame& data) {
+  ASSERT_TRUE(net_.bind_frames(Address{b_, 1},
+                               [&](Address from, const SharedFrame& data) {
                                  arrival = sim_.now();
-                                 EXPECT_EQ(from, (Endpoint{a_, 9}));
+                                 EXPECT_EQ(from, (Address{a_, 9}));
                                  EXPECT_EQ(data.size(), 10u);
                                })
                   .is_ok());
-  ASSERT_TRUE(net_.send(Endpoint{a_, 9}, Endpoint{b_, 1}, payload()).is_ok());
+  ASSERT_TRUE(net_.send(Address{a_, 9}, Address{b_, 1}, payload()).is_ok());
   sim_.run();
   EXPECT_EQ(arrival.ns, milliseconds(2).ns);
+}
+
+TEST_F(NetworkTest, HandlerBindingPortsOfItsOwnNodeIsNotMoved) {
+  // The handler's captures fit std::function's inline buffer, so a port
+  // table that relocated handlers as it grew would leave the running one
+  // reading freed memory after its binds (ASan reports it).
+  std::vector<uint16_t> got;
+  auto binder = [this, &got](Address, const SharedFrame&) {
+    for (uint16_t port = 2; port <= 3; ++port) {
+      auto record = [&got, port](Address, const SharedFrame&) {
+        got.push_back(port);
+      };
+      ASSERT_TRUE(net_.bind_frames(Address{b_, port}, record).is_ok());
+    }
+    got.push_back(1);
+  };
+  ASSERT_TRUE(net_.bind_frames(Address{b_, 1}, binder).is_ok());
+  ASSERT_TRUE(net_.send(Address{a_, 9}, Address{b_, 1}, payload()).is_ok());
+  sim_.run();
+  ASSERT_TRUE(net_.send(Address{a_, 9}, Address{b_, 2}, payload()).is_ok());
+  ASSERT_TRUE(net_.send(Address{a_, 9}, Address{b_, 3}, payload()).is_ok());
+  sim_.run();
+  EXPECT_EQ(got, (std::vector<uint16_t>{1, 2, 3}));
+  EXPECT_EQ(net_.stats().packets_delivered, 3u);
 }
 
 TEST_F(NetworkTest, SerializationDelayDependsOnSize) {
   // 1 Mbps: 1000 bytes = 8 ms on the wire.
   net_.set_node_rate(a_, 1e6);
   TimePoint arrival{-1};
-  (void)net_.bind_frames(Endpoint{b_, 1}, [&](Endpoint, const SharedFrame&) {
+  (void)net_.bind_frames(Address{b_, 1}, [&](Address, const SharedFrame&) {
     arrival = sim_.now();
   });
-  (void)net_.send(Endpoint{a_, 9}, Endpoint{b_, 1}, payload(1000));
+  (void)net_.send(Address{a_, 9}, Address{b_, 1}, payload(1000));
   sim_.run();
   EXPECT_EQ(arrival.ns, (milliseconds(8) + microseconds(200)).ns);
 }
@@ -354,11 +378,11 @@ TEST_F(NetworkTest, SerializationDelayDependsOnSize) {
 TEST_F(NetworkTest, EgressQueueSerializesBackToBackSends) {
   net_.set_node_rate(a_, 1e6);
   std::vector<TimePoint> arrivals;
-  (void)net_.bind_frames(Endpoint{b_, 1}, [&](Endpoint, const SharedFrame&) {
+  (void)net_.bind_frames(Address{b_, 1}, [&](Address, const SharedFrame&) {
     arrivals.push_back(sim_.now());
   });
   for (int i = 0; i < 3; ++i) {
-    (void)net_.send(Endpoint{a_, 9}, Endpoint{b_, 1}, payload(1000));
+    (void)net_.send(Address{a_, 9}, Address{b_, 1}, payload(1000));
   }
   sim_.run();
   ASSERT_EQ(arrivals.size(), 3u);
@@ -370,13 +394,13 @@ TEST_F(NetworkTest, EgressQueueSerializesBackToBackSends) {
 TEST_F(NetworkTest, MulticastFanOutCountsWireBytesOnce) {
   GroupId group = 77;
   int deliveries = 0;
-  (void)net_.bind_frames(Endpoint{b_, 1}, count_into(deliveries));
-  (void)net_.bind_frames(Endpoint{c_, 1}, count_into(deliveries));
-  ASSERT_TRUE(net_.join_group(group, Endpoint{b_, 1}).is_ok());
-  ASSERT_TRUE(net_.join_group(group, Endpoint{c_, 1}).is_ok());
+  (void)net_.bind_frames(Address{b_, 1}, count_into(deliveries));
+  (void)net_.bind_frames(Address{c_, 1}, count_into(deliveries));
+  ASSERT_TRUE(net_.join_group(group, Address{b_, 1}).is_ok());
+  ASSERT_TRUE(net_.join_group(group, Address{c_, 1}).is_ok());
 
   ASSERT_TRUE(
-      net_.send_multicast(Endpoint{a_, 9}, group, payload(100)).is_ok());
+      net_.send_multicast(Address{a_, 9}, group, payload(100)).is_ok());
   sim_.run();
   EXPECT_EQ(deliveries, 2);
   EXPECT_EQ(net_.stats().packets_sent, 1u);   // one wire transmission
@@ -387,9 +411,9 @@ TEST_F(NetworkTest, MulticastFanOutCountsWireBytesOnce) {
 TEST_F(NetworkTest, MulticastSkipsSenderEndpoint) {
   GroupId group = 5;
   int self_deliveries = 0;
-  (void)net_.bind_frames(Endpoint{a_, 9}, count_into(self_deliveries));
-  (void)net_.join_group(group, Endpoint{a_, 9});
-  (void)net_.send_multicast(Endpoint{a_, 9}, group, payload());
+  (void)net_.bind_frames(Address{a_, 9}, count_into(self_deliveries));
+  (void)net_.join_group(group, Address{a_, 9});
+  (void)net_.send_multicast(Address{a_, 9}, group, payload());
   sim_.run();
   EXPECT_EQ(self_deliveries, 0);
 }
@@ -397,11 +421,11 @@ TEST_F(NetworkTest, MulticastSkipsSenderEndpoint) {
 TEST_F(NetworkTest, MulticastToCoLocatedMemberIsLocalDelivery) {
   GroupId group = 6;
   int deliveries = 0;
-  (void)net_.bind_frames(Endpoint{a_, 2}, count_into(deliveries));
-  (void)net_.join_group(group, Endpoint{a_, 2});
-  (void)net_.bind_frames(Endpoint{b_, 2}, count_into(deliveries));
-  (void)net_.join_group(group, Endpoint{b_, 2});
-  (void)net_.send_multicast(Endpoint{a_, 9}, group, payload());
+  (void)net_.bind_frames(Address{a_, 2}, count_into(deliveries));
+  (void)net_.join_group(group, Address{a_, 2});
+  (void)net_.bind_frames(Address{b_, 2}, count_into(deliveries));
+  (void)net_.join_group(group, Address{b_, 2});
+  (void)net_.send_multicast(Address{a_, 9}, group, payload());
   sim_.run();
   EXPECT_EQ(deliveries, 2);
   EXPECT_EQ(net_.stats().local_packets, 1u);  // a:2 reached locally
@@ -409,10 +433,10 @@ TEST_F(NetworkTest, MulticastToCoLocatedMemberIsLocalDelivery) {
 
 TEST_F(NetworkTest, BroadcastReachesAllOtherNodes) {
   int deliveries = 0;
-  (void)net_.bind_frames(Endpoint{b_, 4}, count_into(deliveries));
-  (void)net_.bind_frames(Endpoint{c_, 4}, count_into(deliveries));
-  (void)net_.bind_frames(Endpoint{a_, 4}, count_into(deliveries));
-  (void)net_.send_broadcast(Endpoint{a_, 4}, 4, payload());
+  (void)net_.bind_frames(Address{b_, 4}, count_into(deliveries));
+  (void)net_.bind_frames(Address{c_, 4}, count_into(deliveries));
+  (void)net_.bind_frames(Address{a_, 4}, count_into(deliveries));
+  (void)net_.send_broadcast(Address{a_, 4}, 4, payload());
   sim_.run();
   EXPECT_EQ(deliveries, 2);  // not back to the sender's node
 }
@@ -423,10 +447,10 @@ TEST_F(NetworkTest, LossDropsApproximatelyAtConfiguredRate) {
   lossy.rate_bps = 0;
   net_.set_link(a_, b_, lossy);
   int delivered = 0;
-  (void)net_.bind_frames(Endpoint{b_, 1}, count_into(delivered));
+  (void)net_.bind_frames(Address{b_, 1}, count_into(delivered));
   const int kSends = 2000;
   for (int i = 0; i < kSends; ++i) {
-    (void)net_.send(Endpoint{a_, 1}, Endpoint{b_, 1}, payload());
+    (void)net_.send(Address{a_, 1}, Address{b_, 1}, payload());
   }
   sim_.run();
   EXPECT_NEAR(delivered, kSends * 0.7, kSends * 0.05);
@@ -436,8 +460,8 @@ TEST_F(NetworkTest, LossDropsApproximatelyAtConfiguredRate) {
 
 TEST_F(NetworkTest, SameNodeDeliveryBypassesWire) {
   int delivered = 0;
-  (void)net_.bind_frames(Endpoint{a_, 2}, count_into(delivered));
-  (void)net_.send(Endpoint{a_, 1}, Endpoint{a_, 2}, payload());
+  (void)net_.bind_frames(Address{a_, 2}, count_into(delivered));
+  (void)net_.send(Address{a_, 1}, Address{a_, 2}, payload());
   sim_.run();
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(net_.stats().packets_sent, 0u);
@@ -446,21 +470,21 @@ TEST_F(NetworkTest, SameNodeDeliveryBypassesWire) {
 
 TEST_F(NetworkTest, DownNodeNeitherSendsNorReceives) {
   int delivered = 0;
-  (void)net_.bind_frames(Endpoint{b_, 1}, count_into(delivered));
+  (void)net_.bind_frames(Address{b_, 1}, count_into(delivered));
   net_.set_node_up(b_, false);
-  (void)net_.send(Endpoint{a_, 1}, Endpoint{b_, 1}, payload());
+  (void)net_.send(Address{a_, 1}, Address{b_, 1}, payload());
   sim_.run();
   EXPECT_EQ(delivered, 0);
 
   net_.set_node_up(a_, false);
-  Status s = net_.send(Endpoint{a_, 1}, Endpoint{c_, 1}, payload());
+  Status s = net_.send(Address{a_, 1}, Address{c_, 1}, payload());
   EXPECT_EQ(s.code(), StatusCode::kUnavailable);
 }
 
 TEST_F(NetworkTest, PacketInFlightToNodeThatDiesIsLost) {
   int delivered = 0;
-  (void)net_.bind_frames(Endpoint{b_, 1}, count_into(delivered));
-  (void)net_.send(Endpoint{a_, 1}, Endpoint{b_, 1}, payload());
+  (void)net_.bind_frames(Address{b_, 1}, count_into(delivered));
+  (void)net_.send(Address{a_, 1}, Address{b_, 1}, payload());
   net_.set_node_up(b_, false);  // dies before arrival
   sim_.run();
   EXPECT_EQ(delivered, 0);
@@ -468,23 +492,23 @@ TEST_F(NetworkTest, PacketInFlightToNodeThatDiesIsLost) {
 
 TEST_F(NetworkTest, MtuEnforced) {
   net_.set_mtu(100);
-  Status s = net_.send(Endpoint{a_, 1}, Endpoint{b_, 1}, payload(101));
+  Status s = net_.send(Address{a_, 1}, Address{b_, 1}, payload(101));
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(
-      net_.send(Endpoint{a_, 1}, Endpoint{b_, 1}, payload(100)).is_ok());
+      net_.send(Address{a_, 1}, Address{b_, 1}, payload(100)).is_ok());
 }
 
 TEST_F(NetworkTest, DoubleBindRejected) {
   int ignored = 0;
-  ASSERT_TRUE(net_.bind_frames(Endpoint{a_, 1}, count_into(ignored)).is_ok());
-  EXPECT_EQ(net_.bind_frames(Endpoint{a_, 1}, count_into(ignored)).code(),
+  ASSERT_TRUE(net_.bind_frames(Address{a_, 1}, count_into(ignored)).is_ok());
+  EXPECT_EQ(net_.bind_frames(Address{a_, 1}, count_into(ignored)).code(),
             StatusCode::kAlreadyExists);
-  net_.unbind(Endpoint{a_, 1});
-  EXPECT_TRUE(net_.bind_frames(Endpoint{a_, 1}, count_into(ignored)).is_ok());
+  net_.unbind(Address{a_, 1});
+  EXPECT_TRUE(net_.bind_frames(Address{a_, 1}, count_into(ignored)).is_ok());
 }
 
 TEST_F(NetworkTest, UnroutablePacketsCounted) {
-  (void)net_.send(Endpoint{a_, 1}, Endpoint{b_, 55}, payload());
+  (void)net_.send(Address{a_, 1}, Address{b_, 55}, payload());
   sim_.run();
   EXPECT_EQ(net_.stats().packets_unroutable, 1u);
 }
@@ -492,13 +516,13 @@ TEST_F(NetworkTest, UnroutablePacketsCounted) {
 TEST_F(NetworkTest, LeaveGroupStopsDelivery) {
   GroupId group = 9;
   int delivered = 0;
-  (void)net_.bind_frames(Endpoint{b_, 1}, count_into(delivered));
-  (void)net_.join_group(group, Endpoint{b_, 1});
-  (void)net_.send_multicast(Endpoint{a_, 1}, group, payload());
+  (void)net_.bind_frames(Address{b_, 1}, count_into(delivered));
+  (void)net_.join_group(group, Address{b_, 1});
+  (void)net_.send_multicast(Address{a_, 1}, group, payload());
   sim_.run();
   EXPECT_EQ(delivered, 1);
-  net_.leave_group(group, Endpoint{b_, 1});
-  (void)net_.send_multicast(Endpoint{a_, 1}, group, payload());
+  net_.leave_group(group, Address{b_, 1});
+  (void)net_.send_multicast(Address{a_, 1}, group, payload());
   sim_.run();
   EXPECT_EQ(delivered, 1);
 }
@@ -510,12 +534,12 @@ TEST_F(NetworkTest, JitterStaysWithinBounds) {
   net_.set_link(a_, b_, lp);
   net_.set_node_rate(a_, 0);
   std::vector<int64_t> arrivals;
-  (void)net_.bind_frames(Endpoint{b_, 1}, [&](Endpoint, const SharedFrame&) {
+  (void)net_.bind_frames(Address{b_, 1}, [&](Address, const SharedFrame&) {
     arrivals.push_back(sim_.now().ns);
   });
   TimePoint base = sim_.now();
   for (int i = 0; i < 200; ++i) {
-    (void)net_.send(Endpoint{a_, 1}, Endpoint{b_, 1}, payload());
+    (void)net_.send(Address{a_, 1}, Address{b_, 1}, payload());
   }
   sim_.run();
   for (int64_t t : arrivals) {
@@ -531,11 +555,10 @@ TEST_F(NetworkTest, DeterministicAcrossRuns) {
     NodeId a = net.add_node("a");
     NodeId b = net.add_node("b");
     int delivered = 0;
-    (void)net.bind_frames(Endpoint{b, 1}, count_into(delivered));
+    (void)net.bind_frames(Address{b, 1}, count_into(delivered));
     Buffer p(8, 1);
     for (int i = 0; i < 100; ++i) {
-      (void)net.send(Endpoint{a, 1}, Endpoint{b, 1},
-                     net.frame_pool().copy_in(p));
+      (void)net.send(Address{a, 1}, Address{b, 1}, net.frame_pool().copy_in(p));
     }
     sim.run();
     return delivered;
@@ -555,8 +578,8 @@ TEST(SimNetworkFifoTest, LatencySweepKeepsPerLinkFifo) {
   NodeId a = net.add_node("a");
   NodeId b = net.add_node("b");
   std::vector<uint32_t> order;
-  ASSERT_TRUE(net.bind_frames(Endpoint{b, 1},
-                              [&](Endpoint, const SharedFrame& data) {
+  ASSERT_TRUE(net.bind_frames(Address{b, 1},
+                              [&](Address, const SharedFrame& data) {
                                 uint32_t seq = 0;
                                 std::memcpy(&seq, data.view().data(),
                                             sizeof seq);
@@ -571,7 +594,7 @@ TEST(SimNetworkFifoTest, LatencySweepKeepsPerLinkFifo) {
       net.set_link(a, b, lp);
       Buffer payload(sizeof(uint32_t));
       std::memcpy(payload.data(), &i, sizeof i);
-      (void)net.send(Endpoint{a, 1}, Endpoint{b, 1},
+      (void)net.send(Address{a, 1}, Address{b, 1},
                      net.frame_pool().copy_in(payload));
       (void)sim;
     });
@@ -589,7 +612,7 @@ TEST(SimNetworkFifoTest, RadioFaultOverlayComposesWithChaosOverlay) {
   NodeId a = net.add_node("a");
   NodeId b = net.add_node("b");
   int delivered = 0;
-  ASSERT_TRUE(net.bind_frames(Endpoint{b, 1}, count_into(delivered)).is_ok());
+  ASSERT_TRUE(net.bind_frames(Address{b, 1}, count_into(delivered)).is_ok());
   LinkFaults radio;
   radio.p_good_bad = 1.0;  // permanently bad channel
   radio.p_bad_good = 0.0;
@@ -598,13 +621,13 @@ TEST(SimNetworkFifoTest, RadioFaultOverlayComposesWithChaosOverlay) {
   net.clear_all_faults();  // chaos cleanup: radio overlay must survive
   Buffer p(8, 1);
   for (int i = 0; i < 20; ++i) {
-    (void)net.send(Endpoint{a, 1}, Endpoint{b, 1}, net.frame_pool().copy_in(p));
+    (void)net.send(Address{a, 1}, Address{b, 1}, net.frame_pool().copy_in(p));
   }
   sim.run();
   EXPECT_EQ(delivered, 0);
   net.clear_radio_faults(a, b);
   for (int i = 0; i < 20; ++i) {
-    (void)net.send(Endpoint{a, 1}, Endpoint{b, 1}, net.frame_pool().copy_in(p));
+    (void)net.send(Address{a, 1}, Address{b, 1}, net.frame_pool().copy_in(p));
   }
   sim.run();
   EXPECT_EQ(delivered, 20);

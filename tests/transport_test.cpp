@@ -78,6 +78,46 @@ TEST_F(SimTransportTest, BroadcastDelivery) {
   EXPECT_EQ(got, 1);
 }
 
+TEST_F(SimTransportTest, SendToManySharesOneFrame) {
+  const sim::NodeId c_node = net_.add_node("c");
+  SimTransport c(net_, c_node);
+  std::vector<std::pair<Address, Address>> got;  // (receiver, sender)
+  std::vector<const uint8_t*> bytes;
+  auto receiver = [&](Transport& t, uint16_t port) {
+    ASSERT_TRUE(t.bind_frames(port, [&, host = t.local_host(),
+                                     port](Address from, SharedFrame frame) {
+                   got.push_back({Address{host, port}, from});
+                   bytes.push_back(frame.view().data());
+                 }).is_ok());
+  };
+  receiver(*b_, 10);
+  receiver(*b_, 11);
+  receiver(c, 10);
+  const Address dst[] = {{b_node_, 10}, {b_node_, 11}, {c_node, 10},
+                         {c_node, 99}};
+  const uint64_t copies = net_.stats().payload_copies;
+
+  // SimTransport keeps the base fan-out: one send_frame per destination,
+  // every one sharing the same pooled frame.
+  Transport& sender = *a_;
+  const Buffer payload = {4, 5, 6};
+  ASSERT_TRUE(sender.send_frame_to_many(20, dst, 4,
+                                        a_->frame_pool().copy_in(payload))
+                  .is_ok());
+  sim_.run();
+
+  const Address from{a_node_, 20};
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[0], (std::pair{dst[0], from}));
+  EXPECT_EQ(got[1], (std::pair{dst[1], from}));
+  EXPECT_EQ(got[2], (std::pair{dst[2], from}));
+  EXPECT_EQ(bytes[1], bytes[0]);
+  EXPECT_EQ(bytes[2], bytes[0]);
+  EXPECT_EQ(net_.stats().payload_copies, copies);
+  EXPECT_EQ(net_.stats().packets_unroutable, 1u);
+  EXPECT_EQ(to_string(dst[3]), std::to_string(c_node) + ":99");
+}
+
 TEST_F(SimTransportTest, MtuAndHostAccessors) {
   EXPECT_EQ(a_->local_host(), a_node_);
   EXPECT_EQ(a_->mtu(), net_.mtu());
