@@ -17,6 +17,10 @@ constexpr size_t kChunkStoreBytes = 4u << 20;
 std::string qualify(const ContainerConfig& cfg) {
   return cfg.node_name + "#" + std::to_string(cfg.id);
 }
+
+// The service-timer gate whose timer this thread is running, if any: a
+// timer that stops its own container must not wait for itself.
+thread_local const void* running_service_timers = nullptr;
 }  // namespace
 
 ServiceContainer::ServiceContainer(ContainerConfig config,
@@ -25,6 +29,7 @@ ServiceContainer::ServiceContainer(ContainerConfig config,
     : config_(std::move(config)),
       transport_(transport),
       executor_(executor),
+      service_timers_(std::make_shared<ServiceTimers>()),
       chunk_store_(kChunkStoreBytes) {
   if (config_.obs) {
     trace_ = &config_.obs->trace;
@@ -41,6 +46,7 @@ ServiceContainer::ServiceContainer(ContainerConfig config,
 }
 
 ServiceContainer::~ServiceContainer() {
+  close_service_timers();
   if (running_) stop();
   if (bound_) transport_.unbind(config_.data_port);
   if (config_.obs && obs_token_ != 0) {
@@ -62,16 +68,79 @@ Status ServiceContainer::add_service(std::unique_ptr<Service> service) {
                                 "' already in container");
   }
   service->container_ = this;
-  service_states_[service->name()] = proto::ServiceState::kStopped;
-  services_.push_back(std::move(service));
+  service->slot_ = services_.size();
+  services_.push_back(ServiceRecord{std::move(service)});
   return Status::ok();
 }
 
 Service* ServiceContainer::find_service(const std::string& name) {
-  for (auto& s : services_) {
-    if (s->name() == name) return s.get();
+  for (auto& rec : services_) {
+    if (rec.service->name() == name) return rec.service.get();
   }
   return nullptr;
+}
+
+void ServiceContainer::schedule_for_service(Duration delay,
+                                            std::function<void()> fn,
+                                            sched::Priority priority) {
+  std::shared_ptr<ServiceTimers> timers = service_timers_;
+  std::lock_guard lock(timers->mu);
+  if (timers->closed) return;
+  const uint64_t token = ++timers->next_token;
+  auto fire = [timers, token, fn = std::move(fn)] {
+    run_service_timer(timers, token, fn);
+  };
+  static_assert(sched::Task::stores_inline<decltype(fire)>(),
+                "a service timer must not allocate per tick");
+  // Recording the id under the lock keeps a timer that fires at once
+  // from looking for its entry before it exists.
+  timers->armed.emplace_back(
+      token, executor_.schedule(delay, priority, std::move(fire),
+                                config_.handler_cost));
+}
+
+void ServiceContainer::run_service_timer(
+    const std::shared_ptr<ServiceTimers>& timers, uint64_t token,
+    const std::function<void()>& fn) {
+  ServiceTimers& t = *timers;
+  {
+    std::lock_guard lock(t.mu);
+    std::erase_if(t.armed, [&](const auto& a) { return a.first == token; });
+    if (t.closed) return;
+    ++t.running;
+  }
+  running_service_timers = &t;
+  // Finishes the run even when fn throws (the exception still leaves the
+  // executor), so close_service_timers() never waits for it forever.
+  struct Finish {
+    ServiceTimers& t;
+    ~Finish() {
+      running_service_timers = nullptr;
+      {
+        std::lock_guard lock(t.mu);
+        --t.running;
+      }
+      t.idle.notify_all();
+    }
+  } finish{t};
+  fn();
+}
+
+void ServiceContainer::close_service_timers() {
+  ServiceTimers& t = *service_timers_;
+  std::unique_lock lock(t.mu);
+  t.closed = true;
+  for (const auto& [token, id] : t.armed) executor_.cancel(id);
+  t.armed.clear();
+  const int own = running_service_timers == &t ? 1 : 0;
+  t.idle.wait(lock, [&] { return t.running <= own; });
+}
+
+ServiceUsage& ServiceContainer::usage_of(const Service* service) {
+  if (!service) return usage_["<container>"];
+  ServiceRecord& rec = services_[service->slot_];
+  if (!rec.usage) rec.usage = &usage_[service->name()];
+  return *rec.usage;
 }
 
 Status ServiceContainer::bind_transport() {
@@ -96,22 +165,27 @@ Status ServiceContainer::start() {
   started_at_ = now();
   // A restart is a new incarnation: peers reset their reliable-link state.
   incarnation_ = incarnation_ == 0 ? config_.incarnation : incarnation_ + 1;
+  // Timers left over from the previous life keep the closed gate.
+  if (service_timers_->closed) {
+    service_timers_ = std::make_shared<ServiceTimers>();
+  }
   trace_ev(obs::TraceEvent::kStart, obs::TraceKind::kNode, incarnation_);
 
   // Start the services in registration order (§3 "the container is the
   // responsible of starting and stopping the services it contains").
-  for (auto& service : services_) {
-    service_states_[service->name()] = proto::ServiceState::kStarting;
+  for (auto& rec : services_) {
+    Service& service = *rec.service;
+    rec.state = proto::ServiceState::kStarting;
     Status s = internal_error("on_start threw");
-    guard(nullptr, "on_start", [&] { s = service->on_start(); });
+    guard(nullptr, "on_start", [&] { s = service.on_start(); });
     if (s.is_ok()) {
-      service_states_[service->name()] = proto::ServiceState::kRunning;
+      rec.state = proto::ServiceState::kRunning;
       MAREA_LOG(kInfo, kLog) << qualify(config_) << " service '"
-                             << service->name() << "' running";
+                             << service.name() << "' running";
     } else {
-      service_states_[service->name()] = proto::ServiceState::kFailed;
+      rec.state = proto::ServiceState::kFailed;
       MAREA_LOG(kError, kLog) << qualify(config_) << " service '"
-                              << service->name()
+                              << service.name()
                               << "' failed to start: " << s.to_string();
     }
   }
@@ -143,12 +217,13 @@ void ServiceContainer::stop() {
   broadcast_msg(proto::MsgType::kContainerBye, proto::ContainerByeMsg{});
   // Stop services in reverse start order.
   for (auto it = services_.rbegin(); it != services_.rend(); ++it) {
-    if (service_states_[(*it)->name()] == proto::ServiceState::kRunning ||
-        service_states_[(*it)->name()] == proto::ServiceState::kDegraded) {
-      (*it)->on_stop();
+    if (it->state == proto::ServiceState::kRunning ||
+        it->state == proto::ServiceState::kDegraded) {
+      it->service->on_stop();
     }
-    service_states_[(*it)->name()] = proto::ServiceState::kStopped;
+    it->state = proto::ServiceState::kStopped;
   }
+  close_service_timers();
   executor_.cancel(heartbeat_timer_);
   executor_.cancel(health_timer_);
   executor_.cancel(resub_timer_);
@@ -158,10 +233,19 @@ void ServiceContainer::stop() {
   for (auto& [name, sub] : var_subs_) {
     executor_.cancel(sub.deadline_timer);
   }
+  for (auto& [name, sub] : event_subs_) cancel_flush_timers(sub);
   for (auto& [id, call] : pending_calls_) {
     executor_.cancel(call.timer);
   }
   pending_calls_.clear();
+  // The MFTP engines die with their entries: fold their counters first.
+  for (auto& [name, prov] : file_provisions_) {
+    mftp_pub_retired_ += prov.publisher->stats();
+    mftp_pipeline_retired_ += prov.publisher->pipeline_stats();
+  }
+  for (auto& [name, sub] : file_subs_) {
+    if (sub.receiver) mftp_rx_retired_ += sub.receiver->stats();
+  }
 
   // Drop every registration and all distributed state: services
   // re-register from on_start() on the next start(), and peers treat the
@@ -172,14 +256,11 @@ void ServiceContainer::stop() {
   event_provisions_.clear();
   event_subs_.clear();
   functions_.clear();
-  rr_cursor_.clear();
-  static_binding_.clear();
+  function_bindings_.clear();
   required_functions_.clear();
-  functions_in_emergency_.clear();
   file_provisions_.clear();
-  file_remote_subscribers_.clear();
   file_subs_.clear();
-  transfer_names_.clear();
+  transfers_.clear();
   for (auto& [id, peer] : peers_) retire_peer_link_stats(peer);
   peers_.clear();
   directory_ = NameDirectory{};
@@ -285,11 +366,11 @@ void ServiceContainer::process_frame(transport::Address from,
       break;
     }
     case T::kNameReply: {
+      // The reply confirms a provider exists; the authoritative manifest
+      // arrives with the hello that ensure_peer provokes, and the next
+      // resubscribe tick binds against the refreshed directory.
       proto::NameReplyMsg msg;
-      if (proto::NameReplyMsg::decode(r, msg)) {
-        ensure_peer(src, from);
-        on_name_reply(msg);
-      }
+      if (proto::NameReplyMsg::decode(r, msg)) ensure_peer(src, from);
       break;
     }
     case T::kVarSample: {
@@ -321,7 +402,7 @@ void ServiceContainer::process_frame(transport::Address from,
     case T::kFileStatusRequest: {
       proto::FileStatusRequestMsg msg;
       if (proto::FileStatusRequestMsg::decode(r, msg)) {
-        on_file_status_request(src, msg);
+        on_file_status_request(msg);
       }
       break;
     }
@@ -371,45 +452,32 @@ proto::ContainerHelloMsg ServiceContainer::build_manifest() const {
   hello.manifest_version = manifest_version_;
   hello.data_port = config_.data_port;
   hello.node_name = config_.node_name;
-  for (const auto& service : services_) {
+  for (const auto& rec : services_) {
+    const Service* service = rec.service.get();
     proto::ServiceInfo info;
     info.name = service->name();
-    auto it = service_states_.find(service->name());
-    info.state = it == service_states_.end() ? proto::ServiceState::kStopped
-                                             : it->second;
+    info.state = rec.state;
+    using proto::ItemKind;
     for (const auto& [name, prov] : var_provisions_) {
-      if (prov.owner != service.get()) continue;
-      proto::ProvidedItem item;
-      item.kind = proto::ItemKind::kVariable;
-      item.name = name;
-      item.schema_hash = prov.type->structural_hash();
-      item.period_ns = prov.qos.period.ns;
-      item.validity_ns = prov.qos.validity.ns;
-      info.items.push_back(std::move(item));
+      if (prov.owner != service) continue;
+      info.items.push_back({ItemKind::kVariable, name,
+                            prov.type->structural_hash(), prov.qos.period.ns,
+                            prov.qos.validity.ns});
     }
     for (const auto& [name, prov] : event_provisions_) {
-      if (prov.owner != service.get()) continue;
-      proto::ProvidedItem item;
-      item.kind = proto::ItemKind::kEvent;
-      item.name = name;
-      item.schema_hash = prov.type->structural_hash();
-      info.items.push_back(std::move(item));
+      if (prov.owner != service) continue;
+      info.items.push_back(
+          {ItemKind::kEvent, name, prov.type->structural_hash()});
     }
     for (const auto& [name, prov] : functions_) {
-      if (prov.owner != service.get()) continue;
-      proto::ProvidedItem item;
-      item.kind = proto::ItemKind::kFunction;
-      item.name = name;
-      item.schema_hash = prov.args_type->structural_hash();
-      info.items.push_back(std::move(item));
+      if (prov.owner != service) continue;
+      info.items.push_back(
+          {ItemKind::kFunction, name, prov.args_type->structural_hash()});
     }
     for (const auto& [name, prov] : file_provisions_) {
-      if (prov.owner != service.get()) continue;
-      proto::ProvidedItem item;
-      item.kind = proto::ItemKind::kFile;
-      item.name = name;
-      item.schema_hash = prov.meta.revision;  // revision doubles as version
-      info.items.push_back(std::move(item));
+      if (prov.owner != service) continue;
+      // The revision doubles as the version.
+      info.items.push_back({ItemKind::kFile, name, prov.meta.revision});
     }
     hello.services.push_back(std::move(info));
   }
@@ -566,24 +634,25 @@ void ServiceContainer::heartbeat_tick() {
 
 void ServiceContainer::health_tick() {
   if (!running_) return;
-  for (auto& service : services_) {
-    auto& state = service_states_[service->name()];
+  for (auto& rec : services_) {
+    Service& service = *rec.service;
+    auto& state = rec.state;
     if (state != proto::ServiceState::kRunning &&
         state != proto::ServiceState::kDegraded) {
       continue;
     }
     Status s = internal_error("health_check threw");
-    guard(nullptr, "health_check", [&] { s = service->health_check(); });
+    guard(nullptr, "health_check", [&] { s = service.health_check(); });
     proto::ServiceState next =
         s.is_ok() ? proto::ServiceState::kRunning : proto::ServiceState::kFailed;
     if (next != state) {
       state = next;
       MAREA_LOG(kWarn, kLog) << qualify(config_) << " service '"
-                             << service->name() << "' -> "
+                             << service.name() << "' -> "
                              << proto::service_state_name(next) << " ("
                              << s.to_string() << ")";
       proto::ServiceStatusMsg msg;
-      msg.service = service->name();
+      msg.service = service.name();
       msg.state = next;
       broadcast_msg(proto::MsgType::kServiceStatus, msg);
     }
@@ -607,40 +676,7 @@ void ServiceContainer::peer_lost(proto::ContainerId id,
 
   // Unbind subscriptions pointing at the lost provider; the resubscribe
   // loop re-resolves them against surviving providers.
-  for (auto& [name, sub] : var_subs_) {
-    if (sub.provider && sub.provider->container == id) {
-      sub.provider.reset();
-      sub.announced = false;
-      // last_seq deliberately survives: a sample delayed in the network
-      // across the churn must still be gated as stale. The rebind path
-      // resets the watermark if the next binding is a different stream
-      // (other provider, or this one's next incarnation).
-    }
-  }
-  for (auto& [name, sub] : event_subs_) {
-    sub.announced_to.erase(id);
-    // Drain held events and keep the delivered watermark: the dead
-    // publisher's old ARQ life may still retransmit frames whose acks
-    // were lost, and a fresh receiver would hand them back as brand-new
-    // events. The watermark (not ARQ dedup) stops that replay; a truly
-    // restarted publisher resets it via its new incarnation.
-    evict_ordered_stream(sub, id);
-  }
-  for (auto& [name, sub] : file_subs_) {
-    if (sub.provider && sub.provider->container == id) {
-      sub.provider.reset();
-      sub.announced = false;
-      if (sub.receiver && !sub.receiver->complete()) {
-        transfer_names_.erase(sub.receiver->transfer_id());
-        sub.receiver.reset();
-      }
-      // Revision numbers are per provider incarnation: a restarted (or
-      // replacement) publisher counts from 1 again, and a high watermark
-      // from the old life would make us ignore its content forever. The
-      // cost is at most one redundant re-fetch of data we already have.
-      sub.completed_revision = 0;
-    }
-  }
+  unbind_from(id, /*lost=*/true);
   // Publishers drop the dead subscriber.
   for (auto& [name, prov] : var_provisions_) prov.remote_subscribers.erase(id);
   for (auto& [name, prov] : event_provisions_) {
@@ -669,11 +705,10 @@ void ServiceContainer::handler_crashed(Service* service, const char* what,
                           << "' of service '" << name
                           << "' threw: " << why;
   if (!service) return;
-  auto it = service_states_.find(service->name());
-  if (it == service_states_.end()) return;
-  if (it->second == proto::ServiceState::kRunning ||
-      it->second == proto::ServiceState::kDegraded) {
-    it->second = proto::ServiceState::kFailed;
+  proto::ServiceState& state = services_[service->slot_].state;
+  if (state == proto::ServiceState::kRunning ||
+      state == proto::ServiceState::kDegraded) {
+    state = proto::ServiceState::kFailed;
     proto::ServiceStatusMsg msg;
     msg.service = service->name();
     msg.state = proto::ServiceState::kFailed;
@@ -694,51 +729,8 @@ void ServiceContainer::emergency(const std::string& reason) {
 // ---------------------------------------------------------------------------
 
 void ServiceContainer::retire_peer_link_stats(Peer& peer) {
-  if (peer.tx) {
-    const auto& s = peer.tx->stats();
-    arq_tx_retired_.messages_accepted += s.messages_accepted;
-    arq_tx_retired_.frames_sent += s.frames_sent;
-    arq_tx_retired_.retransmits += s.retransmits;
-    arq_tx_retired_.fast_retransmits += s.fast_retransmits;
-    arq_tx_retired_.delivered += s.delivered;
-    arq_tx_retired_.failed += s.failed;
-  }
-  if (peer.rx) {
-    const auto& s = peer.rx->stats();
-    arq_rx_retired_.frames_received += s.frames_received;
-    arq_rx_retired_.delivered += s.delivered;
-    arq_rx_retired_.duplicates += s.duplicates;
-    arq_rx_retired_.acks_sent += s.acks_sent;
-  }
-}
-
-void ServiceContainer::retire_mftp_publisher(const proto::MftpPublisher& pub) {
-  const auto& s = pub.stats();
-  mftp_pub_retired_.chunks_sent += s.chunks_sent;
-  mftp_pub_retired_.chunk_retransmits += s.chunk_retransmits;
-  mftp_pub_retired_.payload_bytes_sent += s.payload_bytes_sent;
-  mftp_pub_retired_.wire_bytes_sent += s.wire_bytes_sent;
-  mftp_pub_retired_.chunks_dedup_skipped += s.chunks_dedup_skipped;
-  mftp_pub_retired_.status_requests += s.status_requests;
-  mftp_pub_retired_.rounds += s.rounds;
-  mftp_pub_retired_.completions += s.completions;
-  mftp_pub_retired_.dropped_subscribers += s.dropped_subscribers;
-  const auto& ps = pub.pipeline_stats();
-  mftp_pipeline_retired_.raw_bytes += ps.raw_bytes;
-  mftp_pipeline_retired_.wire_bytes += ps.wire_bytes;
-}
-
-void ServiceContainer::retire_mftp_receiver(const proto::MftpReceiver& rx) {
-  const auto& s = rx.stats();
-  mftp_rx_retired_.chunks_received += s.chunks_received;
-  mftp_rx_retired_.duplicate_chunks += s.duplicate_chunks;
-  mftp_rx_retired_.payload_bytes_received += s.payload_bytes_received;
-  mftp_rx_retired_.wire_bytes_received += s.wire_bytes_received;
-  mftp_rx_retired_.hash_mismatches += s.hash_mismatches;
-  mftp_rx_retired_.chunks_deduped += s.chunks_deduped;
-  mftp_rx_retired_.chunks_from_store += s.chunks_from_store;
-  mftp_rx_retired_.acks_sent += s.acks_sent;
-  mftp_rx_retired_.nacks_sent += s.nacks_sent;
+  if (peer.tx) arq_tx_retired_ += peer.tx->stats();
+  if (peer.rx) arq_rx_retired_ += peer.rx->stats();
 }
 
 void ServiceContainer::publish_metrics(obs::MetricsRegistry& reg) {
@@ -781,23 +773,11 @@ void ServiceContainer::publish_metrics(obs::MetricsRegistry& reg) {
   size_t queued = 0;
   for (const auto& [id, peer] : peers_) {
     if (peer.tx) {
-      const auto& s = peer.tx->stats();
-      tx.messages_accepted += s.messages_accepted;
-      tx.frames_sent += s.frames_sent;
-      tx.retransmits += s.retransmits;
-      tx.fast_retransmits += s.fast_retransmits;
-      tx.delivered += s.delivered;
-      tx.failed += s.failed;
+      tx += peer.tx->stats();
       in_flight += peer.tx->in_flight();
       queued += peer.tx->queued();
     }
-    if (peer.rx) {
-      const auto& s = peer.rx->stats();
-      rx.frames_received += s.frames_received;
-      rx.delivered += s.delivered;
-      rx.duplicates += s.duplicates;
-      rx.acks_sent += s.acks_sent;
-    }
+    if (peer.rx) rx += peer.rx->stats();
   }
   reg.counter(p + "arq.messages_accepted").set(tx.messages_accepted);
   reg.counter(p + "arq.frames_sent").set(tx.frames_sent);
@@ -819,33 +799,11 @@ void ServiceContainer::publish_metrics(obs::MetricsRegistry& reg) {
   proto::MftpReceiverStats fr = mftp_rx_retired_;
   proto::ChunkPipelineStats pipe = mftp_pipeline_retired_;
   for (const auto& [name, prov] : file_provisions_) {
-    if (!prov.publisher) continue;
-    const auto& s = prov.publisher->stats();
-    fp.chunks_sent += s.chunks_sent;
-    fp.chunk_retransmits += s.chunk_retransmits;
-    fp.payload_bytes_sent += s.payload_bytes_sent;
-    fp.wire_bytes_sent += s.wire_bytes_sent;
-    fp.chunks_dedup_skipped += s.chunks_dedup_skipped;
-    fp.status_requests += s.status_requests;
-    fp.rounds += s.rounds;
-    fp.completions += s.completions;
-    fp.dropped_subscribers += s.dropped_subscribers;
-    const auto& ps = prov.publisher->pipeline_stats();
-    pipe.raw_bytes += ps.raw_bytes;
-    pipe.wire_bytes += ps.wire_bytes;
+    fp += prov.publisher->stats();
+    pipe += prov.publisher->pipeline_stats();
   }
   for (const auto& [name, sub] : file_subs_) {
-    if (!sub.receiver) continue;
-    const auto& s = sub.receiver->stats();
-    fr.chunks_received += s.chunks_received;
-    fr.duplicate_chunks += s.duplicate_chunks;
-    fr.payload_bytes_received += s.payload_bytes_received;
-    fr.wire_bytes_received += s.wire_bytes_received;
-    fr.hash_mismatches += s.hash_mismatches;
-    fr.chunks_deduped += s.chunks_deduped;
-    fr.chunks_from_store += s.chunks_from_store;
-    fr.acks_sent += s.acks_sent;
-    fr.nacks_sent += s.nacks_sent;
+    if (sub.receiver) fr += sub.receiver->stats();
   }
   reg.counter(p + "mftp.chunks_sent").set(fp.chunks_sent);
   reg.counter(p + "mftp.chunk_retransmits").set(fp.chunk_retransmits);

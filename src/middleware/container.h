@@ -19,12 +19,18 @@
 // Threading model: every mutation happens on the container's Executor
 // context. With SimExecutor that is the simulation loop; with
 // ThreadPoolExecutor use a single worker (the paper's prototype had the
-// same constraint — handlers are serialized by the scheduler).
+// same constraint — handlers are serialized by the scheduler). The one
+// exception is destruction, which may run on any thread: a service timer
+// (Service::schedule) never starts after stop() or ~ServiceContainer
+// begins, and both wait out one that is already running, so a service is
+// never destroyed under its own timer.
 #pragma once
 
+#include <condition_variable>
 #include <map>
 #include <memory>
 #include <limits>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -224,6 +230,11 @@ class ServiceContainer {
 
  private:
   // --- per-name provider/subscriber state ---
+  // One entry per name: each name-keyed map below holds the whole state
+  // of its item. Wire ids (sub_channels_, transfers_) and timers reach an
+  // entry by pointer; std::map nodes never move, and every path that
+  // erases an entry first cancels its timers and drops its wire ids.
+  struct VarSubscription;
   struct VarProvision {
     Service* owner = nullptr;
     std::string name;
@@ -236,6 +247,9 @@ class ServiceContainer {
     TimePoint last_publish{};
     std::set<proto::ContainerId> remote_subscribers;
     sched::TaskTimerId period_timer = sched::kInvalidTaskTimer;
+    // The same-container subscription of this name, if any (§3 local
+    // delivery).
+    VarSubscription* local_sub = nullptr;
   };
 
   struct VarSubEntry {
@@ -250,12 +264,8 @@ class ServiceContainer {
   static constexpr TimePoint kNeverQueried{
       std::numeric_limits<int64_t>::min() / 2};
 
-  struct VarSubscription {
-    std::string name;
-    uint32_t channel = 0;
-    enc::TypePtr type;
-    std::vector<VarSubEntry> entries;
-    // provider binding
+  // The single provider a variable or file subscription is bound to.
+  struct ProviderBinding {
     std::optional<ProviderRecord> provider;
     bool announced = false;   // subscribe control delivered to provider
     bool joined_group = false;
@@ -265,6 +275,17 @@ class ServiceContainer {
     // during a fleet-wide boot. One query per resubscribe period is
     // enough: the periodic tick retries anyway.
     TimePoint last_name_query = kNeverQueried;
+
+    bool bound_to(proto::ContainerId id) const {
+      return provider && provider->container == id;
+    }
+  };
+
+  struct VarSubscription : ProviderBinding {
+    std::string name;
+    uint32_t channel = 0;
+    enc::TypePtr type;
+    std::vector<VarSubEntry> entries;
     // cache
     std::optional<enc::Value> last_value;
     // Decode target for remote samples. A good decode is swapped with
@@ -290,7 +311,6 @@ class ServiceContainer {
 
   struct EventProvision {
     Service* owner = nullptr;
-    std::string name;
     enc::TypePtr type;
     uint64_t seq = 0;
     std::set<proto::ContainerId> remote_subscribers;
@@ -307,7 +327,7 @@ class ServiceContainer {
     std::vector<EventSubEntry> entries;
     // Events may have redundant publishers; subscribe to all of them.
     std::set<proto::ContainerId> announced_to;
-    TimePoint last_name_query = kNeverQueried;  // see VarSubscription
+    TimePoint last_name_query = kNeverQueried;  // see ProviderBinding
     // Ordered-delivery state, per publishing container (EventQoS).
     EventQoS qos;
     struct OrderState {
@@ -332,7 +352,8 @@ class ServiceContainer {
 
   void ordered_deliver(EventSubscription& sub, proto::ContainerId from,
                        enc::Value value, EventInfo info);
-  void ordered_flush(const std::string& name, proto::ContainerId from);
+  void ordered_flush(EventSubscription& sub, proto::ContainerId from);
+  void cancel_flush_timers(EventSubscription& sub);
   // Drain held events in order and mark the stream for resync, keeping
   // the delivered high-water mark. Used when the publisher's sender life
   // dies (peer loss / link-session reset): held gaps can never fill, and
@@ -344,17 +365,19 @@ class ServiceContainer {
   // though our own peer entry survived. Re-announce subscriptions that
   // point at it and resync its ordered event streams.
   void peer_link_reset(proto::ContainerId id);
+  // Marks every subscription bound to container `id` for re-announcement
+  // and drains its ordered event streams. `lost`: the container itself
+  // is gone (peer_lost), so providers are re-resolved too; otherwise only
+  // its link life died (peer_link_reset).
+  void unbind_from(proto::ContainerId id, bool lost);
 
   struct FunctionProvision {
     Service* owner = nullptr;
-    std::string name;
     enc::TypePtr args_type;
-    enc::TypePtr result_type;
     FunctionHandler handler;
   };
 
   struct PendingCall {
-    uint64_t request_id = 0;
     std::string function;
     enc::Value args;
     CallCallback callback;
@@ -366,6 +389,8 @@ class ServiceContainer {
     TimePoint issued{};  // feeds the RPC latency histogram
   };
 
+  // Republishing updates the entry in place: a new revision replaces
+  // meta, content, transfer id and publisher, not the entry.
   struct FileProvision {
     Service* owner = nullptr;
     proto::FileMeta meta;
@@ -373,6 +398,8 @@ class ServiceContainer {
     std::shared_ptr<const Buffer> content;
     uint64_t transfer_id = 0;
     std::unique_ptr<proto::MftpPublisher> publisher;
+    // Remote subscribers; they follow the resource across revisions.
+    std::set<proto::MftpPeer> remote_subscribers;
   };
 
   struct FileSubEntry {
@@ -381,16 +408,60 @@ class ServiceContainer {
     FileProgressHandler on_progress;
   };
 
-  struct FileSubscription {
+  struct FileSubscription : ProviderBinding {
     std::string name;
     std::vector<FileSubEntry> entries;
-    std::optional<ProviderRecord> provider;
-    bool announced = false;
-    bool joined_group = false;
-    TimePoint last_name_query = kNeverQueried;  // see VarSubscription
     std::unique_ptr<proto::MftpReceiver> receiver;
     uint32_t completed_revision = 0;
   };
+
+  // The entry a transfer id belongs to: our own publisher's provision
+  // (acks, nacks) or a subscription's receiver (chunks, status polls).
+  struct TransferEntry {
+    FileProvision* prov = nullptr;
+    FileSubscription* sub = nullptr;
+  };
+
+  // Caller-side binding of one remote function (§4.3).
+  struct FunctionBinding {
+    // Static binding: the provider pinned by the first call.
+    proto::ContainerId pinned = proto::kInvalidContainer;
+    size_t rr_cursor = 0;  // dynamic binding: round-robin position
+  };
+
+  // Services that require a function, and whether its absence has
+  // raised the emergency procedure.
+  struct FunctionRequirement {
+    std::set<std::string> requirers;
+    bool in_emergency = false;
+  };
+
+  // One record per local service, in registration (= start) order;
+  // Service::slot_ indexes it.
+  struct ServiceRecord {
+    std::unique_ptr<Service> service;
+    proto::ServiceState state = proto::ServiceState::kStopped;
+    ServiceUsage* usage = nullptr;  // its usage_ row, once it has one
+  };
+
+  // Every timer armed through Service::schedule. Each closure holds the
+  // gate it was armed under, so one that outlives the container finds
+  // it closed and returns without touching anything else.
+  struct ServiceTimers {
+    std::mutex mu;
+    std::condition_variable idle;
+    bool closed = false;
+    int running = 0;
+    uint64_t next_token = 0;
+    // (token, executor id) of every timer armed and not yet fired.
+    std::vector<std::pair<uint64_t, sched::TaskTimerId>> armed;
+  };
+  static void run_service_timer(const std::shared_ptr<ServiceTimers>& timers,
+                                uint64_t token,
+                                const std::function<void()>& fn);
+  // Cancels every armed service timer, refuses new ones and waits until
+  // none is running (other than the caller's own).
+  void close_service_timers();
 
   struct Peer {
     proto::ContainerId id = proto::kInvalidContainer;
@@ -468,8 +539,20 @@ class ServiceContainer {
   // --- reliable link ---
   void link_send(proto::ContainerId peer_id, proto::InnerType type,
                  Buffer inner);
+  // Subscription control rides the reliable link: its type byte, then
+  // the message. A message for several peers is encoded once.
+  template <typename Msg>
+  static Buffer control_frame(proto::MsgType type, const Msg& msg) {
+    ByteWriter w;
+    w.u8(static_cast<uint8_t>(type));
+    msg.encode(w);
+    return w.take();
+  }
+  template <typename Msg>
   void send_control(proto::ContainerId peer_id, proto::MsgType type,
-                    BytesView payload);
+                    const Msg& msg) {
+    link_send(peer_id, proto::InnerType::kControl, control_frame(type, msg));
+  }
   void on_reliable_data(proto::ContainerId from,
                         const proto::ReliableDataMsg& msg);
   void on_reliable_ack(proto::ContainerId from,
@@ -494,7 +577,7 @@ class ServiceContainer {
   // Runs every handler of `sub` on its cached value (sub.last_value).
   void deliver_sample(VarSubscription& sub, const SampleInfo& info);
   void arm_deadline(VarSubscription& sub);
-  void period_tick(const std::string& name);
+  void period_tick(VarProvision& prov);
 
   // --- events ---
   void on_event_subscribe(proto::ContainerId from,
@@ -523,28 +606,43 @@ class ServiceContainer {
                          const proto::FileSubscribeMsg& msg);
   void on_file_unsubscribe(proto::ContainerId from,
                            const proto::FileUnsubscribeMsg& msg);
-  void on_file_revision(proto::ContainerId from,
-                        const proto::FileRevisionMsg& msg);
+  void on_file_revision(const proto::FileRevisionMsg& msg);
   void on_file_chunk(const proto::FileChunkMsg& msg);
-  void on_file_status_request(proto::ContainerId from,
-                              const proto::FileStatusRequestMsg& msg);
+  void on_file_status_request(const proto::FileStatusRequestMsg& msg);
   void on_file_ack(proto::ContainerId from, const proto::FileAckMsg& msg);
   void on_file_nack(proto::ContainerId from, const proto::FileNackMsg& msg);
   void start_file_receiver(FileSubscription& sub, uint64_t transfer_id,
                            const proto::FileMeta& meta,
                            const std::vector<uint64_t>& chunk_hashes,
                            transport::Address publisher_addr);
-  void bypass_deliver_file(FileSubscription& sub, const FileProvision& prov);
+  // Completes `sub` at `meta`'s revision: posts every handler.
+  void deliver_file(FileSubscription& sub, const proto::FileMeta& meta,
+                    std::shared_ptr<const Buffer> content);
+  // Folds the receiver's stats into the retired totals, forgets its
+  // transfer id and destroys it.
+  void drop_receiver(FileSubscription& sub);
 
   // --- subscription upkeep ---
   void resubscribe_tick();
   void try_bind_var_subscription(VarSubscription& sub);
   void try_bind_event_subscription(EventSubscription& sub);
   void try_bind_file_subscription(FileSubscription& sub);
+  // Leaves the binding's multicast group and, if its provider was told
+  // of the subscription, tells it the subscription is gone.
+  template <typename UnsubscribeMsg>
+  void release_binding(ProviderBinding& b, const std::string& name,
+                       proto::MsgType type) {
+    if (b.joined_group) {
+      transport_.leave_group(proto::channel_of(name), config_.data_port);
+    }
+    if (!b.provider || !b.announced) return;
+    UnsubscribeMsg msg;
+    msg.name = name;
+    send_control(b.provider->container, type, msg);
+  }
   void rebind_after_directory_change();
   void on_name_query(proto::ContainerId from, transport::Address addr,
                      const proto::NameQueryMsg& msg);
-  void on_name_reply(const proto::NameReplyMsg& msg);
   // Broadcasts a name query unless one for this subscription went out
   // within the last resubscribe period (`last_query` is the caller's
   // per-subscription stamp, updated on send). Rebinding runs on every
@@ -590,6 +688,7 @@ class ServiceContainer {
   // Folds a dying peer's link stats into the retired accumulators so the
   // published counters stay monotonic across peer churn/restarts.
   void retire_peer_link_stats(Peer& peer);
+  ServiceUsage& usage_of(const Service* service);
 
   // --- data members ---
   ContainerConfig config_;
@@ -603,8 +702,8 @@ class ServiceContainer {
   uint64_t manifest_version_ = 0;  // bumped per announce
   bool announce_pending_ = false;  // coalesces same-instant manifest changes
 
-  std::vector<std::unique_ptr<Service>> services_;
-  std::map<std::string, proto::ServiceState> service_states_;
+  std::vector<ServiceRecord> services_;
+  std::shared_ptr<ServiceTimers> service_timers_;
 
   NameDirectory directory_;
   std::map<proto::ContainerId, Peer> peers_;
@@ -615,7 +714,7 @@ class ServiceContainer {
 
   std::map<std::string, VarProvision> var_provisions_;          // by name
   std::map<std::string, VarSubscription> var_subs_;             // by name
-  std::unordered_map<uint32_t, std::string> sub_channels_;
+  std::unordered_map<uint32_t, VarSubscription*> sub_channels_;
 
   std::map<std::string, EventProvision> event_provisions_;
   std::map<std::string, EventSubscription> event_subs_;
@@ -623,31 +722,19 @@ class ServiceContainer {
   std::map<std::string, FunctionProvision> functions_;
   std::map<uint64_t, PendingCall> pending_calls_;
   uint64_t next_request_id_ = 1;
-  std::map<std::string, size_t> rr_cursor_;  // round-robin per function
-  std::map<std::string, proto::ContainerId> static_binding_;
-  // function -> requiring services (for emergency warnings)
-  std::map<std::string, std::set<std::string>> required_functions_;
-  std::set<std::string> functions_in_emergency_;
+  std::map<std::string, FunctionBinding> function_bindings_;
+  std::map<std::string, FunctionRequirement> required_functions_;
   bool requirements_check_pending_ = false;
 
   std::map<std::string, FileProvision> file_provisions_;
-  // file name -> remote subscriber containers (survives re-publication).
-  std::map<std::string, std::set<proto::MftpPeer>> file_remote_subscribers_;
   std::map<std::string, FileSubscription> file_subs_;
-  std::unordered_map<uint64_t, std::string> transfer_names_;  // id -> name
+  std::unordered_map<uint64_t, TransferEntry> transfers_;
   uint64_t next_transfer_seq_ = 1;
   uint64_t heartbeat_seq_ = 0;
 
   sched::TaskTimerId heartbeat_timer_ = sched::kInvalidTaskTimer;
   sched::TaskTimerId health_timer_ = sched::kInvalidTaskTimer;
   sched::TaskTimerId resub_timer_ = sched::kInvalidTaskTimer;
-
-  // Both arms are lvalues so the lookup key is never a temporary string
-  // (a long service name would heap-allocate on every publish/delivery).
-  ServiceUsage& usage_of(const Service* service) {
-    static const std::string kContainerKey = "<container>";
-    return usage_[service ? service->name() : kContainerKey];
-  }
 
   EmergencyHandler emergency_;
   ContainerStats stats_;
@@ -668,8 +755,6 @@ class ServiceContainer {
   proto::MftpPublisherStats mftp_pub_retired_;
   proto::MftpReceiverStats mftp_rx_retired_;
   proto::ChunkPipelineStats mftp_pipeline_retired_;
-  void retire_mftp_publisher(const proto::MftpPublisher& pub);
-  void retire_mftp_receiver(const proto::MftpReceiver& rx);
 
   // Cross-transfer content-addressed chunk cache shared by all file
   // subscriptions of this container (bounded LRU; the byte budget is

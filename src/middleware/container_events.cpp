@@ -19,7 +19,6 @@ StatusOr<EventHandle> ServiceContainer::register_event(
   }
   EventProvision prov;
   prov.owner = &owner;
-  prov.name = name;
   prov.type = std::move(type);
   event_provisions_.emplace(name, std::move(prov));
   manifest_changed();
@@ -105,13 +104,8 @@ Status ServiceContainer::unregister_event_subscription(
     return not_found_error("not subscribed to event '" + name + "'");
   }
   EventSubscription& sub = it->second;
-  size_t before = sub.entries.size();
-  sub.entries.erase(
-      std::remove_if(
-          sub.entries.begin(), sub.entries.end(),
-          [&](const EventSubEntry& e) { return e.service == &owner; }),
-      sub.entries.end());
-  if (sub.entries.size() == before) {
+  if (std::erase_if(sub.entries,
+                    [&](const auto& e) { return e.service == &owner; }) == 0) {
     return not_found_error("service '" + owner.name() +
                            "' is not subscribed to '" + name + "'");
   }
@@ -119,11 +113,11 @@ Status ServiceContainer::unregister_event_subscription(
 
   proto::EventUnsubscribeMsg msg;
   msg.name = name;
-  ByteWriter w;
-  msg.encode(w);
+  const Buffer inner = control_frame(proto::MsgType::kEventUnsubscribe, msg);
   for (proto::ContainerId provider : sub.announced_to) {
-    send_control(provider, proto::MsgType::kEventUnsubscribe, w.view());
+    link_send(provider, proto::InnerType::kControl, inner);
   }
+  cancel_flush_timers(sub);
   event_subs_.erase(it);
   return Status::ok();
 }
@@ -147,10 +141,7 @@ void ServiceContainer::try_bind_event_subscription(EventSubscription& sub) {
     proto::EventSubscribeMsg msg;
     msg.name = sub.name;
     msg.schema_hash = sub.type->structural_hash();
-    ByteWriter w;
-    msg.encode(w);
-    send_control(provider.container, proto::MsgType::kEventSubscribe,
-                 w.view());
+    send_control(provider.container, proto::MsgType::kEventSubscribe, msg);
     sub.announced_to.insert(provider.container);
   }
 }
@@ -290,19 +281,16 @@ void ServiceContainer::ordered_deliver(EventSubscription& sub,
   // retransmission (or the publisher dies and eviction drains us).
   st.held.emplace(seq, std::make_pair(std::move(value), info));
   if (st.next == 0 && st.flush_timer == sched::kInvalidTaskTimer) {
-    std::string name = sub.name;
     st.flush_timer = executor_.schedule(
         sub.qos.reorder_window, sched::Priority::kEvent,
-        [this, name, from] { ordered_flush(name, from); });
+        [this, &sub, from] { ordered_flush(sub, from); });
   }
 }
 
-void ServiceContainer::ordered_flush(const std::string& name,
+void ServiceContainer::ordered_flush(EventSubscription& sub,
                                      proto::ContainerId from) {
-  auto it = event_subs_.find(name);
-  if (it == event_subs_.end()) return;
-  auto ord_it = it->second.order.find(from);
-  if (ord_it == it->second.order.end()) return;
+  auto ord_it = sub.order.find(from);
+  if (ord_it == sub.order.end()) return;
   auto& st = ord_it->second;
   st.flush_timer = sched::kInvalidTaskTimer;
   if (st.next != 0) return;  // initialized: the gap will fill, keep holding
@@ -310,10 +298,14 @@ void ServiceContainer::ordered_flush(const std::string& name,
   // defines the start of the stream. Deliver it in order and set the
   // horizon; earlier publications predate our subscription.
   for (auto& [seq, pending] : st.held) {
-    deliver_event_locally(it->second, pending.first, pending.second);
+    deliver_event_locally(sub, pending.first, pending.second);
     st.next = seq + 1;
   }
   st.held.clear();
+}
+
+void ServiceContainer::cancel_flush_timers(EventSubscription& sub) {
+  for (auto& [id, st] : sub.order) executor_.cancel(st.flush_timer);
 }
 
 void ServiceContainer::evict_ordered_stream(EventSubscription& sub,
@@ -340,9 +332,21 @@ void ServiceContainer::evict_ordered_stream(EventSubscription& sub,
 void ServiceContainer::peer_link_reset(proto::ContainerId id) {
   stats_.link_session_resets++;
   trace_ev(obs::TraceEvent::kPeerLost, obs::TraceKind::kLink, id);
+  unbind_from(id, /*lost=*/false);
+  rebind_after_directory_change();
+}
+
+void ServiceContainer::unbind_from(proto::ContainerId id, bool lost) {
   for (auto& [name, sub] : var_subs_) {
-    if (sub.provider && sub.provider->container == id) {
-      sub.announced = false;
+    if (!sub.bound_to(id)) continue;
+    sub.announced = false;
+    if (lost) {
+      // last_seq deliberately survives: a sample delayed in the network
+      // across the churn must still be gated as stale. The rebind path
+      // resets the watermark if the next binding is a different stream
+      // (other provider, or this one's next incarnation).
+      sub.provider.reset();
+    } else {
       // The sender's process state died with the old link session, so
       // its sample sequences restart from 1 — under the SAME container
       // id and (for a re-exec'd process) possibly the same incarnation.
@@ -357,19 +361,29 @@ void ServiceContainer::peer_link_reset(proto::ContainerId id) {
   }
   for (auto& [name, sub] : event_subs_) {
     sub.announced_to.erase(id);
-    // Drain held events, then drop the order state entirely: old-life
-    // event retransmissions cannot reach us (they carry the dead link
-    // session and die at the ARQ layer), so the forward-only resync
-    // guard — built for one-sided peer loss, where the old life can
-    // still retransmit — would only wedge a restarted publisher whose
-    // pub_seq began again at 1.
+    // Drain held events. A lost publisher keeps the delivered watermark:
+    // its old ARQ life may still retransmit frames whose acks were lost,
+    // and a fresh receiver would hand them back as brand-new events; a
+    // truly restarted publisher resets it via its new incarnation. After
+    // a link reset the order state goes entirely: old-life
+    // retransmissions carry the dead link session and die at the ARQ
+    // layer, so the forward-only resync guard would only wedge a
+    // restarted publisher whose pub_seq began again at 1.
     evict_ordered_stream(sub, id);
-    sub.order.erase(id);
+    if (!lost) sub.order.erase(id);
   }
   for (auto& [name, sub] : file_subs_) {
-    if (sub.provider && sub.provider->container == id) sub.announced = false;
+    if (!sub.bound_to(id)) continue;
+    sub.announced = false;
+    if (!lost) continue;
+    sub.provider.reset();
+    if (sub.receiver && !sub.receiver->complete()) drop_receiver(sub);
+    // Revision numbers are per provider incarnation: a restarted (or
+    // replacement) publisher counts from 1 again, and a high watermark
+    // from the old life would make us ignore its content forever. The
+    // cost is at most one redundant re-fetch of data we already have.
+    sub.completed_revision = 0;
   }
-  rebind_after_directory_change();
 }
 
 }  // namespace marea::mw

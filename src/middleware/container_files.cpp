@@ -16,33 +16,24 @@ constexpr const char* kLog = "files";
 Status ServiceContainer::publish_file_resource(Service& owner,
                                                const std::string& name,
                                                Buffer content) {
-  uint32_t revision = 1;
-  std::set<proto::MftpPeer> carried_subscribers;
-  // The outgoing revision's publisher lives until the new provision
-  // replaces it below; the new one reuses its unchanged chunks.
-  const proto::MftpPublisher* previous = nullptr;
-  auto it = file_provisions_.find(name);
-  if (it != file_provisions_.end()) {
-    if (it->second.owner != &owner) {
-      return already_exists_error("file '" + name +
-                                  "' is published by another service");
-    }
-    revision = it->second.meta.revision + 1;
-    // Current receivers follow the resource across revisions (§4.4
-    // "subscribers can also be notified of revision changes").
-    if (it->second.publisher) {
-      // The publisher tracks remote subscribers; carry them over.
-      carried_subscribers = file_remote_subscribers_[name];
-      retire_mftp_publisher(*it->second.publisher);
-      previous = it->second.publisher.get();
-    }
-    transfer_names_.erase(it->second.transfer_id);
+  auto [it, fresh] = file_provisions_.try_emplace(name);
+  FileProvision& prov = it->second;
+  if (!fresh && prov.owner != &owner) {
+    return already_exists_error("file '" + name +
+                                "' is published by another service");
+  }
+  // The outgoing revision's publisher lives until the new one is built:
+  // the new one reuses its unchanged chunks.
+  std::unique_ptr<proto::MftpPublisher> previous = std::move(prov.publisher);
+  if (previous) {
+    mftp_pub_retired_ += previous->stats();
+    mftp_pipeline_retired_ += previous->pipeline_stats();
+    transfers_.erase(prov.transfer_id);
   }
 
-  FileProvision prov;
   prov.owner = &owner;
   prov.meta.name = name;
-  prov.meta.revision = revision;
+  prov.meta.revision = fresh ? 1 : prov.meta.revision + 1;
   prov.meta.size = content.size();
   prov.meta.chunk_size = config_.mftp.chunk_size;
   prov.meta.content_crc = crc32(as_bytes_view(content));
@@ -50,7 +41,7 @@ Status ServiceContainer::publish_file_resource(Service& owner,
   prov.content = std::make_shared<const Buffer>(std::move(content));
   prov.transfer_id =
       (static_cast<uint64_t>(config_.id) << 32) | next_transfer_seq_++;
-  transfer_names_[prov.transfer_id] = name;
+  transfers_[prov.transfer_id].prov = &prov;
 
   const uint32_t channel = proto::channel_of(name);
   prov.publisher = std::make_unique<proto::MftpPublisher>(
@@ -61,16 +52,16 @@ Status ServiceContainer::publish_file_resource(Service& owner,
       [this, channel](const proto::FileStatusRequestMsg& msg) {
         multicast_msg(channel, proto::MsgType::kFileStatusRequest, msg);
       },
-      previous);
+      previous.get());
+  previous.reset();
   prov.publisher->set_trace(trace_, static_cast<uint32_t>(config_.id));
   prov.publisher->set_on_subscriber_done(
-      [this, name](proto::MftpPeer peer, const Status& s) {
+      [&prov](proto::MftpPeer peer, const Status& s) {
         if (!s.is_ok()) {
           MAREA_LOG(kWarn, kLog)
-              << "file '" << name << "': subscriber " << peer
+              << "file '" << prov.meta.name << "': subscriber " << peer
               << " dropped: " << s.to_string();
-          file_remote_subscribers_[name].erase(
-              static_cast<proto::ContainerId>(peer));
+          prov.remote_subscribers.erase(peer);
         }
       });
 
@@ -78,38 +69,35 @@ Status ServiceContainer::publish_file_resource(Service& owner,
   stats_.file_chunks_reused += ps.reused_chunks;
   stats_.file_chunks_probe_skipped += ps.skipped_by_probe;
 
-  uint64_t transfer_id = prov.transfer_id;
-  proto::FileMeta meta = prov.meta;
-
-  file_provisions_[name] = std::move(prov);
   stats_.files_published++;
-  trace_ev(obs::TraceEvent::kPublish, obs::TraceKind::kFile, transfer_id,
-           meta.revision);
+  trace_ev(obs::TraceEvent::kPublish, obs::TraceKind::kFile, prov.transfer_id,
+           prov.meta.revision);
   auto& owner_usage = usage_of(&owner);
   owner_usage.files_published++;
-  owner_usage.payload_bytes_sent += meta.size;
+  owner_usage.payload_bytes_sent += prov.meta.size;
 
   // Local subscribers get the content directly (bypass).
   if (auto sub_it = file_subs_.find(name); sub_it != file_subs_.end()) {
-    bypass_deliver_file(sub_it->second, file_provisions_[name]);
+    stats_.file_local_bypasses++;
+    deliver_file(sub_it->second, prov.meta, prov.content);
   }
 
-  // Tell remote subscribers about the (new) revision. No blind full
-  // push: adding the first subscriber opens a completion poll, and each
-  // receiver NACKs only what its chunk store can't satisfy by hash —
+  // Current receivers follow the resource across revisions (§4.4
+  // "subscribers can also be notified of revision changes"). No blind
+  // full push: adding the first subscriber opens a completion poll, and
+  // each receiver NACKs only what its chunk store can't satisfy by hash —
   // ~nothing for an identical republish, just the delta for an edit.
-  if (!carried_subscribers.empty()) {
+  if (!prov.remote_subscribers.empty()) {
     proto::FileRevisionMsg rev_msg;
-    rev_msg.transfer_id = transfer_id;
-    rev_msg.meta = meta;
-    auto& publisher = *file_provisions_[name].publisher;
-    rev_msg.chunk_hashes = publisher.chunk_hashes();
-    ByteWriter w;
-    rev_msg.encode(w);
-    for (proto::MftpPeer peer_id : carried_subscribers) {
-      send_control(static_cast<proto::ContainerId>(peer_id),
-                   proto::MsgType::kFileRevision, w.view());
-      publisher.add_subscriber(peer_id);
+    rev_msg.transfer_id = prov.transfer_id;
+    rev_msg.meta = prov.meta;
+    rev_msg.chunk_hashes = prov.publisher->chunk_hashes();
+    const Buffer inner =
+        control_frame(proto::MsgType::kFileRevision, rev_msg);
+    for (proto::MftpPeer peer_id : prov.remote_subscribers) {
+      link_send(static_cast<proto::ContainerId>(peer_id),
+                proto::InnerType::kControl, inner);
+      prov.publisher->add_subscriber(peer_id);
     }
   }
 
@@ -133,7 +121,8 @@ Status ServiceContainer::register_file_subscription(
   // Same-container resource: hand over the bytes right away.
   if (auto prov_it = file_provisions_.find(name);
       prov_it != file_provisions_.end()) {
-    bypass_deliver_file(it->second, prov_it->second);
+    stats_.file_local_bypasses++;
+    deliver_file(it->second, prov_it->second.meta, prov_it->second.content);
     return Status::ok();
   }
   if (running_) try_bind_file_subscription(it->second);
@@ -147,56 +136,43 @@ Status ServiceContainer::unregister_file_subscription(
     return not_found_error("not subscribed to file '" + name + "'");
   }
   FileSubscription& sub = it->second;
-  size_t before = sub.entries.size();
-  sub.entries.erase(
-      std::remove_if(
-          sub.entries.begin(), sub.entries.end(),
-          [&](const FileSubEntry& e) { return e.service == &owner; }),
-      sub.entries.end());
-  if (sub.entries.size() == before) {
+  if (std::erase_if(sub.entries,
+                    [&](const auto& e) { return e.service == &owner; }) == 0) {
     return not_found_error("service '" + owner.name() +
                            "' is not subscribed to '" + name + "'");
   }
   if (!sub.entries.empty()) return Status::ok();
 
-  if (sub.joined_group) {
-    transport_.leave_group(proto::channel_of(name), config_.data_port);
-  }
-  if (sub.provider && sub.announced) {
-    proto::FileUnsubscribeMsg msg;
-    msg.name = name;
-    ByteWriter w;
-    msg.encode(w);
-    send_control(sub.provider->container, proto::MsgType::kFileUnsubscribe,
-                 w.view());
-  }
-  if (sub.receiver) {
-    retire_mftp_receiver(*sub.receiver);
-    transfer_names_.erase(sub.receiver->transfer_id());
-  }
+  release_binding<proto::FileUnsubscribeMsg>(sub, name,
+                                             proto::MsgType::kFileUnsubscribe);
+  if (sub.receiver) drop_receiver(sub);
   file_subs_.erase(it);
   return Status::ok();
 }
 
-void ServiceContainer::bypass_deliver_file(FileSubscription& sub,
-                                           const FileProvision& prov) {
-  stats_.file_local_bypasses++;
-  sub.completed_revision = prov.meta.revision;
-  proto::FileMeta meta = prov.meta;
+void ServiceContainer::drop_receiver(FileSubscription& sub) {
+  mftp_rx_retired_ += sub.receiver->stats();
+  transfers_.erase(sub.receiver->transfer_id());
+  sub.receiver.reset();
+}
+
+void ServiceContainer::deliver_file(FileSubscription& sub,
+                                    const proto::FileMeta& meta,
+                                    std::shared_ptr<const Buffer> content) {
+  sub.completed_revision = meta.revision;
+  stats_.file_completions++;
   // Post (not inline) so subscribe_file never reenters the service.
   for (auto& entry : sub.entries) {
-    if (!entry.on_done) continue;
     auto handler = entry.on_done;
     Service* owner = entry.service;
-    usage_of(owner).file_bytes_delivered += prov.content->size();
+    usage_of(owner).file_bytes_delivered += content->size();
     executor_.post(
         sched::Priority::kFileTransfer,
-        [this, owner, handler, meta, content = prov.content] {
+        [this, owner, handler, meta, content] {
           guard(owner, "file handler", [&] { handler(meta, *content); });
         },
         config_.handler_cost);
   }
-  stats_.file_completions++;
 }
 
 void ServiceContainer::try_bind_file_subscription(FileSubscription& sub) {
@@ -219,9 +195,7 @@ void ServiceContainer::try_bind_file_subscription(FileSubscription& sub) {
   proto::FileSubscribeMsg msg;
   msg.name = sub.name;
   msg.revision_have = sub.completed_revision;
-  ByteWriter w;
-  msg.encode(w);
-  send_control(provider->container, proto::MsgType::kFileSubscribe, w.view());
+  send_control(provider->container, proto::MsgType::kFileSubscribe, msg);
   sub.announced = true;
 }
 
@@ -237,12 +211,10 @@ void ServiceContainer::on_file_subscribe(proto::ContainerId from,
   rev.transfer_id = prov.transfer_id;
   rev.meta = prov.meta;
   rev.chunk_hashes = prov.publisher->chunk_hashes();
-  ByteWriter w;
-  rev.encode(w);
-  send_control(from, proto::MsgType::kFileRevision, w.view());
+  send_control(from, proto::MsgType::kFileRevision, rev);
 
   if (msg.revision_have == prov.meta.revision) return;  // already current
-  file_remote_subscribers_[msg.name].insert(from);
+  prov.remote_subscribers.insert(from);
   prov.publisher->add_subscriber(from);
 }
 
@@ -250,13 +222,11 @@ void ServiceContainer::on_file_unsubscribe(
     proto::ContainerId from, const proto::FileUnsubscribeMsg& msg) {
   auto it = file_provisions_.find(msg.name);
   if (it == file_provisions_.end()) return;
-  file_remote_subscribers_[msg.name].erase(from);
+  it->second.remote_subscribers.erase(from);
   it->second.publisher->remove_subscriber(from);
 }
 
-void ServiceContainer::on_file_revision(proto::ContainerId from,
-                                        const proto::FileRevisionMsg& msg) {
-  (void)from;
+void ServiceContainer::on_file_revision(const proto::FileRevisionMsg& msg) {
   auto it = file_subs_.find(msg.meta.name);
   if (it == file_subs_.end()) return;
   FileSubscription& sub = it->second;
@@ -274,11 +244,7 @@ void ServiceContainer::start_file_receiver(
     FileSubscription& sub, uint64_t transfer_id, const proto::FileMeta& meta,
     const std::vector<uint64_t>& chunk_hashes,
     transport::Address publisher_addr) {
-  if (sub.receiver) {
-    retire_mftp_receiver(*sub.receiver);
-    transfer_names_.erase(sub.receiver->transfer_id());
-  }
-  std::string name = sub.name;
+  if (sub.receiver) drop_receiver(sub);
   sub.receiver = std::make_unique<proto::MftpReceiver>(
       transfer_id, meta,
       [this, publisher_addr](const proto::FileAckMsg& ack) {
@@ -287,45 +253,25 @@ void ServiceContainer::start_file_receiver(
       [this, publisher_addr](const proto::FileNackMsg& nack) {
         send_msg(publisher_addr, proto::MsgType::kFileNack, nack);
       });
-  transfer_names_[transfer_id] = name;
+  transfers_[transfer_id].sub = &sub;
 
-  sub.receiver->set_on_progress([this, name](uint32_t have, uint32_t total) {
-    auto it = file_subs_.find(name);
-    if (it == file_subs_.end()) return;
-    for (auto& entry : it->second.entries) {
+  sub.receiver->set_on_progress([&sub](uint32_t have, uint32_t total) {
+    for (auto& entry : sub.entries) {
       if (entry.on_progress) {
-        entry.on_progress(it->second.receiver->meta(), have, total);
+        entry.on_progress(sub.receiver->meta(), have, total);
       }
     }
   });
-  auto on_complete = [this, name](const Buffer& content) {
-    auto it = file_subs_.find(name);
-    if (it == file_subs_.end()) return;
-    FileSubscription& s = it->second;
-    s.completed_revision = s.receiver->meta().revision;
-    stats_.file_completions++;
+  auto on_complete = [this, &s = sub](const Buffer& content) {
+    const proto::FileMeta& meta = s.receiver->meta();
     trace_ev(obs::TraceEvent::kDeliver, obs::TraceKind::kFile,
-             s.receiver->transfer_id(), s.completed_revision);
-    proto::FileMeta meta = s.receiver->meta();
-    MAREA_LOG(kInfo, kLog) << config_.node_name << " completed file '" << name
+             s.receiver->transfer_id(), meta.revision);
+    MAREA_LOG(kInfo, kLog) << config_.node_name << " completed file '" << s.name
                            << "' rev " << meta.revision << " ("
                            << meta.size << " bytes)";
     // One immutable copy of the reassembled image, shared by every
     // handler post.
-    std::shared_ptr<const Buffer> shared;
-    for (auto& entry : s.entries) {
-      if (!entry.on_done) continue;
-      if (!shared) shared = std::make_shared<const Buffer>(content);
-      auto handler = entry.on_done;
-      Service* owner = entry.service;
-      usage_of(owner).file_bytes_delivered += content.size();
-      executor_.post(
-          sched::Priority::kFileTransfer,
-          [this, owner, handler, meta, shared] {
-            guard(owner, "file handler", [&] { handler(meta, *shared); });
-          },
-          config_.handler_cost);
-    }
+    deliver_file(s, meta, std::make_shared<const Buffer>(content));
   };
   sub.receiver->set_on_complete(on_complete);
   sub.receiver->set_manifest(chunk_hashes);
@@ -342,39 +288,30 @@ void ServiceContainer::start_file_receiver(
 }
 
 void ServiceContainer::on_file_chunk(const proto::FileChunkMsg& msg) {
-  auto name_it = transfer_names_.find(msg.transfer_id);
-  if (name_it == transfer_names_.end()) return;
-  auto it = file_subs_.find(name_it->second);
-  if (it == file_subs_.end() || !it->second.receiver) return;
-  it->second.receiver->on_chunk(msg);
+  auto it = transfers_.find(msg.transfer_id);
+  if (it == transfers_.end() || !it->second.sub) return;
+  it->second.sub->receiver->on_chunk(msg);
 }
 
 void ServiceContainer::on_file_status_request(
-    proto::ContainerId from, const proto::FileStatusRequestMsg& msg) {
-  (void)from;
-  auto name_it = transfer_names_.find(msg.transfer_id);
-  if (name_it == transfer_names_.end()) return;
-  auto it = file_subs_.find(name_it->second);
-  if (it == file_subs_.end() || !it->second.receiver) return;
-  it->second.receiver->on_status_request(msg);
+    const proto::FileStatusRequestMsg& msg) {
+  auto it = transfers_.find(msg.transfer_id);
+  if (it == transfers_.end() || !it->second.sub) return;
+  it->second.sub->receiver->on_status_request(msg);
 }
 
 void ServiceContainer::on_file_ack(proto::ContainerId from,
                                    const proto::FileAckMsg& msg) {
-  auto name_it = transfer_names_.find(msg.transfer_id);
-  if (name_it == transfer_names_.end()) return;
-  auto it = file_provisions_.find(name_it->second);
-  if (it == file_provisions_.end() || !it->second.publisher) return;
-  it->second.publisher->on_ack(from, msg);
+  auto it = transfers_.find(msg.transfer_id);
+  if (it == transfers_.end() || !it->second.prov) return;
+  it->second.prov->publisher->on_ack(from, msg);
 }
 
 void ServiceContainer::on_file_nack(proto::ContainerId from,
                                     const proto::FileNackMsg& msg) {
-  auto name_it = transfer_names_.find(msg.transfer_id);
-  if (name_it == transfer_names_.end()) return;
-  auto it = file_provisions_.find(name_it->second);
-  if (it == file_provisions_.end() || !it->second.publisher) return;
-  it->second.publisher->on_nack(from, msg);
+  auto it = transfers_.find(msg.transfer_id);
+  if (it == transfers_.end() || !it->second.prov) return;
+  it->second.prov->publisher->on_nack(from, msg);
 }
 
 }  // namespace marea::mw

@@ -66,14 +66,6 @@ void ServiceContainer::link_send(proto::ContainerId peer_id,
   p->tx->send(type, std::move(inner));
 }
 
-void ServiceContainer::send_control(proto::ContainerId peer_id,
-                                    proto::MsgType type, BytesView payload) {
-  ByteWriter w(payload.size() + 1);
-  w.u8(static_cast<uint8_t>(type));
-  w.bytes(payload);
-  link_send(peer_id, proto::InnerType::kControl, w.take());
-}
-
 void ServiceContainer::on_reliable_data(proto::ContainerId from,
                                         const proto::ReliableDataMsg& msg) {
   // A frame from a dead incarnation would replay old sequence numbers
@@ -218,7 +210,7 @@ void ServiceContainer::on_control(proto::ContainerId from,
     }
     case T::kFileRevision: {
       proto::FileRevisionMsg msg;
-      if (proto::FileRevisionMsg::decode(r, msg)) on_file_revision(from, msg);
+      if (proto::FileRevisionMsg::decode(r, msg)) on_file_revision(msg);
       break;
     }
     default:

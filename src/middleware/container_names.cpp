@@ -10,52 +10,33 @@ void ServiceContainer::on_name_query(proto::ContainerId from,
                                      const proto::NameQueryMsg& msg) {
   ensure_peer(from, addr);
   // Answer only if one of our local services provides the item.
-  bool provides = false;
-  std::string service;
+  const Service* owner = nullptr;
+  auto find_owner = [&](const auto& provisions) {
+    auto it = provisions.find(msg.name);
+    if (it != provisions.end()) owner = it->second.owner;
+  };
   switch (msg.kind) {
     case proto::ItemKind::kVariable:
-      if (auto it = var_provisions_.find(msg.name);
-          it != var_provisions_.end()) {
-        provides = true;
-        service = it->second.owner->name();
-      }
+      find_owner(var_provisions_);
       break;
     case proto::ItemKind::kEvent:
-      if (auto it = event_provisions_.find(msg.name);
-          it != event_provisions_.end()) {
-        provides = true;
-        service = it->second.owner->name();
-      }
+      find_owner(event_provisions_);
       break;
     case proto::ItemKind::kFunction:
-      if (auto it = functions_.find(msg.name); it != functions_.end()) {
-        provides = true;
-        service = it->second.owner->name();
-      }
+      find_owner(functions_);
       break;
     case proto::ItemKind::kFile:
-      if (auto it = file_provisions_.find(msg.name);
-          it != file_provisions_.end()) {
-        provides = true;
-        service = it->second.owner->name();
-      }
+      find_owner(file_provisions_);
       break;
   }
-  if (!provides) return;
+  if (!owner) return;
   proto::NameReplyMsg reply;
   reply.query_id = msg.query_id;
   reply.found = true;
   reply.provider = config_.id;
   reply.data_port = config_.data_port;
-  reply.service = service;
+  reply.service = owner->name();
   send_msg(addr, proto::MsgType::kNameReply, reply);
-}
-
-void ServiceContainer::on_name_reply(const proto::NameReplyMsg& msg) {
-  // The reply confirms a provider exists; the authoritative manifest
-  // arrives with the hello that ensure_peer provokes. Nothing else to do —
-  // the next resubscribe tick binds against the refreshed directory.
-  (void)msg;
 }
 
 void ServiceContainer::send_name_query(proto::ItemKind kind,
@@ -92,12 +73,6 @@ void ServiceContainer::rebind_after_directory_change() {
   for (auto& [name, sub] : var_subs_) try_bind_var_subscription(sub);
   for (auto& [name, sub] : event_subs_) try_bind_event_subscription(sub);
   for (auto& [name, sub] : file_subs_) try_bind_file_subscription(sub);
-}
-
-void ServiceContainer::schedule_for_service(Duration delay,
-                                            std::function<void()> fn,
-                                            sched::Priority priority) {
-  executor_.schedule(delay, priority, std::move(fn), config_.handler_cost);
 }
 
 }  // namespace marea::mw

@@ -31,9 +31,7 @@ Status ServiceContainer::register_function(Service& owner,
   }
   FunctionProvision prov;
   prov.owner = &owner;
-  prov.name = name;
   prov.args_type = std::move(args_type);
-  prov.result_type = std::move(result_type);
   prov.handler = std::move(handler);
   functions_.emplace(name, std::move(prov));
   manifest_changed();
@@ -42,7 +40,7 @@ Status ServiceContainer::register_function(Service& owner,
 
 Status ServiceContainer::add_function_requirement(Service& owner,
                                                   const std::string& function) {
-  required_functions_[function].insert(owner.name());
+  required_functions_[function].requirers.insert(owner.name());
   if (running_) check_function_requirements();
   // Report current availability so callers can gate their startup.
   if (functions_.count(function)) return Status::ok();
@@ -66,22 +64,21 @@ void ServiceContainer::check_function_requirements() {
     }
     return;
   }
-  for (const auto& [function, requirers] : required_functions_) {
+  for (auto& [function, req] : required_functions_) {
     bool available =
         functions_.count(function) > 0 ||
         !directory_.providers(proto::ItemKind::kFunction, function).empty();
-    bool was_emergency = functions_in_emergency_.count(function) > 0;
-    if (!available && !was_emergency && running_) {
-      functions_in_emergency_.insert(function);
+    if (!available && !req.in_emergency && running_) {
+      req.in_emergency = true;
       std::string who;
-      for (const auto& s : requirers) {
+      for (const auto& s : req.requirers) {
         if (!who.empty()) who += ",";
         who += s;
       }
       emergency("required function '" + function +
                 "' has no provider (needed by " + who + ")");
-    } else if (available && was_emergency) {
-      functions_in_emergency_.erase(function);
+    } else if (available && req.in_emergency) {
+      req.in_emergency = false;
       MAREA_LOG(kInfo, kLog) << "function '" << function
                              << "' available again";
     }
@@ -114,8 +111,8 @@ void ServiceContainer::call_function(Service* caller,
     return;
   }
 
+  const uint64_t rid = next_request_id_++;
   PendingCall call;
-  call.request_id = next_request_id_++;
   call.function = function;
   call.issued = now();
   call.args = std::move(args);
@@ -123,7 +120,6 @@ void ServiceContainer::call_function(Service* caller,
   call.options = options;
   call.failovers_left =
       options.binding == RpcBinding::kDynamic ? options.max_failovers : 0;
-  uint64_t rid = call.request_id;
   trace_ev(obs::TraceEvent::kSend, obs::TraceKind::kRpc, rid);
   pending_calls_.emplace(rid, std::move(call));
 
@@ -147,23 +143,23 @@ std::optional<ProviderRecord> ServiceContainer::pick_provider(
   }
   if (usable.empty()) return std::nullopt;
 
+  FunctionBinding& binding = function_bindings_[function];
   if (options.binding == RpcBinding::kStatic) {
     // Pin the first choice and keep using it (§4.3 "static allocations …
     // are useful in critical services").
-    auto it = static_binding_.find(function);
-    if (it != static_binding_.end()) {
+    if (binding.pinned != proto::kInvalidContainer) {
       for (const auto& p : usable) {
-        if (p.container == it->second) return p;
+        if (p.container == binding.pinned) return p;
       }
       return std::nullopt;  // pinned provider gone: static binding fails
     }
-    static_binding_[function] = usable.front().container;
+    binding.pinned = usable.front().container;
     return usable.front();
   }
 
   // Dynamic: round-robin across redundant providers (§4.3 "load balancing
   // techniques are used").
-  size_t& cursor = rr_cursor_[function];
+  size_t& cursor = binding.rr_cursor;
   const ProviderRecord& chosen = usable[cursor % usable.size()];
   cursor++;
   return chosen;

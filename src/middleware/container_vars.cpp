@@ -27,13 +27,15 @@ StatusOr<VariableHandle> ServiceContainer::register_variable(
   prov.channel = proto::channel_of(name);
   prov.type = std::move(type);
   prov.qos = qos;
-  auto [it, ok] = var_provisions_.emplace(name, std::move(prov));
-  (void)ok;
+  if (auto sub_it = var_subs_.find(name); sub_it != var_subs_.end()) {
+    prov.local_sub = &sub_it->second;
+  }
+  VarProvision* p =
+      &var_provisions_.emplace(name, std::move(prov)).first->second;
 
   if (qos.period.ns > 0) {
-    it->second.period_timer = executor_.schedule(
-        qos.period, sched::Priority::kVariable,
-        [this, name] { period_tick(name); });
+    p->period_timer = executor_.schedule(qos.period, sched::Priority::kVariable,
+                                         [this, p] { period_tick(*p); });
   }
   manifest_changed();
   return VariableHandle(this, name);
@@ -73,15 +75,14 @@ void ServiceContainer::send_sample(VarProvision& prov) {
 
   // Local subscribers first: same-container delivery never touches the
   // network (§3 "local message delivery").
-  auto sub_it = var_subs_.find(prov.name);
-  if (sub_it != var_subs_.end()) {
+  if (VarSubscription* sub = prov.local_sub) {
     SampleInfo info;
     info.seq = prov.seq;
     info.publish_time = prov.last_publish;
     info.latency = kDurationZero;
     // Copy-assign reuses the cached tree's capacity.
-    sub_it->second.last_value = *prov.last_value;
-    deliver_sample(sub_it->second, info);
+    sub->last_value = *prov.last_value;
+    deliver_sample(*sub, info);
   }
 
   if (prov.remote_subscribers.empty()) return;
@@ -106,10 +107,8 @@ void ServiceContainer::send_sample(VarProvision& prov) {
   }
 }
 
-void ServiceContainer::period_tick(const std::string& name) {
-  auto it = var_provisions_.find(name);
-  if (it == var_provisions_.end() || !running_) return;
-  VarProvision& prov = it->second;
+void ServiceContainer::period_tick(VarProvision& prov) {
+  if (!running_) return;
   // Republish the last value on cadence ("sent at regular intervals") —
   // but only if the service hasn't already published within the period.
   if (prov.last_value && now() - prov.last_publish >= prov.qos.period) {
@@ -117,7 +116,7 @@ void ServiceContainer::period_tick(const std::string& name) {
   }
   prov.period_timer = executor_.schedule(prov.qos.period,
                                          sched::Priority::kVariable,
-                                         [this, name] { period_tick(name); });
+                                         [this, &prov] { period_tick(prov); });
 }
 
 Status ServiceContainer::register_var_subscription(
@@ -126,14 +125,16 @@ Status ServiceContainer::register_var_subscription(
   if (!type) return invalid_argument_error("subscription type is null");
   if (!handler) return invalid_argument_error("subscription handler empty");
 
+  auto prov_it = var_provisions_.find(name);
   auto it = var_subs_.find(name);
   if (it == var_subs_.end()) {
-    VarSubscription sub;
+    it = var_subs_.emplace(name, VarSubscription{}).first;
+    VarSubscription& sub = it->second;
     sub.name = name;
     sub.channel = proto::channel_of(name);
     sub.type = type;
-    sub_channels_[sub.channel] = name;
-    it = var_subs_.emplace(name, std::move(sub)).first;
+    sub_channels_[sub.channel] = &sub;
+    if (prov_it != var_provisions_.end()) prov_it->second.local_sub = &sub;
   } else if (it->second.type->structural_hash() != type->structural_hash()) {
     return invalid_argument_error(
         "variable '" + name +
@@ -146,7 +147,6 @@ Status ServiceContainer::register_var_subscription(
 
   // Same-container provider: deliver the snapshot immediately (§4.1
   // guaranteed initial value, via the local bypass).
-  auto prov_it = var_provisions_.find(name);
   if (prov_it != var_provisions_.end() && prov_it->second.last_value) {
     VarProvision& prov = prov_it->second;
     enc::Value value = *prov.last_value;
@@ -174,12 +174,8 @@ Status ServiceContainer::unregister_var_subscription(Service& owner,
     return not_found_error("not subscribed to variable '" + name + "'");
   }
   VarSubscription& sub = it->second;
-  size_t before = sub.entries.size();
-  sub.entries.erase(
-      std::remove_if(sub.entries.begin(), sub.entries.end(),
-                     [&](const VarSubEntry& e) { return e.service == &owner; }),
-      sub.entries.end());
-  if (sub.entries.size() == before) {
+  if (std::erase_if(sub.entries,
+                    [&](const auto& e) { return e.service == &owner; }) == 0) {
     return not_found_error("service '" + owner.name() +
                            "' is not subscribed to '" + name + "'");
   }
@@ -187,18 +183,16 @@ Status ServiceContainer::unregister_var_subscription(Service& owner,
 
   // Last local subscriber gone: tear the container-level subscription down.
   executor_.cancel(sub.deadline_timer);
-  if (sub.joined_group) {
-    transport_.leave_group(sub.channel, config_.data_port);
+  release_binding<proto::VarUnsubscribeMsg>(sub, name,
+                                            proto::MsgType::kVarUnsubscribe);
+  if (auto ch = sub_channels_.find(sub.channel);
+      ch != sub_channels_.end() && ch->second == &sub) {
+    sub_channels_.erase(ch);
   }
-  if (sub.provider && sub.announced) {
-    proto::VarUnsubscribeMsg msg;
-    msg.name = name;
-    ByteWriter w;
-    msg.encode(w);
-    send_control(sub.provider->container, proto::MsgType::kVarUnsubscribe,
-                 w.view());
+  if (auto prov_it = var_provisions_.find(name);
+      prov_it != var_provisions_.end()) {
+    prov_it->second.local_sub = nullptr;
   }
-  sub_channels_.erase(sub.channel);
   var_subs_.erase(it);
   return Status::ok();
 }
@@ -248,9 +242,7 @@ void ServiceContainer::try_bind_var_subscription(VarSubscription& sub) {
   proto::VarSubscribeMsg msg;
   msg.name = sub.name;
   msg.schema_hash = sub.type->structural_hash();
-  ByteWriter w;
-  msg.encode(w);
-  send_control(provider->container, proto::MsgType::kVarSubscribe, w.view());
+  send_control(provider->container, proto::MsgType::kVarSubscribe, msg);
   sub.announced = true;
   arm_deadline(sub);
 }
@@ -258,12 +250,9 @@ void ServiceContainer::try_bind_var_subscription(VarSubscription& sub) {
 void ServiceContainer::arm_deadline(VarSubscription& sub) {
   if (sub.deadline.ns <= 0) return;
   executor_.cancel(sub.deadline_timer);
-  std::string name = sub.name;
   sub.deadline_timer = executor_.schedule(
-      sub.deadline, sched::Priority::kVariable, [this, name] {
-        auto it = var_subs_.find(name);
-        if (it == var_subs_.end() || !running_) return;
-        VarSubscription& s = it->second;
+      sub.deadline, sched::Priority::kVariable, [this, &s = sub] {
+        if (!running_) return;
         if (!s.got_any) {
           // Nothing has flowed yet (provider may still be starting): the
           // warning is for streams that stop, not ones that never began.
@@ -346,9 +335,7 @@ void ServiceContainer::send_snapshot(VarProvision& prov,
   msg.pub_time_ns = prov.last_publish.ns;
   msg.has_value = prov.last_value.has_value();
   if (prov.last_value) msg.value = Bytes::borrow(BytesView(prov.last_encoded));
-  ByteWriter w;
-  msg.encode(w);
-  send_control(to, proto::MsgType::kVarSnapshot, w.view());
+  send_control(to, proto::MsgType::kVarSnapshot, msg);
   stats_.var_snapshots_sent++;
 }
 
@@ -368,11 +355,9 @@ void ServiceContainer::on_var_snapshot(const proto::VarSnapshotMsg& msg) {
 }
 
 void ServiceContainer::on_var_sample(const proto::VarSampleMsg& msg) {
-  auto ch_it = sub_channels_.find(msg.channel);
-  if (ch_it == sub_channels_.end()) return;  // multicast overhearing
-  auto it = var_subs_.find(ch_it->second);
-  if (it == var_subs_.end()) return;
-  VarSubscription& sub = it->second;
+  auto it = sub_channels_.find(msg.channel);
+  if (it == sub_channels_.end()) return;  // multicast overhearing
+  VarSubscription& sub = *it->second;
   // Best-effort streams may reorder: drop anything not newer than the
   // freshest sample we have.
   if (sub.got_any && msg.seq <= sub.last_seq) return;

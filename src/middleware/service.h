@@ -278,6 +278,7 @@ class Service {
  private:
   friend class ServiceContainer;
   ServiceContainer* container_ = nullptr;  // set when added to a container
+  size_t slot_ = 0;  // index of its record in the container
   std::string name_;
 };
 

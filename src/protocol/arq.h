@@ -40,6 +40,16 @@ struct ArqSenderStats {
   uint64_t fast_retransmits = 0;
   uint64_t delivered = 0;       // acked
   uint64_t failed = 0;          // gave up after max_retries
+
+  ArqSenderStats& operator+=(const ArqSenderStats& o) {
+    messages_accepted += o.messages_accepted;
+    frames_sent += o.frames_sent;
+    retransmits += o.retransmits;
+    fast_retransmits += o.fast_retransmits;
+    delivered += o.delivered;
+    failed += o.failed;
+    return *this;
+  }
 };
 
 class ArqSender {
@@ -114,6 +124,14 @@ struct ArqReceiverStats {
   uint64_t delivered = 0;
   uint64_t duplicates = 0;
   uint64_t acks_sent = 0;
+
+  ArqReceiverStats& operator+=(const ArqReceiverStats& o) {
+    frames_received += o.frames_received;
+    delivered += o.delivered;
+    duplicates += o.duplicates;
+    acks_sent += o.acks_sent;
+    return *this;
+  }
 };
 
 class ArqReceiver {

@@ -53,6 +53,16 @@ struct ChunkPipelineStats {
   uint32_t reused_chunks = 0;     // hash taken from the previous revision
   uint32_t compress_calls = 0;    // Compressor::compress calls, probe too
   uint32_t skipped_by_probe = 0;  // entries with probe_skipped set
+
+  ChunkPipelineStats& operator+=(const ChunkPipelineStats& o) {
+    raw_bytes += o.raw_bytes;
+    wire_bytes += o.wire_bytes;
+    compressed_chunks += o.compressed_chunks;
+    reused_chunks += o.reused_chunks;
+    compress_calls += o.compress_calls;
+    skipped_by_probe += o.skipped_by_probe;
+    return *this;
+  }
 };
 
 class ChunkTable {

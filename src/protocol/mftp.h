@@ -60,6 +60,19 @@ struct MftpPublisherStats {
   uint64_t rounds = 0;
   uint64_t completions = 0;
   uint64_t dropped_subscribers = 0;  // unresponsive or out of rounds
+
+  MftpPublisherStats& operator+=(const MftpPublisherStats& o) {
+    chunks_sent += o.chunks_sent;
+    chunk_retransmits += o.chunk_retransmits;
+    payload_bytes_sent += o.payload_bytes_sent;
+    wire_bytes_sent += o.wire_bytes_sent;
+    chunks_dedup_skipped += o.chunks_dedup_skipped;
+    status_requests += o.status_requests;
+    rounds += o.rounds;
+    completions += o.completions;
+    dropped_subscribers += o.dropped_subscribers;
+    return *this;
+  }
 };
 
 class MftpPublisher {
@@ -178,6 +191,19 @@ struct MftpReceiverStats {
   uint64_t chunks_from_store = 0;  // of those, satisfied by the ChunkStore
   uint64_t acks_sent = 0;
   uint64_t nacks_sent = 0;
+
+  MftpReceiverStats& operator+=(const MftpReceiverStats& o) {
+    chunks_received += o.chunks_received;
+    duplicate_chunks += o.duplicate_chunks;
+    payload_bytes_received += o.payload_bytes_received;
+    wire_bytes_received += o.wire_bytes_received;
+    hash_mismatches += o.hash_mismatches;
+    chunks_deduped += o.chunks_deduped;
+    chunks_from_store += o.chunks_from_store;
+    acks_sent += o.acks_sent;
+    nacks_sent += o.nacks_sent;
+    return *this;
+  }
 };
 
 class MftpReceiver {

@@ -406,6 +406,46 @@ TEST(FilesTest, RepublishReusesThePreviousRevisionsChunks) {
             stats.file_chunks_probe_skipped);
 }
 
+// The mftp.* counters are monotonic: a receiver reset by peer loss and a
+// publisher torn down by stop() keep their counts in the totals.
+TEST(FilesTest, MftpCountersSurvivePeerLossAndStop) {
+  SimDomain domain(71);
+  auto& n1 = domain.add_node("pub");
+  auto pub = std::make_unique<FilePublisher>();
+  auto* pub_ptr = pub.get();
+  (void)n1.add_service(std::move(pub));
+  auto& n2 = domain.add_node("sub");
+  auto sub = std::make_unique<FileConsumer>("c", "res.cut");
+  auto* sub_ptr = sub.get();
+  (void)n2.add_service(std::move(sub));
+  domain.start_all();
+  domain.run_for(milliseconds(300));
+
+  ASSERT_TRUE(pub_ptr->publish("res.cut", blob(200000)).is_ok());
+  domain.run_for(milliseconds(8));
+  auto& reg = domain.obs().metrics;
+  const std::string sent = "mw." + std::to_string(n1.config().id) +
+                           ".mftp.chunks_sent";
+  const std::string received = "mw." + std::to_string(n2.config().id) +
+                               ".mftp.chunks_received";
+  reg.collect();
+  const uint64_t sent_before = reg.counter_value(sent);
+  const uint64_t received_before = reg.counter_value(received);
+  ASSERT_GT(sent_before, 0u);
+  ASSERT_GT(received_before, 0u);
+
+  domain.kill_node(0);  // stop(): the publisher goes with its provision
+  reg.collect();
+  EXPECT_GE(reg.counter_value(sent), sent_before);
+
+  // Heartbeat silence: the subscriber drops its half-done receiver.
+  domain.run_for(seconds(2.0));
+  EXPECT_TRUE(sub_ptr->completions.empty());
+  EXPECT_EQ(domain.container(1).known_peers().size(), 0u);
+  reg.collect();
+  EXPECT_GE(reg.counter_value(received), received_before);
+}
+
 TEST(FilesTest, PublisherOwnershipEnforced) {
   SimDomain domain(59);
   auto& n1 = domain.add_node("n");
