@@ -1,10 +1,6 @@
 #include "middleware/container.h"
 
-#include <algorithm>
-#include <cassert>
-
 #include "encoding/codec.h"
-#include "util/crc32.h"
 
 namespace marea::mw {
 
@@ -197,17 +193,14 @@ Status ServiceContainer::start() {
 
   announce(/*broadcast_to_all=*/true);
 
-  heartbeat_timer_ =
-      executor_.schedule(config_.heartbeat_interval,
-                         sched::Priority::kBackground,
-                         [this] { heartbeat_tick(); });
-  health_timer_ =
-      executor_.schedule(config_.health_check_interval,
-                         sched::Priority::kBackground, [this] { health_tick(); });
-  resub_timer_ =
-      executor_.schedule(config_.resubscribe_interval,
-                         sched::Priority::kBackground,
-                         [this] { resubscribe_tick(); });
+  heartbeat_timer_.arm(executor_, config_.heartbeat_interval,
+                       sched::Priority::kBackground,
+                       [this] { heartbeat_tick(); });
+  health_timer_.arm(executor_, config_.health_check_interval,
+                    sched::Priority::kBackground, [this] { health_tick(); });
+  resub_timer_.arm(executor_, config_.resubscribe_interval,
+                   sched::Priority::kBackground,
+                   [this] { resubscribe_tick(); });
   return Status::ok();
 }
 
@@ -224,16 +217,9 @@ void ServiceContainer::stop() {
     it->state = proto::ServiceState::kStopped;
   }
   close_service_timers();
-  executor_.cancel(heartbeat_timer_);
-  executor_.cancel(health_timer_);
-  executor_.cancel(resub_timer_);
-  for (auto& [name, prov] : var_provisions_) {
-    executor_.cancel(prov.period_timer);
-  }
-  for (auto& [name, sub] : var_subs_) {
-    executor_.cancel(sub.deadline_timer);
-  }
-  for (auto& [name, sub] : event_subs_) cancel_flush_timers(sub);
+  heartbeat_timer_.cancel();
+  health_timer_.cancel();
+  resub_timer_.cancel();
   for (auto& [id, call] : pending_calls_) {
     executor_.cancel(call.timer);
   }
@@ -626,10 +612,9 @@ void ServiceContainer::heartbeat_tick() {
   }
   for (auto id : dead) peer_lost(id, "heartbeat silence");
 
-  heartbeat_timer_ =
-      executor_.schedule(config_.heartbeat_interval,
-                         sched::Priority::kBackground,
-                         [this] { heartbeat_tick(); });
+  heartbeat_timer_.arm(executor_, config_.heartbeat_interval,
+                       sched::Priority::kBackground,
+                       [this] { heartbeat_tick(); });
 }
 
 void ServiceContainer::health_tick() {
@@ -657,9 +642,8 @@ void ServiceContainer::health_tick() {
       broadcast_msg(proto::MsgType::kServiceStatus, msg);
     }
   }
-  health_timer_ =
-      executor_.schedule(config_.health_check_interval,
-                         sched::Priority::kBackground, [this] { health_tick(); });
+  health_timer_.arm(executor_, config_.health_check_interval,
+                    sched::Priority::kBackground, [this] { health_tick(); });
 }
 
 void ServiceContainer::peer_lost(proto::ContainerId id,
@@ -675,8 +659,26 @@ void ServiceContainer::peer_lost(proto::ContainerId id,
   directory_.drop_container(id);
 
   // Unbind subscriptions pointing at the lost provider; the resubscribe
-  // loop re-resolves them against surviving providers.
-  unbind_from(id, /*lost=*/true);
+  // loop re-resolves them against surviving providers. Event streams
+  // keep their delivered watermark (evict_ordered_stream).
+  unbind_from(id);
+  for (auto& [name, sub] : var_subs_) {
+    // last_seq deliberately survives: a sample delayed in the network
+    // across the churn must still be gated as stale. The rebind path
+    // resets the watermark if the next binding is a different stream
+    // (other provider, or this one's next incarnation).
+    if (sub.bound_to(id)) sub.provider.reset();
+  }
+  for (auto& [name, sub] : file_subs_) {
+    if (!sub.bound_to(id)) continue;
+    sub.provider.reset();
+    if (sub.receiver && !sub.receiver->complete()) drop_receiver(sub);
+    // Revision numbers are per provider incarnation: a restarted (or
+    // replacement) publisher counts from 1 again, and a high watermark
+    // from the old life would make us ignore its content forever. The
+    // cost is at most one redundant re-fetch of data we already have.
+    sub.completed_revision = 0;
+  }
   // Publishers drop the dead subscriber.
   for (auto& [name, prov] : var_provisions_) prov.remote_subscribers.erase(id);
   for (auto& [name, prov] : event_provisions_) {

@@ -19,11 +19,13 @@
 // Threading model: every mutation happens on the container's Executor
 // context. With SimExecutor that is the simulation loop; with
 // ThreadPoolExecutor use a single worker (the paper's prototype had the
-// same constraint — handlers are serialized by the scheduler). The one
-// exception is destruction, which may run on any thread: a service timer
+// same constraint — handlers are serialized by the scheduler). Stop the
+// container on that context before destroying it. A service timer
 // (Service::schedule) never starts after stop() or ~ServiceContainer
 // begins, and both wait out one that is already running, so a service is
-// never destroyed under its own timer.
+// never destroyed under its own timer. The container's own timers and
+// posted handlers have no such gate: stop() cancels the timers, but a
+// closure a real-thread executor has already queued still runs.
 #pragma once
 
 #include <condition_variable>
@@ -232,8 +234,52 @@ class ServiceContainer {
   // --- per-name provider/subscriber state ---
   // One entry per name: each name-keyed map below holds the whole state
   // of its item. Wire ids (sub_channels_, transfers_) and timers reach an
-  // entry by pointer; std::map nodes never move, and every path that
-  // erases an entry first cancels its timers and drops its wire ids.
+  // entry by pointer; std::map nodes never move, every path that erases
+  // an entry drops its wire ids, and its timers are OwnedTimers.
+
+  // A timer whose closure may capture its owner (an entry, or the
+  // container). Destroying it with its owner, or assigning over it,
+  // cancels it and also disarms a closure that has already fired but not
+  // yet run, which no executor can take back: the closure holds the
+  // timer's token weakly. Only an unarmed timer is moved from.
+  class OwnedTimer {
+   public:
+    OwnedTimer() = default;
+    OwnedTimer(OwnedTimer&&) noexcept {}
+    OwnedTimer& operator=(OwnedTimer&&) noexcept {
+      cancel();
+      token_.reset();
+      return *this;
+    }
+    ~OwnedTimer() { cancel(); }
+    template <typename Fn>
+    void arm(sched::Executor& executor, Duration delay,
+             sched::Priority priority, Fn fn) {
+      cancel();
+      executor_ = &executor;
+      if (!token_) token_ = std::make_shared<char>();
+      auto fire = [this, token = std::weak_ptr<char>(token_),
+                   fn = std::move(fn)] {
+        if (token.expired()) return;
+        id_ = sched::kInvalidTaskTimer;
+        fn();
+      };
+      static_assert(sched::Task::stores_inline<decltype(fire)>(),
+                    "an owned timer must not allocate per tick");
+      id_ = executor.schedule(delay, priority, std::move(fire));
+    }
+    void cancel() {
+      if (armed()) executor_->cancel(id_);
+      id_ = sched::kInvalidTaskTimer;
+    }
+    bool armed() const { return id_ != sched::kInvalidTaskTimer; }
+
+   private:
+    sched::Executor* executor_ = nullptr;
+    sched::TaskTimerId id_ = sched::kInvalidTaskTimer;
+    std::shared_ptr<char> token_;
+  };
+
   struct VarSubscription;
   struct VarProvision {
     Service* owner = nullptr;
@@ -246,7 +292,7 @@ class ServiceContainer {
     Buffer last_encoded;
     TimePoint last_publish{};
     std::set<proto::ContainerId> remote_subscribers;
-    sched::TaskTimerId period_timer = sched::kInvalidTaskTimer;
+    OwnedTimer period_timer;
     // The same-container subscription of this name, if any (§3 local
     // delivery).
     VarSubscription* local_sub = nullptr;
@@ -306,7 +352,7 @@ class ServiceContainer {
     Duration validity = kDurationZero;  // learned from provider manifest
     Duration deadline = kDurationZero;
     bool got_any = false;
-    sched::TaskTimerId deadline_timer = sched::kInvalidTaskTimer;
+    OwnedTimer deadline_timer;
   };
 
   struct EventProvision {
@@ -345,15 +391,15 @@ class ServiceContainer {
       // so the stream jumps forward instead of holding.
       bool resync = false;
       std::map<uint64_t, std::pair<enc::Value, EventInfo>> held;
-      sched::TaskTimerId flush_timer = sched::kInvalidTaskTimer;
+      OwnedTimer flush_timer;
     };
     std::map<proto::ContainerId, OrderState> order;
   };
 
   void ordered_deliver(EventSubscription& sub, proto::ContainerId from,
                        enc::Value value, EventInfo info);
-  void ordered_flush(EventSubscription& sub, proto::ContainerId from);
-  void cancel_flush_timers(EventSubscription& sub);
+  // Delivers the held events of `st` in order, moving the horizon past.
+  void flush_held(EventSubscription& sub, EventSubscription::OrderState& st);
   // Drain held events in order and mark the stream for resync, keeping
   // the delivered high-water mark. Used when the publisher's sender life
   // dies (peer loss / link-session reset): held gaps can never fill, and
@@ -365,11 +411,10 @@ class ServiceContainer {
   // though our own peer entry survived. Re-announce subscriptions that
   // point at it and resync its ordered event streams.
   void peer_link_reset(proto::ContainerId id);
-  // Marks every subscription bound to container `id` for re-announcement
-  // and drains its ordered event streams. `lost`: the container itself
-  // is gone (peer_lost), so providers are re-resolved too; otherwise only
-  // its link life died (peer_link_reset).
-  void unbind_from(proto::ContainerId id, bool lost);
+  // What peer_lost and peer_link_reset share: every subscription bound
+  // to container `id` must announce itself again, and the ordered event
+  // streams from it are evicted.
+  void unbind_from(proto::ContainerId id);
 
   struct FunctionProvision {
     Service* owner = nullptr;
@@ -732,9 +777,9 @@ class ServiceContainer {
   uint64_t next_transfer_seq_ = 1;
   uint64_t heartbeat_seq_ = 0;
 
-  sched::TaskTimerId heartbeat_timer_ = sched::kInvalidTaskTimer;
-  sched::TaskTimerId health_timer_ = sched::kInvalidTaskTimer;
-  sched::TaskTimerId resub_timer_ = sched::kInvalidTaskTimer;
+  OwnedTimer heartbeat_timer_;
+  OwnedTimer health_timer_;
+  OwnedTimer resub_timer_;
 
   EmergencyHandler emergency_;
   ContainerStats stats_;

@@ -4,8 +4,6 @@
 // into account is latency".
 #include "middleware/container.h"
 
-#include <algorithm>
-
 #include "encoding/codec.h"
 
 namespace marea::mw {
@@ -117,7 +115,6 @@ Status ServiceContainer::unregister_event_subscription(
   for (proto::ContainerId provider : sub.announced_to) {
     link_send(provider, proto::InnerType::kControl, inner);
   }
-  cancel_flush_timers(sub);
   event_subs_.erase(it);
   return Status::ok();
 }
@@ -232,10 +229,7 @@ void ServiceContainer::ordered_deliver(EventSubscription& sub,
   auto& st = sub.order[from];
   const uint64_t seq = info.seq;
   if (Peer* pp = peer(from); pp && pp->incarnation != 0) {
-    if (st.incarnation != 0 && st.incarnation != pp->incarnation) {
-      executor_.cancel(st.flush_timer);
-      st = {};
-    }
+    if (st.incarnation != 0 && st.incarnation != pp->incarnation) st = {};
     st.incarnation = pp->incarnation;
   }
 
@@ -269,10 +263,7 @@ void ServiceContainer::ordered_deliver(EventSubscription& sub,
       st.next = held_it->first + 1;
       held_it = st.held.erase(held_it);
     }
-    if (st.held.empty()) {
-      executor_.cancel(st.flush_timer);
-      st.flush_timer = sched::kInvalidTaskTimer;
-    }
+    if (st.held.empty()) st.flush_timer.cancel();
     return;
   }
 
@@ -280,32 +271,25 @@ void ServiceContainer::ordered_deliver(EventSubscription& sub,
   // the uninitialized case — an initialized stream's gap fills via ARQ
   // retransmission (or the publisher dies and eviction drains us).
   st.held.emplace(seq, std::make_pair(std::move(value), info));
-  if (st.next == 0 && st.flush_timer == sched::kInvalidTaskTimer) {
-    st.flush_timer = executor_.schedule(
-        sub.qos.reorder_window, sched::Priority::kEvent,
-        [this, &sub, from] { ordered_flush(sub, from); });
+  if (st.next == 0 && !st.flush_timer.armed()) {
+    // When the settling window expires on a mid-stream join, whatever
+    // arrived first defines the start of the stream; earlier publications
+    // predate our subscription. A stream initialized meanwhile keeps
+    // holding: its gap will fill.
+    st.flush_timer.arm(executor_, sub.qos.reorder_window,
+                       sched::Priority::kEvent, [this, &sub, &st] {
+                         if (st.next == 0) flush_held(sub, st);
+                       });
   }
 }
 
-void ServiceContainer::ordered_flush(EventSubscription& sub,
-                                     proto::ContainerId from) {
-  auto ord_it = sub.order.find(from);
-  if (ord_it == sub.order.end()) return;
-  auto& st = ord_it->second;
-  st.flush_timer = sched::kInvalidTaskTimer;
-  if (st.next != 0) return;  // initialized: the gap will fill, keep holding
-  // Settling window expired on a mid-stream join: whatever arrived first
-  // defines the start of the stream. Deliver it in order and set the
-  // horizon; earlier publications predate our subscription.
+void ServiceContainer::flush_held(EventSubscription& sub,
+                                  EventSubscription::OrderState& st) {
   for (auto& [seq, pending] : st.held) {
     deliver_event_locally(sub, pending.first, pending.second);
     st.next = seq + 1;
   }
   st.held.clear();
-}
-
-void ServiceContainer::cancel_flush_timers(EventSubscription& sub) {
-  for (auto& [id, st] : sub.order) executor_.cancel(st.flush_timer);
 }
 
 void ServiceContainer::evict_ordered_stream(EventSubscription& sub,
@@ -313,15 +297,10 @@ void ServiceContainer::evict_ordered_stream(EventSubscription& sub,
   auto os = sub.order.find(id);
   if (os == sub.order.end()) return;
   EventSubscription::OrderState& st = os->second;
-  executor_.cancel(st.flush_timer);
-  st.flush_timer = sched::kInvalidTaskTimer;
+  st.flush_timer.cancel();
   // The gaps the held events were waiting on can never fill now: drain
   // them, in order, and advance the watermark over them.
-  for (auto& [seq, pending] : st.held) {
-    deliver_event_locally(sub, pending.first, pending.second);
-    st.next = seq + 1;
-  }
-  st.held.clear();
+  flush_held(sub, st);
   if (st.next == 0) {
     sub.order.erase(os);  // never initialized: nothing to protect
   } else {
@@ -332,57 +311,38 @@ void ServiceContainer::evict_ordered_stream(EventSubscription& sub,
 void ServiceContainer::peer_link_reset(proto::ContainerId id) {
   stats_.link_session_resets++;
   trace_ev(obs::TraceEvent::kPeerLost, obs::TraceKind::kLink, id);
-  unbind_from(id, /*lost=*/false);
+  unbind_from(id);
+  for (auto& [name, sub] : var_subs_) {
+    if (!sub.bound_to(id)) continue;
+    // The sender's process state died with the old link session, so its
+    // sample sequences restart from 1 — under the SAME container id and
+    // (for a re-exec'd process) possibly the same incarnation. Keeping
+    // the watermark would gate the entire fresh stream as duplicates;
+    // resetting it risks accepting one stale in-flight old-life sample,
+    // which the next fresh sample then supersedes.
+    sub.seq_stream_container = proto::kInvalidContainer;
+    sub.seq_stream_incarnation = 0;
+    sub.last_seq = 0;
+    sub.got_any = false;
+  }
+  // The event order state goes entirely: old-life retransmissions carry
+  // the dead link session and die at the ARQ layer, so the forward-only
+  // resync guard would only wedge a restarted publisher whose pub_seq
+  // began again at 1.
+  for (auto& [name, sub] : event_subs_) sub.order.erase(id);
   rebind_after_directory_change();
 }
 
-void ServiceContainer::unbind_from(proto::ContainerId id, bool lost) {
+void ServiceContainer::unbind_from(proto::ContainerId id) {
   for (auto& [name, sub] : var_subs_) {
-    if (!sub.bound_to(id)) continue;
-    sub.announced = false;
-    if (lost) {
-      // last_seq deliberately survives: a sample delayed in the network
-      // across the churn must still be gated as stale. The rebind path
-      // resets the watermark if the next binding is a different stream
-      // (other provider, or this one's next incarnation).
-      sub.provider.reset();
-    } else {
-      // The sender's process state died with the old link session, so
-      // its sample sequences restart from 1 — under the SAME container
-      // id and (for a re-exec'd process) possibly the same incarnation.
-      // Keeping the watermark would gate the entire fresh stream as
-      // duplicates; resetting it risks accepting one stale in-flight
-      // old-life sample, which the next fresh sample then supersedes.
-      sub.seq_stream_container = proto::kInvalidContainer;
-      sub.seq_stream_incarnation = 0;
-      sub.last_seq = 0;
-      sub.got_any = false;
-    }
+    if (sub.bound_to(id)) sub.announced = false;
   }
   for (auto& [name, sub] : event_subs_) {
     sub.announced_to.erase(id);
-    // Drain held events. A lost publisher keeps the delivered watermark:
-    // its old ARQ life may still retransmit frames whose acks were lost,
-    // and a fresh receiver would hand them back as brand-new events; a
-    // truly restarted publisher resets it via its new incarnation. After
-    // a link reset the order state goes entirely: old-life
-    // retransmissions carry the dead link session and die at the ARQ
-    // layer, so the forward-only resync guard would only wedge a
-    // restarted publisher whose pub_seq began again at 1.
     evict_ordered_stream(sub, id);
-    if (!lost) sub.order.erase(id);
   }
   for (auto& [name, sub] : file_subs_) {
-    if (!sub.bound_to(id)) continue;
-    sub.announced = false;
-    if (!lost) continue;
-    sub.provider.reset();
-    if (sub.receiver && !sub.receiver->complete()) drop_receiver(sub);
-    // Revision numbers are per provider incarnation: a restarted (or
-    // replacement) publisher counts from 1 again, and a high watermark
-    // from the old life would make us ignore its content forever. The
-    // cost is at most one redundant re-fetch of data we already have.
-    sub.completed_revision = 0;
+    if (sub.bound_to(id)) sub.announced = false;
   }
 }
 

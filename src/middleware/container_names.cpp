@@ -63,10 +63,9 @@ void ServiceContainer::send_name_query(proto::ItemKind kind,
 void ServiceContainer::resubscribe_tick() {
   if (!running_) return;
   rebind_after_directory_change();
-  resub_timer_ =
-      executor_.schedule(config_.resubscribe_interval,
-                         sched::Priority::kBackground,
-                         [this] { resubscribe_tick(); });
+  resub_timer_.arm(executor_, config_.resubscribe_interval,
+                   sched::Priority::kBackground,
+                   [this] { resubscribe_tick(); });
 }
 
 void ServiceContainer::rebind_after_directory_change() {

@@ -121,14 +121,13 @@ void ServiceContainer::call_function(Service* caller,
   call.failovers_left =
       options.binding == RpcBinding::kDynamic ? options.max_failovers : 0;
   trace_ev(obs::TraceEvent::kSend, obs::TraceKind::kRpc, rid);
-  pending_calls_.emplace(rid, std::move(call));
-
-  // Overall deadline regardless of retries/failovers.
-  auto deadline_it = pending_calls_.find(rid);
-  deadline_it->second.timer = executor_.schedule(
-      options.timeout, sched::Priority::kRpc, [this, rid] {
-        fail_over_call(rid, "call timeout");
-      });
+  PendingCall& pending =
+      pending_calls_.emplace(rid, std::move(call)).first->second;
+  // Overall deadline regardless of retries/failovers. The closure finds
+  // the call by id, so it needs no OwnedTimer (and no token per call).
+  pending.timer = executor_.schedule(
+      options.timeout, sched::Priority::kRpc,
+      [this, rid] { fail_over_call(rid, "call timeout"); });
 
   dispatch_call_attempt(rid);
 }

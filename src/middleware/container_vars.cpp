@@ -3,8 +3,6 @@
 // guaranteed initial snapshot.
 #include "middleware/container.h"
 
-#include <algorithm>
-
 #include "encoding/codec.h"
 
 namespace marea::mw {
@@ -34,8 +32,8 @@ StatusOr<VariableHandle> ServiceContainer::register_variable(
       &var_provisions_.emplace(name, std::move(prov)).first->second;
 
   if (qos.period.ns > 0) {
-    p->period_timer = executor_.schedule(qos.period, sched::Priority::kVariable,
-                                         [this, p] { period_tick(*p); });
+    p->period_timer.arm(executor_, qos.period, sched::Priority::kVariable,
+                        [this, p] { period_tick(*p); });
   }
   manifest_changed();
   return VariableHandle(this, name);
@@ -114,9 +112,8 @@ void ServiceContainer::period_tick(VarProvision& prov) {
   if (prov.last_value && now() - prov.last_publish >= prov.qos.period) {
     send_sample(prov);
   }
-  prov.period_timer = executor_.schedule(prov.qos.period,
-                                         sched::Priority::kVariable,
-                                         [this, &prov] { period_tick(prov); });
+  prov.period_timer.arm(executor_, prov.qos.period, sched::Priority::kVariable,
+                        [this, &prov] { period_tick(prov); });
 }
 
 Status ServiceContainer::register_var_subscription(
@@ -182,7 +179,6 @@ Status ServiceContainer::unregister_var_subscription(Service& owner,
   if (!sub.entries.empty()) return Status::ok();
 
   // Last local subscriber gone: tear the container-level subscription down.
-  executor_.cancel(sub.deadline_timer);
   release_binding<proto::VarUnsubscribeMsg>(sub, name,
                                             proto::MsgType::kVarUnsubscribe);
   if (auto ch = sub_channels_.find(sub.channel);
@@ -249,9 +245,8 @@ void ServiceContainer::try_bind_var_subscription(VarSubscription& sub) {
 
 void ServiceContainer::arm_deadline(VarSubscription& sub) {
   if (sub.deadline.ns <= 0) return;
-  executor_.cancel(sub.deadline_timer);
-  sub.deadline_timer = executor_.schedule(
-      sub.deadline, sched::Priority::kVariable, [this, &s = sub] {
+  sub.deadline_timer.arm(
+      executor_, sub.deadline, sched::Priority::kVariable, [this, &s = sub] {
         if (!running_) return;
         if (!s.got_any) {
           // Nothing has flowed yet (provider may still be starting): the

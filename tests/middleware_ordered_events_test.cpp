@@ -171,6 +171,49 @@ TEST(OrderedEventsTest, ReorderWindowFlushBoundsLatency) {
   EXPECT_EQ(ordered->seen.front(), 6u);
 }
 
+TEST(OrderedEventsTest, CrashWhileAFlushWaitsForTheCpu) {
+  // A mid-stream join holds its first arrivals and arms the settling
+  // flush. The flush fires while a long task holds the CPU, so it waits
+  // in the run queue, and the node crashes before it runs: stop() erases
+  // the subscription the flush captured.
+  SimDomain domain(65);
+  auto& n1 = domain.add_node("pub");
+  auto p = std::make_unique<SeqPublisher>();
+  auto* pub = p.get();
+  (void)n1.add_service(std::move(p));
+  auto& n2 = domain.add_node("late");
+  EventQoS qos;
+  qos.ordered = true;
+  qos.reorder_window = milliseconds(100);
+  auto o = std::make_unique<SeqSubscriber>("late_sub", qos);
+  auto* ordered = o.get();
+  (void)n2.add_service(std::move(o));
+  ASSERT_TRUE(n1.start().is_ok());
+  domain.run_for(milliseconds(200));
+  pub->burst(5);  // seqs 1..5, before the subscriber exists
+  domain.run_for(milliseconds(200));
+  ASSERT_TRUE(n2.start().is_ok());
+  domain.run_for(seconds(1.0));
+
+  pub->burst(5);  // seqs 6..10: held, flush armed for 100 ms
+  domain.run_for(milliseconds(50));
+  domain.executor(1).post(sched::Priority::kBackground, [] {},
+                          milliseconds(200));
+  domain.run_for(milliseconds(100));  // the flush has fired, and waits
+  domain.kill_node(1);
+  domain.run_for(milliseconds(500));
+  EXPECT_TRUE(ordered->seen.empty());
+  EXPECT_FALSE(n2.running());
+
+  // The node comes back as a fresh incarnation and follows the stream.
+  domain.restart_node(1);
+  domain.run_for(seconds(1.0));
+  pub->burst(5);
+  domain.run_for(seconds(1.0));
+  EXPECT_EQ(ordered->seen.size(), 5u);
+  EXPECT_EQ(inversions(ordered->seen), 0);
+}
+
 TEST(OrderedEventsTest, MixedQosOnOneContainerUpgradesToOrdered) {
   // Two services in one container, one asking ordered: the shared
   // container-level subscription upgrades, and both see ordered delivery.

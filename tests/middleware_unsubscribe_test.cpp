@@ -25,9 +25,10 @@ namespace {
 
 class Producer final : public Service {
  public:
-  Producer() : Service("producer") {}
+  explicit Producer(Duration validity = seconds(5.0))
+      : Service("producer"), validity_(validity) {}
   Status on_start() override {
-    auto v = provide_variable<Num>("n.var", {.validity = seconds(5.0)});
+    auto v = provide_variable<Num>("n.var", {.validity = validity_});
     if (!v.ok()) return v.status();
     var_ = *v;
     auto e = provide_event<Num>("n.event");
@@ -48,6 +49,7 @@ class Producer final : public Service {
   }
 
  private:
+  Duration validity_;
   VariableHandle var_;
   EventHandle event_;
 };
@@ -77,9 +79,9 @@ struct World {
   Consumer* c1 = nullptr;
   Consumer* c2 = nullptr;
 
-  World() {
+  explicit World(Duration validity = seconds(5.0)) {
     auto& n1 = domain.add_node("pub");
-    auto p = std::make_unique<Producer>();
+    auto p = std::make_unique<Producer>(validity);
     producer = p.get();
     (void)n1.add_service(std::move(p));
     auto& n2 = domain.add_node("subs");
@@ -147,6 +149,34 @@ TEST(UnsubscribeTest, EventUnsubscribeStopsDelivery) {
   // consumers share one node, so event #1 cost a single reliable send and
   // event #2 cost none).
   EXPECT_EQ(w.domain.container(0).stats().events_sent, 1u);
+}
+
+TEST(UnsubscribeTest, VariableUnsubscribeWhileItsDeadlineWaitsForTheCpu) {
+  // The subscription's deadline is the provider's 20 ms validity, and
+  // nothing is published, so its deadline timer re-arms every 20 ms.
+  World w(milliseconds(20));
+  const uint64_t warnings = w.domain.container(1).stats().var_timeout_warnings;
+  // A task holding the subscriber's CPU for 50 ms: the deadline timer
+  // fires meanwhile and waits behind it, past the reach of cancel, and
+  // then the task drops the last local subscriber, erasing the entry the
+  // timer captured.
+  Status drop1, drop2;
+  w.domain.executor(1).post(
+      sched::Priority::kBackground,
+      [&] {
+        drop1 = w.c1->drop_var();
+        drop2 = w.c2->drop_var();
+      },
+      milliseconds(50));
+  w.domain.run_for(milliseconds(200));
+  EXPECT_TRUE(drop1.is_ok());
+  EXPECT_TRUE(drop2.is_ok());
+  EXPECT_EQ(w.domain.container(1).stats().var_timeout_warnings, warnings);
+  // The container carries on: events still flow to both consumers.
+  w.producer->emit(1);
+  w.domain.run_for(milliseconds(100));
+  EXPECT_EQ(w.c1->event_got, 1);
+  EXPECT_EQ(w.c2->event_got, 1);
 }
 
 TEST(UnsubscribeTest, ErrorsOnUnknownOrForeignSubscription) {

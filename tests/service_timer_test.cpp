@@ -64,7 +64,10 @@ TEST(ServiceTimerLifetime, ContainerDestroyedWhileTimersFire) {
           std::chrono::microseconds(rng.next_u64() % 1000));
       if (i % 2 == 1) {
         // Half the rounds stop on the executor first, as a live node
-        // does; the other half leave stop() to the destructor.
+        // does; the other half leave stop() to the destructor, which
+        // closes the service-timer gate first. Only service timers are
+        // gated; these rounds are safe off the executor only because no
+        // container timer (100 ms and up) falls due within one.
         executor.post(sched::Priority::kBackground, [&] { container.stop(); });
         executor.drain();
       }
