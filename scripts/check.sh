@@ -39,20 +39,22 @@ cmake -B build-asan -S . -DMAREA_SANITIZE=ON >/dev/null
 cmake --build build-asan -j"$(nproc)"
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)"
 
-echo "== ASan: live stack x30 + service-timer lifetime =="
+echo "== ASan: live stack x30 + service-timer and RPC provision lifetime =="
 # Container teardown races the executor's threads: one pass of the live
 # stack can miss a use-after-free that thirty rarely do, and the lifetime
 # test destroys a container under a re-arming service timer 1,000 times.
+# The RPC lifetime test kills a node while calls wait for its CPU.
 ./build-asan/tests/live_stack_test --gtest_repeat=30 --gtest_brief=1
 ./build-asan/tests/service_timer_test
+./build-asan/tests/middleware_rpc_test --gtest_filter='RpcProvisionLifetime.*'
 
 echo "== TSan build + parallel-engine and live-transport tests =="
 cmake -B build-tsan -S . -DMAREA_SANITIZE=TSAN >/dev/null
 cmake --build build-tsan -j"$(nproc)" --target parallel_sim_test \
   chaos_soak_test radio_relay_test chunk_pipeline_test transport_test \
-  live_soak_test live_stack_test service_timer_test
+  live_soak_test live_stack_test service_timer_test middleware_rpc_test
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
-  -R 'ParallelSim|ChaosSoak|DataMuleScenario|ChunkPipeline|LiveBackend|LiveSoak|LiveStack|ServiceTimerLifetime'
+  -R 'ParallelSim|ChaosSoak|DataMuleScenario|ChunkPipeline|LiveBackend|LiveSoak|LiveStack|ServiceTimerLifetime|RpcProvisionLifetime'
 
 echo "== release hot-path bench (BENCH_hotpath.json) =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null

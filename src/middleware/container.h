@@ -29,6 +29,7 @@
 #pragma once
 
 #include <condition_variable>
+#include <deque>
 #include <map>
 #include <memory>
 #include <limits>
@@ -280,6 +281,56 @@ class ServiceContainer {
     std::shared_ptr<char> token_;
   };
 
+  // The services subscribed to one name. Handlers run synchronously
+  // inside walk() and may subscribe or unsubscribe any service, their
+  // own included, so no entry may move or die under a running handler:
+  // a deque appends without moving, and while a walk is in progress
+  // remove() only clears an entry's service (a tombstone) for the last
+  // walk out to compact. A walk visits the entries it started with; one
+  // added meanwhile gets the next delivery. A subscription that loses
+  // its last service inside a walk is not erased there: it stays in its
+  // map, still bound, until the next resubscribe tick retires it (a
+  // service subscribing meanwhile simply joins it), so whatever holds it
+  // across the walk (ordered-delivery state, a timer closure, a loop
+  // over the map) still holds live memory.
+  template <typename Entry>
+  struct Subscribers {
+    std::deque<Entry> entries;
+    int walking = 0;
+    bool tombstones = false;
+
+    template <typename Fn>
+    void walk(Fn&& fn) {
+      ++walking;
+      for (size_t i = 0, n = entries.size(); i < n; ++i) {
+        if (entries[i].service) fn(entries[i]);
+      }
+      if (--walking == 0 && tombstones) compact();
+    }
+    // Removes `owner`'s entries; returns how many there were.
+    size_t remove(const Service* owner) {
+      size_t n = 0;
+      for (auto& e : entries) {
+        if (e.service == owner) {
+          e.service = nullptr;
+          ++n;
+        }
+      }
+      tombstones = tombstones || n > 0;
+      if (walking == 0 && tombstones) compact();
+      return n;
+    }
+    // No service left and no walk in progress (so no tombstones either):
+    // safe to erase.
+    bool retirable() const { return walking == 0 && entries.empty(); }
+
+   private:
+    void compact() {
+      std::erase_if(entries, [](const Entry& e) { return !e.service; });
+      tombstones = false;
+    }
+  };
+
   struct VarSubscription;
   struct VarProvision {
     Service* owner = nullptr;
@@ -327,11 +378,10 @@ class ServiceContainer {
     }
   };
 
-  struct VarSubscription : ProviderBinding {
+  struct VarSubscription : ProviderBinding, Subscribers<VarSubEntry> {
     std::string name;
     uint32_t channel = 0;
     enc::TypePtr type;
-    std::vector<VarSubEntry> entries;
     // cache
     std::optional<enc::Value> last_value;
     // Decode target for remote samples. A good decode is swapped with
@@ -367,10 +417,9 @@ class ServiceContainer {
     EventHandler handler;
   };
 
-  struct EventSubscription {
+  struct EventSubscription : Subscribers<EventSubEntry> {
     std::string name;
     enc::TypePtr type;
-    std::vector<EventSubEntry> entries;
     // Events may have redundant publishers; subscribe to all of them.
     std::set<proto::ContainerId> announced_to;
     TimePoint last_name_query = kNeverQueried;  // see ProviderBinding
@@ -638,6 +687,10 @@ class ServiceContainer {
                       const proto::RpcRequestMsg& msg);
   void on_rpc_response(proto::ContainerId from,
                        const proto::RpcResponseMsg& msg);
+  // Runs `function`'s handler on `args`; kUnavailable if this container
+  // no longer provides it.
+  StatusOr<enc::Value> serve_call(const std::string& function,
+                                  const enc::Value& args);
   void dispatch_call_attempt(uint64_t rid);
   std::optional<ProviderRecord> pick_provider(const std::string& function,
                                               const CallOptions& options,
@@ -669,6 +722,12 @@ class ServiceContainer {
 
   // --- subscription upkeep ---
   void resubscribe_tick();
+  // Tear a subscription down (unsubscribe its provider, drop its wire
+  // ids) and erase it; `it` must be retirable().
+  void retire_var_subscription(
+      std::map<std::string, VarSubscription>::iterator it);
+  void retire_event_subscription(
+      std::map<std::string, EventSubscription>::iterator it);
   void try_bind_var_subscription(VarSubscription& sub);
   void try_bind_event_subscription(EventSubscription& sub);
   void try_bind_file_subscription(FileSubscription& sub);

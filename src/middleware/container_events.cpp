@@ -101,22 +101,23 @@ Status ServiceContainer::unregister_event_subscription(
   if (it == event_subs_.end()) {
     return not_found_error("not subscribed to event '" + name + "'");
   }
-  EventSubscription& sub = it->second;
-  if (std::erase_if(sub.entries,
-                    [&](const auto& e) { return e.service == &owner; }) == 0) {
+  if (it->second.remove(&owner) == 0) {
     return not_found_error("service '" + owner.name() +
                            "' is not subscribed to '" + name + "'");
   }
-  if (!sub.entries.empty()) return Status::ok();
+  if (it->second.retirable()) retire_event_subscription(it);
+  return Status::ok();
+}
 
+void ServiceContainer::retire_event_subscription(
+    std::map<std::string, EventSubscription>::iterator it) {
   proto::EventUnsubscribeMsg msg;
-  msg.name = name;
+  msg.name = it->first;
   const Buffer inner = control_frame(proto::MsgType::kEventUnsubscribe, msg);
-  for (proto::ContainerId provider : sub.announced_to) {
+  for (proto::ContainerId provider : it->second.announced_to) {
     link_send(provider, proto::InnerType::kControl, inner);
   }
   event_subs_.erase(it);
-  return Status::ok();
 }
 
 void ServiceContainer::try_bind_event_subscription(EventSubscription& sub) {
@@ -149,12 +150,12 @@ void ServiceContainer::deliver_event_locally(EventSubscription& sub,
   trace_ev(obs::TraceEvent::kDeliver, obs::TraceKind::kEvent,
            proto::channel_of(sub.name), info.seq);
   if (event_latency_us_) event_latency_us_->record(info.latency.ns / 1000);
-  for (auto& entry : sub.entries) {
+  sub.walk([&](EventSubEntry& entry) {
     stats_.events_delivered++;
     usage_of(entry.service).events_delivered++;
     guard(entry.service, "event handler",
           [&] { entry.handler(value, info); });
-  }
+  });
 }
 
 void ServiceContainer::on_event_subscribe(

@@ -62,6 +62,15 @@ void ServiceContainer::send_name_query(proto::ItemKind kind,
 
 void ServiceContainer::resubscribe_tick() {
   if (!running_) return;
+  // Subscriptions a handler emptied while they were being walked.
+  for (auto it = var_subs_.begin(); it != var_subs_.end();) {
+    auto cur = it++;
+    if (cur->second.retirable()) retire_var_subscription(cur);
+  }
+  for (auto it = event_subs_.begin(); it != event_subs_.end();) {
+    auto cur = it++;
+    if (cur->second.retirable()) retire_event_subscription(cur);
+  }
   rebind_after_directory_change();
   resub_timer_.arm(executor_, config_.resubscribe_interval,
                    sched::Priority::kBackground,

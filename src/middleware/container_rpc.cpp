@@ -93,19 +93,12 @@ void ServiceContainer::call_function(Service* caller,
   usage_of(caller).rpc_calls_issued++;
 
   // Same-container provider: bypass the network entirely.
-  if (auto it = functions_.find(function); it != functions_.end()) {
-    FunctionProvision* prov = &it->second;
+  if (functions_.count(function)) {
     executor_.post(
         sched::Priority::kRpc,
-        [this, prov, args = std::move(args),
+        [this, function, args = std::move(args),
          callback = std::move(callback)]() mutable {
-          stats_.rpc_served++;
-          usage_of(prov->owner).rpc_calls_served++;
-          StatusOr<enc::Value> result =
-              internal_error("function handler crashed");
-          guard(prov->owner, "function handler",
-                [&] { result = prov->handler(args); });
-          callback(std::move(result));
+          callback(serve_call(function, args));
         },
         config_.handler_cost);
     return;
@@ -272,17 +265,11 @@ void ServiceContainer::on_rpc_request(proto::ContainerId from,
   }
 
   // Run the service's handler at RPC priority, then respond.
-  FunctionProvision* prov = &it->second;
   executor_.post(
       sched::Priority::kRpc,
-      [this, from, request_id = msg.request_id, prov,
+      [this, from, request_id = msg.request_id, function = msg.function,
        args = std::move(args).value()]() mutable {
-        stats_.rpc_served++;
-        usage_of(prov->owner).rpc_calls_served++;
-        StatusOr<enc::Value> result =
-            internal_error("function handler crashed");
-        guard(prov->owner, "function handler",
-              [&] { result = prov->handler(args); });
+        StatusOr<enc::Value> result = serve_call(function, args);
         proto::RpcResponseMsg out;
         out.request_id = request_id;
         if (result.ok()) {
@@ -297,6 +284,23 @@ void ServiceContainer::on_rpc_request(proto::ContainerId from,
         link_send(from, proto::InnerType::kRpcResponse, w.take());
       },
       config_.handler_cost);
+}
+
+StatusOr<enc::Value> ServiceContainer::serve_call(const std::string& function,
+                                                  const enc::Value& args) {
+  // Looked up again when the handler gets the CPU, not captured when the
+  // call arrived: a stop() in between (a node killed while the call
+  // waited) has erased the provision.
+  auto it = functions_.find(function);
+  if (it == functions_.end()) {
+    return unavailable_error("function '" + function + "' withdrawn");
+  }
+  FunctionProvision& prov = it->second;
+  stats_.rpc_served++;
+  usage_of(prov.owner).rpc_calls_served++;
+  StatusOr<enc::Value> result = internal_error("function handler crashed");
+  guard(prov.owner, "function handler", [&] { result = prov.handler(args); });
+  return result;
 }
 
 void ServiceContainer::on_rpc_response(proto::ContainerId from,

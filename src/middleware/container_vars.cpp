@@ -170,27 +170,28 @@ Status ServiceContainer::unregister_var_subscription(Service& owner,
   if (it == var_subs_.end()) {
     return not_found_error("not subscribed to variable '" + name + "'");
   }
-  VarSubscription& sub = it->second;
-  if (std::erase_if(sub.entries,
-                    [&](const auto& e) { return e.service == &owner; }) == 0) {
+  if (it->second.remove(&owner) == 0) {
     return not_found_error("service '" + owner.name() +
                            "' is not subscribed to '" + name + "'");
   }
-  if (!sub.entries.empty()) return Status::ok();
+  if (it->second.retirable()) retire_var_subscription(it);
+  return Status::ok();
+}
 
-  // Last local subscriber gone: tear the container-level subscription down.
-  release_binding<proto::VarUnsubscribeMsg>(sub, name,
+void ServiceContainer::retire_var_subscription(
+    std::map<std::string, VarSubscription>::iterator it) {
+  VarSubscription& sub = it->second;
+  release_binding<proto::VarUnsubscribeMsg>(sub, it->first,
                                             proto::MsgType::kVarUnsubscribe);
   if (auto ch = sub_channels_.find(sub.channel);
       ch != sub_channels_.end() && ch->second == &sub) {
     sub_channels_.erase(ch);
   }
-  if (auto prov_it = var_provisions_.find(name);
+  if (auto prov_it = var_provisions_.find(it->first);
       prov_it != var_provisions_.end()) {
     prov_it->second.local_sub = nullptr;
   }
   var_subs_.erase(it);
-  return Status::ok();
 }
 
 void ServiceContainer::try_bind_var_subscription(VarSubscription& sub) {
@@ -259,12 +260,12 @@ void ServiceContainer::arm_deadline(VarSubscription& sub) {
           // §4.1: "the service container will warn of this timeout
           // circumstance to the affected services".
           stats_.var_timeout_warnings++;
-          for (auto& entry : s.entries) {
+          s.walk([&](VarSubEntry& entry) {
             if (entry.on_timeout) {
               guard(entry.service, "variable timeout handler",
                     [&] { entry.on_timeout(silence); });
             }
-          }
+          });
         }
         arm_deadline(s);
       });
@@ -292,12 +293,12 @@ void ServiceContainer::deliver_sample(VarSubscription& sub,
            info.seq);
   // Local bypass deliveries count as zero latency — that IS the datum.
   if (var_latency_us_) var_latency_us_->record(info.latency.ns / 1000);
-  for (auto& entry : sub.entries) {
+  sub.walk([&](VarSubEntry& entry) {
     stats_.var_local_deliveries++;
     usage_of(entry.service).samples_delivered++;
     guard(entry.service, "variable handler",
           [&] { entry.handler(*sub.last_value, info); });
-  }
+  });
 }
 
 void ServiceContainer::on_var_subscribe(proto::ContainerId from,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 namespace marea::proto {
 
@@ -14,7 +15,8 @@ ArqSender::ArqSender(sched::Executor& executor, sched::Priority priority,
     : executor_(executor),
       priority_(priority),
       params_(params),
-      send_fn_(std::move(send_fn)) {
+      send_fn_(std::move(send_fn)),
+      rto_(params.initial_rto) {
   assert(send_fn_);
 }
 
@@ -29,23 +31,37 @@ uint64_t ArqSender::send(InnerType inner_type, Buffer inner) {
   msg.inner = std::move(inner);
   stats_.messages_accepted++;
 
+  const uint64_t seq = msg.seq;
   if (outstanding_.size() >= params_.window) {
-    uint64_t seq = msg.seq;
     pending_.push_back(std::move(msg));
-    return seq;
+  } else {
+    start(std::move(msg));
   }
-  uint64_t seq = msg.seq;
-  auto [it, inserted] = outstanding_.emplace(
-      seq, Outstanding{std::move(msg), 0, 0, params_.initial_rto,
-                       sched::kInvalidTaskTimer});
-  assert(inserted);
-  transmit(it->second, /*retransmit=*/false);
   return seq;
 }
 
-void ArqSender::transmit(Outstanding& out, bool retransmit) {
+void ArqSender::start(ReliableDataMsg msg) {
+  const uint64_t seq = msg.seq;
+  auto [it, inserted] = outstanding_.emplace(seq, Outstanding{});
+  assert(inserted);
+  Outstanding& out = it->second;
+  out.msg = std::move(msg);
+  out.first_sent = executor_.now();
+  out.rto = rto_;
+  // The tail probe: before the full RTO, re-send once after about two
+  // round trips, the only repair a lone message can get early.
+  Duration timer = rto_;
+  if (has_rtt_) {
+    timer = std::min(rto_, std::max(Duration{srtt_.ns * 2}, params_.min_rto));
+  }
+  out.probing = timer < rto_;
+  transmit(out, /*retransmit=*/false, timer);
+}
+
+void ArqSender::transmit(Outstanding& out, bool retransmit, Duration timer) {
   stats_.frames_sent++;
   if (retransmit) {
+    out.resent = true;
     stats_.retransmits++;
     if (trace_) {
       trace_->record(executor_.now(), obs::TraceEvent::kRetransmit,
@@ -54,15 +70,10 @@ void ArqSender::transmit(Outstanding& out, bool retransmit) {
     }
   }
   send_fn_(out.msg);
-  arm_timer(out.msg.seq);
-}
-
-void ArqSender::arm_timer(uint64_t seq) {
-  auto it = outstanding_.find(seq);
-  if (it == outstanding_.end()) return;
-  executor_.cancel(it->second.timer);
-  it->second.timer = executor_.schedule(
-      it->second.rto, priority_, [this, seq] { on_timeout(seq); });
+  executor_.cancel(out.timer);
+  const uint64_t seq = out.msg.seq;
+  out.timer =
+      executor_.schedule(timer, priority_, [this, seq] { on_timeout(seq); });
 }
 
 void ArqSender::on_timeout(uint64_t seq) {
@@ -70,12 +81,32 @@ void ArqSender::on_timeout(uint64_t seq) {
   if (it == outstanding_.end()) return;
   Outstanding& out = it->second;
   out.timer = sched::kInvalidTaskTimer;
+  if (out.probing) {
+    out.probing = false;
+    transmit(out, /*retransmit=*/true, out.rto);
+    return;
+  }
   if (++out.retries > params_.max_retries) {
     fail(seq, timeout_error("ARQ gave up after max retries"));
     return;
   }
   out.rto = std::min(Duration{out.rto.ns * 2}, params_.max_rto);
-  transmit(out, /*retransmit=*/true);
+  transmit(out, /*retransmit=*/true, out.rto);
+}
+
+void ArqSender::on_rtt_sample(Duration r) {
+  if (!has_rtt_) {
+    has_rtt_ = true;
+    srtt_ = r;
+    rttvar_ = Duration{r.ns / 2};
+  } else {
+    const int64_t err = srtt_.ns > r.ns ? srtt_.ns - r.ns : r.ns - srtt_.ns;
+    rttvar_ = Duration{(3 * rttvar_.ns + err) / 4};
+    srtt_ = Duration{(7 * srtt_.ns + r.ns) / 8};
+  }
+  rto_ = std::max(params_.min_rto,
+                  std::min(Duration{srtt_.ns + 4 * rttvar_.ns},
+                           params_.max_rto));
 }
 
 void ArqSender::fail(uint64_t seq, const Status& status) {
@@ -105,11 +136,15 @@ void ArqSender::on_ack(const ReliableAckMsg& ack) {
   }
   bool has_any = ack.floor > 0 || any_above;
 
+  // Karn's rule: at most one sample per ack, from the highest seq it
+  // newly covers that was sent exactly once.
+  std::optional<TimePoint> sample_sent;
   for (auto it = outstanding_.begin(); it != outstanding_.end();) {
     uint64_t seq = it->first;
     Outstanding& out = it->second;
     if (is_acked(ack, seq)) {
       executor_.cancel(out.timer);
+      if (!out.resent) sample_sent = out.first_sent;
       stats_.delivered++;
       uint64_t done = seq;
       it = outstanding_.erase(it);
@@ -122,12 +157,14 @@ void ArqSender::on_ack(const ReliableAckMsg& ack) {
     if (has_any && seq < highest) {
       if (++out.skips >= params_.skip_threshold) {
         out.skips = 0;
+        out.probing = false;
         stats_.fast_retransmits++;
-        transmit(out, /*retransmit=*/true);
+        transmit(out, /*retransmit=*/true, out.rto);
       }
     }
     ++it;
   }
+  if (sample_sent) on_rtt_sample(executor_.now() - *sample_sent);
   pump_pending();
 }
 
@@ -135,12 +172,7 @@ void ArqSender::pump_pending() {
   while (!pending_.empty() && outstanding_.size() < params_.window) {
     ReliableDataMsg msg = std::move(pending_.front());
     pending_.pop_front();
-    uint64_t seq = msg.seq;
-    auto [it, inserted] = outstanding_.emplace(
-        seq, Outstanding{std::move(msg), 0, 0, params_.initial_rto,
-                         sched::kInvalidTaskTimer});
-    assert(inserted);
-    transmit(it->second, /*retransmit=*/false);
+    start(std::move(msg));
   }
 }
 

@@ -11,6 +11,31 @@
 //     (dup-ack analogue) instead of waiting for a coarse RTO;
 //   * sequences are message-granular: no byte-stream bookkeeping.
 // Delivery is dedup'd but NOT reordered: arrival order is delivery order.
+//
+// Retransmission timeout, per sender (one per peer session), after
+// RFC 6298 in integer nanoseconds: the first RTT sample R sets SRTT = R
+// and RTTVAR = R/2, later ones fold in with α = 1/8 and β = 1/4, and
+// RTO = SRTT + 4·RTTVAR clamped to [min_rto, max_rto]; initial_rto
+// applies until the first sample.
+//   * Karn's rule: a message is stamped when first sent and marked once
+//     re-sent by any path (timeout, fast retransmit, probe). An ack
+//     yields at most one sample, from the highest seq it newly covers
+//     that was sent exactly once. Receivers ack every arrival at once,
+//     so there is no delayed-ack term.
+//   * Tail probe (RACK-TLP, RFC 8985, simplified): sparse events give
+//     fast retransmit nothing to count, so a message's first timer fires
+//     at min(RTO, max(2·SRTT, min_rto)). Earlier than the RTO, the firing
+//     is a probe: one re-send, no doubling, not counted toward
+//     max_retries, then the full RTO.
+//   * Each timeout doubles the message's own timer, capped at max_rto.
+//     The sender gives up after the probe plus 13 intervals: about 3.4 s
+//     from the 1 ms floor, 5.3 s from a 5 ms RTO (7.95 s for the old fixed
+//     50 ms), far above the 350 ms liveness timeout.
+//   * min_rto = initial_rto keeps the fixed-timer schedule while
+//     SRTT + 4·RTTVAR stays below it: no sample lowers the RTO and no
+//     probe fires before it (the A1 ablation).
+// State: three Durations and a flag per sender, a TimePoint and two flags
+// per message in flight; no allocation, no floating point.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +51,8 @@
 namespace marea::proto {
 
 struct ArqParams {
-  Duration initial_rto = milliseconds(50);
+  Duration initial_rto = milliseconds(50);  // until the first RTT sample
+  Duration min_rto = milliseconds(1);
   Duration max_rto = milliseconds(800);
   int max_retries = 12;
   size_t window = 64;       // max unacked messages in flight
@@ -86,19 +112,27 @@ class ArqSender {
   size_t in_flight() const { return outstanding_.size(); }
   size_t queued() const { return pending_.size(); }
   const ArqSenderStats& stats() const { return stats_; }
+  // Smoothed round trip (zero before the first sample) and the timeout
+  // the next first transmission is armed with.
+  Duration srtt() const { return srtt_; }
+  Duration rto() const { return rto_; }
 
  private:
   struct Outstanding {
     ReliableDataMsg msg;
+    TimePoint first_sent{};
+    bool resent = false;   // Karn: no RTT sample from this seq
+    bool probing = false;  // the armed timer is the tail probe
     int retries = 0;
     int skips = 0;  // acks seen that exclude this seq
-    Duration rto;
+    Duration rto;   // this message's timer, doubled on each timeout
     sched::TaskTimerId timer = sched::kInvalidTaskTimer;
   };
 
   bool is_acked(const ReliableAckMsg& ack, uint64_t seq) const;
-  void transmit(Outstanding& out, bool retransmit);
-  void arm_timer(uint64_t seq);
+  void start(ReliableDataMsg msg);
+  void transmit(Outstanding& out, bool retransmit, Duration timer);
+  void on_rtt_sample(Duration r);
   void on_timeout(uint64_t seq);
   void fail(uint64_t seq, const Status& status);
   void pump_pending();
@@ -109,6 +143,12 @@ class ArqSender {
   SendFn send_fn_;
   DeliveredFn on_delivered_;
   FailedFn on_failed_;
+
+  // RFC 6298 estimator state.
+  Duration srtt_ = kDurationZero;
+  Duration rttvar_ = kDurationZero;
+  Duration rto_;
+  bool has_rtt_ = false;
 
   uint64_t next_seq_ = 0;
   std::map<uint64_t, Outstanding> outstanding_;

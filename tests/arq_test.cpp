@@ -3,6 +3,7 @@
 // so loss/latency are real, seeded and replayable.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 
 #include "protocol/arq.h"
@@ -25,6 +26,7 @@ class ArqHarness {
     sender_ = std::make_unique<ArqSender>(
         exec_, sched::Priority::kEvent, params,
         [this](const ReliableDataMsg& msg) {
+          sends_.emplace_back(msg.seq, sim_.now());
           ByteWriter w;
           msg.encode(w);
           (void)net_.send(Address{a_, 1}, Address{b_, 1},
@@ -64,6 +66,30 @@ class ArqHarness {
   std::unique_ptr<ArqSender> sender_;
   std::unique_ptr<ArqReceiver> receiver_;
   std::vector<std::pair<InnerType, Buffer>> delivered_;
+  std::vector<std::pair<uint64_t, TimePoint>> sends_;  // (seq, when)
+
+  // Sets both directions' one-way latency (no jitter).
+  void set_latency(Duration latency) {
+    sim::LinkParams lp;
+    lp.latency = latency;
+    net_.set_link_symmetric(a_, b_, lp);
+  }
+  // Sends one message and runs until the link is idle.
+  void exchange() {
+    sender_->send(InnerType::kEvent, Buffer{0});
+    sim_.run();
+  }
+  // Offsets of `seq`'s transmissions from its first one.
+  std::vector<Duration> send_offsets(uint64_t seq) const {
+    std::vector<Duration> out;
+    std::optional<TimePoint> first;
+    for (const auto& [s, at] : sends_) {
+      if (s != seq) continue;
+      if (!first) first = at;
+      out.push_back(at - *first);
+    }
+    return out;
+  }
 };
 
 TEST(ArqTest, LosslessDelivery) {
@@ -174,7 +200,8 @@ TEST(ArqTest, FastRetransmitBeatsRtoOnSingleGap) {
   // Drop exactly one frame, then measure that recovery happened well
   // before the (huge) RTO.
   ArqParams params;
-  params.initial_rto = seconds(10.0);  // RTO effectively disabled
+  params.initial_rto = seconds(10.0);  // RTO effectively disabled,
+  params.min_rto = seconds(10.0);      // also once RTT samples arrive
   ArqHarness h(0.0, 5, params);
 
   // Intercept: drop the first data frame only.
@@ -226,6 +253,127 @@ TEST(ArqTest, AckCarriesCompactRunSet) {
   rx.on_data(m);
   EXPECT_EQ(captured.floor, 3u);
   EXPECT_TRUE(captured.above.empty());
+}
+
+// --- retransmission timeout from the measured RTT (RFC 6298) ---------------
+
+TEST(ArqEstimatorTest, RtoConvergesToRfc6298OnFixedLatencyLink) {
+  ArqHarness h(0.0);
+  h.set_latency(milliseconds(5));
+  EXPECT_EQ(h.sender_->srtt(), kDurationZero);
+  EXPECT_EQ(h.sender_->rto(), ArqParams{}.initial_rto);
+
+  // First sample: SRTT = R, RTTVAR = R/2, RTO = SRTT + 4·RTTVAR = 3R.
+  h.exchange();
+  const Duration r = h.sender_->srtt();
+  ASSERT_GT(r, milliseconds(10));  // two 5 ms hops plus serialization
+  int64_t rttvar = r.ns / 2;
+  EXPECT_EQ(h.sender_->rto(), Duration{r.ns + 4 * rttvar});
+
+  // Every later sample equals SRTT, so SRTT holds and RTTVAR decays by
+  // 3/4 per sample (integer arithmetic) until the RTO is SRTT itself.
+  for (int i = 1; i < 80; ++i) {
+    h.exchange();
+    rttvar = 3 * rttvar / 4;
+    ASSERT_EQ(h.sender_->srtt(), r) << "sample " << i;
+    ASSERT_EQ(h.sender_->rto(), Duration{r.ns + 4 * rttvar}) << "sample " << i;
+  }
+  EXPECT_EQ(rttvar, 0);
+  EXPECT_EQ(h.sender_->rto(), r);
+  EXPECT_EQ(h.sender_->stats().retransmits, 0u);
+}
+
+TEST(ArqEstimatorTest, RtoNeverFallsBelowMinRto) {
+  ArqHarness h(0.0);  // 0.2 ms hops: the RTT is well under the 1 ms floor
+  for (int i = 0; i < 80; ++i) h.exchange();
+  EXPECT_LT(h.sender_->srtt(), microseconds(500));
+  EXPECT_EQ(h.sender_->rto(), ArqParams{}.min_rto);
+}
+
+TEST(ArqEstimatorTest, KarnRetransmittedSeqAddsNoSample) {
+  ArqHarness h(0.0);
+  h.set_latency(milliseconds(5));
+  for (int i = 0; i < 3; ++i) h.exchange();
+  const Duration srtt = h.sender_->srtt();
+  const Duration rto = h.sender_->rto();
+
+  // Lose seq 3's first transmission: it arrives only when re-sent, so
+  // its ack measures first-send-to-ack across a retransmit and must not
+  // be sampled. Any sample would move the RTO (RTTVAR still decays).
+  h.net_.unbind(Address{h.b_, 1});
+  bool dropped = false;
+  (void)h.net_.bind_frames(
+      Address{h.b_, 1}, [&](Address, const SharedFrame& frame) {
+        ByteReader r(frame.view());
+        ReliableDataMsg msg;
+        if (!ReliableDataMsg::decode(r, msg)) return;
+        if (!dropped && msg.seq == 3) {
+          dropped = true;
+          return;
+        }
+        h.receiver_->on_data(msg);
+      });
+  h.exchange();
+  ASSERT_TRUE(dropped);
+  EXPECT_EQ(h.delivered_.size(), 4u);
+  EXPECT_EQ(h.sender_->stats().retransmits, 1u);
+  EXPECT_EQ(h.sender_->srtt(), srtt);
+  EXPECT_EQ(h.sender_->rto(), rto);
+}
+
+TEST(ArqEstimatorTest, TailProbeFiresOnceWithoutDoublingOrCounting) {
+  ArqParams params;
+  params.max_retries = 3;
+  ArqHarness h(0.0, 5, params);
+  h.set_latency(milliseconds(5));
+  h.exchange();  // one sample: SRTT = R, RTO ≈ 3R, probe after 2R
+  const Duration r = h.sender_->srtt();
+  const Duration rto = h.sender_->rto();
+  ASSERT_EQ(rto, Duration{r.ns + 4 * (r.ns / 2)});
+
+  std::vector<TimePoint> failed_at;
+  h.sender_->set_on_failed(
+      [&](uint64_t, const Status&) { failed_at.push_back(h.sim_.now()); });
+  h.net_.set_node_up(h.b_, false);
+  h.exchange();
+
+  // Probe at 2R; then the full RTO, not a doubled probe; then three
+  // doubling timeouts (max_retries), and the fourth gives up.
+  const std::vector<Duration> expected = {kDurationZero, r * 2, r * 2 + rto,
+                                          r * 2 + rto * 3, r * 2 + rto * 7};
+  EXPECT_EQ(h.send_offsets(1), expected);
+  EXPECT_EQ(h.sender_->stats().retransmits, 4u);
+  ASSERT_EQ(failed_at.size(), 1u);
+  EXPECT_EQ(failed_at[0] - h.sends_.back().second, rto * 8);
+  EXPECT_EQ(h.sender_->in_flight(), 0u);
+}
+
+TEST(ArqEstimatorTest, MinRtoAtInitialRtoKeepsTheFixedTimerSchedule) {
+  ArqParams params;
+  params.min_rto = params.initial_rto;
+  ArqHarness h(0.0, 5, params);
+  for (int i = 0; i < 5; ++i) h.exchange();  // samples taken, none bite
+  EXPECT_GT(h.sender_->srtt(), kDurationZero);
+  EXPECT_EQ(h.sender_->rto(), params.initial_rto);
+
+  TimePoint failed_at{};
+  h.sender_->set_on_failed(
+      [&](uint64_t, const Status&) { failed_at = h.sim_.now(); });
+  h.net_.set_node_up(h.b_, false);
+  h.exchange();
+
+  // No probe: 50 ms doubling to the 800 ms cap, 12 re-sends, give-up at
+  // 7.95 s — the fixed-timer schedule.
+  std::vector<Duration> expected = {kDurationZero};
+  Duration interval = params.initial_rto;
+  Duration at = kDurationZero;
+  for (int i = 0; i < params.max_retries; ++i) {
+    at = at + interval;
+    expected.push_back(at);
+    interval = std::min(interval * 2, params.max_rto);
+  }
+  EXPECT_EQ(h.send_offsets(5), expected);
+  EXPECT_EQ(failed_at - h.sends_[5].second, milliseconds(7950));
 }
 
 }  // namespace

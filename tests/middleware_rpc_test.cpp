@@ -337,5 +337,49 @@ TEST(RpcTest, UnknownFunctionOnProviderFailsOver) {
   ASSERT_EQ(caller->errors.size(), 1u);  // no provider at all -> timeout
 }
 
+// A node killed while calls wait for its CPU: kill_node's stop() erases
+// the provisions those calls were to run. Each call must find its
+// provision again when it gets the CPU and answer kUnavailable, not run
+// a handler out of freed memory (a heap-use-after-free under ASan).
+TEST(RpcProvisionLifetime, KillNodeWhileCallsWaitForTheCpu) {
+  for (int offset_ms = 0; offset_ms <= 40; offset_ms += 5) {
+    SCOPED_TRACE("kill at +" + std::to_string(offset_ms) + " ms");
+    SimDomain domain(36);
+    ContainerConfig slow;
+    slow.handler_cost = milliseconds(10);
+    auto& server = domain.add_node("server", slow);
+    (void)server.add_service(std::make_unique<Calculator>("a"));
+    auto local = std::make_unique<CallerService>();
+    CallerService* local_caller = local.get();
+    (void)server.add_service(std::move(local));
+    auto& client = domain.add_node("client");
+    auto remote = std::make_unique<CallerService>();
+    CallerService* remote_caller = remote.get();
+    (void)client.add_service(std::move(remote));
+    domain.start_all();
+    domain.run_for(milliseconds(500));
+
+    // Two same-container calls (the bypass) and two over the network,
+    // queued behind each other on the server's 10 ms handler cost.
+    local_caller->add(1, 2);
+    remote_caller->add(3, 4);
+    local_caller->add(5, 6);
+    remote_caller->add(7, 8);
+    domain.run_for(milliseconds(offset_ms));
+    domain.kill_node(0);
+    domain.run_for(seconds(2.0));
+
+    // The bypass answers every call: served before the kill, or
+    // kUnavailable after it.
+    EXPECT_EQ(local_caller->results.size() + local_caller->errors.size(), 2u);
+    for (const Status& e : local_caller->errors) {
+      EXPECT_EQ(e.code(), StatusCode::kUnavailable) << e.to_string();
+    }
+    // Remote calls resolve too: served, or failed once the server is gone.
+    EXPECT_EQ(remote_caller->results.size() + remote_caller->errors.size(),
+              2u);
+  }
+}
+
 }  // namespace
 }  // namespace marea::mw

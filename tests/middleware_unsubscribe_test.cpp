@@ -229,5 +229,128 @@ TEST(UnsubscribeTest, FileUnsubscribeStopsRevisionFollowing) {
   EXPECT_EQ(sub_ptr->done, 1);  // not delivered anymore
 }
 
+// A service that unsubscribes itself from inside its own handler, which
+// runs inside the container's walk over that subscription's services.
+class Leaver final : public Service {
+ public:
+  Leaver(std::string name, EventQoS qos = {})
+      : Service(std::move(name)), qos_(qos) {}
+  Status on_start() override {
+    Status s = subscribe_event<Num>(
+        "n.event",
+        [this](const Num&, const EventInfo&) {
+          ++event_got;
+          left_event = unsubscribe_event("n.event");
+        },
+        qos_);
+    if (!s.is_ok()) return s;
+    return subscribe_variable<Num>(
+        "n.var", [this](const Num&, const SampleInfo&) { ++var_got; },
+        [this](Duration) {
+          ++timeouts;
+          left_var = unsubscribe_variable("n.var");
+        });
+  }
+  int event_got = 0;
+  int var_got = 0;
+  int timeouts = 0;
+  Status left_event = internal_error("handler never ran");
+  Status left_var = internal_error("timeout handler never ran");
+
+ private:
+  EventQoS qos_;
+};
+
+size_t handler_crashes(SimDomain& domain) {
+  size_t n = 0;
+  for (const auto& r : domain.obs().trace.snapshot()) {
+    n += r.event == static_cast<uint16_t>(obs::TraceEvent::kHandlerCrash);
+  }
+  return n;
+}
+
+struct LeaverWorld {
+  SimDomain domain{93};
+  Producer* producer = nullptr;
+  Leaver* first = nullptr;
+  Consumer* second = nullptr;
+
+  // `second_leaves`: the second service is a Leaver too, so the first
+  // delivery empties the subscription from inside its own walk.
+  LeaverWorld(EventQoS qos, bool second_leaves, Duration validity) {
+    auto& n1 = domain.add_node("pub");
+    auto p = std::make_unique<Producer>(validity);
+    producer = p.get();
+    (void)n1.add_service(std::move(p));
+    auto& n2 = domain.add_node("subs");
+    auto a = std::make_unique<Leaver>("first", qos);
+    first = a.get();
+    (void)n2.add_service(std::move(a));
+    if (second_leaves) {
+      (void)n2.add_service(std::make_unique<Leaver>("second", qos));
+    } else {
+      auto b = std::make_unique<Consumer>("second");
+      second = b.get();
+      (void)n2.add_service(std::move(b));
+    }
+    domain.start_all();
+    domain.run_for(milliseconds(500));
+  }
+};
+
+TEST(UnsubscribeTest, HandlerUnsubscribingLeavesLaterSubscribersServed) {
+  LeaverWorld w({}, /*second_leaves=*/false, seconds(5.0));
+  w.producer->emit(1);
+  w.domain.run_for(milliseconds(100));
+  EXPECT_TRUE(w.first->left_event.is_ok()) << w.first->left_event.to_string();
+  EXPECT_EQ(w.first->event_got, 1);
+  EXPECT_EQ(w.second->event_got, 1);  // its entry shifted into the slot
+  w.producer->emit(2);
+  w.domain.run_for(milliseconds(100));
+  EXPECT_EQ(w.first->event_got, 1);
+  EXPECT_EQ(w.second->event_got, 2);
+  EXPECT_EQ(handler_crashes(w.domain), 0u);
+}
+
+TEST(UnsubscribeTest, OrderedSubscriptionEmptiedByItsOwnHandlers) {
+  // Both services leave on the first event: the subscription, and the
+  // ordered stream state that delivered it, must outlive the walk; the
+  // resubscribe tick then retires it and tells the publisher.
+  EventQoS ordered;
+  ordered.ordered = true;
+  LeaverWorld w(ordered, /*second_leaves=*/true, seconds(5.0));
+  w.producer->emit(1);
+  w.producer->emit(2);
+  w.domain.run_for(milliseconds(100));
+  EXPECT_TRUE(w.first->left_event.is_ok()) << w.first->left_event.to_string();
+  EXPECT_EQ(w.first->event_got, 1);
+  EXPECT_EQ(handler_crashes(w.domain), 0u);
+
+  w.domain.run_for(milliseconds(500));  // retired; unsubscribe delivered
+  const uint64_t sent = w.domain.container(0).stats().events_sent;
+  w.producer->emit(3);
+  w.domain.run_for(milliseconds(100));
+  EXPECT_EQ(w.domain.container(0).stats().events_sent, sent);
+  EXPECT_EQ(w.first->event_got, 1);
+}
+
+TEST(UnsubscribeTest, DeadlineHandlersUnsubscribingDuringTheirWalk) {
+  // Both services drop the variable from their timeout handlers, so the
+  // walk over the subscription's timeout handlers empties it.
+  LeaverWorld w({}, /*second_leaves=*/true, milliseconds(20));
+  w.producer->emit_var_only(1);
+  w.domain.run_for(milliseconds(100));
+  EXPECT_EQ(w.first->var_got, 1);
+  EXPECT_EQ(w.first->timeouts, 1);
+  EXPECT_TRUE(w.first->left_var.is_ok()) << w.first->left_var.to_string();
+  EXPECT_EQ(handler_crashes(w.domain), 0u);
+  w.domain.run_for(milliseconds(500));
+  w.producer->emit_var_only(2);
+  w.domain.run_for(milliseconds(100));
+  EXPECT_EQ(w.first->var_got, 1);
+  EXPECT_EQ(w.first->timeouts, 1);
+  EXPECT_EQ(handler_crashes(w.domain), 0u);
+}
+
 }  // namespace
 }  // namespace marea::mw
