@@ -39,22 +39,28 @@ cmake -B build-asan -S . -DMAREA_SANITIZE=ON >/dev/null
 cmake --build build-asan -j"$(nproc)"
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)"
 
-echo "== ASan: live stack x30 + service-timer and RPC provision lifetime =="
+echo "== ASan: live stack x30 + timer, RPC and file-progress lifetime =="
 # Container teardown races the executor's threads: one pass of the live
 # stack can miss a use-after-free that thirty rarely do, and the lifetime
-# test destroys a container under a re-arming service timer 1,000 times.
-# The RPC lifetime test kills a node while calls wait for its CPU.
+# test destroys a container under a re-arming service timer 1,000 times,
+# and another inside its requirement-check grace window.
+# The RPC lifetime test kills a node while calls wait for its CPU; the
+# file one unsubscribes a container's last service from a progress
+# handler, inside the MFTP receiver's own chunk handling.
 ./build-asan/tests/live_stack_test --gtest_repeat=30 --gtest_brief=1
 ./build-asan/tests/service_timer_test
 ./build-asan/tests/middleware_rpc_test --gtest_filter='RpcProvisionLifetime.*'
+./build-asan/tests/middleware_files_test \
+  --gtest_filter='FileProgressLifetime.*'
 
 echo "== TSan build + parallel-engine and live-transport tests =="
 cmake -B build-tsan -S . -DMAREA_SANITIZE=TSAN >/dev/null
 cmake --build build-tsan -j"$(nproc)" --target parallel_sim_test \
   chaos_soak_test radio_relay_test chunk_pipeline_test transport_test \
-  live_soak_test live_stack_test service_timer_test middleware_rpc_test
+  live_soak_test live_stack_test service_timer_test middleware_rpc_test \
+  middleware_files_test
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
-  -R 'ParallelSim|ChaosSoak|DataMuleScenario|ChunkPipeline|LiveBackend|LiveSoak|LiveStack|ServiceTimerLifetime|RpcProvisionLifetime'
+  -R 'ParallelSim|ChaosSoak|DataMuleScenario|ChunkPipeline|LiveBackend|LiveSoak|LiveStack|ServiceTimerLifetime|RequirementTimerLifetime|RpcProvisionLifetime|FileProgressLifetime'
 
 echo "== release hot-path bench (BENCH_hotpath.json) =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null

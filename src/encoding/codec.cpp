@@ -318,11 +318,6 @@ StatusOr<Value> decode_value(BytesView data, const TypeDescriptor& type) {
   return v;
 }
 
-Status validate(const Value& value, const TypeDescriptor& type) {
-  ByteWriter scratch;
-  return binary_format().encode(value, type, scratch);
-}
-
 namespace {
 enum class Tag : uint8_t {
   kBool = 0,

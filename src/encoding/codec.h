@@ -66,9 +66,6 @@ Status decode_value_into(BytesView data, const TypeDescriptor& type,
 Status encode_value_into(const Value& value, const TypeDescriptor& type,
                          Buffer& out);
 
-// Shape check without encoding (e.g. validating publisher input early).
-Status validate(const Value& value, const TypeDescriptor& type);
-
 // Self-describing ("tagged") encoding: each node carries a kind byte, so
 // no descriptor is needed to decode. Used for remote-invocation arguments
 // and results, which cross service boundaries whose schemas the caller

@@ -220,32 +220,27 @@ void ServiceContainer::stop() {
   heartbeat_timer_.cancel();
   health_timer_.cancel();
   resub_timer_.cancel();
+  // requirement_timer_ stays armed: its check is a no-op on a stopped
+  // container, and a restart within the grace second keeps it pending.
   for (auto& [id, call] : pending_calls_) {
     executor_.cancel(call.timer);
   }
   pending_calls_.clear();
   // The MFTP engines die with their entries: fold their counters first.
-  for (auto& [name, prov] : file_provisions_) {
-    mftp_pub_retired_ += prov.publisher->stats();
-    mftp_pipeline_retired_ += prov.publisher->pipeline_stats();
-  }
-  for (auto& [name, sub] : file_subs_) {
-    if (sub.receiver) mftp_rx_retired_ += sub.receiver->stats();
+  for (auto& [name, e] : files_) {
+    if (e.prov) {
+      mftp_pub_retired_ += e.prov->publisher->stats();
+      mftp_pipeline_retired_ += e.prov->publisher->pipeline_stats();
+    }
+    if (e.sub && e.sub->receiver) mftp_rx_retired_ += e.sub->receiver->stats();
   }
 
   // Drop every registration and all distributed state: services
   // re-register from on_start() on the next start(), and peers treat the
-  // new incarnation as a fresh container.
-  var_provisions_.clear();
-  var_subs_.clear();
+  // new incarnation as a fresh container. Handles from this life go stale.
+  ++registration_epoch_;
+  for_each_table([](proto::ItemKind, auto& table) { table.clear(); });
   sub_channels_.clear();
-  event_provisions_.clear();
-  event_subs_.clear();
-  functions_.clear();
-  function_bindings_.clear();
-  required_functions_.clear();
-  file_provisions_.clear();
-  file_subs_.clear();
   transfers_.clear();
   for (auto& [id, peer] : peers_) retire_peer_link_stats(peer);
   peers_.clear();
@@ -444,26 +439,26 @@ proto::ContainerHelloMsg ServiceContainer::build_manifest() const {
     info.name = service->name();
     info.state = rec.state;
     using proto::ItemKind;
-    for (const auto& [name, prov] : var_provisions_) {
-      if (prov.owner != service) continue;
+    for (const auto& [name, e] : vars_) {
+      if (!e.prov || e.prov->owner != service) continue;
       info.items.push_back({ItemKind::kVariable, name,
-                            prov.type->structural_hash(), prov.qos.period.ns,
-                            prov.qos.validity.ns});
+                            e.prov->type->structural_hash(),
+                            e.prov->qos.period.ns, e.prov->qos.validity.ns});
     }
-    for (const auto& [name, prov] : event_provisions_) {
-      if (prov.owner != service) continue;
+    for (const auto& [name, e] : events_) {
+      if (!e.prov || e.prov->owner != service) continue;
       info.items.push_back(
-          {ItemKind::kEvent, name, prov.type->structural_hash()});
+          {ItemKind::kEvent, name, e.prov->type->structural_hash()});
     }
-    for (const auto& [name, prov] : functions_) {
-      if (prov.owner != service) continue;
+    for (const auto& [name, f] : functions_) {
+      if (!f.prov || f.prov->owner != service) continue;
       info.items.push_back(
-          {ItemKind::kFunction, name, prov.args_type->structural_hash()});
+          {ItemKind::kFunction, name, f.prov->args_type->structural_hash()});
     }
-    for (const auto& [name, prov] : file_provisions_) {
-      if (prov.owner != service) continue;
+    for (const auto& [name, e] : files_) {
+      if (!e.prov || e.prov->owner != service) continue;
       // The revision doubles as the version.
-      info.items.push_back({ItemKind::kFile, name, prov.meta.revision});
+      info.items.push_back({ItemKind::kFile, name, e.prov->meta.revision});
     }
     hello.services.push_back(std::move(info));
   }
@@ -662,30 +657,31 @@ void ServiceContainer::peer_lost(proto::ContainerId id,
   // loop re-resolves them against surviving providers. Event streams
   // keep their delivered watermark (evict_ordered_stream).
   unbind_from(id);
-  for (auto& [name, sub] : var_subs_) {
+  // Subscriptions forget the lost provider and publishers drop the lost
+  // subscriber.
+  for (auto& [name, e] : vars_) {
     // last_seq deliberately survives: a sample delayed in the network
     // across the churn must still be gated as stale. The rebind path
     // resets the watermark if the next binding is a different stream
     // (other provider, or this one's next incarnation).
-    if (sub.bound_to(id)) sub.provider.reset();
+    if (e.sub && e.sub->bound_to(id)) e.sub->provider.reset();
+    if (e.prov) e.prov->remote_subscribers.erase(id);
   }
-  for (auto& [name, sub] : file_subs_) {
-    if (!sub.bound_to(id)) continue;
-    sub.provider.reset();
-    if (sub.receiver && !sub.receiver->complete()) drop_receiver(sub);
-    // Revision numbers are per provider incarnation: a restarted (or
-    // replacement) publisher counts from 1 again, and a high watermark
-    // from the old life would make us ignore its content forever. The
-    // cost is at most one redundant re-fetch of data we already have.
-    sub.completed_revision = 0;
+  for (auto& [name, e] : events_) {
+    if (e.prov) e.prov->remote_subscribers.erase(id);
   }
-  // Publishers drop the dead subscriber.
-  for (auto& [name, prov] : var_provisions_) prov.remote_subscribers.erase(id);
-  for (auto& [name, prov] : event_provisions_) {
-    prov.remote_subscribers.erase(id);
-  }
-  for (auto& [name, prov] : file_provisions_) {
-    if (prov.publisher) prov.publisher->remove_subscriber(id);
+  for (auto& [name, e] : files_) {
+    if (e.sub && e.sub->bound_to(id)) {
+      FileSubscription& sub = *e.sub;
+      sub.provider.reset();
+      if (sub.receiver && !sub.receiver->complete()) drop_receiver(sub);
+      // Revision numbers are per provider incarnation: a restarted (or
+      // replacement) publisher counts from 1 again, and a high watermark
+      // from the old life would make us ignore its content forever. The
+      // cost is at most one redundant re-fetch of data we already have.
+      sub.completed_revision = 0;
+    }
+    if (e.prov) e.prov->publisher->remove_subscriber(id);
   }
 
   // Fail over in-flight calls that targeted the dead container.
@@ -800,12 +796,12 @@ void ServiceContainer::publish_metrics(obs::MetricsRegistry& reg) {
   proto::MftpPublisherStats fp = mftp_pub_retired_;
   proto::MftpReceiverStats fr = mftp_rx_retired_;
   proto::ChunkPipelineStats pipe = mftp_pipeline_retired_;
-  for (const auto& [name, prov] : file_provisions_) {
-    fp += prov.publisher->stats();
-    pipe += prov.publisher->pipeline_stats();
-  }
-  for (const auto& [name, sub] : file_subs_) {
-    if (sub.receiver) fr += sub.receiver->stats();
+  for (const auto& [name, e] : files_) {
+    if (e.prov) {
+      fp += e.prov->publisher->stats();
+      pipe += e.prov->publisher->pipeline_stats();
+    }
+    if (e.sub && e.sub->receiver) fr += e.sub->receiver->stats();
   }
   reg.counter(p + "mftp.chunks_sent").set(fp.chunks_sent);
   reg.counter(p + "mftp.chunk_retransmits").set(fp.chunk_retransmits);
@@ -831,12 +827,13 @@ void ServiceContainer::publish_metrics(obs::MetricsRegistry& reg) {
   // Per-variable staleness (µs since last received sample; -1 = nothing
   // received yet). The paper's validity QoS made stale data a first-class
   // failure mode — surface it per subscription.
-  for (const auto& [name, sub] : var_subs_) {
+  for (const auto& [name, e] : vars_) {
+    if (!e.sub) continue;
     auto& g = reg.gauge(p + "var_stale_us." + name);
-    if (!sub.got_any) {
+    if (!e.sub->got_any) {
       g.set(-1);
     } else {
-      g.set((now() - sub.last_recv).ns / 1000);
+      g.set((now() - e.sub->last_recv).ns / 1000);
     }
   }
 

@@ -23,9 +23,12 @@
 // container on that context before destroying it. A service timer
 // (Service::schedule) never starts after stop() or ~ServiceContainer
 // begins, and both wait out one that is already running, so a service is
-// never destroyed under its own timer. The container's own timers and
-// posted handlers have no such gate: stop() cancels the timers, but a
-// closure a real-thread executor has already queued still runs.
+// never destroyed under its own timer. The container's own timers are
+// OwnedTimers: ~ServiceContainer cancels every one (stop() all but the
+// requirement re-check), and on the executor's thread also disarms one
+// that has fired but not yet run. Its posted handlers (frame processing,
+// deliveries) have no such gate: one a real-thread executor has already
+// queued still runs.
 #pragma once
 
 #include <condition_variable>
@@ -196,21 +199,25 @@ class ServiceContainer {
                                              const std::string& name,
                                              enc::TypePtr type,
                                              VariableQoS qos);
-  Status publish_variable(const std::string& name, enc::Value value);
+  Status publish(const VariableHandle& handle, enc::Value value);
   Status register_var_subscription(Service& owner, const std::string& name,
                                    enc::TypePtr type, VariableHandler handler,
                                    VariableTimeoutHandler on_timeout);
-  Status unregister_var_subscription(Service& owner, const std::string& name);
+  Status unregister_var_subscription(Service& owner, const std::string& name) {
+    return unsubscribe(vars_, owner, name, "variable");
+  }
   StatusOr<enc::Value> read_variable(const std::string& name) const;
 
   StatusOr<EventHandle> register_event(Service& owner, const std::string& name,
                                        enc::TypePtr type);
-  Status publish_event(const std::string& name, enc::Value value);
+  Status publish(const EventHandle& handle, enc::Value value);
   Status register_event_subscription(Service& owner, const std::string& name,
                                      enc::TypePtr type, EventHandler handler,
                                      EventQoS qos = {});
   Status unregister_event_subscription(Service& owner,
-                                       const std::string& name);
+                                       const std::string& name) {
+    return unsubscribe(events_, owner, name, "event");
+  }
 
   Status register_function(Service& owner, const std::string& name,
                            enc::TypePtr args_type, enc::TypePtr result_type,
@@ -226,17 +233,19 @@ class ServiceContainer {
                                     FileCompleteHandler on_done,
                                     FileProgressHandler on_progress);
   Status unregister_file_subscription(Service& owner,
-                                      const std::string& name);
+                                      const std::string& name) {
+    return unsubscribe(files_, owner, name, "file");
+  }
 
   void schedule_for_service(Duration delay, std::function<void()> fn,
                             sched::Priority priority);
 
  private:
   // --- per-name provider/subscriber state ---
-  // One entry per name: each name-keyed map below holds the whole state
-  // of its item. Wire ids (sub_channels_, transfers_) and timers reach an
-  // entry by pointer; std::map nodes never move, every path that erases
-  // an entry drops its wire ids, and its timers are OwnedTimers.
+  // One table per primitive, one entry per name (NameEntry). Handles, wire
+  // ids (sub_channels_, transfers_) and timers reach an entry by pointer;
+  // std::map nodes never move, every path that erases an entry drops its
+  // wire ids, and its timers are OwnedTimers.
 
   // A timer whose closure may capture its owner (an entry, or the
   // container). Destroying it with its owner, or assigning over it,
@@ -289,10 +298,10 @@ class ServiceContainer {
   // walk out to compact. A walk visits the entries it started with; one
   // added meanwhile gets the next delivery. A subscription that loses
   // its last service inside a walk is not erased there: it stays in its
-  // map, still bound, until the next resubscribe tick retires it (a
+  // entry, still bound, until the next resubscribe tick retires it (a
   // service subscribing meanwhile simply joins it), so whatever holds it
   // across the walk (ordered-delivery state, a timer closure, a loop
-  // over the map) still holds live memory.
+  // over the table, an MFTP receiver) still holds live memory.
   template <typename Entry>
   struct Subscribers {
     std::deque<Entry> entries;
@@ -331,11 +340,8 @@ class ServiceContainer {
     }
   };
 
-  struct VarSubscription;
   struct VarProvision {
     Service* owner = nullptr;
-    std::string name;
-    uint32_t channel = 0;
     enc::TypePtr type;
     VariableQoS qos;
     uint64_t seq = 0;
@@ -344,9 +350,6 @@ class ServiceContainer {
     TimePoint last_publish{};
     std::set<proto::ContainerId> remote_subscribers;
     OwnedTimer period_timer;
-    // The same-container subscription of this name, if any (§3 local
-    // delivery).
-    VarSubscription* local_sub = nullptr;
   };
 
   struct VarSubEntry {
@@ -379,8 +382,6 @@ class ServiceContainer {
   };
 
   struct VarSubscription : ProviderBinding, Subscribers<VarSubEntry> {
-    std::string name;
-    uint32_t channel = 0;
     enc::TypePtr type;
     // cache
     std::optional<enc::Value> last_value;
@@ -409,6 +410,8 @@ class ServiceContainer {
     Service* owner = nullptr;
     enc::TypePtr type;
     uint64_t seq = 0;
+    // The wire form of each publish, into capacity kept across publishes.
+    Buffer last_encoded;
     std::set<proto::ContainerId> remote_subscribers;
   };
 
@@ -418,7 +421,6 @@ class ServiceContainer {
   };
 
   struct EventSubscription : Subscribers<EventSubEntry> {
-    std::string name;
     enc::TypePtr type;
     // Events may have redundant publishers; subscribe to all of them.
     std::set<proto::ContainerId> announced_to;
@@ -444,26 +446,6 @@ class ServiceContainer {
     };
     std::map<proto::ContainerId, OrderState> order;
   };
-
-  void ordered_deliver(EventSubscription& sub, proto::ContainerId from,
-                       enc::Value value, EventInfo info);
-  // Delivers the held events of `st` in order, moving the horizon past.
-  void flush_held(EventSubscription& sub, EventSubscription::OrderState& st);
-  // Drain held events in order and mark the stream for resync, keeping
-  // the delivered high-water mark. Used when the publisher's sender life
-  // dies (peer loss / link-session reset): held gaps can never fill, and
-  // old-life retransmissions must not redeliver below the watermark.
-  void evict_ordered_stream(EventSubscription& sub, proto::ContainerId id);
-  // The peer rebuilt its ARQ sender from scratch (link-session reset),
-  // which only happens after it declared us lost: its per-peer state —
-  // remote-subscriber sets, queued frames — died with the old life even
-  // though our own peer entry survived. Re-announce subscriptions that
-  // point at it and resync its ordered event streams.
-  void peer_link_reset(proto::ContainerId id);
-  // What peer_lost and peer_link_reset share: every subscription bound
-  // to container `id` must announce itself again, and the ordered event
-  // streams from it are evicted.
-  void unbind_from(proto::ContainerId id);
 
   struct FunctionProvision {
     Service* owner = nullptr;
@@ -502,9 +484,7 @@ class ServiceContainer {
     FileProgressHandler on_progress;
   };
 
-  struct FileSubscription : ProviderBinding {
-    std::string name;
-    std::vector<FileSubEntry> entries;
+  struct FileSubscription : ProviderBinding, Subscribers<FileSubEntry> {
     std::unique_ptr<proto::MftpReceiver> receiver;
     uint32_t completed_revision = 0;
   };
@@ -523,12 +503,59 @@ class ServiceContainer {
     size_t rr_cursor = 0;  // dynamic binding: round-robin position
   };
 
-  // Services that require a function, and whether its absence has
-  // raised the emergency procedure.
-  struct FunctionRequirement {
+  // Both sides of one name: this container's provision of it and its
+  // subscription to it, and everything that describes them. An entry is
+  // erased once it holds neither; only local registration creates one,
+  // so a name that arrives on the wire only ever finds.
+  template <typename Provision, typename Subscription>
+  struct NameEntry {
+    std::string name;
+    uint32_t channel = 0;  // proto::channel_of(name)
+    std::optional<Provision> prov;
+    std::optional<Subscription> sub;
+  };
+  struct VarEntry : VarEntryBase, NameEntry<VarProvision, VarSubscription> {};
+  struct EventEntry : EventEntryBase,
+                      NameEntry<EventProvision, EventSubscription> {};
+  using FileEntry = NameEntry<FileProvision, FileSubscription>;
+
+  // One remote function: its provision, the caller-side binding, and the
+  // services that require it (has its absence raised the emergency?).
+  struct FunctionEntry {
+    std::optional<FunctionProvision> prov;
+    FunctionBinding binding;
     std::set<std::string> requirers;
     bool in_emergency = false;
   };
+
+  using VarTable = std::map<std::string, VarEntry>;
+  using EventTable = std::map<std::string, EventEntry>;
+  using FileTable = std::map<std::string, FileEntry>;
+
+  // The entry for `name`, created (with its name and channel) if absent.
+  template <typename Table>
+  static auto& entry_for(Table& table, const std::string& name) {
+    auto [it, fresh] = table.try_emplace(name);
+    if (fresh) {
+      it->second.name = name;
+      it->second.channel = proto::channel_of(name);
+    }
+    return it->second;
+  }
+  // This container's provision of `name` in `table`, or null.
+  template <typename Table>
+  static auto* provision(Table& table, const std::string& name) {
+    auto it = table.find(name);
+    return it != table.end() && it->second.prov ? &*it->second.prov : nullptr;
+  }
+  // Visits the four tables in item-kind order.
+  template <typename Fn>
+  void for_each_table(Fn&& fn) {
+    fn(proto::ItemKind::kVariable, vars_);
+    fn(proto::ItemKind::kEvent, events_);
+    fn(proto::ItemKind::kFunction, functions_);
+    fn(proto::ItemKind::kFile, files_);
+  }
 
   // One record per local service, in registration (= start) order;
   // Service::slot_ indexes it.
@@ -663,15 +690,15 @@ class ServiceContainer {
                           const proto::VarUnsubscribeMsg& msg);
   void on_var_sample(const proto::VarSampleMsg& msg);
   void on_var_snapshot(const proto::VarSnapshotMsg& msg);
-  void send_sample(VarProvision& prov);
-  void send_snapshot(VarProvision& prov, proto::ContainerId to);
+  void send_sample(VarEntry& e);
+  void send_snapshot(VarEntry& e, proto::ContainerId to);
   // Decodes a remote sample into sub.scratch and, only on success, swaps
   // it into sub.last_value. Returns false (cache untouched) on bad input.
   bool decode_into_cache(VarSubscription& sub, BytesView data);
-  // Runs every handler of `sub` on its cached value (sub.last_value).
-  void deliver_sample(VarSubscription& sub, const SampleInfo& info);
-  void arm_deadline(VarSubscription& sub);
-  void period_tick(VarProvision& prov);
+  // Runs every handler of the subscription on its cached sub->last_value.
+  void deliver_sample(VarEntry& e, const SampleInfo& info);
+  void arm_deadline(VarEntry& e);
+  void period_tick(VarEntry& e);
 
   // --- events ---
   void on_event_subscribe(proto::ContainerId from,
@@ -679,8 +706,27 @@ class ServiceContainer {
   void on_event_unsubscribe(proto::ContainerId from,
                             const proto::EventUnsubscribeMsg& msg);
   void on_event_msg(proto::ContainerId from, const proto::EventMsg& msg);
-  void deliver_event_locally(EventSubscription& sub, const enc::Value& value,
+  void deliver_event_locally(EventEntry& e, const enc::Value& value,
                              const EventInfo& info);
+  void ordered_deliver(EventEntry& e, proto::ContainerId from,
+                       enc::Value value, EventInfo info);
+  // Delivers the held events of `st` in order, moving the horizon past.
+  void flush_held(EventEntry& e, EventSubscription::OrderState& st);
+  // Drain held events in order and mark the stream for resync, keeping
+  // the delivered high-water mark. Used when the publisher's sender life
+  // dies (peer loss / link-session reset): held gaps can never fill, and
+  // old-life retransmissions must not redeliver below the watermark.
+  void evict_ordered_stream(EventEntry& e, proto::ContainerId id);
+  // The peer rebuilt its ARQ sender from scratch (link-session reset),
+  // which only happens after it declared us lost: its per-peer state —
+  // remote-subscriber sets, queued frames — died with the old life even
+  // though our own peer entry survived. Re-announce subscriptions that
+  // point at it and resync its ordered event streams.
+  void peer_link_reset(proto::ContainerId id);
+  // What peer_lost and peer_link_reset share: every subscription bound
+  // to container `id` must announce itself again, and the ordered event
+  // streams from it are evicted.
+  void unbind_from(proto::ContainerId id);
 
   // --- rpc ---
   void on_rpc_request(proto::ContainerId from,
@@ -709,7 +755,7 @@ class ServiceContainer {
   void on_file_status_request(const proto::FileStatusRequestMsg& msg);
   void on_file_ack(proto::ContainerId from, const proto::FileAckMsg& msg);
   void on_file_nack(proto::ContainerId from, const proto::FileNackMsg& msg);
-  void start_file_receiver(FileSubscription& sub, uint64_t transfer_id,
+  void start_file_receiver(FileEntry& e, uint64_t transfer_id,
                            const proto::FileMeta& meta,
                            const std::vector<uint64_t>& chunk_hashes,
                            transport::Address publisher_addr);
@@ -722,15 +768,35 @@ class ServiceContainer {
 
   // --- subscription upkeep ---
   void resubscribe_tick();
+  // Removes `owner` from the subscription to `name`, retiring it if that
+  // was its last service; `what` names the primitive in errors.
+  template <typename Table>
+  Status unsubscribe(Table& table, Service& owner, const std::string& name,
+                     const char* what) {
+    auto it = table.find(name);
+    if (it == table.end() || !it->second.sub ||
+        it->second.sub->remove(&owner) == 0) {
+      return not_found_error("service '" + owner.name() +
+                             "' is not subscribed to " + what + " '" + name +
+                             "'");
+    }
+    if (it->second.sub->retirable()) retire_subscription(it);
+    return Status::ok();
+  }
   // Tear a subscription down (unsubscribe its provider, drop its wire
-  // ids) and erase it; `it` must be retirable().
-  void retire_var_subscription(
-      std::map<std::string, VarSubscription>::iterator it);
-  void retire_event_subscription(
-      std::map<std::string, EventSubscription>::iterator it);
-  void try_bind_var_subscription(VarSubscription& sub);
-  void try_bind_event_subscription(EventSubscription& sub);
-  void try_bind_file_subscription(FileSubscription& sub);
+  // ids and receiver) and drop it from its entry, erasing the entry if
+  // it has no provision; the subscription must be retirable().
+  void retire_subscription(VarTable::iterator it);
+  void retire_subscription(EventTable::iterator it);
+  void retire_subscription(FileTable::iterator it);
+  template <typename Table>
+  static void drop_subscription(Table& table, typename Table::iterator it) {
+    it->second.sub.reset();
+    if (!it->second.prov) table.erase(it);
+  }
+  void try_bind(VarEntry& e);
+  void try_bind(EventEntry& e);
+  void try_bind(FileEntry& e);
   // Leaves the binding's multicast group and, if its provider was told
   // of the subscription, tells it the subscription is gone.
   template <typename UnsubscribeMsg>
@@ -804,6 +870,9 @@ class ServiceContainer {
   TimePoint last_announce_{};
   uint64_t incarnation_ = 0;  // set on first start, bumped per restart
   uint64_t manifest_version_ = 0;  // bumped per announce
+  // Bumped by stop(), which drops every registration: a handle issued in
+  // an earlier epoch is stale and never touches its entry.
+  uint64_t registration_epoch_ = 0;
   bool announce_pending_ = false;  // coalesces same-instant manifest changes
 
   std::vector<ServiceRecord> services_;
@@ -816,22 +885,19 @@ class ServiceContainer {
   // distinguishable from the one the outage killed.
   std::map<proto::ContainerId, uint64_t> link_sessions_;
 
-  std::map<std::string, VarProvision> var_provisions_;          // by name
-  std::map<std::string, VarSubscription> var_subs_;             // by name
-  std::unordered_map<uint32_t, VarSubscription*> sub_channels_;
+  VarTable vars_;
+  // Channel of each subscribed variable.
+  std::unordered_map<uint32_t, VarEntry*> sub_channels_;
 
-  std::map<std::string, EventProvision> event_provisions_;
-  std::map<std::string, EventSubscription> event_subs_;
+  EventTable events_;
 
-  std::map<std::string, FunctionProvision> functions_;
+  std::map<std::string, FunctionEntry> functions_;
   std::map<uint64_t, PendingCall> pending_calls_;
   uint64_t next_request_id_ = 1;
-  std::map<std::string, FunctionBinding> function_bindings_;
-  std::map<std::string, FunctionRequirement> required_functions_;
-  bool requirements_check_pending_ = false;
+  // Re-checks the function requirements once the start-up grace ends.
+  OwnedTimer requirement_timer_;
 
-  std::map<std::string, FileProvision> file_provisions_;
-  std::map<std::string, FileSubscription> file_subs_;
+  FileTable files_;
   std::unordered_map<uint64_t, TransferEntry> transfers_;
   uint64_t next_transfer_seq_ = 1;
   uint64_t heartbeat_seq_ = 0;

@@ -11,58 +11,65 @@ namespace marea::mw {
 StatusOr<EventHandle> ServiceContainer::register_event(
     Service& owner, const std::string& name, enc::TypePtr type) {
   if (!type) return invalid_argument_error("event type is null");
-  if (event_provisions_.count(name)) {
+  EventEntry& e = entry_for(events_, name);
+  if (e.prov) {
     return already_exists_error("event '" + name +
                                 "' already provided in this container");
   }
-  EventProvision prov;
-  prov.owner = &owner;
-  prov.type = std::move(type);
-  event_provisions_.emplace(name, std::move(prov));
+  e.prov.emplace().owner = &owner;
+  e.prov->type = std::move(type);
   manifest_changed();
-  return EventHandle(this, name);
+  return EventHandle(this, name, &e, registration_epoch_);
 }
 
-Status ServiceContainer::publish_event(const std::string& name,
-                                       enc::Value value) {
-  auto it = event_provisions_.find(name);
-  if (it == event_provisions_.end()) {
-    return not_found_error("event '" + name + "' is not provided here");
+Status ServiceContainer::publish(const EventHandle& handle, enc::Value value) {
+  if (handle.epoch_ != registration_epoch_) {
+    return failed_precondition_error("event '" + handle.name() +
+                                     "': handle predates a restart");
   }
-  EventProvision& prov = it->second;
-  if (Status s = enc::validate(value, *prov.type); !s.is_ok()) return s;
+  EventEntry& e = static_cast<EventEntry&>(*handle.entry_);
+  EventProvision& prov = *e.prov;
+  // One encode both checks the shape and makes the wire form, into the
+  // capacity the provision keeps. The buffer is taken out while local
+  // handlers run, so one that publishes this event again encodes into a
+  // buffer of its own.
+  Buffer encoded = std::move(prov.last_encoded);
+  if (Status s = enc::encode_value_into(value, *prov.type, encoded);
+      !s.is_ok()) {
+    return s;
+  }
   prov.seq++;
   stats_.events_published++;
   usage_of(prov.owner).events_published++;
-  trace_ev(obs::TraceEvent::kPublish, obs::TraceKind::kEvent,
-           proto::channel_of(name), prov.seq);
+  trace_ev(obs::TraceEvent::kPublish, obs::TraceKind::kEvent, e.channel,
+           prov.seq);
 
   // Local subscribers: direct dispatch at event priority.
-  auto sub_it = event_subs_.find(name);
-  if (sub_it != event_subs_.end()) {
+  if (e.sub) {
     EventInfo info;
     info.seq = prov.seq;
     info.publish_time = now();
     info.latency = kDurationZero;
-    deliver_event_locally(sub_it->second, value, info);
+    deliver_event_locally(e, value, info);
   }
 
-  if (prov.remote_subscribers.empty()) return Status::ok();
-  auto encoded = enc::encode_value(value, *prov.type);
-  if (!encoded.ok()) return encoded.status();
-  usage_of(prov.owner).payload_bytes_sent += encoded.value().size();
-  proto::EventMsg msg;
-  msg.name = name;
-  msg.pub_seq = prov.seq;
-  msg.pub_time_ns = now().ns;
-  msg.value = std::move(encoded).value();
-  ByteWriter w;
-  msg.encode(w);
-  Buffer inner = w.take();
-  for (proto::ContainerId sub : prov.remote_subscribers) {
-    stats_.events_sent++;
-    link_send(sub, proto::InnerType::kEvent, inner);
+  if (!prov.remote_subscribers.empty()) {
+    usage_of(prov.owner).payload_bytes_sent += encoded.size();
+    proto::EventMsg msg;
+    msg.name = e.name;
+    msg.pub_seq = prov.seq;
+    msg.pub_time_ns = now().ns;
+    // Borrowed: the encode below copies it into the inner frame.
+    msg.value = Bytes::borrow(BytesView(encoded));
+    ByteWriter w;
+    msg.encode(w);
+    Buffer inner = w.take();
+    for (proto::ContainerId sub : prov.remote_subscribers) {
+      stats_.events_sent++;
+      link_send(sub, proto::InnerType::kEvent, inner);
+    }
   }
+  prov.last_encoded = std::move(encoded);
   return Status::ok();
 }
 
@@ -73,58 +80,42 @@ Status ServiceContainer::register_event_subscription(Service& owner,
                                                      EventQoS qos) {
   if (!type) return invalid_argument_error("event type is null");
   if (!handler) return invalid_argument_error("event handler empty");
-  auto it = event_subs_.find(name);
-  if (it == event_subs_.end()) {
-    EventSubscription sub;
-    sub.name = name;
+  EventEntry& e = entry_for(events_, name);
+  if (!e.sub) {
+    EventSubscription& sub = e.sub.emplace();
     sub.type = type;
     sub.qos = qos;
-    it = event_subs_.emplace(name, std::move(sub)).first;
-  } else if (it->second.type->structural_hash() != type->structural_hash()) {
+  } else if (e.sub->type->structural_hash() != type->structural_hash()) {
     return invalid_argument_error(
         "event '" + name + "' already subscribed with a different structure");
   } else if (qos.ordered) {
     // Strictest requested QoS wins for the shared container subscription.
-    it->second.qos.ordered = true;
-    if (qos.reorder_window < it->second.qos.reorder_window) {
-      it->second.qos.reorder_window = qos.reorder_window;
+    e.sub->qos.ordered = true;
+    if (qos.reorder_window < e.sub->qos.reorder_window) {
+      e.sub->qos.reorder_window = qos.reorder_window;
     }
   }
-  it->second.entries.push_back(EventSubEntry{&owner, std::move(handler)});
-  if (running_) try_bind_event_subscription(it->second);
+  e.sub->entries.push_back(EventSubEntry{&owner, std::move(handler)});
+  if (running_) try_bind(e);
   return Status::ok();
 }
 
-Status ServiceContainer::unregister_event_subscription(
-    Service& owner, const std::string& name) {
-  auto it = event_subs_.find(name);
-  if (it == event_subs_.end()) {
-    return not_found_error("not subscribed to event '" + name + "'");
-  }
-  if (it->second.remove(&owner) == 0) {
-    return not_found_error("service '" + owner.name() +
-                           "' is not subscribed to '" + name + "'");
-  }
-  if (it->second.retirable()) retire_event_subscription(it);
-  return Status::ok();
-}
-
-void ServiceContainer::retire_event_subscription(
-    std::map<std::string, EventSubscription>::iterator it) {
+void ServiceContainer::retire_subscription(EventTable::iterator it) {
   proto::EventUnsubscribeMsg msg;
   msg.name = it->first;
   const Buffer inner = control_frame(proto::MsgType::kEventUnsubscribe, msg);
-  for (proto::ContainerId provider : it->second.announced_to) {
+  for (proto::ContainerId provider : it->second.sub->announced_to) {
     link_send(provider, proto::InnerType::kControl, inner);
   }
-  event_subs_.erase(it);
+  drop_subscription(events_, it);
 }
 
-void ServiceContainer::try_bind_event_subscription(EventSubscription& sub) {
+void ServiceContainer::try_bind(EventEntry& e) {
+  EventSubscription& sub = *e.sub;
   // Events can have redundant publishers; subscribe to every usable one.
-  auto providers = directory_.providers(proto::ItemKind::kEvent, sub.name);
-  if (providers.empty() && !event_provisions_.count(sub.name)) {
-    send_name_query(proto::ItemKind::kEvent, sub.name, sub.last_name_query);
+  auto providers = directory_.providers(proto::ItemKind::kEvent, e.name);
+  if (providers.empty() && !e.prov) {
+    send_name_query(proto::ItemKind::kEvent, e.name, sub.last_name_query);
     return;
   }
   for (const auto& provider : providers) {
@@ -132,25 +123,25 @@ void ServiceContainer::try_bind_event_subscription(EventSubscription& sub) {
     if (provider.schema_hash != 0 &&
         provider.schema_hash != sub.type->structural_hash()) {
       MAREA_LOG(kWarn, "events")
-          << "event '" << sub.name << "': schema mismatch with container "
+          << "event '" << e.name << "': schema mismatch with container "
           << provider.container;
       continue;
     }
     proto::EventSubscribeMsg msg;
-    msg.name = sub.name;
+    msg.name = e.name;
     msg.schema_hash = sub.type->structural_hash();
     send_control(provider.container, proto::MsgType::kEventSubscribe, msg);
     sub.announced_to.insert(provider.container);
   }
 }
 
-void ServiceContainer::deliver_event_locally(EventSubscription& sub,
+void ServiceContainer::deliver_event_locally(EventEntry& e,
                                              const enc::Value& value,
                                              const EventInfo& info) {
-  trace_ev(obs::TraceEvent::kDeliver, obs::TraceKind::kEvent,
-           proto::channel_of(sub.name), info.seq);
+  trace_ev(obs::TraceEvent::kDeliver, obs::TraceKind::kEvent, e.channel,
+           info.seq);
   if (event_latency_us_) event_latency_us_->record(info.latency.ns / 1000);
-  sub.walk([&](EventSubEntry& entry) {
+  e.sub->walk([&](EventSubEntry& entry) {
     stats_.events_delivered++;
     usage_of(entry.service).events_delivered++;
     guard(entry.service, "event handler",
@@ -160,30 +151,30 @@ void ServiceContainer::deliver_event_locally(EventSubscription& sub,
 
 void ServiceContainer::on_event_subscribe(
     proto::ContainerId from, const proto::EventSubscribeMsg& msg) {
-  auto it = event_provisions_.find(msg.name);
-  if (it == event_provisions_.end()) return;
-  if (msg.schema_hash != it->second.type->structural_hash()) {
+  EventProvision* prov = provision(events_, msg.name);
+  if (!prov) return;
+  if (msg.schema_hash != prov->type->structural_hash()) {
     MAREA_LOG(kWarn, "events") << "refusing event subscriber " << from
                                << " of '" << msg.name
                                << "': schema mismatch";
     return;
   }
-  it->second.remote_subscribers.insert(from);
+  prov->remote_subscribers.insert(from);
 }
 
 void ServiceContainer::on_event_unsubscribe(
     proto::ContainerId from, const proto::EventUnsubscribeMsg& msg) {
-  auto it = event_provisions_.find(msg.name);
-  if (it != event_provisions_.end()) {
-    it->second.remote_subscribers.erase(from);
+  if (auto* prov = provision(events_, msg.name)) {
+    prov->remote_subscribers.erase(from);
   }
 }
 
 void ServiceContainer::on_event_msg(proto::ContainerId from,
                                     const proto::EventMsg& msg) {
-  auto it = event_subs_.find(msg.name);
-  if (it == event_subs_.end()) return;
-  auto value = enc::decode_value(as_bytes_view(msg.value), *it->second.type);
+  auto it = events_.find(msg.name);
+  if (it == events_.end() || !it->second.sub) return;
+  auto value = enc::decode_value(as_bytes_view(msg.value),
+                                 *it->second.sub->type);
   if (!value.ok()) {
     stats_.frames_dropped++;
     return;
@@ -192,7 +183,7 @@ void ServiceContainer::on_event_msg(proto::ContainerId from,
   info.seq = msg.pub_seq;
   info.publish_time = TimePoint{msg.pub_time_ns};
   info.latency = now() - info.publish_time;
-  if (it->second.qos.ordered) {
+  if (it->second.sub->qos.ordered) {
     ordered_deliver(it->second, from, std::move(*value), info);
   } else {
     deliver_event_locally(it->second, *value, info);
@@ -224,9 +215,9 @@ void ServiceContainer::on_event_msg(proto::ContainerId from,
 //  - A restarted publisher (new incarnation) counts pub_seq from 1
 //    again; only then does the watermark reset.
 
-void ServiceContainer::ordered_deliver(EventSubscription& sub,
-                                       proto::ContainerId from,
+void ServiceContainer::ordered_deliver(EventEntry& e, proto::ContainerId from,
                                        enc::Value value, EventInfo info) {
+  EventSubscription& sub = *e.sub;
   auto& st = sub.order[from];
   const uint64_t seq = info.seq;
   if (Peer* pp = peer(from); pp && pp->incarnation != 0) {
@@ -254,13 +245,12 @@ void ServiceContainer::ordered_deliver(EventSubscription& sub,
   }
   if (st.next != 0 && seq == st.next) {
     st.resync = false;
-    deliver_event_locally(sub, value, info);
+    deliver_event_locally(e, value, info);
     st.next = seq + 1;
     // Drain any now-contiguous held events.
     auto held_it = st.held.begin();
     while (held_it != st.held.end() && held_it->first == st.next) {
-      deliver_event_locally(sub, held_it->second.first,
-                            held_it->second.second);
+      deliver_event_locally(e, held_it->second.first, held_it->second.second);
       st.next = held_it->first + 1;
       held_it = st.held.erase(held_it);
     }
@@ -278,30 +268,31 @@ void ServiceContainer::ordered_deliver(EventSubscription& sub,
     // predate our subscription. A stream initialized meanwhile keeps
     // holding: its gap will fill.
     st.flush_timer.arm(executor_, sub.qos.reorder_window,
-                       sched::Priority::kEvent, [this, &sub, &st] {
-                         if (st.next == 0) flush_held(sub, st);
+                       sched::Priority::kEvent, [this, &e, &st] {
+                         if (st.next == 0) flush_held(e, st);
                        });
   }
 }
 
-void ServiceContainer::flush_held(EventSubscription& sub,
+void ServiceContainer::flush_held(EventEntry& e,
                                   EventSubscription::OrderState& st) {
   for (auto& [seq, pending] : st.held) {
-    deliver_event_locally(sub, pending.first, pending.second);
+    deliver_event_locally(e, pending.first, pending.second);
     st.next = seq + 1;
   }
   st.held.clear();
 }
 
-void ServiceContainer::evict_ordered_stream(EventSubscription& sub,
+void ServiceContainer::evict_ordered_stream(EventEntry& e,
                                             proto::ContainerId id) {
+  EventSubscription& sub = *e.sub;
   auto os = sub.order.find(id);
   if (os == sub.order.end()) return;
   EventSubscription::OrderState& st = os->second;
   st.flush_timer.cancel();
   // The gaps the held events were waiting on can never fill now: drain
   // them, in order, and advance the watermark over them.
-  flush_held(sub, st);
+  flush_held(e, st);
   if (st.next == 0) {
     sub.order.erase(os);  // never initialized: nothing to protect
   } else {
@@ -313,8 +304,9 @@ void ServiceContainer::peer_link_reset(proto::ContainerId id) {
   stats_.link_session_resets++;
   trace_ev(obs::TraceEvent::kPeerLost, obs::TraceKind::kLink, id);
   unbind_from(id);
-  for (auto& [name, sub] : var_subs_) {
-    if (!sub.bound_to(id)) continue;
+  for (auto& [name, e] : vars_) {
+    if (!e.sub || !e.sub->bound_to(id)) continue;
+    VarSubscription& sub = *e.sub;
     // The sender's process state died with the old link session, so its
     // sample sequences restart from 1 — under the SAME container id and
     // (for a re-exec'd process) possibly the same incarnation. Keeping
@@ -330,20 +322,23 @@ void ServiceContainer::peer_link_reset(proto::ContainerId id) {
   // the dead link session and die at the ARQ layer, so the forward-only
   // resync guard would only wedge a restarted publisher whose pub_seq
   // began again at 1.
-  for (auto& [name, sub] : event_subs_) sub.order.erase(id);
+  for (auto& [name, e] : events_) {
+    if (e.sub) e.sub->order.erase(id);
+  }
   rebind_after_directory_change();
 }
 
 void ServiceContainer::unbind_from(proto::ContainerId id) {
-  for (auto& [name, sub] : var_subs_) {
-    if (sub.bound_to(id)) sub.announced = false;
+  for (auto& [name, e] : vars_) {
+    if (e.sub && e.sub->bound_to(id)) e.sub->announced = false;
   }
-  for (auto& [name, sub] : event_subs_) {
-    sub.announced_to.erase(id);
-    evict_ordered_stream(sub, id);
+  for (auto& [name, e] : events_) {
+    if (!e.sub) continue;
+    e.sub->announced_to.erase(id);
+    evict_ordered_stream(e, id);
   }
-  for (auto& [name, sub] : file_subs_) {
-    if (sub.bound_to(id)) sub.announced = false;
+  for (auto& [name, e] : files_) {
+    if (e.sub && e.sub->bound_to(id)) e.sub->announced = false;
   }
 }
 

@@ -16,12 +16,13 @@ constexpr const char* kLog = "files";
 Status ServiceContainer::publish_file_resource(Service& owner,
                                                const std::string& name,
                                                Buffer content) {
-  auto [it, fresh] = file_provisions_.try_emplace(name);
-  FileProvision& prov = it->second;
-  if (!fresh && prov.owner != &owner) {
+  FileEntry& e = entry_for(files_, name);
+  const bool fresh = !e.prov;
+  if (!fresh && e.prov->owner != &owner) {
     return already_exists_error("file '" + name +
                                 "' is published by another service");
   }
+  FileProvision& prov = fresh ? e.prov.emplace() : *e.prov;
   // The outgoing revision's publisher lives until the new one is built:
   // the new one reuses its unchanged chunks.
   std::unique_ptr<proto::MftpPublisher> previous = std::move(prov.publisher);
@@ -43,7 +44,7 @@ Status ServiceContainer::publish_file_resource(Service& owner,
       (static_cast<uint64_t>(config_.id) << 32) | next_transfer_seq_++;
   transfers_[prov.transfer_id].prov = &prov;
 
-  const uint32_t channel = proto::channel_of(name);
+  const uint32_t channel = e.channel;
   prov.publisher = std::make_unique<proto::MftpPublisher>(
       executor_, config_.mftp, prov.transfer_id, prov.meta, prov.content,
       [this, channel](const proto::FileChunkMsg& msg) {
@@ -77,9 +78,9 @@ Status ServiceContainer::publish_file_resource(Service& owner,
   owner_usage.payload_bytes_sent += prov.meta.size;
 
   // Local subscribers get the content directly (bypass).
-  if (auto sub_it = file_subs_.find(name); sub_it != file_subs_.end()) {
+  if (e.sub) {
     stats_.file_local_bypasses++;
-    deliver_file(sub_it->second, prov.meta, prov.content);
+    deliver_file(*e.sub, prov.meta, prov.content);
   }
 
   // Current receivers follow the resource across revisions (§4.4
@@ -109,45 +110,27 @@ Status ServiceContainer::register_file_subscription(
     Service& owner, const std::string& name, FileCompleteHandler on_done,
     FileProgressHandler on_progress) {
   if (!on_done) return invalid_argument_error("file handler empty");
-  auto it = file_subs_.find(name);
-  if (it == file_subs_.end()) {
-    FileSubscription sub;
-    sub.name = name;
-    it = file_subs_.emplace(name, std::move(sub)).first;
-  }
-  it->second.entries.push_back(
+  FileEntry& e = entry_for(files_, name);
+  if (!e.sub) e.sub.emplace();
+  e.sub->entries.push_back(
       FileSubEntry{&owner, std::move(on_done), std::move(on_progress)});
 
   // Same-container resource: hand over the bytes right away.
-  if (auto prov_it = file_provisions_.find(name);
-      prov_it != file_provisions_.end()) {
+  if (e.prov) {
     stats_.file_local_bypasses++;
-    deliver_file(it->second, prov_it->second.meta, prov_it->second.content);
+    deliver_file(*e.sub, e.prov->meta, e.prov->content);
     return Status::ok();
   }
-  if (running_) try_bind_file_subscription(it->second);
+  if (running_) try_bind(e);
   return Status::ok();
 }
 
-Status ServiceContainer::unregister_file_subscription(
-    Service& owner, const std::string& name) {
-  auto it = file_subs_.find(name);
-  if (it == file_subs_.end()) {
-    return not_found_error("not subscribed to file '" + name + "'");
-  }
-  FileSubscription& sub = it->second;
-  if (std::erase_if(sub.entries,
-                    [&](const auto& e) { return e.service == &owner; }) == 0) {
-    return not_found_error("service '" + owner.name() +
-                           "' is not subscribed to '" + name + "'");
-  }
-  if (!sub.entries.empty()) return Status::ok();
-
-  release_binding<proto::FileUnsubscribeMsg>(sub, name,
+void ServiceContainer::retire_subscription(FileTable::iterator it) {
+  FileSubscription& sub = *it->second.sub;
+  release_binding<proto::FileUnsubscribeMsg>(sub, it->first,
                                              proto::MsgType::kFileUnsubscribe);
   if (sub.receiver) drop_receiver(sub);
-  file_subs_.erase(it);
-  return Status::ok();
+  drop_subscription(files_, it);
 }
 
 void ServiceContainer::drop_receiver(FileSubscription& sub) {
@@ -162,7 +145,7 @@ void ServiceContainer::deliver_file(FileSubscription& sub,
   sub.completed_revision = meta.revision;
   stats_.file_completions++;
   // Post (not inline) so subscribe_file never reenters the service.
-  for (auto& entry : sub.entries) {
+  sub.walk([&](FileSubEntry& entry) {
     auto handler = entry.on_done;
     Service* owner = entry.service;
     usage_of(owner).file_bytes_delivered += content->size();
@@ -172,28 +155,28 @@ void ServiceContainer::deliver_file(FileSubscription& sub,
           guard(owner, "file handler", [&] { handler(meta, *content); });
         },
         config_.handler_cost);
-  }
+  });
 }
 
-void ServiceContainer::try_bind_file_subscription(FileSubscription& sub) {
-  if (file_provisions_.count(sub.name)) return;
+void ServiceContainer::try_bind(FileEntry& e) {
+  if (e.prov) return;
+  FileSubscription& sub = *e.sub;
   if (sub.announced && sub.provider) return;
 
-  auto provider = directory_.resolve(proto::ItemKind::kFile, sub.name);
+  auto provider = directory_.resolve(proto::ItemKind::kFile, e.name);
   if (!provider) {
-    send_name_query(proto::ItemKind::kFile, sub.name, sub.last_name_query);
+    send_name_query(proto::ItemKind::kFile, e.name, sub.last_name_query);
     return;
   }
   sub.provider = *provider;
 
   if (!sub.joined_group) {
-    Status s =
-        transport_.join_group(proto::channel_of(sub.name), config_.data_port);
+    Status s = transport_.join_group(e.channel, config_.data_port);
     sub.joined_group = s.is_ok() || s.code() == StatusCode::kAlreadyExists;
   }
 
   proto::FileSubscribeMsg msg;
-  msg.name = sub.name;
+  msg.name = e.name;
   msg.revision_have = sub.completed_revision;
   send_control(provider->container, proto::MsgType::kFileSubscribe, msg);
   sub.announced = true;
@@ -201,49 +184,49 @@ void ServiceContainer::try_bind_file_subscription(FileSubscription& sub) {
 
 void ServiceContainer::on_file_subscribe(proto::ContainerId from,
                                          const proto::FileSubscribeMsg& msg) {
-  auto it = file_provisions_.find(msg.name);
-  if (it == file_provisions_.end()) return;
-  FileProvision& prov = it->second;
+  FileProvision* prov = provision(files_, msg.name);
+  if (!prov) return;
 
   // Always answer with the current revision's coordinates (manifest
   // included, so the subscriber can verify and resume by hash).
   proto::FileRevisionMsg rev;
-  rev.transfer_id = prov.transfer_id;
-  rev.meta = prov.meta;
-  rev.chunk_hashes = prov.publisher->chunk_hashes();
+  rev.transfer_id = prov->transfer_id;
+  rev.meta = prov->meta;
+  rev.chunk_hashes = prov->publisher->chunk_hashes();
   send_control(from, proto::MsgType::kFileRevision, rev);
 
-  if (msg.revision_have == prov.meta.revision) return;  // already current
-  prov.remote_subscribers.insert(from);
-  prov.publisher->add_subscriber(from);
+  if (msg.revision_have == prov->meta.revision) return;  // already current
+  prov->remote_subscribers.insert(from);
+  prov->publisher->add_subscriber(from);
 }
 
 void ServiceContainer::on_file_unsubscribe(
     proto::ContainerId from, const proto::FileUnsubscribeMsg& msg) {
-  auto it = file_provisions_.find(msg.name);
-  if (it == file_provisions_.end()) return;
-  it->second.remote_subscribers.erase(from);
-  it->second.publisher->remove_subscriber(from);
+  if (FileProvision* prov = provision(files_, msg.name)) {
+    prov->remote_subscribers.erase(from);
+    prov->publisher->remove_subscriber(from);
+  }
 }
 
 void ServiceContainer::on_file_revision(const proto::FileRevisionMsg& msg) {
-  auto it = file_subs_.find(msg.meta.name);
-  if (it == file_subs_.end()) return;
-  FileSubscription& sub = it->second;
+  auto it = files_.find(msg.meta.name);
+  if (it == files_.end() || !it->second.sub) return;
+  FileSubscription& sub = *it->second.sub;
   if (sub.completed_revision >= msg.meta.revision) return;  // old news
   if (sub.receiver && sub.receiver->transfer_id() == msg.transfer_id &&
       sub.receiver->meta().revision == msg.meta.revision) {
     return;  // already collecting this revision
   }
   if (!sub.provider) return;  // not bound (e.g. raced with peer loss)
-  start_file_receiver(sub, msg.transfer_id, msg.meta, msg.chunk_hashes,
+  start_file_receiver(it->second, msg.transfer_id, msg.meta, msg.chunk_hashes,
                       sub.provider->address);
 }
 
 void ServiceContainer::start_file_receiver(
-    FileSubscription& sub, uint64_t transfer_id, const proto::FileMeta& meta,
+    FileEntry& e, uint64_t transfer_id, const proto::FileMeta& meta,
     const std::vector<uint64_t>& chunk_hashes,
     transport::Address publisher_addr) {
+  FileSubscription& sub = *e.sub;
   if (sub.receiver) drop_receiver(sub);
   sub.receiver = std::make_unique<proto::MftpReceiver>(
       transfer_id, meta,
@@ -255,18 +238,21 @@ void ServiceContainer::start_file_receiver(
       });
   transfers_[transfer_id].sub = &sub;
 
+  // Progress handlers run inside the receiver's on_chunk; one that
+  // unsubscribes the last service leaves the receiver alive for the
+  // resubscribe tick to retire (Subscribers).
   sub.receiver->set_on_progress([&sub](uint32_t have, uint32_t total) {
-    for (auto& entry : sub.entries) {
+    sub.walk([&](FileSubEntry& entry) {
       if (entry.on_progress) {
         entry.on_progress(sub.receiver->meta(), have, total);
       }
-    }
+    });
   });
-  auto on_complete = [this, &s = sub](const Buffer& content) {
+  auto on_complete = [this, &e, &s = sub](const Buffer& content) {
     const proto::FileMeta& meta = s.receiver->meta();
     trace_ev(obs::TraceEvent::kDeliver, obs::TraceKind::kFile,
              s.receiver->transfer_id(), meta.revision);
-    MAREA_LOG(kInfo, kLog) << config_.node_name << " completed file '" << s.name
+    MAREA_LOG(kInfo, kLog) << config_.node_name << " completed file '" << e.name
                            << "' rev " << meta.revision << " ("
                            << meta.size << " bytes)";
     // One immutable copy of the reassembled image, shared by every

@@ -11,24 +11,10 @@ void ServiceContainer::on_name_query(proto::ContainerId from,
   ensure_peer(from, addr);
   // Answer only if one of our local services provides the item.
   const Service* owner = nullptr;
-  auto find_owner = [&](const auto& provisions) {
-    auto it = provisions.find(msg.name);
-    if (it != provisions.end()) owner = it->second.owner;
-  };
-  switch (msg.kind) {
-    case proto::ItemKind::kVariable:
-      find_owner(var_provisions_);
-      break;
-    case proto::ItemKind::kEvent:
-      find_owner(event_provisions_);
-      break;
-    case proto::ItemKind::kFunction:
-      find_owner(functions_);
-      break;
-    case proto::ItemKind::kFile:
-      find_owner(file_provisions_);
-      break;
-  }
+  for_each_table([&](proto::ItemKind kind, auto& table) {
+    auto* prov = kind == msg.kind ? provision(table, msg.name) : nullptr;
+    if (prov) owner = prov->owner;
+  });
   if (!owner) return;
   proto::NameReplyMsg reply;
   reply.query_id = msg.query_id;
@@ -63,14 +49,17 @@ void ServiceContainer::send_name_query(proto::ItemKind kind,
 void ServiceContainer::resubscribe_tick() {
   if (!running_) return;
   // Subscriptions a handler emptied while they were being walked.
-  for (auto it = var_subs_.begin(); it != var_subs_.end();) {
-    auto cur = it++;
-    if (cur->second.retirable()) retire_var_subscription(cur);
-  }
-  for (auto it = event_subs_.begin(); it != event_subs_.end();) {
-    auto cur = it++;
-    if (cur->second.retirable()) retire_event_subscription(cur);
-  }
+  auto retire_emptied = [this](auto& table) {
+    for (auto it = table.begin(); it != table.end();) {
+      auto cur = it++;
+      if (cur->second.sub && cur->second.sub->retirable()) {
+        retire_subscription(cur);
+      }
+    }
+  };
+  retire_emptied(vars_);
+  retire_emptied(events_);
+  retire_emptied(files_);
   rebind_after_directory_change();
   resub_timer_.arm(executor_, config_.resubscribe_interval,
                    sched::Priority::kBackground,
@@ -78,9 +67,14 @@ void ServiceContainer::resubscribe_tick() {
 }
 
 void ServiceContainer::rebind_after_directory_change() {
-  for (auto& [name, sub] : var_subs_) try_bind_var_subscription(sub);
-  for (auto& [name, sub] : event_subs_) try_bind_event_subscription(sub);
-  for (auto& [name, sub] : file_subs_) try_bind_file_subscription(sub);
+  auto bind_all = [this](auto& table) {
+    for (auto& [name, e] : table) {
+      if (e.sub) try_bind(e);
+    }
+  };
+  bind_all(vars_);
+  bind_all(events_);
+  bind_all(files_);
 }
 
 }  // namespace marea::mw

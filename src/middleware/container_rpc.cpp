@@ -25,25 +25,23 @@ Status ServiceContainer::register_function(Service& owner,
     return invalid_argument_error("function types are null");
   }
   if (!handler) return invalid_argument_error("function handler empty");
-  if (functions_.count(name)) {
+  FunctionEntry& f = functions_[name];
+  if (f.prov) {
     return already_exists_error("function '" + name +
                                 "' already provided in this container");
   }
-  FunctionProvision prov;
-  prov.owner = &owner;
-  prov.args_type = std::move(args_type);
-  prov.handler = std::move(handler);
-  functions_.emplace(name, std::move(prov));
+  f.prov = FunctionProvision{&owner, std::move(args_type), std::move(handler)};
   manifest_changed();
   return Status::ok();
 }
 
 Status ServiceContainer::add_function_requirement(Service& owner,
                                                   const std::string& function) {
-  required_functions_[function].requirers.insert(owner.name());
+  FunctionEntry& f = functions_[function];
+  f.requirers.insert(owner.name());
   if (running_) check_function_requirements();
   // Report current availability so callers can gate their startup.
-  if (functions_.count(function)) return Status::ok();
+  if (f.prov) return Status::ok();
   if (!directory_.providers(proto::ItemKind::kFunction, function).empty()) {
     return Status::ok();
   }
@@ -54,31 +52,29 @@ Status ServiceContainer::add_function_requirement(Service& owner,
 void ServiceContainer::check_function_requirements() {
   // During the join window, absence is expected — re-check once it closes.
   if (running_ && now() - started_at_ < kRequirementGrace) {
-    if (!requirements_check_pending_) {
-      requirements_check_pending_ = true;
-      executor_.schedule(kRequirementGrace,
-                         sched::Priority::kBackground, [this] {
-                           requirements_check_pending_ = false;
-                           check_function_requirements();
-                         });
+    if (!requirement_timer_.armed()) {
+      requirement_timer_.arm(executor_, kRequirementGrace,
+                             sched::Priority::kBackground,
+                             [this] { check_function_requirements(); });
     }
     return;
   }
-  for (auto& [function, req] : required_functions_) {
+  for (auto& [function, f] : functions_) {
+    if (f.requirers.empty()) continue;
     bool available =
-        functions_.count(function) > 0 ||
+        f.prov ||
         !directory_.providers(proto::ItemKind::kFunction, function).empty();
-    if (!available && !req.in_emergency && running_) {
-      req.in_emergency = true;
+    if (!available && !f.in_emergency && running_) {
+      f.in_emergency = true;
       std::string who;
-      for (const auto& s : req.requirers) {
+      for (const auto& s : f.requirers) {
         if (!who.empty()) who += ",";
         who += s;
       }
       emergency("required function '" + function +
                 "' has no provider (needed by " + who + ")");
-    } else if (available && req.in_emergency) {
-      req.in_emergency = false;
+    } else if (available && f.in_emergency) {
+      f.in_emergency = false;
       MAREA_LOG(kInfo, kLog) << "function '" << function
                              << "' available again";
     }
@@ -93,7 +89,7 @@ void ServiceContainer::call_function(Service* caller,
   usage_of(caller).rpc_calls_issued++;
 
   // Same-container provider: bypass the network entirely.
-  if (functions_.count(function)) {
+  if (provision(functions_, function)) {
     executor_.post(
         sched::Priority::kRpc,
         [this, function, args = std::move(args),
@@ -135,7 +131,7 @@ std::optional<ProviderRecord> ServiceContainer::pick_provider(
   }
   if (usable.empty()) return std::nullopt;
 
-  FunctionBinding& binding = function_bindings_[function];
+  FunctionBinding& binding = functions_[function].binding;
   if (options.binding == RpcBinding::kStatic) {
     // Pin the first choice and keep using it (§4.3 "static allocations …
     // are useful in critical services").
@@ -244,8 +240,7 @@ void ServiceContainer::on_rpc_request(proto::ContainerId from,
   proto::RpcResponseMsg resp;
   resp.request_id = msg.request_id;
 
-  auto it = functions_.find(msg.function);
-  if (it == functions_.end()) {
+  if (!provision(functions_, msg.function)) {
     resp.status_code = static_cast<uint8_t>(StatusCode::kNotFound);
     resp.error = "function '" + msg.function + "' not provided here";
     ByteWriter w;
@@ -291,15 +286,13 @@ StatusOr<enc::Value> ServiceContainer::serve_call(const std::string& function,
   // Looked up again when the handler gets the CPU, not captured when the
   // call arrived: a stop() in between (a node killed while the call
   // waited) has erased the provision.
-  auto it = functions_.find(function);
-  if (it == functions_.end()) {
-    return unavailable_error("function '" + function + "' withdrawn");
-  }
-  FunctionProvision& prov = it->second;
+  FunctionProvision* prov = provision(functions_, function);
+  if (!prov) return unavailable_error("function '" + function + "' withdrawn");
   stats_.rpc_served++;
-  usage_of(prov.owner).rpc_calls_served++;
+  usage_of(prov->owner).rpc_calls_served++;
   StatusOr<enc::Value> result = internal_error("function handler crashed");
-  guard(prov.owner, "function handler", [&] { result = prov.handler(args); });
+  guard(prov->owner, "function handler",
+        [&] { result = prov->handler(args); });
   return result;
 }
 

@@ -15,40 +15,34 @@ StatusOr<VariableHandle> ServiceContainer::register_variable(
     Service& owner, const std::string& name, enc::TypePtr type,
     VariableQoS qos) {
   if (!type) return invalid_argument_error("variable type is null");
-  if (var_provisions_.count(name)) {
+  VarEntry& e = entry_for(vars_, name);
+  if (e.prov) {
     return already_exists_error("variable '" + name +
                                 "' already provided in this container");
   }
-  VarProvision prov;
+  VarProvision& prov = e.prov.emplace();
   prov.owner = &owner;
-  prov.name = name;
-  prov.channel = proto::channel_of(name);
   prov.type = std::move(type);
   prov.qos = qos;
-  if (auto sub_it = var_subs_.find(name); sub_it != var_subs_.end()) {
-    prov.local_sub = &sub_it->second;
-  }
-  VarProvision* p =
-      &var_provisions_.emplace(name, std::move(prov)).first->second;
-
   if (qos.period.ns > 0) {
-    p->period_timer.arm(executor_, qos.period, sched::Priority::kVariable,
-                        [this, p] { period_tick(*p); });
+    prov.period_timer.arm(executor_, qos.period, sched::Priority::kVariable,
+                          [this, &e] { period_tick(e); });
   }
   manifest_changed();
-  return VariableHandle(this, name);
+  return VariableHandle(this, name, &e, registration_epoch_);
 }
 
-Status ServiceContainer::publish_variable(const std::string& name,
-                                          enc::Value value) {
-  auto it = var_provisions_.find(name);
-  if (it == var_provisions_.end()) {
-    return not_found_error("variable '" + name + "' is not provided here");
+Status ServiceContainer::publish(const VariableHandle& handle,
+                                 enc::Value value) {
+  if (handle.epoch_ != registration_epoch_) {
+    return failed_precondition_error("variable '" + handle.name() +
+                                     "': handle predates a restart");
   }
-  VarProvision& prov = it->second;
-  // Encoding doubles as validation (validate() is itself an encode to a
-  // scratch buffer): one pass both checks the shape and fills the cache
-  // every send path reuses, into capacity retained across publishes.
+  VarEntry& e = static_cast<VarEntry&>(*handle.entry_);
+  VarProvision& prov = *e.prov;
+  // Encoding doubles as validation: one pass both checks the shape and
+  // fills the cache every send path reuses, into capacity retained across
+  // publishes.
   if (Status s = enc::encode_value_into(value, *prov.type, prov.last_encoded);
       !s.is_ok()) {
     return s;
@@ -58,34 +52,35 @@ Status ServiceContainer::publish_variable(const std::string& name,
   auto& usage = usage_of(prov.owner);
   usage.var_publishes++;
   usage.payload_bytes_sent += prov.last_encoded.size();
-  send_sample(prov);
+  send_sample(e);
   return Status::ok();
 }
 
-void ServiceContainer::send_sample(VarProvision& prov) {
+void ServiceContainer::send_sample(VarEntry& e) {
+  VarProvision& prov = *e.prov;
   if (!prov.last_value) return;
   prov.seq++;
   prov.last_publish = now();
-  trace_ev(obs::TraceEvent::kPublish, obs::TraceKind::kVar, prov.channel,
+  trace_ev(obs::TraceEvent::kPublish, obs::TraceKind::kVar, e.channel,
            prov.seq);
-  // prov.last_encoded was filled by publish_variable; period_tick resends
+  // prov.last_encoded was filled by publish(); period_tick resends
   // the same value, so the cache is always current here.
 
   // Local subscribers first: same-container delivery never touches the
   // network (§3 "local message delivery").
-  if (VarSubscription* sub = prov.local_sub) {
+  if (e.sub) {
     SampleInfo info;
     info.seq = prov.seq;
     info.publish_time = prov.last_publish;
     info.latency = kDurationZero;
     // Copy-assign reuses the cached tree's capacity.
-    sub->last_value = *prov.last_value;
-    deliver_sample(*sub, info);
+    e.sub->last_value = *prov.last_value;
+    deliver_sample(e, info);
   }
 
   if (prov.remote_subscribers.empty()) return;
   proto::VarSampleMsg msg;
-  msg.channel = prov.channel;
+  msg.channel = e.channel;
   msg.seq = prov.seq;
   msg.pub_time_ns = prov.last_publish.ns;
   // Borrow the cached encoding: the provision outlives the synchronous
@@ -93,7 +88,7 @@ void ServiceContainer::send_sample(VarProvision& prov) {
   msg.value = Bytes::borrow(BytesView(prov.last_encoded));
   if (config_.use_multicast) {
     // One packet reaches every subscriber (§4.1 bandwidth optimization).
-    multicast_msg(prov.channel, proto::MsgType::kVarSample, msg);
+    multicast_msg(e.channel, proto::MsgType::kVarSample, msg);
     stats_.var_samples_sent++;
   } else {
     for (proto::ContainerId sub : prov.remote_subscribers) {
@@ -105,15 +100,16 @@ void ServiceContainer::send_sample(VarProvision& prov) {
   }
 }
 
-void ServiceContainer::period_tick(VarProvision& prov) {
+void ServiceContainer::period_tick(VarEntry& e) {
   if (!running_) return;
+  VarProvision& prov = *e.prov;
   // Republish the last value on cadence ("sent at regular intervals") —
   // but only if the service hasn't already published within the period.
   if (prov.last_value && now() - prov.last_publish >= prov.qos.period) {
-    send_sample(prov);
+    send_sample(e);
   }
   prov.period_timer.arm(executor_, prov.qos.period, sched::Priority::kVariable,
-                        [this, &prov] { period_tick(prov); });
+                        [this, &e] { period_tick(e); });
 }
 
 Status ServiceContainer::register_var_subscription(
@@ -122,30 +118,24 @@ Status ServiceContainer::register_var_subscription(
   if (!type) return invalid_argument_error("subscription type is null");
   if (!handler) return invalid_argument_error("subscription handler empty");
 
-  auto prov_it = var_provisions_.find(name);
-  auto it = var_subs_.find(name);
-  if (it == var_subs_.end()) {
-    it = var_subs_.emplace(name, VarSubscription{}).first;
-    VarSubscription& sub = it->second;
-    sub.name = name;
-    sub.channel = proto::channel_of(name);
-    sub.type = type;
-    sub_channels_[sub.channel] = &sub;
-    if (prov_it != var_provisions_.end()) prov_it->second.local_sub = &sub;
-  } else if (it->second.type->structural_hash() != type->structural_hash()) {
+  VarEntry& e = entry_for(vars_, name);
+  if (!e.sub) {
+    e.sub.emplace().type = type;
+    sub_channels_[e.channel] = &e;
+  } else if (e.sub->type->structural_hash() != type->structural_hash()) {
     return invalid_argument_error(
         "variable '" + name +
         "' already subscribed with a different structure");
   }
-  it->second.entries.push_back(
+  e.sub->entries.push_back(
       VarSubEntry{&owner, std::move(handler), std::move(on_timeout)});
 
-  if (running_) try_bind_var_subscription(it->second);
+  if (running_) try_bind(e);
 
   // Same-container provider: deliver the snapshot immediately (§4.1
   // guaranteed initial value, via the local bypass).
-  if (prov_it != var_provisions_.end() && prov_it->second.last_value) {
-    VarProvision& prov = prov_it->second;
+  if (e.prov && e.prov->last_value) {
+    VarProvision& prov = *e.prov;
     enc::Value value = *prov.last_value;
     SampleInfo info;
     info.seq = prov.seq;
@@ -153,10 +143,10 @@ Status ServiceContainer::register_var_subscription(
     info.from_snapshot = true;
     executor_.post(sched::Priority::kVariable,
                    [this, name, value = std::move(value), info]() mutable {
-                     auto sit = var_subs_.find(name);
-                     if (sit != var_subs_.end()) {
-                       sit->second.last_value = std::move(value);
-                       deliver_sample(sit->second, info);
+                     auto it = vars_.find(name);
+                     if (it != vars_.end() && it->second.sub) {
+                       it->second.sub->last_value = std::move(value);
+                       deliver_sample(it->second, info);
                      }
                    },
                    config_.handler_cost);
@@ -164,49 +154,30 @@ Status ServiceContainer::register_var_subscription(
   return Status::ok();
 }
 
-Status ServiceContainer::unregister_var_subscription(Service& owner,
-                                                     const std::string& name) {
-  auto it = var_subs_.find(name);
-  if (it == var_subs_.end()) {
-    return not_found_error("not subscribed to variable '" + name + "'");
-  }
-  if (it->second.remove(&owner) == 0) {
-    return not_found_error("service '" + owner.name() +
-                           "' is not subscribed to '" + name + "'");
-  }
-  if (it->second.retirable()) retire_var_subscription(it);
-  return Status::ok();
-}
-
-void ServiceContainer::retire_var_subscription(
-    std::map<std::string, VarSubscription>::iterator it) {
-  VarSubscription& sub = it->second;
-  release_binding<proto::VarUnsubscribeMsg>(sub, it->first,
+void ServiceContainer::retire_subscription(VarTable::iterator it) {
+  VarEntry& e = it->second;
+  release_binding<proto::VarUnsubscribeMsg>(*e.sub, e.name,
                                             proto::MsgType::kVarUnsubscribe);
-  if (auto ch = sub_channels_.find(sub.channel);
-      ch != sub_channels_.end() && ch->second == &sub) {
+  if (auto ch = sub_channels_.find(e.channel);
+      ch != sub_channels_.end() && ch->second == &e) {
     sub_channels_.erase(ch);
   }
-  if (auto prov_it = var_provisions_.find(it->first);
-      prov_it != var_provisions_.end()) {
-    prov_it->second.local_sub = nullptr;
-  }
-  var_subs_.erase(it);
+  drop_subscription(vars_, it);
 }
 
-void ServiceContainer::try_bind_var_subscription(VarSubscription& sub) {
-  if (var_provisions_.count(sub.name)) return;  // local provider: no network
+void ServiceContainer::try_bind(VarEntry& e) {
+  if (e.prov) return;  // local provider: no network
+  VarSubscription& sub = *e.sub;
   if (sub.announced && sub.provider) return;
 
-  auto provider = directory_.resolve(proto::ItemKind::kVariable, sub.name);
+  auto provider = directory_.resolve(proto::ItemKind::kVariable, e.name);
   if (!provider) {
-    send_name_query(proto::ItemKind::kVariable, sub.name,
-                    sub.last_name_query);
+    send_name_query(proto::ItemKind::kVariable, e.name, sub.last_name_query);
     return;
   }
   if (provider->schema_hash != 0 &&
       provider->schema_hash != sub.type->structural_hash()) {
-    MAREA_LOG(kWarn, kLog) << "variable '" << sub.name
+    MAREA_LOG(kWarn, kLog) << "variable '" << e.name
                            << "': schema mismatch with provider, not binding";
     return;
   }
@@ -232,27 +203,29 @@ void ServiceContainer::try_bind_var_subscription(VarSubscription& sub) {
   sub.deadline = provider_qos.effective_deadline();
 
   if (config_.use_multicast && !sub.joined_group) {
-    Status s = transport_.join_group(sub.channel, config_.data_port);
+    Status s = transport_.join_group(e.channel, config_.data_port);
     sub.joined_group = s.is_ok() || s.code() == StatusCode::kAlreadyExists;
   }
 
   proto::VarSubscribeMsg msg;
-  msg.name = sub.name;
+  msg.name = e.name;
   msg.schema_hash = sub.type->structural_hash();
   send_control(provider->container, proto::MsgType::kVarSubscribe, msg);
   sub.announced = true;
-  arm_deadline(sub);
+  arm_deadline(e);
 }
 
-void ServiceContainer::arm_deadline(VarSubscription& sub) {
+void ServiceContainer::arm_deadline(VarEntry& e) {
+  VarSubscription& sub = *e.sub;
   if (sub.deadline.ns <= 0) return;
   sub.deadline_timer.arm(
-      executor_, sub.deadline, sched::Priority::kVariable, [this, &s = sub] {
+      executor_, sub.deadline, sched::Priority::kVariable, [this, &e] {
         if (!running_) return;
+        VarSubscription& s = *e.sub;
         if (!s.got_any) {
           // Nothing has flowed yet (provider may still be starting): the
           // warning is for streams that stop, not ones that never began.
-          arm_deadline(s);
+          arm_deadline(e);
           return;
         }
         Duration silence = now() - s.last_recv;
@@ -267,7 +240,7 @@ void ServiceContainer::arm_deadline(VarSubscription& sub) {
             }
           });
         }
-        arm_deadline(s);
+        arm_deadline(e);
       });
 }
 
@@ -284,12 +257,12 @@ bool ServiceContainer::decode_into_cache(VarSubscription& sub,
   return true;
 }
 
-void ServiceContainer::deliver_sample(VarSubscription& sub,
-                                      const SampleInfo& info) {
+void ServiceContainer::deliver_sample(VarEntry& e, const SampleInfo& info) {
+  VarSubscription& sub = *e.sub;
   sub.last_seq = info.seq;
   sub.last_recv = now();
   sub.got_any = true;
-  trace_ev(obs::TraceEvent::kDeliver, obs::TraceKind::kVar, sub.channel,
+  trace_ev(obs::TraceEvent::kDeliver, obs::TraceKind::kVar, e.channel,
            info.seq);
   // Local bypass deliveries count as zero latency — that IS the datum.
   if (var_latency_us_) var_latency_us_->record(info.latency.ns / 1000);
@@ -303,30 +276,31 @@ void ServiceContainer::deliver_sample(VarSubscription& sub,
 
 void ServiceContainer::on_var_subscribe(proto::ContainerId from,
                                         const proto::VarSubscribeMsg& msg) {
-  auto it = var_provisions_.find(msg.name);
-  if (it == var_provisions_.end()) return;
-  VarProvision& prov = it->second;
+  auto it = vars_.find(msg.name);
+  if (it == vars_.end() || !it->second.prov) return;
+  VarProvision& prov = *it->second.prov;
   if (msg.schema_hash != prov.type->structural_hash()) {
     MAREA_LOG(kWarn, kLog) << "refusing subscriber " << from << " of '"
                            << msg.name << "': schema mismatch";
     return;
   }
   prov.remote_subscribers.insert(from);
-  send_snapshot(prov, from);
+  send_snapshot(it->second, from);
 }
 
 void ServiceContainer::on_var_unsubscribe(
     proto::ContainerId from, const proto::VarUnsubscribeMsg& msg) {
-  auto it = var_provisions_.find(msg.name);
-  if (it != var_provisions_.end()) it->second.remote_subscribers.erase(from);
+  if (auto* prov = provision(vars_, msg.name)) {
+    prov->remote_subscribers.erase(from);
+  }
 }
 
-void ServiceContainer::send_snapshot(VarProvision& prov,
-                                     proto::ContainerId to) {
+void ServiceContainer::send_snapshot(VarEntry& e, proto::ContainerId to) {
   // The "mechanism that guarantees an initial exact value" (§4.1): the
   // snapshot rides the reliable control channel.
+  const VarProvision& prov = *e.prov;
   proto::VarSnapshotMsg msg;
-  msg.name = prov.name;
+  msg.name = e.name;
   msg.seq = prov.seq;
   msg.pub_time_ns = prov.last_publish.ns;
   msg.has_value = prov.last_value.has_value();
@@ -336,9 +310,9 @@ void ServiceContainer::send_snapshot(VarProvision& prov,
 }
 
 void ServiceContainer::on_var_snapshot(const proto::VarSnapshotMsg& msg) {
-  auto it = var_subs_.find(msg.name);
-  if (it == var_subs_.end()) return;
-  VarSubscription& sub = it->second;
+  auto it = vars_.find(msg.name);
+  if (it == vars_.end() || !it->second.sub) return;
+  VarSubscription& sub = *it->second.sub;
   if (sub.got_any || !msg.has_value) return;  // live data already flowing
   if (!decode_into_cache(sub, as_bytes_view(msg.value))) return;
   stats_.var_samples_received++;
@@ -347,13 +321,14 @@ void ServiceContainer::on_var_snapshot(const proto::VarSnapshotMsg& msg) {
   info.publish_time = TimePoint{msg.pub_time_ns};
   info.latency = now() - info.publish_time;
   info.from_snapshot = true;
-  deliver_sample(sub, info);
+  deliver_sample(it->second, info);
 }
 
 void ServiceContainer::on_var_sample(const proto::VarSampleMsg& msg) {
   auto it = sub_channels_.find(msg.channel);
   if (it == sub_channels_.end()) return;  // multicast overhearing
-  VarSubscription& sub = *it->second;
+  VarEntry& e = *it->second;
+  VarSubscription& sub = *e.sub;
   // Best-effort streams may reorder: drop anything not newer than the
   // freshest sample we have.
   if (sub.got_any && msg.seq <= sub.last_seq) return;
@@ -366,23 +341,23 @@ void ServiceContainer::on_var_sample(const proto::VarSampleMsg& msg) {
   info.seq = msg.seq;
   info.publish_time = TimePoint{msg.pub_time_ns};
   info.latency = now() - info.publish_time;
-  deliver_sample(sub, info);
+  deliver_sample(e, info);
 }
 
 StatusOr<enc::Value> ServiceContainer::read_variable(
     const std::string& name) const {
+  auto it = vars_.find(name);
   // Prefer our own provision's value (provider-side read).
-  if (auto it = var_provisions_.find(name); it != var_provisions_.end()) {
-    if (!it->second.last_value) {
+  if (it != vars_.end() && it->second.prov) {
+    if (!it->second.prov->last_value) {
       return not_found_error("variable '" + name + "' has no value yet");
     }
-    return *it->second.last_value;
+    return *it->second.prov->last_value;
   }
-  auto it = var_subs_.find(name);
-  if (it == var_subs_.end()) {
+  if (it == vars_.end() || !it->second.sub) {
     return not_found_error("not subscribed to variable '" + name + "'");
   }
-  const VarSubscription& sub = it->second;
+  const VarSubscription& sub = *it->second.sub;
   // Gate on the cache, not got_any: a provider failover resets the
   // sequence watermark but the last value stays readable while valid.
   if (!sub.last_value) {

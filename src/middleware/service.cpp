@@ -13,15 +13,13 @@ Status not_attached() {
 }
 }  // namespace
 
-Status VariableHandle::publish(enc::Value value) {
+template <typename EntryBase>
+Status ProvisionHandle<EntryBase>::publish(enc::Value value) {
   if (!container_) return not_attached();
-  return container_->publish_variable(name_, std::move(value));
+  return container_->publish(*this, std::move(value));
 }
-
-Status EventHandle::publish(enc::Value value) {
-  if (!container_) return not_attached();
-  return container_->publish_event(name_, std::move(value));
-}
+template class ProvisionHandle<VarEntryBase>;
+template class ProvisionHandle<EventEntryBase>;
 
 ServiceContainer& Service::container() const {
   assert(container_ && "service not added to a container");

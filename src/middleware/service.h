@@ -76,13 +76,24 @@ using FileProgressHandler =
 
 // --- provision handles --------------------------------------------------
 
-// Publishes samples of one provided variable. Default-constructed handles
-// are inert until assigned from provide_variable().
-class VariableHandle {
- public:
-  VariableHandle() = default;
+// What a provision handle addresses: its container's entry for the name.
+// Empty bases of the entry types in container.h, opaque here.
+struct VarEntryBase {};
+struct EventEntryBase {};
 
-  // Pushes a new sample to every subscriber (best effort, §4.1).
+// Publishes through one provision: a variable's samples (VariableHandle,
+// best effort, §4.1) or an event's occurrences (EventHandle, guaranteed
+// delivery, §4.2; the value may be an empty struct for events that "have
+// meaning by themselves"). Default-constructed handles are inert until
+// assigned from provide_variable() or provide_event(). A handle lives as
+// long as its registration: once the container stops, publishing through
+// it fails with kFailedPrecondition, and the service provides again (from
+// on_start) to get a fresh one.
+template <typename EntryBase>
+class ProvisionHandle {
+ public:
+  ProvisionHandle() = default;
+
   Status publish(enc::Value value);
   template <typename T>
   Status publish(const T& obj) {
@@ -94,35 +105,18 @@ class VariableHandle {
 
  private:
   friend class ServiceContainer;
-  VariableHandle(ServiceContainer* c, std::string n)
-      : container_(c), name_(std::move(n)) {}
+  ProvisionHandle(ServiceContainer* c, std::string n, EntryBase* entry,
+                  uint64_t epoch)
+      : container_(c), name_(std::move(n)), entry_(entry), epoch_(epoch) {}
   ServiceContainer* container_ = nullptr;
   std::string name_;
+  // The container's entry for name_, alive while the container's
+  // registration epoch is still epoch_.
+  EntryBase* entry_ = nullptr;
+  uint64_t epoch_ = 0;
 };
-
-// Publishes occurrences of one provided event (guaranteed delivery, §4.2).
-class EventHandle {
- public:
-  EventHandle() = default;
-
-  // `value` may be an empty struct for events that "have meaning by
-  // themselves".
-  Status publish(enc::Value value);
-  template <typename T>
-  Status publish(const T& obj) {
-    return publish(enc::to_value(obj));
-  }
-
-  const std::string& name() const { return name_; }
-  bool valid() const { return container_ != nullptr; }
-
- private:
-  friend class ServiceContainer;
-  EventHandle(ServiceContainer* c, std::string n)
-      : container_(c), name_(std::move(n)) {}
-  ServiceContainer* container_ = nullptr;
-  std::string name_;
-};
+using VariableHandle = ProvisionHandle<VarEntryBase>;
+using EventHandle = ProvisionHandle<EventEntryBase>;
 
 // --- Service -----------------------------------------------------------
 

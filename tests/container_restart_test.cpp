@@ -45,6 +45,8 @@ class BeatPublisher final : public Service {
     (void)var_.publish(b);
     (void)event_.publish(b);
   }
+  const VariableHandle& var() const { return var_; }
+  const EventHandle& event() const { return event_; }
 
  private:
   VariableHandle var_;
@@ -160,6 +162,38 @@ TEST(ContainerRestartTest, PeersDiscardOldIncarnationSequenceState) {
   EXPECT_EQ(rig.watch->last_var, 103);
   EXPECT_EQ(rig.watch->last_event, 103);
   EXPECT_LT(rig.watch->last_var_seq, old_seq);
+}
+
+// A provision handle lives as long as its registration. One kept across
+// stop()/start() is stale: publishing through it fails, stopped or
+// restarted, and never touches the entry stop() freed. The handle that
+// on_start issued again publishes normally.
+TEST(ContainerRestartTest, HandleKeptAcrossRestartIsStale) {
+  RestartRig rig;
+  VariableHandle old_var = rig.pub->var();
+  EventHandle old_event = rig.pub->event();
+  Beat b;
+  b.n = 7;
+  ASSERT_TRUE(old_var.publish(b).is_ok());
+  ASSERT_TRUE(old_event.publish(b).is_ok());
+
+  rig.pub_container->stop();
+  EXPECT_EQ(old_var.publish(b).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(old_event.publish(b).code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(rig.pub_container->start().is_ok());
+  rig.domain.run_for(seconds(1.0));
+  const int var_before = rig.watch->var_got;
+  const int event_before = rig.watch->event_got;
+  EXPECT_EQ(old_var.publish(b).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(old_event.publish(b).code(), StatusCode::kFailedPrecondition);
+  rig.domain.run_for(milliseconds(500));
+  EXPECT_EQ(rig.watch->var_got, var_before);
+  EXPECT_EQ(rig.watch->event_got, event_before);
+
+  rig.pub->emit(8);
+  rig.domain.run_for(milliseconds(500));
+  EXPECT_EQ(rig.watch->last_var, 8);
+  EXPECT_EQ(rig.watch->last_event, 8);
 }
 
 TEST(ContainerRestartTest, StaleHeartbeatFromOldIncarnationIgnored) {

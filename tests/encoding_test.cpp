@@ -204,9 +204,10 @@ TEST(CodecTest, DecodeRejectsTruncation) {
   }
 }
 
+// Publishers validate by encoding: the shape check is the encode itself.
 TEST(CodecTest, ValidateMatchesEncode) {
-  EXPECT_TRUE(validate(Value::of_double(1.0), *f64_type()).is_ok());
-  EXPECT_FALSE(validate(Value::of_double(1.0), *i32_type()).is_ok());
+  EXPECT_TRUE(encode_value(Value::of_double(1.0), *f64_type()).ok());
+  EXPECT_FALSE(encode_value(Value::of_double(1.0), *i32_type()).ok());
 }
 
 // --- tagged (self-describing) codec ------------------------------------------
@@ -281,12 +282,13 @@ TEST(PackedArrayTest, EncodesLikeListAndDecodesPacked) {
 
 TEST(PackedArrayTest, ShapeChecksMatchTheListForm) {
   const Value packed = Value::of_f64_array({1.0, 2.0});
-  EXPECT_FALSE(validate(packed, *TypeDescriptor::array_of(i32_type())).is_ok());
-  EXPECT_FALSE(validate(packed, *f64_type()).is_ok());
   EXPECT_FALSE(
-      validate(packed, *TypeDescriptor::array_of(f64_type(), 3)).is_ok());
+      encode_value(packed, *TypeDescriptor::array_of(i32_type())).ok());
+  EXPECT_FALSE(encode_value(packed, *f64_type()).ok());
+  EXPECT_FALSE(
+      encode_value(packed, *TypeDescriptor::array_of(f64_type(), 3)).ok());
   EXPECT_TRUE(
-      validate(packed, *TypeDescriptor::array_of(f64_type(), 2)).is_ok());
+      encode_value(packed, *TypeDescriptor::array_of(f64_type(), 2)).ok());
 }
 
 TEST(PackedArrayTest, ForgedLengthIsDataLossBeforeAllocating) {

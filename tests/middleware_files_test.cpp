@@ -466,5 +466,68 @@ TEST(FilesTest, PublisherOwnershipEnforced) {
   ASSERT_TRUE(pub_ptr->publish("res.owned", blob(200)).is_ok());
 }
 
+// Unsubscribes itself from inside its first progress call.
+class ProgressQuitter final : public Service {
+ public:
+  explicit ProgressQuitter(std::string resource)
+      : Service("quitter"), resource_(std::move(resource)) {}
+  Status on_start() override {
+    return subscribe_file(
+        resource_,
+        [this](const proto::FileMeta&, const Buffer&) { ++completions; },
+        [this](const proto::FileMeta&, uint32_t, uint32_t) {
+          ++progress_calls;
+          unsubscribed = unsubscribe_file(resource_);
+        });
+  }
+
+  std::string resource_;
+  int completions = 0;
+  int progress_calls = 0;
+  Status unsubscribed = internal_error("no progress call yet");
+};
+
+// Progress handlers run inside the MFTP receiver's chunk handling. One
+// that unsubscribes its container's last service must not destroy the
+// receiver under that call (a heap-use-after-free under ASan): the
+// emptied subscription is retired at the next resubscribe tick, and the
+// transfer to every other subscriber goes on.
+TEST(FileProgressLifetime, HandlerUnsubscribesTheLastService) {
+  SimDomain domain(58);
+  auto& n1 = domain.add_node("pub");
+  auto pub = std::make_unique<FilePublisher>();
+  auto* pub_ptr = pub.get();
+  (void)n1.add_service(std::move(pub));
+  auto& n2 = domain.add_node("quit");
+  auto quitter = std::make_unique<ProgressQuitter>("res.q");
+  auto* quitter_ptr = quitter.get();
+  (void)n2.add_service(std::move(quitter));
+  auto& n3 = domain.add_node("keep");
+  auto keeper = std::make_unique<FileConsumer>("keeper", "res.q");
+  auto* keeper_ptr = keeper.get();
+  (void)n3.add_service(std::move(keeper));
+  domain.start_all();
+  domain.run_for(milliseconds(300));
+
+  const Buffer first = blob(48000, 1);
+  ASSERT_TRUE(pub_ptr->publish("res.q", first).is_ok());
+  domain.run_for(seconds(3.0));
+  EXPECT_EQ(quitter_ptr->progress_calls, 1);
+  EXPECT_TRUE(quitter_ptr->unsubscribed.is_ok())
+      << quitter_ptr->unsubscribed.to_string();
+  ASSERT_EQ(keeper_ptr->completions.size(), 1u);
+  EXPECT_EQ(keeper_ptr->completions[0].second, first);
+
+  // The retired subscription told its provider: the next revision
+  // reaches the keeper only.
+  const Buffer second = blob(48000, 2);
+  ASSERT_TRUE(pub_ptr->publish("res.q", second).is_ok());
+  domain.run_for(seconds(3.0));
+  ASSERT_EQ(keeper_ptr->completions.size(), 2u);
+  EXPECT_EQ(keeper_ptr->completions[1].second, second);
+  EXPECT_EQ(quitter_ptr->progress_calls, 1);
+  EXPECT_EQ(quitter_ptr->completions, 0);
+}
+
 }  // namespace
 }  // namespace marea::mw

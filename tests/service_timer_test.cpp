@@ -1,7 +1,8 @@
 // Service timers against container lifetime on real threads: a timer a
 // service arms through Service::schedule must never run once its
 // container, and with it the service, is gone, however the destruction
-// interleaves with the timer thread and the worker.
+// interleaves with the timer thread and the worker. The container's own
+// timers die with it too.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +11,7 @@
 #include <thread>
 
 #include "middleware/container.h"
+#include "sched/sim_executor.h"
 #include "sched/thread_pool.h"
 #include "sim/network.h"
 #include "transport/sim_transport.h"
@@ -77,6 +79,37 @@ TEST(ServiceTimerLifetime, ContainerDestroyedWhileTimersFire) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   EXPECT_GE(ticks.load(), 1000u);
+}
+
+// Requires a function nobody provides, so the container arms its
+// requirement re-check for the end of the start-up grace second.
+class Requirer final : public Service {
+ public:
+  Requirer() : Service("requirer") {}
+  Status on_start() override {
+    (void)require_function("nobody.provides.this");
+    return Status::ok();
+  }
+};
+
+// The container's own timers die with it: one destroyed inside the grace
+// window must not leave the requirement re-check to fire into freed
+// memory a second later (a heap-use-after-free under ASan).
+TEST(RequirementTimerLifetime, ContainerDestroyedInsideTheGraceWindow) {
+  sim::Simulator sim;
+  sim::SimNetwork net(sim, Rng(1));
+  transport::SimTransport transport(net, net.add_node("n"));
+  sched::SimExecutor executor(sim);
+  int emergencies = 0;
+  auto container = std::make_unique<ServiceContainer>(ContainerConfig{},
+                                                      transport, executor);
+  container->set_emergency_handler([&](const std::string&) { ++emergencies; });
+  ASSERT_TRUE(container->add_service(std::make_unique<Requirer>()).is_ok());
+  ASSERT_TRUE(container->start().is_ok());
+  sim.run_for(milliseconds(100));
+  container.reset();
+  sim.run_for(seconds(2.0));
+  EXPECT_EQ(emergencies, 0);
 }
 
 }  // namespace
