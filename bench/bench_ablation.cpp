@@ -55,6 +55,7 @@ void mftp_chunk_size(Report& report, uint32_t chunk) {
         msg.encode(w);
         (void)net.send_multicast(Address{pub, 1}, kGroup,
                                  net.frame_pool().copy_in(w.view()));
+        return kDurationZero;
       },
       [&](const proto::FileStatusRequestMsg& msg) {
         ByteWriter w;

@@ -165,6 +165,7 @@ FtResult run_mftp(const Buffer& content, const FtOptions& opt) {
         msg.encode(w);
         (void)net.send_multicast(Address{pub_node, 1}, kGroup,
                                  net.frame_pool().copy_in(w.view()));
+        return kDurationZero;
       },
       [&](const proto::FileStatusRequestMsg& msg) {
         ByteWriter w;

@@ -11,8 +11,10 @@
 # way to catch lifetime bugs in the recovery paths. Both full ctest
 # passes include BenchClaims.Gate: the deterministic bench_claims report
 # of the paper's claims (C1-C3, C5, F2/C6, C7-C10, F3, A1-A3) gated
-# against bench/baselines/claims.json. Finally the
-# Release benches run — bench_hotpath (sim datapath), bench_live (kernel
+# against bench/baselines/claims.json. The perfbench smoke
+# (scripts/perfbench_smoke.sh) runs each simulated workload once and
+# gates mission_sim seed 1 on "correct" and lat_p99_us <= 15 ms. Finally
+# the Release benches run — bench_hotpath (sim datapath), bench_live (kernel
 # datapath), bench_fleet (sharded engine scaling), bench_scenario_matrix
 # (seeded missions over the mobility-driven radio model),
 # bench_file_transfer (content-addressed MFTP: compression, dedup,
@@ -61,6 +63,9 @@ cmake --build build-tsan -j"$(nproc)" --target parallel_sim_test \
   middleware_files_test
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
   -R 'ParallelSim|ChaosSoak|DataMuleScenario|ChunkPipeline|LiveBackend|LiveSoak|LiveStack|ServiceTimerLifetime|RequirementTimerLifetime|RpcProvisionLifetime|FileProgressLifetime'
+
+echo "== perfbench smoke (mission_sim seed 1: correct, lat_p99_us <= 15 ms) =="
+./scripts/perfbench_smoke.sh
 
 echo "== release hot-path bench (BENCH_hotpath.json) =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null

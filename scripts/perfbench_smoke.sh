@@ -1,0 +1,38 @@
+#!/usr/bin/env bash
+# perfbench smoke: one short seeded run per simulated workload.
+#
+# perfbench/ builds its own copy of src/, and run.py exits nonzero if
+# that build, its self-test or a workload's output checks fail, so a
+# library change cannot silently break the benchmark. mission_sim covers
+# the file path: its check compares each file's hash64 at both receivers
+# against what was published.
+#
+# The mission_sim run is also gated on its last line: it must report
+# "correct": true and lat_p99_us <= 15,000 us. The latency is virtual
+# time, read over a fixed number of segments, so it is deterministic for
+# a seed (seed 1 reads about 11,000 us). An event that queues behind a
+# photo's MFTP chunks on the 8 Mbps egress instead of waiting for one
+# chunk pushes it to about 17,000 us.
+#
+# Usage: scripts/perfbench_smoke.sh   (builds into $CARGO_TARGET_DIR or
+# .bench_build, as run.py does)
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+python3 perfbench/run.py --workload telemetry_sim --seed 1 --seconds 5 \
+  --trace 0
+last=$(python3 perfbench/run.py --workload mission_sim --seed 1 \
+  --seconds 5 --trace 0 | tail -n 1)
+echo "$last"
+LAST="$last" python3 - <<'EOF'
+import json, os, sys
+
+report = json.loads(os.environ["LAST"])
+p99 = report["metrics"]["lat_p99_us"]["value"]
+if report.get("correct") is not True:
+    sys.exit("perfbench smoke: mission_sim seed 1 is not correct")
+if p99 > 15000:
+    sys.exit(f"perfbench smoke: mission_sim seed 1 lat_p99_us {p99:.0f} "
+             "> 15000")
+print(f"perfbench smoke: mission_sim seed 1 correct, lat_p99_us {p99:.0f}")
+EOF

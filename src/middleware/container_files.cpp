@@ -49,6 +49,7 @@ Status ServiceContainer::publish_file_resource(Service& owner,
       executor_, config_.mftp, prov.transfer_id, prov.meta, prov.content,
       [this, channel](const proto::FileChunkMsg& msg) {
         multicast_msg(channel, proto::MsgType::kFileChunk, msg);
+        return transport_.send_backlog();
       },
       [this, channel](const proto::FileStatusRequestMsg& msg) {
         multicast_msg(channel, proto::MsgType::kFileStatusRequest, msg);

@@ -152,9 +152,11 @@ void MftpPublisher::send_next_chunk() {
                      obs::TraceKind::kFile, trace_self_, transfer_id_, index);
     }
   }
-  send_chunk_(msg);
-
-  timer_ = executor_.schedule(params_.chunk_interval,
+  // The next chunk waits until this one has drained from the sender's
+  // egress queue (never less than chunk_interval), so a latency-critical
+  // frame sent meanwhile queues behind at most about one chunk.
+  const Duration backlog = send_chunk_(msg);
+  timer_ = executor_.schedule(std::max(params_.chunk_interval, backlog),
                               sched::Priority::kFileTransfer,
                               [this] { send_next_chunk(); });
 }

@@ -4,8 +4,11 @@
 //   announce   — the middleware announces the resource; interested peers
 //                subscribe (handled a layer up; this file is the transfer
 //                engine);
-//   transfer   — the publisher multicasts numbered chunks, paced at
-//                kFileTransfer priority;
+//   transfer   — the publisher multicasts numbered chunks at
+//                kFileTransfer priority, each once the previous one has
+//                left the sender's egress queue (the backlog ChunkSendFn
+//                reports), so events sent meanwhile wait behind at most
+//                about one chunk — the network time slots of §4.2;
 //   completion — the publisher polls subscribers; ACK removes a receiver,
 //                NACK carries a run-length-compressed list of lacked
 //                chunks; the union of NACKs seeds the next round, and the
@@ -34,8 +37,10 @@ namespace marea::proto {
 
 struct MftpParams {
   uint32_t chunk_size = 1024;
-  // Pacing gap between chunk transmissions (also yields the CPU so
-  // latency-critical primitives stay responsive — bench C9).
+  // Floor of the gap between chunk transmissions (it yields the CPU so
+  // latency-critical primitives stay responsive — bench C9). The pace
+  // itself is max(chunk_interval, backlog), the backlog being what
+  // ChunkSendFn reports for the chunk just sent.
   Duration chunk_interval = microseconds(100);
   Duration status_timeout = milliseconds(60);
   int max_status_retries = 5;  // per completion round
@@ -77,8 +82,10 @@ struct MftpPublisherStats {
 
 class MftpPublisher {
  public:
-  // Multicasts one chunk to the group.
-  using ChunkSendFn = std::function<void(const FileChunkMsg&)>;
+  // Multicasts one chunk to the group and returns how long a frame sent
+  // now would wait for the medium (Transport::send_backlog(); zero when
+  // the sender cannot tell).
+  using ChunkSendFn = std::function<Duration(const FileChunkMsg&)>;
   // Multicasts a completion poll.
   using StatusSendFn = std::function<void(const FileStatusRequestMsg&)>;
   using SubscriberDoneFn = std::function<void(MftpPeer, const Status&)>;

@@ -22,6 +22,7 @@
 //    (util/address.h), so SimTransport binds a handler here unchanged.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -239,6 +240,12 @@ class SimNetwork {
 
   // The virtual clock pacing this network (Transport::clock()).
   const Clock& clock() const { return sim_; }
+
+  // How long a packet `node` sends now waits for its egress serializer:
+  // max(0, egress_free - now) (Transport::send_backlog()).
+  Duration egress_backlog(NodeId node) const {
+    return std::max(kDurationZero, nodes_[node].egress_free - sim_.now());
+  }
 
   // --- accounting ---------------------------------------------------------
   const TrafficStats& stats() const { return total_; }

@@ -48,6 +48,9 @@ class SimTransport final : public Transport {
     return net_.send_broadcast(Address{node_, src_port}, dst_port,
                                std::move(frame));
   }
+  Duration send_backlog() const override {
+    return net_.egress_backlog(node_);
+  }
 
  private:
   sim::SimNetwork& net_;

@@ -11,12 +11,15 @@
 //
 // The contract is frames only: the eight virtual datagram calls below are
 // the whole API, and each takes or delivers a pooled, refcounted
-// SharedFrame. A sender that starts from bytes copies them in once
-// itself (frame_pool().copy_in, counted in the pool's stats); a receiver
-// that wants bytes views the delivered frame. Address, GroupId and
-// FrameRecvHandler come from util/address.h and are the simulated
-// network's own types, so SimTransport passes a bound handler to the
-// SimNetwork unchanged and a sim delivery calls it directly.
+// SharedFrame. Next to them sits one read-only query, send_backlog():
+// how long a frame sent now would queue before it starts onto the
+// medium, which MFTP paces its chunks by. A sender that starts from
+// bytes copies them in once itself (frame_pool().copy_in, counted in
+// the pool's stats); a receiver that wants bytes views the delivered
+// frame. Address, GroupId and FrameRecvHandler come from util/address.h
+// and are the simulated network's own types, so SimTransport passes a
+// bound handler to the SimNetwork unchanged and a sim delivery calls it
+// directly.
 //
 // The TCP-model stream (tcp_model.h) is a separate baseline used by the
 // event-reliability experiment, not part of this interface.
@@ -88,6 +91,15 @@ class Transport {
   // accepted by the medium.
   virtual Status send_frame_to_many(uint16_t src_port, const Address* dst,
                                     size_t n_dst, const SharedFrame& frame);
+
+  // --- read-only query beside the contract -----------------------------
+  // How long a frame sent now waits before it starts onto the medium
+  // (this node's egress queue). A bulk sender paces by it, so it never
+  // queues more than about one frame ahead of latency-critical traffic
+  // (the network time slots of paper §4.2). SimTransport reports the
+  // simulated serializer's backlog; the kernel backends keep the default
+  // zero, so their pacing is unchanged.
+  virtual Duration send_backlog() const { return kDurationZero; }
 
  protected:
   FramePool pool_;

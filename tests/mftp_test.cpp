@@ -66,6 +66,7 @@ class MftpHarness {
           msg.encode(w);
           (void)net_.send_multicast(Address{pub_node_, 1}, kGroup,
                                     net_.frame_pool().copy_in(w.view()));
+          return kDurationZero;
         },
         [this](const FileStatusRequestMsg& msg) {
           ByteWriter w;
@@ -654,6 +655,44 @@ TEST(MftpTest, ProgressCallbackCounts) {
     rx.on_chunk(chunk);
   }
   EXPECT_EQ(progress, (std::vector<uint32_t>{1, 2, 3, 4}));
+}
+
+// Send times, relative to the first, of a 10-chunk pass whose ChunkSendFn
+// reports `backlog` after every chunk.
+std::vector<Duration> chunk_send_offsets(Duration backlog) {
+  sim::Simulator sim;
+  sched::SimExecutor exec(sim);
+  Buffer content = make_content(10 * 1024);
+  MftpParams params;  // chunk_interval = 100 us
+  std::vector<Duration> offsets;
+  TimePoint first{};
+  MftpPublisher pub(
+      exec, params, 1, make_meta("paced", content, 1024),
+      std::make_shared<const Buffer>(content),
+      [&](const FileChunkMsg&) {
+        if (offsets.empty()) first = exec.now();
+        offsets.push_back(exec.now() - first);
+        return backlog;
+      },
+      [](const FileStatusRequestMsg&) {});
+  pub.add_subscriber(1);
+  pub.start();
+  sim.run();
+  return offsets;
+}
+
+TEST(MftpTest, ChunkPaceIsTheLargerOfIntervalAndBacklog) {
+  const Duration interval = MftpParams{}.chunk_interval;
+  for (Duration backlog :
+       {kDurationZero, microseconds(40), microseconds(1050)}) {
+    std::vector<Duration> offsets = chunk_send_offsets(backlog);
+    ASSERT_EQ(offsets.size(), 10u);
+    const Duration gap = std::max(interval, backlog);
+    for (size_t i = 0; i < offsets.size(); ++i) {
+      EXPECT_EQ(offsets[i].ns, (gap * i).ns)
+          << "backlog " << backlog.ns << " ns, chunk " << i;
+    }
+  }
 }
 
 }  // namespace

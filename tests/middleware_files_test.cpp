@@ -446,6 +446,79 @@ TEST(FilesTest, MftpCountersSurvivePeerLossAndStop) {
   EXPECT_GE(reg.counter_value(received), received_before);
 }
 
+class AlertSource final : public Service {
+ public:
+  AlertSource() : Service("alert_src") {}
+  Status on_start() override {
+    auto h = provide_event("alert", enc::u32_type());
+    if (!h.ok()) return h.status();
+    handle_ = *h;
+    return Status::ok();
+  }
+  Status raise() { return handle_.publish(enc::Value::of_uint(7)); }
+
+ private:
+  EventHandle handle_;
+};
+
+class AlertSink final : public Service {
+ public:
+  AlertSink() : Service("alert_sink") {}
+  Status on_start() override {
+    return subscribe_event(
+        "alert", enc::u32_type(),
+        [this](const enc::Value&, const EventInfo& info) {
+          latencies.push_back(info.latency);
+        },
+        EventQoS{.ordered = true});
+  }
+  std::vector<Duration> latencies;
+};
+
+// Network time slots for events (paper §4.2): on a link whose chunk
+// serialization outlasts the chunk interval, MFTP admits a chunk only
+// once the sender's egress queue has drained, so an event published
+// mid-transfer waits behind at most one chunk, not the queued file.
+TEST(FilesTest, EventOvertakesAFileOnASlowLink) {
+  SimDomain domain(60);
+  sim::LinkParams lp;
+  lp.rate_bps = 8e6;
+  domain.network().set_default_link(lp);
+  auto& n1 = domain.add_node("pub");
+  auto pub = std::make_unique<FilePublisher>();
+  auto* pub_ptr = pub.get();
+  (void)n1.add_service(std::move(pub));
+  auto src = std::make_unique<AlertSource>();
+  auto* src_ptr = src.get();
+  (void)n1.add_service(std::move(src));
+  auto& n2 = domain.add_node("sub");
+  auto sub = std::make_unique<FileConsumer>("c", "res.photo");
+  auto* sub_ptr = sub.get();
+  (void)n2.add_service(std::move(sub));
+  auto sink = std::make_unique<AlertSink>();
+  auto* sink_ptr = sink.get();
+  (void)n2.add_service(std::move(sink));
+  domain.start_all();
+  domain.run_for(seconds(1.0));
+
+  Buffer content = blob(128 * 1024);  // random: ships raw
+  ASSERT_TRUE(pub_ptr->publish("res.photo", content).is_ok());
+  domain.run_for(milliseconds(30));  // about a quarter of the transfer
+  ASSERT_TRUE(sub_ptr->completions.empty());
+  ASSERT_TRUE(src_ptr->raise().is_ok());
+  domain.run_for(seconds(3.0));
+
+  // A chunk frame (1 KiB of data plus at most 64 B of headers) takes
+  // 1 us per byte on the 8 Mbps egress. Queued FIFO behind the rest of
+  // the file instead, the event arrives about 107 ms late.
+  const Duration chunk_serialization = microseconds(1024 + 64);
+  ASSERT_EQ(sink_ptr->latencies.size(), 1u);
+  EXPECT_LE(sink_ptr->latencies[0].ns,
+            (lp.latency + lp.jitter + chunk_serialization * 2).ns);
+  ASSERT_EQ(sub_ptr->completions.size(), 1u);
+  EXPECT_EQ(sub_ptr->completions[0].second, content);
+}
+
 TEST(FilesTest, PublisherOwnershipEnforced) {
   SimDomain domain(59);
   auto& n1 = domain.add_node("n");
