@@ -144,10 +144,10 @@ struct FleetPhases {
 };
 
 // Per-size workload shape. The smaller fleets start every container at
-// t=0 with default gossip cadence; at 1024 nodes that would be neither
+// t=0 with the default heartbeat; at 1024 nodes that would be neither
 // realistic nor CI-friendly — a real fleet boots staggered, and
 // full-mesh 100 ms heartbeats don't survive past a few hundred peers —
-// so the n1024 stage boots in batches and stretches the gossip periods.
+// so the n1024 stage boots in batches and stretches the heartbeat period.
 // The gated per-node key still measures the same datapath: publish,
 // fan-out, deliver, handle.
 struct StageSpec {
@@ -158,7 +158,6 @@ struct StageSpec {
   int start_batch = 0;               // 0 = all containers start at t=0
   Duration start_gap = milliseconds(10);  // virtual gap between batches
   Duration heartbeat = kDurationZero;     // 0 = container default
-  Duration announce = kDurationZero;      // 0 = container default
 };
 
 StageSpec spec_for(int nodes) {
@@ -177,7 +176,6 @@ StageSpec spec_for(int nodes) {
     s.warmup = milliseconds(500);
     s.start_batch = 64;
     s.heartbeat = milliseconds(500);
-    s.announce = seconds(2.0);
   }
   return s;
 }
@@ -192,7 +190,6 @@ FleetRun run_fleet(const StageSpec& spec, uint32_t threads,
                                         .threads = threads});
   mw::ContainerConfig cfg;
   if (spec.heartbeat.ns > 0) cfg.heartbeat_interval = spec.heartbeat;
-  if (spec.announce.ns > 0) cfg.announce_interval = spec.announce;
   std::vector<FleetWatcher*> watchers;
   for (int i = 0; i < spec.nodes; ++i) {
     auto& node = domain.add_node("n" + std::to_string(i), cfg);

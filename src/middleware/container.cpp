@@ -167,6 +167,10 @@ Status ServiceContainer::start() {
   }
   trace_ev(obs::TraceEvent::kStart, obs::TraceKind::kNode, incarnation_);
 
+  // A new incarnation starts a new manifest; the registrations made in
+  // on_start() go out with the hello below, not one broadcast each.
+  ++manifest_version_;
+  announce_pending_ = true;
   // Start the services in registration order (§3 "the container is the
   // responsible of starting and stopping the services it contains").
   for (auto& rec : services_) {
@@ -191,7 +195,7 @@ Status ServiceContainer::start() {
   rebind_after_directory_change();
   check_function_requirements();
 
-  announce(/*broadcast_to_all=*/true);
+  announce();
 
   heartbeat_timer_.arm(executor_, config_.heartbeat_interval,
                        sched::Priority::kBackground,
@@ -333,14 +337,9 @@ void ServiceContainer::process_frame(transport::Address from,
       if (proto::HeartbeatMsg::decode(r, msg)) on_heartbeat(src, from, msg);
       break;
     }
-    case T::kServiceStatus: {
-      proto::ServiceStatusMsg msg;
-      if (proto::ServiceStatusMsg::decode(r, msg)) {
-        ensure_peer(src, from);
-        on_service_status(src, msg);
-      }
+    case T::kHelloRequest:
+      on_hello_request(src);
       break;
-    }
     case T::kNameQuery: {
       proto::NameQueryMsg msg;
       if (proto::NameQueryMsg::decode(r, msg)) on_name_query(src, from, msg);
@@ -457,34 +456,36 @@ proto::ContainerHelloMsg ServiceContainer::build_manifest() const {
     }
     for (const auto& [name, e] : files_) {
       if (!e.prov || e.prov->owner != service) continue;
-      // The revision doubles as the version.
-      info.items.push_back({ItemKind::kFile, name, e.prov->meta.revision});
+      // Subscribers learn revisions from FILE_REVISION, not from here.
+      info.items.push_back({ItemKind::kFile, name, 0});
     }
     hello.services.push_back(std::move(info));
   }
   return hello;
 }
 
-void ServiceContainer::announce(bool broadcast_to_all,
-                                transport::Address unicast_to) {
-  ++manifest_version_;  // receivers drop anything older they see later
-  proto::ContainerHelloMsg hello = build_manifest();
-  if (broadcast_to_all) {
-    last_announce_ = now();
-    broadcast_msg(proto::MsgType::kContainerHello, hello);
-  } else {
-    send_msg(unicast_to, proto::MsgType::kContainerHello, hello);
-  }
+void ServiceContainer::announce() {
+  announce_pending_ = false;
+  stats_.hellos_sent++;
+  broadcast_msg(proto::MsgType::kContainerHello, build_manifest());
+}
+
+void ServiceContainer::send_hello(Peer& peer) {
+  stats_.hellos_sent++;
+  peer.hello_sent_at = now();
+  send_msg(peer.address, proto::MsgType::kContainerHello, build_manifest());
 }
 
 void ServiceContainer::manifest_changed() {
-  // Coalesce bursts (e.g. several registrations inside one on_start) into
-  // a single broadcast on the next scheduler turn.
-  if (!running_ || announce_pending_) return;
+  if (!running_) return;
+  ++manifest_version_;
+  // Coalesce bursts (e.g. several registrations in one handler) into a
+  // single broadcast on the next scheduler turn. A peer that misses it
+  // sees the new version in our next heartbeat and pulls the manifest.
+  if (announce_pending_) return;
   announce_pending_ = true;
   executor_.post(sched::Priority::kBackground, [this] {
-    announce_pending_ = false;
-    if (running_) announce(/*broadcast_to_all=*/true);
+    if (announce_pending_ && running_) announce();
   });
 }
 
@@ -499,7 +500,7 @@ ServiceContainer::Peer& ServiceContainer::ensure_peer(
     it = peers_.emplace(id, std::move(peer)).first;
     // Introduce ourselves so the newcomer learns our manifest without
     // waiting for the next broadcast.
-    announce(/*broadcast_to_all=*/false, addr);
+    send_hello(it->second);
   }
   it->second.last_heard = now();
   return it->second;
@@ -530,8 +531,8 @@ void ServiceContainer::on_hello(proto::ContainerId from,
     peer.incarnation = msg.incarnation;
     peer.manifest_version = 0;
   }
-  // Best-effort broadcasts reorder: never let an older manifest clobber a
-  // newer one within the same incarnation.
+  // Only a newer version carries news: a duplicate costs this lookup, and
+  // a reordered older manifest never clobbers a newer one.
   if (msg.manifest_version <= peer.manifest_version) return;
   peer.manifest_version = msg.manifest_version;
   directory_.apply_hello(from, addr, msg, now());
@@ -556,6 +557,20 @@ void ServiceContainer::on_heartbeat(proto::ContainerId from,
   if (!check_peer_incarnation(from, msg.incarnation)) return;
   Peer& peer = ensure_peer(from, addr);
   if (peer.incarnation == 0) peer.incarnation = msg.incarnation;
+  // We missed a manifest change (a lost broadcast, a partition): pull it.
+  if (msg.manifest_version > peer.manifest_version) {
+    send_msg(peer.address, proto::MsgType::kHelloRequest,
+             proto::HelloRequestMsg{});
+  }
+}
+
+void ServiceContainer::on_hello_request(proto::ContainerId from) {
+  // Untrusted input: answer only a known peer, at its recorded address,
+  // at most once per heartbeat interval, so a forged request can neither
+  // pick the target nor get more than one manifest per interval.
+  Peer* p = peer(from);
+  if (!p || now() - p->hello_sent_at < config_.heartbeat_interval) return;
+  send_hello(*p);
 }
 
 bool ServiceContainer::check_peer_incarnation(proto::ContainerId from,
@@ -576,29 +591,12 @@ bool ServiceContainer::check_peer_incarnation(proto::ContainerId from,
   return true;
 }
 
-void ServiceContainer::on_service_status(proto::ContainerId from,
-                                         const proto::ServiceStatusMsg& msg) {
-  directory_.apply_service_status(from, msg);
-  if (msg.state == proto::ServiceState::kFailed ||
-      msg.state == proto::ServiceState::kStopped) {
-    // A provider went away: re-select providers where needed.
-    rebind_after_directory_change();
-    check_function_requirements();
-  }
-}
-
 void ServiceContainer::heartbeat_tick() {
   if (!running_) return;
   proto::HeartbeatMsg hb;
   hb.incarnation = incarnation_;
-  hb.seq = ++heartbeat_seq_;
+  hb.manifest_version = manifest_version_;
   broadcast_msg(proto::MsgType::kHeartbeat, hb);
-
-  // Periodic manifest refresh: heals lost hello broadcasts.
-  if (config_.announce_interval.ns > 0 &&
-      now() - last_announce_ >= config_.announce_interval) {
-    announce(/*broadcast_to_all=*/true);
-  }
 
   const Duration limit = config_.heartbeat_interval * config_.liveness_factor;
   std::vector<proto::ContainerId> dead;
@@ -631,10 +629,7 @@ void ServiceContainer::health_tick() {
                              << service.name() << "' -> "
                              << proto::service_state_name(next) << " ("
                              << s.to_string() << ")";
-      proto::ServiceStatusMsg msg;
-      msg.service = service.name();
-      msg.state = next;
-      broadcast_msg(proto::MsgType::kServiceStatus, msg);
+      manifest_changed();
     }
   }
   health_timer_.arm(executor_, config_.health_check_interval,
@@ -707,10 +702,7 @@ void ServiceContainer::handler_crashed(Service* service, const char* what,
   if (state == proto::ServiceState::kRunning ||
       state == proto::ServiceState::kDegraded) {
     state = proto::ServiceState::kFailed;
-    proto::ServiceStatusMsg msg;
-    msg.service = service->name();
-    msg.state = proto::ServiceState::kFailed;
-    broadcast_msg(proto::MsgType::kServiceStatus, msg);
+    manifest_changed();
   }
 }
 
@@ -761,6 +753,7 @@ void ServiceContainer::publish_metrics(obs::MetricsRegistry& reg) {
   reg.counter(p + "link_session_resets").set(stats_.link_session_resets);
   reg.counter(p + "stale_session_acks").set(stats_.stale_session_acks);
   reg.counter(p + "name_queries_sent").set(stats_.name_queries_sent);
+  reg.counter(p + "hellos_sent").set(stats_.hellos_sent);
   reg.counter(p + "emergencies").set(stats_.emergencies);
 
   // Reliable-link totals: retired (dead peers) + live. Monotonic across

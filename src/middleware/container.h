@@ -4,8 +4,8 @@
 // resolution and caching, etc.) to the services it contains".
 //
 // Responsibilities, mapped to the paper's §3 bullet list:
-//   * Service management — lifecycle (add/start/stop), health watchdog,
-//     ServiceStatus gossip to the other containers.
+//   * Service management — lifecycle (add/start/stop), health watchdog;
+//     a service state change is a manifest change the peers learn.
 //   * Name management — NameDirectory proxy cache fed by hello manifests,
 //     NameQuery fallback, invalidation on peer failure, provider
 //     re-selection (failover).
@@ -70,9 +70,6 @@ struct ContainerConfig {
 
   Duration heartbeat_interval = milliseconds(100);
   double liveness_factor = 3.5;       // silence > factor*interval = dead
-  // Manifest hellos are rebroadcast on this cadence so a lost initial
-  // announce (best-effort broadcast) heals within one period.
-  Duration announce_interval = milliseconds(500);
   Duration health_check_interval = milliseconds(250);
   Duration resubscribe_interval = milliseconds(200);
 
@@ -123,6 +120,7 @@ struct ContainerStats {
                                       // peer's new sender life
   uint64_t stale_session_acks = 0;    // acks for a dead tx session, dropped
   uint64_t name_queries_sent = 0;
+  uint64_t hellos_sent = 0;           // manifests sent (a broadcast is 1)
   uint64_t emergencies = 0;
 };
 
@@ -591,6 +589,7 @@ class ServiceContainer {
     uint64_t incarnation = 0;
     uint64_t manifest_version = 0;  // newest applied for this incarnation
     TimePoint last_heard{};
+    TimePoint hello_sent_at{};  // last unicast hello: bounds the answers
     std::unique_ptr<proto::ArqSender> tx;
     std::unique_ptr<proto::ArqReceiver> rx;
     // Link sessions disambiguate ARQ sequence spaces across peer_lost /
@@ -636,15 +635,15 @@ class ServiceContainer {
   }
 
   // --- membership / discovery ---
-  void announce(bool broadcast_to_all, transport::Address unicast_to = {});
+  void announce();  // broadcasts the manifest
+  void send_hello(Peer& peer);
   proto::ContainerHelloMsg build_manifest() const;
   void on_hello(proto::ContainerId from, transport::Address addr,
                 const proto::ContainerHelloMsg& msg);
   void on_bye(proto::ContainerId from);
   void on_heartbeat(proto::ContainerId from, transport::Address addr,
                     const proto::HeartbeatMsg& msg);
-  void on_service_status(proto::ContainerId from,
-                         const proto::ServiceStatusMsg& msg);
+  void on_hello_request(proto::ContainerId from);
   void heartbeat_tick();
   void health_tick();
   void peer_lost(proto::ContainerId id, const std::string& why);
@@ -655,6 +654,8 @@ class ServiceContainer {
   bool check_peer_incarnation(proto::ContainerId from, uint64_t incarnation);
   Peer* peer(proto::ContainerId id);
   Peer& ensure_peer(proto::ContainerId id, transport::Address addr);
+  // Something peers read in the manifest changed: bumps its version and
+  // broadcasts it once per scheduler turn.
   void manifest_changed();
 
   // --- reliable link ---
@@ -867,9 +868,8 @@ class ServiceContainer {
   bool running_ = false;
   bool bound_ = false;
   TimePoint started_at_{};
-  TimePoint last_announce_{};
   uint64_t incarnation_ = 0;  // set on first start, bumped per restart
-  uint64_t manifest_version_ = 0;  // bumped per announce
+  uint64_t manifest_version_ = 0;  // bumped per manifest change
   // Bumped by stop(), which drops every registration: a handle issued in
   // an earlier epoch is stale and never touches its entry.
   uint64_t registration_epoch_ = 0;
@@ -900,7 +900,6 @@ class ServiceContainer {
   FileTable files_;
   std::unordered_map<uint64_t, TransferEntry> transfers_;
   uint64_t next_transfer_seq_ = 1;
-  uint64_t heartbeat_seq_ = 0;
 
   OwnedTimer heartbeat_timer_;
   OwnedTimer health_timer_;

@@ -103,7 +103,9 @@ Status ServiceContainer::publish_file_resource(Service& owner,
     }
   }
 
-  manifest_changed();
+  // Peers read the name, not the revision: only a new name changes the
+  // manifest.
+  if (fresh) manifest_changed();
   return Status::ok();
 }
 

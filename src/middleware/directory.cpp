@@ -33,21 +33,6 @@ void NameDirectory::apply_hello(proto::ContainerId container,
   }
 }
 
-void NameDirectory::apply_service_status(proto::ContainerId container,
-                                         const proto::ServiceStatusMsg& msg) {
-  auto idx = container_keys_.find(container);
-  if (idx == container_keys_.end()) return;
-  for (const std::string& k : idx->second) {
-    auto it = records_.find(k);
-    if (it == records_.end()) continue;
-    for (auto& rec : it->second) {
-      if (rec.container == container && rec.service == msg.service) {
-        rec.state = msg.state;
-      }
-    }
-  }
-}
-
 void NameDirectory::index_key(proto::ContainerId container,
                               const std::string& k) {
   auto& keys = container_keys_[container];
@@ -73,7 +58,10 @@ void NameDirectory::insert(proto::ItemKind kind, const std::string& name,
 
 std::vector<std::string> NameDirectory::drop_container(
     proto::ContainerId container) {
-  return drop_container_quietly(container);
+  std::vector<std::string> affected = drop_container_quietly(container);
+  // A container holds one record per name, so each name lost one.
+  stats_.invalidations += affected.size();
+  return affected;
 }
 
 std::vector<std::string> NameDirectory::drop_container_quietly(
@@ -94,10 +82,7 @@ std::vector<std::string> NameDirectory::drop_container_quietly(
                          return r.container == container;
                        }),
         providers.end());
-    if (providers.size() != before) {
-      stats_.invalidations += before - providers.size();
-      affected.push_back(k);
-    }
+    if (providers.size() != before) affected.push_back(k);
     if (providers.empty()) records_.erase(it);
   }
   container_keys_.erase(idx);

@@ -4,9 +4,9 @@
 // services it contains."
 //
 // The directory is each container's local view of who provides what,
-// assembled from ContainerHello manifests, ServiceStatus gossip and
-// NameReply answers, and invalidated when a peer dies or says Bye. Every
-// lookup is a cache hit or miss; stats feed bench C8.
+// assembled from ContainerHello manifests (which carry each service's
+// state) and NameReply answers, and invalidated when a peer dies or says
+// Bye. Every lookup is a cache hit or miss; stats feed bench C8.
 #pragma once
 
 #include <optional>
@@ -41,7 +41,8 @@ struct ProviderRecord {
 struct DirectoryStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
-  uint64_t invalidations = 0;  // records dropped on failure/bye
+  uint64_t invalidations = 0;  // records dropped on failure/bye, not
+                               // records a newer hello replaced
 };
 
 class NameDirectory {
@@ -50,10 +51,6 @@ class NameDirectory {
   // manifest in `hello` (a hello is authoritative for its sender).
   void apply_hello(proto::ContainerId container, transport::Address addr,
                    const proto::ContainerHelloMsg& hello, TimePoint now);
-
-  // Applies a single service status change from gossip.
-  void apply_service_status(proto::ContainerId container,
-                            const proto::ServiceStatusMsg& msg);
 
   // Inserts one record learned from a NameReply (cache fill on miss).
   void insert(proto::ItemKind kind, const std::string& name,

@@ -9,7 +9,7 @@ const char* msg_type_name(MsgType t) {
     case MsgType::kContainerHello: return "CONTAINER_HELLO";
     case MsgType::kContainerBye: return "CONTAINER_BYE";
     case MsgType::kHeartbeat: return "HEARTBEAT";
-    case MsgType::kServiceStatus: return "SERVICE_STATUS";
+    case MsgType::kHelloRequest: return "HELLO_REQUEST";
     case MsgType::kNameQuery: return "NAME_QUERY";
     case MsgType::kNameReply: return "NAME_REPLY";
     case MsgType::kVarSubscribe: return "VAR_SUBSCRIBE";

@@ -31,11 +31,11 @@ using ContainerId = uint32_t;
 constexpr ContainerId kInvalidContainer = 0;
 
 enum class MsgType : uint8_t {
-  // --- discovery & membership (broadcast, best effort) ---
+  // --- discovery & membership (best effort; broadcast or unicast) ---
   kContainerHello = 1,   // manifest of a container's services
   kContainerBye = 2,     // orderly shutdown
-  kHeartbeat = 3,        // liveness beacon
-  kServiceStatus = 4,    // one service changed state
+  kHeartbeat = 3,        // liveness beacon + manifest version
+  kHelloRequest = 5,     // unicast pull of a peer's manifest
   // --- name service (unicast) ---
   kNameQuery = 10,
   kNameReply = 11,

@@ -110,27 +110,12 @@ bool ContainerHelloMsg::decode(ByteReader& r, ContainerHelloMsg& out) {
 
 void HeartbeatMsg::encode(ByteWriter& w) const {
   w.varint(incarnation);
-  w.varint(seq);
+  w.varint(manifest_version);
 }
 
 bool HeartbeatMsg::decode(ByteReader& r, HeartbeatMsg& out) {
   out.incarnation = r.varint();
-  out.seq = r.varint();
-  return r.ok();
-}
-
-// --- ServiceStatusMsg -------------------------------------------------------
-
-void ServiceStatusMsg::encode(ByteWriter& w) const {
-  w.str(service);
-  w.u8(static_cast<uint8_t>(state));
-}
-
-bool ServiceStatusMsg::decode(ByteReader& r, ServiceStatusMsg& out) {
-  out.service = r.str();
-  uint8_t state = r.u8();
-  if (state > static_cast<uint8_t>(ServiceState::kFailed)) return false;
-  out.state = static_cast<ServiceState>(state);
+  out.manifest_version = r.varint();
   return r.ok();
 }
 

@@ -59,11 +59,13 @@ struct ServiceInfo {
   friend bool operator==(const ServiceInfo&, const ServiceInfo&) = default;
 };
 
-// Broadcast on join and on any manifest change; also the reply to a probe.
+// A container's manifest. Broadcast on start and on every manifest
+// change, unicast to a newly seen peer, and the answer to HELLO_REQUEST.
 struct ContainerHelloMsg {
   uint64_t incarnation = 0;  // increases across restarts
-  // Monotonic within an incarnation: receivers drop reordered stale
-  // manifests (best-effort broadcasts may arrive out of order).
+  // Counts manifest changes within an incarnation: a registration, a new
+  // file name or a service state change. A receiver applies a hello only
+  // when it carries a newer version than the one it holds.
   uint64_t manifest_version = 0;
   uint16_t data_port = 0;    // where this container receives everything
   std::string node_name;
@@ -73,27 +75,24 @@ struct ContainerHelloMsg {
   static bool decode(ByteReader& r, ContainerHelloMsg& out);
 };
 
-struct ContainerByeMsg {
+// A message whose frame header says everything.
+struct EmptyMsg {
   void encode(ByteWriter&) const {}
-  static bool decode(ByteReader&, ContainerByeMsg&) { return true; }
+  static bool decode(ByteReader&, EmptyMsg&) { return true; }
 };
+using ContainerByeMsg = EmptyMsg;
+// Unicast to a peer whose heartbeat shows a manifest version newer than
+// the one held; the peer answers with its hello (paper §3: the container
+// tells the others when a service's status changes).
+using HelloRequestMsg = EmptyMsg;
 
+// Liveness beacon. The version lets a peer that missed a hello notice.
 struct HeartbeatMsg {
   uint64_t incarnation = 0;
-  uint64_t seq = 0;
+  uint64_t manifest_version = 0;
 
   void encode(ByteWriter& w) const;
   static bool decode(ByteReader& r, HeartbeatMsg& out);
-};
-
-// One service changed state (paper §3: the container notifies the rest of
-// the containers about changes in the services status).
-struct ServiceStatusMsg {
-  std::string service;
-  ServiceState state = ServiceState::kStopped;
-
-  void encode(ByteWriter& w) const;
-  static bool decode(ByteReader& r, ServiceStatusMsg& out);
 };
 
 // ---------------------------------------------------------------------------

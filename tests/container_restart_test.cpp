@@ -213,7 +213,7 @@ TEST(ContainerRestartTest, StaleHeartbeatFromOldIncarnationIgnored) {
   // would evict the live peer and tear down every binding.
   proto::HeartbeatMsg old_hb;
   old_hb.incarnation = live_incarnation - 1;
-  old_hb.seq = 1;
+  old_hb.manifest_version = 1;
   sim::SimNetwork& net = rig.domain.network();
   (void)net.send(Address{rig.domain.node_id(0), 9999},
                  Address{rig.domain.node_id(1),

@@ -361,11 +361,13 @@ TEST(FrameBuilderTest, SealedFrameMatchesLegacySealFrame) {
 TEST(FrameBuilderTest, FrameBuilderOutputIsPinned) {
   // Frame bytes are wire bytes: a change to FrameBuilder must reproduce
   // them exactly. The constant is the digest of every frame's length and
-  // hash64, one frame per MsgType a container puts on the wire, recorded
-  // while the copying seal path still existed to cross-check it.
+  // hash64, one frame per MsgType a container puts on the wire. It was
+  // recorded while the copying seal path still existed to cross-check it,
+  // and recomputed with that same FrameBuilder when HELLO_REQUEST took
+  // SERVICE_STATUS's place in the list.
   using T = proto::MsgType;
   const T sent[] = {T::kContainerHello,  T::kContainerBye, T::kHeartbeat,
-                    T::kServiceStatus,   T::kNameQuery,    T::kNameReply,
+                    T::kHelloRequest,    T::kNameQuery,    T::kNameReply,
                     T::kVarSample,       T::kReliableData, T::kReliableAck,
                     T::kFileChunk,       T::kFileStatusRequest,
                     T::kFileAck,         T::kFileNack};
@@ -380,7 +382,7 @@ TEST(FrameBuilderTest, FrameBuilderOutputIsPinned) {
     folded.push_back(util::hash64(frame.view()));
   }
   EXPECT_EQ(util::hash64_list(folded.data(), folded.size()),
-            0x7e09acc93c8e6d9dull);
+            0x2e90cae3825dec6aull);
 }
 
 // --- steady-state variable delivery --------------------------------------
@@ -423,11 +425,10 @@ TEST(SteadyStateDeliveryTest, WarmRemoteGpsFixDeliveryAllocatesNothing) {
   // framing, simulated multicast, executor queues, decode into the
   // subscription's reused tree — must run without the heap once warm.
   // Only the publisher's typed -> Value reflection is outside the window.
-  // Background upkeep (heartbeats, manifest refresh, health checks,
-  // resubscribe) is pushed past the run so the window holds samples only.
+  // Background upkeep (heartbeats, health checks, resubscribe) is pushed
+  // past the run so the window holds samples only.
   mw::ContainerConfig cfg;
   cfg.heartbeat_interval = seconds(30.0);
-  cfg.announce_interval = seconds(30.0);
   cfg.health_check_interval = seconds(30.0);
   cfg.resubscribe_interval = seconds(30.0);
   mw::SimDomain domain(21);

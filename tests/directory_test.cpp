@@ -1,6 +1,6 @@
 // NameDirectory unit tests: manifest application, redundancy ordering,
-// status updates, invalidation, and the hit/miss accounting bench C8
-// relies on.
+// service states carried in manifests, invalidation, and the hit/miss
+// accounting bench C8 relies on.
 #include <gtest/gtest.h>
 
 #include "middleware/directory.h"
@@ -78,6 +78,7 @@ TEST(DirectoryTest, ReHelloReplacesPriorKnowledge) {
   EXPECT_FALSE(dir.resolve(proto::ItemKind::kVariable, "old").has_value());
   EXPECT_TRUE(dir.resolve(proto::ItemKind::kVariable, "new").has_value());
   EXPECT_EQ(dir.record_count(), 1u);
+  EXPECT_EQ(dir.stats().invalidations, 0u);  // replaced, not invalidated
 }
 
 TEST(DirectoryTest, RedundantProvidersAllListed) {
@@ -93,34 +94,35 @@ TEST(DirectoryTest, RedundantProvidersAllListed) {
   ASSERT_EQ(providers.size(), 3u);
 }
 
+// A manifest carrying `state` for the one service "gps" providing "v".
+proto::ContainerHelloMsg gps_in_state(proto::ServiceState state) {
+  auto hello =
+      manifest(4500, {{"gps", {item(proto::ItemKind::kVariable, "v")}}});
+  hello.services[0].state = state;
+  return hello;
+}
+
 TEST(DirectoryTest, StatusUpdateMasksFailedProvider) {
   NameDirectory dir;
-  dir.apply_hello(
-      1, transport::Address{1, 1},
-      manifest(4500, {{"gps", {item(proto::ItemKind::kVariable, "v")}}}),
-      TimePoint{});
-  proto::ServiceStatusMsg failed;
-  failed.service = "gps";
-  failed.state = proto::ServiceState::kFailed;
-  dir.apply_service_status(1, failed);
+  dir.apply_hello(1, transport::Address{1, 1},
+                  gps_in_state(proto::ServiceState::kRunning), TimePoint{});
+  // A state change reaches peers as the next manifest.
+  dir.apply_hello(1, transport::Address{1, 1},
+                  gps_in_state(proto::ServiceState::kFailed), TimePoint{});
   EXPECT_TRUE(dir.providers(proto::ItemKind::kVariable, "v").empty());
 
   // Recovery re-lists it.
-  failed.state = proto::ServiceState::kRunning;
-  dir.apply_service_status(1, failed);
+  dir.apply_hello(1, transport::Address{1, 1},
+                  gps_in_state(proto::ServiceState::kRunning), TimePoint{});
   EXPECT_FALSE(dir.providers(proto::ItemKind::kVariable, "v").empty());
 }
 
 TEST(DirectoryTest, DegradedStillUsable) {
   NameDirectory dir;
-  dir.apply_hello(
-      1, transport::Address{1, 1},
-      manifest(4500, {{"gps", {item(proto::ItemKind::kVariable, "v")}}}),
-      TimePoint{});
-  proto::ServiceStatusMsg st;
-  st.service = "gps";
-  st.state = proto::ServiceState::kDegraded;
-  dir.apply_service_status(1, st);
+  dir.apply_hello(1, transport::Address{1, 1},
+                  gps_in_state(proto::ServiceState::kRunning), TimePoint{});
+  dir.apply_hello(1, transport::Address{1, 1},
+                  gps_in_state(proto::ServiceState::kDegraded), TimePoint{});
   EXPECT_EQ(dir.providers(proto::ItemKind::kVariable, "v").size(), 1u);
 }
 

@@ -32,6 +32,11 @@ void feed_all_decoders(BytesView data) {
   }
   {
     ByteReader r(data);
+    proto::HeartbeatMsg m;
+    (void)proto::HeartbeatMsg::decode(r, m);
+  }
+  {
+    ByteReader r(data);
     proto::VarSampleMsg m;
     (void)proto::VarSampleMsg::decode(r, m);
   }
@@ -111,6 +116,7 @@ TEST_P(FuzzDecodeTest, MutatedValidFramesNeverCrash) {
     hello.services.push_back(svc);
     seed(proto::MsgType::kContainerHello, hello);
   }
+  seed(proto::MsgType::kHelloRequest, proto::HelloRequestMsg{});
   {
     proto::VarSampleMsg sample;
     sample.channel = 7;

@@ -27,6 +27,18 @@ MAREA_REFLECT(marea::mw::Tick, n)
 namespace marea::mw {
 namespace {
 
+// Sends a hand-made frame under any source id from node 1 to node 0's
+// container, as a hostile or reordering network would.
+template <typename Msg>
+void inject(SimDomain& domain, proto::MsgType type, proto::ContainerId source,
+            const Msg& msg) {
+  sim::SimNetwork& net = domain.network();
+  (void)net.send(Address{domain.node_id(1), 4500},
+                 Address{domain.node_id(0),
+                         domain.container(0).config().data_port},
+                 testutil::forge_frame(net.frame_pool(), type, source, msg));
+}
+
 class TickPublisher final : public Service {
  public:
   TickPublisher() : Service("ticker") {}
@@ -352,8 +364,8 @@ TEST(RobustnessTest, ContainerRestartWithNewIncarnationRejoins) {
 
 
 TEST(RobustnessTest, StaleReorderedHelloCannotRegressDirectory) {
-  // Regression: during on_start a container may announce several manifest
-  // versions back to back; best-effort broadcasts can reorder, and an old
+  // Regression: a container may announce several manifest versions back
+  // to back; best-effort broadcasts can reorder, and an old
   // manifest must never clobber a newer one (found by the jittery mission
   // property sweep).
   set_log_level(LogLevel::kError);
@@ -383,20 +395,15 @@ TEST(RobustnessTest, StaleReorderedHelloCannotRegressDirectory) {
   stale.manifest_version = 4;
   stale.services[0].items.pop_back();  // old view: only x.one
 
-  auto inject = [&](const proto::ContainerHelloMsg& msg) {
-    sim::SimNetwork& net = domain.network();
-    (void)net.send(Address{domain.node_id(1), 4500},
-                   Address{domain.node_id(0), a.config().data_port},
-                   testutil::forge_frame(net.frame_pool(),
-                                         proto::MsgType::kContainerHello, 42,
-                                         msg));
+  auto inject_hello = [&](const proto::ContainerHelloMsg& msg) {
+    inject(domain, proto::MsgType::kContainerHello, 42, msg);
     domain.run_for(milliseconds(50));
   };
 
-  inject(newer);
+  inject_hello(newer);
   EXPECT_TRUE(
       a.directory().resolve(proto::ItemKind::kVariable, "x.two").has_value());
-  inject(stale);  // reordered duplicate of the past
+  inject_hello(stale);  // reordered duplicate of the past
   EXPECT_TRUE(
       a.directory().resolve(proto::ItemKind::kVariable, "x.two").has_value())
       << "stale hello regressed the directory";
@@ -407,10 +414,39 @@ TEST(RobustnessTest, StaleReorderedHelloCannotRegressDirectory) {
   reborn.incarnation = 2;
   reborn.manifest_version = 1;
   reborn.services[0].items[0].name = "x.three";
-  inject(reborn);
+  inject_hello(reborn);
   EXPECT_TRUE(a.directory()
                   .resolve(proto::ItemKind::kVariable, "x.three")
                   .has_value());
+}
+
+TEST(RobustnessTest, HelloRequestFloodGetsOneAnswerPerInterval) {
+  // A hello request is small and a hello is a whole manifest: answering
+  // every request would amplify a flood, and answering an unknown id
+  // would let a forger aim manifests anywhere.
+  set_log_level(LogLevel::kError);
+  SimDomain domain(89);
+  auto& a = domain.add_node("a");
+  (void)a.add_service(std::make_unique<TickPublisher>());
+  auto& b = domain.add_node("b");
+  domain.start_all();
+  domain.run_for(milliseconds(500));
+
+  const uint64_t before = a.stats().hellos_sent;
+  for (int i = 0; i < 50; ++i) {
+    inject(domain, proto::MsgType::kHelloRequest, b.config().id,
+           proto::HelloRequestMsg{});
+  }
+  domain.run_for(a.config().heartbeat_interval / 2);
+  EXPECT_EQ(a.stats().hellos_sent, before + 1);
+
+  for (int i = 0; i < 50; ++i) {
+    inject(domain, proto::MsgType::kHelloRequest, 42,
+           proto::HelloRequestMsg{});
+  }
+  domain.run_for(a.config().heartbeat_interval * 2);
+  EXPECT_EQ(a.stats().hellos_sent, before + 1);
+  EXPECT_EQ(a.known_peers().size(), 1u);  // 42 never became a peer
 }
 
 }  // namespace

@@ -56,7 +56,7 @@ TEST(FrameTest, TruncationDetected) {
 
 TEST(FrameTest, EveryTypeHasName) {
   for (MsgType t : {MsgType::kContainerHello, MsgType::kContainerBye,
-                    MsgType::kHeartbeat, MsgType::kServiceStatus,
+                    MsgType::kHeartbeat, MsgType::kHelloRequest,
                     MsgType::kNameQuery, MsgType::kNameReply,
                     MsgType::kVarSubscribe, MsgType::kVarUnsubscribe,
                     MsgType::kVarSample, MsgType::kVarSnapshot,
@@ -116,16 +116,16 @@ TEST(MessagesTest, ContainerHelloRoundTrip) {
 TEST(MessagesTest, HeartbeatAndStatus) {
   HeartbeatMsg hb;
   hb.incarnation = 7;
-  hb.seq = 999;
+  hb.manifest_version = 999;
   HeartbeatMsg hb2 = round_trip(hb);
-  EXPECT_EQ(hb2.seq, 999u);
+  EXPECT_EQ(hb2.incarnation, 7u);
+  EXPECT_EQ(hb2.manifest_version, 999u);
 
-  ServiceStatusMsg st;
-  st.service = "camera";
-  st.state = ServiceState::kFailed;
-  ServiceStatusMsg st2 = round_trip(st);
-  EXPECT_EQ(st2.service, "camera");
-  EXPECT_EQ(st2.state, ServiceState::kFailed);
+  // Service state travels in the manifest; a hello request has no body.
+  ByteWriter w;
+  HelloRequestMsg{}.encode(w);
+  EXPECT_EQ(w.view().size(), 0u);
+  round_trip(HelloRequestMsg{});
 }
 
 TEST(MessagesTest, NameQueryReply) {
@@ -324,7 +324,7 @@ TEST(MessagesTest, ChannelOfIsStable) {
 TEST(MessagesTest, FrameBuilderComposesMessage) {
   HeartbeatMsg hb;
   hb.incarnation = 1;
-  hb.seq = 2;
+  hb.manifest_version = 2;
   FramePool pool;
   SharedFrame frame =
       testutil::forge_frame(pool, MsgType::kHeartbeat, 5, hb);
@@ -335,7 +335,7 @@ TEST(MessagesTest, FrameBuilderComposesMessage) {
   ByteReader r(body);
   HeartbeatMsg out;
   ASSERT_TRUE(HeartbeatMsg::decode(r, out));
-  EXPECT_EQ(out.seq, 2u);
+  EXPECT_EQ(out.manifest_version, 2u);
 }
 
 TEST(MessagesTest, HelloDecodeRejectsHugeCounts) {
