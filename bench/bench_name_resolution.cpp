@@ -5,17 +5,20 @@
 //   warm   — the name is in the directory cache (hello already absorbed):
 //            resolution is a local lookup (wall nanoseconds, measured by
 //            bench_wire_codec);
-//   cold   — the name is unknown: a NameQuery/hello exchange crosses the
-//            network (virtual-time milliseconds);
+//   cold   — the name is unknown: the late container's start-up hello
+//            draws the provider's introduction hello, whose manifest
+//            binds the subscription (virtual-time milliseconds);
 //   invalidated — the provider died; resolution falls to the next
-//            redundant provider after cache invalidation.
+//            redundant provider, and heartbeat silence then drops the
+//            dead provider's records from the cache.
 #include "bench_util.h"
 
 namespace marea::bench {
 namespace {
 
 // Cold path: time from subscribe to first delivery when the provider's
-// manifest is not yet cached (forces query + announce + bind).
+// manifest is not yet cached (forces hello exchange + bind), and the
+// manifests that exchange cost.
 void cold_resolution(Report& report) {
   mw::SimDomain domain(17);
   auto& n1 = domain.add_node("producer");
@@ -33,14 +36,15 @@ void cold_resolution(Report& report) {
   auto* cons_ptr = cons.get();
   (void)n2.add_service(std::move(cons));
   TimePoint t0 = domain.sim().now();
+  const uint64_t hellos_before = n1.stats().hellos_sent;
   (void)n2.start();
   // Run until first delivery.
   while (cons_ptr->received == 0 && domain.sim().now() - t0 < seconds(5.0)) {
     domain.run_for(milliseconds(5));
   }
   report["c8.cold.bind_ms"] = (domain.sim().now() - t0).millis();
-  report["c8.cold.queries_sent"] =
-      static_cast<double>(domain.container(1).stats().name_queries_sent);
+  report["c8.cold.hellos_sent"] = static_cast<double>(
+      n1.stats().hellos_sent - hellos_before + n2.stats().hellos_sent);
   domain.stop_all();
 }
 
@@ -70,6 +74,13 @@ void invalidation_rebind(Report& report) {
   }
   report["c8.invalidation.rebind_ms"] =
       (domain.sim().now() - kill_time).millis();
+  // The call fails over long before heartbeat silence declares the
+  // primary dead; run past the liveness bound so the count includes the
+  // records that drop.
+  const mw::ContainerConfig& cfg = domain.container(2).config();
+  const Duration liveness = cfg.heartbeat_interval * cfg.liveness_factor;
+  const TimePoint dropped_by = kill_time + liveness + cfg.heartbeat_interval;
+  domain.run_for(dropped_by - domain.sim().now());
   report["c8.invalidation.invalidations"] = static_cast<double>(
       domain.container(2).directory().stats().invalidations);
   domain.stop_all();

@@ -117,7 +117,7 @@ double warm_lookup_ns(int entries) {
         proto::ItemKind::kVariable, "var." + std::to_string(i), 0, 0, 0});
     hello.services.push_back(std::move(svc));
   }
-  dir.apply_hello(1, transport::Address{1, 4500}, hello, TimePoint{});
+  dir.apply_hello(1, transport::Address{1, 4500}, hello);
   std::string target = "var." + std::to_string(entries / 2);
   auto lookup = [&] {
     return dir.resolve(proto::ItemKind::kVariable, target).has_value();

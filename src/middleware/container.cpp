@@ -243,7 +243,10 @@ void ServiceContainer::stop() {
   // re-register from on_start() on the next start(), and peers treat the
   // new incarnation as a fresh container. Handles from this life go stale.
   ++registration_epoch_;
-  for_each_table([](proto::ItemKind, auto& table) { table.clear(); });
+  vars_.clear();
+  events_.clear();
+  functions_.clear();
+  files_.clear();
   sub_channels_.clear();
   transfers_.clear();
   for (auto& [id, peer] : peers_) retire_peer_link_stats(peer);
@@ -340,19 +343,6 @@ void ServiceContainer::process_frame(transport::Address from,
     case T::kHelloRequest:
       on_hello_request(src);
       break;
-    case T::kNameQuery: {
-      proto::NameQueryMsg msg;
-      if (proto::NameQueryMsg::decode(r, msg)) on_name_query(src, from, msg);
-      break;
-    }
-    case T::kNameReply: {
-      // The reply confirms a provider exists; the authoritative manifest
-      // arrives with the hello that ensure_peer provokes, and the next
-      // resubscribe tick binds against the refreshed directory.
-      proto::NameReplyMsg msg;
-      if (proto::NameReplyMsg::decode(r, msg)) ensure_peer(src, from);
-      break;
-    }
     case T::kVarSample: {
       proto::VarSampleMsg msg;
       if (proto::VarSampleMsg::decode(r, msg)) on_var_sample(msg);
@@ -535,7 +525,7 @@ void ServiceContainer::on_hello(proto::ContainerId from,
   // a reordered older manifest never clobbers a newer one.
   if (msg.manifest_version <= peer.manifest_version) return;
   peer.manifest_version = msg.manifest_version;
-  directory_.apply_hello(from, addr, msg, now());
+  directory_.apply_hello(from, addr, msg);
   MAREA_LOG(kTrace, kLog) << qualify(config_) << " applied hello from "
                           << from << " (" << msg.services.size()
                           << " services, " << directory_.record_count()
@@ -752,7 +742,6 @@ void ServiceContainer::publish_metrics(obs::MetricsRegistry& reg) {
   reg.counter(p + "frames_send_failed").set(stats_.frames_send_failed);
   reg.counter(p + "link_session_resets").set(stats_.link_session_resets);
   reg.counter(p + "stale_session_acks").set(stats_.stale_session_acks);
-  reg.counter(p + "name_queries_sent").set(stats_.name_queries_sent);
   reg.counter(p + "hellos_sent").set(stats_.hellos_sent);
   reg.counter(p + "emergencies").set(stats_.emergencies);
 

@@ -6,8 +6,9 @@
 // Responsibilities, mapped to the paper's §3 bullet list:
 //   * Service management — lifecycle (add/start/stop), health watchdog;
 //     a service state change is a manifest change the peers learn.
-//   * Name management — NameDirectory proxy cache fed by hello manifests,
-//     NameQuery fallback, invalidation on peer failure, provider
+//   * Name management — NameDirectory proxy cache fed only by hello
+//     manifests (broadcast on change, pulled when a heartbeat shows a
+//     newer version), invalidation on peer failure, provider
 //     re-selection (failover).
 //   * Network management & abstraction — services never touch the
 //     Transport; the container owns the single data port, multicast
@@ -35,7 +36,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <limits>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -119,7 +119,8 @@ struct ContainerStats {
   uint64_t link_session_resets = 0;   // receiver ARQ state rebuilt for a
                                       // peer's new sender life
   uint64_t stale_session_acks = 0;    // acks for a dead tx session, dropped
-  uint64_t name_queries_sent = 0;
+  uint64_t name_queries_sent = 0;     // always 0: name queries are gone;
+                                      // kept for readers of the field
   uint64_t hellos_sent = 0;           // manifests sent (a broadcast is 1)
   uint64_t emergencies = 0;
 };
@@ -356,23 +357,11 @@ class ServiceContainer {
     VariableTimeoutHandler on_timeout;
   };
 
-  // "Never queried" sentinel for per-subscription NameQuery stamps —
-  // far enough in the virtual past that the first query always passes
-  // the rate check, without risking subtraction overflow.
-  static constexpr TimePoint kNeverQueried{
-      std::numeric_limits<int64_t>::min() / 2};
-
   // The single provider a variable or file subscription is bound to.
   struct ProviderBinding {
     std::optional<ProviderRecord> provider;
     bool announced = false;   // subscribe control delivered to provider
     bool joined_group = false;
-    // Last broadcast NameQuery for this name. Rebinding runs on every
-    // directory change, so without this stamp an unresolved name would
-    // re-broadcast a query per received hello — O(fleet²) queries
-    // during a fleet-wide boot. One query per resubscribe period is
-    // enough: the periodic tick retries anyway.
-    TimePoint last_name_query = kNeverQueried;
 
     bool bound_to(proto::ContainerId id) const {
       return provider && provider->container == id;
@@ -422,7 +411,6 @@ class ServiceContainer {
     enc::TypePtr type;
     // Events may have redundant publishers; subscribe to all of them.
     std::set<proto::ContainerId> announced_to;
-    TimePoint last_name_query = kNeverQueried;  // see ProviderBinding
     // Ordered-delivery state, per publishing container (EventQoS).
     EventQoS qos;
     struct OrderState {
@@ -545,14 +533,6 @@ class ServiceContainer {
   static auto* provision(Table& table, const std::string& name) {
     auto it = table.find(name);
     return it != table.end() && it->second.prov ? &*it->second.prov : nullptr;
-  }
-  // Visits the four tables in item-kind order.
-  template <typename Fn>
-  void for_each_table(Fn&& fn) {
-    fn(proto::ItemKind::kVariable, vars_);
-    fn(proto::ItemKind::kEvent, events_);
-    fn(proto::ItemKind::kFunction, functions_);
-    fn(proto::ItemKind::kFile, files_);
   }
 
   // One record per local service, in registration (= start) order;
@@ -812,15 +792,6 @@ class ServiceContainer {
     send_control(b.provider->container, type, msg);
   }
   void rebind_after_directory_change();
-  void on_name_query(proto::ContainerId from, transport::Address addr,
-                     const proto::NameQueryMsg& msg);
-  // Broadcasts a name query unless one for this subscription went out
-  // within the last resubscribe period (`last_query` is the caller's
-  // per-subscription stamp, updated on send). Rebinding runs on every
-  // directory change, so the rate limit is what keeps a fleet-wide boot
-  // at O(fleet) queries per period instead of O(fleet²).
-  void send_name_query(proto::ItemKind kind, const std::string& name,
-                       TimePoint& last_query);
 
   void emergency(const std::string& reason);
 

@@ -113,12 +113,8 @@ void ServiceContainer::retire_subscription(EventTable::iterator it) {
 void ServiceContainer::try_bind(EventEntry& e) {
   EventSubscription& sub = *e.sub;
   // Events can have redundant publishers; subscribe to every usable one.
-  auto providers = directory_.providers(proto::ItemKind::kEvent, e.name);
-  if (providers.empty() && !e.prov) {
-    send_name_query(proto::ItemKind::kEvent, e.name, sub.last_name_query);
-    return;
-  }
-  for (const auto& provider : providers) {
+  for (const auto& provider :
+       directory_.providers(proto::ItemKind::kEvent, e.name)) {
     if (sub.announced_to.count(provider.container)) continue;
     if (provider.schema_hash != 0 &&
         provider.schema_hash != sub.type->structural_hash()) {

@@ -167,10 +167,7 @@ void ServiceContainer::try_bind(FileEntry& e) {
   if (sub.announced && sub.provider) return;
 
   auto provider = directory_.resolve(proto::ItemKind::kFile, e.name);
-  if (!provider) {
-    send_name_query(proto::ItemKind::kFile, e.name, sub.last_name_query);
-    return;
-  }
+  if (!provider) return;
   sub.provider = *provider;
 
   if (!sub.joined_group) {

@@ -1,50 +1,10 @@
-// Name management (paper §3): directory cache upkeep, the query/reply
-// fallback path for cold lookups, and the periodic rebinding loop that
-// re-resolves orphaned subscriptions after provider changes.
+// Name management (paper §3): the periodic rebinding loop that
+// re-resolves unbound and orphaned subscriptions. The directory itself is
+// filled only from manifests (on_hello); a name nobody provides yet sends
+// nothing — the next applied hello or resubscribe tick retries the bind.
 #include "middleware/container.h"
 
 namespace marea::mw {
-
-void ServiceContainer::on_name_query(proto::ContainerId from,
-                                     transport::Address addr,
-                                     const proto::NameQueryMsg& msg) {
-  ensure_peer(from, addr);
-  // Answer only if one of our local services provides the item.
-  const Service* owner = nullptr;
-  for_each_table([&](proto::ItemKind kind, auto& table) {
-    auto* prov = kind == msg.kind ? provision(table, msg.name) : nullptr;
-    if (prov) owner = prov->owner;
-  });
-  if (!owner) return;
-  proto::NameReplyMsg reply;
-  reply.query_id = msg.query_id;
-  reply.found = true;
-  reply.provider = config_.id;
-  reply.data_port = config_.data_port;
-  reply.service = owner->name();
-  send_msg(addr, proto::MsgType::kNameReply, reply);
-}
-
-void ServiceContainer::send_name_query(proto::ItemKind kind,
-                                       const std::string& name,
-                                       TimePoint& last_query) {
-  // The debounce bounds BROADCAST RATE ON THE MEDIUM, so it is keyed to
-  // the transport's clock, not the executor's. In simulation they are
-  // the same virtual clock; on the live stack the executor may sit idle
-  // between bursts of posted work (a rebind storm after a gateway
-  // restart lands as one dense batch), and only the wall clock pacing
-  // the network can meter what actually hits the wire.
-  const Clock* net_clock = transport_.clock();
-  const TimePoint t = net_clock ? net_clock->now() : now();
-  if (t - last_query < config_.resubscribe_interval) return;
-  last_query = t;
-  proto::NameQueryMsg msg;
-  msg.query_id = next_request_id_++;
-  msg.kind = kind;
-  msg.name = name;
-  stats_.name_queries_sent++;
-  broadcast_msg(proto::MsgType::kNameQuery, msg);
-}
 
 void ServiceContainer::resubscribe_tick() {
   if (!running_) return;

@@ -171,10 +171,7 @@ void ServiceContainer::try_bind(VarEntry& e) {
   if (sub.announced && sub.provider) return;
 
   auto provider = directory_.resolve(proto::ItemKind::kVariable, e.name);
-  if (!provider) {
-    send_name_query(proto::ItemKind::kVariable, e.name, sub.last_name_query);
-    return;
-  }
+  if (!provider) return;
   if (provider->schema_hash != 0 &&
       provider->schema_hash != sub.type->structural_hash()) {
     MAREA_LOG(kWarn, kLog) << "variable '" << e.name

@@ -10,8 +10,7 @@ std::string NameDirectory::key(proto::ItemKind kind, const std::string& name) {
 
 void NameDirectory::apply_hello(proto::ContainerId container,
                                 transport::Address addr,
-                                const proto::ContainerHelloMsg& hello,
-                                TimePoint now) {
+                                const proto::ContainerHelloMsg& hello) {
   // A hello replaces prior knowledge about its sender.
   (void)drop_container_quietly(container);
   for (const auto& svc : hello.services) {
@@ -25,7 +24,6 @@ void NameDirectory::apply_hello(proto::ContainerId container,
       rec.period_ns = item.period_ns;
       rec.validity_ns = item.validity_ns;
       rec.state = svc.state;
-      rec.learned_at = now;
       std::string k = key(item.kind, item.name);
       records_[k].push_back(rec);
       index_key(container, k);
@@ -39,21 +37,6 @@ void NameDirectory::index_key(proto::ContainerId container,
   if (std::find(keys.begin(), keys.end(), k) == keys.end()) {
     keys.push_back(k);
   }
-}
-
-void NameDirectory::insert(proto::ItemKind kind, const std::string& name,
-                           const ProviderRecord& record) {
-  std::string k = key(kind, name);
-  auto& providers = records_[k];
-  index_key(record.container, k);
-  for (auto& existing : providers) {
-    if (existing.container == record.container &&
-        existing.service == record.service) {
-      existing = record;
-      return;
-    }
-  }
-  providers.push_back(record);
 }
 
 std::vector<std::string> NameDirectory::drop_container(

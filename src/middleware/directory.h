@@ -4,9 +4,9 @@
 // services it contains."
 //
 // The directory is each container's local view of who provides what,
-// assembled from ContainerHello manifests (which carry each service's
-// state) and NameReply answers, and invalidated when a peer dies or says
-// Bye. Every lookup is a cache hit or miss; stats feed bench C8.
+// assembled only from ContainerHello manifests (which carry each
+// service's state), and invalidated when a peer dies or says Bye. Every
+// lookup is a cache hit or miss; stats feed bench C8.
 #pragma once
 
 #include <optional>
@@ -16,7 +16,6 @@
 
 #include "protocol/messages.h"
 #include "transport/transport.h"
-#include "util/time.h"
 
 namespace marea::mw {
 
@@ -30,7 +29,6 @@ struct ProviderRecord {
   int64_t period_ns = 0;    // variables: provider's publication period
   int64_t validity_ns = 0;  // variables: provider's validity QoS
   proto::ServiceState state = proto::ServiceState::kRunning;
-  TimePoint learned_at{};
 
   bool usable() const {
     return state == proto::ServiceState::kRunning ||
@@ -50,11 +48,7 @@ class NameDirectory {
   // Replaces everything previously known about `container` with the
   // manifest in `hello` (a hello is authoritative for its sender).
   void apply_hello(proto::ContainerId container, transport::Address addr,
-                   const proto::ContainerHelloMsg& hello, TimePoint now);
-
-  // Inserts one record learned from a NameReply (cache fill on miss).
-  void insert(proto::ItemKind kind, const std::string& name,
-              const ProviderRecord& record);
+                   const proto::ContainerHelloMsg& hello);
 
   // Drops every record provided by `container` (death or bye);
   // returns the names that lost a provider.
@@ -72,7 +66,6 @@ class NameDirectory {
                 const std::string& name) const;
 
   const DirectoryStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = DirectoryStats{}; }
   size_t record_count() const;
 
  private:

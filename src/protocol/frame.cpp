@@ -10,8 +10,6 @@ const char* msg_type_name(MsgType t) {
     case MsgType::kContainerBye: return "CONTAINER_BYE";
     case MsgType::kHeartbeat: return "HEARTBEAT";
     case MsgType::kHelloRequest: return "HELLO_REQUEST";
-    case MsgType::kNameQuery: return "NAME_QUERY";
-    case MsgType::kNameReply: return "NAME_REPLY";
     case MsgType::kVarSubscribe: return "VAR_SUBSCRIBE";
     case MsgType::kVarUnsubscribe: return "VAR_UNSUBSCRIBE";
     case MsgType::kVarSample: return "VAR_SAMPLE";

@@ -36,9 +36,6 @@ enum class MsgType : uint8_t {
   kContainerBye = 2,     // orderly shutdown
   kHeartbeat = 3,        // liveness beacon + manifest version
   kHelloRequest = 5,     // unicast pull of a peer's manifest
-  // --- name service (unicast) ---
-  kNameQuery = 10,
-  kNameReply = 11,
   // --- variables (best effort; multicast when available) ---
   kVarSubscribe = 20,
   kVarUnsubscribe = 21,

@@ -119,40 +119,6 @@ bool HeartbeatMsg::decode(ByteReader& r, HeartbeatMsg& out) {
   return r.ok();
 }
 
-// --- NameQueryMsg / NameReplyMsg --------------------------------------------
-
-void NameQueryMsg::encode(ByteWriter& w) const {
-  w.varint(query_id);
-  w.u8(static_cast<uint8_t>(kind));
-  w.str(name);
-}
-
-bool NameQueryMsg::decode(ByteReader& r, NameQueryMsg& out) {
-  out.query_id = r.varint();
-  uint8_t kind = r.u8();
-  if (kind > static_cast<uint8_t>(ItemKind::kFile)) return false;
-  out.kind = static_cast<ItemKind>(kind);
-  out.name = r.str();
-  return r.ok();
-}
-
-void NameReplyMsg::encode(ByteWriter& w) const {
-  w.varint(query_id);
-  w.u8(found ? 1 : 0);
-  w.u32(provider);
-  w.u16(data_port);
-  w.str(service);
-}
-
-bool NameReplyMsg::decode(ByteReader& r, NameReplyMsg& out) {
-  out.query_id = r.varint();
-  out.found = r.u8() != 0;
-  out.provider = r.u32();
-  out.data_port = r.u16();
-  out.service = r.str();
-  return r.ok();
-}
-
 // --- Variables --------------------------------------------------------------
 
 void VarSubscribeMsg::encode(ByteWriter& w) const {

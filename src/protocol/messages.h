@@ -96,30 +96,6 @@ struct HeartbeatMsg {
 };
 
 // ---------------------------------------------------------------------------
-// Name service
-// ---------------------------------------------------------------------------
-
-struct NameQueryMsg {
-  uint64_t query_id = 0;
-  ItemKind kind = ItemKind::kVariable;
-  std::string name;
-
-  void encode(ByteWriter& w) const;
-  static bool decode(ByteReader& r, NameQueryMsg& out);
-};
-
-struct NameReplyMsg {
-  uint64_t query_id = 0;
-  bool found = false;
-  ContainerId provider = kInvalidContainer;
-  uint16_t data_port = 0;
-  std::string service;  // providing service name
-
-  void encode(ByteWriter& w) const;
-  static bool decode(ByteReader& r, NameReplyMsg& out);
-};
-
-// ---------------------------------------------------------------------------
 // Variables (§4.1)
 // ---------------------------------------------------------------------------
 

@@ -238,9 +238,6 @@ class SimNetwork {
   // frames here; receivers release them back).
   FramePool& frame_pool() { return pool_; }
 
-  // The virtual clock pacing this network (Transport::clock()).
-  const Clock& clock() const { return sim_; }
-
   // How long a packet `node` sends now waits for its egress serializer:
   // max(0, egress_free - now) (Transport::send_backlog()).
   Duration egress_backlog(NodeId node) const {

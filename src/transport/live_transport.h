@@ -145,8 +145,6 @@ class LiveTransport : public Transport {
 
   HostId local_host() const override { return local_host_; }
   size_t mtu() const override { return 65507; }
-  // Kernel sockets are paced by wall time.
-  const Clock* clock() const override { return &wall_clock_; }
   // For requested == 0: the kernel-assigned port of the most recent
   // ephemeral bind (valid as soon as that bind returns ok).
   uint16_t bound_port(uint16_t requested) const override;
@@ -261,7 +259,6 @@ class LiveTransport : public Transport {
   struct Table;
   std::unique_ptr<Table> table_;
 
-  SteadyClock wall_clock_;
   // Guards the obs wiring and serializes trace-ring writes from this
   // transport (the ring itself is not thread-safe).
   mutable std::mutex obs_mu_;

@@ -18,8 +18,6 @@ class SimTransport final : public Transport {
 
   HostId local_host() const override { return node_; }
   size_t mtu() const override { return net_.mtu(); }
-  // The simulated medium is paced by virtual time.
-  const Clock* clock() const override { return &net_.clock(); }
 
   // Zero-copy path: frames built in the network's shared pool travel to
   // every receiver without a single payload copy.

@@ -48,15 +48,6 @@ class Transport {
   virtual HostId local_host() const = 0;
   virtual size_t mtu() const = 0;
 
-  // The clock that paces this transport's medium: virtual time for the
-  // simulated network, wall (steady) time for kernel sockets. Protocol
-  // timers that guard against *network-side* behavior (debounces, rate
-  // limits) must key off this clock, not the executor's — in a live
-  // deployment the executor may be driven by a different source than the
-  // medium the timer is protecting. Null means "no opinion" (caller falls
-  // back to its executor clock).
-  virtual const Clock* clock() const { return nullptr; }
-
   // The concrete local port for a `bind_frames` of `requested`.
   // Implementations supporting ephemeral binds (requested == 0) return
   // the kernel-assigned port of the most recent such bind; everywhere

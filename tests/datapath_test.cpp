@@ -363,14 +363,14 @@ TEST(FrameBuilderTest, FrameBuilderOutputIsPinned) {
   // them exactly. The constant is the digest of every frame's length and
   // hash64, one frame per MsgType a container puts on the wire. It was
   // recorded while the copying seal path still existed to cross-check it,
-  // and recomputed with that same FrameBuilder when HELLO_REQUEST took
-  // SERVICE_STATUS's place in the list.
+  // and recomputed with that same FrameBuilder each time the list changed:
+  // when HELLO_REQUEST took SERVICE_STATUS's place, and when NAME_QUERY
+  // and NAME_REPLY left it.
   using T = proto::MsgType;
   const T sent[] = {T::kContainerHello,  T::kContainerBye, T::kHeartbeat,
-                    T::kHelloRequest,    T::kNameQuery,    T::kNameReply,
-                    T::kVarSample,       T::kReliableData, T::kReliableAck,
-                    T::kFileChunk,       T::kFileStatusRequest,
-                    T::kFileAck,         T::kFileNack};
+                    T::kHelloRequest,    T::kVarSample,    T::kReliableData,
+                    T::kReliableAck,     T::kFileChunk,
+                    T::kFileStatusRequest, T::kFileAck,    T::kFileNack};
   FramePool pool;
   std::vector<uint64_t> folded;
   for (T type : sent) {
@@ -382,7 +382,7 @@ TEST(FrameBuilderTest, FrameBuilderOutputIsPinned) {
     folded.push_back(util::hash64(frame.view()));
   }
   EXPECT_EQ(util::hash64_list(folded.data(), folded.size()),
-            0x2e90cae3825dec6aull);
+            0x3a58a4b2dc9881c9ull);
 }
 
 // --- steady-state variable delivery --------------------------------------

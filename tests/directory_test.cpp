@@ -40,8 +40,7 @@ TEST(DirectoryTest, HelloPopulatesRecords) {
       7, transport::Address{10, 999},
       manifest(4500, {{"gps",
                        {item(proto::ItemKind::kVariable, "gps.position"),
-                        item(proto::ItemKind::kEvent, "gps.waypoint")}}}),
-      TimePoint{5});
+                        item(proto::ItemKind::kEvent, "gps.waypoint")}}}));
   auto rec = dir.resolve(proto::ItemKind::kVariable, "gps.position");
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->container, 7u);
@@ -58,8 +57,7 @@ TEST(DirectoryTest, KindsAreSeparateNamespaces) {
       1, transport::Address{1, 1},
       manifest(4500, {{"svc",
                        {item(proto::ItemKind::kVariable, "x"),
-                        item(proto::ItemKind::kFunction, "x")}}}),
-      TimePoint{});
+                        item(proto::ItemKind::kFunction, "x")}}}));
   EXPECT_TRUE(dir.resolve(proto::ItemKind::kVariable, "x").has_value());
   EXPECT_TRUE(dir.resolve(proto::ItemKind::kFunction, "x").has_value());
   EXPECT_FALSE(dir.resolve(proto::ItemKind::kEvent, "x").has_value());
@@ -69,12 +67,10 @@ TEST(DirectoryTest, ReHelloReplacesPriorKnowledge) {
   NameDirectory dir;
   dir.apply_hello(
       1, transport::Address{1, 1},
-      manifest(4500, {{"a", {item(proto::ItemKind::kVariable, "old")}}}),
-      TimePoint{});
+      manifest(4500, {{"a", {item(proto::ItemKind::kVariable, "old")}}}));
   dir.apply_hello(
       1, transport::Address{1, 1},
-      manifest(4500, {{"a", {item(proto::ItemKind::kVariable, "new")}}}),
-      TimePoint{});
+      manifest(4500, {{"a", {item(proto::ItemKind::kVariable, "new")}}}));
   EXPECT_FALSE(dir.resolve(proto::ItemKind::kVariable, "old").has_value());
   EXPECT_TRUE(dir.resolve(proto::ItemKind::kVariable, "new").has_value());
   EXPECT_EQ(dir.record_count(), 1u);
@@ -87,8 +83,7 @@ TEST(DirectoryTest, RedundantProvidersAllListed) {
     dir.apply_hello(
         c, transport::Address{c, 1},
         manifest(4500,
-                 {{"echo", {item(proto::ItemKind::kFunction, "f")}}}),
-        TimePoint{});
+                 {{"echo", {item(proto::ItemKind::kFunction, "f")}}}));
   }
   auto providers = dir.providers(proto::ItemKind::kFunction, "f");
   ASSERT_EQ(providers.size(), 3u);
@@ -105,24 +100,24 @@ proto::ContainerHelloMsg gps_in_state(proto::ServiceState state) {
 TEST(DirectoryTest, StatusUpdateMasksFailedProvider) {
   NameDirectory dir;
   dir.apply_hello(1, transport::Address{1, 1},
-                  gps_in_state(proto::ServiceState::kRunning), TimePoint{});
+                  gps_in_state(proto::ServiceState::kRunning));
   // A state change reaches peers as the next manifest.
   dir.apply_hello(1, transport::Address{1, 1},
-                  gps_in_state(proto::ServiceState::kFailed), TimePoint{});
+                  gps_in_state(proto::ServiceState::kFailed));
   EXPECT_TRUE(dir.providers(proto::ItemKind::kVariable, "v").empty());
 
   // Recovery re-lists it.
   dir.apply_hello(1, transport::Address{1, 1},
-                  gps_in_state(proto::ServiceState::kRunning), TimePoint{});
+                  gps_in_state(proto::ServiceState::kRunning));
   EXPECT_FALSE(dir.providers(proto::ItemKind::kVariable, "v").empty());
 }
 
 TEST(DirectoryTest, DegradedStillUsable) {
   NameDirectory dir;
   dir.apply_hello(1, transport::Address{1, 1},
-                  gps_in_state(proto::ServiceState::kRunning), TimePoint{});
+                  gps_in_state(proto::ServiceState::kRunning));
   dir.apply_hello(1, transport::Address{1, 1},
-                  gps_in_state(proto::ServiceState::kDegraded), TimePoint{});
+                  gps_in_state(proto::ServiceState::kDegraded));
   EXPECT_EQ(dir.providers(proto::ItemKind::kVariable, "v").size(), 1u);
 }
 
@@ -132,12 +127,10 @@ TEST(DirectoryTest, DropContainerInvalidatesAndReports) {
       1, transport::Address{1, 1},
       manifest(4500, {{"a",
                        {item(proto::ItemKind::kVariable, "shared"),
-                        item(proto::ItemKind::kVariable, "only1")}}}),
-      TimePoint{});
+                        item(proto::ItemKind::kVariable, "only1")}}}));
   dir.apply_hello(
       2, transport::Address{2, 1},
-      manifest(4500, {{"b", {item(proto::ItemKind::kVariable, "shared")}}}),
-      TimePoint{});
+      manifest(4500, {{"b", {item(proto::ItemKind::kVariable, "shared")}}}));
   auto affected = dir.drop_container(1);
   EXPECT_EQ(affected.size(), 2u);  // shared + only1 lost a provider
   EXPECT_EQ(dir.providers(proto::ItemKind::kVariable, "shared").size(), 1u);
@@ -149,27 +142,12 @@ TEST(DirectoryTest, HitMissAccounting) {
   NameDirectory dir;
   dir.apply_hello(
       1, transport::Address{1, 1},
-      manifest(4500, {{"a", {item(proto::ItemKind::kVariable, "v")}}}),
-      TimePoint{});
+      manifest(4500, {{"a", {item(proto::ItemKind::kVariable, "v")}}}));
   (void)dir.resolve(proto::ItemKind::kVariable, "v");
   (void)dir.resolve(proto::ItemKind::kVariable, "v");
   (void)dir.resolve(proto::ItemKind::kVariable, "missing");
   EXPECT_EQ(dir.stats().hits, 2u);
   EXPECT_EQ(dir.stats().misses, 1u);
-  dir.reset_stats();
-  EXPECT_EQ(dir.stats().hits, 0u);
-}
-
-TEST(DirectoryTest, InsertFromReplyUpsertsRecord) {
-  NameDirectory dir;
-  ProviderRecord rec;
-  rec.container = 9;
-  rec.address = transport::Address{9, 4500};
-  rec.service = "svc";
-  rec.kind = proto::ItemKind::kFile;
-  dir.insert(proto::ItemKind::kFile, "res", rec);
-  dir.insert(proto::ItemKind::kFile, "res", rec);  // idempotent upsert
-  EXPECT_EQ(dir.providers(proto::ItemKind::kFile, "res").size(), 1u);
 }
 
 TEST(DirectoryTest, QualifiedKeysDoNotCollide) {
@@ -178,8 +156,7 @@ TEST(DirectoryTest, QualifiedKeysDoNotCollide) {
   dir.apply_hello(
       1, transport::Address{1, 1},
       manifest(4500,
-               {{"a", {item(proto::ItemKind::kVariable, "event/x")}}}),
-      TimePoint{});
+               {{"a", {item(proto::ItemKind::kVariable, "event/x")}}}));
   EXPECT_TRUE(
       dir.resolve(proto::ItemKind::kVariable, "event/x").has_value());
   EXPECT_FALSE(dir.resolve(proto::ItemKind::kEvent, "x").has_value());

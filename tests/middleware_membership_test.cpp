@@ -1,9 +1,11 @@
 // Membership: the manifest version counts content changes, steady state
-// puts no hello on the wire, and a peer that missed a manifest change
-// (here, across a partition shorter than the liveness bound) learns it
-// from the version in our heartbeat by pulling the hello.
+// puts no hello on the wire, a subscription to a name nobody provides
+// puts nothing on it, and a peer that missed a manifest change (here,
+// across a partition shorter than the liveness bound) learns it from the
+// version in our heartbeat by pulling the hello.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 
 #include "encoding/typed.h"
@@ -24,8 +26,8 @@ MAREA_REFLECT(marea::mw::Reading, n)
 namespace marea::mw {
 namespace {
 
-// Provides "probe.v" from the start, a second variable or a file on
-// demand, and reports unhealthy once told to.
+// Provides "probe.v" from the start and, on demand, a late name of each
+// kind a subscriber binds to; reports unhealthy once told to.
 class Probe final : public Service {
  public:
   Probe() : Service("probe") {}
@@ -35,24 +37,66 @@ class Probe final : public Service {
   Status health_check() override {
     return healthy ? Status::ok() : internal_error("probe broke");
   }
-  Status provide_late() {
-    return provide_variable<Reading>("probe.late").status();
+  // The late name of `kind`: a manifest change.
+  Status provide_late(proto::ItemKind kind) {
+    switch (kind) {
+      case proto::ItemKind::kVariable: {
+        auto h = provide_variable<Reading>("probe.late");
+        if (h.ok()) late_ = *h;
+        return h.status();
+      }
+      case proto::ItemKind::kEvent: {
+        auto h = provide_event<Reading>("probe.alarm");
+        if (h.ok()) alarm_ = *h;
+        return h.status();
+      }
+      default:
+        return publish(Buffer(3000, 1));
+    }
+  }
+  // One more publication of the late name of `kind`.
+  Status publish_late(proto::ItemKind kind) {
+    switch (kind) {
+      case proto::ItemKind::kVariable: return late_.publish(Reading{1});
+      case proto::ItemKind::kEvent: return alarm_.publish(Reading{1});
+      default: return publish(Buffer(3000, 2));
+    }
   }
   Status publish(Buffer content) {
     return publish_file("probe.file", std::move(content));
   }
   bool healthy = true;
+
+ private:
+  VariableHandle late_;
+  EventHandle alarm_;
 };
 
-class FileSink final : public Service {
+// Subscribes to the probe's late names and counts what arrives.
+class Sink final : public Service {
  public:
-  FileSink() : Service("file_sink") {}
+  Sink() : Service("sink") {}
   Status on_start() override {
+    Status s = subscribe_variable<Reading>(
+        "probe.late", [this](const Reading&, const SampleInfo&) { ++samples; });
+    if (!s.is_ok()) return s;
+    s = subscribe_event<Reading>(
+        "probe.alarm", [this](const Reading&, const EventInfo&) { ++alarms; });
+    if (!s.is_ok()) return s;
     return subscribe_file("probe.file",
                           [this](const proto::FileMeta& meta, const Buffer&) {
                             revision = meta.revision;
                           });
   }
+  uint64_t received(proto::ItemKind kind) const {
+    switch (kind) {
+      case proto::ItemKind::kVariable: return samples;
+      case proto::ItemKind::kEvent: return alarms;
+      default: return revision;
+    }
+  }
+  uint64_t samples = 0;
+  uint64_t alarms = 0;
   uint64_t revision = 0;
 };
 
@@ -75,8 +119,8 @@ TEST(MembershipTest, SteadyStateAndFileRepublishSendNoHello) {
   auto probe = std::make_unique<Probe>();
   Probe* p = probe.get();
   (void)domain.add_node("a").add_service(std::move(probe));
-  auto sink = std::make_unique<FileSink>();
-  FileSink* s = sink.get();
+  auto sink = std::make_unique<Sink>();
+  Sink* s = sink.get();
   (void)domain.add_node("b").add_service(std::move(sink));
   (void)domain.add_node("c");
   domain.start_all();
@@ -99,10 +143,63 @@ TEST(MembershipTest, SteadyStateAndFileRepublishSendNoHello) {
   EXPECT_EQ(hellos_sent(domain), named) << "a republish sent a hello";
 }
 
+TEST(MembershipTest, UnresolvedSubscriptionIsSilent) {
+  set_log_level(LogLevel::kError);
+  SimDomain domain(93);
+  auto sink = std::make_unique<Sink>();
+  Sink* s = sink.get();
+  ServiceContainer& ground = domain.add_node("ground");
+  (void)ground.add_service(std::move(sink));
+  auto probe = std::make_unique<Probe>();
+  Probe* p = probe.get();
+  ServiceContainer& peer = domain.add_node("peer");
+  (void)peer.add_service(std::move(probe));
+
+  // Until the peer starts, a witness on its data port sees every frame
+  // the ground container broadcasts.
+  sim::SimNetwork& net = domain.network();
+  const sim::NodeId ground_node = domain.node_id(0);
+  const transport::Address witness{domain.node_id(1),
+                                   peer.config().data_port};
+  std::map<proto::MsgType, int> seen;
+  ASSERT_TRUE(net.bind_frames(witness, [&](transport::Address,
+                                           const SharedFrame& frame) {
+                   auto header = proto::open_frame(frame.view(), nullptr);
+                   if (header.ok()) ++seen[header->type];
+                 }).is_ok());
+  ASSERT_TRUE(ground.start().is_ok());
+  domain.run_for(milliseconds(500));  // the start-up hello is out
+
+  // A variable, an event and a file subscription to names nobody
+  // provides send nothing but the container's heartbeats.
+  seen.clear();
+  const uint64_t sent = net.node_stats(ground_node).packets_sent;
+  const Duration window = seconds(2.0);
+  domain.run_for(window);
+  EXPECT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[proto::MsgType::kHeartbeat],
+            window.ns / ground.config().heartbeat_interval.ns);
+  EXPECT_EQ(net.node_stats(ground_node).packets_sent - sent,
+            static_cast<uint64_t>(seen[proto::MsgType::kHeartbeat]));
+  net.unbind(witness);
+
+  // The peer comes up, then publishes the file: its manifest change
+  // broadcast is the one hello it sends, and it binds the subscription.
+  ASSERT_TRUE(peer.start().is_ok());
+  domain.run_for(seconds(1.0));
+  ASSERT_EQ(ground.known_peers().size(), 1u);
+  const uint64_t hellos = peer.stats().hellos_sent;
+  ASSERT_TRUE(p->publish(Buffer(3000, 1)).is_ok());
+  domain.run_for(milliseconds(20));
+  EXPECT_EQ(s->revision, 1u);
+  EXPECT_EQ(peer.stats().hellos_sent, hellos + 1);
+}
+
 // Two nodes, partitioned for less than the liveness bound.
 struct PartitionRig {
   SimDomain domain{92};
   Probe* probe = nullptr;
+  Sink* sink = nullptr;
   ContainerConfig cfg;
 
   PartitionRig() {
@@ -111,7 +208,9 @@ struct PartitionRig {
     auto pr = std::make_unique<Probe>();
     probe = pr.get();
     (void)domain.add_node("a", cfg).add_service(std::move(pr));
-    (void)domain.add_node("b", cfg);
+    auto sk = std::make_unique<Sink>();
+    sink = sk.get();
+    (void)domain.add_node("b", cfg).add_service(std::move(sk));
     domain.start_all();
     domain.run_for(seconds(1.0));
   }
@@ -132,19 +231,33 @@ struct PartitionRig {
 };
 
 TEST(MembershipTest, ManifestChangeMissedInPartitionArrivesByPull) {
-  PartitionRig rig;
-  rig.partition();
-  ASSERT_TRUE(rig.probe->provide_late().is_ok());
-  const uint64_t at_heal = rig.heal_after(milliseconds(150));
-  ASSERT_FALSE(rig.b().directory().provides(
-      rig.a().config().id, proto::ItemKind::kVariable, "probe.late"))
-      << "the change broadcast crossed the partition";
+  // A name of each kind, published inside the partition, with b already
+  // subscribed: the pulled manifest is the only way b learns of it.
+  const std::pair<proto::ItemKind, const char*> late[] = {
+      {proto::ItemKind::kVariable, "probe.late"},
+      {proto::ItemKind::kEvent, "probe.alarm"},
+      {proto::ItemKind::kFile, "probe.file"},
+  };
+  for (const auto& [kind, name] : late) {
+    SCOPED_TRACE(name);
+    PartitionRig rig;
+    const proto::ContainerId a = rig.a().config().id;
+    rig.partition();
+    ASSERT_TRUE(rig.probe->provide_late(kind).is_ok());
+    const uint64_t at_heal = rig.heal_after(milliseconds(150));
+    ASSERT_FALSE(rig.b().directory().provides(a, kind, name))
+        << "the change broadcast crossed the partition";
 
-  rig.domain.run_for(rig.cfg.heartbeat_interval + kPullRtt);
-  EXPECT_TRUE(rig.b().directory().provides(
-      rig.a().config().id, proto::ItemKind::kVariable, "probe.late"));
-  EXPECT_EQ(rig.a().stats().hellos_sent, at_heal + 1);  // the pulled one
-  EXPECT_EQ(rig.b().stats().name_queries_sent, 0u);
+    rig.domain.run_for(rig.cfg.heartbeat_interval + kPullRtt);
+    EXPECT_TRUE(rig.b().directory().provides(a, kind, name));
+    EXPECT_EQ(rig.a().stats().hellos_sent, at_heal + 1);  // the pulled one
+    // Bound by now: the next publication reaches b's subscriber (a
+    // file's first revision already came with the bind).
+    ASSERT_TRUE(rig.probe->publish_late(kind).is_ok());
+    rig.domain.run_for(kPullRtt);
+    EXPECT_EQ(rig.sink->received(kind),
+              kind == proto::ItemKind::kFile ? 2u : 1u);
+  }
 }
 
 TEST(MembershipTest, ServiceFailedInPartitionIsMaskedAfterPull) {
@@ -166,7 +279,6 @@ TEST(MembershipTest, ServiceFailedInPartitionIsMaskedAfterPull) {
                   .providers(proto::ItemKind::kVariable, "probe.v")
                   .empty());
   EXPECT_EQ(rig.a().stats().hellos_sent, at_heal + 1);
-  EXPECT_EQ(rig.b().stats().name_queries_sent, 0u);
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 // vs unicast fallback, schema enforcement, local bypass.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <utility>
 
 #include "frame_forge.h"
 #include "middleware/domain.h"
@@ -416,10 +418,12 @@ TEST_F(VarsTest, SchemaInvalidSampleLeavesCacheAtLastGoodValue) {
 }
 
 TEST_F(VarsTest, BareSubscribeFrameIsDropped) {
-  // Subscription control only ever travels inside the reliable link. A
-  // bare kVarSubscribe frame from a container nobody knows is dropped
-  // like any unknown type: it must not register the forged source as a
-  // peer, nor open a snapshot send toward the frame's address.
+  // Subscription control only ever travels inside the reliable link, and
+  // types 10 and 11 are unassigned (they were the name query and its
+  // reply, forged here in their old layouts). A bare frame of any of them
+  // from a container nobody knows is dropped like any unknown type: it
+  // must not register the forged source as a peer, nor open a send
+  // toward the frame's address.
   SimDomain domain(16);
   (void)make_two_nodes(domain);
   domain.start_all();
@@ -429,30 +433,52 @@ TEST_F(VarsTest, BareSubscribeFrameIsDropped) {
   // The forger listens where it sends from, off the data port, so only
   // a reply addressed to it can land here.
   const Address forger{domain.node_id(1), 9999};
+  const Address target{domain.node_id(0), provider.config().data_port};
   sim::SimNetwork& net = domain.network();
   int replies = 0;
   ASSERT_TRUE(net.bind_frames(forger, [&](Address, const SharedFrame&) {
                    ++replies;
                  }).is_ok());
-  const uint64_t dropped = provider.stats().frames_dropped;
-  const uint64_t snapshots = provider.stats().var_snapshots_sent;
-  const auto peers = provider.known_peers();
 
-  proto::VarSubscribeMsg msg;
-  msg.name = "sensor.reading";
-  msg.schema_hash = enc::descriptor_of<Reading>()->structural_hash();
-  SharedFrame frame = testutil::forge_frame(
-      net.frame_pool(), proto::MsgType::kVarSubscribe, 0xBAD, msg);
-  ASSERT_TRUE(net.send(forger,
-                       Address{domain.node_id(0), provider.config().data_port},
-                       std::move(frame))
-                  .is_ok());
-  domain.run_for(milliseconds(100));  // within the liveness window
+  proto::VarSubscribeMsg subscribe;
+  subscribe.name = "sensor.reading";
+  subscribe.schema_hash = enc::descriptor_of<Reading>()->structural_hash();
+  const std::pair<uint8_t, std::function<void(ByteWriter&)>> forged[] = {
+      {static_cast<uint8_t>(proto::MsgType::kVarSubscribe),
+       [&](ByteWriter& w) { subscribe.encode(w); }},
+      {10,  // query id, kind, name
+       [](ByteWriter& w) {
+         w.varint(1);
+         w.u8(static_cast<uint8_t>(proto::ItemKind::kVariable));
+         w.str("sensor.reading");
+       }},
+      {11,  // query id, found, provider, data port, service
+       [](ByteWriter& w) {
+         w.varint(1);
+         w.u8(1);
+         w.u32(0xBAD);
+         w.u16(9999);
+         w.str("sensor");
+       }},
+  };
+  for (const auto& [type, body] : forged) {
+    SCOPED_TRACE(static_cast<int>(type));
+    const uint64_t dropped = provider.stats().frames_dropped;
+    const uint64_t snapshots = provider.stats().var_snapshots_sent;
+    const auto peers = provider.known_peers();
 
-  EXPECT_EQ(provider.stats().frames_dropped, dropped + 1);
-  EXPECT_EQ(provider.known_peers(), peers);
-  EXPECT_EQ(provider.stats().var_snapshots_sent, snapshots);
-  EXPECT_EQ(replies, 0);
+    proto::FrameBuilder fb(
+        net.frame_pool(),
+        proto::FrameHeader{static_cast<proto::MsgType>(type), 0xBAD});
+    body(fb.payload());
+    ASSERT_TRUE(net.send(forger, target, std::move(fb).seal()).is_ok());
+    domain.run_for(milliseconds(100));  // within the liveness window
+
+    EXPECT_EQ(provider.stats().frames_dropped, dropped + 1);
+    EXPECT_EQ(provider.known_peers(), peers);
+    EXPECT_EQ(provider.stats().var_snapshots_sent, snapshots);
+    EXPECT_EQ(replies, 0);
+  }
 }
 
 }  // namespace

@@ -57,7 +57,6 @@ TEST(FrameTest, TruncationDetected) {
 TEST(FrameTest, EveryTypeHasName) {
   for (MsgType t : {MsgType::kContainerHello, MsgType::kContainerBye,
                     MsgType::kHeartbeat, MsgType::kHelloRequest,
-                    MsgType::kNameQuery, MsgType::kNameReply,
                     MsgType::kVarSubscribe, MsgType::kVarUnsubscribe,
                     MsgType::kVarSample, MsgType::kVarSnapshot,
                     MsgType::kEventSubscribe, MsgType::kEventUnsubscribe,
@@ -126,26 +125,6 @@ TEST(MessagesTest, HeartbeatAndStatus) {
   HelloRequestMsg{}.encode(w);
   EXPECT_EQ(w.view().size(), 0u);
   round_trip(HelloRequestMsg{});
-}
-
-TEST(MessagesTest, NameQueryReply) {
-  NameQueryMsg q;
-  q.query_id = 5;
-  q.kind = ItemKind::kFunction;
-  q.name = "camera.setup";
-  NameQueryMsg q2 = round_trip(q);
-  EXPECT_EQ(q2.kind, ItemKind::kFunction);
-  EXPECT_EQ(q2.name, "camera.setup");
-
-  NameReplyMsg rep;
-  rep.query_id = 5;
-  rep.found = true;
-  rep.provider = 9;
-  rep.data_port = 4500;
-  rep.service = "camera";
-  NameReplyMsg rep2 = round_trip(rep);
-  EXPECT_TRUE(rep2.found);
-  EXPECT_EQ(rep2.provider, 9u);
 }
 
 TEST(MessagesTest, VarMessages) {
