@@ -82,7 +82,7 @@ void mftp_chunk_size(Report& report, uint32_t chunk) {
         (void)net.send(Address{rx, 1}, Address{pub, 1},
                        net.frame_pool().copy_in(w.view()));
       });
-  receiver.set_on_complete([&](const Buffer&) {
+  receiver.set_on_complete([&](std::shared_ptr<const Buffer>) {
     done = true;
     done_at = sim.now();
   });

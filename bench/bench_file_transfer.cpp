@@ -218,9 +218,9 @@ FtResult run_mftp(const Buffer& content, const FtOptions& opt) {
     if (static_cast<size_t>(i) < opt.stores.size() && opt.stores[i]) {
       receiver->set_chunk_store(opt.stores[static_cast<size_t>(i)]);
     }
-    receiver->set_on_complete([&](const Buffer& data) {
+    receiver->set_on_complete([&](std::shared_ptr<const Buffer> data) {
       result.completed++;
-      if (data == content) result.intact++;
+      if (*data == content) result.intact++;
       if (sim.now() > slowest) slowest = sim.now();
     });
     proto::MftpReceiver* raw = receiver.get();

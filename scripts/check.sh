@@ -13,7 +13,8 @@
 # of the paper's claims (C1-C3, C5, F2/C6, C7-C10, F3, A1-A3) gated
 # against bench/baselines/claims.json. The perfbench smoke
 # (scripts/perfbench_smoke.sh) runs each simulated workload once and
-# gates mission_sim seed 1 on "correct" and lat_p99_us <= 15 ms. Finally
+# gates mission_sim seed 1 on "correct", lat_p99_us <= 15 ms and
+# allocs_per_op <= 17.62. Finally
 # the Release benches run — bench_hotpath (sim datapath), bench_live (kernel
 # datapath), bench_fleet (sharded engine scaling), bench_scenario_matrix
 # (seeded missions over the mobility-driven radio model),
@@ -64,7 +65,7 @@ cmake --build build-tsan -j"$(nproc)" --target parallel_sim_test \
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
   -R 'ParallelSim|ChaosSoak|DataMuleScenario|ChunkPipeline|LiveBackend|LiveSoak|LiveStack|ServiceTimerLifetime|RequirementTimerLifetime|RpcProvisionLifetime|FileProgressLifetime'
 
-echo "== perfbench smoke (mission_sim seed 1: correct, lat_p99_us <= 15 ms) =="
+echo "== perfbench smoke (mission_sim seed 1: correct, lat_p99_us <= 15 ms, allocs_per_op <= 17.62) =="
 ./scripts/perfbench_smoke.sh
 
 echo "== release hot-path bench (BENCH_hotpath.json) =="

@@ -12,7 +12,10 @@
 # time, read over a fixed number of segments, so it is deterministic for
 # a seed (seed 1 reads about 11,000 us). An event that queues behind a
 # photo's MFTP chunks on the 8 Mbps egress instead of waiting for one
-# chunk pushes it to about 17,000 us.
+# chunk pushes it to about 17,000 us. Its allocs_per_op must stay at or
+# below 17.62, also an exact count for the seed: seed 1 reads 17.508 at
+# 5 s. Copying each received chunk into the chunk store and each
+# completed file once more for its handlers read 17.729.
 #
 # The telemetry_sim run is gated on allocs_per_op <= 2.29. It is an
 # exact count for a seed, the same at every run length: seed 1 reads
@@ -48,5 +51,10 @@ if mission.get("correct") is not True:
 if p99 > 15000:
     sys.exit(f"perfbench smoke: mission_sim seed 1 lat_p99_us {p99:.0f} "
              "> 15000")
-print(f"perfbench smoke: mission_sim seed 1 correct, lat_p99_us {p99:.0f}")
+allocs = mission["metrics"]["allocs_per_op"]["value"]
+if allocs > 17.62:
+    sys.exit(f"perfbench smoke: mission_sim seed 1 allocs_per_op "
+             f"{allocs:.4f} > 17.62")
+print(f"perfbench smoke: mission_sim seed 1 correct, lat_p99_us {p99:.0f}, "
+      f"allocs_per_op {allocs:.4f}")
 EOF

@@ -248,23 +248,23 @@ void ServiceContainer::start_file_receiver(
       }
     });
   });
-  auto on_complete = [this, &e, &s = sub](const Buffer& content) {
+  auto on_complete = [this, &e,
+                      &s = sub](std::shared_ptr<const Buffer> content) {
     const proto::FileMeta& meta = s.receiver->meta();
     trace_ev(obs::TraceEvent::kDeliver, obs::TraceKind::kFile,
              s.receiver->transfer_id(), meta.revision);
     MAREA_LOG(kInfo, kLog) << config_.node_name << " completed file '" << e.name
                            << "' rev " << meta.revision << " ("
                            << meta.size << " bytes)";
-    // One immutable copy of the reassembled image, shared by every
-    // handler post.
-    deliver_file(s, meta, std::make_shared<const Buffer>(content));
+    // The receiver's own image, shared by every handler post.
+    deliver_file(s, meta, std::move(content));
   };
   sub.receiver->set_on_complete(on_complete);
   sub.receiver->set_manifest(chunk_hashes);
   sub.receiver->set_chunk_store(&chunk_store_);
   if (sub.receiver->complete()) {
     // Zero-byte resources are complete on arrival of the metadata alone.
-    on_complete(Buffer{});
+    on_complete(std::make_shared<const Buffer>());
   } else {
     // Late join / revision change: satisfy whatever the cross-transfer
     // chunk store already holds by hash (may complete immediately via

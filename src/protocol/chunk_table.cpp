@@ -146,7 +146,7 @@ size_t ChunkStore::find_cell(uint64_t hash) const {
 }
 
 void ChunkStore::index_insert(uint64_t hash, uint32_t slot) {
-  if (2 * (entries_ + 1) > index_.size()) {
+  if (2 * slots_.size() > index_.size()) {  // slots_ holds `slot` already
     std::vector<Cell> old = std::move(index_);
     index_.assign(old.empty() ? 16 : 2 * old.size(), Cell{});
     index_shift_ = 64 - static_cast<unsigned>(std::countr_zero(index_.size()));
@@ -191,58 +191,64 @@ void ChunkStore::push_front(uint32_t s) {
   head_ = s;
 }
 
-const Buffer* ChunkStore::find(uint64_t hash) {
+std::vector<ChunkStore::Pin>::iterator ChunkStore::pin_of(
+    const Buffer* image) {
+  return std::ranges::lower_bound(pins_, image, {}, &Pin::key);
+}
+
+void ChunkStore::evict_lru() {
+  const uint32_t s = tail_;
+  unlink(s);
+  index_erase(find_cell(slots_[s].hash));
+  if (auto pin = pin_of(slots_[s].image); --pin->chunks == 0) {
+    bytes_ -= pin->image->size();
+    pins_.erase(pin);
+  }
+  // Keep slots_ dense: the last slot moves into the victim's place.
+  if (Slot& x = slots_[s] = slots_.back(); s + 1 != slots_.size()) {
+    (x.prev == kNil ? head_ : slots_[x.prev].next) = s;
+    (x.next == kNil ? tail_ : slots_[x.next].prev) = s;
+    index_[find_cell(x.hash)].slot = s;
+  }
+  slots_.pop_back();
+  ++stats_.evictions;
+}
+
+BytesView ChunkStore::find(uint64_t hash) {
   const size_t c = find_cell(hash);
   if (c == kNoCell) {
     ++stats_.misses;
-    return nullptr;
+    return {};
   }
   ++stats_.hits;
   const uint32_t s = index_[c].slot;
   unlink(s);
   push_front(s);
-  return &slots_[s].data;
+  return slots_[s].chunk;
 }
 
-void ChunkStore::put(uint64_t hash, BytesView raw) {
-  if (raw.size() > max_bytes_) return;  // would evict the whole store
+void ChunkStore::put(uint64_t hash, const std::shared_ptr<const Buffer>& image,
+                     size_t offset, size_t length) {
+  if (length == 0 || image->size() > max_bytes_) return;  // or evicts all
   if (const size_t c = find_cell(hash); c != kNoCell) {
     // Same hash, same content (by construction); just refresh.
     unlink(index_[c].slot);
     push_front(index_[c].slot);
     return;
   }
-  // Evict least-recent first. The first victim's slot (and its buffer
-  // capacity) carries the new chunk; later victims join the free list.
-  uint32_t s = kNil;
-  while (bytes_ + raw.size() > max_bytes_ && entries_ != 0) {
-    const uint32_t victim = tail_;
-    bytes_ -= slots_[victim].data.size();
-    ++stats_.evictions;
-    --entries_;
-    unlink(victim);
-    index_erase(find_cell(slots_[victim].hash));
-    if (s == kNil) {
-      s = victim;
-    } else {
-      slots_[victim].next = free_;
-      free_ = victim;
-    }
+  auto pin = pin_of(image.get());
+  if (pin == pins_.end() || pin->image != image) {
+    // A new image: evict least-recent chunks until it fits whole.
+    while (bytes_ + image->size() > max_bytes_) evict_lru();
+    pin = pins_.insert(pin_of(image.get()), Pin{image, 0});
+    bytes_ += image->size();
   }
-  if (s == kNil && free_ != kNil) {
-    s = free_;
-    free_ = slots_[s].next;
-  }
-  if (s == kNil) {
-    s = static_cast<uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  slots_[s].hash = hash;
-  slots_[s].data.assign(raw.begin(), raw.end());
+  ++pin->chunks;
+  const auto s = static_cast<uint32_t>(slots_.size());
+  slots_.push_back(Slot{hash, kNil, kNil, image.get(),
+                        BytesView(*image).subspan(offset, length)});
   push_front(s);
   index_insert(hash, s);
-  ++entries_;
-  bytes_ += raw.size();
   ++stats_.inserts;
 }
 

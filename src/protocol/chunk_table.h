@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "util/bytes.h"
@@ -107,21 +108,21 @@ class ChunkTable {
   ChunkPipelineStats stats_;
 };
 
-// Bounded receiver-side LRU of raw chunks keyed by content hash.
-// Deterministic: no clocks, eviction order is purely access order.
-// Chunks live in a slot vector threaded by an index-linked LRU list; an
-// open-addressed, linearly probed index maps hash -> slot. Once full,
-// put() hands the least-recent victim's slot and buffer capacity to the
-// new chunk and keeps further victims' slots on a free list, so a warm
-// store does not allocate.
+// Bounded receiver-side LRU of raw chunks keyed by content hash, each a
+// reference (file image, offset, length). Deterministic: no clocks, eviction
+// order is purely access order. The budget counts a pinned image whole while
+// any of its chunks is stored. Slots form an index-linked LRU list found by
+// an open-addressed index; once the vectors have grown, put() never allocates.
 class ChunkStore {
  public:
   explicit ChunkStore(size_t max_bytes = 4u << 20) : max_bytes_(max_bytes) {}
 
-  // Returns the stored raw chunk (refreshing its LRU position) or
-  // nullptr. The pointer is invalidated by the next put().
-  const Buffer* find(uint64_t hash);
-  void put(uint64_t hash, BytesView raw);
+  // Returns the stored raw chunk (refreshing its LRU position), or an
+  // empty view. The view is invalidated by the next put().
+  BytesView find(uint64_t hash);
+  // The referenced bytes must never change; a stored hash is refreshed.
+  void put(uint64_t hash, const std::shared_ptr<const Buffer>& image,
+           size_t offset, size_t length);
 
   struct Stats {
     uint64_t hits = 0;
@@ -130,8 +131,8 @@ class ChunkStore {
     uint64_t evictions = 0;
   };
   const Stats& stats() const { return stats_; }
-  size_t bytes() const { return bytes_; }
-  size_t entries() const { return entries_; }
+  size_t bytes() const { return bytes_; }  // pinned image bytes
+  size_t entries() const { return slots_.size(); }
 
  private:
   static constexpr uint32_t kNil = UINT32_MAX;
@@ -139,12 +140,18 @@ class ChunkStore {
   struct Slot {
     uint64_t hash = 0;
     uint32_t prev = kNil;  // LRU neighbour towards the most recent
-    uint32_t next = kNil;  // towards the least recent, or the free list
-    Buffer data;
+    uint32_t next = kNil;  // towards the least recent
+    const Buffer* image = nullptr;  // pinned in pins_
+    BytesView chunk;                // within *image
   };
   struct Cell {
     uint64_t hash = 0;
     uint32_t slot = kNil;  // kNil: empty cell
+  };
+  struct Pin {  // an image and the count of slots referencing it
+    std::shared_ptr<const Buffer> image;
+    size_t chunks = 0;
+    const Buffer* key() const { return image.get(); }
   };
 
   size_t home(uint64_t hash) const;
@@ -153,16 +160,17 @@ class ChunkStore {
   void index_erase(size_t cell);
   void unlink(uint32_t s);
   void push_front(uint32_t s);
+  std::vector<Pin>::iterator pin_of(const Buffer* image);
+  void evict_lru();
 
   size_t max_bytes_;
   size_t bytes_ = 0;
-  size_t entries_ = 0;
   std::vector<Slot> slots_;
   uint32_t head_ = kNil;  // most recently used
   uint32_t tail_ = kNil;  // least recently used: the next victim
-  uint32_t free_ = kNil;  // slots without a chunk, linked through next
   std::vector<Cell> index_;  // power-of-two size, at most half full
   unsigned index_shift_ = 64;  // 64 - log2(index_.size())
+  std::vector<Pin> pins_;  // sorted by image address
   Stats stats_;
 };
 

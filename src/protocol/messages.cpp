@@ -268,11 +268,13 @@ bool FileMeta::decode(ByteReader& r, FileMeta& out) {
   uint64_t chunk = r.varint();
   out.content_crc = r.u32();
   out.codec = r.u8();
-  if (!r.ok() || rev > UINT32_MAX || chunk > UINT32_MAX) return false;
+  if (!r.ok() || rev > UINT32_MAX || chunk == 0 || chunk > UINT32_MAX) {
+    return false;
+  }
   out.revision = static_cast<uint32_t>(rev);
   out.size = size;
   out.chunk_size = static_cast<uint32_t>(chunk);
-  return true;
+  return size == 0 || (size - 1) / chunk < UINT32_MAX;  // chunk_count fits
 }
 
 void FileSubscribeMsg::encode(ByteWriter& w) const {

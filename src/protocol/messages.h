@@ -235,16 +235,16 @@ struct FileMeta {
   std::string name;
   uint32_t revision = 0;
   uint64_t size = 0;
-  uint32_t chunk_size = 0;
-  uint32_t content_crc = 0;
+  uint32_t chunk_size = 0;  // nonzero on the wire, empty files included
+  uint32_t content_crc = 0;  // checked only where no manifest arrived
   // Per-chunk compression codec negotiated at announce time
   // (util::Codec wire id; 0 = raw chunks). Receivers that don't know
   // the id reject chunks rather than guess.
   uint8_t codec = 0;
 
-  uint32_t chunk_count() const {
+  uint32_t chunk_count() const {  // decode rejects counts over 32 bits
     if (chunk_size == 0) return 0;
-    return static_cast<uint32_t>((size + chunk_size - 1) / chunk_size);
+    return static_cast<uint32_t>(size / chunk_size + (size % chunk_size != 0));
   }
 
   void encode(ByteWriter& w) const;

@@ -164,13 +164,8 @@ void MftpPublisher::send_next_chunk() {
 void MftpPublisher::begin_status_phase() {
   executor_.cancel(timer_);
   timer_ = sched::kInvalidTaskTimer;
-  if (subscribers_.empty()) {
-    state_ = State::kIdle;
-    if (on_idle_) on_idle_();
-    return;
-  }
-  if (round_ >= kMaxRounds) {
-    // Out of patience: fail everyone still subscribed.
+  if (subscribers_.empty() || round_ >= kMaxRounds) {
+    // Out of subscribers, or of patience: fail any still subscribed.
     auto remaining = subscribers_;
     for (MftpPeer peer : remaining) {
       stats_.dropped_subscribers++;
@@ -241,18 +236,13 @@ void MftpPublisher::on_nack(MftpPeer peer, const FileNackMsg& msg) {
     return;
   }
   if (!subscribers_.count(peer)) return;
-  if (state_ != State::kAwaitingStatus) {
-    // A NACK outside a poll (e.g. right after late subscribe) still counts:
-    // fold it into the next round.
-    for (const auto& run : msg.missing.runs()) {
-      next_round_.insert_run(run.first, run.count);
-    }
-    return;
-  }
-  awaiting_.erase(peer);
+  // A NACK outside a poll (e.g. right after late subscribe) still counts:
+  // it is folded into the next round all the same.
   for (const auto& run : msg.missing.runs()) {
     next_round_.insert_run(run.first, run.count);
   }
+  if (state_ != State::kAwaitingStatus) return;
+  awaiting_.erase(peer);
   if (awaiting_.empty()) resolve_round();
 }
 
@@ -266,12 +256,7 @@ void MftpPublisher::resolve_round() {
   executor_.cancel(timer_);
   timer_ = sched::kInvalidTaskTimer;
   round_++;
-  if (subscribers_.empty()) {
-    state_ = State::kIdle;
-    if (on_idle_) on_idle_();
-    return;
-  }
-  if (!next_round_.empty()) {
+  if (!subscribers_.empty() && !next_round_.empty()) {
     // Clamp to valid chunk range (defensive against hostile NACKs).
     RunSet valid;
     uint32_t total = meta_.chunk_count();
@@ -283,8 +268,8 @@ void MftpPublisher::resolve_round() {
     begin_sending(std::move(valid));
     return;
   }
-  // Nothing to resend but subscribers remain (e.g. a late joiner was added
-  // after the poll snapshot): poll again.
+  // Nothing to resend (a late joiner may have come after the poll
+  // snapshot): poll again, or go idle without subscribers.
   begin_status_phase();
 }
 
@@ -299,7 +284,7 @@ MftpReceiver::MftpReceiver(uint64_t transfer_id, FileMeta meta,
       send_ack_(std::move(send_ack)),
       send_nack_(std::move(send_nack)) {
   assert(send_ack_ && send_nack_);
-  data_.resize(meta_.size);
+  image_ = std::make_shared<Buffer>(meta_.size);
   if (meta_.chunk_count() == 0) complete_ = true;  // empty file
 }
 
@@ -320,25 +305,26 @@ uint64_t MftpReceiver::chunk_len(uint32_t index) const {
 }
 
 void MftpReceiver::fill_index(uint32_t index, BytesView raw) {
-  const uint64_t offset = static_cast<uint64_t>(index) * meta_.chunk_size;
   std::copy(raw.begin(), raw.end(),
-            data_.begin() + static_cast<std::ptrdiff_t>(offset));
+            image_->data() + static_cast<size_t>(index) * meta_.chunk_size);
   have_.insert(index);
 }
 
 void MftpReceiver::maybe_complete() {
   if (complete_ || have_.cardinality() != meta_.chunk_count()) return;
-  if (crc32(as_bytes_view(data_)) != meta_.content_crc) {
+  // A manifest checked every chunk's hash64; the CRC is for the rest.
+  if (manifest_.empty() && crc32(*image_) != meta_.content_crc) {
     // Corrupt reassembly: discard everything and let the completion
-    // poll fetch it again.
+    // poll fetch it again, into a fresh image the store never saw.
     MAREA_LOG(kWarn, "mftp") << "content CRC mismatch for '" << meta_.name
                              << "' rev " << meta_.revision
                              << "; restarting collection";
     have_ = RunSet{};
+    image_ = std::make_shared<Buffer>(meta_.size);
     return;
   }
   complete_ = true;
-  if (on_complete_) on_complete_(data_);
+  if (on_complete_) on_complete_(image_);
 }
 
 void MftpReceiver::resume_from_store() {
@@ -347,9 +333,9 @@ void MftpReceiver::resume_from_store() {
   uint32_t filled = 0;
   for (uint32_t i = 0; i < total; ++i) {
     if (have_.contains(i)) continue;
-    const Buffer* cached = store_->find(manifest_[i]);
-    if (cached == nullptr || cached->size() != chunk_len(i)) continue;
-    fill_index(i, as_bytes_view(*cached));
+    const BytesView cached = store_->find(manifest_[i]);
+    if (cached.size() != chunk_len(i)) continue;
+    fill_index(i, cached);
     stats_.chunks_from_store++;
     stats_.chunks_deduped++;
     ++filled;
@@ -371,6 +357,7 @@ void MftpReceiver::on_chunk(const FileChunkMsg& msg) {
     return;
   }
   const uint64_t expect = chunk_len(msg.index);
+  const size_t offset = static_cast<size_t>(msg.index) * meta_.chunk_size;
   BytesView raw;
   const bool compressed = (msg.flags & kChunkFlagCompressed) != 0;
   if (compressed) {
@@ -378,9 +365,8 @@ void MftpReceiver::on_chunk(const FileChunkMsg& msg) {
     // slot is not held, so a stream that fails to decode or verify
     // only leaves bytes a later fill overwrites.
     const util::Compressor* comp = util::compressor_for(meta_.codec);
-    std::span<uint8_t> slot(
-        data_.data() + static_cast<size_t>(msg.index) * meta_.chunk_size,
-        static_cast<size_t>(expect));
+    std::span<uint8_t> slot(image_->data() + offset,
+                            static_cast<size_t>(expect));
     if (comp == nullptr || !comp->decompress(msg.data.view(), slot)) {
       stats_.hash_mismatches++;
       return;  // unknown codec or malformed stream; NACK will refetch
@@ -394,11 +380,8 @@ void MftpReceiver::on_chunk(const FileChunkMsg& msg) {
   // announced) the manifest — this is what lets chunks be trusted into
   // the cross-transfer store.
   const uint64_t digest = util::hash64(raw);
-  if (msg.hash != 0 && digest != msg.hash) {
-    stats_.hash_mismatches++;
-    return;
-  }
-  if (!manifest_.empty() && manifest_[msg.index] != digest) {
+  if ((msg.hash != 0 && digest != msg.hash) ||
+      (!manifest_.empty() && manifest_[msg.index] != digest)) {
     stats_.hash_mismatches++;
     return;
   }
@@ -408,7 +391,7 @@ void MftpReceiver::on_chunk(const FileChunkMsg& msg) {
     fill_index(msg.index, raw);
   }
   stats_.payload_bytes_received += raw.size();
-  if (store_ != nullptr) store_->put(digest, raw);
+  if (store_ != nullptr) store_->put(digest, image_, offset, raw.size());
   // One verified copy fills every sibling index carrying the same
   // content hash (the publisher elides those sends within a round).
   if (!manifest_.empty()) {

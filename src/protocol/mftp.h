@@ -120,7 +120,6 @@ class MftpPublisher {
 
   const FileMeta& meta() const { return meta_; }
   uint64_t transfer_id() const { return transfer_id_; }
-  const Buffer& content() const { return *content_; }
 
   // Announce manifest: raw-chunk hashes in index order (built in the
   // constructor's ChunkTable pre-computation).
@@ -219,7 +218,7 @@ class MftpReceiver {
   using AckSendFn = std::function<void(const FileAckMsg&)>;
   using NackSendFn = std::function<void(const FileNackMsg&)>;
   using ProgressFn = std::function<void(uint32_t have, uint32_t total)>;
-  using CompleteFn = std::function<void(const Buffer& content)>;
+  using CompleteFn = std::function<void(std::shared_ptr<const Buffer>)>;
 
   MftpReceiver(uint64_t transfer_id, FileMeta meta, AckSendFn send_ack,
                NackSendFn send_nack);
@@ -270,7 +269,9 @@ class MftpReceiver {
   std::vector<std::pair<uint64_t, uint32_t>> manifest_index_;
   ChunkStore* store_ = nullptr;
 
-  Buffer data_;
+  // The file image: the store references held chunks (never rewritten)
+  // and completion hands it over; a CRC restart takes a new one.
+  std::shared_ptr<Buffer> image_;
   RunSet have_;
   bool complete_ = false;
   MftpReceiverStats stats_;

@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstring>
 #include <list>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -724,85 +725,156 @@ TEST(ChunkPipelineTableTest, ProbeBoundsTheCostOfMixedContent) {
 
 // --- ChunkStore -------------------------------------------------------------
 
+using Image = std::shared_ptr<const Buffer>;
+
+Image image_of(Buffer bytes) {
+  return std::make_shared<const Buffer>(std::move(bytes));
+}
+
+// Stores the whole image as one chunk under its hash64; returns the key.
+uint64_t put_whole(proto::ChunkStore& store, const Image& image) {
+  const uint64_t h = util::hash64(BytesView(*image));
+  store.put(h, image, 0, image->size());
+  return h;
+}
+
 TEST(ChunkPipelineStoreTest, LruEvictsOldestWhenOverBudget) {
   proto::ChunkStore store(3 * 100);  // room for 3 x 100-byte chunks
-  Buffer a(100, 1), b(100, 2), c(100, 3), d(100, 4);
-  store.put(util::hash64(BytesView(a)), BytesView(a));
-  store.put(util::hash64(BytesView(b)), BytesView(b));
-  store.put(util::hash64(BytesView(c)), BytesView(c));
+  const Image a = image_of(Buffer(100, 1)), b = image_of(Buffer(100, 2)),
+              c = image_of(Buffer(100, 3)), d = image_of(Buffer(100, 4));
+  const uint64_t ha = put_whole(store, a);
+  const uint64_t hb = put_whole(store, b);
+  put_whole(store, c);
   EXPECT_EQ(store.entries(), 3u);
   // Touch `a` so `b` becomes the LRU victim.
-  EXPECT_NE(store.find(util::hash64(BytesView(a))), nullptr);
-  store.put(util::hash64(BytesView(d)), BytesView(d));
+  EXPECT_FALSE(store.find(ha).empty());
+  const uint64_t hd = put_whole(store, d);
   EXPECT_EQ(store.entries(), 3u);
-  EXPECT_EQ(store.find(util::hash64(BytesView(b))), nullptr);
-  EXPECT_NE(store.find(util::hash64(BytesView(a))), nullptr);
-  EXPECT_NE(store.find(util::hash64(BytesView(d))), nullptr);
+  EXPECT_TRUE(store.find(hb).empty());
+  EXPECT_FALSE(store.find(ha).empty());
+  EXPECT_FALSE(store.find(hd).empty());
   EXPECT_EQ(store.stats().evictions, 1u);
 }
 
 TEST(ChunkPipelineStoreTest, OversizeChunksAndDuplicatesAreNoOps) {
   proto::ChunkStore store(64);
-  Buffer big(100, 9);
-  store.put(util::hash64(BytesView(big)), BytesView(big));
+  const Image big = image_of(Buffer(100, 9));
+  put_whole(store, big);
   EXPECT_EQ(store.entries(), 0u);  // larger than the whole budget
-  Buffer small(16, 5);
-  const uint64_t h = util::hash64(BytesView(small));
-  store.put(h, BytesView(small));
-  store.put(h, BytesView(small));  // duplicate insert
+  EXPECT_EQ(big.use_count(), 1);   // and not pinned
+  const Image small = image_of(Buffer(16, 5));
+  const uint64_t h = put_whole(store, small);
+  put_whole(store, small);  // duplicate insert
   EXPECT_EQ(store.entries(), 1u);
   EXPECT_EQ(store.bytes(), 16u);
-  const Buffer* found = store.find(h);
-  ASSERT_NE(found, nullptr);
-  EXPECT_EQ(*found, small);
+  EXPECT_EQ(to_buffer(store.find(h)), *small);
 }
 
 TEST(ChunkPipelineStoreTest, MultiVictimEvictionKeepsLruOrderAndStats) {
   // Mixed chunk sizes: one insert may evict several victims, always
-  // least-recent first, and recycled nodes must carry the new chunk.
+  // least-recent first, and the slots that stay must keep their chunks.
   proto::ChunkStore store(300);
-  Buffer a(100, 1), b(100, 2), c(100, 3), d(250, 4), e(50, 5), f(60, 6);
-  auto h = [](const Buffer& x) { return util::hash64(BytesView(x)); };
-  store.put(h(a), BytesView(a));
-  store.put(h(b), BytesView(b));
-  store.put(h(c), BytesView(c));
-  store.put(h(d), BytesView(d));  // evicts a, b and c
+  const Image a = image_of(Buffer(100, 1)), b = image_of(Buffer(100, 2)),
+              c = image_of(Buffer(100, 3)), d = image_of(Buffer(250, 4)),
+              e = image_of(Buffer(50, 5)), f = image_of(Buffer(60, 6));
+  put_whole(store, a);
+  put_whole(store, b);
+  put_whole(store, c);
+  const uint64_t hd = put_whole(store, d);  // evicts a, b and c
   EXPECT_EQ(store.entries(), 1u);
   EXPECT_EQ(store.bytes(), 250u);
   EXPECT_EQ(store.stats().evictions, 3u);
-  store.put(h(e), BytesView(e));  // 300: fits exactly, no eviction
+  const uint64_t he = put_whole(store, e);  // 300: fits exactly
   EXPECT_EQ(store.stats().evictions, 3u);
-  store.put(h(f), BytesView(f));  // evicts d only (LRU), keeps e
+  const uint64_t hf = put_whole(store, f);  // evicts d only (LRU), keeps e
   EXPECT_EQ(store.stats().evictions, 4u);
   EXPECT_EQ(store.stats().inserts, 6u);
   EXPECT_EQ(store.entries(), 2u);
   EXPECT_EQ(store.bytes(), 110u);
-  EXPECT_EQ(store.find(h(d)), nullptr);
-  const Buffer* got_f = store.find(h(f));
-  ASSERT_NE(got_f, nullptr);
-  EXPECT_EQ(*got_f, f);
-  const Buffer* got_e = store.find(h(e));  // e is now most recent
-  ASSERT_NE(got_e, nullptr);
-  EXPECT_EQ(*got_e, e);
-  store.put(h(d), BytesView(d));  // 360 > 300: evicts f (now LRU) only
+  EXPECT_TRUE(store.find(hd).empty());
+  EXPECT_EQ(to_buffer(store.find(hf)), *f);
+  EXPECT_EQ(to_buffer(store.find(he)), *e);  // e is now most recent
+  put_whole(store, d);  // 360 > 300: evicts f (now LRU) only
   EXPECT_EQ(store.stats().evictions, 5u);
   EXPECT_EQ(store.entries(), 2u);
   EXPECT_EQ(store.bytes(), 300u);
-  EXPECT_EQ(store.find(h(f)), nullptr);
-  ASSERT_NE(store.find(h(e)), nullptr);
-  const Buffer* got_d = store.find(h(d));
-  ASSERT_NE(got_d, nullptr);
-  EXPECT_EQ(*got_d, d);
+  EXPECT_TRUE(store.find(hf).empty());
+  ASSERT_FALSE(store.find(he).empty());
+  EXPECT_EQ(to_buffer(store.find(hd)), *d);
+}
+
+TEST(ChunkPipelineStoreTest, PinnedImagesStayWithinBudgetAndLastEvictionFrees) {
+  // Images of four distinct 100-byte chunks. The budget counts a pinned
+  // image at its full 400 bytes, however few of its chunks are stored,
+  // so 1,000 bytes pin at most two.
+  proto::ChunkStore store(1000);
+  std::vector<Image> images;
+  for (uint8_t i = 0; i < 6; ++i) {
+    Buffer b;
+    for (uint8_t k = 0; k < 4; ++k) {
+      b.insert(b.end(), 100, static_cast<uint8_t>(4 * i + k + 1));
+    }
+    images.push_back(image_of(std::move(b)));
+  }
+  auto key = [&](size_t i, size_t k) {
+    return util::hash64(BytesView(*images[i]).subspan(k * 100, 100));
+  };
+  auto put = [&](size_t i, size_t k) {
+    store.put(key(i, k), images[i], k * 100, 100);
+    ASSERT_LE(store.bytes(), 1000u);
+  };
+
+  put(0, 0);
+  put(0, 3);
+  EXPECT_EQ(store.bytes(), 400u);  // one image, two of its chunks
+  put(0, 1);
+  put(0, 2);
+  for (size_t k = 0; k < 4; ++k) put(1, k);
+  EXPECT_EQ(store.bytes(), 800u);
+  EXPECT_EQ(images[0].use_count(), 2);  // the test's and the store's
+
+  // Refresh image 0's last chunk: image 2 then evicts 0's first three
+  // chunks (which frees nothing) and all of image 1.
+  EXPECT_FALSE(store.find(key(0, 3)).empty());
+  put(2, 0);
+  EXPECT_EQ(store.stats().evictions, 7u);
+  EXPECT_EQ(store.bytes(), 800u);
+  EXPECT_EQ(store.entries(), 2u);
+  EXPECT_EQ(images[1].use_count(), 1);  // released
+  EXPECT_EQ(images[0].use_count(), 2);  // still pinned by chunk 3
+  EXPECT_TRUE(store.find(key(0, 0)).empty());
+  EXPECT_EQ(to_buffer(store.find(key(0, 3))),
+            to_buffer(BytesView(*images[0]).subspan(300, 100)));
+
+  // Image 0's last chunk goes once image 3 needs the room.
+  for (size_t k = 0; k < 4; ++k) put(2, k);
+  put(3, 0);
+  EXPECT_EQ(images[0].use_count(), 1);
+  for (size_t i = 3; i < 6; ++i) {
+    for (size_t k = 0; k < 4; ++k) put(i, k);
+  }
+  EXPECT_EQ(store.bytes(), 800u);
+  EXPECT_EQ(store.entries(), 8u);
+  for (size_t i = 0; i < 4; ++i) EXPECT_EQ(images[i].use_count(), 1) << i;
+
+  // An image larger than the whole budget is not stored.
+  const Image huge = image_of(Buffer(1001, 0xEE));
+  store.put(util::hash64(BytesView(*huge).first(100)), huge, 0, 100);
+  EXPECT_EQ(huge.use_count(), 1);
+  EXPECT_EQ(store.entries(), 8u);
 }
 
 // Drives the store and a list-based reference LRU with the same budget
 // and eviction rule through random finds and puts of chunks[id] under
 // keys[id]; they must agree on membership, bytes, stats and contents
-// after every operation.
+// after every operation. Each chunk is its own image, so the store's
+// pinned bytes are its chunk bytes.
 void check_against_reference_lru(const std::vector<Buffer>& chunks,
                                  const std::vector<uint64_t>& keys,
                                  size_t budget, int steps, uint64_t seed) {
   proto::ChunkStore store(budget);
+  std::vector<Image> images;
+  for (const Buffer& chunk : chunks) images.push_back(image_of(chunk));
   std::list<size_t> ref;  // chunk ids, front = most recent
   std::vector<std::list<size_t>::iterator> where(chunks.size(), ref.end());
   size_t ref_bytes = 0;
@@ -813,18 +885,17 @@ void check_against_reference_lru(const std::vector<Buffer>& chunks,
     const Buffer& chunk = chunks[id];
     const bool held = where[id] != ref.end();
     if (rng.next_u64() % 3 == 0) {
-      const Buffer* got = store.find(keys[id]);
+      const BytesView got = store.find(keys[id]);
       if (!held) {
         ++ref_stats.misses;
-        ASSERT_EQ(got, nullptr) << "step " << step;
+        ASSERT_TRUE(got.empty()) << "step " << step;
       } else {
         ++ref_stats.hits;
         ref.splice(ref.begin(), ref, where[id]);
-        ASSERT_NE(got, nullptr) << "step " << step;
-        ASSERT_EQ(*got, chunk) << "step " << step;
+        ASSERT_EQ(to_buffer(got), chunk) << "step " << step;
       }
     } else {
-      store.put(keys[id], BytesView(chunk));
+      store.put(keys[id], images[id], 0, chunk.size());
       if (held) {
         ref.splice(ref.begin(), ref, where[id]);
       } else {
@@ -851,13 +922,11 @@ void check_against_reference_lru(const std::vector<Buffer>& chunks,
   // bytes (each find refreshes, so sweep least-recent first).
   for (size_t id = 0; id < chunks.size(); ++id) {
     if (where[id] == ref.end()) {
-      ASSERT_EQ(store.find(keys[id]), nullptr) << "id " << id;
+      ASSERT_TRUE(store.find(keys[id]).empty()) << "id " << id;
     }
   }
   for (auto it = ref.rbegin(); it != ref.rend(); ++it) {
-    const Buffer* got = store.find(keys[*it]);
-    ASSERT_NE(got, nullptr) << "id " << *it;
-    ASSERT_EQ(*got, chunks[*it]) << "id " << *it;
+    ASSERT_EQ(to_buffer(store.find(keys[*it])), chunks[*it]) << "id " << *it;
   }
 }
 

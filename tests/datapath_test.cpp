@@ -479,31 +479,34 @@ TEST(SteadyStateDeliveryTest, WarmRemoteGpsFixDeliveryAllocatesNothing) {
 // --- bulk path ---------------------------------------------------------------
 
 TEST(BulkPathAllocTest, WarmChunkStorePutAllocatesNothing) {
-  // Once the store is full, each insert recycles the LRU victim's slot
-  // and buffer; mixed sizes evict one or several.
+  // Once the slot vector, index and pin list have grown, a put only
+  // links a slot: each new image evicts whole older images, one or
+  // several, and mixed sizes release a varying number of them.
   proto::ChunkStore store(8 * 1024);
-  std::vector<Buffer> chunks;
+  std::vector<std::shared_ptr<const Buffer>> images;
+  std::vector<std::pair<uint64_t, uint64_t>> hashes;  // both chunks
   for (uint32_t i = 0; i < 64; ++i) {
-    chunks.emplace_back(i % 4 == 3 ? 700 : 1024, static_cast<uint8_t>(i));
+    Buffer b(1024, static_cast<uint8_t>(i));
+    b.resize(i % 4 == 3 ? 1724 : 2048, static_cast<uint8_t>(100 + i));
+    hashes.emplace_back(util::hash64(BytesView(b).first(1024)),
+                        util::hash64(BytesView(b).subspan(1024)));
+    images.push_back(std::make_shared<const Buffer>(std::move(b)));
   }
-  std::vector<uint64_t> hashes;
-  for (const Buffer& c : chunks) hashes.push_back(util::hash64(BytesView(c)));
-  for (uint32_t i = 0; i < 16; ++i) {  // fill and warm every buffer size
-    store.put(hashes[i], BytesView(chunks[i]));
-  }
+  auto put_image = [&](uint32_t i) {
+    store.put(hashes[i].first, images[i], 0, 1024);
+    store.put(hashes[i].second, images[i], 1024, images[i]->size() - 1024);
+  };
+  for (uint32_t i = 0; i < 16; ++i) put_image(i);  // fill and warm
   const uint64_t evictions_before = store.stats().evictions;
   const uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
-  for (uint32_t i = 16; i < chunks.size(); ++i) {
-    store.put(hashes[i], BytesView(chunks[i]));
-  }
+  for (uint32_t i = 16; i < images.size(); ++i) put_image(i);
   const uint64_t allocs =
       g_allocs.load(std::memory_order_relaxed) - allocs_before;
-  EXPECT_GT(store.stats().evictions, evictions_before + 40);
+  EXPECT_GT(store.stats().evictions, evictions_before + 80);
   EXPECT_EQ(allocs, 0u) << "heap allocations over "
-                        << chunks.size() - 16 << " warm ChunkStore puts";
-  const Buffer* last = store.find(hashes.back());
-  ASSERT_NE(last, nullptr);
-  EXPECT_EQ(*last, chunks.back());
+                        << 2 * (images.size() - 16) << " warm ChunkStore puts";
+  EXPECT_EQ(to_buffer(store.find(hashes.back().second)),
+            to_buffer(BytesView(*images.back()).subspan(1024)));
 }
 
 TEST(BulkPathAllocTest, CompressedChunkDecodesInPlaceWithoutAllocating) {
@@ -537,18 +540,23 @@ TEST(BulkPathAllocTest, CompressedChunkDecodesInPlaceWithoutAllocating) {
     msgs[i].flags = proto::kChunkFlagCompressed;
     msgs[i].data = to_buffer(table.payload(i));
   }
-  // A store already full of other chunks: every insert recycles.
-  proto::ChunkStore store(16 * kChunk);
-  for (uint32_t i = 0; i < 16; ++i) {
-    Buffer other(kChunk, static_cast<uint8_t>(200 + i));
-    store.put(util::hash64(BytesView(other)), BytesView(other));
+  // A store already full of other images' chunks: pinning the file
+  // image evicts some of them, and no insert grows the store.
+  proto::ChunkStore store(64 * kChunk);
+  std::vector<std::shared_ptr<const Buffer>> others;
+  for (uint32_t i = 0; i < 64; ++i) {
+    others.push_back(std::make_shared<const Buffer>(
+        kChunk, static_cast<uint8_t>(200 + i)));
+    store.put(util::hash64(BytesView(*others.back())), others.back(), 0,
+              kChunk);
   }
   proto::MftpReceiver rx(7, meta, [](const proto::FileAckMsg&) {},
                          [](const proto::FileNackMsg&) {});
   rx.set_manifest(table.hashes());
   rx.set_chunk_store(&store);
   bool complete = false;
-  rx.set_on_complete([&](const Buffer& b) { complete = b == content; });
+  rx.set_on_complete(
+      [&](std::shared_ptr<const Buffer> b) { complete = *b == content; });
   rx.on_chunk(msgs[0]);  // first run of the held set
   const uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
   for (uint32_t i = 1; i < kChunks; ++i) rx.on_chunk(msgs[i]);
@@ -558,6 +566,10 @@ TEST(BulkPathAllocTest, CompressedChunkDecodesInPlaceWithoutAllocating) {
   EXPECT_EQ(rx.stats().hash_mismatches, 0u);
   EXPECT_EQ(allocs, 0u) << "heap allocations over " << kChunks - 1
                         << " compressed chunks";
+  // The 40 KiB image took the room of 40 one-chunk images.
+  EXPECT_EQ(store.stats().evictions, 40u);
+  EXPECT_EQ(store.entries(), 24u + kChunks);
+  EXPECT_EQ(store.bytes(), 64u * kChunk);
 }
 
 }  // namespace

@@ -125,7 +125,7 @@ class MftpHarness {
         });
     ReceiverNode* raw = rec.get();
     rec->receiver->set_on_complete(
-        [raw](const Buffer& data) { raw->completed = data; });
+        [raw](std::shared_ptr<const Buffer> data) { raw->completed = *data; });
     (void)net_.bind_frames(
         Address{rec->node, 1},
         [raw](Address, const SharedFrame& frame) {
@@ -263,9 +263,9 @@ TEST(MftpTest, EmptyFileCompletesImmediately) {
   bool completed = false;
   MftpReceiver rx(1, meta, [](const FileAckMsg&) {},
                   [](const FileNackMsg&) {});
-  rx.set_on_complete([&](const Buffer& b) {
+  rx.set_on_complete([&](std::shared_ptr<const Buffer> b) {
     completed = true;
-    EXPECT_TRUE(b.empty());
+    EXPECT_TRUE(b->empty());
   });
   EXPECT_TRUE(rx.complete());
   (void)completed;
@@ -332,7 +332,7 @@ TEST(MftpTest, CorruptContentRejectedByCrc) {
   bool completed = false;
   MftpReceiver rx(5, meta, [](const FileAckMsg&) {},
                   [](const FileNackMsg&) {});
-  rx.set_on_complete([&](const Buffer&) { completed = true; });
+  rx.set_on_complete([&](std::shared_ptr<const Buffer>) { completed = true; });
   for (uint32_t i = 0; i < 2; ++i) {
     FileChunkMsg chunk;
     chunk.transfer_id = 5;
@@ -498,12 +498,106 @@ TEST(MftpTest, ResumeFromStoreCompletesWithoutAnyChunkSends) {
                    [](const FileNackMsg&) {});
   rx2.set_manifest(table.hashes());
   rx2.set_chunk_store(&store);
-  rx2.set_on_complete([&](const Buffer& b) { completed = b; });
+  rx2.set_on_complete([&](std::shared_ptr<const Buffer> b) { completed = *b; });
   rx2.resume_from_store();
   ASSERT_TRUE(completed.has_value());
   EXPECT_EQ(*completed, content);
   EXPECT_EQ(rx2.stats().chunks_from_store, 4u);
   EXPECT_EQ(rx2.stats().chunks_received, 0u);
+}
+
+TEST(MftpTest, CrcRestartLeavesTheStoredChunksIntact) {
+  // No manifest and a wrong content CRC: collection restarts. The store
+  // still references the first attempt's chunks, so the restart must
+  // collect into a fresh image: a compressed chunk that decodes in place
+  // and then fails its hash, and the re-collection itself, must leave
+  // the stored bytes as they were.
+  Buffer content = make_runs_content(3, 1000);
+  FileMeta meta = make_meta("x", content, 1000);
+  meta.codec = static_cast<uint8_t>(util::Codec::kLz);
+  meta.content_crc ^= 0xFFFFFFFF;  // sabotage expected CRC
+  ChunkTable table =
+      ChunkTable::build(as_bytes_view(content), 1000, util::Codec::kLz);
+  ChunkStore store;
+  bool completed = false;
+  MftpReceiver rx(5, meta, [](const FileAckMsg&) {},
+                  [](const FileNackMsg&) {});
+  rx.set_chunk_store(&store);
+  rx.set_on_complete([&](std::shared_ptr<const Buffer>) { completed = true; });
+  auto chunk_msg = [&](uint32_t index, uint32_t payload_of) {
+    FileChunkMsg chunk;
+    chunk.transfer_id = 5;
+    chunk.revision = 1;
+    chunk.index = index;
+    chunk.hash = table.hashes()[index];
+    chunk.flags = kChunkFlagCompressed;
+    chunk.data = to_buffer(table.payload(payload_of));
+    return chunk;
+  };
+  auto expect_stored_intact = [&] {
+    for (uint32_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(to_buffer(store.find(table.hashes()[i])),
+                to_buffer(as_bytes_view(content).subspan(i * 1000, 1000)))
+          << i;
+    }
+  };
+
+  for (uint32_t i = 0; i < 3; ++i) rx.on_chunk(chunk_msg(i, i));
+  EXPECT_EQ(rx.chunks_have(), 0u);  // CRC mismatch: restarted
+  EXPECT_EQ(store.entries(), 3u);
+  expect_stored_intact();
+
+  rx.on_chunk(chunk_msg(0, 1));  // decodes chunk 1's bytes into slot 0
+  EXPECT_EQ(rx.stats().hash_mismatches, 1u);
+  expect_stored_intact();
+
+  for (uint32_t i = 0; i < 3; ++i) rx.on_chunk(chunk_msg(i, i));
+  EXPECT_EQ(rx.chunks_have(), 0u);  // restarted again
+  expect_stored_intact();
+  EXPECT_FALSE(completed);
+}
+
+TEST(MftpTest, ManifestVerifiedFileCompletesOnceDespiteWrongCrc) {
+  // Every chunk matched its manifest hash, so the announced content CRC
+  // is not consulted: the file completes once, and a repeat of its
+  // chunks and polls neither restarts nor completes it again.
+  Buffer content = make_content(3000, 35);
+  FileMeta meta = make_meta("x", content, 1000);
+  meta.content_crc ^= 0xFFFFFFFF;  // sabotage expected CRC
+  ChunkTable table =
+      ChunkTable::build(as_bytes_view(content), 1000, util::Codec::kNone);
+  int completions = 0;
+  int acks = 0;
+  std::shared_ptr<const Buffer> delivered;
+  MftpReceiver rx(5, meta, [&](const FileAckMsg&) { ++acks; },
+                  [](const FileNackMsg&) {});
+  rx.set_manifest(table.hashes());
+  rx.set_on_complete([&](std::shared_ptr<const Buffer> b) {
+    ++completions;
+    delivered = std::move(b);
+  });
+  for (int pass = 0; pass < 2; ++pass) {
+    for (uint32_t i = 0; i < 3; ++i) {
+      FileChunkMsg chunk;
+      chunk.transfer_id = 5;
+      chunk.revision = 1;
+      chunk.index = i;
+      chunk.hash = table.hashes()[i];
+      chunk.data = Buffer(content.begin() + i * 1000,
+                          content.begin() + (i + 1) * 1000);
+      rx.on_chunk(chunk);
+    }
+    FileStatusRequestMsg poll;
+    poll.transfer_id = 5;
+    poll.revision = 1;
+    rx.on_status_request(poll);
+  }
+  EXPECT_TRUE(rx.complete());
+  EXPECT_EQ(completions, 1);
+  EXPECT_EQ(acks, 2);
+  ASSERT_NE(delivered, nullptr);
+  EXPECT_EQ(*delivered, content);
+  EXPECT_EQ(rx.stats().duplicate_chunks, 3u);
 }
 
 TEST(MftpTest, WrongHashChunkRejectedEvenWithMatchingSize) {
@@ -544,7 +638,7 @@ TEST(MftpTest, CompressedWrongHashChunkStaysUnheldThenRepairs) {
                   [&](const FileNackMsg& nack) { last_nack = nack; });
   rx.set_manifest(table.hashes());
   rx.set_chunk_store(&store);
-  rx.set_on_complete([&](const Buffer& b) { completed = b; });
+  rx.set_on_complete([&](std::shared_ptr<const Buffer> b) { completed = *b; });
   auto chunk_msg = [&](uint32_t index, uint32_t payload_of, uint64_t hash) {
     FileChunkMsg chunk;
     chunk.transfer_id = 5;
@@ -603,7 +697,8 @@ TEST(MftpTest, CompressedChunkUnderUnknownCodecStaysUnheldAndIsNacked) {
                       ++nacks;
                     });
     rx.set_manifest(table.hashes());
-    rx.set_on_complete([&](const Buffer&) { completed = true; });
+    rx.set_on_complete(
+        [&](std::shared_ptr<const Buffer>) { completed = true; });
     FileChunkMsg chunk;
     chunk.transfer_id = 5;
     chunk.revision = 1;

@@ -406,6 +406,82 @@ TEST(FilesTest, RepublishReusesThePreviousRevisionsChunks) {
             stats.file_chunks_probe_skipped);
 }
 
+// Subscribes on start; leave() and join() drop and renew the
+// subscription.
+class Rejoiner final : public Service {
+ public:
+  explicit Rejoiner(std::string resource)
+      : Service("rejoiner"), resource_(std::move(resource)) {}
+  Status on_start() override { return join(); }
+  Status join() {
+    return subscribe_file(
+        resource_, [this](const proto::FileMeta& meta, const Buffer& content) {
+          completions.emplace_back(meta, content);
+        });
+  }
+  Status leave() { return unsubscribe_file(resource_); }
+
+  std::string resource_;
+  std::vector<std::pair<proto::FileMeta, Buffer>> completions;
+};
+
+// The chunk store references the file image of the receiver that
+// verified each chunk. That receiver goes when a new revision replaces
+// it and when its subscription is dropped; an identical republish after
+// either must still resume every chunk from the store, intact.
+TEST(FilesTest, StoredChunksOutliveTheReceiverThatVerifiedThem) {
+  SimDomain domain(64);
+  auto& n1 = domain.add_node("pub");
+  auto pub = std::make_unique<FilePublisher>();
+  auto* pub_ptr = pub.get();
+  (void)n1.add_service(std::move(pub));
+  auto& n2 = domain.add_node("sub");
+  auto sub = std::make_unique<Rejoiner>("res.keep");
+  auto* sub_ptr = sub.get();
+  (void)n2.add_service(std::move(sub));
+  domain.start_all();
+  domain.run_for(milliseconds(300));
+
+  auto& reg = domain.obs().metrics;
+  const std::string key =
+      "mw." + std::to_string(n2.config().id) + ".mftp.chunks_from_store";
+  auto from_store = [&] {
+    reg.collect();
+    return reg.counter_value(key);
+  };
+  const Buffer v1 = blob(20000, 7);  // incompressible, distinct chunks
+  const uint64_t chunks = (v1.size() + 1023) / 1024;
+  ASSERT_TRUE(pub_ptr->publish("res.keep", v1).is_ok());
+  domain.run_for(seconds(3.0));
+  ASSERT_EQ(sub_ptr->completions.size(), 1u);
+
+  // Revision 2 replaces revision 1's receiver.
+  ASSERT_TRUE(pub_ptr->publish("res.keep", blob(20000, 8)).is_ok());
+  domain.run_for(seconds(3.0));
+  ASSERT_EQ(sub_ptr->completions.size(), 2u);
+  uint64_t before = from_store();
+  ASSERT_TRUE(pub_ptr->publish("res.keep", v1).is_ok());
+  domain.run_for(seconds(3.0));
+  ASSERT_EQ(sub_ptr->completions.size(), 3u);
+  EXPECT_EQ(sub_ptr->completions[2].first.revision, 3u);
+  EXPECT_EQ(sub_ptr->completions[2].second, v1);
+  EXPECT_EQ(from_store() - before, chunks);
+
+  // Unsubscribing drops revision 3's receiver; the resubscription
+  // collects revision 4 from the store alone.
+  ASSERT_TRUE(sub_ptr->leave().is_ok());
+  domain.run_for(milliseconds(300));
+  ASSERT_TRUE(pub_ptr->publish("res.keep", v1).is_ok());
+  domain.run_for(milliseconds(300));
+  before = from_store();
+  ASSERT_TRUE(sub_ptr->join().is_ok());
+  domain.run_for(seconds(3.0));
+  ASSERT_EQ(sub_ptr->completions.size(), 4u);
+  EXPECT_EQ(sub_ptr->completions[3].first.revision, 4u);
+  EXPECT_EQ(sub_ptr->completions[3].second, v1);
+  EXPECT_EQ(from_store() - before, chunks);
+}
+
 // The mftp.* counters are monotonic: a receiver reset by peer loss and a
 // publisher torn down by stop() keep their counts in the totals.
 TEST(FilesTest, MftpCountersSurvivePeerLossAndStop) {

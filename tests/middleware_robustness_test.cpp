@@ -268,6 +268,85 @@ TEST(RobustnessTest, MalformedFramesDropped) {
   EXPECT_GT(n1.stats().frames_dropped, 0u);
 }
 
+// A FileRevision whose layout cannot be chunked (chunk_size 0, or more
+// than UINT32_MAX chunks) is malformed: it must build no receiver and
+// call no handler. A receiver would complete the first at once with no
+// bytes, and truncate the second's chunk count.
+TEST(RobustnessTest, UnchunkableFileRevisionBuildsNoReceiver) {
+  set_log_level(LogLevel::kError);
+  SimDomain domain(86);
+  class Sub final : public Service {
+   public:
+    Sub() : Service("fsub") {}
+    Status on_start() override {
+      return subscribe_file(
+          "doc", [this](const proto::FileMeta&, const Buffer&) { ++done; });
+    }
+    int done = 0;
+  };
+  class Pub final : public Service {
+   public:
+    Pub() : Service("fpub") {}
+    Status on_start() override { return Status::ok(); }
+    Status publish() { return publish_file("doc", Buffer(3000, 7)); }
+  };
+  auto& n0 = domain.add_node("sub");
+  auto sub = std::make_unique<Sub>();
+  auto* sub_ptr = sub.get();
+  (void)n0.add_service(std::move(sub));
+  auto pub = std::make_unique<Pub>();
+  auto* pub_ptr = pub.get();
+  (void)domain.add_node("pub").add_service(std::move(pub));
+  domain.start_all();
+  domain.run_for(milliseconds(500));
+  ASSERT_TRUE(pub_ptr->publish().is_ok());
+  domain.run_for(seconds(2.0));
+  ASSERT_EQ(sub_ptr->done, 1);  // bound to the provider, revision 1 in
+
+  auto& reg = domain.obs().metrics;
+  const std::string received =
+      "mw." + std::to_string(n0.config().id) + ".mftp.chunks_received";
+  reg.collect();
+  const uint64_t received_before = reg.counter_value(received);
+  const uint64_t completions_before = n0.stats().file_completions;
+  // The forger speaks the reliable link as an unknown container: the
+  // subscriber accepts its first session at sequence 0.
+  constexpr proto::ContainerId kForger = 777;
+  const std::pair<uint64_t, uint32_t> shapes[] = {
+      {4096, 0}, {uint64_t{UINT32_MAX} + 1, 1}};
+  uint64_t seq = 0;
+  for (const auto& [size, chunk_size] : shapes) {
+    proto::FileRevisionMsg rev;
+    rev.transfer_id = 0xF00D + seq;
+    rev.meta.name = "doc";
+    rev.meta.revision = static_cast<uint32_t>(2 + seq);
+    rev.meta.size = size;
+    rev.meta.chunk_size = chunk_size;
+    ByteWriter inner;
+    inner.u8(static_cast<uint8_t>(proto::MsgType::kFileRevision));
+    rev.encode(inner);
+    proto::ReliableDataMsg data;
+    data.session = 1;
+    data.seq = seq++;
+    data.inner_type = proto::InnerType::kControl;
+    data.inner = Bytes(inner.take());
+    inject(domain, proto::MsgType::kReliableData, kForger, data);
+    domain.run_for(milliseconds(50));
+    // A receiver built for the forged transfer would take this chunk.
+    proto::FileChunkMsg chunk;
+    chunk.transfer_id = rev.transfer_id;
+    chunk.revision = rev.meta.revision;
+    chunk.data = Buffer(1, 7);
+    inject(domain, proto::MsgType::kFileChunk, kForger, chunk);
+    domain.run_for(milliseconds(50));
+  }
+  domain.run_for(milliseconds(500));
+  reg.collect();
+  EXPECT_EQ(reg.counter_value(received), received_before);
+  EXPECT_EQ(n0.stats().file_completions, completions_before);
+  EXPECT_EQ(sub_ptr->done, 1);
+}
+
 TEST(RobustnessTest, PlanUploadRetasksAircraft) {
   set_log_level(LogLevel::kError);
   SimDomain domain(86);

@@ -295,6 +295,53 @@ TEST(MessagesTest, ContentAddressedFileFields) {
   EXPECT_EQ(nack2.manifest_hash, nack.manifest_hash);
 }
 
+TEST(MessagesTest, FileMetaDecodeRejectsUnchunkableLayouts) {
+  // chunk_size 0 would make any size "complete" with zero chunks, and a
+  // count above UINT32_MAX would truncate; both are malformed, alone and
+  // inside a revision announce.
+  auto decodes = [](const FileMeta& meta) {
+    FileRevisionMsg rev;
+    rev.transfer_id = 9;
+    rev.meta = meta;
+    ByteWriter w;
+    rev.encode(w);
+    ByteReader r(w.view());
+    FileRevisionMsg out;
+    const bool rev_ok = FileRevisionMsg::decode(r, out);
+    ByteWriter mw;
+    meta.encode(mw);
+    ByteReader mr(mw.view());
+    FileMeta meta_out;
+    EXPECT_EQ(FileMeta::decode(mr, meta_out), rev_ok);
+    return rev_ok;
+  };
+  FileMeta meta;
+  meta.name = "img";
+  meta.revision = 2;
+  meta.size = 4096;
+  meta.chunk_size = 0;
+  EXPECT_FALSE(decodes(meta));
+  meta.size = 0;  // an empty file still names a chunk size
+  EXPECT_FALSE(decodes(meta));
+  meta.chunk_size = 1024;
+  EXPECT_TRUE(decodes(meta));
+
+  meta.chunk_size = 1;
+  meta.size = uint64_t{UINT32_MAX};
+  EXPECT_TRUE(decodes(meta));  // exactly UINT32_MAX chunks
+  meta.size += 1;
+  EXPECT_FALSE(decodes(meta));
+  meta.chunk_size = 1024;
+  meta.size = uint64_t{UINT32_MAX} * 1024;
+  EXPECT_TRUE(decodes(meta));
+  meta.size += 1;  // one byte into chunk 2^32
+  EXPECT_FALSE(decodes(meta));
+  meta.size = UINT64_MAX;
+  EXPECT_FALSE(decodes(meta));
+  meta.chunk_size = UINT32_MAX;
+  EXPECT_FALSE(decodes(meta));  // exactly 2^32 + 1 chunks
+}
+
 TEST(MessagesTest, ChannelOfIsStable) {
   EXPECT_EQ(channel_of("gps.position"), channel_of("gps.position"));
   EXPECT_NE(channel_of("gps.position"), channel_of("gps.position2"));
