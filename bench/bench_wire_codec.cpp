@@ -120,7 +120,7 @@ double warm_lookup_ns(int entries) {
   dir.apply_hello(1, transport::Address{1, 4500}, hello);
   std::string target = "var." + std::to_string(entries / 2);
   auto lookup = [&] {
-    return dir.resolve(proto::ItemKind::kVariable, target).has_value();
+    return dir.resolve(proto::ItemKind::kVariable, target) != nullptr;
   };
   return ns_per_op(200'000, lookup);
 }

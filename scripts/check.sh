@@ -14,7 +14,8 @@
 # against bench/baselines/claims.json. The perfbench smoke
 # (scripts/perfbench_smoke.sh) runs each simulated workload once and
 # gates mission_sim seed 1 on "correct", lat_p99_us <= 15 ms and
-# allocs_per_op <= 17.62. Finally
+# allocs_per_op <= 8.92, and telemetry_sim seed 1 on allocs_per_op <=
+# 2.20. Finally
 # the Release benches run — bench_hotpath (sim datapath), bench_live (kernel
 # datapath), bench_fleet (sharded engine scaling), bench_scenario_matrix
 # (seeded missions over the mobility-driven radio model),
@@ -65,7 +66,7 @@ cmake --build build-tsan -j"$(nproc)" --target parallel_sim_test \
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
   -R 'ParallelSim|ChaosSoak|DataMuleScenario|ChunkPipeline|LiveBackend|LiveSoak|LiveStack|ServiceTimerLifetime|RequirementTimerLifetime|RpcProvisionLifetime|FileProgressLifetime'
 
-echo "== perfbench smoke (mission_sim seed 1: correct, lat_p99_us <= 15 ms, allocs_per_op <= 17.62) =="
+echo "== perfbench smoke (mission_sim seed 1: correct, lat_p99_us <= 15 ms, allocs_per_op <= 8.92; telemetry_sim allocs_per_op <= 2.20) =="
 ./scripts/perfbench_smoke.sh
 
 echo "== release hot-path bench (BENCH_hotpath.json) =="

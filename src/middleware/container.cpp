@@ -609,16 +609,17 @@ void ServiceContainer::health_tick() {
         state != proto::ServiceState::kDegraded) {
       continue;
     }
-    Status s = internal_error("health_check threw");
+    std::optional<Status> s;  // no error string unless the check throws
     guard(nullptr, "health_check", [&] { s = service.health_check(); });
-    proto::ServiceState next =
-        s.is_ok() ? proto::ServiceState::kRunning : proto::ServiceState::kFailed;
+    if (!s) s = internal_error("health_check threw");
+    proto::ServiceState next = s->is_ok() ? proto::ServiceState::kRunning
+                                          : proto::ServiceState::kFailed;
     if (next != state) {
       state = next;
       MAREA_LOG(kWarn, kLog) << qualify(config_) << " service '"
                              << service.name() << "' -> "
                              << proto::service_state_name(next) << " ("
-                             << s.to_string() << ")";
+                             << s->to_string() << ")";
       manifest_changed();
     }
   }
@@ -733,6 +734,8 @@ void ServiceContainer::publish_metrics(obs::MetricsRegistry& reg) {
   reg.counter(p + "rpc_failures").set(stats_.rpc_failures);
   reg.counter(p + "files_published").set(stats_.files_published);
   reg.counter(p + "file_completions").set(stats_.file_completions);
+  reg.counter(p + "file_revisions_refused")
+      .set(stats_.file_revisions_refused);
   reg.counter(p + "file_local_bypasses").set(stats_.file_local_bypasses);
   reg.counter(p + "file_chunks_reused").set(stats_.file_chunks_reused);
   reg.counter(p + "file_chunks_probe_skipped")

@@ -110,6 +110,7 @@ struct ContainerStats {
   uint64_t file_local_bypasses = 0;
   uint64_t file_chunks_reused = 0;    // taken from the previous revision
   uint64_t file_chunks_probe_skipped = 0;  // shipped raw untried
+  uint64_t file_revisions_refused = 0;  // announced above kMaxFileBytes
   // infrastructure
   uint64_t frames_received = 0;
   uint64_t frames_dropped = 0;        // CRC/decode failures, and types
@@ -719,9 +720,15 @@ class ServiceContainer {
   StatusOr<enc::Value> serve_call(const std::string& function,
                                   const enc::Value& args);
   void dispatch_call_attempt(uint64_t rid);
-  std::optional<ProviderRecord> pick_provider(const std::string& function,
-                                              const CallOptions& options,
-                                              const std::set<proto::ContainerId>& exclude);
+  // `value` tagged, in rpc_scratch_ until the next call: the message
+  // borrows it, so a value is encoded once per message.
+  BytesView encode_rpc_value(const enc::Value& value);
+  void send_rpc_response(proto::ContainerId to, uint64_t request_id,
+                         const StatusOr<enc::Value>& result);
+  // kInvalidContainer when no usable provider outside `exclude` is left.
+  proto::ContainerId pick_provider(
+      const std::string& function, const CallOptions& options,
+      const std::set<proto::ContainerId>& exclude);
   void finish_call(uint64_t request_id, StatusOr<enc::Value> result);
   void fail_over_call(uint64_t request_id, const std::string& why);
   void check_function_requirements();
@@ -864,6 +871,7 @@ class ServiceContainer {
 
   std::map<std::string, FunctionEntry> functions_;
   std::map<uint64_t, PendingCall> pending_calls_;
+  Buffer rpc_scratch_;  // encode_rpc_value's output; keeps its capacity
   uint64_t next_request_id_ = 1;
   // Re-checks the function requirements once the start-up grace ends.
   OwnedTimer requirement_timer_;

@@ -114,7 +114,8 @@ void ServiceContainer::try_bind(EventEntry& e) {
   EventSubscription& sub = *e.sub;
   // Events can have redundant publishers; subscribe to every usable one.
   for (const auto& provider :
-       directory_.providers(proto::ItemKind::kEvent, e.name)) {
+       directory_.records(proto::ItemKind::kEvent, e.name)) {
+    if (!provider.usable()) continue;
     if (sub.announced_to.count(provider.container)) continue;
     if (provider.schema_hash != 0 &&
         provider.schema_hash != sub.type->structural_hash()) {

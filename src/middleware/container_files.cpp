@@ -16,6 +16,9 @@ constexpr const char* kLog = "files";
 Status ServiceContainer::publish_file_resource(Service& owner,
                                                const std::string& name,
                                                Buffer content) {
+  if (content.size() > proto::kMaxFileBytes) {
+    return invalid_argument_error("file '" + name + "' over kMaxFileBytes");
+  }
   FileEntry& e = entry_for(files_, name);
   const bool fresh = !e.prov;
   if (!fresh && e.prov->owner != &owner) {
@@ -218,6 +221,10 @@ void ServiceContainer::on_file_revision(const proto::FileRevisionMsg& msg) {
     return;  // already collecting this revision
   }
   if (!sub.provider) return;  // not bound (e.g. raced with peer loss)
+  if (msg.meta.size > proto::kMaxFileBytes) {
+    stats_.file_revisions_refused++;  // its receiver would allocate it all
+    return;
+  }
   start_file_receiver(it->second, msg.transfer_id, msg.meta, msg.chunk_hashes,
                       sub.provider->address);
 }

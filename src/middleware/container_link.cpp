@@ -90,7 +90,7 @@ void ServiceContainer::on_reliable_data(proto::ContainerId from,
     p.rx_session = msg.session;
     const uint64_t session = msg.session;
     p.rx = std::make_unique<proto::ArqReceiver>(
-        [this, from, session](const proto::ReliableAckMsg& ack) {
+        [this, from, session](proto::ReliableAckMsg& ack) {
           // Same at-send-time resolution as the tx path: acks must follow
           // the peer to its current address, not the one it had when this
           // receiver state was built.
@@ -98,11 +98,11 @@ void ServiceContainer::on_reliable_data(proto::ContainerId from,
           if (!dst) return;
           trace_ev(obs::TraceEvent::kAck, obs::TraceKind::kLink, from,
                    ack.floor);
-          proto::ReliableAckMsg stamped = ack;
-          stamped.incarnation = incarnation_;
-          stamped.session = session;
+          // Stamped in place: the ack is the receiver's own state.
+          ack.incarnation = incarnation_;
+          ack.session = session;
           send_frame(dst->address, proto::MsgType::kReliableAck,
-                     build_msg(proto::MsgType::kReliableAck, stamped));
+                     build_msg(proto::MsgType::kReliableAck, ack));
         },
         [this, from](proto::InnerType type, BytesView inner) {
           deliver_inner(from, type, inner);

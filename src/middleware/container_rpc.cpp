@@ -4,6 +4,8 @@
 // "programmed emergency procedure" warning when no provider exists.
 #include "middleware/container.h"
 
+#include <algorithm>
+
 #include "encoding/codec.h"
 
 namespace marea::mw {
@@ -14,6 +16,9 @@ constexpr Duration kNoProviderRetry = milliseconds(50);
 // Time after start() during which missing required functions do not yet
 // raise the emergency procedure (providers may still be joining).
 constexpr Duration kRequirementGrace = seconds(1.0);
+// Room for an RPC message's varints and status byte, beyond its strings
+// and its value: the message's buffer is reserved once, to fit.
+constexpr size_t kRpcFieldBytes = 32;
 }  // namespace
 
 Status ServiceContainer::register_function(Service& owner,
@@ -42,7 +47,7 @@ Status ServiceContainer::add_function_requirement(Service& owner,
   if (running_) check_function_requirements();
   // Report current availability so callers can gate their startup.
   if (f.prov) return Status::ok();
-  if (!directory_.providers(proto::ItemKind::kFunction, function).empty()) {
+  if (directory_.usable_count(proto::ItemKind::kFunction, function) > 0) {
     return Status::ok();
   }
   return unavailable_error("function '" + function +
@@ -63,7 +68,7 @@ void ServiceContainer::check_function_requirements() {
     if (f.requirers.empty()) continue;
     bool available =
         f.prov ||
-        !directory_.providers(proto::ItemKind::kFunction, function).empty();
+        directory_.usable_count(proto::ItemKind::kFunction, function) > 0;
     if (!available && !f.in_emergency && running_) {
       f.in_emergency = true;
       std::string who;
@@ -121,36 +126,30 @@ void ServiceContainer::call_function(Service* caller,
   dispatch_call_attempt(rid);
 }
 
-std::optional<ProviderRecord> ServiceContainer::pick_provider(
+proto::ContainerId ServiceContainer::pick_provider(
     const std::string& function, const CallOptions& options,
     const std::set<proto::ContainerId>& exclude) {
-  auto providers = directory_.providers(proto::ItemKind::kFunction, function);
-  std::vector<ProviderRecord> usable;
-  for (const auto& p : providers) {
-    if (!exclude.count(p.container)) usable.push_back(p);
-  }
-  if (usable.empty()) return std::nullopt;
-
   FunctionBinding& binding = functions_[function].binding;
-  if (options.binding == RpcBinding::kStatic) {
-    // Pin the first choice and keep using it (§4.3 "static allocations …
-    // are useful in critical services").
-    if (binding.pinned != proto::kInvalidContainer) {
-      for (const auto& p : usable) {
-        if (p.container == binding.pinned) return p;
-      }
-      return std::nullopt;  // pinned provider gone: static binding fails
-    }
-    binding.pinned = usable.front().container;
-    return usable.front();
+  const bool is_static = options.binding == RpcBinding::kStatic;
+  // Static: pin the first choice and keep using it (§4.3 "static
+  // allocations … are useful in critical services"); once it is gone, the
+  // call fails. Dynamic: round-robin across redundant providers (§4.3
+  // "load balancing techniques are used").
+  auto eligible = [&](const ProviderRecord& p) {
+    return p.usable() && !exclude.count(p.container) &&
+           (!is_static || binding.pinned == proto::kInvalidContainer ||
+            p.container == binding.pinned);
+  };
+  const auto records = directory_.records(proto::ItemKind::kFunction, function);
+  const auto usable = std::count_if(records.begin(), records.end(), eligible);
+  if (usable == 0) return proto::kInvalidContainer;
+  auto skip = is_static ? 0 : binding.rr_cursor++ % usable;
+  for (const ProviderRecord& p : records) {
+    if (!eligible(p) || skip-- > 0) continue;
+    if (is_static) binding.pinned = p.container;
+    return p.container;
   }
-
-  // Dynamic: round-robin across redundant providers (§4.3 "load balancing
-  // techniques are used").
-  size_t& cursor = binding.rr_cursor;
-  const ProviderRecord& chosen = usable[cursor % usable.size()];
-  cursor++;
-  return chosen;
+  return proto::kInvalidContainer;  // not reached: `usable` > skip
 }
 
 void ServiceContainer::dispatch_call_attempt(uint64_t rid) {
@@ -158,31 +157,34 @@ void ServiceContainer::dispatch_call_attempt(uint64_t rid) {
   if (it == pending_calls_.end()) return;
   PendingCall& call = it->second;
 
-  auto provider = pick_provider(call.function, call.options, call.tried);
-  if (!provider) {
+  const proto::ContainerId provider =
+      pick_provider(call.function, call.options, call.tried);
+  if (provider == proto::kInvalidContainer) {
     // No provider (yet): providers may still be joining — retry until the
     // call deadline fires.
     MAREA_LOG(kTrace, kLog) << "call " << rid << " '" << call.function
-                            << "': no provider yet ("
-                            << directory_
-                                   .providers(proto::ItemKind::kFunction,
-                                              call.function)
-                                   .size()
-                            << " records)";
+                            << "': no provider yet";
     call.target = proto::kInvalidContainer;
     executor_.schedule(kNoProviderRetry, sched::Priority::kRpc,
                        [this, rid] { dispatch_call_attempt(rid); });
     return;
   }
 
-  call.target = provider->container;
+  call.target = provider;
   proto::RpcRequestMsg msg;
   msg.request_id = rid;
   msg.function = call.function;
-  msg.args = enc::encode_tagged(call.args);
-  ByteWriter w;
+  msg.args = Bytes::borrow(encode_rpc_value(call.args));
+  ByteWriter w(kRpcFieldBytes + msg.function.size() + msg.args.size());
   msg.encode(w);
-  link_send(provider->container, proto::InnerType::kRpcRequest, w.take());
+  link_send(provider, proto::InnerType::kRpcRequest, w.take());
+}
+
+BytesView ServiceContainer::encode_rpc_value(const enc::Value& value) {
+  rpc_scratch_.clear();
+  ByteWriter w(rpc_scratch_);
+  enc::encode_tagged(value, w);
+  return w.view();
 }
 
 void ServiceContainer::fail_over_call(uint64_t request_id,
@@ -237,48 +239,42 @@ void ServiceContainer::finish_call(uint64_t request_id,
 
 void ServiceContainer::on_rpc_request(proto::ContainerId from,
                                       const proto::RpcRequestMsg& msg) {
-  proto::RpcResponseMsg resp;
-  resp.request_id = msg.request_id;
-
   if (!provision(functions_, msg.function)) {
-    resp.status_code = static_cast<uint8_t>(StatusCode::kNotFound);
-    resp.error = "function '" + msg.function + "' not provided here";
-    ByteWriter w;
-    resp.encode(w);
-    link_send(from, proto::InnerType::kRpcResponse, w.take());
+    send_rpc_response(from, msg.request_id,
+                      not_found_error("function '" + msg.function +
+                                      "' not provided here"));
     return;
   }
-
   auto args = enc::decode_tagged(as_bytes_view(msg.args));
   if (!args.ok()) {
-    resp.status_code = static_cast<uint8_t>(StatusCode::kDataLoss);
-    resp.error = "arguments failed to decode";
-    ByteWriter w;
-    resp.encode(w);
-    link_send(from, proto::InnerType::kRpcResponse, w.take());
+    send_rpc_response(from, msg.request_id,
+                      data_loss_error("arguments failed to decode"));
     return;
   }
-
   // Run the service's handler at RPC priority, then respond.
   executor_.post(
       sched::Priority::kRpc,
       [this, from, request_id = msg.request_id, function = msg.function,
-       args = std::move(args).value()]() mutable {
-        StatusOr<enc::Value> result = serve_call(function, args);
-        proto::RpcResponseMsg out;
-        out.request_id = request_id;
-        if (result.ok()) {
-          out.status_code = static_cast<uint8_t>(StatusCode::kOk);
-          out.result = enc::encode_tagged(*result);
-        } else {
-          out.status_code = static_cast<uint8_t>(result.status().code());
-          out.error = result.status().message();
-        }
-        ByteWriter w;
-        out.encode(w);
-        link_send(from, proto::InnerType::kRpcResponse, w.take());
+       args = std::move(args).value()] {
+        send_rpc_response(from, request_id, serve_call(function, args));
       },
       config_.handler_cost);
+}
+
+void ServiceContainer::send_rpc_response(proto::ContainerId to,
+                                         uint64_t request_id,
+                                         const StatusOr<enc::Value>& result) {
+  proto::RpcResponseMsg resp;
+  resp.request_id = request_id;
+  resp.status_code = static_cast<uint8_t>(result.status().code());
+  if (result.ok()) {
+    resp.result = Bytes::borrow(encode_rpc_value(*result));
+  } else {
+    resp.error = result.status().message();
+  }
+  ByteWriter w(kRpcFieldBytes + resp.error.size() + resp.result.size());
+  resp.encode(w);
+  link_send(to, proto::InnerType::kRpcResponse, w.take());
 }
 
 StatusOr<enc::Value> ServiceContainer::serve_call(const std::string& function,
@@ -290,10 +286,11 @@ StatusOr<enc::Value> ServiceContainer::serve_call(const std::string& function,
   if (!prov) return unavailable_error("function '" + function + "' withdrawn");
   stats_.rpc_served++;
   usage_of(prov->owner).rpc_calls_served++;
-  StatusOr<enc::Value> result = internal_error("function handler crashed");
+  std::optional<StatusOr<enc::Value>> result;  // no error unless it throws
   guard(prov->owner, "function handler",
-        [&] { result = prov->handler(args); });
-  return result;
+        [&] { result.emplace(prov->handler(args)); });
+  if (!result) return internal_error("function handler crashed");
+  return std::move(*result);
 }
 
 void ServiceContainer::on_rpc_response(proto::ContainerId from,

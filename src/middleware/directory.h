@@ -6,10 +6,14 @@
 // The directory is each container's local view of who provides what,
 // assembled only from ContainerHello manifests (which carry each
 // service's state), and invalidated when a peer dies or says Bye. Every
-// lookup is a cache hit or miss; stats feed bench C8.
+// resolve() is a cache hit or miss; stats feed bench C8. Lookups copy
+// nothing: each item kind has a table keyed by the bare name, and records
+// are handed out by reference, valid until the next apply_hello or
+// drop_container. Callers copy out what they keep.
 #pragma once
 
-#include <optional>
+#include <array>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -24,7 +28,6 @@ struct ProviderRecord {
   proto::ContainerId container = proto::kInvalidContainer;
   transport::Address address;       // peer container's data endpoint
   std::string service;              // providing service name
-  proto::ItemKind kind = proto::ItemKind::kVariable;
   uint32_t schema_hash = 0;
   int64_t period_ns = 0;    // variables: provider's publication period
   int64_t validity_ns = 0;  // variables: provider's validity QoS
@@ -51,35 +54,36 @@ class NameDirectory {
                    const proto::ContainerHelloMsg& hello);
 
   // Drops every record provided by `container` (death or bye);
-  // returns the names that lost a provider.
-  std::vector<std::string> drop_container(proto::ContainerId container);
+  // returns how many names lost a provider (one record each).
+  size_t drop_container(proto::ContainerId container) {
+    const size_t affected = erase_container(container);
+    stats_.invalidations += affected;
+    return affected;
+  }
 
-  // All usable providers of (kind, name), preference-ordered (stable).
-  std::vector<ProviderRecord> providers(proto::ItemKind kind,
-                                        const std::string& name) const;
-  // First usable provider or nullopt. Counts hit/miss.
-  std::optional<ProviderRecord> resolve(proto::ItemKind kind,
-                                        const std::string& name);
-
-  // Does `container` provide (kind, name)? (used to route by source id)
-  bool provides(proto::ContainerId container, proto::ItemKind kind,
-                const std::string& name) const;
+  // Every record of (kind, name), usable or not, in preference order
+  // (the order the manifests arrived in). Callers skip !usable() ones.
+  std::span<const ProviderRecord> records(proto::ItemKind kind,
+                                          const std::string& name) const;
+  // How many of those records are usable. Counts nothing.
+  size_t usable_count(proto::ItemKind kind, const std::string& name) const;
+  // First usable provider or null. Counts hit/miss.
+  const ProviderRecord* resolve(proto::ItemKind kind, const std::string& name);
 
   const DirectoryStats& stats() const { return stats_; }
   size_t record_count() const;
 
  private:
-  static std::string key(proto::ItemKind kind, const std::string& name);
-  std::vector<std::string> drop_container_quietly(
-      proto::ContainerId container);
-  void index_key(proto::ContainerId container, const std::string& k);
+  size_t erase_container(proto::ContainerId container);
 
-  // key -> providers (possibly several: redundancy §4.3).
-  std::unordered_map<std::string, std::vector<ProviderRecord>> records_;
-  // container -> keys it provides, so dropping or re-stating one
-  // container (every hello does both) touches only its own records
-  // instead of sweeping the whole directory.
-  std::unordered_map<proto::ContainerId, std::vector<std::string>>
+  // Per ItemKind: name -> providers (possibly several: redundancy §4.3).
+  using Table = std::unordered_map<std::string, std::vector<ProviderRecord>>;
+  std::array<Table, 4> tables_;
+  // container -> (kind, name) of each record it provides, so dropping or
+  // re-stating one container (every hello does both) touches only its
+  // own records instead of sweeping the whole directory.
+  std::unordered_map<proto::ContainerId,
+                     std::vector<std::pair<proto::ItemKind, std::string>>>
       container_keys_;
   DirectoryStats stats_;
 };

@@ -6,6 +6,16 @@
 
 namespace marea::proto {
 
+namespace {
+// Whether `ack` shows `seq` received.
+bool covers(const ReliableAckMsg& ack, uint64_t seq) {
+  if (seq < ack.floor) return true;
+  const uint64_t offset = seq - ack.floor;
+  return offset <= UINT32_MAX &&
+         ack.above.contains(static_cast<uint32_t>(offset));
+}
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // ArqSender
 // ---------------------------------------------------------------------------
@@ -21,7 +31,7 @@ ArqSender::ArqSender(sched::Executor& executor, sched::Priority priority,
 }
 
 ArqSender::~ArqSender() {
-  for (auto& [seq, out] : outstanding_) executor_.cancel(out.timer);
+  for (Outstanding& out : outstanding_) executor_.cancel(out.timer);
 }
 
 uint64_t ArqSender::send(InnerType inner_type, Buffer inner) {
@@ -32,19 +42,26 @@ uint64_t ArqSender::send(InnerType inner_type, Buffer inner) {
   stats_.messages_accepted++;
 
   const uint64_t seq = msg.seq;
-  if (outstanding_.size() >= params_.window) {
-    pending_.push_back(std::move(msg));
+  // Behind queued ones too, so messages start in seq order (a callback
+  // run mid-ack can see the window short of full with messages queued).
+  if (outstanding_.size() >= params_.window || !pending_.empty()) {
+    pending_.emplace_back(std::move(msg));
   } else {
     start(std::move(msg));
   }
   return seq;
 }
 
+ArqSender::Outstanding* ArqSender::find(uint64_t seq) {
+  auto it = std::lower_bound(
+      outstanding_.begin(), outstanding_.end(), seq,
+      [](const Outstanding& o, uint64_t s) { return o.msg.seq < s; });
+  return it != outstanding_.end() && it->msg.seq == seq ? &*it : nullptr;
+}
+
 void ArqSender::start(ReliableDataMsg msg) {
-  const uint64_t seq = msg.seq;
-  auto [it, inserted] = outstanding_.emplace(seq, Outstanding{});
-  assert(inserted);
-  Outstanding& out = it->second;
+  assert(outstanding_.empty() || outstanding_.back().msg.seq < msg.seq);
+  Outstanding& out = outstanding_.emplace_back();
   out.msg = std::move(msg);
   out.first_sent = executor_.now();
   out.rto = rto_;
@@ -77,9 +94,9 @@ void ArqSender::transmit(Outstanding& out, bool retransmit, Duration timer) {
 }
 
 void ArqSender::on_timeout(uint64_t seq) {
-  auto it = outstanding_.find(seq);
-  if (it == outstanding_.end()) return;
-  Outstanding& out = it->second;
+  Outstanding* found = find(seq);
+  if (!found) return;
+  Outstanding& out = *found;
   out.timer = sched::kInvalidTaskTimer;
   if (out.probing) {
     out.probing = false;
@@ -110,20 +127,13 @@ void ArqSender::on_rtt_sample(Duration r) {
 }
 
 void ArqSender::fail(uint64_t seq, const Status& status) {
-  auto it = outstanding_.find(seq);
-  if (it == outstanding_.end()) return;
-  executor_.cancel(it->second.timer);
-  outstanding_.erase(it);
+  Outstanding* out = find(seq);
+  if (!out) return;
+  executor_.cancel(out->timer);
+  outstanding_.erase(outstanding_.begin() + (out - outstanding_.data()));
   stats_.failed++;
   if (on_failed_) on_failed_(seq, status);
   pump_pending();
-}
-
-bool ArqSender::is_acked(const ReliableAckMsg& ack, uint64_t seq) const {
-  if (seq < ack.floor) return true;
-  uint64_t offset = seq - ack.floor;
-  if (offset > UINT32_MAX) return false;
-  return ack.above.contains(static_cast<uint32_t>(offset));
 }
 
 void ArqSender::on_ack(const ReliableAckMsg& ack) {
@@ -139,16 +149,16 @@ void ArqSender::on_ack(const ReliableAckMsg& ack) {
   // Karn's rule: at most one sample per ack, from the highest seq it
   // newly covers that was sent exactly once.
   std::optional<TimePoint> sample_sent;
-  for (auto it = outstanding_.begin(); it != outstanding_.end();) {
-    uint64_t seq = it->first;
-    Outstanding& out = it->second;
-    if (is_acked(ack, seq)) {
+  // By index: on_delivered_ may send(), which appends (and may regrow).
+  for (size_t i = 0; i < outstanding_.size();) {
+    Outstanding& out = outstanding_[i];
+    const uint64_t seq = out.msg.seq;
+    if (covers(ack, seq)) {
       executor_.cancel(out.timer);
       if (!out.resent) sample_sent = out.first_sent;
       stats_.delivered++;
-      uint64_t done = seq;
-      it = outstanding_.erase(it);
-      if (on_delivered_) on_delivered_(done);
+      outstanding_.erase(outstanding_.begin() + static_cast<ptrdiff_t>(i));
+      if (on_delivered_) on_delivered_(seq);
       continue;
     }
     // Gap detection: the receiver has something newer than this seq but
@@ -162,7 +172,7 @@ void ArqSender::on_ack(const ReliableAckMsg& ack) {
         transmit(out, /*retransmit=*/true, out.rto);
       }
     }
-    ++it;
+    ++i;
   }
   if (sample_sent) on_rtt_sample(executor_.now() - *sample_sent);
   pump_pending();
@@ -170,9 +180,8 @@ void ArqSender::on_ack(const ReliableAckMsg& ack) {
 
 void ArqSender::pump_pending() {
   while (!pending_.empty() && outstanding_.size() < params_.window) {
-    ReliableDataMsg msg = std::move(pending_.front());
+    start(std::move(pending_.front()));
     pending_.pop_front();
-    start(std::move(msg));
   }
 }
 
@@ -182,36 +191,25 @@ void ArqSender::pump_pending() {
 
 void ArqReceiver::on_data(const ReliableDataMsg& msg) {
   stats_.frames_received++;
-  bool duplicate = false;
-  if (msg.seq < floor_) {
-    duplicate = true;
-  } else {
-    uint64_t offset = msg.seq - floor_;
-    if (offset <= UINT32_MAX &&
-        above_.contains(static_cast<uint32_t>(offset))) {
-      duplicate = true;
-    }
-  }
-  if (duplicate) {
+  if (covers(ack_, msg.seq)) {
     stats_.duplicates++;
     send_ack();  // re-ack so the sender stops retransmitting
     return;
   }
-
-  uint64_t offset = msg.seq - floor_;
+  RunSet& above = ack_.above;
+  const uint64_t offset = msg.seq - ack_.floor;
   assert(offset <= UINT32_MAX && "ARQ window drifted too far");
-  above_.insert(static_cast<uint32_t>(offset));
-
-  // Advance the floor over a now-contiguous prefix and rebase offsets.
-  if (!above_.runs().empty() && above_.runs().front().first == 0) {
-    uint32_t advance = above_.runs().front().count;
-    RunSet rebased;
-    for (const auto& run : above_.runs()) {
-      if (run.first == 0) continue;
-      rebased.insert_run(run.first - advance, run.count);
+  if (offset == 0) {
+    // In order: the floor moves past this seq and the run it now joins,
+    // and the offsets above are rebased in place.
+    uint32_t advance = 1;
+    if (!above.empty() && above.runs().front().first == 1) {
+      advance += above.runs().front().count;
     }
-    above_ = std::move(rebased);
-    floor_ += advance;
+    above.rebase(advance);
+    ack_.floor += advance;
+  } else {
+    above.insert(static_cast<uint32_t>(offset));
   }
 
   stats_.delivered++;
@@ -221,11 +219,7 @@ void ArqReceiver::on_data(const ReliableDataMsg& msg) {
 
 void ArqReceiver::send_ack() {
   stats_.acks_sent++;
-  if (!ack_fn_) return;
-  ReliableAckMsg ack;
-  ack.floor = floor_;
-  ack.above = above_;
-  ack_fn_(ack);
+  if (ack_fn_) ack_fn_(ack_);
 }
 
 }  // namespace marea::proto

@@ -34,18 +34,22 @@
 //   * min_rto = initial_rto keeps the fixed-timer schedule while
 //     SRTT + 4·RTTVAR stays below it: no sample lowers the RTO and no
 //     probe fires before it (the A1 ablation).
-// State: three Durations and a flag per sender, a TimePoint and two flags
-// per message in flight; no allocation, no floating point.
+// State: three Durations and a flag per sender; the messages in flight
+// in a vector sorted by seq (they start in seq order, so start() appends
+// and acks and timers binary-search), admitted by count, not by seq span;
+// the rest in a RingQueue. The receiver's state is its ack, advanced in
+// place. Once warm, a send/ack cycle allocates nothing beyond the
+// caller's inner buffer. No floating point.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
+#include <vector>
 
 #include "obs/trace.h"
 #include "protocol/messages.h"
 #include "sched/executor.h"
+#include "util/ring_queue.h"
 #include "util/status.h"
 
 namespace marea::proto {
@@ -105,6 +109,7 @@ class ArqSender {
   }
 
   // Queues one message for guaranteed delivery; returns its sequence.
+  // May be called from the on_delivered/on_failed callbacks.
   uint64_t send(InnerType inner_type, Buffer inner);
 
   void on_ack(const ReliableAckMsg& ack);
@@ -129,7 +134,7 @@ class ArqSender {
     sched::TaskTimerId timer = sched::kInvalidTaskTimer;
   };
 
-  bool is_acked(const ReliableAckMsg& ack, uint64_t seq) const;
+  Outstanding* find(uint64_t seq);  // null when not in flight
   void start(ReliableDataMsg msg);
   void transmit(Outstanding& out, bool retransmit, Duration timer);
   void on_rtt_sample(Duration r);
@@ -151,8 +156,8 @@ class ArqSender {
   bool has_rtt_ = false;
 
   uint64_t next_seq_ = 0;
-  std::map<uint64_t, Outstanding> outstanding_;
-  std::deque<ReliableDataMsg> pending_;  // waiting for window space
+  std::vector<Outstanding> outstanding_;  // sorted by msg.seq
+  RingQueue<ReliableDataMsg> pending_;   // waiting for window space
   ArqSenderStats stats_;
   obs::TraceRing* trace_ = nullptr;
   uint32_t trace_self_ = 0;
@@ -176,7 +181,9 @@ struct ArqReceiverStats {
 
 class ArqReceiver {
  public:
-  using AckFn = std::function<void(const ReliableAckMsg&)>;
+  // Gets the receiver's own ack, uncopied: the callee may stamp its
+  // incarnation and session but not change floor or above.
+  using AckFn = std::function<void(ReliableAckMsg&)>;
   using DeliverFn = std::function<void(InnerType type, BytesView inner)>;
 
   ArqReceiver(AckFn ack_fn, DeliverFn deliver_fn)
@@ -184,7 +191,7 @@ class ArqReceiver {
 
   void on_data(const ReliableDataMsg& msg);
 
-  uint64_t floor() const { return floor_; }
+  uint64_t floor() const { return ack_.floor; }
   const ArqReceiverStats& stats() const { return stats_; }
 
  private:
@@ -192,8 +199,7 @@ class ArqReceiver {
 
   AckFn ack_fn_;
   DeliverFn deliver_fn_;
-  uint64_t floor_ = 0;  // all seqs < floor received
-  RunSet above_;        // received seqs as offsets from floor_
+  ReliableAckMsg ack_;  // seqs < floor received, and offsets above it
   ArqReceiverStats stats_;
 };
 

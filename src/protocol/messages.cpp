@@ -11,16 +11,6 @@ constexpr uint64_t kMaxServices = 1024;
 constexpr uint64_t kMaxItems = 4096;
 }  // namespace
 
-const char* item_kind_name(ItemKind kind) {
-  switch (kind) {
-    case ItemKind::kVariable: return "variable";
-    case ItemKind::kEvent: return "event";
-    case ItemKind::kFunction: return "function";
-    case ItemKind::kFile: return "file";
-  }
-  return "?";
-}
-
 const char* service_state_name(ServiceState state) {
   switch (state) {
     case ServiceState::kStopped: return "stopped";

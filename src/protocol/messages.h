@@ -25,7 +25,6 @@ enum class ItemKind : uint8_t {
   kFunction = 2,
   kFile = 3,
 };
-const char* item_kind_name(ItemKind kind);
 
 enum class ServiceState : uint8_t {
   kStopped = 0,

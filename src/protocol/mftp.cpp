@@ -284,6 +284,7 @@ MftpReceiver::MftpReceiver(uint64_t transfer_id, FileMeta meta,
       send_ack_(std::move(send_ack)),
       send_nack_(std::move(send_nack)) {
   assert(send_ack_ && send_nack_);
+  assert(meta_.size <= kMaxFileBytes && "refuse the announce first");
   image_ = std::make_shared<Buffer>(meta_.size);
   if (meta_.chunk_count() == 0) complete_ = true;  // empty file
 }

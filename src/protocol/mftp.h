@@ -52,6 +52,10 @@ struct MftpParams {
   util::Codec codec = util::Codec::kLz;
 };
 
+// The largest file a subscriber accepts: a receiver allocates the whole
+// image at the announce, so a larger FILE_REVISION is refused, counted.
+constexpr uint64_t kMaxFileBytes = uint64_t{64} << 20;  // 64 MiB
+
 // Opaque peer identity supplied by the middleware (container id).
 using MftpPeer = uint64_t;
 

@@ -34,6 +34,17 @@ void RunSet::insert_run(uint32_t first, uint32_t count) {
                             static_cast<uint32_t>(hi - lo)});
 }
 
+void RunSet::rebase(uint32_t n) {
+  std::erase_if(runs_, [n](const IndexRun& r) {
+    return static_cast<uint64_t>(r.first) + r.count <= n;
+  });
+  for (IndexRun& r : runs_) {
+    const uint32_t cut = r.first < n ? n - r.first : 0;  // straddles n
+    r.first = r.first + cut - n;
+    r.count -= cut;
+  }
+}
+
 bool RunSet::contains(uint32_t index) const {
   auto it = std::upper_bound(
       runs_.begin(), runs_.end(), index,

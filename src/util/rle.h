@@ -33,6 +33,10 @@ class RunSet {
   // Inserts [first, first+count).
   void insert_run(uint32_t first, uint32_t count);
 
+  // Drops every index below `n` and moves the rest down by `n`, in
+  // place (an ARQ receive window sliding forward).
+  void rebase(uint32_t n);
+
   bool contains(uint32_t index) const;
   bool empty() const { return runs_.empty(); }
   // Total number of indices in the set.

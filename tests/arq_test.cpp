@@ -3,12 +3,32 @@
 // so loss/latency are real, seeded and replayable.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <optional>
 #include <set>
 
 #include "protocol/arq.h"
 #include "sched/sim_executor.h"
 #include "sim/network.h"
+#include "util/rng.h"
+
+// Global allocation counter for the warm send/ack cycle test.
+namespace {
+std::atomic<uint64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete[](void* p, size_t) noexcept { std::free(p); }
 
 namespace marea::proto {
 namespace {
@@ -194,6 +214,164 @@ TEST(ArqTest, DeliveredCallbackFires) {
   h.sender_->send(InnerType::kEvent, Buffer{2});
   h.sim_.run();
   EXPECT_EQ(done, (std::vector<uint64_t>{0, 1}));
+}
+
+TEST(ArqTest, SendFromDeliveredCallbackQueuesBehindWaitingMessages) {
+  // A handler that sends while an ack is being processed sees the window
+  // short of full with older messages still queued. Its message must
+  // wait behind them: messages start, travel and arrive in seq order,
+  // and the window is never exceeded.
+  ArqParams params;
+  params.window = 2;
+  ArqHarness h(0.0, 5, params);
+  int extra = 0;
+  size_t peak_in_flight = 0;
+  h.sender_->set_on_delivered([&](uint64_t) {
+    peak_in_flight = std::max(peak_in_flight, h.sender_->in_flight());
+    if (extra < 3) {
+      const uint64_t seq = h.sender_->send(
+          InnerType::kEvent, Buffer{static_cast<uint8_t>(4 + extra)});
+      EXPECT_EQ(seq, static_cast<uint64_t>(4 + extra));
+      ++extra;
+    }
+  });
+  for (uint8_t i = 0; i < 4; ++i) {
+    h.sender_->send(InnerType::kEvent, Buffer{i});
+  }
+  EXPECT_EQ(h.sender_->in_flight(), 2u);
+  EXPECT_EQ(h.sender_->queued(), 2u);
+  h.sim_.run();
+
+  ASSERT_EQ(h.delivered_.size(), 7u);
+  for (uint8_t i = 0; i < 7; ++i) EXPECT_EQ(h.delivered_[i].second[0], i);
+  // First transmissions in seq order, no retransmissions.
+  ASSERT_EQ(h.sends_.size(), 7u);
+  for (uint64_t i = 0; i < 7; ++i) EXPECT_EQ(h.sends_[i].first, i);
+  EXPECT_LE(peak_in_flight, params.window);
+  EXPECT_EQ(h.sender_->stats().delivered, 7u);
+  EXPECT_EQ(h.sender_->in_flight(), 0u);
+  EXPECT_EQ(h.sender_->queued(), 0u);
+}
+
+// The receive window as it was computed before the in-place rebase:
+// insert the offset, then rebuild the set rebased past the prefix at 0.
+struct ReferenceWindow {
+  uint64_t floor = 0;
+  RunSet above;
+
+  // False for a duplicate.
+  bool on_seq(uint64_t seq) {
+    if (seq < floor || above.contains(static_cast<uint32_t>(seq - floor))) {
+      return false;
+    }
+    above.insert(static_cast<uint32_t>(seq - floor));
+    if (!above.runs().empty() && above.runs().front().first == 0) {
+      const uint32_t advance = above.runs().front().count;
+      RunSet rebased;
+      for (const auto& run : above.runs()) {
+        if (run.first == 0) continue;
+        rebased.insert_run(run.first - advance, run.count);
+      }
+      above = std::move(rebased);
+      floor += advance;
+    }
+    return true;
+  }
+};
+
+TEST(ArqTest, ShuffledArrivalsAckLikeTheRebuildingWindow) {
+  // Seqs arrive shuffled within a sliding span, with duplicates of
+  // recent ones mixed in: every ack carries the same (floor, above) as
+  // the old insert-and-rebuild window, and the same arrivals deliver.
+  std::vector<std::pair<uint64_t, RunSet>> acks;
+  std::vector<uint64_t> delivered;
+  uint64_t current = 0;
+  ArqReceiver rx(
+      [&](const ReliableAckMsg& ack) { acks.emplace_back(ack.floor, ack.above); },
+      [&](InnerType, BytesView) { delivered.push_back(current); });
+
+  Rng rng(11);
+  std::vector<uint64_t> arrivals;
+  constexpr uint64_t kSeqs = 400;
+  for (uint64_t base = 0; base < kSeqs; base += 16) {
+    std::vector<uint64_t> block;
+    for (uint64_t s = base; s < base + 16; ++s) block.push_back(s);
+    for (size_t i = block.size() - 1; i > 0; --i) {
+      std::swap(block[i], block[rng.uniform(0, i)]);
+    }
+    for (uint64_t s : block) {
+      arrivals.push_back(s);
+      if (rng.bernoulli(0.2)) {
+        arrivals.push_back(base + rng.uniform(0, 15));  // a duplicate
+      }
+    }
+  }
+
+  ReferenceWindow ref;
+  std::vector<uint64_t> ref_delivered;
+  ReliableDataMsg m;
+  m.inner_type = InnerType::kEvent;
+  m.inner = {1};
+  for (size_t i = 0; i < arrivals.size(); ++i) {
+    current = m.seq = arrivals[i];
+    if (ref.on_seq(m.seq)) ref_delivered.push_back(m.seq);
+    rx.on_data(m);
+    ASSERT_EQ(acks.size(), i + 1);
+    ASSERT_EQ(acks.back().first, ref.floor) << "arrival " << i;
+    ASSERT_EQ(acks.back().second, ref.above) << "arrival " << i;
+  }
+  EXPECT_EQ(delivered, ref_delivered);
+  EXPECT_EQ(delivered.size(), kSeqs);
+  EXPECT_EQ(rx.floor(), kSeqs);
+  EXPECT_EQ(rx.stats().duplicates, arrivals.size() - kSeqs);
+}
+
+TEST(ArqTest, WarmSendAckCycleAllocatesNothing) {
+  // Sender and receiver wired by hand, with no network between them.
+  // Each cycle sends three messages and delivers them out of order, so
+  // the receiver holds a run above its floor and the sender erases from
+  // the middle of its window. Once warm, the only allocation is each
+  // message's inner buffer, which the caller makes.
+  sim::Simulator sim;
+  sched::SimExecutor exec(sim);
+  std::vector<ReliableDataMsg> wire;
+  wire.reserve(16);
+  ArqSender tx(exec, sched::Priority::kEvent, ArqParams{},
+               [&](const ReliableDataMsg& msg) {
+                 ReliableDataMsg& out = wire.emplace_back();
+                 out.seq = msg.seq;
+                 out.inner_type = msg.inner_type;
+                 out.inner = Bytes::borrow(msg.inner.view());
+               });
+  ReliableAckMsg* ack = nullptr;
+  uint64_t delivered = 0;
+  ArqReceiver rx([&](ReliableAckMsg& a) { ack = &a; },
+                 [&](InnerType, BytesView) { ++delivered; });
+  auto cycle = [&] {
+    for (uint8_t k = 0; k < 3; ++k) {
+      tx.send(InnerType::kEvent, Buffer(16, k));
+    }
+    ASSERT_GE(wire.size(), 3u);
+    for (size_t i : {2, 0, 1}) {
+      rx.on_data(wire[i]);
+      tx.on_ack(*ack);
+    }
+    wire.clear();
+  };
+  for (int i = 0; i < 50; ++i) cycle();  // warm-up
+  ASSERT_EQ(tx.in_flight(), 0u);
+
+  constexpr int kCycles = 100;
+  const uint64_t delivered_before = delivered;
+  const uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
+  for (int i = 0; i < kCycles; ++i) cycle();
+  const uint64_t allocs =
+      g_allocs.load(std::memory_order_relaxed) - allocs_before;
+  EXPECT_EQ(delivered - delivered_before, uint64_t{3 * kCycles});
+  EXPECT_EQ(tx.in_flight(), 0u);
+  EXPECT_EQ(allocs, uint64_t{3 * kCycles})
+      << "heap allocations beyond the inner buffers over " << kCycles
+      << " warm send/ack cycles";
 }
 
 TEST(ArqTest, FastRetransmitBeatsRtoOnSingleGap) {

@@ -130,8 +130,7 @@ TEST(ContainerRestartTest, StopStartBumpsIncarnationAndReannounces) {
   // The new incarnation re-announced itself and its manifest.
   ASSERT_EQ(rig.watch_container->known_peers().size(), 1u);
   EXPECT_TRUE(rig.watch_container->directory()
-                  .resolve(proto::ItemKind::kVariable, "beat.var")
-                  .has_value());
+                  .resolve(proto::ItemKind::kVariable, "beat.var") != nullptr);
 }
 
 TEST(ContainerRestartTest, PeersDiscardOldIncarnationSequenceState) {

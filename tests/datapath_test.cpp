@@ -1,7 +1,8 @@
 // Zero-copy datapath building blocks: ByteWriter/ByteReader edge cases,
 // the owned-or-borrowed Bytes field type, FramePool slab reuse, and
 // SharedFrame fan-out semantics — plus the end-to-end claim they add up
-// to: a warm remote variable delivery never touches the heap. The bulk
+// to: a warm remote variable delivery never touches the heap, and a warm
+// RPC round trip allocates only its messages and Value trees. The bulk
 // (file) path's per-chunk steps — a warm ChunkStore insert and a
 // compressed chunk decoded in place by the MFTP receiver — are held to
 // the same zero.
@@ -474,6 +475,94 @@ TEST(SteadyStateDeliveryTest, WarmRemoteGpsFixDeliveryAllocatesNothing) {
   EXPECT_EQ(snk->last_time_ns, 1000 + kSamples - 1);
   EXPECT_EQ(allocs, 0u) << "heap allocations over " << kSamples
                         << " warm remote deliveries";
+}
+
+// --- warm RPC round trip ---------------------------------------------------
+
+class EchoServer final : public mw::Service {
+ public:
+  EchoServer() : Service("echo_server") {}
+  Status on_start() override {
+    auto type = enc::descriptor_of<services::GpsFix>();
+    return provide_function(
+        "storage.echo", type, type,
+        [](const enc::Value& args) -> StatusOr<enc::Value> { return args; });
+  }
+};
+
+class EchoCaller final : public mw::Service {
+ public:
+  EchoCaller() : Service("echo_caller") {}
+  Status on_start() override { return Status::ok(); }
+  void echo(enc::Value args) {
+    call("storage.echo", std::move(args),
+         [this](StatusOr<enc::Value> result) {
+           if (result.ok()) {
+             ++answered;
+             last_time_ns = result->as_list()[5].as_int();
+           }
+         },
+         {.timeout = seconds(2.0), .max_failovers = 0});
+  }
+  uint64_t answered = 0;
+  int64_t last_time_ns = 0;
+};
+
+TEST(SteadyStateRpcTest, WarmRemoteEchoRoundTripAllocationCeiling) {
+  // One remote call and its answer, from call() to the caller's callback,
+  // with the upkeep timers pushed past the run as above. The encode, the
+  // provider lookup, the ARQ window and the acks reuse what they grew
+  // during warm-up. What still allocates, per round trip (a GpsFix is
+  // one Value list of scalars, so each Value tree is one allocation):
+  //   1  the PendingCall node in the caller's call table;
+  //   1  the request buffer, which the ARQ keeps until it is acked;
+  //   1  the args Value tree the server decodes for the handler;
+  //   1  the posted handler closure: it carries the function name and
+  //      that tree, too large for the executor's inline task storage;
+  //   1  the handler's own copy of the args as its result (this echo);
+  //   1  the response buffer, kept by the server's ARQ until acked;
+  //   1  the result Value tree the caller decodes for its callback.
+  constexpr uint64_t kAllocsPerCall = 7;
+  mw::ContainerConfig cfg;
+  cfg.heartbeat_interval = seconds(30.0);
+  cfg.health_check_interval = seconds(30.0);
+  cfg.resubscribe_interval = seconds(30.0);
+  mw::SimDomain domain(22);
+  (void)domain.add_node("server", cfg).add_service(
+      std::make_unique<EchoServer>());
+  auto caller = std::make_unique<EchoCaller>();
+  EchoCaller* client = caller.get();
+  (void)domain.add_node("client", cfg).add_service(std::move(caller));
+  domain.start_all();
+  domain.run_for(seconds(1.0));
+
+  services::GpsFix fix;
+  fix.lat_deg = 41.0;
+  for (int i = 1; i <= 200; ++i) {  // warm-up
+    fix.time_ns = i;
+    client->echo(enc::to_value(fix));
+    domain.run_for(milliseconds(5));
+  }
+  ASSERT_EQ(client->answered, 200u);
+
+  constexpr int kCalls = 100;
+  std::vector<enc::Value> args;
+  args.reserve(kCalls);
+  for (int i = 0; i < kCalls; ++i) {
+    fix.time_ns = 1000 + i;
+    args.push_back(enc::to_value(fix));
+  }
+  const uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
+  for (enc::Value& v : args) {
+    client->echo(std::move(v));
+    domain.run_for(milliseconds(5));
+  }
+  const uint64_t allocs = g_allocs.load(std::memory_order_relaxed) -
+                          allocs_before;
+  EXPECT_EQ(client->answered, 200u + kCalls);
+  EXPECT_EQ(client->last_time_ns, 1000 + kCalls - 1);
+  EXPECT_LE(allocs, kAllocsPerCall * kCalls)
+      << "heap allocations over " << kCalls << " warm RPC round trips";
 }
 
 // --- bulk path ---------------------------------------------------------------

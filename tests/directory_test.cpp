@@ -34,6 +34,14 @@ proto::ProvidedItem item(proto::ItemKind kind, const std::string& name,
   return it;
 }
 
+bool lists(const NameDirectory& dir, proto::ContainerId container,
+           proto::ItemKind kind, const std::string& name) {
+  for (const ProviderRecord& rec : dir.records(kind, name)) {
+    if (rec.container == container) return true;
+  }
+  return false;
+}
+
 TEST(DirectoryTest, HelloPopulatesRecords) {
   NameDirectory dir;
   dir.apply_hello(
@@ -42,13 +50,13 @@ TEST(DirectoryTest, HelloPopulatesRecords) {
                        {item(proto::ItemKind::kVariable, "gps.position"),
                         item(proto::ItemKind::kEvent, "gps.waypoint")}}}));
   auto rec = dir.resolve(proto::ItemKind::kVariable, "gps.position");
-  ASSERT_TRUE(rec.has_value());
+  ASSERT_NE(rec, nullptr);
   EXPECT_EQ(rec->container, 7u);
   EXPECT_EQ(rec->address.host, 10u);
   EXPECT_EQ(rec->address.port, 4500);  // manifest's data_port, not source
   EXPECT_EQ(rec->service, "gps");
-  EXPECT_TRUE(dir.provides(7, proto::ItemKind::kEvent, "gps.waypoint"));
-  EXPECT_FALSE(dir.provides(7, proto::ItemKind::kEvent, "gps.position"));
+  EXPECT_TRUE(lists(dir, 7, proto::ItemKind::kEvent, "gps.waypoint"));
+  EXPECT_FALSE(lists(dir, 7, proto::ItemKind::kEvent, "gps.position"));
 }
 
 TEST(DirectoryTest, KindsAreSeparateNamespaces) {
@@ -58,9 +66,9 @@ TEST(DirectoryTest, KindsAreSeparateNamespaces) {
       manifest(4500, {{"svc",
                        {item(proto::ItemKind::kVariable, "x"),
                         item(proto::ItemKind::kFunction, "x")}}}));
-  EXPECT_TRUE(dir.resolve(proto::ItemKind::kVariable, "x").has_value());
-  EXPECT_TRUE(dir.resolve(proto::ItemKind::kFunction, "x").has_value());
-  EXPECT_FALSE(dir.resolve(proto::ItemKind::kEvent, "x").has_value());
+  EXPECT_TRUE(dir.resolve(proto::ItemKind::kVariable, "x") != nullptr);
+  EXPECT_TRUE(dir.resolve(proto::ItemKind::kFunction, "x") != nullptr);
+  EXPECT_FALSE(dir.resolve(proto::ItemKind::kEvent, "x") != nullptr);
 }
 
 TEST(DirectoryTest, ReHelloReplacesPriorKnowledge) {
@@ -71,8 +79,8 @@ TEST(DirectoryTest, ReHelloReplacesPriorKnowledge) {
   dir.apply_hello(
       1, transport::Address{1, 1},
       manifest(4500, {{"a", {item(proto::ItemKind::kVariable, "new")}}}));
-  EXPECT_FALSE(dir.resolve(proto::ItemKind::kVariable, "old").has_value());
-  EXPECT_TRUE(dir.resolve(proto::ItemKind::kVariable, "new").has_value());
+  EXPECT_FALSE(dir.resolve(proto::ItemKind::kVariable, "old") != nullptr);
+  EXPECT_TRUE(dir.resolve(proto::ItemKind::kVariable, "new") != nullptr);
   EXPECT_EQ(dir.record_count(), 1u);
   EXPECT_EQ(dir.stats().invalidations, 0u);  // replaced, not invalidated
 }
@@ -85,8 +93,11 @@ TEST(DirectoryTest, RedundantProvidersAllListed) {
         manifest(4500,
                  {{"echo", {item(proto::ItemKind::kFunction, "f")}}}));
   }
-  auto providers = dir.providers(proto::ItemKind::kFunction, "f");
-  ASSERT_EQ(providers.size(), 3u);
+  auto records = dir.records(proto::ItemKind::kFunction, "f");
+  ASSERT_EQ(records.size(), 3u);
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].container, i + 1);  // manifest arrival order
+  }
 }
 
 // A manifest carrying `state` for the one service "gps" providing "v".
@@ -104,12 +115,12 @@ TEST(DirectoryTest, StatusUpdateMasksFailedProvider) {
   // A state change reaches peers as the next manifest.
   dir.apply_hello(1, transport::Address{1, 1},
                   gps_in_state(proto::ServiceState::kFailed));
-  EXPECT_TRUE(dir.providers(proto::ItemKind::kVariable, "v").empty());
+  EXPECT_TRUE(dir.usable_count(proto::ItemKind::kVariable, "v") == 0);
 
   // Recovery re-lists it.
   dir.apply_hello(1, transport::Address{1, 1},
                   gps_in_state(proto::ServiceState::kRunning));
-  EXPECT_FALSE(dir.providers(proto::ItemKind::kVariable, "v").empty());
+  EXPECT_FALSE(dir.usable_count(proto::ItemKind::kVariable, "v") == 0);
 }
 
 TEST(DirectoryTest, DegradedStillUsable) {
@@ -118,7 +129,7 @@ TEST(DirectoryTest, DegradedStillUsable) {
                   gps_in_state(proto::ServiceState::kRunning));
   dir.apply_hello(1, transport::Address{1, 1},
                   gps_in_state(proto::ServiceState::kDegraded));
-  EXPECT_EQ(dir.providers(proto::ItemKind::kVariable, "v").size(), 1u);
+  EXPECT_EQ(dir.usable_count(proto::ItemKind::kVariable, "v"), 1u);
 }
 
 TEST(DirectoryTest, DropContainerInvalidatesAndReports) {
@@ -131,10 +142,9 @@ TEST(DirectoryTest, DropContainerInvalidatesAndReports) {
   dir.apply_hello(
       2, transport::Address{2, 1},
       manifest(4500, {{"b", {item(proto::ItemKind::kVariable, "shared")}}}));
-  auto affected = dir.drop_container(1);
-  EXPECT_EQ(affected.size(), 2u);  // shared + only1 lost a provider
-  EXPECT_EQ(dir.providers(proto::ItemKind::kVariable, "shared").size(), 1u);
-  EXPECT_TRUE(dir.providers(proto::ItemKind::kVariable, "only1").empty());
+  EXPECT_EQ(dir.drop_container(1), 2u);  // shared + only1 lost a provider
+  EXPECT_EQ(dir.usable_count(proto::ItemKind::kVariable, "shared"), 1u);
+  EXPECT_TRUE(dir.usable_count(proto::ItemKind::kVariable, "only1") == 0);
   EXPECT_EQ(dir.stats().invalidations, 2u);
 }
 
@@ -158,8 +168,8 @@ TEST(DirectoryTest, QualifiedKeysDoNotCollide) {
       manifest(4500,
                {{"a", {item(proto::ItemKind::kVariable, "event/x")}}}));
   EXPECT_TRUE(
-      dir.resolve(proto::ItemKind::kVariable, "event/x").has_value());
-  EXPECT_FALSE(dir.resolve(proto::ItemKind::kEvent, "x").has_value());
+      dir.resolve(proto::ItemKind::kVariable, "event/x") != nullptr);
+  EXPECT_FALSE(dir.resolve(proto::ItemKind::kEvent, "x") != nullptr);
 }
 
 }  // namespace

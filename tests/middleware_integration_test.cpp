@@ -219,12 +219,12 @@ TEST(IntegrationTest, DirectoryReflectsManifests) {
   w.domain.run_for(seconds(1.0));
   auto& dir = w.domain.container(4).directory();  // ground's view
   EXPECT_FALSE(
-      dir.providers(proto::ItemKind::kVariable, "gps.position").empty());
+      dir.usable_count(proto::ItemKind::kVariable, "gps.position") == 0);
   EXPECT_FALSE(
-      dir.providers(proto::ItemKind::kFunction, "camera.setup").empty());
+      dir.usable_count(proto::ItemKind::kFunction, "camera.setup") == 0);
   EXPECT_FALSE(
-      dir.providers(proto::ItemKind::kEvent, "vision.detection").empty());
-  EXPECT_TRUE(dir.providers(proto::ItemKind::kVariable, "nope").empty());
+      dir.usable_count(proto::ItemKind::kEvent, "vision.detection") == 0);
+  EXPECT_TRUE(dir.usable_count(proto::ItemKind::kVariable, "nope") == 0);
   w.domain.stop_all();
 }
 
@@ -253,14 +253,12 @@ TEST(IntegrationTest, ServiceHealthFailureGossiped) {
   domain.start_all();
   domain.run_for(seconds(1.0));
   EXPECT_FALSE(
-      b.directory().providers(proto::ItemKind::kVariable, "flaky.out")
-          .empty());
+      b.directory().usable_count(proto::ItemKind::kVariable, "flaky.out") == 0);
 
   flaky_ptr->healthy = false;  // watchdog notices, gossips kFailed
   domain.run_for(seconds(1.0));
   EXPECT_TRUE(
-      b.directory().providers(proto::ItemKind::kVariable, "flaky.out")
-          .empty());
+      b.directory().usable_count(proto::ItemKind::kVariable, "flaky.out") == 0);
 }
 
 TEST(IntegrationTest, LossyNetworkStillCompletesMission) {

@@ -245,11 +245,17 @@ TEST(MembershipTest, ManifestChangeMissedInPartitionArrivesByPull) {
     rig.partition();
     ASSERT_TRUE(rig.probe->provide_late(kind).is_ok());
     const uint64_t at_heal = rig.heal_after(milliseconds(150));
-    ASSERT_FALSE(rig.b().directory().provides(a, kind, name))
+    auto lists_a = [&] {
+      for (const auto& rec : rig.b().directory().records(kind, name)) {
+        if (rec.container == a) return true;
+      }
+      return false;
+    };
+    ASSERT_FALSE(lists_a())
         << "the change broadcast crossed the partition";
 
     rig.domain.run_for(rig.cfg.heartbeat_interval + kPullRtt);
-    EXPECT_TRUE(rig.b().directory().provides(a, kind, name));
+    EXPECT_TRUE(lists_a());
     EXPECT_EQ(rig.a().stats().hellos_sent, at_heal + 1);  // the pulled one
     // Bound by now: the next publication reaches b's subscriber (a
     // file's first revision already came with the bind).
@@ -262,22 +268,21 @@ TEST(MembershipTest, ManifestChangeMissedInPartitionArrivesByPull) {
 
 TEST(MembershipTest, ServiceFailedInPartitionIsMaskedAfterPull) {
   PartitionRig rig;
-  ASSERT_EQ(rig.b().directory().providers(proto::ItemKind::kVariable,
-                                          "probe.v").size(),
+  ASSERT_EQ(rig.b().directory().usable_count(proto::ItemKind::kVariable,
+                                          "probe.v"),
             1u);
   rig.partition();
   rig.probe->healthy = false;
   const uint64_t at_heal = rig.heal_after(milliseconds(150));
-  ASSERT_EQ(rig.b().directory().providers(proto::ItemKind::kVariable,
-                                          "probe.v").size(),
+  ASSERT_EQ(rig.b().directory().usable_count(proto::ItemKind::kVariable,
+                                          "probe.v"),
             1u)
       << "the failure broadcast crossed the partition";
 
   rig.domain.run_for(rig.cfg.heartbeat_interval + kPullRtt);
   EXPECT_TRUE(rig.b()
                   .directory()
-                  .providers(proto::ItemKind::kVariable, "probe.v")
-                  .empty());
+                  .usable_count(proto::ItemKind::kVariable, "probe.v") == 0);
   EXPECT_EQ(rig.a().stats().hellos_sent, at_heal + 1);
 }
 

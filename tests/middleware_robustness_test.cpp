@@ -347,6 +347,75 @@ TEST(RobustnessTest, UnchunkableFileRevisionBuildsNoReceiver) {
   EXPECT_EQ(sub_ptr->done, 1);
 }
 
+// A forged FileRevision announcing 2^40 bytes in 2^20 chunks of 2^20
+// decodes, but building a receiver for it would allocate the whole image
+// (1 TiB) at once. The subscriber refuses it before allocating, counts
+// the refusal, and completes the provider's next real revision.
+TEST(RobustnessTest, OversizedFileRevisionIsRefusedBeforeAllocating) {
+  set_log_level(LogLevel::kError);
+  SimDomain domain(87);
+  class Sub final : public Service {
+   public:
+    Sub() : Service("fsub") {}
+    Status on_start() override {
+      return subscribe_file("doc",
+                            [this](const proto::FileMeta& m, const Buffer& b) {
+                              ++done;
+                              last_revision = m.revision;
+                              last_size = b.size();
+                            });
+    }
+    int done = 0;
+    uint32_t last_revision = 0;
+    size_t last_size = 0;
+  };
+  class Pub final : public Service {
+   public:
+    Pub() : Service("fpub") {}
+    Status on_start() override { return Status::ok(); }
+    Status publish(size_t n) { return publish_file("doc", Buffer(n, 7)); }
+  };
+  auto& n0 = domain.add_node("sub");
+  auto sub = std::make_unique<Sub>();
+  auto* sub_ptr = sub.get();
+  (void)n0.add_service(std::move(sub));
+  auto pub = std::make_unique<Pub>();
+  auto* pub_ptr = pub.get();
+  (void)domain.add_node("pub").add_service(std::move(pub));
+  domain.start_all();
+  domain.run_for(milliseconds(500));
+  ASSERT_TRUE(pub_ptr->publish(3000).is_ok());
+  domain.run_for(seconds(2.0));
+  ASSERT_EQ(sub_ptr->done, 1);
+
+  proto::FileRevisionMsg rev;
+  rev.transfer_id = 0xBAD;
+  rev.meta.name = "doc";
+  rev.meta.revision = 2;
+  rev.meta.size = uint64_t{1} << 40;
+  rev.meta.chunk_size = 1u << 20;
+  ASSERT_GT(rev.meta.size, proto::kMaxFileBytes);
+  ByteWriter inner;
+  inner.u8(static_cast<uint8_t>(proto::MsgType::kFileRevision));
+  rev.encode(inner);
+  proto::ReliableDataMsg data;
+  data.session = 1;
+  data.inner_type = proto::InnerType::kControl;
+  data.inner = Bytes(inner.take());
+  inject(domain, proto::MsgType::kReliableData, /*source=*/777, data);
+  domain.run_for(milliseconds(100));
+  EXPECT_EQ(n0.stats().file_revisions_refused, 1u);
+  EXPECT_EQ(sub_ptr->done, 1);
+
+  // Still subscribed and bound: the provider's real revision 2 completes.
+  ASSERT_TRUE(pub_ptr->publish(5000).is_ok());
+  domain.run_for(seconds(2.0));
+  EXPECT_EQ(sub_ptr->done, 2);
+  EXPECT_EQ(sub_ptr->last_revision, 2u);
+  EXPECT_EQ(sub_ptr->last_size, 5000u);
+  EXPECT_EQ(n0.stats().file_revisions_refused, 1u);
+}
+
 TEST(RobustnessTest, PlanUploadRetasksAircraft) {
   set_log_level(LogLevel::kError);
   SimDomain domain(86);
@@ -481,10 +550,10 @@ TEST(RobustnessTest, StaleReorderedHelloCannotRegressDirectory) {
 
   inject_hello(newer);
   EXPECT_TRUE(
-      a.directory().resolve(proto::ItemKind::kVariable, "x.two").has_value());
+      a.directory().resolve(proto::ItemKind::kVariable, "x.two") != nullptr);
   inject_hello(stale);  // reordered duplicate of the past
   EXPECT_TRUE(
-      a.directory().resolve(proto::ItemKind::kVariable, "x.two").has_value())
+      a.directory().resolve(proto::ItemKind::kVariable, "x.two") != nullptr)
       << "stale hello regressed the directory";
 
   // A new incarnation resets the version horizon: version 1 of
@@ -495,8 +564,7 @@ TEST(RobustnessTest, StaleReorderedHelloCannotRegressDirectory) {
   reborn.services[0].items[0].name = "x.three";
   inject_hello(reborn);
   EXPECT_TRUE(a.directory()
-                  .resolve(proto::ItemKind::kVariable, "x.three")
-                  .has_value());
+                  .resolve(proto::ItemKind::kVariable, "x.three") != nullptr);
 }
 
 TEST(RobustnessTest, HelloRequestFloodGetsOneAnswerPerInterval) {

@@ -212,6 +212,20 @@ TEST(RunSetTest, OverlappingRunInsert) {
   EXPECT_EQ(s.runs()[0], (IndexRun{0, 14}));
 }
 
+TEST(RunSetTest, RebaseDropsBelowAndShiftsTheRest) {
+  RunSet s;
+  s.insert_run(1, 3);   // wholly below 8: dropped
+  s.insert_run(4, 0);   // empty: no run
+  s.insert_run(6, 4);   // straddles 8: keeps 8 and 9
+  s.insert_run(20, 2);  // above: shifted
+  s.rebase(8);
+  EXPECT_EQ(s.to_indices(), (std::vector<uint32_t>{0, 1, 12, 13}));
+  s.rebase(0);  // no-op
+  EXPECT_EQ(s.to_indices(), (std::vector<uint32_t>{0, 1, 12, 13}));
+  s.rebase(100);
+  EXPECT_TRUE(s.empty());
+}
+
 TEST(RunSetTest, MissingOf) {
   RunSet have;
   have.insert_run(0, 3);
